@@ -3,7 +3,9 @@ kernels, and run the verification suite.
 
 Exit codes: 0 success (all checks pass), 1 verification failure, 2 bad
 arguments.  The symbolic commands never take a parameter value; pass
---alpha p/q to specialize the output exactly at a rational point.
+--alpha p/q to specialize the output exactly at a rational point.  A
+negative value needs the `=` form, --alpha=-1/2, since argparse reads
+-1/2 after a space as an option; a pole at the given value exits 2.
 """
 
 from __future__ import annotations
@@ -116,12 +118,15 @@ def cmd_compute(args, parser):
             parser.error(f"S index {index} must dominate the staircase {delta}")
         poly = jack.build_S(index)
         symbol = "x"
-    if args.format == "json":
-        print(_poly_json(poly, args.alpha))
-    elif args.family == "P" and args.alpha is None:
-        print(_m_basis_text(poly))
-    else:
-        print(_poly_text(poly, symbol, args.alpha))
+    try:
+        if args.format == "json":
+            print(_poly_json(poly, args.alpha))
+        elif args.family == "P" and args.alpha is None:
+            print(_m_basis_text(poly))
+        else:
+            print(_poly_text(poly, symbol, args.alpha))
+    except ZeroDivisionError as exc:  # a pole at --alpha
+        parser.error(str(exc))
     return 0
 
 
@@ -145,8 +150,11 @@ def cmd_constants(args, parser):
         ("v", scalars.v_kappa(kappa)),
     ]
     if args.alpha is not None:
-        values = [(k, v if isinstance(v, list) else v.eval_at(args.alpha))
-                  for k, v in values]
+        try:
+            values = [(k, v if isinstance(v, list) else v.eval_at(args.alpha))
+                      for k, v in values]
+        except ZeroDivisionError as exc:  # a pole at --alpha
+            parser.error(str(exc))
     if args.format == "json":
         out = {k: (v if isinstance(v, list) else
                    (str(v) if args.alpha is not None else v.to_json()))
@@ -161,8 +169,9 @@ def cmd_constants(args, parser):
 
 
 def cmd_verify(args, parser):
-    if args.deg < 0 or args.N < 1 or args.jobs < 1:
-        parser.error("--deg must be >= 0, --N and --jobs >= 1")
+    if args.deg < 0 or args.N < 2 or args.jobs < 1:
+        parser.error("--deg must be >= 0, --N >= 2 (no check sweeps fewer "
+                     "than 2 variables) and --jobs >= 1")
     ks = tuple(int(k) for k in args.k.split(","))
     if any(k < 1 for k in ks):
         parser.error("--k entries must be positive integers")
@@ -245,13 +254,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=None, help="pad the index with zeros to N parts")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--alpha", type=Fraction, default=None,
-                   help="specialize the parameter at an exact rational p/q")
+                   help="specialize the parameter at an exact rational p/q "
+                        "(negative values as --alpha=-1/2)")
 
     p = sub.add_parser("constants", help="print the scalar constants for a composition")
     p.add_argument("eta", help="comma-separated parts")
     p.add_argument("--N", type=int, default=None)
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--alpha", type=Fraction, default=None)
+    p.add_argument("--alpha", type=Fraction, default=None,
+                   help="evaluate at an exact rational p/q (negative values as --alpha=-1/2)")
 
     p = sub.add_parser("verify", help="run the verification suite")
     p.add_argument("--N", type=int, default=4, help="largest variable count (default 4)")

@@ -131,10 +131,6 @@ def dominance_leq(kappa, mu) -> bool:
     return True
 
 
-def dominance_lt(kappa, mu) -> bool:
-    return tuple(kappa) != tuple(mu) and dominance_leq(kappa, mu)
-
-
 def composition_lt(nu, eta) -> bool:
     """Strict order on equal-modulus compositions: compare the sorted parts
     in dominance, tie-broken by partial sums of the compositions themselves."""

@@ -84,14 +84,6 @@ def triangular_ok(f: MultiPoly, eta) -> bool:
     return True
 
 
-def check_E_eigen(eta) -> bool:
-    return eigen_ok(build_E(eta), eta)
-
-
-def check_E_triangular(eta) -> bool:
-    return triangular_ok(build_E(eta), eta)
-
-
 def check_s_i_action(eta, i: int) -> bool:
     """The three-case adjacent-swap action, with both sides built
     independently from the cache."""
@@ -115,24 +107,28 @@ def check_s_i_action(eta, i: int) -> bool:
 # the symmetric family
 # ---------------------------------------------------------------------------
 
+def _padded(kappa, n: int = None) -> tuple:
+    """kappa as a partition with exactly n parts (default: as given), padded
+    with zeros or cut of trailing zeros."""
+    kappa = combinat.as_partition(kappa)
+    if n is None:
+        return kappa
+    if any(kappa[n:]):
+        raise ValueError(f"partition {kappa} longer than N={n}")
+    return kappa[:n] + (0,) * (n - len(kappa))
+
+
 def build_P(kappa, n: int = None, shift_param: bool = False) -> MultiPoly:
     """The monic symmetric polynomial, assembled as
     d'(kappa) * sum over rearrangements eta of E_eta / d'(eta).
     With shift_param the coefficients are carried through
     alpha -> alpha/(alpha+1)."""
-    kappa = combinat.as_partition(kappa)
-    if n is None:
-        n = len(kappa)
-    if len(kappa) > n:
-        if any(kappa[n:]):
-            raise ValueError(f"partition {kappa} longer than N={n}")
-        kappa = kappa[:n]
-    kappa = tuple(kappa) + (0,) * (n - len(kappa))
+    kappa = _padded(kappa, n)
     key = (kappa, shift_param)
     cached = _P_CACHE.get(key)
     if cached is not None:
         return cached
-    out = MultiPoly.zero(n)
+    out = MultiPoly.zero(len(kappa))
     for eta in combinat.rearrangements(kappa):
         out = out + build_E(eta).scale(scalars.const_dp(eta).inverse())
     out = out.scale(scalars.const_dp(kappa))
@@ -146,10 +142,7 @@ def build_P(kappa, n: int = None, shift_param: bool = False) -> MultiPoly:
 def build_P_sym_route(kappa, n: int = None) -> MultiPoly:
     """Independent assembly: symmetrize E at the increasing rearrangement
     and divide by the stabilizer order of the padded shape."""
-    kappa = combinat.as_partition(kappa)
-    if n is None:
-        n = len(kappa)
-    kappa = tuple(kappa) + (0,) * (n - len(kappa))
+    kappa = _padded(kappa, n)
     eta_r = combinat.reverse_partition(kappa)
     f = symmetrize(build_E(eta_r))
     stab = combinat.stabilizer_order(kappa)
@@ -159,12 +152,9 @@ def build_P_sym_route(kappa, n: int = None) -> MultiPoly:
 def check_pe_vs_sym(kappa, n: int = None) -> bool:
     """The two assembly routes agree, and their value at all-ones matches
     both scalar closed forms."""
-    kappa = combinat.as_partition(kappa)
-    if n is None:
-        n = len(kappa)
-    kappa = tuple(kappa) + (0,) * (n - len(kappa))
-    p1 = build_P(kappa, n)
-    p2 = build_P_sym_route(kappa, n)
+    kappa = _padded(kappa, n)
+    p1 = build_P(kappa)
+    p2 = build_P_sym_route(kappa)
     if p1 != p2:
         return False
     ones = p1.eval_ones()
@@ -175,12 +165,8 @@ def check_pe_vs_sym(kappa, n: int = None) -> bool:
 def check_P_symmetric_eigen(kappa, n: int = None) -> bool:
     """Symmetry, eigenfunction property of the second-order operator, and
     dominance triangularity of the monomial expansion (monic at kappa)."""
-    kappa = combinat.as_partition(kappa)
-    if n is None:
-        n = len(kappa)
-    kappa = tuple(kappa) + (0,) * (n - len(kappa))
-    p = build_P(kappa, n)
-    return p_properties_ok(p, kappa)
+    kappa = _padded(kappa, n)
+    return p_properties_ok(build_P(kappa), kappa)
 
 
 def p_properties_ok(p: MultiPoly, kappa) -> bool:
@@ -249,10 +235,8 @@ def check_du_expansion(eta_plus, n: int = None) -> bool:
     """The Vandermonde times the shifted P expands over the rearrangements
     nu of rho+ = eta+ + staircase as (1/d(rho+)) sum sign(nu) d(nu) E_nu,
     with sign(nu) = (-1)^(ascending pairs of nu)."""
-    eta_plus = combinat.as_partition(eta_plus)
-    if n is None:
-        n = len(eta_plus)
-    eta_plus = tuple(eta_plus) + (0,) * (n - len(eta_plus))
+    eta_plus = _padded(eta_plus, n)
+    n = len(eta_plus)
     delta = combinat.staircase(n)
     rho_plus = tuple(p + d for p, d in zip(eta_plus, delta))
     lhs = build_S(rho_plus)

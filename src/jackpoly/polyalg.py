@@ -2,10 +2,10 @@
 
 Terms live in a dict keyed by exponent tuples (length = number of
 variables); zero coefficients are never stored.  Variable indices in the
-operator API are 1-based to match diagram coordinates.  The same class also
-serves Laurent-style data (negative exponents) on the oracle side, where
-coefficients are plain Fractions; nothing here assumes a coefficient type
-beyond field arithmetic and truthiness.
+operator API are 1-based to match diagram coordinates.  Coefficients are
+Q(alpha) elements.  The oracle keeps its Laurent data (negative exponents,
+Fraction coefficients) in plain dicts instead; of this module it reads only
+the truncated BiPoly kernels, for the kernel-pairing extraction.
 """
 
 from __future__ import annotations
@@ -154,9 +154,6 @@ class MultiPoly:
 
     def coeff(self, exps):
         return self.terms.get(tuple(exps), ZERO)
-
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
 
     def sorted_terms(self):
         return sorted(self.terms.items())
@@ -623,11 +620,6 @@ def diagonal_kernel_truncated(n: int, bound: int) -> BiPoly:
     for j in range(1, n + 1):
         out = out.mul_bilinear_series(j, j, geo)
     return out
-
-
-def extract_q_eta(omega: BiPoly, eta) -> MultiPoly:
-    """Coefficient x-polynomial of y^eta in the expanded kernel."""
-    return omega.y_coefficient(eta)
 
 
 def check_cauchy_alternant(n: int, bound: int) -> bool:

@@ -358,10 +358,6 @@ def alpha_shift() -> AlphaRational:
     return AlphaRational._raw((0, 1), (1, 1))
 
 
-def from_int(n: int) -> AlphaRational:
-    return AlphaRational.from_fraction(n)
-
-
 # ---------------------------------------------------------------------------
 # printing and parsing (round-trip canonical strings)
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 """Registry of verification checks and the report the CLI prints.
 
-Each check sweeps one identity family inside the supplied bounds and
-returns a CheckResult; a failing result always carries a witness naming the
-offending label and both values.  Checks are independent of one another and
-may run in parallel worker processes.
+Every check is one row of CHECKS: its limits as data, a generator that
+streams the cases of the effective sweep, and a test that returns a witness
+for a failing case (naming the offending label and both values) or None
+when the case holds.  One runner holds the requested bounds to the row's
+limits, counts the cases, stops at the first witness, and reports the
+effective bounds, the number of cases and every bound a limit cut
+(`clamped`).  Checks are independent of one another and may run in
+parallel worker processes.
 """
 
 from __future__ import annotations
@@ -13,13 +17,15 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
-from . import combinat, jack, oracle, scalars
+from . import combinat, jack, oracle, polyalg, scalars
 from .polyalg import (MultiPoly, apply_transposition, cherednik_apply,
                       divided_difference)
 from .qalpha import ALPHA, ONE, AlphaRational, alpha_shift
 
 FIG2_SHAPE = (8, 7, 7, 4, 3, 3, 2, 1, 0)
+SOLVE_ALPHAS = (Fraction(2), Fraction(3), Fraction(7, 2))
 
 
 @dataclass(frozen=True)
@@ -33,13 +39,16 @@ class Bounds:
 @dataclass
 class CheckResult:
     name: str
-    params: dict
+    params: dict  # effective bounds and fixed settings
     status: str  # pass / fail / skipped
     witness: str = None
     seconds: float = 0.0
+    cases: int = 0
+    clamped: list = field(default_factory=list)  # {"bound", "requested", "effective"}
 
     def to_json(self):
         return {"name": self.name, "params": self.params, "status": self.status,
+                "cases": self.cases, "clamped": self.clamped,
                 "witness": self.witness, "seconds": round(self.seconds, 4)}
 
 
@@ -69,7 +78,11 @@ class VerifyReport:
         for r in self.results:
             mark = {"pass": "PASS", "fail": "FAIL", "skipped": "SKIP"}[r.status]
             params = " ".join(f"{k}={v}" for k, v in r.params.items())
-            lines.append(f"{mark}  {r.name:<{width}}  [{params}]  ({r.seconds:.2f}s)")
+            lines.append(f"{mark}  {r.name:<{width}}  [{params}]  cases={r.cases}"
+                         f"  ({r.seconds:.2f}s)")
+            if r.clamped:
+                lines.append("      clamped: " + ", ".join(
+                    f"{c['bound']} {c['requested']} -> {c['effective']}" for c in r.clamped))
             if r.witness:
                 lines.append(f"      witness: {r.witness}")
         c = self.counts
@@ -77,106 +90,190 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def _pass(name, params):
-    return CheckResult(name, params, "pass")
+# ---------------------------------------------------------------------------
+# rows and their runner
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Sweep:
+    """The effective bounds of one row: what its cases cover."""
+    ns: tuple
+    deg: int
+    caps: dict
+    ks: tuple
+    rs: tuple
+
+    def cap(self, where):
+        """The degree cap at a variable count or a named sub-sweep."""
+        return self.caps.get(where, self.deg)
 
 
-def _fail(name, params, witness):
-    return CheckResult(name, params, "fail", witness)
+@dataclass(frozen=True)
+class Check:
+    """One registry row, callable as bounds -> CheckResult.  Its limits are
+    data: it sweeps N = 2 up to the requested N held to the range `ns`, and
+    the requested degree held to `deg`; `caps` lowers the degree cap at a
+    variable count (int key) or for a named sub-sweep (str key).  `k` and
+    `r` mark rows that sweep the requested k or r values; `needs_k` fixes
+    the k values instead (skipped unless all are requested).  `fixed`
+    records settings no bound changes."""
+    name: str
+    cases: Callable  # Sweep -> iterable of argument tuples, in sweep order
+    test: Callable  # (*case) -> witness string, or None when the case holds
+    ns: tuple = (2, 3)
+    deg: tuple = None
+    caps: dict = field(default_factory=dict)
+    k: bool = False
+    needs_k: tuple = ()
+    r: bool = False
+    fixed: dict = field(default_factory=dict)
+
+    def __call__(self, bounds: Bounds) -> CheckResult:
+        params, clamped = {}, []
+
+        def hold(bound, requested, lo, hi):
+            effective = min(max(requested, lo), hi)
+            if effective != requested:
+                clamped.append({"bound": bound, "requested": requested,
+                                "effective": effective})
+            return effective
+
+        def result(status, witness=None, cases=0):
+            return CheckResult(self.name, params, status, witness,
+                               cases=cases, clamped=clamped)
+
+        ns = ()
+        if self.ns is not None:
+            ns = tuple(range(2, hold("N", bounds.n_max, *self.ns) + 1))
+            params["N"] = list(ns)
+        deg, caps = None, {}
+        if self.deg is not None:
+            deg = params["deg"] = hold("deg", bounds.deg, *self.deg)
+            for where, cap in self.caps.items():
+                if isinstance(where, int) and where not in ns:
+                    continue
+                bound = f"deg(N={where})" if isinstance(where, int) else f"deg({where})"
+                caps[where] = hold(bound, bounds.deg, self.deg[0], cap)
+                if caps[where] != deg:
+                    params[bound] = caps[where]
+        ks = tuple(bounds.ks)
+        if self.needs_k:
+            if not set(self.needs_k) <= set(ks):
+                return result("skipped", "needs k in {%s}" % ",".join(map(str, self.needs_k)))
+            if set(ks) != set(self.needs_k):
+                clamped.append({"bound": "k", "requested": list(ks),
+                                "effective": list(self.needs_k)})
+            ks = self.needs_k
+        if self.k or self.needs_k:
+            params["k"] = list(ks)
+        if self.r:
+            params["r"] = [str(r) for r in bounds.rs]
+        params.update(self.fixed)
+
+        cases = 0
+        try:
+            for case in self.cases(Sweep(ns, deg, caps, ks, tuple(bounds.rs))):
+                cases += 1
+                witness = self.test(*case)
+                if witness is not None:
+                    return result("fail", witness, cases)
+        except Exception as exc:  # a crash is a failing check, not a crash of the run
+            return result("fail", f"exception: {exc!r}", cases)
+        return result("pass", cases=cases)
 
 
-def _skip(name, params, why):
-    return CheckResult(name, params, "skipped", why)
+def _differ(label, got, want):
+    """The witness for got != want, or None."""
+    return None if got == want else f"{label}: {got} != {want}"
 
 
-def _eigen_sweep(bounds):
-    """(N, degree cap) pairs for the construction sweeps."""
-    out = []
-    for n in range(2, min(bounds.n_max, 4) + 1):
-        cap = min(bounds.deg, 5) if n <= 3 else min(bounds.deg, 3)
-        out.append((n, cap))
-    return out
+def _nonzero(kappa):
+    return tuple(p for p in kappa if p) or (0,)
 
 
-def _ns(bounds):
-    """Variable counts for the desk-scale sweeps (2 and, room permitting, 3)."""
-    return tuple(n for n in (2, 3) if n <= max(2, bounds.n_max))
+def _compositions(s):
+    """(eta,) for each swept N and composition eta up to the cap at N."""
+    for n in s.ns:
+        for eta in combinat.compositions_upto(s.cap(n), n):
+            yield (eta,)
+
+
+def _partitions(s):
+    """(kappa, N) for each swept N and partition kappa up to the cap at N."""
+    for n in s.ns:
+        for kappa in combinat.partitions_upto(s.cap(n), n):
+            yield kappa, n
+
+
+def _kernels(s):
+    """(N, D): one truncated kernel per swept N at the degree D."""
+    return ((n, s.deg) for n in s.ns)
+
+
+def _staircase_shapes(n, size):
+    """(eta+, rho+) with rho+ = eta+ + staircase strictly decreasing, |rho+| <= size."""
+    delta = combinat.staircase(n)
+    for ep in combinat.partitions_upto(size - sum(delta), n):
+        yield ep, tuple(p + d for p, d in zip(ep, delta))
+
+
+def _rhos(s):
+    """(rho,) for every rearrangement of every rho+ with |rho+| <= deg + 1."""
+    for n in s.ns:
+        for _, rho_plus in _staircase_shapes(n, s.deg + 1):
+            for rho in combinat.rearrangements(rho_plus):
+                yield (rho,)
 
 
 # ---------------------------------------------------------------------------
-# construction checks
+# construction, symmetric and anti-symmetric family checks
 # ---------------------------------------------------------------------------
 
-def check_E_eigen_triangular(bounds: Bounds) -> CheckResult:
-    name = "E.eigen-triangular"
-    params = {"sweep": _eigen_sweep(bounds)}
-    for n, cap in _eigen_sweep(bounds):
-        for eta in combinat.compositions_upto(cap, n):
-            f = jack.build_E(eta)
-            if not jack.eigen_ok(f, eta):
-                bars = combinat.eigenvalue_vector(eta)
-                for i in range(1, n + 1):
-                    lhs = cherednik_apply(f, i)
-                    rhs = f.scale(bars[i - 1])
-                    if lhs != rhs:
-                        return _fail(name, params,
-                                     f"eta={eta} i={i}: xi_i E = {lhs} != {rhs}")
-            if not jack.triangular_ok(f, eta):
-                return _fail(name, params, f"eta={eta}: not monic triangular: {f}")
-    return _pass(name, params)
+# the construction sweep: |eta| <= 5 for N = 2, 3 and |eta| <= 3 for N = 4
+_EIGEN = dict(ns=(2, 4), deg=(0, 5), caps={4: 3})
 
 
-def check_E_at_ones(bounds: Bounds) -> CheckResult:
-    name = "E.value-at-ones"
-    params = {"sweep": _eigen_sweep(bounds)}
-    for n, cap in _eigen_sweep(bounds):
-        for eta in combinat.compositions_upto(cap, n):
-            lhs = jack.build_E(eta).eval_ones()
-            rhs = scalars.eval_E_at_ones(eta)
+def _eigen_triangular(eta):
+    f = jack.build_E(eta)
+    if not jack.eigen_ok(f, eta):
+        bars = combinat.eigenvalue_vector(eta)
+        for i in range(1, len(eta) + 1):
+            lhs = cherednik_apply(f, i)
+            rhs = f.scale(bars[i - 1])
             if lhs != rhs:
-                return _fail(name, params, f"eta={eta}: {lhs} != {rhs}")
-    return _pass(name, params)
+                return f"eta={eta} i={i}: xi_i E = {lhs} != {rhs}"
+    if not jack.triangular_ok(f, eta):
+        return f"eta={eta}: not monic triangular: {f}"
+    return None
 
 
-def check_s_action(bounds: Bounds) -> CheckResult:
-    name = "E.swap-action"
-    cap = min(bounds.deg, 4)
-    params = {"deg": cap, "N": list(_ns(bounds))}
-    for n in _ns(bounds):
-        for eta in combinat.compositions_upto(cap, n):
-            for i in range(1, n):
-                if not jack.check_s_i_action(eta, i):
-                    return _fail(name, params, f"eta={eta} i={i}")
-    return _pass(name, params)
-
-
-def check_xi_commutation(bounds: Bounds) -> CheckResult:
-    name = "xi.commutation"
-    params = {"N": list(_ns(bounds)), "deg": 4, "trials": 3}
+def _xi_cases(s):
+    """(f, i, j) for three random polynomials of degree <= deg per N."""
     rng = random.Random(20240211)
-    for n in _ns(bounds):
+    for n in s.ns:
         for _ in range(3):
             terms = {}
             for _ in range(5):
                 e = tuple(rng.randrange(0, 3) for _ in range(n))
-                if sum(e) <= 4:
+                if sum(e) <= s.deg:
                     terms[e] = AlphaRational.from_fraction(
                         Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)))
             f = MultiPoly(n, terms)
             for i in range(1, n + 1):
                 for j in range(i + 1, n + 1):
-                    lhs = cherednik_apply(cherednik_apply(f, i), j)
-                    rhs = cherednik_apply(cherednik_apply(f, j), i)
-                    if lhs != rhs:
-                        return _fail(name, params, f"N={n} f={f}: [{i},{j}] != 0")
-    return _pass(name, params)
+                    yield f, i, j
 
 
-def check_divided_difference(bounds: Bounds) -> CheckResult:
-    name = "divided-difference.multiply-back"
-    params = {"N": "2..3", "trials": 4}
+def _xi_commute(f, i, j):
+    lhs = cherednik_apply(cherednik_apply(f, i), j)
+    rhs = cherednik_apply(cherednik_apply(f, j), i)
+    return None if lhs == rhs else f"N={f.nvars} f={f}: [{i},{j}] != 0"
+
+
+def _divided_difference_cases(s):
+    """(f, i, p), i != p, for four random polynomials with parts <= 3 per N."""
     rng = random.Random(771)
-    for n in (2, 3):
+    for n in s.ns:
         for _ in range(4):
             terms = {}
             for _ in range(6):
@@ -185,387 +282,180 @@ def check_divided_difference(bounds: Bounds) -> CheckResult:
             f = MultiPoly(n, terms)
             for i in range(1, n + 1):
                 for p in range(1, n + 1):
-                    if i == p:
-                        continue
-                    dd = divided_difference(f, i, p)
-                    zi = MultiPoly.variable(i, n)
-                    zp = MultiPoly.variable(p, n)
-                    if dd * (zi - zp) != f - apply_transposition(f, i, p):
-                        return _fail(name, params, f"N={n} ({i},{p}) f={f}")
-    return _pass(name, params)
+                    if i != p:
+                        yield f, i, p
 
 
-# ---------------------------------------------------------------------------
-# symmetric / anti-symmetric family checks
-# ---------------------------------------------------------------------------
-
-def check_P_properties(bounds: Bounds) -> CheckResult:
-    name = "P.symmetric-eigen-dominance"
-    cap = min(bounds.deg, 5)
-    params = {"deg": cap, "N": list(_ns(bounds))}
-    for n in _ns(bounds):
-        for kappa in combinat.partitions_upto(cap, n):
-            if not jack.check_P_symmetric_eigen(kappa, n):
-                return _fail(name, params, f"kappa={kappa} N={n}")
-    return _pass(name, params)
+def _multiply_back(f, i, p):
+    n = f.nvars
+    dd = divided_difference(f, i, p)
+    zi, zp = MultiPoly.variable(i, n), MultiPoly.variable(p, n)
+    if dd * (zi - zp) != f - apply_transposition(f, i, p):
+        return f"N={n} ({i},{p}) f={f}"
+    return None
 
 
-def check_pe_vs_sym(bounds: Bounds) -> CheckResult:
-    name = "P.two-routes"
-    cap = min(bounds.deg, 5)
-    params = {"deg": cap, "N": list(_ns(bounds))}
-    for n in _ns(bounds):
-        for kappa in combinat.partitions_upto(cap, n):
-            if not jack.check_pe_vs_sym(kappa, n):
-                p1 = jack.build_P(kappa, n)
-                p2 = jack.build_P_sym_route(kappa, n)
-                return _fail(name, params, f"kappa={kappa} N={n}: {p1} vs {p2}")
-    return _pass(name, params)
+def _two_routes(kappa, n):
+    if jack.check_pe_vs_sym(kappa, n):
+        return None
+    return f"kappa={kappa} N={n}: {jack.build_P(kappa, n)} vs {jack.build_P_sym_route(kappa, n)}"
 
 
-def check_P_stability(bounds: Bounds) -> CheckResult:
-    name = "P.stability"
-    cap = min(bounds.deg, 4)
-    params = {"deg": cap, "N": "3 -> 2"}
-    for n in (3,):
-        for kappa in combinat.partitions_upto(cap, n - 1):
-            if not jack.check_P_stability(kappa, n):
-                return _fail(name, params, f"kappa={kappa} N={n}")
-    return _pass(name, params)
+def _sym_proportional(eta):
+    try:
+        jack.sym_constant(eta)
+    except ArithmeticError as exc:
+        return f"eta={eta}: {exc}"
+    return None
 
 
-def check_sym_proportionality(bounds: Bounds) -> CheckResult:
-    name = "sym.proportionality"
-    cap = min(bounds.deg, 4)
-    params = {"deg": cap, "N": list(_ns(bounds))}
-    measured = {}
-    for n in _ns(bounds):
-        for eta in combinat.compositions_upto(cap, n):
-            try:
-                c = jack.sym_constant(eta)
-            except ArithmeticError as exc:
-                return _fail(name, params, f"eta={eta}: {exc}")
-            if sum(eta) <= 2:
-                measured[str(eta)] = str(c)
-    # no closed form is asserted for these; the report records the values
-    params["measured"] = measured
-    return _pass(name, params)
+def _hook_cases(s):
+    """(kappa, with_norm) for |kappa| <= deg + 1 per N, then the 9-part shape
+    (whose norm forms are not compared)."""
+    for n in s.ns:
+        for kappa in combinat.partitions_upto(s.deg + 1, n):
+            yield kappa, True
+    yield FIG2_SHAPE, False
 
 
-def check_hook(bounds: Bounds) -> CheckResult:
-    name = "P.value-and-hook"
-    cap = min(bounds.deg + 1, 6)
-    params = {"deg": cap, "N": f"2..{min(bounds.n_max, 4)}", "fig2": "N=9"}
-    for n in range(2, min(bounds.n_max, 4) + 1):
-        for kappa in combinat.partitions_upto(cap, n):
-            if not scalars.check_hook_identity(kappa):
-                return _fail(name, params, f"hook kappa={kappa}")
-            if not scalars.check_P_ones_consistency(kappa):
-                return _fail(name, params,
-                             f"kappa={kappa}: {scalars.eval_P_at_ones(kappa)} != "
-                             f"{scalars.eval_P_at_ones_sym_route(kappa)}")
-            if not scalars.check_norm_P_consistency(kappa):
-                return _fail(name, params, f"norm forms kappa={kappa}")
-    if not scalars.check_hook_identity(FIG2_SHAPE):
-        return _fail(name, params, f"hook at {FIG2_SHAPE}")
-    if not scalars.check_P_ones_consistency(FIG2_SHAPE):
-        return _fail(name, params, f"value forms at {FIG2_SHAPE}")
-    return _pass(name, params)
+def _value_and_hook(kappa, with_norm):
+    if not scalars.check_hook_identity(kappa):
+        return f"hook kappa={kappa}"
+    if not scalars.check_P_ones_consistency(kappa):
+        return (f"kappa={kappa}: {scalars.eval_P_at_ones(kappa)} != "
+                f"{scalars.eval_P_at_ones_sym_route(kappa)}")
+    if with_norm and not scalars.check_norm_P_consistency(kappa):
+        return f"norm forms kappa={kappa}"
+    return None
 
 
-def check_asym(bounds: Bounds) -> CheckResult:
-    name = "asym.proportionality"
-    cap = min(bounds.deg + 1, 6)
-    params = {"|rho|<=": cap, "N": list(_ns(bounds)),
-              "sign": "(-1)^(ascending pairs) * d'(rho)/d'(rhoR)"}
-    for n in _ns(bounds):
-        base = n * (n - 1) // 2
-        if base > cap:
+def _asym_cases(s):
+    """Per N: every distinct-part rho of _rhos, then every composition with a
+    repeated part up to the `repeated` cap plus one (Asym E must vanish)."""
+    for n in s.ns:
+        if n * (n - 1) // 2 > s.deg + 1:
             continue
-        for ep in combinat.partitions_upto(cap - base, n):
-            rho_plus = tuple(p + d for p, d in zip(ep, combinat.staircase(n)))
+        for _, rho_plus in _staircase_shapes(n, s.deg + 1):
             for rho in combinat.rearrangements(rho_plus):
-                try:
-                    c, ok = jack.check_asym_formula(rho)
-                except ArithmeticError as exc:
-                    return _fail(name, params, f"rho={rho}: {exc}")
-                if not ok:
-                    return _fail(name, params,
-                                 f"rho={rho}: measured {c} != "
-                                 f"{scalars.c_rho_resolved(rho)}")
-        # repeated parts must antisymmetrize to zero
-        for eta in combinat.compositions_upto(min(cap, 4), n):
-            if combinat.has_distinct_parts(eta):
-                continue
-            c, ok = jack.check_asym_formula(eta)
-            if not ok:
-                return _fail(name, params, f"rho={eta}: Asym E != 0")
-    return _pass(name, params)
+                yield (rho,)
+        for eta in combinat.compositions_upto(s.cap("repeated") + 1, n):
+            if not combinat.has_distinct_parts(eta):
+                yield (eta,)
 
 
-def check_c_forms(bounds: Bounds) -> CheckResult:
-    name = "asym.c-closed-forms"
-    cap = min(bounds.deg + 1, 6)
-    params = {"|rho|<=": cap, "N": list(_ns(bounds))}
-    for n in _ns(bounds):
-        base = n * (n - 1) // 2
-        if base > cap:
-            continue
-        for ep in combinat.partitions_upto(cap - base, n):
-            rho_plus = tuple(p + d for p, d in zip(ep, combinat.staircase(n)))
-            for rho in combinat.rearrangements(rho_plus):
-                a = scalars.c_rho(rho, "shifted-shape")
-                b = scalars.c_rho(rho, "rearrangement")
-                if a != b:
-                    return _fail(name, params, f"rho={rho}: {a} != {b}")
-    return _pass(name, params)
-
-
-def check_du(bounds: Bounds) -> CheckResult:
-    name = "asym.du-expansion"
-    cap = min(bounds.deg + 1, 6)
-    params = {"|rho|<=": cap, "N": list(_ns(bounds))}
-    for n in _ns(bounds):
-        base = n * (n - 1) // 2
-        if base > cap:
-            continue
-        for ep in combinat.partitions_upto(cap - base, n):
-            if not jack.check_du_expansion(ep, n):
-                return _fail(name, params, f"eta+={ep} N={n}")
-    return _pass(name, params)
-
-
-def check_society(bounds: Bounds) -> CheckResult:
-    name = "society.identities"
-    cap = min(bounds.deg, 4)
-    params = {"deg": cap, "N": list(_ns(bounds))}
-    for n in _ns(bounds):
-        for ep in combinat.partitions_upto(cap, n):
-            if not scalars.check_society_identities(ep, n):
-                return _fail(name, params, f"eta+={ep} N={n}")
-    return _pass(name, params)
-
-
-def check_reconciliation(bounds: Bounds) -> CheckResult:
-    name = "norm.reconciliation"
-    cap = min(bounds.deg, 4)
-    params = {"deg": cap, "N": list(_ns(bounds))}
-    for n in _ns(bounds):
-        for ep in combinat.partitions_upto(cap, n):
-            if not scalars.check_norm_reconciliation(ep, n):
-                return _fail(name, params, f"eta+={ep} N={n}")
-    return _pass(name, params)
+def _asym(rho):
+    try:
+        c, ok = jack.check_asym_formula(rho)
+    except ArithmeticError as exc:
+        return f"rho={rho}: {exc}"
+    if ok:
+        return None
+    if not combinat.has_distinct_parts(rho):
+        return f"rho={rho}: Asym E != 0"
+    return f"rho={rho}: measured {c} != {scalars.c_rho_resolved(rho)}"
 
 
 # ---------------------------------------------------------------------------
-# kernel decompositions and binomial expansions
+# kernel decompositions and constant-term oracle checks
 # ---------------------------------------------------------------------------
 
-def check_omega(bounds: Bounds) -> CheckResult:
-    name = "omega.decomposition"
-    cap = min(bounds.deg, 3)
-    params = {"D": cap, "N": list(_ns(bounds))}
-    for n in _ns(bounds):
-        if not jack.check_omega_decomposition(n, cap):
-            return _fail(name, params, f"N={n} D={cap}")
-    return _pass(name, params)
+def _omega_pairing(eta, n, deg):
+    try:
+        u = oracle.u_from_series(eta, n, deg)
+    except ArithmeticError as exc:
+        return f"eta={eta} N={n}: {exc}"
+    return _differ(f"eta={eta} N={n}", u, scalars.u_eta(eta))
 
 
-def check_omega_pairing(bounds: Bounds) -> CheckResult:
-    name = "omega.pairing-diagonal"
-    cap = min(bounds.deg, 3)
-    params = {"D": cap, "N": list(_ns(bounds))}
-    for n in _ns(bounds):
-        for eta in combinat.compositions_upto(cap, n):
-            try:
-                u = oracle.u_from_series(eta, n, cap)
-            except ArithmeticError as exc:
-                return _fail(name, params, f"eta={eta} N={n}: {exc}")
-            if u != scalars.u_eta(eta):
-                return _fail(name, params,
-                             f"eta={eta} N={n}: {u} != {scalars.u_eta(eta)}")
-    return _pass(name, params)
+def _v_stability(kappa, n, deg):
+    """The v extracted at N - 1 and at N agree and equal d'/h."""
+    small = oracle.v_from_series(kappa, n - 1, deg)
+    big = oracle.v_from_series(kappa, n, deg)
+    if small != big:
+        return f"kappa={kappa}: {small} (N={n - 1}) != {big} (N={n})"
+    target = scalars.v_kappa(kappa + (0,) * (n - 1 - len(kappa)))
+    return _differ(f"kappa={kappa}: v vs d'/h", small, target)
 
 
-def check_pi(bounds: Bounds) -> CheckResult:
-    name = "pi.decomposition"
-    cap = min(bounds.deg, 3)
-    params = {"D": cap, "N": list(_ns(bounds))}
-    for n in _ns(bounds):
-        if not jack.check_pi_decomposition(n, cap):
-            return _fail(name, params, f"N={n} D={cap}")
-    return _pass(name, params)
-
-
-def check_v_stability(bounds: Bounds) -> CheckResult:
-    name = "pi.v-stability"
-    cap = min(bounds.deg, 3)
-    params = {"D": cap, "N": "2 vs 3"}
-    for kappa in combinat.partitions_upto(cap, 2):
-        kk = tuple(p for p in kappa if p) or (0,)
-        v2 = oracle.v_from_series(kk, 2, cap)
-        v3 = oracle.v_from_series(kk, 3, cap)
-        if v2 != v3:
-            return _fail(name, params, f"kappa={kk}: {v2} (N=2) != {v3} (N=3)")
-        target = scalars.v_kappa(tuple(kk) + (0,) * (2 - len(kk)))
-        if v2 != target:
-            return _fail(name, params, f"kappa={kk}: {v2} != d'/h = {target}")
-    return _pass(name, params)
-
-
-def check_binomial_E(bounds: Bounds) -> CheckResult:
-    name = "binomial.nonsymmetric"
-    cap = min(bounds.deg, 3)
-    params = {"D": cap, "N": list(_ns(bounds)), "r": [str(r) for r in bounds.rs]}
-    for n in _ns(bounds):
-        for r in bounds.rs:
-            if not jack.check_binomial(r, n, cap, "bi2"):
-                return _fail(name, params, f"N={n} r={r}")
-    return _pass(name, params)
-
-
-def check_binomial_P(bounds: Bounds) -> CheckResult:
-    name = "binomial.symmetric"
-    cap = min(bounds.deg, 3)
-    params = {"D": cap, "N": list(_ns(bounds)), "r": [str(r) for r in bounds.rs]}
-    for n in _ns(bounds):
-        for r in bounds.rs:
-            if not jack.check_binomial(r, n, cap, "bi3"):
-                return _fail(name, params, f"N={n} r={r}")
-    return _pass(name, params)
-
-
-def check_cauchy(bounds: Bounds) -> CheckResult:
-    from .polyalg import check_cauchy_alternant
-    name = "cauchy.double-alternant"
-    cap = min(bounds.deg, 3)
-    params = {"D": cap, "N": list(_ns(bounds))}
-    for n in _ns(bounds):
-        if not check_cauchy_alternant(n, cap):
-            return _fail(name, params, f"N={n}")
-    return _pass(name, params)
-
-
-# ---------------------------------------------------------------------------
-# constant-term oracle checks
-# ---------------------------------------------------------------------------
-
-def check_E_ct(bounds: Bounds) -> CheckResult:
-    name = "E.norm-orthogonality.ct"
-    cap = min(bounds.deg, 4)
-    params = {"deg": cap, "N": list(_ns(bounds)), "k": list(bounds.ks)}
-    for n in _ns(bounds):
-        for k in bounds.ks:
+def _ct_cases(s, family):
+    """Per N, k and modulus d: the labels of the family specialized at 1/k;
+    (label, None) asks for its norm ratio, (label, later label) for their
+    pairing."""
+    for n in s.ns:
+        for k in s.ks:
             a0 = Fraction(1, k)
-            for d in range(cap + 1):
-                comps = list(combinat.compositions(d, n))
-                spec = {e: jack.build_E(e).specialize(a0) for e in comps}
-                for idx, e1 in enumerate(comps):
-                    got = oracle.ct_norm_ratio(spec[e1], n, k)
-                    want = scalars.norm_ratio_E(e1).eval_at(a0)
-                    if got != want:
-                        return _fail(name, params,
-                                     f"eta={e1} k={k}: ct {got} != {want}")
-                    for e2 in comps[idx + 1:]:
-                        pair = oracle.ct_inner_product(spec[e1], spec[e2], n, k)
-                        if pair != 0:
-                            return _fail(name, params,
-                                         f"<E_{e1}, E_{e2}> = {pair} at k={k}")
-    return _pass(name, params)
+            for d in range(s.deg + 1):
+                if family == "E":
+                    spec = {e: jack.build_E(e).specialize(a0)
+                            for e in combinat.compositions(d, n)}
+                else:
+                    spec = {p: jack.build_P(p, n).specialize(a0)
+                            for p in combinat.partitions(d, n)}
+                labels = list(spec)
+                for idx, l1 in enumerate(labels):
+                    yield family, spec, l1, None, n, k
+                    for l2 in labels[idx + 1:]:
+                        yield family, spec, l1, l2, n, k
 
 
-def check_P_ct(bounds: Bounds) -> CheckResult:
-    name = "P.norm-orthogonality.ct"
-    cap = min(bounds.deg, 4)
-    params = {"deg": cap, "N": list(_ns(bounds)), "k": list(bounds.ks)}
-    for n in _ns(bounds):
-        for k in bounds.ks:
-            a0 = Fraction(1, k)
-            for d in range(cap + 1):
-                parts = list(combinat.partitions(d, n))
-                spec = {p: jack.build_P(p, n).specialize(a0) for p in parts}
-                for idx, p1 in enumerate(parts):
-                    got = oracle.ct_norm_ratio(spec[p1], n, k)
-                    want = scalars.norm_ratio_P(p1).eval_at(a0)
-                    if got != want:
-                        return _fail(name, params,
-                                     f"kappa={p1} k={k}: ct {got} != {want}")
-                    for p2 in parts[idx + 1:]:
-                        pair = oracle.ct_inner_product(spec[p1], spec[p2], n, k)
-                        if pair != 0:
-                            return _fail(name, params,
-                                         f"<P_{p1}, P_{p2}> = {pair} at k={k}")
-    return _pass(name, params)
+def _ct(family, spec, l1, l2, n, k):
+    if l2 is not None:
+        pair = oracle.ct_inner_product(spec[l1], spec[l2], n, k)
+        return None if pair == 0 else f"<{family}_{l1}, {family}_{l2}> = {pair} at k={k}"
+    got = oracle.ct_norm_ratio(spec[l1], n, k)
+    ratio = scalars.norm_ratio_E if family == "E" else scalars.norm_ratio_P
+    return _differ(f"{family}_{l1} k={k}: ct", got, ratio(l1).eval_at(Fraction(1, k)))
 
 
-def check_S_ct(bounds: Bounds) -> CheckResult:
+def _S_norm_cases(s):
+    n = s.ns[-1]
+    for ep in combinat.partitions_upto(s.deg, n):
+        yield ep, n
+    yield None, n
+
+
+def _S_norm(ep, n):
     """Anti-symmetric norms at the desk-scale point: the weight-2 norm of S
     at parameter 1 equals the weight-4 norm of the shifted P, and both match
-    their closed forms; the weight-normalization bridge is the staircase
-    ratio."""
-    name = "S.norm.ct"
-    params = {"eta+": [(0, 0), (1, 0)], "alpha": 1, "k": [1, 2]}
-    if 1 not in bounds.ks or 2 not in bounds.ks:
-        return _skip(name, params, "needs k in {1,2}")
-    n = 2
+    their closed forms.  ep None: the weight-normalization bridge is the
+    staircase ratio."""
+    if ep is None:
+        one = {(0,) * n: Fraction(1)}
+        bridge = (oracle.ct_inner_product(one, one, n, 2)
+                  / oracle.ct_inner_product(one, one, n, 1))
+        target = (math.factorial(n) * scalars.staircase_norm_ratio(n)).eval_at(1)
+        return _differ("weight bridge", bridge, target)
     sh = alpha_shift()
-    for ep in [(0, 0), (1, 0)]:
-        rho_plus = tuple(p + d for p, d in zip(ep, combinat.staircase(n)))
-        s_spec = jack.build_S(rho_plus).specialize(Fraction(1))
-        p_spec = jack.build_P(ep, n, shift_param=True).specialize(Fraction(1))
-        lhs = oracle.ct_inner_product(s_spec, s_spec, n, 1)
-        rhs = oracle.ct_inner_product(p_spec, p_spec, n, 2)
-        if lhs != rhs:
-            return _fail(name, params, f"eta+={ep}: <S,S>={lhs} != <P,P>={rhs}")
-        rho_r = combinat.reverse_partition(rho_plus)
-        white = (math.factorial(n) * scalars.const_dp(rho_r) * scalars.const_e(rho_plus)
-                 / (scalars.const_d(rho_plus) * scalars.const_ep(rho_plus))).eval_at(1)
-        if oracle.ct_norm_ratio(s_spec, n, 1) != white:
-            return _fail(name, params, f"eta+={ep}: white ratio mismatch")
-        black = (scalars.const_b(ep, sh) * scalars.const_dp(ep, sh)
-                 / (scalars.const_ep(ep, sh) * scalars.const_h(ep, sh))).eval_at(1)
-        if oracle.ct_norm_ratio(p_spec, n, 2) != black:
-            return _fail(name, params, f"eta+={ep}: black ratio mismatch")
-    one = {(0,) * n: Fraction(1)}
-    bridge = (oracle.ct_inner_product(one, one, n, 2)
-              / oracle.ct_inner_product(one, one, n, 1))
-    target = (math.factorial(n) * scalars.staircase_norm_ratio(n)).eval_at(1)
-    if bridge != target:
-        return _fail(name, params, f"weight bridge {bridge} != {target}")
-    return _pass(name, params)
+    rho_plus = tuple(p + d for p, d in zip(ep, combinat.staircase(n)))
+    s_spec = jack.build_S(rho_plus).specialize(Fraction(1))
+    p_spec = jack.build_P(ep, n, shift_param=True).specialize(Fraction(1))
+    lhs = oracle.ct_inner_product(s_spec, s_spec, n, 1)
+    rhs = oracle.ct_inner_product(p_spec, p_spec, n, 2)
+    if lhs != rhs:
+        return f"eta+={ep}: <S,S>={lhs} != <P,P>={rhs}"
+    rho_r = combinat.reverse_partition(rho_plus)
+    white = (math.factorial(n) * scalars.const_dp(rho_r) * scalars.const_e(rho_plus)
+             / (scalars.const_d(rho_plus) * scalars.const_ep(rho_plus))).eval_at(1)
+    witness = _differ(f"eta+={ep}: white ratio", oracle.ct_norm_ratio(s_spec, n, 1), white)
+    if witness:
+        return witness
+    black = (scalars.const_b(ep, sh) * scalars.const_dp(ep, sh)
+             / (scalars.const_ep(ep, sh) * scalars.const_h(ep, sh))).eval_at(1)
+    return _differ(f"eta+={ep}: black ratio", oracle.ct_norm_ratio(p_spec, n, 2), black)
 
 
-def check_oracle_E(bounds: Bounds) -> CheckResult:
-    name = "oracle.E-linear-solve"
-    params = {"sweep": _eigen_sweep(bounds), "alpha0": ["2", "3", "7/2"]}
-    for n, cap in _eigen_sweep(bounds):
-        for eta in combinat.compositions_upto(cap, n):
-            for a0 in (Fraction(2), Fraction(3), Fraction(7, 2)):
-                try:
-                    got = oracle.solve_E_linear(eta, a0)
-                except oracle.EigenvalueCollision:
-                    _, got = oracle.solve_E_auto(eta)
-                want = jack.build_E(eta).specialize(a0)
-                if got != want:
-                    return _fail(name, params,
-                                 f"eta={eta} alpha0={a0}: {got} != {want}")
-    return _pass(name, params)
+def _linear_solve(eta, a0):
+    try:
+        got = oracle.solve_E_linear(eta, a0)
+    except oracle.EigenvalueCollision:
+        _, got = oracle.solve_E_auto(eta)
+    return _differ(f"eta={eta} alpha0={a0}", got, jack.build_E(eta).specialize(a0))
 
 
-def check_oracle_P(bounds: Bounds) -> CheckResult:
-    name = "oracle.P-gram-schmidt"
-    cap = min(bounds.deg, 4)
-    params = {"deg": cap, "N": list(_ns(bounds)), "k": list(bounds.ks)}
-    for n in _ns(bounds):
-        for kappa in combinat.partitions_upto(cap, n):
-            kk = tuple(p for p in kappa if p) or (0,)
-            for k in bounds.ks:
-                got = oracle.gram_schmidt_P(kk, n, k)
-                want = jack.build_P(kappa, n).specialize(Fraction(1, k))
-                if got != want:
-                    return _fail(name, params,
-                                 f"kappa={kappa} N={n} k={k}: {got} != {want}")
-    return _pass(name, params)
+def _gram_schmidt(kappa, n, k):
+    got = oracle.gram_schmidt_P(_nonzero(kappa), n, k)
+    want = jack.build_P(kappa, n).specialize(Fraction(1, k))
+    return _differ(f"kappa={kappa} N={n} k={k}", got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -580,70 +470,49 @@ def _corrupt(f: MultiPoly) -> MultiPoly:
     return MultiPoly(f.nvars, terms)
 
 
-def check_negative_controls(bounds: Bounds) -> CheckResult:
-    name = "negative.controls"
-    params = {"perturbation": "+1 on one coefficient"}
-    controls = []
-
+def _controls(s):
+    """(label, detected) for each perturbed input, in turn."""
     e21 = jack.build_E((2, 1))
-    controls.append(("eigen", not jack.eigen_ok(_corrupt(e21), (2, 1))))
-
+    yield "eigen", not jack.eigen_ok(_corrupt(e21), (2, 1))
     lead_scaled = e21.scale(AlphaRational.from_fraction(2))
-    controls.append(("triangular", not jack.triangular_ok(lead_scaled, (2, 1))))
-
+    yield "triangular", not jack.triangular_ok(lead_scaled, (2, 1))
     p21 = jack.build_P((2, 1), 2)
-    controls.append(("P-properties", not jack.p_properties_ok(_corrupt(p21), (2, 1))))
-
-    ones_bad = _corrupt(jack.build_E((1, 0))).eval_ones() == scalars.eval_E_at_ones((1, 0))
-    controls.append(("at-ones", not ones_bad))
+    yield "P-properties", not jack.p_properties_ok(_corrupt(p21), (2, 1))
+    yield "at-ones", (_corrupt(jack.build_E((1, 0))).eval_ones()
+                      != scalars.eval_E_at_ones((1, 0)))
 
     bad = dict(jack.build_E((1, 0)).specialize(Fraction(1)))
-    bad[(0, 1)] = bad[(0, 1)] + 1
-    ct_norm_bad = oracle.ct_norm_ratio(bad, 2, 1) == scalars.norm_ratio_E((1, 0)).eval_at(1)
-    controls.append(("ct-norm", not ct_norm_bad))
-
+    bad[(0, 1)] += 1
+    yield "ct-norm", oracle.ct_norm_ratio(bad, 2, 1) != scalars.norm_ratio_E((1, 0)).eval_at(1)
     other = jack.build_E((0, 1)).specialize(Fraction(1))
-    controls.append(("ct-orthogonality",
-                     oracle.ct_inner_product(bad, other, 2, 1) != 0))
+    yield "ct-orthogonality", oracle.ct_inner_product(bad, other, 2, 1) != 0
 
     acc = jack.omega_sum(2, 2)
     e10 = jack.build_E((1, 0))
     acc = acc.add_outer(e10, e10, ONE)  # double-count one diagonal term
-    from .polyalg import omega_truncated
-    controls.append(("omega", acc != omega_truncated(2, 2)))
-
-    controls.append(("binomial", not _binomial_with_shifted_r()))
+    yield "omega", acc != polyalg.omega_truncated(2, 2)
+    yield "binomial", not _binomial_with_shifted_r()
 
     s = jack.build_S((2, 0))
-    from .polyalg import antisymmetrize, exact_scalar_ratio
-    a = antisymmetrize(jack.build_E((2, 0)))
-    controls.append(("asym-proportional", exact_scalar_ratio(_corrupt(a), s) is None))
+    a = polyalg.antisymmetrize(jack.build_E((2, 0)))
+    yield "asym-proportional", polyalg.exact_scalar_ratio(_corrupt(a), s) is None
 
     sol = dict(oracle.solve_E_linear((1, 0), Fraction(2)))
-    sol[(0, 1)] = sol[(0, 1)] + 1
-    controls.append(("oracle-solve", sol != jack.build_E((1, 0)).specialize(Fraction(2))))
-
+    sol[(0, 1)] += 1
+    yield "oracle-solve", sol != jack.build_E((1, 0)).specialize(Fraction(2))
     gs = dict(oracle.gram_schmidt_P((2,), 2, 1))
-    gs[(1, 1)] = gs[(1, 1)] + 1
-    controls.append(("oracle-gram", gs != jack.build_P((2, 0), 2).specialize(Fraction(1))))
-
-    failures = [label for label, detected in controls if not detected]
-    if failures:
-        return _fail(name, params, f"undetected perturbations: {failures}")
-    params["controls"] = [label for label, _ in controls]
-    return _pass(name, params)
+    gs[(1, 1)] += 1
+    yield "oracle-gram", gs != jack.build_P((2, 0), 2).specialize(Fraction(1))
 
 
 def _binomial_with_shifted_r() -> bool:
     """bi2 with the scalar side evaluated at r+1: must not match."""
     r = Fraction(2)
-    from . import combinat as cb
-    from .polyalg import binomial_series
     n, cap = 2, 2
-    lhs = jack._one_variable_product(binomial_series(r, cap), n, cap)
+    lhs = jack._one_variable_product(polyalg.binomial_series(r, cap), n, cap)
     rhs = MultiPoly.zero(n)
-    for eta in cb.compositions_upto(cap, n):
-        kappa = cb.sort_to_partition(eta)
+    for eta in combinat.compositions_upto(cap, n):
+        kappa = combinat.sort_to_partition(eta)
         coeff = (ALPHA ** sum(eta) * scalars.gen_factorial(r + 1, kappa)
                  / (scalars.u_eta(eta) * scalars.const_d(eta)))
         rhs = rhs + jack.build_E(eta).scale(coeff)
@@ -651,39 +520,90 @@ def _binomial_with_shifted_r() -> bool:
 
 
 # ---------------------------------------------------------------------------
-# registry and runner
+# the registry
 # ---------------------------------------------------------------------------
 
-CHECKS = {
-    "E.eigen-triangular": check_E_eigen_triangular,
-    "E.value-at-ones": check_E_at_ones,
-    "E.swap-action": check_s_action,
-    "xi.commutation": check_xi_commutation,
-    "divided-difference.multiply-back": check_divided_difference,
-    "P.symmetric-eigen-dominance": check_P_properties,
-    "P.two-routes": check_pe_vs_sym,
-    "P.stability": check_P_stability,
-    "sym.proportionality": check_sym_proportionality,
-    "P.value-and-hook": check_hook,
-    "asym.proportionality": check_asym,
-    "asym.c-closed-forms": check_c_forms,
-    "asym.du-expansion": check_du,
-    "society.identities": check_society,
-    "norm.reconciliation": check_reconciliation,
-    "omega.decomposition": check_omega,
-    "omega.pairing-diagonal": check_omega_pairing,
-    "pi.decomposition": check_pi,
-    "pi.v-stability": check_v_stability,
-    "binomial.nonsymmetric": check_binomial_E,
-    "binomial.symmetric": check_binomial_P,
-    "cauchy.double-alternant": check_cauchy,
-    "E.norm-orthogonality.ct": check_E_ct,
-    "P.norm-orthogonality.ct": check_P_ct,
-    "S.norm.ct": check_S_ct,
-    "oracle.E-linear-solve": check_oracle_E,
-    "oracle.P-gram-schmidt": check_oracle_P,
-    "negative.controls": check_negative_controls,
-}
+CHECKS = {row.name: row for row in (
+    Check("E.eigen-triangular", _compositions, _eigen_triangular, **_EIGEN),
+    Check("E.value-at-ones", _compositions,
+          lambda eta: _differ(f"eta={eta}", jack.build_E(eta).eval_ones(),
+                              scalars.eval_E_at_ones(eta)),
+          **_EIGEN),
+    Check("E.swap-action",
+          lambda s: ((eta, i) for (eta,) in _compositions(s) for i in range(1, len(eta))),
+          lambda eta, i: None if jack.check_s_i_action(eta, i) else f"eta={eta} i={i}",
+          deg=(0, 4)),
+    Check("xi.commutation", _xi_cases, _xi_commute, deg=(4, 4), fixed={"trials": 3}),
+    Check("divided-difference.multiply-back", _divided_difference_cases, _multiply_back,
+          fixed={"trials": 4, "max-part": 3}),
+    Check("P.symmetric-eigen-dominance", _partitions,
+          lambda kappa, n: (None if jack.check_P_symmetric_eigen(kappa, n)
+                            else f"kappa={kappa} N={n}"),
+          deg=(0, 5)),
+    Check("P.two-routes", _partitions, _two_routes, deg=(0, 5)),
+    Check("P.stability",
+          lambda s: ((kappa, 3) for kappa in combinat.partitions_upto(s.deg, 2)),
+          lambda kappa, n: None if jack.check_P_stability(kappa, n) else f"kappa={kappa} N={n}",
+          ns=(3, 3), deg=(0, 4)),
+    Check("sym.proportionality", _compositions, _sym_proportional, deg=(0, 4)),
+    Check("P.value-and-hook", _hook_cases, _value_and_hook, ns=(2, 4), deg=(0, 5),
+          fixed={"max|kappa|": "deg+1", "fig2": "N=9"}),
+    Check("asym.proportionality", _asym_cases, _asym, deg=(0, 5), caps={"repeated": 3},
+          fixed={"max|rho|": "deg+1",
+                 "sign": "(-1)^(ascending pairs) * d'(rho)/d'(rhoR)"}),
+    Check("asym.c-closed-forms", _rhos,
+          lambda rho: _differ(f"rho={rho}", scalars.c_rho(rho, "shifted-shape"),
+                              scalars.c_rho(rho, "rearrangement")),
+          deg=(0, 5), fixed={"max|rho|": "deg+1"}),
+    Check("asym.du-expansion",
+          lambda s: ((ep, n) for n in s.ns for ep, _ in _staircase_shapes(n, s.deg + 1)),
+          lambda ep, n: None if jack.check_du_expansion(ep, n) else f"eta+={ep} N={n}",
+          deg=(0, 5), fixed={"max|rho|": "deg+1"}),
+    Check("society.identities", _partitions,
+          lambda ep, n: (None if scalars.check_society_identities(ep, n)
+                         else f"eta+={ep} N={n}"),
+          deg=(0, 4)),
+    Check("norm.reconciliation", _partitions,
+          lambda ep, n: (None if scalars.check_norm_reconciliation(ep, n)
+                         else f"eta+={ep} N={n}"),
+          deg=(0, 4)),
+    Check("omega.decomposition", _kernels,
+          lambda n, d: None if jack.check_omega_decomposition(n, d) else f"N={n} D={d}",
+          deg=(0, 3)),
+    Check("omega.pairing-diagonal",
+          lambda s: ((eta, len(eta), s.deg) for (eta,) in _compositions(s)),
+          _omega_pairing, deg=(0, 3)),
+    Check("pi.decomposition", _kernels,
+          lambda n, d: None if jack.check_pi_decomposition(n, d) else f"N={n} D={d}",
+          deg=(0, 3)),
+    Check("pi.v-stability",
+          lambda s: ((_nonzero(kappa), 3, s.deg) for kappa in combinat.partitions_upto(s.deg, 2)),
+          _v_stability, ns=(3, 3), deg=(0, 3)),
+    Check("binomial.nonsymmetric",
+          lambda s: ((r, n, s.deg) for n in s.ns for r in s.rs),
+          lambda r, n, d: None if jack.check_binomial(r, n, d, "bi2") else f"N={n} r={r}",
+          deg=(0, 3), r=True),
+    Check("binomial.symmetric",
+          lambda s: ((r, n, s.deg) for n in s.ns for r in s.rs),
+          lambda r, n, d: None if jack.check_binomial(r, n, d, "bi3") else f"N={n} r={r}",
+          deg=(0, 3), r=True),
+    Check("cauchy.double-alternant", _kernels,
+          lambda n, d: None if polyalg.check_cauchy_alternant(n, d) else f"N={n}",
+          deg=(0, 3)),
+    Check("E.norm-orthogonality.ct", lambda s: _ct_cases(s, "E"), _ct, deg=(0, 4), k=True),
+    Check("P.norm-orthogonality.ct", lambda s: _ct_cases(s, "P"), _ct, deg=(0, 4), k=True),
+    Check("S.norm.ct", _S_norm_cases, _S_norm, ns=(2, 2), deg=(1, 1), needs_k=(1, 2),
+          fixed={"alpha": 1}),
+    Check("oracle.E-linear-solve",
+          lambda s: ((eta, a0) for (eta,) in _compositions(s) for a0 in SOLVE_ALPHAS),
+          _linear_solve, fixed={"alpha0": [str(a) for a in SOLVE_ALPHAS]}, **_EIGEN),
+    Check("oracle.P-gram-schmidt",
+          lambda s: ((kappa, n, k) for kappa, n in _partitions(s) for k in s.ks),
+          _gram_schmidt, deg=(0, 4), k=True),
+    Check("negative.controls", _controls,
+          lambda label, detected: None if detected else f"undetected perturbation: {label}",
+          ns=None, fixed={"perturbation": "+1 on one coefficient"}),
+)}
 
 
 def _run_one(args):

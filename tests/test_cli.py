@@ -52,6 +52,17 @@ class TestCompute:
             cli.main(["compute", "E", "1,x"])
         assert exc.value.code == 2
 
+    def test_alpha_pole_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["compute", "E", "1,0", "--alpha", "-1"])
+        assert exc.value.code == 2
+        assert "pole at alpha = -1" in capsys.readouterr().err
+
+    def test_negative_alpha_equals_form(self, capsys):
+        code, out = run_cli(capsys, "compute", "E", "1,0", "--alpha=-1/2")
+        assert code == 0
+        assert out.strip() == "(2)*z2 + z1"
+
 
 class TestConstants:
     def test_text_rows(self, capsys):
@@ -71,6 +82,12 @@ class TestConstants:
         code, out = run_cli(capsys, "constants", "0,1", "--format", "json")
         obj = json.loads(out)
         assert obj["u"] == {"num": [1, 1], "den": [2, 1]}
+
+    def test_alpha_pole_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["constants", "1,0", "--alpha", "-1"])
+        assert exc.value.code == 2
+        assert "pole at alpha = -1" in capsys.readouterr().err
 
 
 class TestVerify:
@@ -102,6 +119,35 @@ class TestVerify:
             with pytest.raises(SystemExit) as exc:
                 cli.main(argv)
             assert exc.value.code == 2
+
+    def test_N_below_2_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--N", "1", "--filter", "value-at-ones"])
+        assert exc.value.code == 2
+
+    def test_clamp_is_reported(self, capsys):
+        argv = ["verify", "--N", "6", "--deg", "8", "--filter", "E.eigen"]
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert "clamped: N 6 -> 4, deg 8 -> 5, deg(N=4) 8 -> 3" in out
+        code, out = run_cli(capsys, *argv, "--format", "json")
+        (check,) = json.loads(out)["checks"]
+        assert check["params"]["N"] == [2, 3, 4] and check["params"]["deg"] == 5
+        assert check["clamped"] == [
+            {"bound": "N", "requested": 6, "effective": 4},
+            {"bound": "deg", "requested": 8, "effective": 5},
+            {"bound": "deg(N=4)", "requested": 8, "effective": 3}]
+        assert check["cases"] == 112
+
+    def test_every_result_counts_its_cases(self, capsys):
+        code, out = run_cli(capsys, "verify", "--N", "2", "--deg", "2",
+                            "--format", "json")
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        assert len(checks) == 28
+        for check in checks:
+            assert check["cases"] >= 1, check["name"]
+            assert isinstance(check["clamped"], list)
 
     def test_deterministic_report(self, capsys):
         _, out1 = run_cli(capsys, "verify", "--filter", "society", "--deg", "3")

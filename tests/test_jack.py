@@ -23,8 +23,8 @@ class TestBuildE:
     def test_eigen_and_triangular_sweep(self):
         for n, cap in [(2, 5), (3, 4)]:
             for eta in cb.compositions_upto(cap, n):
-                assert jack.check_E_eigen(eta)
-                assert jack.check_E_triangular(eta)
+                assert jack.eigen_ok(jack.build_E(eta), eta)
+                assert jack.triangular_ok(jack.build_E(eta), eta)
 
     def test_corrupted_fails(self):
         f = jack.build_E((2, 1))

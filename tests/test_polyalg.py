@@ -161,10 +161,10 @@ class TestSeries:
 
     def test_omega_degree_one(self):
         om = pa.omega_truncated(2, 1)
-        assert pa.extract_q_eta(om, (0, 0)) == MP.one(2)
-        q10 = pa.extract_q_eta(om, (1, 0))
+        assert om.y_coefficient((0, 0)) == MP.one(2)
+        q10 = om.y_coefficient((1, 0))
         assert q10 == _z(1, 2).scale((A + 1) / A) + _z(2, 2).scale(1 / A)
-        q01 = pa.extract_q_eta(om, (0, 1))
+        q01 = om.y_coefficient((0, 1))
         assert q01 == _z(1, 2).scale(1 / A) + _z(2, 2).scale((A + 1) / A)
 
     def test_pi_degree_one(self):
@@ -175,7 +175,7 @@ class TestSeries:
 
     def test_extract_out_of_range(self):
         with pytest.raises(ValueError):
-            pa.extract_q_eta(pa.omega_truncated(2, 1), (2, 0))
+            pa.omega_truncated(2, 1).y_coefficient((2, 0))
 
     def test_cauchy_double_alternant(self):
         assert pa.check_cauchy_alternant(2, 3)
