@@ -172,7 +172,10 @@ def cmd_verify(args, parser):
     if args.deg < 0 or args.N < 2 or args.jobs < 1:
         parser.error("--deg must be >= 0, --N >= 2 (no check sweeps fewer "
                      "than 2 variables) and --jobs >= 1")
-    ks = tuple(int(k) for k in args.k.split(","))
+    try:
+        ks = tuple(int(k) for k in args.k.split(","))
+    except ValueError:
+        parser.error(f"cannot parse --k {args.k!r}: expected comma-separated integers")
     if any(k < 1 for k in ks):
         parser.error("--k entries must be positive integers")
     rs = tuple(_parse_fraction(r, parser) for r in args.r.split(","))
@@ -200,8 +203,8 @@ def _bipoly_text(bp: BiPoly) -> str:
 
 
 def cmd_expand(args, parser):
-    if args.deg < 0:
-        parser.error("--deg must be >= 0")
+    if args.deg < 0 or args.N < 1:
+        parser.error("--deg must be >= 0 and --N >= 1")
     n = args.N
     if args.kernel == "omega":
         bp = omega_truncated(n, args.deg)

@@ -6,6 +6,26 @@ with no trailing zeros (the zero polynomial is the empty tuple).  The
 canonical form divides out the polynomial gcd and the integer content and
 fixes the sign so the denominator has a positive leading coefficient, which
 makes equality a plain tuple comparison.
+
+Reduction works in three layers:
+
+* Products and sums of canonical operands use Henrici's reduced forms
+  (P. Henrici, J. ACM 3, 1956), the method of `fractions.Fraction`: a
+  product takes gcd(a, d) and gcd(c, b) of the crossed numerators and
+  denominators and multiplies the cofactors; a sum takes g = gcd(b, d) and,
+  only when g != 1, gcd(t, g) of the new numerator t with g.  Both results
+  are canonical without a further gcd, and an inverse only moves the sign.
+* Every polynomial gcd goes through `_gcd`, which returns the gcd together
+  with both cofactors.  A constant operand needs only an integer gcd.
+  Otherwise the heuristic GCDHEU (B. W. Char, K. O. Geddes, G. H. Gonnet,
+  J. Symbolic Comput. 7, 1989) evaluates both primitive parts at an integer
+  xi > 2 min(|a|, |b|) + 2 (max norms), takes the integer gcd of the two
+  values, reads it back as a polynomial in balanced base xi and keeps its
+  primitive part h.  By their theorem h is the gcd exactly when it divides
+  both operands, so the exact division is the certificate and its
+  quotients are the cofactors.
+* If no candidate is certified within a few growing xi, the primitive
+  pseudo-remainder sequence computes the gcd instead.
 """
 
 from __future__ import annotations
@@ -39,10 +59,6 @@ def _neg(a):
     return tuple(-c for c in a)
 
 
-def _sub(a, b):
-    return _add(a, _neg(b))
-
-
 def _mul(a, b):
     if not a or not b:
         return ()
@@ -51,28 +67,22 @@ def _mul(a, b):
         if ca:
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
-    return _trim(out)
+    return tuple(out)  # Z has no zero divisors: the top coefficient stays
 
 
 def _scale(a, k):
     if k == 0:
         return ()
+    if k == 1:
+        return a
     return tuple(c * k for c in a)
 
 
-def _content(a):
-    g = 0
-    for c in a:
-        g = math.gcd(g, c)
-    return g
-
-
-def _primitive(a):
-    """Return (content, primitive part); sign stays on the primitive part."""
-    if not a:
-        return 0, ()
-    c = _content(a)
-    return c, tuple(x // c for x in a)
+def _exact_scale(a, k):
+    """a / k for an integer k that divides every coefficient."""
+    if k == 1:
+        return a
+    return tuple(c // k for c in a)
 
 
 def _pseudo_rem(a, b):
@@ -93,47 +103,104 @@ def _pseudo_rem(a, b):
     return _trim(r)
 
 
-def _gcd(a, b):
-    """Polynomial gcd over Z (content included), positive leading coefficient."""
-    if not a:
-        g = b
-    elif not b:
-        g = a
-    else:
-        ca, pa = _primitive(a)
-        cb, pb = _primitive(b)
-        c = math.gcd(ca, cb)
-        while pb:
-            r = _pseudo_rem(pa, pb)
-            _, r = _primitive(r)
-            pa, pb = pb, r
-        g = _scale(pa, c)
-    if g and g[-1] < 0:
-        g = _neg(g)
-    return g
-
-
 def _div_exact(a, b):
-    """Exact division a / b over Z; raises if the division is not exact."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    if not a:
-        return ()
+    """Quotient a / b over Z, or None when b does not divide a exactly."""
     q = [0] * (len(a) - len(b) + 1)
     r = list(a)
     db, lb = len(b) - 1, b[-1]
     for i in range(len(q) - 1, -1, -1):
-        coef = r[i + db]
-        if coef % lb != 0:
-            raise ArithmeticError("inexact polynomial division")
-        coef //= lb
+        coef, rem = divmod(r[i + db], lb)
+        if rem:
+            return None
         q[i] = coef
         if coef:
             for j, cb in enumerate(b):
                 r[i + j] -= coef * cb
     if any(r):
-        raise ArithmeticError("inexact polynomial division")
-    return _trim(q)
+        return None
+    return tuple(q)
+
+
+def _heu_candidate(a, b, xi):
+    """One GCDHEU trial at the integer point xi for primitive a and b of
+    positive degree: (h, a/h, b/h) if the candidate h read from
+    gcd(a(xi), b(xi)) divides both, else None."""
+    va = vb = 0
+    for c in reversed(a):
+        va = va * xi + c
+    for c in reversed(b):
+        vb = vb * xi + c
+    if not va or not vb:
+        return None
+    gamma = math.gcd(va, vb)
+    h = []
+    half = xi // 2
+    while gamma:
+        gamma, digit = divmod(gamma, xi)
+        if digit > half:
+            digit -= xi
+            gamma += 1
+        h.append(digit)
+    h = tuple(h)
+    h = _exact_scale(h, math.gcd(*h))
+    if len(h) == 1:
+        return (1,), a, b
+    qa = _div_exact(a, h)
+    if qa is None:
+        return None
+    qb = _div_exact(b, h)
+    if qb is None:
+        return None
+    return h, qa, qb
+
+
+def _heu_gcd(a, b):
+    """GCDHEU on primitive a, b of positive degree: (h, a/h, b/h) or None.
+    The first point exceeds the theorem's 2 min(|a|, |b|) + 2 by a margin
+    that makes spurious integer factors rare for small operands; each retry
+    grows xi by about (1 + sqrt 3) xi^(1/4), the factor 73794/27011 of the
+    original GCDHEU, so successive points share no structure."""
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
+    for _ in range(6):
+        found = _heu_candidate(a, b, xi)
+        if found is not None:
+            return found
+        xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
+    return None
+
+
+def _prs_gcd(a, b):
+    """Primitive PRS on primitive a, b: (h, a/h, b/h), h's leading
+    coefficient > 0."""
+    pa, pb = a, b
+    while pb:
+        r = _pseudo_rem(pa, pb)
+        pa, pb = pb, (_exact_scale(r, math.gcd(*r)) if r else r)
+    h = _neg(pa) if pa[-1] < 0 else pa
+    return h, _div_exact(a, h), _div_exact(b, h)
+
+
+def _gcd(a, b):
+    """Polynomial gcd over Z (content included) of nonzero a and b, with the
+    cofactors: (g, a/g, b/g), g's leading coefficient > 0."""
+    if len(a) == 1 or len(b) == 1:
+        c = math.gcd(*a, *b)
+        return (c,), _exact_scale(a, c), _exact_scale(b, c)
+    ca, cb = math.gcd(*a), math.gcd(*b)
+    pa, pb = _exact_scale(a, ca), _exact_scale(b, cb)
+    h, qa, qb = _heu_gcd(pa, pb) or _prs_gcd(pa, pb)
+    c = math.gcd(ca, cb)
+    return _scale(h, c), _scale(qa, ca // c), _scale(qb, cb // c)
+
+
+def _power(a, k):
+    out = (1,)
+    while k:
+        if k & 1:
+            out = _mul(out, a)
+        a = _mul(a, a)
+        k >>= 1
+    return out
 
 
 def _eval(a, x: Fraction) -> Fraction:
@@ -141,6 +208,34 @@ def _eval(a, x: Fraction) -> Fraction:
     for c in reversed(a):
         out = out * x + c
     return out
+
+
+def _product(a, b, c, d):
+    """Canonical (a/b)(c/d) of canonical operands (Henrici)."""
+    if not a or not c:
+        return (), (1,)
+    if d != (1,):
+        _, a, d = _gcd(a, d)
+    if b != (1,):
+        _, c, b = _gcd(c, b)
+    return _mul(a, c), _mul(b, d)
+
+
+def _sum(a, b, c, d):
+    """Canonical a/b + c/d of canonical operands (Henrici).  With
+    g = gcd(b, d), b = g s and d = g e, the numerator t = a e + c s is
+    coprime to s and e, so only gcd(t, g) can remain."""
+    if b == d:
+        g, s, e = b, (1,), (1,)
+    else:
+        g, s, e = _gcd(b, d)
+    t = _add(_mul(a, e), _mul(c, s))
+    if not t:
+        return (), (1,)
+    if g == (1,):
+        return t, _mul(s, d)
+    _, t, g = _gcd(t, g)
+    return t, _mul(_mul(s, e), g)
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +266,8 @@ class AlphaRational:
     @classmethod
     def from_fraction(cls, q) -> "AlphaRational":
         q = Fraction(q)
-        return cls._raw(*_reduce((q.numerator,) if q.numerator else (),
-                                 (q.denominator,)))
+        return cls._raw((q.numerator,) if q.numerator else (),
+                        (q.denominator,))
 
     # -- predicates ---------------------------------------------------------
 
@@ -191,8 +286,8 @@ class AlphaRational:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        n = _add(_mul(self.num, other.den), _mul(other.num, self.den))
-        return AlphaRational._raw(*_reduce(n, _mul(self.den, other.den)))
+        return AlphaRational._raw(*_sum(self.num, self.den,
+                                        other.num, other.den))
 
     __radd__ = __add__
 
@@ -203,8 +298,8 @@ class AlphaRational:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        n = _sub(_mul(self.num, other.den), _mul(other.num, self.den))
-        return AlphaRational._raw(*_reduce(n, _mul(self.den, other.den)))
+        return AlphaRational._raw(*_sum(self.num, self.den,
+                                        _neg(other.num), other.den))
 
     def __rsub__(self, other):
         other = _coerce(other)
@@ -216,15 +311,17 @@ class AlphaRational:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return AlphaRational._raw(*_reduce(_mul(self.num, other.num),
-                                           _mul(self.den, other.den)))
+        return AlphaRational._raw(*_product(self.num, self.den,
+                                            other.num, other.den))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "AlphaRational":
         if not self.num:
             raise ZeroDivisionError("inverse of zero in Q(alpha)")
-        return AlphaRational._raw(*_reduce(self.den, self.num))
+        if self.num[-1] < 0:
+            return AlphaRational._raw(_neg(self.den), _neg(self.num))
+        return AlphaRational._raw(self.den, self.num)
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -241,14 +338,7 @@ class AlphaRational:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        out = ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return AlphaRational._raw(_power(self.num, k), _power(self.den, k))
 
     # -- equality -----------------------------------------------------------
 
@@ -320,10 +410,9 @@ def _reduce(num, den):
         raise ZeroDivisionError("zero denominator in Q(alpha)")
     if not num:
         return (), (1,)
-    g = _gcd(num, den)
-    if g != (1,):
-        num = _div_exact(num, g)
-        den = _div_exact(den, g)
+    if den == (1,):
+        return num, den
+    _, num, den = _gcd(num, den)
     if den[-1] < 0:
         num, den = _neg(num), _neg(den)
     return num, den

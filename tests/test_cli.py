@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -125,6 +126,12 @@ class TestVerify:
             cli.main(["verify", "--N", "1", "--filter", "value-at-ones"])
         assert exc.value.code == 2
 
+    def test_unparsable_k_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--k", "1,x"])
+        assert exc.value.code == 2
+        assert "--k" in capsys.readouterr().err
+
     def test_clamp_is_reported(self, capsys):
         argv = ["verify", "--N", "6", "--deg", "8", "--filter", "E.eigen"]
         code, out = run_cli(capsys, *argv)
@@ -218,6 +225,13 @@ class TestExpand:
         assert code == 0
         assert "[1, 0] -> 1" in out
 
+    def test_N_below_1_exits_2(self, capsys):
+        for kernel, n in (("omega", "0"), ("pi", "-1"), ("binomial", "0")):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["expand", kernel, "--N", n, "--deg", "1", "--r", "1"])
+            assert exc.value.code == 2
+            assert "--N" in capsys.readouterr().err
+
     def test_binomial_needs_r(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["expand", "binomial", "--N", "2", "--deg", "2"])
@@ -229,3 +243,27 @@ class TestExpand:
         _, out2 = run_cli(capsys, "expand", "omega", "--N", "2", "--deg", "2",
                           "--format", "json")
         assert out1 == out2
+
+
+class TestGolden:
+    """The JSON bytes of `compute` are part of the behaviour contract.  These
+    sha256 digests were computed with the primitive-PRS reduction in Q(alpha),
+    before products and sums switched to Henrici's reduced forms and the gcd
+    to GCDHEU; any change in canonical form or serialization shows here."""
+
+    @pytest.mark.parametrize("family, label, digest", [
+        ("E", "2,1,0",
+         "182542a48caa04cb6dba81504ef14c37c99046853cb193bece58fddd55b42d1e"),
+        ("E", "2,0,1,1",
+         "0671608d7426015b4b615aabe1614e039806690449f16eb057b0b9de3301548f"),
+        ("P", "3,1,0",
+         "6a621d058cc3e5a37a43a5694b60d36f696a50f2befd6cffb8dd09c1cff15f01"),
+        ("P", "2,2,1,0",
+         "5306f4a3981b1554fcc0ac54a301c635946050293a676ea2611631312034ef56"),
+        ("S", "3,1,0",
+         "e244c503b06e76d6fb6b392aa52e0e95a912ec1e07f8fdb58a5204685700ccbe"),
+    ])
+    def test_compute_json_digest(self, capsys, family, label, digest):
+        code, out = run_cli(capsys, "compute", family, label, "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
