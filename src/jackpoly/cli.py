@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import combinat, jack, scalars, verify
-from .polyalg import BiPoly, MultiPoly, omega_truncated, pi_truncated
+from .polyalg import BiPoly, MultiPoly, monomial_text, omega_truncated, pi_truncated
 from .qalpha import ALPHA, alpha_shift, format_alpha
 
 
@@ -34,11 +34,17 @@ def _parse_parts(text: str, parser, n=None):
     return parts
 
 
-def _parse_fraction(text: str, parser) -> Fraction:
+def _parse_fraction(text: str) -> Fraction:
+    """argparse type for an exact rational p/q."""
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        parser.error(f"cannot parse rational {text!r}")
+        raise argparse.ArgumentTypeError(f"cannot parse rational {text!r}") from None
+
+
+def _parse_fractions(text: str) -> tuple:
+    """argparse type for comma-separated rationals."""
+    return tuple(_parse_fraction(r) for r in text.split(","))
 
 
 def _json_dumps(obj) -> str:
@@ -61,8 +67,7 @@ def _poly_text(f: MultiPoly, symbol: str, alpha0=None) -> str:
         return "0"
     chunks = []
     for e, c in sorted(spec.items()):
-        vars_part = "*".join(f"{symbol}{i+1}" + (f"^{k}" if k > 1 else "")
-                             for i, k in enumerate(e) if k)
+        vars_part = monomial_text(e, symbol)
         if not vars_part:
             chunks.append(str(c))
         elif c == 1:
@@ -178,8 +183,7 @@ def cmd_verify(args, parser):
         parser.error(f"cannot parse --k {args.k!r}: expected comma-separated integers")
     if any(k < 1 for k in ks):
         parser.error("--k entries must be positive integers")
-    rs = tuple(_parse_fraction(r, parser) for r in args.r.split(","))
-    bounds = verify.Bounds(n_max=args.N, deg=args.deg, ks=ks, rs=rs)
+    bounds = verify.Bounds(n_max=args.N, deg=args.deg, ks=ks, rs=args.r)
     report = verify.run_checks(bounds, name_filter=args.filter, jobs=args.jobs)
     if not report.results:
         parser.error(f"no checks match filter {args.filter!r}")
@@ -193,10 +197,7 @@ def cmd_verify(args, parser):
 def _bipoly_text(bp: BiPoly) -> str:
     chunks = []
     for (xe, ye), c in bp.sorted_terms():
-        mono = "*".join([f"x{i+1}" + (f"^{k}" if k > 1 else "")
-                         for i, k in enumerate(xe) if k]
-                        + [f"y{i+1}" + (f"^{k}" if k > 1 else "")
-                           for i, k in enumerate(ye) if k])
+        mono = "*".join(m for m in (monomial_text(xe, "x"), monomial_text(ye, "y")) if m)
         cs = format_alpha(c)
         chunks.append(f"({cs})*{mono}" if mono else cs)
     return " + ".join(chunks) if chunks else "0"
@@ -233,12 +234,11 @@ def cmd_expand(args, parser):
     else:
         if args.r is None:
             parser.error("binomial expansion needs --r")
-        r = _parse_fraction(args.r, parser)
-        print(f"# expansion coefficients of prod_j (1-x_j)^(-{r}), degree <= {args.deg}")
+        print(f"# expansion coefficients of prod_j (1-x_j)^(-{args.r}), degree <= {args.deg}")
         print("# label -> alpha^|eta| [r](eta+) / (u d)")
         for eta in combinat.compositions_upto(args.deg, n):
             kappa = combinat.sort_to_partition(eta)
-            coeff = (ALPHA ** sum(eta) * scalars.gen_factorial(r, kappa)
+            coeff = (ALPHA ** sum(eta) * scalars.gen_factorial(args.r, kappa)
                      / (scalars.u_eta(eta) * scalars.const_d(eta)))
             print(f"{list(eta)} -> {coeff}")
     return 0
@@ -256,44 +256,49 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("index", help="comma-separated parts, e.g. 1,0")
     p.add_argument("--N", type=int, default=None, help="pad the index with zeros to N parts")
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--alpha", type=Fraction, default=None,
+    p.add_argument("--alpha", type=_parse_fraction, default=None,
                    help="specialize the parameter at an exact rational p/q "
                         "(negative values as --alpha=-1/2)")
+    p.set_defaults(run=cmd_compute, parser=p)
 
     p = sub.add_parser("constants", help="print the scalar constants for a composition")
     p.add_argument("eta", help="comma-separated parts")
     p.add_argument("--N", type=int, default=None)
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--alpha", type=Fraction, default=None,
+    p.add_argument("--alpha", type=_parse_fraction, default=None,
                    help="evaluate at an exact rational p/q (negative values as --alpha=-1/2)")
+    p.set_defaults(run=cmd_constants, parser=p)
 
     p = sub.add_parser("verify", help="run the verification suite")
     p.add_argument("--N", type=int, default=4, help="largest variable count (default 4)")
     p.add_argument("--deg", type=int, default=5, help="largest sweep degree (default 5)")
     p.add_argument("--k", default="1,2", help="inverse parameter values for the torus oracle")
-    p.add_argument("--r", default="1,2,3,5/2", help="exponents for the binomial checks")
+    p.add_argument("--r", type=_parse_fractions, default="1,2,3,5/2",
+                   help="exponents for the binomial checks")
     p.add_argument("--filter", default=None, help="run only checks whose name contains this")
     p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     p.add_argument("--format", choices=["text", "json"], default="text")
+    p.set_defaults(run=cmd_verify, parser=p)
 
     p = sub.add_parser("expand", help="print a truncated kernel or expansion table")
     p.add_argument("kernel", choices=["omega", "pi", "binomial"])
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--deg", type=int, required=True)
-    p.add_argument("--r", default=None, help="binomial exponent (rational)")
+    p.add_argument("--r", type=_parse_fraction, default=None,
+                   help="binomial exponent (rational)")
     p.add_argument("--shifted", action="store_true",
                    help="use the substituted parameter alpha/(alpha+1) for pi")
     p.add_argument("--coeffs", action="store_true", help="also print decomposition norms")
     p.add_argument("--format", choices=["text", "json"], default="text")
+    p.set_defaults(run=cmd_expand, parser=p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {"compute": cmd_compute, "constants": cmd_constants,
-                "verify": cmd_verify, "expand": cmd_expand}
-    return handlers[args.command](args, parser)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:  # reported against the subcommand, with its usage line
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args.run(args, args.parser)
 
 
 if __name__ == "__main__":

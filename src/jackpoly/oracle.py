@@ -352,6 +352,21 @@ def _kernel_pairing_matrix(kernel: BiPoly, basis_polys: dict, labels) -> dict:
     return _solve_upper_unitriangular(m_matrix, y_cols, labels)
 
 
+def _inverse_diagonal_pairing(label, kernel: BiPoly, labels, basis: dict) -> AlphaRational:
+    """1 / C[label][label] for the pairing matrix C of the kernel against the
+    basis; asserts that every off-diagonal pairing vanishes."""
+    c = _kernel_pairing_matrix(kernel, basis, labels)
+    for xlab, row in c.items():
+        for ylab, val in row.items():
+            if xlab != ylab and val:
+                raise ArithmeticError(
+                    f"off-diagonal kernel pairing at ({xlab}, {ylab}): {val}")
+    diag = c.get(label, {}).get(label, ZERO)
+    if not diag:
+        raise ArithmeticError(f"vanishing diagonal pairing at {label}")
+    return diag.inverse()
+
+
 def u_from_series(eta, n: int, bound: int) -> AlphaRational:
     """Extract the diagonal norm of the non-symmetric family from the
     truncated kernel by exact linear algebra; asserts the off-diagonal
@@ -363,16 +378,7 @@ def u_from_series(eta, n: int, bound: int) -> AlphaRational:
     kernel = omega_truncated(n, bound)
     labels = sorted(combinat.compositions(d, n), key=combinat.composition_order_key)
     basis = {lab: jack.build_E(lab) for lab in labels}
-    c = _kernel_pairing_matrix(kernel, basis, labels)
-    for xlab, row in c.items():
-        for ylab, val in row.items():
-            if xlab != ylab and val:
-                raise ArithmeticError(
-                    f"off-diagonal kernel pairing at ({xlab}, {ylab}): {val}")
-    diag = c.get(tuple(eta), {}).get(tuple(eta), ZERO)
-    if not diag:
-        raise ArithmeticError(f"vanishing diagonal pairing at {eta}")
-    return diag.inverse()
+    return _inverse_diagonal_pairing(tuple(eta), kernel, labels, basis)
 
 
 def v_from_series(kappa, n: int, bound: int) -> AlphaRational:
@@ -386,13 +392,4 @@ def v_from_series(kappa, n: int, bound: int) -> AlphaRational:
     kernel = pi_truncated(ALPHA, n, n, bound)
     labels = sorted(combinat.partitions(d, n), key=combinat.dominance_key)
     basis = {lab: jack.build_P(lab, n) for lab in labels}
-    c = _kernel_pairing_matrix(kernel, basis, labels)
-    for xlab, row in c.items():
-        for ylab, val in row.items():
-            if xlab != ylab and val:
-                raise ArithmeticError(
-                    f"off-diagonal kernel pairing at ({xlab}, {ylab}): {val}")
-    diag = c.get(padded, {}).get(padded, ZERO)
-    if not diag:
-        raise ArithmeticError(f"vanishing diagonal pairing at {kappa}")
-    return diag.inverse()
+    return _inverse_diagonal_pairing(padded, kernel, labels, basis)

@@ -1,7 +1,11 @@
 """Sparse multivariate polynomials over Q(alpha) and the operators on them.
 
 Terms live in a dict keyed by exponent tuples (length = number of
-variables); zero coefficients are never stored.  Variable indices in the
+variables); zero coefficients are never stored.  Every operator that sums
+terms into a dict does so through `_add_term`, which drops a key whose sum
+vanishes; the variable relabelings (`apply_permutation`,
+`apply_transposition`) are bijections on exponent tuples, so they move
+terms without summing any.  Variable indices in the
 operator API are 1-based to match diagram coordinates.  Coefficients are
 Q(alpha) elements.  The oracle keeps its Laurent data (negative exponents,
 Fraction coefficients) in plain dicts instead; of this module it reads only
@@ -15,6 +19,22 @@ from fractions import Fraction
 
 from .combinat import perm_sign
 from .qalpha import ALPHA, ONE, ZERO, AlphaRational
+
+
+def _add_term(out: dict, key, c) -> None:
+    """out[key] += c, deleting the key when the sum vanishes."""
+    s = out.get(key)
+    s = c if s is None else s + c
+    if s:
+        out[key] = s
+    elif key in out:
+        del out[key]
+
+
+def monomial_text(exps, symbol: str) -> str:
+    """Render an exponent tuple as e.g. z1^2*z3; the empty string for 1."""
+    return "*".join(f"{symbol}{i+1}" + (f"^{k}" if k > 1 else "")
+                    for i, k in enumerate(exps) if k)
 
 
 def _coerce_scalar(c):
@@ -77,27 +97,13 @@ class MultiPoly:
         self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e)
-            s = c if s is None else s + c
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
+            _add_term(out, e, c)
         return MultiPoly._raw(self.nvars, out)
 
     def __sub__(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            s = -c if s is None else s - c
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-        return MultiPoly._raw(self.nvars, out)
+        return self + (-other)
 
     def __neg__(self):
         return MultiPoly._raw(self.nvars, {e: -c for e, c in self.terms.items()})
@@ -108,14 +114,7 @@ class MultiPoly:
             out = {}
             for e1, c1 in self.terms.items():
                 for e2, c2 in other.terms.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    c = c1 * c2
-                    s = out.get(e)
-                    s = c if s is None else s + c
-                    if s:
-                        out[e] = s
-                    elif e in out:
-                        del out[e]
+                    _add_term(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
             return MultiPoly._raw(self.nvars, out)
         c = _coerce_scalar(other)
         if c is None:
@@ -211,9 +210,7 @@ class MultiPoly:
             return "0"
         chunks = []
         for e, c in self.sorted_terms():
-            vars_part = "*".join(
-                f"{symbol}{i+1}" + (f"^{k}" if k > 1 else "")
-                for i, k in enumerate(e) if k)
+            vars_part = monomial_text(e, symbol)
             cs = str(c)
             if not vars_part:
                 chunks.append(cs)
@@ -246,30 +243,23 @@ def apply_transposition(f: MultiPoly, i: int, p: int) -> MultiPoly:
     n = f.nvars
     if not (1 <= i <= n and 1 <= p <= n and i != p):
         raise ValueError(f"bad transposition indices ({i},{p}) for N={n}")
-    a, b = i - 1, p - 1
-    out = {}
-    for e, c in f.terms.items():
-        if e[a] == e[b]:
-            out[e] = out.get(e, ZERO) + c if e in out else c
-            continue
-        l = list(e)
-        l[a], l[b] = l[b], l[a]
-        out[tuple(l)] = c
-    return MultiPoly._raw(n, out)
+    perm = list(range(n))
+    perm[i - 1], perm[p - 1] = p - 1, i - 1
+    return apply_permutation(f, perm)
 
 
 def apply_permutation(f: MultiPoly, perm) -> MultiPoly:
-    """Substitute variable i by variable perm[i] (0-based images)."""
-    out = {}
+    """Substitute variable i by variable perm[i] (0-based images).  A
+    permutation maps distinct exponent tuples to distinct ones, so terms are
+    relabelled, never summed."""
     n = f.nvars
-    for e, c in f.terms.items():
-        ne = [0] * n
-        for i, k in enumerate(e):
-            ne[perm[i]] = k
-        key = tuple(ne)
-        s = out.get(key)
-        out[key] = c if s is None else s + c
-    return MultiPoly._raw(n, {e: c for e, c in out.items() if c})
+    if sorted(perm) != list(range(n)):
+        raise ValueError(f"{tuple(perm)} is not a permutation of {n} variables")
+    source = [0] * n
+    for i, j in enumerate(perm):
+        source[j] = i
+    return MultiPoly._raw(n, {tuple(map(e.__getitem__, source)): c
+                              for e, c in f.terms.items()})
 
 
 def apply_phi(f: MultiPoly) -> MultiPoly:
@@ -304,9 +294,8 @@ def divided_difference(f: MultiPoly, i: int, p: int) -> MultiPoly:
     """(f - s_ip f)/(z_i - z_p), by the telescoping rule on each monomial.
 
     For a monomial with exponents (a, b) at the two positions the quotient
-    is a geometric bridge: a > b gives sum_t z_i^(a-1-t) z_p^(b+t) for
-    0 <= t < a-b, and a < b gives the negated mirror.  No general division
-    is ever performed.
+    is a geometric bridge: sum_u z_i^u z_p^(a+b-1-u) over min(a,b) <= u <
+    max(a,b), negated when a < b.  No general division is ever performed.
     """
     n = f.nvars
     if not (1 <= i <= n and 1 <= p <= n and i != p):
@@ -317,29 +306,12 @@ def divided_difference(f: MultiPoly, i: int, p: int) -> MultiPoly:
         a, b = e[ii], e[pp]
         if a == b:
             continue
+        sc = c if a > b else -c
         base = list(e)
-        if a > b:
-            for t in range(a - b):
-                base[ii] = a - 1 - t
-                base[pp] = b + t
-                key = tuple(base)
-                s = out.get(key)
-                s = c if s is None else s + c
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
-        else:
-            for t in range(b - a):
-                base[ii] = a + t
-                base[pp] = b - 1 - t
-                key = tuple(base)
-                s = out.get(key)
-                s = -c if s is None else s - c
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
+        for u in range(min(a, b), max(a, b)):
+            base[ii] = u
+            base[pp] = a + b - 1 - u
+            _add_term(out, tuple(base), sc)
     return MultiPoly._raw(n, out)
 
 
@@ -480,17 +452,6 @@ class BiPoly:
         return (isinstance(other, BiPoly) and self.nx == other.nx
                 and self.ny == other.ny and self.terms == other.terms)
 
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            s = -c if s is None else s - c
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-        return BiPoly(self.nx, self.ny, self.bound, out)
-
     def mul_bilinear_series(self, j: int, k: int, coeffs) -> "BiPoly":
         """Multiply by sum_n coeffs[n] (x_j y_k)^n, truncating at the bound."""
         out = {}
@@ -503,12 +464,7 @@ class BiPoly:
                     continue
                 key = (xe[:jj] + (xe[jj] + n,) + xe[jj + 1:],
                        ye[:kk] + (ye[kk] + n,) + ye[kk + 1:])
-                s = out.get(key)
-                s = c * cn if s is None else s + c * cn
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
+                _add_term(out, key, c * cn)
         return BiPoly(self.nx, self.ny, self.bound, out)
 
     def mul_split_polys(self, fx: MultiPoly, gy: MultiPoly) -> "BiPoly":
@@ -523,14 +479,7 @@ class BiPoly:
                     nye = tuple(a + b for a, b in zip(ye, ey))
                     if sum(nye) > self.bound:
                         continue
-                    key = (nxe, nye)
-                    v = c * cx * cy
-                    s = out.get(key)
-                    s = v if s is None else s + v
-                    if s:
-                        out[key] = s
-                    elif key in out:
-                        del out[key]
+                    _add_term(out, (nxe, nye), c * cx * cy)
         return BiPoly(self.nx, self.ny, self.bound, out)
 
     def add_outer(self, fx: MultiPoly, gy: MultiPoly, coeff) -> "BiPoly":
@@ -538,14 +487,7 @@ class BiPoly:
         out = dict(self.terms)
         for ex, cx in fx.terms.items():
             for ey, cy in gy.terms.items():
-                key = (ex, ey)
-                v = coeff * cx * cy
-                s = out.get(key)
-                s = v if s is None else s + v
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
+                _add_term(out, (ex, ey), coeff * cx * cy)
         return BiPoly(self.nx, self.ny, self.bound, out)
 
     def asym_x(self) -> "BiPoly":
@@ -557,14 +499,7 @@ class BiPoly:
                 ne = [0] * self.nx
                 for i, v in enumerate(xe):
                     ne[perm[i]] = v
-                key = (tuple(ne), ye)
-                v = c if sgn > 0 else -c
-                s = out.get(key)
-                s = v if s is None else s + v
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
+                _add_term(out, (tuple(ne), ye), c if sgn > 0 else -c)
         return BiPoly(self.nx, self.ny, self.bound, out)
 
     def y_coefficient(self, eta) -> MultiPoly:

@@ -59,6 +59,14 @@ class TestCompute:
         assert exc.value.code == 2
         assert "pole at alpha = -1" in capsys.readouterr().err
 
+    def test_alpha_zero_denominator_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["compute", "E", "1,0", "--alpha", "1/0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: jackpoly compute")
+        assert "cannot parse rational '1/0'" in err
+
     def test_negative_alpha_equals_form(self, capsys):
         code, out = run_cli(capsys, "compute", "E", "1,0", "--alpha=-1/2")
         assert code == 0
@@ -89,6 +97,14 @@ class TestConstants:
             cli.main(["constants", "1,0", "--alpha", "-1"])
         assert exc.value.code == 2
         assert "pole at alpha = -1" in capsys.readouterr().err
+
+    def test_alpha_zero_denominator_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["constants", "1,0", "--alpha=2/0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: jackpoly constants")
+        assert "cannot parse rational '2/0'" in err
 
 
 class TestVerify:
@@ -131,6 +147,12 @@ class TestVerify:
             cli.main(["verify", "--k", "1,x"])
         assert exc.value.code == 2
         assert "--k" in capsys.readouterr().err
+
+    def test_error_prints_subcommand_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--k", "1,x"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: jackpoly verify")
 
     def test_clamp_is_reported(self, capsys):
         argv = ["verify", "--N", "6", "--deg", "8", "--filter", "E.eigen"]
@@ -232,6 +254,14 @@ class TestExpand:
             assert exc.value.code == 2
             assert "--N" in capsys.readouterr().err
 
+    def test_unknown_option_prints_subcommand_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["expand", "pi", "--N", "2", "--deg", "1", "--alpha", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: jackpoly expand")
+        assert "unrecognized arguments: --alpha 1" in err
+
     def test_binomial_needs_r(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["expand", "binomial", "--N", "2", "--deg", "2"])
@@ -246,10 +276,12 @@ class TestExpand:
 
 
 class TestGolden:
-    """The JSON bytes of `compute` are part of the behaviour contract.  These
-    sha256 digests were computed with the primitive-PRS reduction in Q(alpha),
-    before products and sums switched to Henrici's reduced forms and the gcd
-    to GCDHEU; any change in canonical form or serialization shows here."""
+    """The JSON bytes of `compute` and `expand` are part of the behaviour
+    contract.  The `compute` digests were computed with the primitive-PRS
+    reduction in Q(alpha), before products and sums switched to Henrici's
+    reduced forms and the gcd to GCDHEU; the `expand` digests (the truncated
+    kernels) before the polynomial operators shared one accumulation helper.
+    Any change in canonical form, term set or serialization shows here."""
 
     @pytest.mark.parametrize("family, label, digest", [
         ("E", "2,1,0",
@@ -265,5 +297,16 @@ class TestGolden:
     ])
     def test_compute_json_digest(self, capsys, family, label, digest):
         code, out = run_cli(capsys, "compute", family, label, "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["expand", "omega", "--N", "3", "--deg", "3"],
+         "81ebf6c6270acd492df404486cb87c20dd62a5a4f5de221eec9f81913b977b23"),
+        (["expand", "pi", "--N", "2", "--deg", "3", "--shifted"],
+         "73c0d013b8f85fe1cca685b904255d9b1c83aee12a79c84cf54c99b5863467ff"),
+    ])
+    def test_expand_json_digest(self, capsys, argv, digest):
+        code, out = run_cli(capsys, *argv, "--format", "json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -51,6 +51,13 @@ class TestVariableActions:
         assert pa.apply_transposition(f, 1, 2) == f
         assert pa.apply_transposition(_z(1, 3), 1, 3) == _z(3, 3)
 
+    def test_permutation(self):
+        f = MP.monomial((2, 1, 0))
+        assert pa.apply_permutation(f, (1, 2, 0)) == MP.monomial((0, 2, 1))
+        for bad in ((0, 0, 1), (0, 1), (0, 1, 3)):
+            with pytest.raises(ValueError):
+                pa.apply_permutation(f, bad)
+
     def test_phi(self):
         assert pa.apply_phi(MP.one(2)) == _z(2, 2)
         assert pa.apply_phi(_z(2, 2)) == MP.monomial((1, 1))
