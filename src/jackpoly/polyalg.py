@@ -555,16 +555,3 @@ def diagonal_kernel_truncated(n: int, bound: int) -> BiPoly:
     for j in range(1, n + 1):
         out = out.mul_bilinear_series(j, j, geo)
     return out
-
-
-def check_cauchy_alternant(n: int, bound: int) -> bool:
-    """Antisymmetrizing the diagonal kernel over x equals the Vandermonde in
-    x times the one in y times the full bilinear kernel at parameter 1,
-    through the stated total degree."""
-    offset = n * (n - 1) // 2
-    big = bound + offset
-    lhs = diagonal_kernel_truncated(n, big).asym_x()
-    dx = vandermonde(n)
-    kernel = pi_truncated(ONE, n, n, big)
-    rhs = kernel.mul_split_polys(dx, dx)
-    return lhs == rhs

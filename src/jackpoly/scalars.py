@@ -161,6 +161,19 @@ def v_kappa(kappa) -> AlphaRational:
     return const_dp(kappa) / const_h(kappa)
 
 
+def binomial_coeff_E(r, eta) -> AlphaRational:
+    """Coefficient of E_eta in prod_j (1-x_j)^(-r):
+    alpha^|eta| [r]_(eta+) / (u_eta d_eta)."""
+    kappa = combinat.sort_to_partition(eta)
+    return ALPHA ** sum(eta) * gen_factorial(r, kappa) / (u_eta(eta) * const_d(eta))
+
+
+def binomial_coeff_P(r, kappa) -> AlphaRational:
+    """Coefficient of P_kappa in prod_j (1-x_j)^(-r):
+    alpha^|kappa| [r]_kappa / (v_kappa h_kappa)."""
+    return ALPHA ** sum(kappa) * gen_factorial(r, kappa) / (v_kappa(kappa) * const_h(kappa))
+
+
 # ---------------------------------------------------------------------------
 # the antisymmetrization constant
 # ---------------------------------------------------------------------------
@@ -205,84 +218,9 @@ def c_rho_resolved(rho) -> AlphaRational:
     return sign * const_dp(rho) / const_dp(rho_r)
 
 
-# ---------------------------------------------------------------------------
-# identity checks
-# ---------------------------------------------------------------------------
-
-def check_hook_identity(eta) -> bool:
-    """h(eta+)/stab(eta+) == d(etaR) / prod_j (alpha*eta+_j + N - j + 1).
-
-    The right side's product runs over all N rows, including empty ones
-    whose factors N - j + 1 are matched by the zero-part permutations
-    inside stab, not by any diagram node."""
-    eta_plus = combinat.sort_to_partition(eta)
-    eta_r = combinat.reverse_partition(eta)
-    n = len(eta)
-    lhs = const_h(eta_plus) / combinat.stabilizer_order(eta_plus)
-    denom = ONE
-    for j, pj in enumerate(eta_plus, start=1):
-        denom = denom * (ALPHA * pj + (n - j + 1))
-    rhs = const_d(eta_r) / denom
-    return lhs == rhs
-
-
-def check_P_ones_consistency(kappa) -> bool:
-    return eval_P_at_ones(kappa) == eval_P_at_ones_sym_route(kappa)
-
-
-def check_norm_P_consistency(kappa) -> bool:
-    return norm_ratio_P(kappa) == norm_ratio_P_sym_route(kappa)
-
-
 def staircase_norm_ratio(n: int) -> AlphaRational:
     """e/e' at the staircase: (1/N!) prod_j (j*alpha + N) / (1+alpha)^N."""
     num = ONE
     for j in range(1, n + 1):
         num = num * (ALPHA * j + n)
     return num / ((ALPHA + 1) ** n * math.factorial(n))
-
-
-def check_society_identities(eta_plus, n: int) -> bool:
-    """Three diagram-insertion identities tying the staircase-shifted shape
-    rho+ = eta+ + staircase back to eta+ at the substituted parameter."""
-    eta_plus = combinat.as_partition(eta_plus)
-    if len(eta_plus) != n:
-        eta_plus = tuple(eta_plus) + (0,) * (n - len(eta_plus))
-    delta = combinat.staircase(n)
-    rho_plus = tuple(p + d for p, d in zip(eta_plus, delta))
-    rho_r = combinat.reverse_partition(rho_plus)
-    sh = alpha_shift()
-
-    lhs1 = const_e(rho_plus) / const_ep(rho_plus)
-    rhs1 = (const_e(delta) / const_ep(delta)
-            * const_b(eta_plus, sh) / const_ep(eta_plus, sh))
-    if lhs1 != rhs1:
-        return False
-
-    lhs2 = const_d(rho_plus) / const_dp(rho_r)
-    rhs2 = const_h(eta_plus, sh) / const_dp(eta_plus, sh)
-    if lhs2 != rhs2:
-        return False
-
-    return const_e(delta) / const_ep(delta) == staircase_norm_ratio(n)
-
-
-def check_norm_reconciliation(eta_plus, n: int) -> bool:
-    """The two closed forms of the anti-symmetric norm agree as ratios:
-    [bd'/(e'h)](alpha/(alpha+1)) * N! * e_delta/e'_delta equals
-    N! * d'(rhoR) e(rho+) / (d(rho+) e'(rho+))."""
-    eta_plus = combinat.as_partition(eta_plus)
-    if len(eta_plus) != n:
-        eta_plus = tuple(eta_plus) + (0,) * (n - len(eta_plus))
-    delta = combinat.staircase(n)
-    rho_plus = tuple(p + d for p, d in zip(eta_plus, delta))
-    rho_r = combinat.reverse_partition(rho_plus)
-    sh = alpha_shift()
-    fact = math.factorial(n)
-
-    black = (const_b(eta_plus, sh) * const_dp(eta_plus, sh)
-             / (const_ep(eta_plus, sh) * const_h(eta_plus, sh)))
-    black = black * fact * (const_e(delta) / const_ep(delta))
-    white = (fact * const_dp(rho_r) * const_e(rho_plus)
-             / (const_d(rho_plus) * const_ep(rho_plus)))
-    return black == white

@@ -20,8 +20,9 @@ from fractions import Fraction
 from typing import Callable
 
 from . import combinat, jack, oracle, polyalg, scalars
-from .polyalg import (MultiPoly, apply_transposition, cherednik_apply,
-                      divided_difference)
+from .polyalg import (BiPoly, MultiPoly, antisymmetrize, apply_transposition,
+                      cherednik_apply, d2_apply, divided_difference,
+                      exact_scalar_ratio, pi_truncated, symmetrize, vandermonde)
 from .qalpha import ALPHA, ONE, AlphaRational, alpha_shift
 
 FIG2_SHAPE = (8, 7, 7, 4, 3, 3, 2, 1, 0)
@@ -183,8 +184,41 @@ class Check:
 
 
 def _differ(label, got, want):
-    """The witness for got != want, or None."""
-    return None if got == want else f"{label}: {got} != {want}"
+    """The witness for got != want, or None.  Polynomials, kernels and
+    coefficient dicts are named by the first differing monomial in sorted
+    order with both coefficients there (0 for an absent one); scalars by
+    both values.  Nothing is formatted when the two agree."""
+    if got == want:
+        return None
+    if isinstance(got, (MultiPoly, BiPoly)):
+        got, want = got.terms, want.terms
+    if isinstance(got, dict):
+        key = min(k for k in got.keys() | want.keys() if got.get(k, 0) != want.get(k, 0))
+        return f"{label}: at {key}: {got.get(key, 0)} != {want.get(key, 0)}"
+    return f"{label}: {got} != {want}"
+
+
+def _multiple(label, f, g):
+    """(c, None) when f == c*g, else (None, witness): the witness names where
+    f differs from g scaled by the ratio at the leading monomial of g."""
+    c = exact_scalar_ratio(f, g)
+    if c is not None:
+        return c, None
+    e, lead = g.lead_term()
+    return None, _differ(label, f, g.scale(f.coeff(e) / lead))
+
+
+def _monic_below(label, f, lead, below):
+    """The witness unless f has coefficient 1 at `lead` and every other
+    monomial e of f satisfies below(e)."""
+    witness = _differ(f"{label}: leading coefficient", f.coeff(lead), ONE)
+    if witness:
+        return witness
+    above = [e for e in f.terms if e != lead and not below(e)]
+    if not above:
+        return None
+    e = min(above)
+    return _differ(f"{label}: monomial {e} not below the label", f.terms[e], 0)
 
 
 def _nonzero(kappa):
@@ -217,6 +251,12 @@ def _staircase_shapes(n, size):
         yield ep, tuple(p + d for p, d in zip(ep, delta))
 
 
+def _shifted_shapes(s):
+    """(eta+, rho+) for each swept N and |eta+| <= deg."""
+    for n in s.ns:
+        yield from _staircase_shapes(n, s.deg + n * (n - 1) // 2)
+
+
 def _rhos(s):
     """(rho,) for every rearrangement of every rho+ with |rho+| <= deg + 1."""
     for n in s.ns:
@@ -233,18 +273,32 @@ def _rhos(s):
 _EIGEN = dict(ns=(2, 4), deg=(0, 5), caps={4: 3})
 
 
-def _eigen_triangular(eta):
+def _E_witness(f, eta):
+    """The joint eigen-equations of f at the eigenvalues of eta, then monic
+    triangularity: coefficient 1 at eta and every other monomial below it."""
+    bars = combinat.eigenvalue_vector(eta)
+    for i in range(1, len(eta) + 1):
+        witness = _differ(f"eta={eta}: xi_{i} E vs eigenvalue * E",
+                          cherednik_apply(f, i), f.scale(bars[i - 1]))
+        if witness:
+            return witness
+    return _monic_below(f"eta={eta}", f, eta, lambda e: combinat.composition_lt(e, eta))
+
+
+def _swap_action(eta, i):
+    """The three-case adjacent-swap action, with both sides built
+    independently from the cache."""
     f = jack.build_E(eta)
-    if not jack.eigen_ok(f, eta):
-        bars = combinat.eigenvalue_vector(eta)
-        for i in range(1, len(eta) + 1):
-            lhs = cherednik_apply(f, i)
-            rhs = f.scale(bars[i - 1])
-            if lhs != rhs:
-                return f"eta={eta} i={i}: xi_i E = {lhs} != {rhs}"
-    if not jack.triangular_ok(f, eta):
-        return f"eta={eta}: not monic triangular: {f}"
-    return None
+    swapped = apply_transposition(f, i, i + 1)
+    label = f"eta={eta} i={i}: s_i E"
+    if eta[i - 1] == eta[i]:
+        return _differ(label, swapped, f)
+    bars = combinat.eigenvalue_vector(eta)
+    dinv = (bars[i - 1] - bars[i]).inverse()
+    g = jack.build_E(combinat.swap_parts(eta, i))
+    if eta[i - 1] > eta[i]:
+        g = g.scale(ONE - dinv * dinv)
+    return _differ(label, swapped, f.scale(dinv) + g)
 
 
 def _xi_cases(s):
@@ -267,7 +321,8 @@ def _xi_cases(s):
 def _xi_commute(f, i, j):
     lhs = cherednik_apply(cherednik_apply(f, i), j)
     rhs = cherednik_apply(cherednik_apply(f, j), i)
-    return None if lhs == rhs else f"N={f.nvars} f={f}: [{i},{j}] != 0"
+    return None if lhs == rhs else _differ(f"N={f.nvars} f={f}: xi_{i} xi_{j} vs xi_{j} xi_{i}",
+                                           lhs, rhs)
 
 
 def _divided_difference_cases(s):
@@ -290,23 +345,50 @@ def _multiply_back(f, i, p):
     n = f.nvars
     dd = divided_difference(f, i, p)
     zi, zp = MultiPoly.variable(i, n), MultiPoly.variable(p, n)
-    if dd * (zi - zp) != f - apply_transposition(f, i, p):
-        return f"N={n} ({i},{p}) f={f}"
-    return None
+    lhs, rhs = dd * (zi - zp), f - apply_transposition(f, i, p)
+    return None if lhs == rhs else _differ(f"N={n} ({i},{p}) f={f}", lhs, rhs)
+
+
+def _P_witness(p, kappa):
+    """Symmetry, the eigen-equation of the second-order operator, and monic
+    dominance triangularity of the monomial expansion at kappa."""
+    for i in range(1, p.nvars):
+        witness = _differ(f"kappa={kappa}: s_{i} P vs P", apply_transposition(p, i, i + 1), p)
+        if witness:
+            return witness
+    _, witness = _multiple(f"kappa={kappa}: D2 P vs c P", d2_apply(p), p)
+    return witness or _monic_below(
+        f"kappa={kappa}", p, kappa,
+        lambda e: combinat.dominance_leq(combinat.sort_to_partition(e), kappa))
 
 
 def _two_routes(kappa, n):
-    if jack.check_pe_vs_sym(kappa, n):
-        return None
-    return f"kappa={kappa} N={n}: {jack.build_P(kappa, n)} vs {jack.build_P_sym_route(kappa, n)}"
+    """The two assembly routes agree, and their value at all-ones matches
+    both scalar closed forms."""
+    p = jack.build_P(kappa, n)
+    ones = p.eval_ones()
+    return (_differ(f"kappa={kappa} N={n}: P vs Sym E / stab", p,
+                    jack.build_P_sym_route(kappa, n))
+            or _differ(f"kappa={kappa} N={n}: P(1^N) vs b/h", ones, scalars.eval_P_at_ones(kappa))
+            or _differ(f"kappa={kappa} N={n}: P(1^N) vs N!/stab e/d", ones,
+                       scalars.eval_P_at_ones_sym_route(kappa)))
+
+
+def _P_stability(kappa, n):
+    """Setting the last variable to zero drops to the same polynomial in
+    one fewer variable."""
+    dropped = {e[:-1]: c for e, c in jack.build_P(kappa, n).terms.items() if e[-1] == 0}
+    return _differ(f"kappa={kappa} N={n}: P at z_N = 0 vs P in N - 1 variables",
+                   dropped, jack.build_P(kappa, n - 1).terms)
 
 
 def _sym_proportional(eta):
-    try:
-        jack.sym_constant(eta)
-    except ArithmeticError as exc:
-        return f"eta={eta}: {exc}"
-    return None
+    """Sym E_eta is a multiple of P_(eta+); its existence is asserted, no
+    closed form is claimed."""
+    kappa = combinat.sort_to_partition(eta)
+    _, witness = _multiple(f"eta={eta}: Sym E vs c P", symmetrize(jack.build_E(eta)),
+                           jack.build_P(kappa, len(eta)))
+    return witness
 
 
 def _hook_cases(s):
@@ -319,14 +401,24 @@ def _hook_cases(s):
 
 
 def _value_and_hook(kappa, with_norm):
-    if not scalars.check_hook_identity(kappa):
-        return f"hook kappa={kappa}"
-    if not scalars.check_P_ones_consistency(kappa):
-        return (f"kappa={kappa}: {scalars.eval_P_at_ones(kappa)} != "
-                f"{scalars.eval_P_at_ones_sym_route(kappa)}")
-    if with_norm and not scalars.check_norm_P_consistency(kappa):
-        return f"norm forms kappa={kappa}"
-    return None
+    """h(kappa)/stab(kappa) == d(kappaR) / prod_j (alpha*kappa_j + N - j + 1),
+    whose product runs over all N rows: the factors N - j + 1 of empty rows
+    are matched by the zero-part permutations inside stab, not by any
+    diagram node.  Then the two forms of P(1^N), and with_norm the two forms
+    of the norm ratio, agree."""
+    n = len(kappa)
+    denom = ONE
+    for j, part in enumerate(kappa, start=1):
+        denom = denom * (ALPHA * part + (n - j + 1))
+    witness = (_differ(f"kappa={kappa}: h/stab vs d(kappaR)/prod",
+                       scalars.const_h(kappa) / combinat.stabilizer_order(kappa),
+                       scalars.const_d(combinat.reverse_partition(kappa)) / denom)
+               or _differ(f"kappa={kappa}: P(1^N) b/h vs N!/stab e/d",
+                          scalars.eval_P_at_ones(kappa), scalars.eval_P_at_ones_sym_route(kappa)))
+    if witness or not with_norm:
+        return witness
+    return _differ(f"kappa={kappa}: norm ratio bd'/(e'h) vs N!/stab route",
+                   scalars.norm_ratio_P(kappa), scalars.norm_ratio_P_sym_route(kappa))
 
 
 def _asym_cases(s):
@@ -344,19 +436,75 @@ def _asym_cases(s):
 
 
 def _asym(rho):
-    try:
-        c, ok = jack.check_asym_formula(rho)
-    except ArithmeticError as exc:
-        return f"rho={rho}: {exc}"
-    if ok:
-        return None
+    """Asym E_rho vanishes for repeated parts, and is otherwise c * S_rho+
+    with c the resolved closed form."""
+    a = antisymmetrize(jack.build_E(rho))
     if not combinat.has_distinct_parts(rho):
-        return f"rho={rho}: Asym E != 0"
-    return f"rho={rho}: measured {c} != {scalars.c_rho_resolved(rho)}"
+        return _differ(f"rho={rho}: Asym E vs 0", a, MultiPoly.zero(len(rho)))
+    c, witness = _multiple(f"rho={rho}: Asym E vs c S", a,
+                           jack.build_S(combinat.sort_to_partition(rho)))
+    return witness or _differ(f"rho={rho}: measured c vs (-1)^(ascending pairs) d'(rho)/d'(rhoR)",
+                              c, scalars.c_rho_resolved(rho))
+
+
+def _du_expansion(ep, rho_plus):
+    """The Vandermonde times the shifted P expands over the rearrangements
+    nu of rho+ as (1/d(rho+)) sum sign(nu) d(nu) E_nu, with
+    sign(nu) = (-1)^(ascending pairs of nu)."""
+    acc = MultiPoly.zero(len(rho_plus))
+    for nu in combinat.rearrangements(rho_plus):
+        sign = -1 if combinat.ascending_pair_count(nu) & 1 else 1
+        acc = acc + jack.build_E(nu).scale(sign * scalars.const_d(nu))
+    return _differ(f"eta+={ep} N={len(ep)}: S vs sum over E", jack.build_S(rho_plus),
+                   acc.scale(scalars.const_d(rho_plus).inverse()))
+
+
+def _society(ep, rho_plus):
+    """Three diagram-insertion identities tying the staircase-shifted shape
+    rho+ = eta+ + staircase back to eta+ at the substituted parameter."""
+    n = len(ep)
+    delta = combinat.staircase(n)
+    rho_r = combinat.reverse_partition(rho_plus)
+    sh = alpha_shift()
+    staircase_ratio = scalars.const_e(delta) / scalars.const_ep(delta)
+    return (_differ(f"eta+={ep} N={n}: e/e'(rho+) vs e/e'(staircase) b/e'(eta+)",
+                    scalars.const_e(rho_plus) / scalars.const_ep(rho_plus),
+                    staircase_ratio * scalars.const_b(ep, sh) / scalars.const_ep(ep, sh))
+            or _differ(f"eta+={ep} N={n}: d(rho+)/d'(rhoR) vs h/d'(eta+)",
+                       scalars.const_d(rho_plus) / scalars.const_dp(rho_r),
+                       scalars.const_h(ep, sh) / scalars.const_dp(ep, sh))
+            or _differ(f"eta+={ep} N={n}: e/e'(staircase) vs its product form",
+                       staircase_ratio, scalars.staircase_norm_ratio(n)))
+
+
+def _S_norm_ratio(rho_plus):
+    """The anti-symmetric norm ratio N! d'(rhoR) e(rho+) / (d(rho+) e'(rho+))."""
+    rho_r = combinat.reverse_partition(rho_plus)
+    return (math.factorial(len(rho_plus)) * scalars.const_dp(rho_r) * scalars.const_e(rho_plus)
+            / (scalars.const_d(rho_plus) * scalars.const_ep(rho_plus)))
+
+
+def _shifted_P_norm_ratio(ep):
+    """The symmetric norm ratio bd'/(e'h) of eta+ at alpha/(alpha+1)."""
+    sh = alpha_shift()
+    return (scalars.const_b(ep, sh) * scalars.const_dp(ep, sh)
+            / (scalars.const_ep(ep, sh) * scalars.const_h(ep, sh)))
+
+
+def _norm_reconciliation(ep, rho_plus):
+    """The two closed forms of the anti-symmetric norm agree as ratios:
+    [bd'/(e'h)](alpha/(alpha+1)) * N! * e_delta/e'_delta equals the ratio of
+    _S_norm_ratio."""
+    n = len(ep)
+    delta = combinat.staircase(n)
+    black = (_shifted_P_norm_ratio(ep) * math.factorial(n)
+             * (scalars.const_e(delta) / scalars.const_ep(delta)))
+    return _differ(f"eta+={ep} N={n}: shifted P form vs S form", black,
+                   _S_norm_ratio(rho_plus))
 
 
 # ---------------------------------------------------------------------------
-# kernel decompositions and constant-term oracle checks
+# kernel decompositions, binomial expansions and constant-term oracle checks
 # ---------------------------------------------------------------------------
 
 def _omega_pairing(eta, n, deg):
@@ -375,6 +523,55 @@ def _v_stability(kappa, n, deg):
         return f"kappa={kappa}: {small} (N={n - 1}) != {big} (N={n})"
     target = scalars.v_kappa(kappa + (0,) * (n - 1 - len(kappa)))
     return _differ(f"kappa={kappa}: v vs d'/h", small, target)
+
+
+def _binomial_product(r, n, bound):
+    """prod_j (1 - x_j)^(-r) truncated to total degree <= bound."""
+    series = polyalg.binomial_series(r, bound)
+    out = MultiPoly.one(n)
+    for j in range(n):
+        factor = MultiPoly(n, {tuple(m if t == j else 0 for t in range(n)): series[m]
+                               for m in range(bound + 1)})
+        out = (out * factor).truncate(bound)
+    return out
+
+
+def _binomial_E(r, n, bound, r_side=None):
+    """The product at r against sum alpha^|eta| [r]_(eta+) / (u d) E_eta over
+    compositions, with the scalar side at r_side (default r).  Checking
+    several rational r certifies the identity in r by the degree bound."""
+    r_side = r if r_side is None else r_side
+    rhs = MultiPoly.zero(n)
+    for eta in combinat.compositions_upto(bound, n):
+        rhs = rhs + jack.build_E(eta).scale(scalars.binomial_coeff_E(r_side, eta))
+    return _differ(f"N={n} r={r}: prod (1-x_j)^-r vs sum over E",
+                   _binomial_product(r, n, bound), rhs)
+
+
+def _binomial_P(r, n, bound):
+    """The product at r against sum alpha^|kappa| [r]_kappa / (v h) P_kappa
+    over partitions."""
+    rhs = MultiPoly.zero(n)
+    for kappa in combinat.partitions_upto(bound, n):
+        rhs = rhs + jack.build_P(kappa, n).scale(scalars.binomial_coeff_P(r, kappa))
+    return _differ(f"N={n} r={r}: prod (1-x_j)^-r vs sum over P",
+                   _binomial_product(r, n, bound), rhs)
+
+
+def _cauchy_rhs(n, bound):
+    """V(x) V(y) times the full bilinear kernel at parameter 1, through total
+    degree bound + N(N-1)/2.  The kernel is built only through `bound`: the
+    homogeneous V(x) V(y) lifts every higher term past the truncation."""
+    dx = vandermonde(n)
+    kernel = pi_truncated(ONE, n, n, bound)
+    return BiPoly(n, n, bound + n * (n - 1) // 2, kernel.terms).mul_split_polys(dx, dx)
+
+
+def _cauchy(n, bound):
+    """Antisymmetrizing the diagonal kernel over x equals _cauchy_rhs."""
+    lhs = polyalg.diagonal_kernel_truncated(n, bound + n * (n - 1) // 2).asym_x()
+    return _differ(f"N={n} D={bound}: Asym_x diagonal kernel vs V(x) V(y) Pi",
+                   lhs, _cauchy_rhs(n, bound))
 
 
 def _ct_cases(s, family):
@@ -401,47 +598,39 @@ def _ct_cases(s, family):
 def _ct(family, spec, l1, l2, n, k):
     if l2 is not None:
         pair = oracle.ct_inner_product(spec[l1], spec[l2], n, k)
-        return None if pair == 0 else f"<{family}_{l1}, {family}_{l2}> = {pair} at k={k}"
+        return _differ(f"<{family}_{l1}, {family}_{l2}> at k={k}", pair, 0)
     got = oracle.ct_norm_ratio(spec[l1], n, k)
     ratio = scalars.norm_ratio_E if family == "E" else scalars.norm_ratio_P
     return _differ(f"{family}_{l1} k={k}: ct", got, ratio(l1).eval_at(Fraction(1, k)))
 
 
 def _S_norm_cases(s):
-    n = s.ns[-1]
-    for ep in combinat.partitions_upto(s.deg, n):
-        yield ep, n
-    yield None, n
+    """The shapes of _shifted_shapes, then (None, staircase) for the
+    weight-normalization bridge."""
+    yield from _shifted_shapes(s)
+    yield None, combinat.staircase(s.ns[-1])
 
 
-def _S_norm(ep, n):
+def _S_norm(ep, rho_plus):
     """Anti-symmetric norms at the desk-scale point: the weight-2 norm of S
     at parameter 1 equals the weight-4 norm of the shifted P, and both match
     their closed forms.  ep None: the weight-normalization bridge is the
     staircase ratio."""
+    n = len(rho_plus)
     if ep is None:
         one = {(0,) * n: Fraction(1)}
         bridge = (oracle.ct_inner_product(one, one, n, 2)
                   / oracle.ct_inner_product(one, one, n, 1))
         target = (math.factorial(n) * scalars.staircase_norm_ratio(n)).eval_at(1)
         return _differ("weight bridge", bridge, target)
-    sh = alpha_shift()
-    rho_plus = tuple(p + d for p, d in zip(ep, combinat.staircase(n)))
     s_spec = jack.build_S(rho_plus).specialize(Fraction(1))
     p_spec = jack.build_P(ep, n, shift_param=True).specialize(Fraction(1))
-    lhs = oracle.ct_inner_product(s_spec, s_spec, n, 1)
-    rhs = oracle.ct_inner_product(p_spec, p_spec, n, 2)
-    if lhs != rhs:
-        return f"eta+={ep}: <S,S>={lhs} != <P,P>={rhs}"
-    rho_r = combinat.reverse_partition(rho_plus)
-    white = (math.factorial(n) * scalars.const_dp(rho_r) * scalars.const_e(rho_plus)
-             / (scalars.const_d(rho_plus) * scalars.const_ep(rho_plus))).eval_at(1)
-    witness = _differ(f"eta+={ep}: white ratio", oracle.ct_norm_ratio(s_spec, n, 1), white)
-    if witness:
-        return witness
-    black = (scalars.const_b(ep, sh) * scalars.const_dp(ep, sh)
-             / (scalars.const_ep(ep, sh) * scalars.const_h(ep, sh))).eval_at(1)
-    return _differ(f"eta+={ep}: black ratio", oracle.ct_norm_ratio(p_spec, n, 2), black)
+    return (_differ(f"eta+={ep}: <S,S> vs <P,P>", oracle.ct_inner_product(s_spec, s_spec, n, 1),
+                    oracle.ct_inner_product(p_spec, p_spec, n, 2))
+            or _differ(f"eta+={ep}: white ratio", oracle.ct_norm_ratio(s_spec, n, 1),
+                       _S_norm_ratio(rho_plus).eval_at(1))
+            or _differ(f"eta+={ep}: black ratio", oracle.ct_norm_ratio(p_spec, n, 2),
+                       _shifted_P_norm_ratio(ep).eval_at(1)))
 
 
 def _linear_solve(eta, a0):
@@ -471,52 +660,39 @@ def _corrupt(f: MultiPoly) -> MultiPoly:
 
 
 def _controls(s):
-    """(label, detected) for each perturbed input, in turn."""
+    """(label, detected) for each perturbed input, fed to the test of the
+    row that would see it."""
     e21 = jack.build_E((2, 1))
-    yield "eigen", not jack.eigen_ok(_corrupt(e21), (2, 1))
+    yield "eigen", _E_witness(_corrupt(e21), (2, 1)) is not None
     lead_scaled = e21.scale(AlphaRational.from_fraction(2))
-    yield "triangular", not jack.triangular_ok(lead_scaled, (2, 1))
-    p21 = jack.build_P((2, 1), 2)
-    yield "P-properties", not jack.p_properties_ok(_corrupt(p21), (2, 1))
-    yield "at-ones", (_corrupt(jack.build_E((1, 0))).eval_ones()
-                      != scalars.eval_E_at_ones((1, 0)))
-
-    bad = dict(jack.build_E((1, 0)).specialize(Fraction(1)))
-    bad[(0, 1)] += 1
-    yield "ct-norm", oracle.ct_norm_ratio(bad, 2, 1) != scalars.norm_ratio_E((1, 0)).eval_at(1)
-    other = jack.build_E((0, 1)).specialize(Fraction(1))
-    yield "ct-orthogonality", oracle.ct_inner_product(bad, other, 2, 1) != 0
-
-    acc = jack.omega_sum(2, 2)
+    yield "triangular", _E_witness(lead_scaled, (2, 1)) is not None
+    yield "P-properties", _P_witness(_corrupt(jack.build_P((2, 1), 2)), (2, 1)) is not None
     e10 = jack.build_E((1, 0))
-    acc = acc.add_outer(e10, e10, ONE)  # double-count one diagonal term
-    yield "omega", acc != polyalg.omega_truncated(2, 2)
-    yield "binomial", not _binomial_with_shifted_r()
+    yield "at-ones", _differ("at-ones", _corrupt(e10).eval_ones(),
+                             scalars.eval_E_at_ones((1, 0))) is not None
 
-    s = jack.build_S((2, 0))
-    a = polyalg.antisymmetrize(jack.build_E((2, 0)))
-    yield "asym-proportional", polyalg.exact_scalar_ratio(_corrupt(a), s) is None
+    bad = dict(e10.specialize(Fraction(1)))
+    bad[(0, 1)] += 1
+    spec = {(1, 0): bad, (0, 1): jack.build_E((0, 1)).specialize(Fraction(1))}
+    yield "ct-norm", _ct("E", spec, (1, 0), None, 2, 1) is not None
+    yield "ct-orthogonality", _ct("E", spec, (1, 0), (0, 1), 2, 1) is not None
+
+    doubled = jack.omega_sum(2, 2).add_outer(e10, e10, ONE)  # one diagonal term twice
+    yield "omega", _differ("omega", polyalg.omega_truncated(2, 2), doubled) is not None
+    yield "binomial", _binomial_E(Fraction(2), 2, 2, r_side=Fraction(3)) is not None
+
+    a = antisymmetrize(jack.build_E((2, 0)))
+    _, witness = _multiple("asym", _corrupt(a), jack.build_S((2, 0)))
+    yield "asym-proportional", witness is not None
 
     sol = dict(oracle.solve_E_linear((1, 0), Fraction(2)))
     sol[(0, 1)] += 1
-    yield "oracle-solve", sol != jack.build_E((1, 0)).specialize(Fraction(2))
+    yield "oracle-solve", _differ("oracle-solve", sol,
+                                  e10.specialize(Fraction(2))) is not None
     gs = dict(oracle.gram_schmidt_P((2,), 2, 1))
     gs[(1, 1)] += 1
-    yield "oracle-gram", gs != jack.build_P((2, 0), 2).specialize(Fraction(1))
-
-
-def _binomial_with_shifted_r() -> bool:
-    """bi2 with the scalar side evaluated at r+1: must not match."""
-    r = Fraction(2)
-    n, cap = 2, 2
-    lhs = jack._one_variable_product(polyalg.binomial_series(r, cap), n, cap)
-    rhs = MultiPoly.zero(n)
-    for eta in combinat.compositions_upto(cap, n):
-        kappa = combinat.sort_to_partition(eta)
-        coeff = (ALPHA ** sum(eta) * scalars.gen_factorial(r + 1, kappa)
-                 / (scalars.u_eta(eta) * scalars.const_d(eta)))
-        rhs = rhs + jack.build_E(eta).scale(coeff)
-    return lhs == rhs
+    yield "oracle-gram", _differ("oracle-gram", gs,
+                                 jack.build_P((2, 0), 2).specialize(Fraction(1))) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -524,27 +700,24 @@ def _binomial_with_shifted_r() -> bool:
 # ---------------------------------------------------------------------------
 
 CHECKS = {row.name: row for row in (
-    Check("E.eigen-triangular", _compositions, _eigen_triangular, **_EIGEN),
+    Check("E.eigen-triangular", _compositions,
+          lambda eta: _E_witness(jack.build_E(eta), eta), **_EIGEN),
     Check("E.value-at-ones", _compositions,
           lambda eta: _differ(f"eta={eta}", jack.build_E(eta).eval_ones(),
                               scalars.eval_E_at_ones(eta)),
           **_EIGEN),
     Check("E.swap-action",
           lambda s: ((eta, i) for (eta,) in _compositions(s) for i in range(1, len(eta))),
-          lambda eta, i: None if jack.check_s_i_action(eta, i) else f"eta={eta} i={i}",
-          deg=(0, 4)),
+          _swap_action, deg=(0, 4)),
     Check("xi.commutation", _xi_cases, _xi_commute, deg=(4, 4), fixed={"trials": 3}),
     Check("divided-difference.multiply-back", _divided_difference_cases, _multiply_back,
           fixed={"trials": 4, "max-part": 3}),
     Check("P.symmetric-eigen-dominance", _partitions,
-          lambda kappa, n: (None if jack.check_P_symmetric_eigen(kappa, n)
-                            else f"kappa={kappa} N={n}"),
-          deg=(0, 5)),
+          lambda kappa, n: _P_witness(jack.build_P(kappa, n), kappa), deg=(0, 5)),
     Check("P.two-routes", _partitions, _two_routes, deg=(0, 5)),
     Check("P.stability",
           lambda s: ((kappa, 3) for kappa in combinat.partitions_upto(s.deg, 2)),
-          lambda kappa, n: None if jack.check_P_stability(kappa, n) else f"kappa={kappa} N={n}",
-          ns=(3, 3), deg=(0, 4)),
+          _P_stability, ns=(3, 3), deg=(0, 4)),
     Check("sym.proportionality", _compositions, _sym_proportional, deg=(0, 4)),
     Check("P.value-and-hook", _hook_cases, _value_and_hook, ns=(2, 4), deg=(0, 5),
           fixed={"max|kappa|": "deg+1", "fig2": "N=9"}),
@@ -556,40 +729,31 @@ CHECKS = {row.name: row for row in (
                               scalars.c_rho(rho, "rearrangement")),
           deg=(0, 5), fixed={"max|rho|": "deg+1"}),
     Check("asym.du-expansion",
-          lambda s: ((ep, n) for n in s.ns for ep, _ in _staircase_shapes(n, s.deg + 1)),
-          lambda ep, n: None if jack.check_du_expansion(ep, n) else f"eta+={ep} N={n}",
-          deg=(0, 5), fixed={"max|rho|": "deg+1"}),
-    Check("society.identities", _partitions,
-          lambda ep, n: (None if scalars.check_society_identities(ep, n)
-                         else f"eta+={ep} N={n}"),
-          deg=(0, 4)),
-    Check("norm.reconciliation", _partitions,
-          lambda ep, n: (None if scalars.check_norm_reconciliation(ep, n)
-                         else f"eta+={ep} N={n}"),
-          deg=(0, 4)),
+          lambda s: (shape for n in s.ns for shape in _staircase_shapes(n, s.deg + 1)),
+          _du_expansion, deg=(0, 5), fixed={"max|rho|": "deg+1"}),
+    Check("society.identities", _shifted_shapes, _society, deg=(0, 4)),
+    Check("norm.reconciliation", _shifted_shapes, _norm_reconciliation, deg=(0, 4)),
     Check("omega.decomposition", _kernels,
-          lambda n, d: None if jack.check_omega_decomposition(n, d) else f"N={n} D={d}",
+          lambda n, d: _differ(f"N={n} D={d}: Omega vs sum E x E / u",
+                               polyalg.omega_truncated(n, d), jack.omega_sum(n, d)),
           deg=(0, 3)),
     Check("omega.pairing-diagonal",
           lambda s: ((eta, len(eta), s.deg) for (eta,) in _compositions(s)),
           _omega_pairing, deg=(0, 3)),
     Check("pi.decomposition", _kernels,
-          lambda n, d: None if jack.check_pi_decomposition(n, d) else f"N={n} D={d}",
+          lambda n, d: _differ(f"N={n} D={d}: Pi vs sum P x P / v",
+                               pi_truncated(ALPHA, n, n, d), jack.pi_sum(n, d)),
           deg=(0, 3)),
     Check("pi.v-stability",
           lambda s: ((_nonzero(kappa), 3, s.deg) for kappa in combinat.partitions_upto(s.deg, 2)),
           _v_stability, ns=(3, 3), deg=(0, 3)),
     Check("binomial.nonsymmetric",
           lambda s: ((r, n, s.deg) for n in s.ns for r in s.rs),
-          lambda r, n, d: None if jack.check_binomial(r, n, d, "bi2") else f"N={n} r={r}",
-          deg=(0, 3), r=True),
+          _binomial_E, deg=(0, 3), r=True),
     Check("binomial.symmetric",
           lambda s: ((r, n, s.deg) for n in s.ns for r in s.rs),
-          lambda r, n, d: None if jack.check_binomial(r, n, d, "bi3") else f"N={n} r={r}",
-          deg=(0, 3), r=True),
-    Check("cauchy.double-alternant", _kernels,
-          lambda n, d: None if polyalg.check_cauchy_alternant(n, d) else f"N={n}",
-          deg=(0, 3)),
+          _binomial_P, deg=(0, 3), r=True),
+    Check("cauchy.double-alternant", _kernels, _cauchy, deg=(0, 3)),
     Check("E.norm-orthogonality.ct", lambda s: _ct_cases(s, "E"), _ct, deg=(0, 4), k=True),
     Check("P.norm-orthogonality.ct", lambda s: _ct_cases(s, "P"), _ct, deg=(0, 4), k=True),
     Check("S.norm.ct", _S_norm_cases, _S_norm, ns=(2, 2), deg=(1, 1), needs_k=(1, 2),

@@ -127,6 +127,12 @@ class TestVerify:
                             "--N", "2", "--deg", "2", "--k", "1")
         assert code == 0
         assert "SKIP" in out
+        code, out = run_cli(capsys, "verify", "--filter", "S.norm",
+                            "--N", "2", "--deg", "2", "--k", "1", "--format", "json")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["summary"]["skipped"] == 1
+        assert obj["checks"][0]["witness"] == "needs k in {1,2}"
 
     def test_invalid_args_exit_2(self, capsys):
         for argv in (["verify", "--deg", "-1"],
@@ -280,8 +286,10 @@ class TestGolden:
     contract.  The `compute` digests were computed with the primitive-PRS
     reduction in Q(alpha), before products and sums switched to Henrici's
     reduced forms and the gcd to GCDHEU; the `expand` digests (the truncated
-    kernels) before the polynomial operators shared one accumulation helper.
-    Any change in canonical form, term set or serialization shows here."""
+    kernels) before the polynomial operators shared one accumulation helper;
+    the `verify` digest while the identity checks were still bool predicates
+    in the construction modules.  Any change in canonical form, term set,
+    serialization or verdict shows here."""
 
     @pytest.mark.parametrize("family, label, digest", [
         ("E", "2,1,0",
@@ -310,3 +318,16 @@ class TestGolden:
         code, out = run_cli(capsys, *argv, "--format", "json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_verify_json_digest(self, capsys):
+        # names, params, cases, clamps, witnesses and verdicts of the whole
+        # registry; the timings are dropped and the keys sorted
+        code, out = run_cli(capsys, "verify", "--N", "3", "--deg", "3", "--format", "json")
+        assert code == 0
+        report = json.loads(out)
+        del report["total_seconds"]
+        for check in report["checks"]:
+            del check["seconds"]
+        blob = json.dumps(report, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == (
+            "82c70aa686a095beaad591f3d293448b027f1fd2b46a7d2fb52531627390031c")

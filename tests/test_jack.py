@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 
 from jackpoly import combinat as cb
-from jackpoly import jack, scalars
-from jackpoly.polyalg import MultiPoly, symmetrize
+from jackpoly import jack, scalars, verify
+from jackpoly.polyalg import (MultiPoly, antisymmetrize, exact_scalar_ratio,
+                              symmetrize)
 from jackpoly.qalpha import ALPHA, ONE, AlphaRational
 
 A = ALPHA
@@ -23,28 +24,31 @@ class TestBuildE:
     def test_eigen_and_triangular_sweep(self):
         for n, cap in [(2, 5), (3, 4)]:
             for eta in cb.compositions_upto(cap, n):
-                assert jack.eigen_ok(jack.build_E(eta), eta)
-                assert jack.triangular_ok(jack.build_E(eta), eta)
+                assert verify._E_witness(jack.build_E(eta), eta) is None
 
     def test_corrupted_fails(self):
         f = jack.build_E((2, 1))
         e, c = f.lead_term()
         bad = MultiPoly(2, {**f.terms, e: c + ONE})
-        assert not jack.eigen_ok(bad, (2, 1))
-        assert not jack.triangular_ok(f.scale(AlphaRational.from_fraction(2)), (2, 1))
+        assert "xi_1 E" in verify._E_witness(bad, (2, 1))
+        assert "leading coefficient" in verify._E_witness(
+            f.scale(AlphaRational.from_fraction(2)), (2, 1))
         # a monomial above the label breaks triangularity
         above = MultiPoly(3, {**jack.build_E((1, 1, 0)).terms,
                               (2, 0, 0): ONE})
-        assert not jack.triangular_ok(above, (1, 1, 0))
+        witness = verify._monic_below("eta=(1, 1, 0)", above, (1, 1, 0),
+                                      lambda e: cb.composition_lt(e, (1, 1, 0)))
+        assert witness == "eta=(1, 1, 0): monomial (2, 0, 0) not below the label: 1 != 0"
+        assert verify._E_witness(above, (1, 1, 0)) is not None
 
     def test_swap_action_cases(self):
-        assert jack.check_s_i_action((1, 1), 1)
-        assert jack.check_s_i_action((1, 0), 1)
-        assert jack.check_s_i_action((0, 1), 1)
+        assert verify._swap_action((1, 1), 1) is None
+        assert verify._swap_action((1, 0), 1) is None
+        assert verify._swap_action((0, 1), 1) is None
         for n in (2, 3):
             for eta in cb.compositions_upto(3, n):
                 for i in range(1, n):
-                    assert jack.check_s_i_action(eta, i)
+                    assert verify._swap_action(eta, i) is None
 
     def test_phi_equivariance(self):
         from jackpoly.polyalg import apply_phi
@@ -74,22 +78,22 @@ class TestBuildP:
     def test_two_routes_and_values(self):
         for n in (2, 3):
             for kappa in cb.partitions_upto(5, n):
-                assert jack.check_pe_vs_sym(kappa, n)
+                assert verify._two_routes(kappa, n) is None
 
     def test_symmetric_eigen_dominance(self):
         for n in (2, 3):
             for kappa in cb.partitions_upto(5, n):
-                assert jack.check_P_symmetric_eigen(kappa, n)
+                assert verify._P_witness(jack.build_P(kappa, n), kappa) is None
 
     def test_corrupted_P_fails(self):
         p = jack.build_P((2, 1), 2)
         e, c = p.lead_term()
         bad = MultiPoly(2, {**p.terms, e: c + ONE})
-        assert not jack.p_properties_ok(bad, (2, 1))
+        assert verify._P_witness(bad, (2, 1)) is not None
 
     def test_stability(self):
         for kappa in [(1,), (2,), (1, 1), (2, 1), (3, 1)]:
-            assert jack.check_P_stability(kappa, 3)
+            assert verify._P_stability(kappa, 3) is None
 
     def test_shifted_parameter(self):
         p = jack.build_P((2, 0), 2, shift_param=True)
@@ -110,12 +114,12 @@ class TestBuildP:
         # the symmetrization of any E is an exact multiple of P
         for n in (2, 3):
             for eta in cb.compositions_upto(4, n):
-                c = jack.sym_constant(eta)
-                assert symmetrize(jack.build_E(eta)) == jack.build_P(
-                    cb.sort_to_partition(eta), n).scale(c)
+                assert verify._sym_proportional(eta) is None
         # for the increasing rearrangement the multiple is the stabilizer order
-        assert jack.sym_constant((0, 1, 2)) == ONE
-        assert jack.sym_constant((0, 1, 1)) == 2
+        for eta, stab in (((0, 1, 2), ONE), ((0, 1, 1), 2)):
+            c, witness = verify._multiple("", symmetrize(jack.build_E(eta)),
+                                          jack.build_P(cb.sort_to_partition(eta), 3))
+            assert witness is None and c == stab
 
 
 class TestBuildS:
@@ -146,14 +150,14 @@ class TestBuildS:
 class TestAsym:
     def test_repeated_parts_vanish(self):
         for rho in [(1, 1), (2, 2, 0), (1, 0, 1)]:
-            c, ok = jack.check_asym_formula(rho)
-            assert ok and not c
+            assert verify._asym(rho) is None
+            assert not antisymmetrize(jack.build_E(rho))
 
     def test_measured_constants(self):
-        c, ok = jack.check_asym_formula((1, 0))
-        assert ok and c == A / (A + 1)
-        c, ok = jack.check_asym_formula((0, 1))
-        assert ok and c == -ONE
+        for rho, want in (((1, 0), A / (A + 1)), ((0, 1), -ONE)):
+            assert verify._asym(rho) is None
+            c = exact_scalar_ratio(antisymmetrize(jack.build_E(rho)), jack.build_S((1, 0)))
+            assert c == want
         # ratio of the two is -d'(1,0)/d'(0,1)
         assert (A / (A + 1)) / (-ONE) == -scalars.const_dp((1, 0)) / scalars.const_dp((0, 1))
 
@@ -163,14 +167,13 @@ class TestAsym:
             for ep in cb.partitions_upto(5 - sum(delta), n):
                 rho_plus = tuple(p + d for p, d in zip(ep, delta))
                 for rho in cb.rearrangements(rho_plus):
-                    c, ok = jack.check_asym_formula(rho)
-                    assert ok, (rho, str(c))
+                    witness = verify._asym(rho)
+                    assert witness is None, witness
 
     def test_du_expansion(self):
-        assert jack.check_du_expansion((0, 0), 2)
-        assert jack.check_du_expansion((1, 0), 2)
-        assert jack.check_du_expansion((0, 0, 0), 3)
-        assert jack.check_du_expansion((2, 1, 0), 3)
+        for ep in [(0, 0), (1, 0), (0, 0, 0), (2, 1, 0)]:
+            rho_plus = tuple(p + d for p, d in zip(ep, cb.staircase(len(ep))))
+            assert verify._du_expansion(ep, rho_plus) is None
 
     def test_du_vandermonde_in_E_basis(self):
         # Delta = E_(1,0) - ((a+2)/(a+1)) E_(0,1) at N=2
@@ -182,12 +185,12 @@ class TestAsym:
 
 class TestKernels:
     def test_omega_decomposition(self):
-        assert jack.check_omega_decomposition(2, 3)
-        assert jack.check_omega_decomposition(3, 2)
+        for n, d in ((2, 3), (3, 2)):
+            assert verify.CHECKS["omega.decomposition"].test(n, d) is None
 
     def test_pi_decomposition(self):
-        assert jack.check_pi_decomposition(2, 3)
-        assert jack.check_pi_decomposition(3, 2)
+        for n, d in ((2, 3), (3, 2)):
+            assert verify.CHECKS["pi.decomposition"].test(n, d) is None
 
     def test_corrupted_omega_fails(self):
         from jackpoly.polyalg import omega_truncated
@@ -197,12 +200,8 @@ class TestKernels:
         assert acc != omega_truncated(2, 2)
 
     def test_binomial(self):
-        assert jack.check_binomial(Fraction(0), 2, 2, "bi2")
-        assert jack.check_binomial(Fraction(1), 2, 2, "bi2")
+        assert verify._binomial_E(Fraction(0), 2, 2) is None
+        assert verify._binomial_E(Fraction(1), 2, 2) is None
         for r in (Fraction(1), Fraction(2), Fraction(3), Fraction(5, 2)):
-            assert jack.check_binomial(r, 2, 3, "bi2")
-            assert jack.check_binomial(r, 2, 3, "bi3")
-
-    def test_binomial_rejects_unknown_form(self):
-        with pytest.raises(ValueError):
-            jack.check_binomial(Fraction(1), 2, 2, "bi4")
+            assert verify._binomial_E(r, 2, 3) is None
+            assert verify._binomial_P(r, 2, 3) is None

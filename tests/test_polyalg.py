@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from jackpoly import polyalg as pa
+from jackpoly import verify
 from jackpoly.qalpha import ALPHA, ONE, AlphaRational
 
 A = ALPHA
@@ -185,5 +186,14 @@ class TestSeries:
             pa.omega_truncated(2, 1).y_coefficient((2, 0))
 
     def test_cauchy_double_alternant(self):
-        assert pa.check_cauchy_alternant(2, 3)
-        assert pa.check_cauchy_alternant(3, 2)
+        assert verify._cauchy(2, 3) is None
+        assert verify._cauchy(3, 2) is None
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_cauchy_kernel_truncated_at_bound(self, n):
+        # Pi built through the full bound + N(N-1)/2 gives the same right side:
+        # V(x) V(y) lifts every term of degree above the bound past the truncation
+        dx = pa.vandermonde(n)
+        for d in range(4):
+            full = pa.pi_truncated(ONE, n, n, d + n * (n - 1) // 2)
+            assert verify._cauchy_rhs(n, d) == full.mul_split_polys(dx, dx)

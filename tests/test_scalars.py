@@ -5,6 +5,7 @@ import pytest
 
 from jackpoly import combinat as cb
 from jackpoly import scalars as sc
+from jackpoly import verify
 from jackpoly.qalpha import (ALPHA, ONE, ZERO, AlphaRational, alpha_shift,
                              format_alpha, parse_alpha)
 
@@ -135,39 +136,38 @@ class TestFormulas:
     def test_P_value_forms_agree(self):
         for n in (2, 3, 4):
             for kappa in cb.partitions_upto(6, n):
-                assert sc.check_P_ones_consistency(kappa)
-                assert sc.check_norm_P_consistency(kappa)
+                assert verify._value_and_hook(kappa, True) is None
 
 
 class TestHookAndSociety:
     def test_hook_small(self):
-        assert sc.check_hook_identity((1, 0))
-        assert sc.check_hook_identity((1, 1))
+        assert verify._value_and_hook((1, 0), False) is None
+        assert verify._value_and_hook((1, 1), False) is None
 
     def test_hook_sweep(self):
         for n in (2, 3, 4):
             for kappa in cb.partitions_upto(6, n):
-                assert sc.check_hook_identity(kappa)
+                assert verify._value_and_hook(kappa, False) is None
 
     def test_hook_large_shape(self):
-        assert sc.check_hook_identity((8, 7, 7, 4, 3, 3, 2, 1, 0))
+        assert verify._value_and_hook((8, 7, 7, 4, 3, 3, 2, 1, 0), False) is None
 
     def test_society_identities(self):
-        assert sc.check_society_identities((0, 0), 2)
-        assert sc.check_society_identities((1, 0), 2)
+        assert verify._society((0, 0), (1, 0)) is None
+        assert verify._society((1, 0), (2, 0)) is None
         for n in (2, 3, 4):
-            for ep in cb.partitions_upto(5, n):
-                assert sc.check_society_identities(ep, n)
+            for ep, rho_plus in verify._staircase_shapes(n, 5 + n * (n - 1) // 2):
+                assert verify._society(ep, rho_plus) is None
 
     def test_staircase_norm_ratio(self):
         assert sc.staircase_norm_ratio(2) == (A + 2) / (A + 1)
 
     def test_norm_reconciliation(self):
-        assert sc.check_norm_reconciliation((0, 0), 2)
-        assert sc.check_norm_reconciliation((1, 0), 2)
+        assert verify._norm_reconciliation((0, 0), (1, 0)) is None
+        assert verify._norm_reconciliation((1, 0), (2, 0)) is None
         for n in (2, 3):
-            for ep in cb.partitions_upto(4, n):
-                assert sc.check_norm_reconciliation(ep, n)
+            for ep, rho_plus in verify._staircase_shapes(n, 4 + n * (n - 1) // 2):
+                assert verify._norm_reconciliation(ep, rho_plus) is None
 
 
 class TestCRho:

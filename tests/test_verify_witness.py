@@ -1,0 +1,89 @@
+"""Every row whose identity lives in `verify` fails on a perturbed input
+with a witness that names the failing case and both values.
+
+Each case starts from empty construction caches, perturbs one input (a
+cached E or P, one scalar constant, or the Vandermonde factor), runs the
+row at small bounds and reads the witness.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from jackpoly import jack, polyalg, scalars, verify
+from jackpoly.qalpha import ONE
+
+BOUNDS = verify.Bounds(n_max=2, deg=1, ks=(1, 2), rs=(Fraction(1),))
+
+
+def _cached_E(eta):
+    def perturb(monkeypatch):
+        monkeypatch.setitem(jack._E_CACHE, eta, verify._corrupt(jack.build_E(eta)))
+    return perturb
+
+
+def _cached_P(kappa):
+    def perturb(monkeypatch):
+        monkeypatch.setitem(jack._P_CACHE, (kappa, False),
+                            verify._corrupt(jack.build_P(kappa)))
+    return perturb
+
+
+def _scalar(name, label):
+    """Add 1 to the constant `name` at one diagram, at the generator alpha."""
+    def perturb(monkeypatch):
+        orig = getattr(scalars, name)
+
+        def shifted(eta, alpha=None):
+            value = orig(eta, alpha)
+            return value + ONE if tuple(eta) == label and alpha is None else value
+        monkeypatch.setattr(scalars, name, shifted)
+    return perturb
+
+
+def _vandermonde(monkeypatch):
+    monkeypatch.setattr(verify, "vandermonde",
+                        lambda n: verify._corrupt(polyalg.vandermonde(n)))
+
+
+ROWS = [
+    ("E.eigen-triangular", _cached_E((1, 0)), "eta=(1, 0)"),
+    ("E.swap-action", _cached_E((1, 0)), "eta=(1, 0) i=1"),
+    ("P.symmetric-eigen-dominance", _cached_P((1, 0)), "kappa=(1, 0)"),
+    ("P.two-routes", _cached_P((1, 0)), "kappa=(1, 0) N=2"),
+    ("P.stability", _cached_P((1, 0)), "kappa=(1, 0) N=3"),
+    ("sym.proportionality", _cached_E((1, 0)), "eta=(1, 0)"),
+    ("P.value-and-hook", _scalar("const_b", (1, 0)), "kappa=(1, 0)"),
+    ("asym.proportionality", _cached_E((1, 0)), "rho=(1, 0)"),
+    ("asym.du-expansion", _cached_E((1, 0)), "eta+=(0, 0) N=2"),
+    ("society.identities", _scalar("const_dp", (0, 1)), "eta+=(0, 0) N=2"),
+    ("norm.reconciliation", _scalar("const_d", (1, 0)), "eta+=(0, 0) N=2"),
+    ("omega.decomposition", _cached_E((1, 0)), "N=2 D=1"),
+    ("pi.decomposition", _cached_P((1, 0)), "N=2 D=1"),
+    ("binomial.nonsymmetric", _cached_E((1, 0)), "N=2 r=1"),
+    ("binomial.symmetric", _cached_P((1, 0)), "N=2 r=1"),
+    ("cauchy.double-alternant", _vandermonde, "N=2 D=1"),
+]
+
+
+@pytest.fixture
+def fresh_caches(monkeypatch):
+    monkeypatch.setattr(jack, "_E_CACHE", {})
+    monkeypatch.setattr(jack, "_P_CACHE", {})
+
+
+@pytest.mark.parametrize("name, perturb, label", ROWS, ids=[r[0] for r in ROWS])
+def test_perturbed_row_names_label_and_both_values(fresh_caches, monkeypatch,
+                                                   name, perturb, label):
+    perturb(monkeypatch)
+    result = verify.CHECKS[name](BOUNDS)
+    assert result.status == "fail", result.witness
+    witness = result.witness
+    assert witness.startswith(label + ":"), witness
+    values = witness.rsplit(": ", 1)[1].split(" != ")
+    assert len(values) == 2 and values[0] != values[1], witness
+
+
+def test_rows_pass_unperturbed(fresh_caches):
+    for name, _, _ in ROWS:
+        assert verify.CHECKS[name](BOUNDS).status == "pass", name
