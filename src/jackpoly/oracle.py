@@ -6,7 +6,8 @@ exponent tuples (negative exponents allowed for the torus weight):
 * the torus inner product at integer inverse parameter, realized as a
   Laurent constant term against the fully expanded weight;
 * a linear-algebra construction of the non-symmetric polynomials at a
-  specialized rational parameter, from the triangular ansatz;
+  specialized rational parameter: back-substitution along the triangular
+  ansatz, then an exact residual check of every eigen-equation;
 * Gram-Schmidt construction of the symmetric polynomials from monomial
   symmetric functions under the constant-term inner product;
 * extraction of the kernel-pairing norms from the truncated kernels by
@@ -16,6 +17,7 @@ exponent tuples (negative exponents allowed for the torus weight):
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 
 from . import combinat, jack
@@ -35,14 +37,19 @@ ALPHA0_SEQUENCE = (Fraction(2), Fraction(3), Fraction(5), Fraction(7, 2),
 # Fraction-dict polynomial helpers
 # ---------------------------------------------------------------------------
 
+def _bump(out: dict, e, c) -> None:
+    """Add c at e, dropping the entry when the sum is zero."""
+    s = out.get(e, 0) + c
+    if s:
+        out[e] = s
+    elif e in out:
+        del out[e]
+
+
 def qp_add(f: dict, g: dict) -> dict:
     out = dict(f)
     for e, c in g.items():
-        s = out.get(e, 0) + c
-        if s:
-            out[e] = s
-        elif e in out:
-            del out[e]
+        _bump(out, e, c)
     return out
 
 
@@ -60,12 +67,7 @@ def qp_mul(f: dict, g: dict) -> dict:
     out = {}
     for e1, c1 in f.items():
         for e2, c2 in g.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            s = out.get(e, 0) + c1 * c2
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
+            _bump(out, tuple(map(operator.add, e1, e2)), c1 * c2)
     return out
 
 
@@ -127,19 +129,11 @@ def _xi_monomial(exps: tuple, i: int, alpha0: Fraction) -> dict:
     the symbolic operator code)."""
     n = len(exps)
     out = {}
-
-    def bump(e, c):
-        s = out.get(e, 0) + c
-        if s:
-            out[e] = s
-        elif e in out:
-            del out[e]
-
     ii = i - 1
     if exps[ii]:
-        bump(exps, alpha0 * exps[ii])
+        _bump(out, exps, alpha0 * exps[ii])
     if i > 1:
-        bump(exps, Fraction(1 - i))
+        _bump(out, exps, Fraction(1 - i))
     for p in range(1, n + 1):
         if p == i:
             continue
@@ -154,56 +148,51 @@ def _xi_monomial(exps: tuple, i: int, alpha0: Fraction) -> dict:
             for t in range(a - b):
                 base[ii], base[pp] = a - 1 - t, b + t
                 base[mult] += 1
-                bump(tuple(base), Fraction(1))
+                _bump(out, tuple(base), Fraction(1))
                 base[mult] -= 1
         else:
             for t in range(b - a):
                 base[ii], base[pp] = a + t, b - 1 - t
                 base[mult] += 1
-                bump(tuple(base), Fraction(-1))
+                _bump(out, tuple(base), Fraction(-1))
                 base[mult] -= 1
     return out
 
 
-def _solve_exact(rows, ncols):
-    """Gaussian elimination over Q for rows of length ncols+1 (augmented).
-    Returns the unique solution vector or None when underdetermined;
-    raises on an inconsistent system."""
-    mat = [list(r) for r in rows]
-    pivots = []
-    col = 0
-    r = 0
-    while col < ncols and r < len(mat):
-        piv = next((idx for idx in range(r, len(mat)) if mat[idx][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = 1 / mat[r][col]
-        mat[r] = [v * inv for v in mat[r]]
-        for idx in range(len(mat)):
-            if idx != r and mat[idx][col]:
-                factor = mat[idx][col]
-                mat[idx] = [a - factor * b for a, b in zip(mat[idx], mat[r])]
-        pivots.append(col)
-        r += 1
-        col += 1
-    for idx in range(r, len(mat)):
-        if not any(mat[idx][:ncols]) and mat[idx][ncols]:
-            raise ArithmeticError("inconsistent linear system")
-    if len(pivots) < ncols:
-        return None
-    sol = [Fraction(0)] * ncols
-    for row_idx, col_idx in enumerate(pivots):
-        sol[col_idx] = mat[row_idx][ncols]
-    return sol
+def _solve_exact(rows, bars, comps):
+    """Back-substitute the monic triangular ansatz: comps ascends in the
+    composition order and ends at the label, whose coefficient is 1, and
+    rows[i][mono][nu] is the coefficient of z^mono in the i-th operator
+    applied to z^nu.  Each lower x_mu is fixed, in descending order, by the
+    first operator whose diagonal entry at mu differs from its eigenvalue
+    bars[i]; then every equation of every operator is checked exactly at
+    every monomial of the ansatz or of an operator image.  Raises when no
+    operator separates a monomial or a residual is nonzero."""
+    x = {comps[-1]: Fraction(1)}
+    for mu in reversed(comps[:-1]):
+        for row, lam in zip(rows, bars):
+            eq = row.get(mu, {})
+            pivot = eq.get(mu, 0) - lam
+            if pivot:
+                x[mu] = -sum(c * x.get(nu, 0) for nu, c in eq.items() if nu != mu) / pivot
+                break
+        else:
+            raise ArithmeticError(f"no operator separates {mu} from the label")
+    monos = set(comps).union(*rows)
+    for row, lam in zip(rows, bars):
+        for mono in monos:
+            residual = sum(c * x.get(nu, 0) for nu, c in row.get(mono, {}).items())
+            if residual != lam * x.get(mono, 0):
+                raise ArithmeticError(f"eigen-equation {lam} fails at {mono}")
+    return {nu: c for nu, c in x.items() if c}
 
 
 def solve_E_linear(eta, alpha0) -> dict:
     """Solve for the unique monic triangular joint eigenfunction at a
-    rational parameter value, using only the eigen-equations and exact
-    Gaussian elimination.  Raises EigenvalueCollision when the specialized
-    spectrum fails to separate the candidate monomials."""
+    rational parameter value, using only the eigen-equations: one exact
+    back-substitution along the ansatz and a residual check of every
+    equation.  Raises EigenvalueCollision when the specialized spectrum
+    fails to separate the candidate monomials."""
     eta = combinat.as_composition(eta)
     alpha0 = Fraction(alpha0)
     n, m = len(eta), sum(eta)
@@ -215,38 +204,18 @@ def solve_E_linear(eta, alpha0) -> dict:
         if nu != eta and combinat.eigenvalue_fractions(nu, alpha0) == bars_eta:
             raise EigenvalueCollision(
                 f"eigenvalues of {nu} and {eta} collide at alpha = {alpha0}")
-    index = {nu: t for t, nu in enumerate(comps)}
-    ncols = len(comps)
-
+    span = set(comps)
     rows = []
-    # normalization: leading coefficient 1
-    norm = [Fraction(0)] * (ncols + 1)
-    norm[index[eta]] = Fraction(1)
-    norm[ncols] = Fraction(1)
-    rows.append(norm)
-
     for i in range(1, n + 1):
-        lam = bars_eta[i - 1]
-        by_monomial = {}
+        row = {}
         for nu in comps:
-            applied = _xi_monomial(nu, i, alpha0)
-            for mono, c in applied.items():
-                by_monomial.setdefault(mono, {})[nu] = c
-        for mono, coeffs in by_monomial.items():
-            if mono not in index:
-                raise ArithmeticError(
-                    f"operator left the triangular span at {mono}")
-            row = [Fraction(0)] * (ncols + 1)
-            for nu, c in coeffs.items():
-                row[index[nu]] += c
-            row[index[mono]] -= lam
-            if any(row[:ncols]):
-                rows.append(row)
-        sol = _solve_exact(rows, ncols)
-        if sol is not None:
-            return {nu: sol[index[nu]] for nu in comps if sol[index[nu]]}
-    raise EigenvalueCollision(
-        f"system for {eta} stayed underdetermined at alpha = {alpha0}")
+            for mono, c in _xi_monomial(nu, i, alpha0).items():
+                if mono not in span:
+                    raise ArithmeticError(
+                        f"operator left the triangular span at {mono}")
+                row.setdefault(mono, {})[nu] = c
+        rows.append(row)
+    return _solve_exact(rows, bars_eta, comps)
 
 
 def solve_E_auto(eta):

@@ -375,11 +375,16 @@ def _two_routes(kappa, n):
 
 
 def _P_stability(kappa, n):
-    """Setting the last variable to zero drops to the same polynomial in
-    one fewer variable."""
-    dropped = {e[:-1]: c for e, c in jack.build_P(kappa, n).terms.items() if e[-1] == 0}
-    return _differ(f"kappa={kappa} N={n}: P at z_N = 0 vs P in N - 1 variables",
-                   dropped, jack.build_P(kappa, n - 1).terms)
+    """Setting any one variable to zero drops to the same polynomial in one
+    fewer variable, so every monomial of P is compared."""
+    p, fewer = jack.build_P(kappa, n).terms, jack.build_P(kappa, n - 1).terms
+    for j in range(n):
+        dropped = {e[:j] + e[j + 1:]: c for e, c in p.items() if e[j] == 0}
+        witness = _differ(f"kappa={kappa} N={n}: P at z_{j + 1} = 0 vs P in N - 1 variables",
+                          dropped, fewer)
+        if witness:
+            return witness
+    return None
 
 
 def _sym_proportional(eta):
@@ -634,11 +639,9 @@ def _S_norm(ep, rho_plus):
 
 
 def _linear_solve(eta, a0):
-    try:
-        got = oracle.solve_E_linear(eta, a0)
-    except oracle.EigenvalueCollision:
-        _, got = oracle.solve_E_auto(eta)
-    return _differ(f"eta={eta} alpha0={a0}", got, jack.build_E(eta).specialize(a0))
+    """A collision at a0 raises, so the row fails naming eta and a0."""
+    return _differ(f"eta={eta} alpha0={a0}", oracle.solve_E_linear(eta, a0),
+                   jack.build_E(eta).specialize(a0))
 
 
 def _gram_schmidt(kappa, n, k):

@@ -99,6 +99,46 @@ class TestLinearSolve:
                 continue
             assert sol == jack.build_E(eta).specialize(F(1))
 
+    def test_collision_raises(self):
+        # at alpha = 0 every eigenvalue is minus a count, and (1, 0, 2)
+        # below the label shares the vector (-1, -2, 0) of (0, 0, 3)
+        with pytest.raises(oracle.EigenvalueCollision):
+            oracle.solve_E_linear((0, 0, 3), 0)
+
+    @pytest.mark.parametrize("i", [1, 2, 3])
+    def test_residual_rejects_a_term_below_the_label(self, monkeypatch, i):
+        # one extra term in the i-th operator's image of the label, at a
+        # monomial below it: the equations become inconsistent
+        eta = (1, 0, 2)
+        below = min((nu for nu in cb.compositions(3, 3) if cb.composition_lt(nu, eta)),
+                    key=cb.composition_order_key)
+        xi = oracle._xi_monomial
+
+        def perturbed(exps, j, a0):
+            out = dict(xi(exps, j, a0))
+            if exps == eta and j == i:
+                out[below] = out.get(below, 0) + 1
+            return out
+        monkeypatch.setattr(oracle, "_xi_monomial", perturbed)
+        with pytest.raises(ArithmeticError, match="fails at"):
+            oracle.solve_E_linear(eta, F(2))
+
+    def test_unseparated_monomial_raises(self, monkeypatch):
+        # the diagonal at a monomial below the label replaced by the label's
+        # eigenvalues: no operator can fix its coefficient
+        eta, mu = (1, 0, 2), (1, 1, 1)
+        bars = cb.eigenvalue_fractions(eta, F(2))
+        xi = oracle._xi_monomial
+
+        def perturbed(exps, j, a0):
+            out = dict(xi(exps, j, a0))
+            if exps == mu:
+                out[mu] = bars[j - 1]
+            return out
+        monkeypatch.setattr(oracle, "_xi_monomial", perturbed)
+        with pytest.raises(ArithmeticError, match="separates"):
+            oracle.solve_E_linear(eta, F(2))
+
     def test_auto_advance(self):
         a0, sol = oracle.solve_E_auto((2, 0, 1))
         assert sol == jack.build_E((2, 0, 1)).specialize(a0)

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from jackpoly import jack, polyalg, scalars, verify
+from jackpoly.polyalg import MultiPoly
 from jackpoly.qalpha import ONE
 
 BOUNDS = verify.Bounds(n_max=2, deg=1, ks=(1, 2), rs=(Fraction(1),))
@@ -26,6 +27,14 @@ def _cached_P(kappa):
     def perturb(monkeypatch):
         monkeypatch.setitem(jack._P_CACHE, (kappa, False),
                             verify._corrupt(jack.build_P(kappa)))
+    return perturb
+
+
+def _cached_P_plus_one(kappa, e):
+    """Add 1 at the monomial e of the cached P for the padded kappa."""
+    def perturb(monkeypatch):
+        p = jack.build_P(kappa)
+        monkeypatch.setitem(jack._P_CACHE, (kappa, False), p + MultiPoly(p.nvars, {e: ONE}))
     return perturb
 
 
@@ -72,7 +81,14 @@ def fresh_caches(monkeypatch):
     monkeypatch.setattr(jack, "_P_CACHE", {})
 
 
-@pytest.mark.parametrize("name, perturb, label", ROWS, ids=[r[0] for r in ROWS])
+PERTURBED = [pytest.param(*row, id=row[0]) for row in ROWS] + [
+    # a monomial containing z_N, which setting only z_N to zero cannot see
+    pytest.param("P.stability", _cached_P_plus_one((1, 0, 0), (0, 0, 1)),
+                 "kappa=(1, 0) N=3", id="P.stability-z_N"),
+]
+
+
+@pytest.mark.parametrize("name, perturb, label", PERTURBED)
 def test_perturbed_row_names_label_and_both_values(fresh_caches, monkeypatch,
                                                    name, perturb, label):
     perturb(monkeypatch)
@@ -87,3 +103,13 @@ def test_perturbed_row_names_label_and_both_values(fresh_caches, monkeypatch,
 def test_rows_pass_unperturbed(fresh_caches):
     for name, _, _ in ROWS:
         assert verify.CHECKS[name](BOUNDS).status == "pass", name
+
+
+def test_collision_fails_the_linear_solve_row(monkeypatch):
+    """At alpha0 = 0, (2, 0) shares its eigenvalues with (1, 1): the row
+    fails there, naming both and alpha0, instead of solving at another
+    alpha."""
+    monkeypatch.setattr(verify, "SOLVE_ALPHAS", (Fraction(0),))
+    result = verify.CHECKS["oracle.E-linear-solve"](verify.Bounds(n_max=2, deg=2))
+    assert result.status == "fail", result.witness
+    assert "(1, 1) and (2, 0) collide at alpha = 0" in result.witness, result.witness
