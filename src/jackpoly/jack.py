@@ -33,30 +33,35 @@ def clear_caches():
 
 def build_E(eta) -> MultiPoly:
     """The monic polynomial with leading monomial z^eta that is a joint
-    eigenfunction of the commuting first-order operators."""
+    eigenfunction of the commuting first-order operators.
+
+    Each label comes from exactly one predecessor by one raising or swap
+    step, so the chain of predecessors is walked down to a cached or zero
+    label and then built back up, caching every label on it."""
     eta = combinat.as_composition(eta)
-    cached = _E_CACHE.get(eta)
-    if cached is not None:
-        return cached
-    n = len(eta)
-    if not any(eta):
-        out = MultiPoly.one(n)
-    elif all(eta[i] <= eta[i + 1] for i in range(n - 1)):
-        # weakly increasing: eta = Phi(nu) with nu = (eta_N - 1, eta_1, ...)
-        nu = (eta[-1] - 1,) + eta[:-1]
-        out = apply_phi(build_E(nu))
-    else:
-        # remove the first descent: mu = s_i eta is ascending at i, and
-        # E_eta = s_i E_mu - (1/delta_i(mu)) E_mu
-        i = next(j for j in range(1, n) if eta[j - 1] > eta[j])
-        mu = combinat.swap_parts(eta, i)
-        e_mu = build_E(mu)
-        bars = combinat.eigenvalue_vector(mu)
-        delta = bars[i - 1] - bars[i]
-        if not delta:
-            raise ArithmeticError(f"vanishing eigenvalue gap at {mu}, i={i}")
-        out = apply_transposition(e_mu, i, i + 1) - e_mu.scale(delta.inverse())
-    _E_CACHE[eta] = out
+    chain = []  # (label, its first descent or 0 when weakly increasing), top first
+    while eta not in _E_CACHE and any(eta):
+        i = next((j for j in range(1, len(eta)) if eta[j - 1] > eta[j]), 0)
+        chain.append((eta, i))
+        # a descent is removed by a swap; otherwise eta = Phi(nu) with
+        # nu = (eta_N - 1, eta_1, ..., eta_(N-1))
+        eta = combinat.swap_parts(eta, i) if i else (eta[-1] - 1,) + eta[:-1]
+    out = _E_CACHE.get(eta)
+    if out is None:
+        out = _E_CACHE[eta] = MultiPoly.one(len(eta))
+    for eta, i in reversed(chain):
+        if i:
+            # mu = s_i eta is ascending at i, and
+            # E_eta = s_i E_mu - (1/delta_i(mu)) E_mu
+            mu = combinat.swap_parts(eta, i)
+            bars = combinat.eigenvalue_vector(mu)
+            delta = bars[i - 1] - bars[i]
+            if not delta:
+                raise ArithmeticError(f"vanishing eigenvalue gap at {mu}, i={i}")
+            out = apply_transposition(out, i, i + 1) - out.scale(delta.inverse())
+        else:
+            out = apply_phi(out)
+        _E_CACHE[eta] = out
     return out
 
 

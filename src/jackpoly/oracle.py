@@ -1,7 +1,8 @@
 """Brute-force cross-checks that never touch the main construction path.
 
-Everything here runs over plain Fraction-coefficient dicts keyed by integer
-exponent tuples (negative exponents allowed for the torus weight):
+The first three run over plain Fraction-coefficient dicts keyed by integer
+exponent tuples (negative exponents allowed for the torus weight), the last
+over the coefficients of whatever kernel and basis it is handed:
 
 * the torus inner product at integer inverse parameter, realized as a
   Laurent constant term against the fully expanded weight;
@@ -10,8 +11,9 @@ exponent tuples (negative exponents allowed for the torus weight):
   ansatz, then an exact residual check of every eigen-equation;
 * Gram-Schmidt construction of the symmetric polynomials from monomial
   symmetric functions under the constant-term inner product;
-* extraction of the kernel-pairing norms from the truncated kernels by
-  exact triangular linear algebra over Q(alpha).
+* the pairing matrix of a truncated kernel against a given triangular
+  basis of one degree, by two exact triangular solves; kernel and basis
+  come from the caller, and the caller judges the matrix.
 """
 
 from __future__ import annotations
@@ -20,9 +22,7 @@ import itertools
 import operator
 from fractions import Fraction
 
-from . import combinat, jack
-from .polyalg import BiPoly, omega_truncated, pi_truncated
-from .qalpha import ALPHA, ZERO, AlphaRational
+from . import combinat
 
 
 class EigenvalueCollision(ValueError):
@@ -271,94 +271,54 @@ def gram_schmidt_P(kappa, n: int, k: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# norm extraction from the truncated kernels
+# the pairing matrix of a truncated kernel against a basis
 # ---------------------------------------------------------------------------
 
-def _solve_upper_unitriangular(mat, rhs_cols, labels):
-    """Solve M X = B where M[r][c] is upper unitriangular over the ordered
-    labels; mat and rhs are dicts of dicts keyed by label."""
+def _solve_upper_triangular(mat, rhs_cols, labels):
+    """Solve M X = B column by column, where M[r][c] is upper triangular over
+    the ordered labels with a nonzero diagonal; mat and every column of B
+    are dicts keyed by label."""
     out = {}
     for col_label, rhs in rhs_cols.items():
-        x = {}
-        for r in range(len(labels) - 1, -1, -1):
-            lr = labels[r]
-            acc = rhs.get(lr, ZERO)
+        x = {}  # holds only labels above the current one
+        for lr in reversed(labels):
             row = mat.get(lr, {})
-            for c in range(r + 1, len(labels)):
-                lc = labels[c]
-                coeff = row.get(lc)
-                if coeff is not None and lc in x:
+            acc = rhs.get(lr, 0)
+            for lc, coeff in row.items():
+                if lc in x:
                     acc = acc - coeff * x[lc]
             if acc:
-                x[lr] = acc
+                x[lr] = acc / row[lr]
         out[col_label] = x
     return out
 
 
-def _kernel_pairing_matrix(kernel: BiPoly, basis_polys: dict, labels) -> dict:
-    """Express the bidegree component of the kernel in the outer-product
-    basis and return C with kernel = sum C[a][b] f_a(x) f_b(y).
+def kernel_pairing(kernel, basis: dict) -> dict:
+    """The pairing matrix C of a truncated kernel against a basis of one
+    degree d: kernel_d = sum C[a][b] f_a(x) f_b(y).
 
-    The basis change matrix M[mono][label] (coefficient of the monomial in
-    the polynomial for the label) is unitriangular in the label order, so C
-    comes out of two triangular solves: M C M^T = W.
+    `kernel` is anything with bidegree_component(d) -> {(x exps, y exps):
+    coeff}.  `basis` maps each label, in ascending order, to a polynomial f
+    (anything with .terms) that is triangular in that order: a nonzero
+    coefficient at its own label and, among the labels, terms only at lower
+    ones.  The matrix M[mono][label] of the basis coefficients is then upper
+    triangular on the label rows, so C comes out of two triangular solves of
+    M C M^T = W, one per side.  C[a] holds the nonzero entries of row a, and
+    a row with none is absent; nothing is asserted about them.
     """
+    labels = list(basis)
     m_matrix = {}
-    for col in labels:
-        for mono, c in basis_polys[col].terms.items():
+    for col, f in basis.items():
+        for mono, c in f.terms.items():
             m_matrix.setdefault(mono, {})[col] = c
-    d = sum(labels[0])
     w_cols = {}
-    for (xe, ye), c in kernel.bidegree_component(d).items():
+    for (xe, ye), c in kernel.bidegree_component(sum(labels[0])).items():
         w_cols.setdefault(ye, {})[xe] = c
-    # first solve eliminates the x side: rows indexed by y-monomial
-    x_solved = _solve_upper_unitriangular(m_matrix, w_cols, labels)
+    # first solve eliminates the x side: columns indexed by y-monomial
+    x_solved = _solve_upper_triangular(m_matrix, w_cols, labels)
     y_cols = {}
     for ymono, coeffs in x_solved.items():
         for xlab, c in coeffs.items():
             y_cols.setdefault(xlab, {})[ymono] = c
     # second solve eliminates the y side: C[xlabel][ylabel]
-    return _solve_upper_unitriangular(m_matrix, y_cols, labels)
-
-
-def _inverse_diagonal_pairing(label, kernel: BiPoly, labels, basis: dict) -> AlphaRational:
-    """1 / C[label][label] for the pairing matrix C of the kernel against the
-    basis; asserts that every off-diagonal pairing vanishes."""
-    c = _kernel_pairing_matrix(kernel, basis, labels)
-    for xlab, row in c.items():
-        for ylab, val in row.items():
-            if xlab != ylab and val:
-                raise ArithmeticError(
-                    f"off-diagonal kernel pairing at ({xlab}, {ylab}): {val}")
-    diag = c.get(label, {}).get(label, ZERO)
-    if not diag:
-        raise ArithmeticError(f"vanishing diagonal pairing at {label}")
-    return diag.inverse()
-
-
-def u_from_series(eta, n: int, bound: int) -> AlphaRational:
-    """Extract the diagonal norm of the non-symmetric family from the
-    truncated kernel by exact linear algebra; asserts the off-diagonal
-    pairings vanish."""
-    eta = combinat.as_composition(eta)
-    d = sum(eta)
-    if d > bound:
-        raise ValueError(f"|{eta}| exceeds the truncation bound {bound}")
-    kernel = omega_truncated(n, bound)
-    labels = sorted(combinat.compositions(d, n), key=combinat.composition_order_key)
-    basis = {lab: jack.build_E(lab) for lab in labels}
-    return _inverse_diagonal_pairing(tuple(eta), kernel, labels, basis)
-
-
-def v_from_series(kappa, n: int, bound: int) -> AlphaRational:
-    """Symmetric-family counterpart of u_from_series, against the bilinear
-    kernel at the plain parameter."""
-    kappa = combinat.as_partition(kappa)
-    padded = tuple(kappa) + (0,) * (n - len(kappa))
-    d = sum(padded)
-    if d > bound:
-        raise ValueError(f"|{kappa}| exceeds the truncation bound {bound}")
-    kernel = pi_truncated(ALPHA, n, n, bound)
-    labels = sorted(combinat.partitions(d, n), key=combinat.dominance_key)
-    basis = {lab: jack.build_P(lab, n) for lab in labels}
-    return _inverse_diagonal_pairing(padded, kernel, labels, basis)
+    return _solve_upper_triangular(m_matrix, y_cols, labels)

@@ -514,6 +514,10 @@ class BiPoly:
         return MultiPoly(self.nx, out)
 
     def bidegree_component(self, d: int) -> dict:
+        """The terms of degree d in x and in y; above the truncation bound
+        they are not known, so asking for them raises."""
+        if d > self.bound:
+            raise ValueError(f"degree {d} exceeds the truncation bound {self.bound}")
         return {k: c for k, c in self.terms.items()
                 if sum(k[0]) == d and sum(k[1]) == d}
 

@@ -22,7 +22,7 @@ from typing import Callable
 from . import combinat, jack, oracle, polyalg, scalars
 from .polyalg import (BiPoly, MultiPoly, antisymmetrize, apply_transposition,
                       cherednik_apply, d2_apply, divided_difference,
-                      exact_scalar_ratio, pi_truncated, symmetrize, vandermonde)
+                      exact_scalar_ratio, symmetrize, vandermonde)
 from .qalpha import ALPHA, ONE, AlphaRational, alpha_shift
 
 FIG2_SHAPE = (8, 7, 7, 4, 3, 3, 2, 1, 0)
@@ -512,22 +512,44 @@ def _norm_reconciliation(ep, rho_plus):
 # kernel decompositions, binomial expansions and constant-term oracle checks
 # ---------------------------------------------------------------------------
 
-def _omega_pairing(eta, n, deg):
-    try:
-        u = oracle.u_from_series(eta, n, deg)
-    except ArithmeticError as exc:
-        return f"eta={eta} N={n}: {exc}"
-    return _differ(f"eta={eta} N={n}", u, scalars.u_eta(eta))
+def _omega_pairing_cases(s):
+    """(eta, N, C) for every composition up to deg: one truncated kernel per
+    swept N, and per degree one pairing matrix C against the E basis."""
+    for n in s.ns:
+        kernel = polyalg.omega_truncated(n, s.deg)
+        for d in range(s.deg + 1):
+            labels = sorted(combinat.compositions(d, n), key=combinat.composition_order_key)
+            pairing = oracle.kernel_pairing(kernel, {eta: jack.build_E(eta) for eta in labels})
+            for eta in combinat.compositions(d, n):
+                yield eta, n, pairing
 
 
-def _v_stability(kappa, n, deg):
-    """The v extracted at N - 1 and at N agree and equal d'/h."""
-    small = oracle.v_from_series(kappa, n - 1, deg)
-    big = oracle.v_from_series(kappa, n, deg)
-    if small != big:
-        return f"kappa={kappa}: {small} (N={n - 1}) != {big} (N={n})"
-    target = scalars.v_kappa(kappa + (0,) * (n - 1 - len(kappa)))
-    return _differ(f"kappa={kappa}: v vs d'/h", small, target)
+def _v_stability_cases(s):
+    """(kappa, {N: C}) for every partition up to deg padded to N - 1 parts,
+    with one truncated kernel per swept N and per degree one pairing matrix
+    C against the P basis in N variables."""
+    kernels = {n: polyalg.pi_truncated(ALPHA, n, n, s.deg) for n in s.ns}
+    for d in range(s.deg + 1):
+        pairings = {}
+        for n, kernel in kernels.items():
+            labels = sorted(combinat.partitions(d, n), key=combinat.dominance_key)
+            pairings[n] = oracle.kernel_pairing(
+                kernel, {kappa: jack.build_P(kappa, n) for kappa in labels})
+        for kappa in combinat.partitions(d, s.ns[-1] - 1):
+            yield kappa, pairings
+
+
+def _v_stability(kappa, pairings):
+    """The row of kappa in the pairing matrix is {kappa: 1/v_kappa} in every
+    number of variables: each off-diagonal pairing vanishes and the diagonal
+    is d'/h, the same at N - 1 and at N."""
+    inverse_v = scalars.v_kappa(kappa).inverse()
+    for n, pairing in pairings.items():
+        label = kappa + (0,) * (n - len(kappa))
+        witness = _differ(f"kappa={label} N={n}", pairing.get(label, {}), {label: inverse_v})
+        if witness:
+            return witness
+    return None
 
 
 def _binomial_product(r, n, bound):
@@ -568,7 +590,7 @@ def _cauchy_rhs(n, bound):
     degree bound + N(N-1)/2.  The kernel is built only through `bound`: the
     homogeneous V(x) V(y) lifts every higher term past the truncation."""
     dx = vandermonde(n)
-    kernel = pi_truncated(ONE, n, n, bound)
+    kernel = polyalg.pi_truncated(ONE, n, n, bound)
     return BiPoly(n, n, bound + n * (n - 1) // 2, kernel.terms).mul_split_polys(dx, dx)
 
 
@@ -740,16 +762,15 @@ CHECKS = {row.name: row for row in (
           lambda n, d: _differ(f"N={n} D={d}: Omega vs sum E x E / u",
                                polyalg.omega_truncated(n, d), jack.omega_sum(n, d)),
           deg=(0, 3)),
-    Check("omega.pairing-diagonal",
-          lambda s: ((eta, len(eta), s.deg) for (eta,) in _compositions(s)),
-          _omega_pairing, deg=(0, 3)),
+    Check("omega.pairing-diagonal", _omega_pairing_cases,
+          lambda eta, n, pairing: _differ(f"eta={eta} N={n}", pairing.get(eta, {}),
+                                          {eta: scalars.u_eta(eta).inverse()}),
+          ns=(2, 4), deg=(0, 3)),
     Check("pi.decomposition", _kernels,
           lambda n, d: _differ(f"N={n} D={d}: Pi vs sum P x P / v",
-                               pi_truncated(ALPHA, n, n, d), jack.pi_sum(n, d)),
+                               polyalg.pi_truncated(ALPHA, n, n, d), jack.pi_sum(n, d)),
           deg=(0, 3)),
-    Check("pi.v-stability",
-          lambda s: ((_nonzero(kappa), 3, s.deg) for kappa in combinat.partitions_upto(s.deg, 2)),
-          _v_stability, ns=(3, 3), deg=(0, 3)),
+    Check("pi.v-stability", _v_stability_cases, _v_stability, ns=(3, 3), deg=(0, 3)),
     Check("binomial.nonsymmetric",
           lambda s: ((r, n, s.deg) for n in s.ns for r in s.rs),
           _binomial_E, deg=(0, 3), r=True),

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from jackpoly import cli
+from jackpoly import cli, jack
 
 
 def run_cli(capsys, *argv):
@@ -71,6 +71,19 @@ class TestCompute:
         code, out = run_cli(capsys, "compute", "E", "1,0", "--alpha=-1/2")
         assert code == 0
         assert out.strip() == "(2)*z2 + z1"
+
+    @pytest.mark.parametrize("argv, want", [
+        (["E", "1200"], "z1^1200"),
+        (["P", "1200", "--N", "1"], "m[1200]"),
+    ])
+    def test_long_raising_chain(self, capsys, monkeypatch, argv, want):
+        # 1200 raising steps from the zero label, far past the interpreter's
+        # recursion limit
+        monkeypatch.setattr(jack, "_E_CACHE", {})
+        monkeypatch.setattr(jack, "_P_CACHE", {})
+        code, out = run_cli(capsys, "compute", *argv)
+        assert code == 0
+        assert out.strip() == want
 
 
 class TestConstants:

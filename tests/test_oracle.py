@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from jackpoly import combinat as cb
-from jackpoly import jack, oracle, scalars
-from jackpoly.qalpha import alpha_shift
+from jackpoly import jack, oracle, polyalg, scalars
+from jackpoly.polyalg import MultiPoly
+from jackpoly.qalpha import ALPHA, ONE, AlphaRational, alpha_shift
 
 F = Fraction
 
@@ -159,28 +160,69 @@ class TestGramSchmidt:
                             == jack.build_P(kappa, n).specialize(F(1, k)))
 
 
+def _E_pairing(n, bound, d):
+    """The pairing matrix of the truncated Omega kernel against the E basis
+    of degree d."""
+    labels = sorted(cb.compositions(d, n), key=cb.composition_order_key)
+    return oracle.kernel_pairing(polyalg.omega_truncated(n, bound),
+                                 {eta: jack.build_E(eta) for eta in labels})
+
+
+def _P_pairing(n, bound, d):
+    """The pairing matrix of the truncated Pi kernel against the P basis of
+    degree d in n variables."""
+    labels = sorted(cb.partitions(d, n), key=cb.dominance_key)
+    return oracle.kernel_pairing(polyalg.pi_truncated(ALPHA, n, n, bound),
+                                 {kappa: jack.build_P(kappa, n) for kappa in labels})
+
+
 class TestSeriesExtraction:
+    """Each kernel pairs its own family diagonally, with the inverse norms
+    on the diagonal."""
+
     def test_u_examples(self):
-        assert oracle.u_from_series((0, 0), 2, 1) == scalars.u_eta((0, 0))
-        assert oracle.u_from_series((1, 0), 2, 2) == scalars.u_eta((1, 0))
+        assert _E_pairing(2, 1, 0) == {(0, 0): {(0, 0): scalars.u_eta((0, 0)).inverse()}}
+        assert _E_pairing(2, 2, 1)[(1, 0)] == {(1, 0): scalars.u_eta((1, 0)).inverse()}
 
     def test_u_sweep(self):
-        for eta in cb.compositions_upto(3, 2):
-            assert oracle.u_from_series(eta, 2, 3) == scalars.u_eta(eta)
-        for eta in cb.compositions_upto(2, 3):
-            assert oracle.u_from_series(eta, 3, 2) == scalars.u_eta(eta)
+        for n, bound in [(2, 3), (3, 2)]:
+            for d in range(bound + 1):
+                assert _E_pairing(n, bound, d) == {
+                    eta: {eta: scalars.u_eta(eta).inverse()} for eta in cb.compositions(d, n)}
 
     def test_v_stability(self):
         for kappa in [(1,), (2,), (1, 1), (3,), (2, 1)]:
-            v2 = oracle.v_from_series(kappa, 2, 3)
-            v3 = oracle.v_from_series(kappa, 3, 3)
-            assert v2 == v3
-            padded = tuple(kappa) + (0,) * (2 - len(kappa))
-            assert v2 == scalars.v_kappa(padded)
+            inverse_v = scalars.v_kappa(kappa + (0,) * (2 - len(kappa))).inverse()
+            for n in (2, 3):
+                label = kappa + (0,) * (n - len(kappa))
+                assert _P_pairing(n, 3, sum(kappa))[label] == {label: inverse_v}
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            oracle.u_from_series((3, 0), 2, 2)
+            _E_pairing(2, 2, 3)
+
+    def test_monomial_basis_reads_the_kernel(self):
+        # against the monomials the pairing matrix is the bidegree component
+        # itself, off-diagonal entries included
+        kernel = polyalg.omega_truncated(2, 2)
+        labels = sorted(cb.compositions(2, 2), key=cb.composition_order_key)
+        basis = {e: MultiPoly(2, {e: ONE}) for e in labels}
+        got = oracle.kernel_pairing(kernel, basis)
+        want = {}
+        for (xe, ye), c in kernel.bidegree_component(2).items():
+            want.setdefault(xe, {})[ye] = c
+        assert got == want
+        assert any(len(row) > 1 for row in got.values())
+
+    def test_scaled_basis(self):
+        # the diagonal of the basis is honoured: doubling every polynomial
+        # divides the pairing matrix by four
+        kernel = polyalg.omega_truncated(2, 2)
+        labels = sorted(cb.compositions(2, 2), key=cb.composition_order_key)
+        two = AlphaRational.from_fraction(2)
+        basis = {eta: jack.build_E(eta).scale(two) for eta in labels}
+        assert oracle.kernel_pairing(kernel, basis) == {
+            eta: {eta: scalars.u_eta(eta).inverse() / 4} for eta in labels}
 
 
 class TestAntisymmetricNorms:

@@ -68,7 +68,11 @@ ROWS = [
     ("society.identities", _scalar("const_dp", (0, 1)), "eta+=(0, 0) N=2"),
     ("norm.reconciliation", _scalar("const_d", (1, 0)), "eta+=(0, 0) N=2"),
     ("omega.decomposition", _cached_E((1, 0)), "N=2 D=1"),
+    ("omega.pairing-diagonal", _cached_E((1, 0)), "eta=(1, 0) N=2"),
     ("pi.decomposition", _cached_P((1, 0)), "N=2 D=1"),
+    # the pairing reads the symmetric basis at its partition monomials only,
+    # so the perturbation sits on the leading one
+    ("pi.v-stability", _cached_P_plus_one((1, 0), (1, 0)), "kappa=(1, 0) N=2"),
     ("binomial.nonsymmetric", _cached_E((1, 0)), "N=2 r=1"),
     ("binomial.symmetric", _cached_P((1, 0)), "N=2 r=1"),
     ("cauchy.double-alternant", _vandermonde, "N=2 D=1"),
