@@ -206,38 +206,37 @@ def _bipoly_text(bp: BiPoly) -> str:
 def cmd_expand(args, parser):
     if args.deg < 0 or args.N < 1:
         parser.error("--deg must be >= 0 and --N >= 1")
+    if args.shifted and args.kernel != "pi":
+        parser.error("--shifted applies to the pi kernel only")
+    if args.format == "json" and args.kernel == "binomial":
+        parser.error("the binomial table is text only; drop --format json")
+    if args.format == "json" and args.coeffs:
+        parser.error("--coeffs prints text lines; it cannot be combined with --format json")
     n = args.N
-    if args.kernel == "omega":
-        bp = omega_truncated(n, args.deg)
-        if args.format == "json":
-            print(_json_dumps(bp.to_json()))
-        else:
-            print(_bipoly_text(bp))
-        if args.coeffs:
-            print("# label -> 1/u")
-            for eta in combinat.compositions_upto(args.deg, n):
-                print(f"{list(eta)} -> {scalars.u_eta(eta).inverse()}")
-    elif args.kernel == "pi":
-        param = alpha_shift() if args.shifted else ALPHA
-        bp = pi_truncated(param, n, n, args.deg)
-        if args.format == "json":
-            print(_json_dumps(bp.to_json()))
-        else:
-            print(_bipoly_text(bp))
-        if args.coeffs:
-            print("# label -> 1/v")
-            for kappa in combinat.partitions_upto(args.deg, n):
-                v = scalars.v_kappa(kappa)
-                if args.shifted:
-                    v = v.substitute(alpha_shift())
-                print(f"{list(kappa)} -> {v.inverse()}")
-    else:
+    if args.kernel == "binomial":
         if args.r is None:
             parser.error("binomial expansion needs --r")
         print(f"# expansion coefficients of prod_j (1-x_j)^(-{args.r}), degree <= {args.deg}")
         print("# label -> alpha^|eta| [r](eta+) / (u d)")
         for eta in combinat.compositions_upto(args.deg, n):
             print(f"{list(eta)} -> {scalars.binomial_coeff_E(args.r, eta)}")
+        return 0
+    if args.kernel == "omega":
+        bp = omega_truncated(n, args.deg)
+        head = "1/u"
+        norms = ((eta, scalars.u_eta(eta))
+                 for eta in combinat.compositions_upto(args.deg, n))
+    else:
+        param = alpha_shift() if args.shifted else ALPHA
+        bp = pi_truncated(param, n, n, args.deg)
+        head = "1/v"
+        norms = ((kappa, scalars.v_kappa(kappa).substitute(param))
+                 for kappa in combinat.partitions_upto(args.deg, n))
+    print(_json_dumps(bp.to_json()) if args.format == "json" else _bipoly_text(bp))
+    if args.coeffs:
+        print(f"# label -> {head}")
+        for label, norm in norms:
+            print(f"{list(label)} -> {norm.inverse()}")
     return 0
 
 

@@ -9,7 +9,9 @@ column j with 1 <= j <= eta_i, so zero parts contribute no nodes.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .qalpha import ALPHA
 
@@ -32,10 +34,6 @@ def as_partition(parts) -> tuple:
 
 def is_partition(eta) -> bool:
     return all(eta[i] >= eta[i + 1] for i in range(len(eta) - 1))
-
-
-def modulus(eta) -> int:
-    return sum(eta)
 
 
 def sort_to_partition(eta) -> tuple:
@@ -93,7 +91,6 @@ def frequencies(kappa) -> dict:
 
 
 def frequency_factorial(kappa) -> int:
-    import math
     out = 1
     for f in frequencies(kappa).values():
         out *= math.factorial(f)
@@ -104,7 +101,6 @@ def stabilizer_order(kappa) -> int:
     """Order of the subgroup of S_N fixing the padded partition, i.e. the
     frequency factorial with the multiplicity of the part 0 included.  This
     is the constant produced by symmetrizing over all N! permutations."""
-    import math
     out = frequency_factorial(kappa)
     zeros = sum(1 for p in kappa if p == 0)
     return out * math.factorial(zeros)
@@ -225,31 +221,23 @@ def diagram_nodes(eta):
 # eigenvalues
 # ---------------------------------------------------------------------------
 
+def _eigenvalue_offsets(eta):
+    """(eta_j, #{k<j: eta_k >= eta_j} + #{k>j: eta_k > eta_j}) for each j."""
+    return [(ej, sum(1 for ek in eta[:j] if ek >= ej)
+             + sum(1 for ek in eta[j + 1:] if ek > ej))
+            for j, ej in enumerate(eta)]
+
+
 def eigenvalue_vector(eta) -> list:
     """The vector with entries alpha*eta_j - #{k<j: eta_k >= eta_j}
     - #{k>j: eta_k > eta_j}, as elements of Q(alpha)."""
-    out = []
-    n = len(eta)
-    for j in range(1, n + 1):
-        ej = eta[j - 1]
-        c = sum(1 for k in range(1, j) if eta[k - 1] >= ej)
-        c += sum(1 for k in range(j + 1, n + 1) if eta[k - 1] > ej)
-        out.append(ALPHA * ej - c)
-    return out
+    return [ALPHA * ej - c for ej, c in _eigenvalue_offsets(eta)]
 
 
 def eigenvalue_fractions(eta, alpha0):
     """The same vector specialized at a rational alpha0 (oracle side)."""
-    from fractions import Fraction
     a0 = Fraction(alpha0)
-    out = []
-    n = len(eta)
-    for j in range(1, n + 1):
-        ej = eta[j - 1]
-        c = sum(1 for k in range(1, j) if eta[k - 1] >= ej)
-        c += sum(1 for k in range(j + 1, n + 1) if eta[k - 1] > ej)
-        out.append(a0 * ej - c)
-    return tuple(out)
+    return tuple(a0 * ej - c for ej, c in _eigenvalue_offsets(eta))
 
 
 # ---------------------------------------------------------------------------

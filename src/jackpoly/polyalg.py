@@ -72,10 +72,6 @@ class MultiPoly:
         return cls(nvars, {(0,) * nvars: ONE})
 
     @classmethod
-    def constant(cls, nvars, c):
-        return cls(nvars, {(0,) * nvars: _coerce_scalar(c)})
-
-    @classmethod
     def monomial(cls, exps, coeff=ONE):
         return cls(len(exps), {tuple(exps): coeff})
 

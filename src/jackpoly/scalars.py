@@ -1,9 +1,9 @@
 """Scalar constants and closed-form values attached to composition diagrams.
 
-Every function returns an exact element of Q(alpha).  The six node-product
-constants take an optional `alpha` argument so the same products can be
-formed at a substituted parameter such as alpha/(alpha+1); the default is
-the generator itself.  Empty diagrams give 1 throughout.
+Every function returns an exact element of Q(alpha), formed at the
+generator alpha.  A value at the substituted parameter alpha/(alpha+1) is
+that element composed with alpha -> alpha/(alpha+1):
+`value.substitute(alpha_shift())`.  Empty diagrams give 1 throughout.
 """
 
 from __future__ import annotations
@@ -15,89 +15,51 @@ from . import combinat
 from .qalpha import ALPHA, ONE, AlphaRational, alpha_shift
 
 
-def _alpha(alpha):
-    return ALPHA if alpha is None else alpha
-
-
-def const_d(eta, alpha=None) -> AlphaRational:
-    a = _alpha(alpha)
+def _node_product(eta, factor) -> AlphaRational:
+    """prod over the nodes s of eta of alpha*a + b, where (a, b) = factor(s)."""
     out = ONE
     for s in combinat.diagram_nodes(eta):
-        out = out * (a * (s.arm + 1) + (s.leg + 1))
+        a, b = factor(s)
+        out = out * (ALPHA * a + b)
     return out
 
 
-def const_dp(eta, alpha=None) -> AlphaRational:
-    a = _alpha(alpha)
-    out = ONE
-    for s in combinat.diagram_nodes(eta):
-        out = out * (a * (s.arm + 1) + s.leg)
-    return out
+def const_d(eta) -> AlphaRational:
+    return _node_product(eta, lambda s: (s.arm + 1, s.leg + 1))
 
 
-def const_e(eta, alpha=None) -> AlphaRational:
-    a = _alpha(alpha)
+def const_dp(eta) -> AlphaRational:
+    return _node_product(eta, lambda s: (s.arm + 1, s.leg))
+
+
+def const_e(eta) -> AlphaRational:
     n = len(eta)
-    out = ONE
-    for s in combinat.diagram_nodes(eta):
-        out = out * (a * (s.arm_co + 1) + (n - s.leg_co))
-    return out
+    return _node_product(eta, lambda s: (s.arm_co + 1, n - s.leg_co))
 
 
-def const_ep(eta, alpha=None) -> AlphaRational:
-    a = _alpha(alpha)
+def const_ep(eta) -> AlphaRational:
     n = len(eta)
-    out = ONE
-    for s in combinat.diagram_nodes(eta):
-        out = out * (a * (s.arm_co + 1) + (n - 1 - s.leg_co))
-    return out
+    return _node_product(eta, lambda s: (s.arm_co + 1, n - 1 - s.leg_co))
 
 
-def const_b(eta, alpha=None) -> AlphaRational:
-    a = _alpha(alpha)
+def const_b(eta) -> AlphaRational:
     n = len(eta)
-    out = ONE
-    for s in combinat.diagram_nodes(eta):
-        out = out * (a * s.arm_co + (n - s.leg_co))
-    return out
+    return _node_product(eta, lambda s: (s.arm_co, n - s.leg_co))
 
 
-def const_h(kappa, alpha=None) -> AlphaRational:
+def const_h(kappa) -> AlphaRational:
     """Hook-type product alpha*a(s) + l(s) + 1; defined for partitions only."""
     if not combinat.is_partition(kappa):
         raise ValueError(f"h is defined for partitions, got {kappa}")
-    a = _alpha(alpha)
-    out = ONE
-    for s in combinat.diagram_nodes(kappa):
-        out = out * (a * s.arm + (s.leg + 1))
-    return out
+    return _node_product(kappa, lambda s: (s.arm, s.leg + 1))
 
 
-CONSTANTS = {
-    "d": const_d,
-    "dp": const_dp,
-    "e": const_e,
-    "ep": const_ep,
-    "b": const_b,
-    "h": const_h,
-}
-
-
-def constant(kind: str, eta, alpha=None) -> AlphaRational:
-    try:
-        fn = CONSTANTS[kind]
-    except KeyError:
-        raise ValueError(f"unknown constant kind {kind!r}") from None
-    return fn(eta, alpha)
-
-
-def gen_factorial(u, kappa, alpha=None) -> AlphaRational:
+def gen_factorial(u, kappa) -> AlphaRational:
     """Rising-factorial product over the rows of a padded partition:
     prod_j prod_{i=0}^{kappa_j - 1} (u - (j-1)/alpha + i)."""
-    a = _alpha(alpha)
     if isinstance(u, (int, Fraction)):
         u = AlphaRational.from_fraction(u)
-    ainv = a.inverse()
+    ainv = ALPHA.inverse()
     out = ONE
     for j, kj in enumerate(kappa, start=1):
         base = u - ainv * (j - 1)
@@ -202,9 +164,8 @@ def c_rho(rho, form: str = "rearrangement") -> AlphaRational:
         eta_plus = tuple(r - d for r, d in zip(rho_plus, delta))
         if any(p < 0 for p in eta_plus) or not combinat.is_partition(eta_plus):
             raise ValueError(f"{rho}+ minus the staircase is not a partition")
-        sh = alpha_shift()
         return (sign * const_dp(rho) / const_d(rho_plus)
-                * const_h(eta_plus, sh) / const_dp(eta_plus, sh))
+                * v_kappa(eta_plus).substitute(alpha_shift()).inverse())
     raise ValueError(f"unknown c_rho form {form!r}")
 
 

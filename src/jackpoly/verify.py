@@ -474,10 +474,11 @@ def _society(ep, rho_plus):
     staircase_ratio = scalars.const_e(delta) / scalars.const_ep(delta)
     return (_differ(f"eta+={ep} N={n}: e/e'(rho+) vs e/e'(staircase) b/e'(eta+)",
                     scalars.const_e(rho_plus) / scalars.const_ep(rho_plus),
-                    staircase_ratio * scalars.const_b(ep, sh) / scalars.const_ep(ep, sh))
+                    staircase_ratio
+                    * (scalars.const_b(ep) / scalars.const_ep(ep)).substitute(sh))
             or _differ(f"eta+={ep} N={n}: d(rho+)/d'(rhoR) vs h/d'(eta+)",
                        scalars.const_d(rho_plus) / scalars.const_dp(rho_r),
-                       scalars.const_h(ep, sh) / scalars.const_dp(ep, sh))
+                       scalars.v_kappa(ep).substitute(sh).inverse())
             or _differ(f"eta+={ep} N={n}: e/e'(staircase) vs its product form",
                        staircase_ratio, scalars.staircase_norm_ratio(n)))
 
@@ -491,9 +492,7 @@ def _S_norm_ratio(rho_plus):
 
 def _shifted_P_norm_ratio(ep):
     """The symmetric norm ratio bd'/(e'h) of eta+ at alpha/(alpha+1)."""
-    sh = alpha_shift()
-    return (scalars.const_b(ep, sh) * scalars.const_dp(ep, sh)
-            / (scalars.const_ep(ep, sh) * scalars.const_h(ep, sh)))
+    return scalars.norm_ratio_P(ep).substitute(alpha_shift())
 
 
 def _norm_reconciliation(ep, rho_plus):

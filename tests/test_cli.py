@@ -286,6 +286,25 @@ class TestExpand:
             cli.main(["expand", "binomial", "--N", "2", "--deg", "2"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["omega", "--coeffs", "--format", "json"], "--coeffs"),
+        (["pi", "--coeffs", "--format", "json"], "--coeffs"),
+        (["binomial", "--r", "1", "--format", "json"], "text only"),
+        (["omega", "--shifted"], "--shifted"),
+        (["binomial", "--r", "1", "--shifted"], "--shifted"),
+    ], ids=["omega-coeffs-json", "pi-coeffs-json", "binomial-json",
+            "omega-shifted", "binomial-shifted"])
+    def test_unsupported_combination_exits_2(self, capsys, argv, message):
+        # each would otherwise exit 0 with output that ignores the request:
+        # text after the JSON document, a text table, or an unshifted kernel
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["expand", *argv, "--N", "2", "--deg", "1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: jackpoly expand")
+        assert message in captured.err
+
     def test_expand_json_byte_stable(self, capsys):
         _, out1 = run_cli(capsys, "expand", "omega", "--N", "2", "--deg", "2",
                           "--format", "json")

@@ -243,8 +243,7 @@ class TestAntisymmetricNorms:
                      * scalars.const_e(rho_plus)
                      / (scalars.const_d(rho_plus) * scalars.const_ep(rho_plus)))
             assert oracle.ct_norm_ratio(s_spec, n, 1) == white.eval_at(1)
-            black = (scalars.const_b(ep, sh) * scalars.const_dp(ep, sh)
-                     / (scalars.const_ep(ep, sh) * scalars.const_h(ep, sh)))
+            black = scalars.norm_ratio_P(ep).substitute(sh)
             assert oracle.ct_norm_ratio(p_spec, n, 2) == black.eval_at(1)
         one = {(0, 0): F(1)}
         bridge = (oracle.ct_inner_product(one, one, n, 2)

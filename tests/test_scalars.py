@@ -1,3 +1,5 @@
+import ast
+import inspect
 import random
 from fractions import Fraction
 
@@ -10,6 +12,8 @@ from jackpoly.qalpha import (ALPHA, ONE, ZERO, AlphaRational, alpha_shift,
                              format_alpha, parse_alpha)
 
 A = ALPHA
+NODE_PRODUCTS = {"d": sc.const_d, "dp": sc.const_dp, "e": sc.const_e,
+                 "ep": sc.const_ep, "b": sc.const_b, "h": sc.const_h}
 
 
 class TestField:
@@ -75,8 +79,8 @@ class TestConstants:
 
     def test_empty_diagram(self):
         eta = (0, 0, 0)
-        for kind in ("d", "dp", "e", "ep", "b", "h"):
-            assert sc.constant(kind, eta) == ONE
+        for const in NODE_PRODUCTS.values():
+            assert const(eta) == ONE
 
     def test_h_requires_partition(self):
         with pytest.raises(ValueError):
@@ -89,6 +93,37 @@ class TestConstants:
                 assert sc.const_e(eta) == sc.const_e(ep)
                 assert sc.const_ep(eta) == sc.const_ep(ep)
                 assert sc.const_b(eta) == sc.const_b(ep)
+
+    def test_shifted_value_is_a_substitution(self):
+        # each node product formed directly at alpha' = alpha/(alpha+1)
+        # equals the product formed at alpha, composed with alpha -> alpha'
+        sh = alpha_shift()
+        factors = {
+            "d": lambda s, n: (s.arm + 1, s.leg + 1),
+            "dp": lambda s, n: (s.arm + 1, s.leg),
+            "e": lambda s, n: (s.arm_co + 1, n - s.leg_co),
+            "ep": lambda s, n: (s.arm_co + 1, n - 1 - s.leg_co),
+            "b": lambda s, n: (s.arm_co, n - s.leg_co),
+            "h": lambda s, n: (s.arm, s.leg + 1),
+        }
+        for n in (2, 3):
+            for eta in cb.compositions_upto(5, n):
+                for kind, factor in factors.items():
+                    if kind == "h" and not cb.is_partition(eta):
+                        continue
+                    direct = ONE
+                    for s in cb.diagram_nodes(eta):
+                        a, b = factor(s, n)
+                        direct = direct * (sh * a + b)
+                    assert direct == NODE_PRODUCTS[kind](eta).substitute(sh), (kind, eta)
+
+    def test_no_alpha_parameter(self):
+        # a value at another parameter is a substitution, not an argument
+        tree = ast.parse(inspect.getsource(sc))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+                names = [a.arg for a in fn.args.args + fn.args.kwonlyargs]
+                assert "alpha" not in names, getattr(fn, "name", "lambda")
 
     def test_gen_factorial_empty(self):
         assert sc.gen_factorial(Fraction(7, 2), (0, 0, 0)) == ONE

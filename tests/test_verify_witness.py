@@ -39,14 +39,15 @@ def _cached_P_plus_one(kappa, e):
 
 
 def _scalar(name, label):
-    """Add 1 to the constant `name` at one diagram, at the generator alpha."""
+    """Add 1 to the constant `name` at one diagram; a value at the shifted
+    parameter is a substitution of it, so the perturbation reaches that too."""
     def perturb(monkeypatch):
         orig = getattr(scalars, name)
 
-        def shifted(eta, alpha=None):
-            value = orig(eta, alpha)
-            return value + ONE if tuple(eta) == label and alpha is None else value
-        monkeypatch.setattr(scalars, name, shifted)
+        def perturbed(eta):
+            value = orig(eta)
+            return value + ONE if tuple(eta) == label else value
+        monkeypatch.setattr(scalars, name, perturbed)
     return perturb
 
 
