@@ -183,6 +183,9 @@ def cmd_verify(args, parser):
         parser.error(f"cannot parse --k {args.k!r}: expected comma-separated integers")
     if any(k < 1 for k in ks):
         parser.error("--k entries must be positive integers")
+    for flag, values in (("--k", ks), ("--r", args.r)):
+        if len(set(values)) != len(values):
+            parser.error(f"{flag} entries must be distinct; a repeated value would be swept twice")
     bounds = verify.Bounds(n_max=args.N, deg=args.deg, ks=ks, rs=args.r)
     report = verify.run_checks(bounds, name_filter=args.filter, jobs=args.jobs)
     if not report.results:
@@ -208,6 +211,8 @@ def cmd_expand(args, parser):
         parser.error("--deg must be >= 0 and --N >= 1")
     if args.shifted and args.kernel != "pi":
         parser.error("--shifted applies to the pi kernel only")
+    if args.r is not None and args.kernel != "binomial":
+        parser.error("--r applies to the binomial table only")
     if args.format == "json" and args.kernel == "binomial":
         parser.error("the binomial table is text only; drop --format json")
     if args.format == "json" and args.coeffs:
@@ -275,9 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
                "since no check skips at the default bounds.")
     p.add_argument("--N", type=int, default=4, help="largest variable count (default 4)")
     p.add_argument("--deg", type=int, default=5, help="largest sweep degree (default 5)")
-    p.add_argument("--k", default="1,2", help="inverse parameter values for the torus oracle")
+    p.add_argument("--k", default="1,2",
+                   help="distinct inverse parameter values for the torus oracle")
     p.add_argument("--r", type=_parse_fractions, default="1,2,3,5/2",
-                   help="exponents for the binomial checks")
+                   help="distinct exponents for the binomial checks")
     p.add_argument("--filter", default=None, help="run only checks whose name contains this")
     p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     p.add_argument("--format", choices=["text", "json"], default="text")

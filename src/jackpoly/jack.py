@@ -1,4 +1,4 @@
-"""Construction of the three Jack families and their kernel sums.
+"""Construction of the three Jack families.
 
 build_E produces the non-symmetric polynomial for a composition by peeling
 the raising map off weakly increasing indices and removing descents through
@@ -14,8 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import combinat, scalars
-from .polyalg import (BiPoly, MultiPoly, apply_transposition, apply_phi,
-                      symmetrize, vandermonde)
+from .polyalg import MultiPoly, apply_transposition, apply_phi, symmetrize, vandermonde
 from .qalpha import AlphaRational, alpha_shift
 
 _E_CACHE: dict = {}
@@ -128,24 +127,3 @@ def build_S(rho_plus) -> MultiPoly:
         raise ValueError(f"{rho_plus} minus the staircase has negative parts")
     return vandermonde(n) * build_P(eta_plus, n, shift_param=True)
 
-
-# ---------------------------------------------------------------------------
-# kernel decompositions
-# ---------------------------------------------------------------------------
-
-def omega_sum(n: int, bound: int) -> BiPoly:
-    """sum over |eta| <= bound of E_eta(x) E_eta(y) / u_eta."""
-    acc = BiPoly(n, n, bound)
-    for eta in combinat.compositions_upto(bound, n):
-        e = build_E(eta)
-        acc = acc.add_outer(e, e, scalars.u_eta(eta).inverse())
-    return acc
-
-
-def pi_sum(n: int, bound: int) -> BiPoly:
-    """sum over |kappa| <= bound of P_kappa(x) P_kappa(y) / v_kappa."""
-    acc = BiPoly(n, n, bound)
-    for kappa in combinat.partitions_upto(bound, n):
-        p = build_P(kappa, n)
-        acc = acc.add_outer(p, p, scalars.v_kappa(kappa).inverse())
-    return acc

@@ -5,12 +5,16 @@ exponent tuples (negative exponents allowed for the torus weight), the last
 over the coefficients of whatever kernel and basis it is handed:
 
 * the torus inner product at integer inverse parameter, realized as a
-  Laurent constant term against the fully expanded weight;
+  Laurent constant term against the fully expanded weight; ct_pairing
+  pairs two labelled families at once, reading each polynomial of the
+  first once into its dual vector so that every pairing is a dot product,
+  and ct_inner_product is its 1 x 1 case;
 * a linear-algebra construction of the non-symmetric polynomials at a
   specialized rational parameter: back-substitution along the triangular
   ansatz, then an exact residual check of every eigen-equation;
 * Gram-Schmidt construction of the symmetric polynomials from monomial
-  symmetric functions under the constant-term inner product;
+  symmetric functions, on their coordinates under one Gram matrix of
+  constant-term pairings;
 * the pairing matrix of a truncated kernel against a given triangular
   basis of one degree, by two exact triangular solves; kernel and basis
   come from the caller, and the caller judges the matrix.
@@ -46,21 +50,10 @@ def _bump(out: dict, e, c) -> None:
         del out[e]
 
 
-def qp_add(f: dict, g: dict) -> dict:
-    out = dict(f)
-    for e, c in g.items():
-        _bump(out, e, c)
-    return out
-
-
 def qp_scale(f: dict, c: Fraction) -> dict:
     if not c:
         return {}
     return {e: v * c for e, v in f.items()}
-
-
-def qp_sub(f, g):
-    return qp_add(f, qp_scale(g, Fraction(-1)))
 
 
 def qp_mul(f: dict, g: dict) -> dict:
@@ -99,18 +92,34 @@ def weight_expand(n: int, k: int) -> dict:
     return out
 
 
-def ct_inner_product(f: dict, g: dict, n: int, k: int) -> Fraction:
-    """Constant term of f(1/z) g(z) w(z); the common normalization of the
-    underlying torus integral cancels in every ratio taken from this."""
+def ct_pairing(fs: dict, gs: dict, n: int, k: int) -> dict:
+    """{a: {b: <f_a, g_b>}} for two labelled families of polynomials, where
+    <f, g> is the constant term of f(1/z) g(z) w(z).  Each f_a is read once
+    into its dual vector F_nu = sum_mu f_mu w_(mu - nu) on the monomials nu
+    of the g's, so every pairing is the dot product sum_nu F_nu g_nu."""
     w = weight_expand(n, k)
-    total = Fraction(0)
-    for mu, cf in f.items():
-        for nu, cg in g.items():
-            key = tuple(a - b for a, b in zip(mu, nu))
-            cw = w.get(key)
-            if cw is not None:
-                total += cf * cg * cw
-    return total
+    support = set().union(*gs.values())
+    out = {}
+    for a, f in fs.items():
+        dual = {}
+        for nu in support:
+            acc = 0
+            for mu, c in f.items():
+                cw = w.get(tuple(map(operator.sub, mu, nu)))
+                if cw is not None:
+                    acc += c * cw
+            if acc:
+                dual[nu] = acc
+        out[a] = {b: sum((dual[nu] * c for nu, c in g.items() if nu in dual), Fraction(0))
+                  for b, g in gs.items()}
+    return out
+
+
+def ct_inner_product(f: dict, g: dict, n: int, k: int) -> Fraction:
+    """Constant term of f(1/z) g(z) w(z), the 1 x 1 case of ct_pairing; the
+    common normalization of the underlying torus integral cancels in every
+    ratio taken from this."""
+    return ct_pairing({0: f}, {0: g}, n, k)[0][0]
 
 
 def ct_norm_ratio(f: dict, n: int, k: int) -> Fraction:
@@ -240,34 +249,38 @@ def _monomial_symmetric_q(kappa, n: int) -> dict:
 def gram_schmidt_P(kappa, n: int, k: int) -> dict:
     """Orthogonalize the monomial symmetric functions below kappa (in a
     linear extension of dominance) under the constant-term inner product at
-    alpha = 1/k; returns the monic result for kappa itself.  Positivity of
-    every intermediate norm is asserted, which verifies the leading
-    principal minors of the Gram matrix are positive."""
-    kappa = combinat.as_partition(kappa)
-    kappa = tuple(p for p in kappa if p)
-    m = sum(kappa)
-    shapes = [mu for mu in combinat.partitions(m, n)
-              if combinat.dominance_leq(mu, tuple(kappa) + (0,) * (n - len(kappa)))]
+    alpha = 1/k; returns the monic result for kappa itself.  The vectors are
+    coordinates in the m basis, paired through one Gram matrix, and only
+    the result is expanded into monomials.  Positivity of every
+    intermediate norm is asserted, which verifies the leading principal
+    minors of the Gram matrix are positive."""
+    kappa = tuple(p for p in combinat.as_partition(kappa) if p)
+    target = kappa + (0,) * (n - len(kappa))
+    shapes = [mu for mu in combinat.partitions(sum(kappa), n)
+              if combinat.dominance_leq(mu, target)]
+    if target not in shapes:
+        raise ValueError(f"{kappa} does not fit into {n} variables")
     shapes.sort(key=combinat.dominance_key)
+    ms = {mu: _monomial_symmetric_q(mu, n) for mu in shapes}
+    gram = ct_pairing(ms, ms, n, k)
+
+    def pair(x, y):
+        return sum(cx * gram[a][b] * cy for a, cx in x.items() for b, cy in y.items())
+
     built = []
-    target = tuple(kappa) + (0,) * (n - len(kappa))
-    result = None
     for mu in shapes:
-        v = _monomial_symmetric_q(mu, n)
-        for (w, norm_w) in built:
-            c = ct_inner_product(v, w, n, k) / norm_w
-            if c:
-                v = qp_sub(v, qp_scale(w, c))
-        norm_v = ct_inner_product(v, v, n, k)
+        v = {mu: Fraction(1)}
+        for w, norm_w in built:
+            c = pair(v, w) / norm_w
+            for b, cb in w.items():
+                _bump(v, b, -c * cb)
+        norm_v = pair(v, v)
         if norm_v <= 0:
             raise ArithmeticError(
                 f"Gram matrix lost positive definiteness at {mu} (k={k})")
         built.append((v, norm_v))
-        if mu == target:
-            result = v
-    if result is None:
-        raise ValueError(f"{kappa} does not fit into {n} variables")
-    return result
+    # kappa dominates every shape, so v is its vector
+    return {e: c for shape, c in v.items() for e in ms[shape]}
 
 
 # ---------------------------------------------------------------------------

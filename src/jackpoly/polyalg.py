@@ -498,17 +498,6 @@ class BiPoly:
                 _add_term(out, (tuple(ne), ye), c if sgn > 0 else -c)
         return BiPoly(self.nx, self.ny, self.bound, out)
 
-    def y_coefficient(self, eta) -> MultiPoly:
-        """The x-polynomial multiplying y^eta."""
-        eta = tuple(eta)
-        if sum(eta) > self.bound:
-            raise ValueError(f"|{eta}| exceeds the truncation bound {self.bound}")
-        out = {}
-        for (xe, ye), c in self.terms.items():
-            if ye == eta:
-                out[xe] = c
-        return MultiPoly(self.nx, out)
-
     def bidegree_component(self, d: int) -> dict:
         """The terms of degree d in x and in y; above the truncation bound
         they are not known, so asking for them raises."""

@@ -221,10 +221,6 @@ def _monic_below(label, f, lead, below):
     return _differ(f"{label}: monomial {e} not below the label", f.terms[e], 0)
 
 
-def _nonzero(kappa):
-    return tuple(p for p in kappa if p) or (0,)
-
-
 def _compositions(s):
     """(eta,) for each swept N and composition eta up to the cap at N."""
     for n in s.ns:
@@ -257,12 +253,22 @@ def _shifted_shapes(s):
         yield from _staircase_shapes(n, s.deg + n * (n - 1) // 2)
 
 
-def _rhos(s):
-    """(rho,) for every rearrangement of every rho+ with |rho+| <= deg + 1."""
-    for n in s.ns:
-        for _, rho_plus in _staircase_shapes(n, s.deg + 1):
-            for rho in combinat.rearrangements(rho_plus):
-                yield (rho,)
+def _rhos(n, s):
+    """(rho,) for every rearrangement of every rho+ with |rho+| <= deg + 1 in
+    n variables."""
+    for _, rho_plus in _staircase_shapes(n, s.deg + 1):
+        for rho in combinat.rearrangements(rho_plus):
+            yield (rho,)
+
+
+def _basis(family, n, d):
+    """The degree-d block of a family in n variables: each label in ascending
+    order (composition order for E, dominance for P) with its E or P."""
+    if family == "E":
+        labels = sorted(combinat.compositions(d, n), key=combinat.composition_order_key)
+        return {eta: jack.build_E(eta) for eta in labels}
+    labels = sorted(combinat.partitions(d, n), key=combinat.dominance_key)
+    return {kappa: jack.build_P(kappa, n) for kappa in labels}
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +438,7 @@ def _asym_cases(s):
     for n in s.ns:
         if n * (n - 1) // 2 > s.deg + 1:
             continue
-        for _, rho_plus in _staircase_shapes(n, s.deg + 1):
-            for rho in combinat.rearrangements(rho_plus):
-                yield (rho,)
+        yield from _rhos(n, s)
         for eta in combinat.compositions_upto(s.cap("repeated") + 1, n):
             if not combinat.has_distinct_parts(eta):
                 yield (eta,)
@@ -517,8 +521,7 @@ def _omega_pairing_cases(s):
     for n in s.ns:
         kernel = polyalg.omega_truncated(n, s.deg)
         for d in range(s.deg + 1):
-            labels = sorted(combinat.compositions(d, n), key=combinat.composition_order_key)
-            pairing = oracle.kernel_pairing(kernel, {eta: jack.build_E(eta) for eta in labels})
+            pairing = oracle.kernel_pairing(kernel, _basis("E", n, d))
             for eta in combinat.compositions(d, n):
                 yield eta, n, pairing
 
@@ -529,11 +532,8 @@ def _v_stability_cases(s):
     C against the P basis in N variables."""
     kernels = {n: polyalg.pi_truncated(ALPHA, n, n, s.deg) for n in s.ns}
     for d in range(s.deg + 1):
-        pairings = {}
-        for n, kernel in kernels.items():
-            labels = sorted(combinat.partitions(d, n), key=combinat.dominance_key)
-            pairings[n] = oracle.kernel_pairing(
-                kernel, {kappa: jack.build_P(kappa, n) for kappa in labels})
+        pairings = {n: oracle.kernel_pairing(kernel, _basis("P", n, d))
+                    for n, kernel in kernels.items()}
         for kappa in combinat.partitions(d, s.ns[-1] - 1):
             yield kappa, pairings
 
@@ -562,26 +562,31 @@ def _binomial_product(r, n, bound):
     return out
 
 
-def _binomial_E(r, n, bound, r_side=None):
+def _binomial(family, r, n, bound, r_side=None):
     """The product at r against sum alpha^|eta| [r]_(eta+) / (u d) E_eta over
-    compositions, with the scalar side at r_side (default r).  Checking
-    several rational r certifies the identity in r by the degree bound."""
+    compositions (family E), or sum alpha^|kappa| [r]_kappa / (v h) P_kappa
+    over partitions (family P), with the scalar side at r_side (default r).
+    Checking several rational r certifies the identity in r by the degree
+    bound."""
     r_side = r if r_side is None else r_side
+    coeff = scalars.binomial_coeff_E if family == "E" else scalars.binomial_coeff_P
     rhs = MultiPoly.zero(n)
-    for eta in combinat.compositions_upto(bound, n):
-        rhs = rhs + jack.build_E(eta).scale(scalars.binomial_coeff_E(r_side, eta))
-    return _differ(f"N={n} r={r}: prod (1-x_j)^-r vs sum over E",
+    for d in range(bound + 1):
+        for label, f in _basis(family, n, d).items():
+            rhs = rhs + f.scale(coeff(r_side, label))
+    return _differ(f"N={n} r={r}: prod (1-x_j)^-r vs sum over {family}",
                    _binomial_product(r, n, bound), rhs)
 
 
-def _binomial_P(r, n, bound):
-    """The product at r against sum alpha^|kappa| [r]_kappa / (v h) P_kappa
-    over partitions."""
-    rhs = MultiPoly.zero(n)
-    for kappa in combinat.partitions_upto(bound, n):
-        rhs = rhs + jack.build_P(kappa, n).scale(scalars.binomial_coeff_P(r, kappa))
-    return _differ(f"N={n} r={r}: prod (1-x_j)^-r vs sum over P",
-                   _binomial_product(r, n, bound), rhs)
+def _kernel_sum(family, n, bound):
+    """sum over |eta| <= bound of E_eta(x) E_eta(y) / u_eta (family E), or
+    over |kappa| <= bound of P_kappa(x) P_kappa(y) / v_kappa (family P)."""
+    norm = scalars.u_eta if family == "E" else scalars.v_kappa
+    acc = BiPoly(n, n, bound)
+    for d in range(bound + 1):
+        for label, f in _basis(family, n, d).items():
+            acc = acc.add_outer(f, f, norm(label).inverse())
+    return acc
 
 
 def _cauchy_rhs(n, bound):
@@ -600,34 +605,38 @@ def _cauchy(n, bound):
                    lhs, _cauchy_rhs(n, bound))
 
 
+def _ct_block(family, spec, n, k):
+    """The cases of one block of the family specialized at 1/k, paired by
+    one Gram matrix: (label, None) asks for its norm ratio, (label, later
+    label) for their pairing."""
+    gram = oracle.ct_pairing(spec, spec, n, k)
+    one = {(0,) * n: Fraction(1)}
+    unit = oracle.ct_inner_product(one, one, n, k)
+    labels = list(spec)
+    for idx, l1 in enumerate(labels):
+        yield family, l1, None, gram, unit, k
+        for l2 in labels[idx + 1:]:
+            yield family, l1, l2, gram, unit, k
+
+
 def _ct_cases(s, family):
-    """Per N, k and modulus d: the labels of the family specialized at 1/k;
-    (label, None) asks for its norm ratio, (label, later label) for their
-    pairing."""
+    """_ct_block per N, k and modulus d."""
     for n in s.ns:
         for k in s.ks:
-            a0 = Fraction(1, k)
             for d in range(s.deg + 1):
-                if family == "E":
-                    spec = {e: jack.build_E(e).specialize(a0)
-                            for e in combinat.compositions(d, n)}
-                else:
-                    spec = {p: jack.build_P(p, n).specialize(a0)
-                            for p in combinat.partitions(d, n)}
-                labels = list(spec)
-                for idx, l1 in enumerate(labels):
-                    yield family, spec, l1, None, n, k
-                    for l2 in labels[idx + 1:]:
-                        yield family, spec, l1, l2, n, k
+                spec = {label: f.specialize(Fraction(1, k))
+                        for label, f in _basis(family, n, d).items()}
+                yield from _ct_block(family, spec, n, k)
 
 
-def _ct(family, spec, l1, l2, n, k):
+def _ct(family, l1, l2, gram, unit, k):
+    """A later label pairs to zero; alone, <f, f>/<1, 1> is the closed-form
+    norm ratio at alpha = 1/k."""
     if l2 is not None:
-        pair = oracle.ct_inner_product(spec[l1], spec[l2], n, k)
-        return _differ(f"<{family}_{l1}, {family}_{l2}> at k={k}", pair, 0)
-    got = oracle.ct_norm_ratio(spec[l1], n, k)
+        return _differ(f"<{family}_{l1}, {family}_{l2}> at k={k}", gram[l1][l2], 0)
     ratio = scalars.norm_ratio_E if family == "E" else scalars.norm_ratio_P
-    return _differ(f"{family}_{l1} k={k}: ct", got, ratio(l1).eval_at(Fraction(1, k)))
+    return _differ(f"{family}_{l1} k={k}: ct", gram[l1][l1] / unit,
+                   ratio(l1).eval_at(Fraction(1, k)))
 
 
 def _S_norm_cases(s):
@@ -666,7 +675,7 @@ def _linear_solve(eta, a0):
 
 
 def _gram_schmidt(kappa, n, k):
-    got = oracle.gram_schmidt_P(_nonzero(kappa), n, k)
+    got = oracle.gram_schmidt_P(kappa, n, k)
     want = jack.build_P(kappa, n).specialize(Fraction(1, k))
     return _differ(f"kappa={kappa} N={n} k={k}", got, want)
 
@@ -698,12 +707,13 @@ def _controls(s):
     bad = dict(e10.specialize(Fraction(1)))
     bad[(0, 1)] += 1
     spec = {(1, 0): bad, (0, 1): jack.build_E((0, 1)).specialize(Fraction(1))}
-    yield "ct-norm", _ct("E", spec, (1, 0), None, 2, 1) is not None
-    yield "ct-orthogonality", _ct("E", spec, (1, 0), (0, 1), 2, 1) is not None
+    norm, pair, _ = _ct_block("E", spec, 2, 1)
+    yield "ct-norm", _ct(*norm) is not None
+    yield "ct-orthogonality", _ct(*pair) is not None
 
-    doubled = jack.omega_sum(2, 2).add_outer(e10, e10, ONE)  # one diagonal term twice
+    doubled = _kernel_sum("E", 2, 2).add_outer(e10, e10, ONE)  # one diagonal term twice
     yield "omega", _differ("omega", polyalg.omega_truncated(2, 2), doubled) is not None
-    yield "binomial", _binomial_E(Fraction(2), 2, 2, r_side=Fraction(3)) is not None
+    yield "binomial", _binomial("E", Fraction(2), 2, 2, r_side=Fraction(3)) is not None
 
     a = antisymmetrize(jack.build_E((2, 0)))
     _, witness = _multiple("asym", _corrupt(a), jack.build_S((2, 0)))
@@ -748,7 +758,7 @@ CHECKS = {row.name: row for row in (
     Check("asym.proportionality", _asym_cases, _asym, deg=(0, 5), caps={"repeated": 3},
           fixed={"max|rho|": "deg+1",
                  "sign": "(-1)^(ascending pairs) * d'(rho)/d'(rhoR)"}),
-    Check("asym.c-closed-forms", _rhos,
+    Check("asym.c-closed-forms", lambda s: (case for n in s.ns for case in _rhos(n, s)),
           lambda rho: _differ(f"rho={rho}", scalars.c_rho(rho, "shifted-shape"),
                               scalars.c_rho(rho, "rearrangement")),
           deg=(0, 5), fixed={"max|rho|": "deg+1"}),
@@ -759,7 +769,7 @@ CHECKS = {row.name: row for row in (
     Check("norm.reconciliation", _shifted_shapes, _norm_reconciliation, deg=(0, 4)),
     Check("omega.decomposition", _kernels,
           lambda n, d: _differ(f"N={n} D={d}: Omega vs sum E x E / u",
-                               polyalg.omega_truncated(n, d), jack.omega_sum(n, d)),
+                               polyalg.omega_truncated(n, d), _kernel_sum("E", n, d)),
           deg=(0, 3)),
     Check("omega.pairing-diagonal", _omega_pairing_cases,
           lambda eta, n, pairing: _differ(f"eta={eta} N={n}", pairing.get(eta, {}),
@@ -767,15 +777,15 @@ CHECKS = {row.name: row for row in (
           ns=(2, 4), deg=(0, 3)),
     Check("pi.decomposition", _kernels,
           lambda n, d: _differ(f"N={n} D={d}: Pi vs sum P x P / v",
-                               polyalg.pi_truncated(ALPHA, n, n, d), jack.pi_sum(n, d)),
+                               polyalg.pi_truncated(ALPHA, n, n, d), _kernel_sum("P", n, d)),
           deg=(0, 3)),
     Check("pi.v-stability", _v_stability_cases, _v_stability, ns=(3, 3), deg=(0, 3)),
     Check("binomial.nonsymmetric",
-          lambda s: ((r, n, s.deg) for n in s.ns for r in s.rs),
-          _binomial_E, deg=(0, 3), r=True),
+          lambda s: (("E", r, n, s.deg) for n in s.ns for r in s.rs),
+          _binomial, deg=(0, 3), r=True),
     Check("binomial.symmetric",
-          lambda s: ((r, n, s.deg) for n in s.ns for r in s.rs),
-          _binomial_P, deg=(0, 3), r=True),
+          lambda s: (("P", r, n, s.deg) for n in s.ns for r in s.rs),
+          _binomial, deg=(0, 3), r=True),
     Check("cauchy.double-alternant", _kernels, _cauchy, deg=(0, 3)),
     Check("E.norm-orthogonality.ct", lambda s: _ct_cases(s, "E"), _ct, deg=(0, 4), k=True),
     Check("P.norm-orthogonality.ct", lambda s: _ct_cases(s, "P"), _ct, deg=(0, 4), k=True),

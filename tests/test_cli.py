@@ -167,6 +167,18 @@ class TestVerify:
         assert exc.value.code == 2
         assert "--k" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--k", "1,1"), ("--r", "1,2/2")],
+                             ids=["k", "r"])
+    def test_repeated_entry_exits_2(self, capsys, flag, value):
+        # a repeated value would be swept twice, doubling the cases it reports
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--N", "2", "--deg", "2", flag, value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: jackpoly verify")
+        assert f"{flag} entries must be distinct" in captured.err
+
     def test_error_prints_subcommand_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "--k", "1,x"])
@@ -292,8 +304,10 @@ class TestExpand:
         (["binomial", "--r", "1", "--format", "json"], "text only"),
         (["omega", "--shifted"], "--shifted"),
         (["binomial", "--r", "1", "--shifted"], "--shifted"),
+        (["omega", "--r", "1"], "--r"),
+        (["pi", "--r", "1"], "--r"),
     ], ids=["omega-coeffs-json", "pi-coeffs-json", "binomial-json",
-            "omega-shifted", "binomial-shifted"])
+            "omega-shifted", "binomial-shifted", "omega-r", "pi-r"])
     def test_unsupported_combination_exits_2(self, capsys, argv, message):
         # each would otherwise exit 0 with output that ignores the request:
         # text after the JSON document, a text table, or an unshifted kernel

@@ -50,6 +50,28 @@ class TestConstantTerm:
         assert (oracle.ct_inner_product(f, g, 2, 1)
                 == oracle.ct_inner_product(g, f, 2, 1))
 
+    def test_pairing_is_a_table_of_inner_products(self):
+        # a rectangular table with fs != gs, supports that differ and an
+        # empty g; each entry is also the double sum sum f_mu g_nu w_(mu-nu)
+        fs = {"a": {(2, 0, 1): F(1), (1, 1, 1): F(3, 2)},
+              "b": {(0, 2, 1): F(-1), (1, 1, 1): F(1, 3), (3, 0, 0): F(2)},
+              "c": {(1, 0, 0): F(2)}}
+        gs = {"x": {(0, 2, 1): F(-1), (2, 0, 1): F(1, 3)},
+              "y": {(1, 2, 0): F(5), (0, 0, 3): F(-2, 7), (0, 1, 0): F(4)},
+              "z": {}}
+        for k in (1, 2):
+            w = oracle.weight_expand(3, k)
+            got = oracle.ct_pairing(fs, gs, 3, k)
+            for a, f in fs.items():
+                for b, g in gs.items():
+                    direct = sum((cf * cg * w.get(tuple(p - q for p, q in zip(mu, nu)), 0)
+                                  for mu, cf in f.items() for nu, cg in g.items()), F(0))
+                    assert got[a][b] == oracle.ct_inner_product(f, g, 3, k) == direct
+            assert list(got) == list(fs) and all(list(row) == list(gs) for row in got.values())
+            assert got["a"]["x"] and got["b"]["y"] and not got["c"]["x"]
+        empty = oracle.ct_inner_product({}, {}, 3, 1)
+        assert empty == 0 and isinstance(empty, F)
+
     def test_E_orthogonality_and_norms(self):
         for n in (2, 3):
             for k in (1, 2):
@@ -150,6 +172,17 @@ class TestGramSchmidt:
         assert oracle.gram_schmidt_P((1,), 2, 1) == {(1, 0): F(1), (0, 1): F(1)}
         got = oracle.gram_schmidt_P((2,), 2, 1)
         assert got == {(2, 0): F(1), (0, 2): F(1), (1, 1): F(1)}
+
+    def test_negated_weight_loses_positivity(self, monkeypatch):
+        weight = oracle.weight_expand
+        monkeypatch.setattr(oracle, "weight_expand",
+                            lambda n, k: {e: -c for e, c in weight(n, k).items()})
+        with pytest.raises(ArithmeticError, match="lost positive definiteness"):
+            oracle.gram_schmidt_P((2,), 2, 1)
+
+    def test_does_not_fit(self):
+        with pytest.raises(ValueError, match="does not fit"):
+            oracle.gram_schmidt_P((1, 1, 1), 2, 1)
 
     def test_agreement_with_construction(self):
         for n in (2, 3):

@@ -168,12 +168,14 @@ class TestSeries:
         assert pa.binomial_series(0, 3) == [ONE, AlphaRational(0), AlphaRational(0), AlphaRational(0)]
 
     def test_omega_degree_one(self):
+        # the x-polynomial at y^(0, 0) is 1, at y^(1, 0) it is
+        # (alpha+1)/alpha z1 + 1/alpha z2, and at y^(0, 1) the mirror image
         om = pa.omega_truncated(2, 1)
-        assert om.y_coefficient((0, 0)) == MP.one(2)
-        q10 = om.y_coefficient((1, 0))
-        assert q10 == _z(1, 2).scale((A + 1) / A) + _z(2, 2).scale(1 / A)
-        q01 = om.y_coefficient((0, 1))
-        assert q01 == _z(1, 2).scale(1 / A) + _z(2, 2).scale((A + 1) / A)
+        assert om.bidegree_component(0) == {((0, 0), (0, 0)): ONE}
+        assert om.bidegree_component(1) == {
+            ((1, 0), (1, 0)): (A + 1) / A, ((0, 1), (1, 0)): 1 / A,
+            ((1, 0), (0, 1)): 1 / A, ((0, 1), (0, 1)): (A + 1) / A}
+        assert om.terms == {**om.bidegree_component(0), **om.bidegree_component(1)}
 
     def test_pi_degree_one(self):
         pi = pa.pi_truncated(A, 2, 2, 1)
@@ -183,7 +185,7 @@ class TestSeries:
 
     def test_extract_out_of_range(self):
         with pytest.raises(ValueError):
-            pa.omega_truncated(2, 1).y_coefficient((2, 0))
+            pa.omega_truncated(2, 1).bidegree_component(2)
 
     def test_cauchy_double_alternant(self):
         assert verify._cauchy(2, 3) is None

@@ -23,10 +23,10 @@ def _cached_E(eta):
     return perturb
 
 
-def _cached_P(kappa):
+def _cached_P(kappa, shift_param=False):
     def perturb(monkeypatch):
-        monkeypatch.setitem(jack._P_CACHE, (kappa, False),
-                            verify._corrupt(jack.build_P(kappa)))
+        monkeypatch.setitem(jack._P_CACHE, (kappa, shift_param),
+                            verify._corrupt(jack.build_P(kappa, shift_param=shift_param)))
     return perturb
 
 
@@ -77,6 +77,12 @@ ROWS = [
     ("binomial.nonsymmetric", _cached_E((1, 0)), "N=2 r=1"),
     ("binomial.symmetric", _cached_P((1, 0)), "N=2 r=1"),
     ("cauchy.double-alternant", _vandermonde, "N=2 D=1"),
+    ("E.norm-orthogonality.ct", _cached_E((1, 0)), "<E_(0, 1), E_(1, 0)> at k=1"),
+    ("P.norm-orthogonality.ct", _cached_P((1, 0)), "P_(1, 0) k=1"),
+    ("oracle.P-gram-schmidt", _cached_P((1, 0)), "kappa=(1, 0) N=2 k=1"),
+    # the shifted P_(0, 0) doubled doubles S too, so the two pairings still
+    # agree and the norm ratio of S is the first to fail
+    ("S.norm.ct", _cached_P((0, 0), shift_param=True), "eta+=(0, 0): white ratio"),
 ]
 
 
