@@ -13,10 +13,9 @@ from .combinat import (DiagramNode, composition_lt, diagram_nodes,
                        has_distinct_parts, node_stats, phi_composition,
                        reverse_partition, sort_to_partition, staircase)
 from .jack import build_E, build_P, build_S, clear_caches
-from .polyalg import (BiPoly, MultiPoly, antisymmetrize, binomial_series,
-                      cherednik_apply, d2_apply, divided_difference,
-                      monomial_symmetric, omega_truncated, pi_truncated,
-                      symmetrize, vandermonde)
+from .polyalg import (MultiPoly, antisymmetrize, binomial_series, cherednik_apply,
+                      d2_apply, divided_difference, monomial_symmetric,
+                      omega_truncated, pi_truncated, symmetrize, vandermonde)
 from .qalpha import ALPHA, ONE, ZERO, AlphaRational, alpha_shift
 from .scalars import (c_rho, c_rho_resolved, eval_E_at_ones, eval_P_at_ones,
                       gen_factorial, norm_ratio_E, norm_ratio_P, u_eta,

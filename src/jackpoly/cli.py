@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import combinat, jack, scalars, verify
-from .polyalg import BiPoly, MultiPoly, monomial_text, omega_truncated, pi_truncated
+from .polyalg import MultiPoly, monomial_text, omega_truncated, pi_truncated
 from .qalpha import ALPHA, alpha_shift, format_alpha
 
 
@@ -197,9 +197,9 @@ def cmd_verify(args, parser):
     return 0 if report.ok else 1
 
 
-def _bipoly_text(bp: BiPoly) -> str:
+def _kernel_text(split) -> str:
     chunks = []
-    for (xe, ye), c in bp.sorted_terms():
+    for xe, ye, c in split:
         mono = "*".join(m for m in (monomial_text(xe, "x"), monomial_text(ye, "y")) if m)
         cs = format_alpha(c)
         chunks.append(f"({cs})*{mono}" if mono else cs)
@@ -227,17 +227,22 @@ def cmd_expand(args, parser):
             print(f"{list(eta)} -> {scalars.binomial_coeff_E(args.r, eta)}")
         return 0
     if args.kernel == "omega":
-        bp = omega_truncated(n, args.deg)
+        kernel = omega_truncated(n, args.deg)
         head = "1/u"
         norms = ((eta, scalars.u_eta(eta))
                  for eta in combinat.compositions_upto(args.deg, n))
     else:
         param = alpha_shift() if args.shifted else ALPHA
-        bp = pi_truncated(param, n, n, args.deg)
+        kernel = pi_truncated(param, n, args.deg)
         head = "1/v"
         norms = ((kappa, scalars.v_kappa(kappa).substitute(param))
                  for kappa in combinat.partitions_upto(args.deg, n))
-    print(_json_dumps(bp.to_json()) if args.format == "json" else _bipoly_text(bp))
+    split = [(e[:n], e[n:], c) for e, c in kernel.sorted_terms()]
+    if args.format == "json":
+        print(_json_dumps({"Nx": n, "Ny": n, "D": args.deg, "terms": [
+            {"xexp": list(xe), "yexp": list(ye), "coeff": c.to_json()} for xe, ye, c in split]}))
+    else:
+        print(_kernel_text(split))
     if args.coeffs:
         print(f"# label -> {head}")
         for label, norm in norms:

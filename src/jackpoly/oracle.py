@@ -310,23 +310,28 @@ def kernel_pairing(kernel, basis: dict) -> dict:
     """The pairing matrix C of a truncated kernel against a basis of one
     degree d: kernel_d = sum C[a][b] f_a(x) f_b(y).
 
-    `kernel` is anything with bidegree_component(d) -> {(x exps, y exps):
-    coeff}.  `basis` maps each label, in ascending order, to a polynomial f
-    (anything with .terms) that is triangular in that order: a nonzero
-    coefficient at its own label and, among the labels, terms only at lower
-    ones.  The matrix M[mono][label] of the basis coefficients is then upper
-    triangular on the label rows, so C comes out of two triangular solves of
-    M C M^T = W, one per side.  C[a] holds the nonzero entries of row a, and
-    a row with none is absent; nothing is asserted about them.
+    `kernel` is anything with .terms -> {x exps + y exps: coeff}; a degree
+    with no kernel term lies past its truncation and raises.  `basis` maps
+    each label, in ascending order, to a polynomial f (anything with
+    .terms) that is triangular in that order: a nonzero coefficient at its
+    own label and, among the labels, terms only at lower ones.  The matrix
+    M[mono][label] of the basis coefficients is then upper triangular on
+    the label rows, so C comes out of two triangular solves of M C M^T = W,
+    one per side.  C[a] holds the nonzero entries of row a, and a row with
+    none is absent; nothing is asserted about them.
     """
     labels = list(basis)
     m_matrix = {}
     for col, f in basis.items():
         for mono, c in f.terms.items():
             m_matrix.setdefault(mono, {})[col] = c
+    n, d = len(labels[0]), sum(labels[0])
     w_cols = {}
-    for (xe, ye), c in kernel.bidegree_component(sum(labels[0])).items():
-        w_cols.setdefault(ye, {})[xe] = c
+    for e, c in kernel.terms.items():
+        if sum(e[:n]) == d:
+            w_cols.setdefault(e[n:], {})[e[:n]] = c
+    if not w_cols:
+        raise ValueError(f"the kernel has no term of degree {d}: its truncation is below it")
     # first solve eliminates the x side: columns indexed by y-monomial
     x_solved = _solve_upper_triangular(m_matrix, w_cols, labels)
     y_cols = {}

@@ -7,14 +7,17 @@ vanishes; the variable relabelings (`apply_permutation`,
 `apply_transposition`) are bijections on exponent tuples, so they move
 terms without summing any.  Variable indices in the
 operator API are 1-based to match diagram coordinates.  Coefficients are
-Q(alpha) elements.  The oracle keeps its Laurent data (negative exponents,
+Q(alpha) elements; a truncated kernel in x_1..x_N, y_1..y_N is one MultiPoly
+in 2N variables.  The oracle keeps its Laurent data (negative exponents,
 Fraction coefficients) in plain dicts instead; of this module it reads only
-the truncated BiPoly kernels, for the kernel-pairing extraction.
+the `.terms` of kernels and bases, for the kernel-pairing extraction.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from fractions import Fraction
 
 from .combinat import perm_sign
@@ -106,12 +109,7 @@ class MultiPoly:
 
     def __mul__(self, other):
         if isinstance(other, MultiPoly):
-            self._check(other)
-            out = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    _add_term(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-            return MultiPoly._raw(self.nvars, out)
+            return self.mul_truncated(other, math.inf)
         c = _coerce_scalar(other)
         if c is None:
             return NotImplemented
@@ -122,6 +120,24 @@ class MultiPoly:
         if c is None:
             return NotImplemented
         return self.scale(c)
+
+    def mul_truncated(self, other, degree):
+        """The product without its terms of total degree above `degree`."""
+        self._check(other)
+        rhs = [(e, c, sum(e)) for e, c in other.terms.items()]
+        out = {}
+        for e1, c1 in self.terms.items():
+            room = degree - sum(e1)
+            for e2, c2, d2 in rhs:
+                if d2 <= room:
+                    _add_term(out, tuple(map(operator.add, e1, e2)), c1 * c2)
+        return MultiPoly._raw(self.nvars, out)
+
+    def outer(self, other):
+        """f(x) g(y) in the variables of f followed by those of g."""
+        return MultiPoly._raw(self.nvars + other.nvars,
+                              {e1 + e2: c1 * c2 for e1, c1 in self.terms.items()
+                               for e2, c2 in other.terms.items()})
 
     def scale(self, c):
         if not c:
@@ -159,10 +175,6 @@ class MultiPoly:
             return None
         e = min(self.terms)
         return e, self.terms[e]
-
-    def truncate(self, degree: int):
-        return MultiPoly._raw(self.nvars,
-                              {e: c for e, c in self.terms.items() if sum(e) <= degree})
 
     def eval_ones(self):
         out = ZERO
@@ -428,119 +440,33 @@ def binomial_series(c, degree: int) -> list:
     return out
 
 
-class BiPoly:
-    """Truncated series in two groups of variables, stored sparsely as
-    (x-exponent, y-exponent) -> coefficient with both total degrees <= bound."""
-
-    __slots__ = ("nx", "ny", "bound", "terms")
-
-    def __init__(self, nx, ny, bound, terms=None):
-        self.nx = nx
-        self.ny = ny
-        self.bound = bound
-        self.terms = {k: c for k, c in (terms or {}).items() if c}
-
-    @classmethod
-    def one(cls, nx, ny, bound):
-        return cls(nx, ny, bound, {((0,) * nx, (0,) * ny): ONE})
-
-    def __eq__(self, other):
-        return (isinstance(other, BiPoly) and self.nx == other.nx
-                and self.ny == other.ny and self.terms == other.terms)
-
-    def mul_bilinear_series(self, j: int, k: int, coeffs) -> "BiPoly":
-        """Multiply by sum_n coeffs[n] (x_j y_k)^n, truncating at the bound."""
-        out = {}
-        jj, kk = j - 1, k - 1
-        for (xe, ye), c in self.terms.items():
-            room = self.bound - max(sum(xe), sum(ye))
-            for n in range(min(room, len(coeffs) - 1) + 1):
-                cn = coeffs[n]
-                if not cn:
-                    continue
-                key = (xe[:jj] + (xe[jj] + n,) + xe[jj + 1:],
-                       ye[:kk] + (ye[kk] + n,) + ye[kk + 1:])
-                _add_term(out, key, c * cn)
-        return BiPoly(self.nx, self.ny, self.bound, out)
-
-    def mul_split_polys(self, fx: MultiPoly, gy: MultiPoly) -> "BiPoly":
-        """Multiply by fx(x) * gy(y), truncating at the bound."""
-        out = {}
-        for (xe, ye), c in self.terms.items():
-            for ex, cx in fx.terms.items():
-                nxe = tuple(a + b for a, b in zip(xe, ex))
-                if sum(nxe) > self.bound:
-                    continue
-                for ey, cy in gy.terms.items():
-                    nye = tuple(a + b for a, b in zip(ye, ey))
-                    if sum(nye) > self.bound:
-                        continue
-                    _add_term(out, (nxe, nye), c * cx * cy)
-        return BiPoly(self.nx, self.ny, self.bound, out)
-
-    def add_outer(self, fx: MultiPoly, gy: MultiPoly, coeff) -> "BiPoly":
-        """Accumulate coeff * fx(x) * gy(y) (no truncation applied)."""
-        out = dict(self.terms)
-        for ex, cx in fx.terms.items():
-            for ey, cy in gy.terms.items():
-                _add_term(out, (ex, ey), coeff * cx * cy)
-        return BiPoly(self.nx, self.ny, self.bound, out)
-
-    def asym_x(self) -> "BiPoly":
-        """Antisymmetrize over the x variables."""
-        out = {}
-        for perm in itertools.permutations(range(self.nx)):
-            sgn = perm_sign(perm)
-            for (xe, ye), c in self.terms.items():
-                ne = [0] * self.nx
-                for i, v in enumerate(xe):
-                    ne[perm[i]] = v
-                _add_term(out, (tuple(ne), ye), c if sgn > 0 else -c)
-        return BiPoly(self.nx, self.ny, self.bound, out)
-
-    def bidegree_component(self, d: int) -> dict:
-        """The terms of degree d in x and in y; above the truncation bound
-        they are not known, so asking for them raises."""
-        if d > self.bound:
-            raise ValueError(f"degree {d} exceeds the truncation bound {self.bound}")
-        return {k: c for k, c in self.terms.items()
-                if sum(k[0]) == d and sum(k[1]) == d}
-
-    def sorted_terms(self):
-        return sorted(self.terms.items())
-
-    def to_json(self):
-        return {"Nx": self.nx, "Ny": self.ny, "D": self.bound,
-                "terms": [{"xexp": list(x), "yexp": list(y), "coeff": c.to_json()}
-                          for (x, y), c in self.sorted_terms()]}
+def power_series(nvars: int, positions, coeffs) -> MultiPoly:
+    """sum_m coeffs[m] t^m with t the product of the variables at the
+    0-based positions."""
+    return MultiPoly(nvars, {tuple(m * (i in positions) for i in range(nvars)): c
+                             for m, c in enumerate(coeffs)})
 
 
-def pi_truncated(param, nx: int, ny: int, bound: int) -> BiPoly:
-    """Truncation of prod_{j,k} (1 - x_j y_k)^(-1/param); param may be any
+def pi_truncated(param, n: int, bound: int) -> MultiPoly:
+    """Truncation of prod_{j,k} (1 - x_j y_k)^(-1/param) to degree <= bound
+    in x and in y, held in x_1..x_n, y_1..y_n: every term has equal degree
+    in x and in y, so that is total degree <= 2 bound.  param may be any
     invertible element of Q(alpha), e.g. alpha or alpha/(alpha+1)."""
     if bound < 0:
         raise ValueError("truncation bound must be >= 0")
     series = binomial_series(_coerce_scalar(param).inverse(), bound)
-    out = BiPoly.one(nx, ny, bound)
-    for j in range(1, nx + 1):
-        for k in range(1, ny + 1):
-            out = out.mul_bilinear_series(j, k, series)
+    out = MultiPoly.one(2 * n)
+    for j in range(n):
+        for k in range(n):
+            out = out.mul_truncated(power_series(2 * n, (j, n + k), series), 2 * bound)
     return out
 
 
-def omega_truncated(n: int, bound: int) -> BiPoly:
-    """Truncation of prod_j (1 - x_j y_j)^(-1) prod_{j,k} (1 - x_j y_k)^(-1/alpha)."""
+def omega_truncated(n: int, bound: int) -> MultiPoly:
+    """Truncation of prod_j (1 - x_j y_j)^(-1) prod_{j,k} (1 - x_j y_k)^(-1/alpha),
+    held as pi_truncated holds its kernel."""
     geo = [ONE] * (bound + 1)
-    out = pi_truncated(ALPHA, n, n, bound)
-    for j in range(1, n + 1):
-        out = out.mul_bilinear_series(j, j, geo)
-    return out
-
-
-def diagonal_kernel_truncated(n: int, bound: int) -> BiPoly:
-    """Truncation of prod_j (1 - x_j y_j)^(-1) alone."""
-    geo = [ONE] * (bound + 1)
-    out = BiPoly.one(n, n, bound)
-    for j in range(1, n + 1):
-        out = out.mul_bilinear_series(j, j, geo)
+    out = pi_truncated(ALPHA, n, bound)
+    for j in range(n):
+        out = out.mul_truncated(power_series(2 * n, (j, n + j), geo), 2 * bound)
     return out

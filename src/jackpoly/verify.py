@@ -12,7 +12,9 @@ parallel worker processes.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import random
 import time
 from dataclasses import dataclass, field
@@ -20,9 +22,8 @@ from fractions import Fraction
 from typing import Callable
 
 from . import combinat, jack, oracle, polyalg, scalars
-from .polyalg import (BiPoly, MultiPoly, antisymmetrize, apply_transposition,
-                      cherednik_apply, d2_apply, divided_difference,
-                      exact_scalar_ratio, symmetrize, vandermonde)
+from .polyalg import (MultiPoly, antisymmetrize, apply_transposition, cherednik_apply,
+                      d2_apply, divided_difference, exact_scalar_ratio, symmetrize)
 from .qalpha import ALPHA, ONE, AlphaRational, alpha_shift
 
 FIG2_SHAPE = (8, 7, 7, 4, 3, 3, 2, 1, 0)
@@ -190,7 +191,7 @@ def _differ(label, got, want):
     both values.  Nothing is formatted when the two agree."""
     if got == want:
         return None
-    if isinstance(got, (MultiPoly, BiPoly)):
+    if isinstance(got, MultiPoly):
         got, want = got.terms, want.terms
     if isinstance(got, dict):
         key = min(k for k in got.keys() | want.keys() if got.get(k, 0) != want.get(k, 0))
@@ -527,15 +528,17 @@ def _omega_pairing_cases(s):
 
 
 def _v_stability_cases(s):
-    """(kappa, {N: C}) for every partition up to deg padded to N - 1 parts,
-    with one truncated kernel per swept N and per degree one pairing matrix
-    C against the P basis in N variables."""
-    kernels = {n: polyalg.pi_truncated(ALPHA, n, n, s.deg) for n in s.ns}
+    """(kappa, {N - 1: C, N: C}) for each consecutive pair of swept variable
+    counts and each partition up to deg with at most N - 1 parts: one
+    truncated kernel per N, and per degree one pairing matrix C against its
+    P basis."""
+    kernels = {n: polyalg.pi_truncated(ALPHA, n, s.deg) for n in s.ns}
     for d in range(s.deg + 1):
         pairings = {n: oracle.kernel_pairing(kernel, _basis("P", n, d))
                     for n, kernel in kernels.items()}
-        for kappa in combinat.partitions(d, s.ns[-1] - 1):
-            yield kappa, pairings
+        for n in s.ns[1:]:
+            for kappa in combinat.partitions(d, n - 1):
+                yield kappa, {n - 1: pairings[n - 1], n: pairings[n]}
 
 
 def _v_stability(kappa, pairings):
@@ -556,9 +559,7 @@ def _binomial_product(r, n, bound):
     series = polyalg.binomial_series(r, bound)
     out = MultiPoly.one(n)
     for j in range(n):
-        factor = MultiPoly(n, {tuple(m if t == j else 0 for t in range(n)): series[m]
-                               for m in range(bound + 1)})
-        out = (out * factor).truncate(bound)
+        out = out.mul_truncated(polyalg.power_series(n, (j,), series), bound)
     return out
 
 
@@ -582,27 +583,51 @@ def _kernel_sum(family, n, bound):
     """sum over |eta| <= bound of E_eta(x) E_eta(y) / u_eta (family E), or
     over |kappa| <= bound of P_kappa(x) P_kappa(y) / v_kappa (family P)."""
     norm = scalars.u_eta if family == "E" else scalars.v_kappa
-    acc = BiPoly(n, n, bound)
+    acc = MultiPoly.zero(2 * n)
     for d in range(bound + 1):
         for label, f in _basis(family, n, d).items():
-            acc = acc.add_outer(f, f, norm(label).inverse())
+            acc = acc + f.outer(f.scale(norm(label).inverse()))
     return acc
 
 
-def _cauchy_rhs(n, bound):
-    """V(x) V(y) times the full bilinear kernel at parameter 1, through total
-    degree bound + N(N-1)/2.  The kernel is built only through `bound`: the
-    homogeneous V(x) V(y) lifts every higher term past the truncation."""
-    dx = vandermonde(n)
-    kernel = polyalg.pi_truncated(ONE, n, n, bound)
-    return BiPoly(n, n, bound + n * (n - 1) // 2, kernel.terms).mul_split_polys(dx, dx)
+def _contingency(a, b, memo):
+    """K[a, b], the coefficient of x^a y^b in prod_{j,k} (1 - x_j y_k)^(-1):
+    the number of non-negative integer matrices with row sums a and column
+    sums b, 0 at a negative entry.  `memo` holds the counts made so far."""
+    if min(a) < 0 or min(b) < 0 or sum(a) != sum(b):
+        return 0
+    if len(a) == 1:
+        return 1
+    if (a, b) not in memo:
+        memo[a, b] = sum(_contingency(a[1:], tuple(map(operator.sub, b, row)), memo)
+                         for row in combinat.compositions(a[0], len(b)))
+    return memo[a, b]
 
 
 def _cauchy(n, bound):
-    """Antisymmetrizing the diagonal kernel over x equals _cauchy_rhs."""
-    lhs = polyalg.diagonal_kernel_truncated(n, bound + n * (n - 1) // 2).asym_x()
-    return _differ(f"N={n} D={bound}: Asym_x diagonal kernel vs V(x) V(y) Pi",
-                   lhs, _cauchy_rhs(n, bound))
+    """det[1/(1 - x_j y_k)] = V(x) V(y) prod_{j,k} (1 - x_j y_k)^(-1) with
+    V(x) = prod_{j<k} (x_j - x_k) = sum_s sgn s x^(s delta), delta the
+    staircase, through degree bound + N(N-1)/2 in x and in y.  Both sides
+    alternate in x and in y, and each term has equal degree in both, so
+    they agree iff they agree at x^(lambda + delta) y^(mu + delta) for
+    partitions |lambda| = |mu| <= bound.  There the left side,
+    sum_s sgn s prod_j (1 - x_j y_s(j))^(-1), is [lambda = mu], and the right
+    side sum_{s,t} sgn s sgn t K[lambda + delta - s delta, mu + delta - t delta]."""
+    delta = combinat.staircase(n)
+    perms = [(combinat.perm_sign(p), [delta[i] for i in p])
+             for p in itertools.permutations(range(n))]
+    memo = {}
+    for d in range(bound + 1):
+        alternants = {lam: [(sign, tuple(p + q - r for p, q, r in zip(lam, delta, sd)))
+                            for sign, sd in perms]
+                      for lam in combinat.partitions(d, n)}
+        for lam, xs in alternants.items():
+            for mu, ys in alternants.items():
+                got = sum(sx * sy * _contingency(a, b, memo) for sx, a in xs for sy, b in ys)
+                witness = _differ(f"N={n} D={bound}: lambda={lam} mu={mu}", got, int(lam == mu))
+                if witness:
+                    return witness
+    return None
 
 
 def _ct_block(family, spec, n, k):
@@ -711,7 +736,7 @@ def _controls(s):
     yield "ct-norm", _ct(*norm) is not None
     yield "ct-orthogonality", _ct(*pair) is not None
 
-    doubled = _kernel_sum("E", 2, 2).add_outer(e10, e10, ONE)  # one diagonal term twice
+    doubled = _kernel_sum("E", 2, 2) + e10.outer(e10)  # one diagonal term twice
     yield "omega", _differ("omega", polyalg.omega_truncated(2, 2), doubled) is not None
     yield "binomial", _binomial("E", Fraction(2), 2, 2, r_side=Fraction(3)) is not None
 
@@ -777,7 +802,7 @@ CHECKS = {row.name: row for row in (
           ns=(2, 4), deg=(0, 3)),
     Check("pi.decomposition", _kernels,
           lambda n, d: _differ(f"N={n} D={d}: Pi vs sum P x P / v",
-                               polyalg.pi_truncated(ALPHA, n, n, d), _kernel_sum("P", n, d)),
+                               polyalg.pi_truncated(ALPHA, n, d), _kernel_sum("P", n, d)),
           deg=(0, 3)),
     Check("pi.v-stability", _v_stability_cases, _v_stability, ns=(3, 3), deg=(0, 3)),
     Check("binomial.nonsymmetric",
@@ -786,7 +811,7 @@ CHECKS = {row.name: row for row in (
     Check("binomial.symmetric",
           lambda s: (("P", r, n, s.deg) for n in s.ns for r in s.rs),
           _binomial, deg=(0, 3), r=True),
-    Check("cauchy.double-alternant", _kernels, _cauchy, deg=(0, 3)),
+    Check("cauchy.double-alternant", _kernels, _cauchy, ns=(2, 4), deg=(0, 5)),
     Check("E.norm-orthogonality.ct", lambda s: _ct_cases(s, "E"), _ct, deg=(0, 4), k=True),
     Check("P.norm-orthogonality.ct", lambda s: _ct_cases(s, "P"), _ct, deg=(0, 4), k=True),
     Check("S.norm.ct", _S_norm_cases, _S_norm, ns=(2, 2), deg=(1, 1), needs_k=(1, 2),

@@ -331,8 +331,10 @@ class TestGolden:
     """The JSON bytes of `compute` and `expand` are part of the behaviour
     contract.  The `compute` digests were computed with the primitive-PRS
     reduction in Q(alpha), before products and sums switched to Henrici's
-    reduced forms and the gcd to GCDHEU; the `expand` digests (the truncated
-    kernels) before the polynomial operators shared one accumulation helper;
+    reduced forms and the gcd to GCDHEU; the `expand` JSON digests (the
+    truncated kernels) before the polynomial operators shared one
+    accumulation helper, and the `expand` text digests while a kernel was
+    still a two-sided container rather than one polynomial in 2N variables;
     the `verify` digest while the identity checks were still bool predicates
     in the construction modules.  Any change in canonical form, term set,
     serialization or verdict shows here."""
@@ -362,6 +364,17 @@ class TestGolden:
     ])
     def test_expand_json_digest(self, capsys, argv, digest):
         code, out = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["expand", "omega", "--N", "3", "--deg", "3"],
+         "1bd257cac44eac015df03349b574b74d71b40773cd8d64b9edff1b9ae23d7651"),
+        (["expand", "pi", "--N", "2", "--deg", "3", "--shifted", "--coeffs"],
+         "fdd476b03bece07b236e701de7f6e3049d7f53773d97703f4b43bce1774d3dc5"),
+    ])
+    def test_expand_text_digest(self, capsys, argv, digest):
+        code, out = run_cli(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 

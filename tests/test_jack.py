@@ -196,7 +196,7 @@ class TestKernels:
         from jackpoly.polyalg import omega_truncated
         acc = verify._kernel_sum("E", 2, 2)
         e10 = jack.build_E((1, 0))
-        acc = acc.add_outer(e10, e10, ONE)
+        acc = acc + e10.outer(e10)
         assert acc != omega_truncated(2, 2)
 
     def test_binomial(self):

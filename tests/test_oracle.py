@@ -1,10 +1,11 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import pytest
 
 from jackpoly import combinat as cb
-from jackpoly import jack, oracle, polyalg, scalars
+from jackpoly import jack, oracle, polyalg, scalars, verify
 from jackpoly.polyalg import MultiPoly
 from jackpoly.qalpha import ALPHA, ONE, AlphaRational, alpha_shift
 
@@ -205,7 +206,7 @@ def _P_pairing(n, bound, d):
     """The pairing matrix of the truncated Pi kernel against the P basis of
     degree d in n variables."""
     labels = sorted(cb.partitions(d, n), key=cb.dominance_key)
-    return oracle.kernel_pairing(polyalg.pi_truncated(ALPHA, n, n, bound),
+    return oracle.kernel_pairing(polyalg.pi_truncated(ALPHA, n, bound),
                                  {kappa: jack.build_P(kappa, n) for kappa in labels})
 
 
@@ -230,20 +231,29 @@ class TestSeriesExtraction:
                 label = kappa + (0,) * (n - len(kappa))
                 assert _P_pairing(n, 3, sum(kappa))[label] == {label: inverse_v}
 
+    def test_v_stability_row_pairs_consecutive_N(self):
+        # each partition is compared in N - 1 and N variables only, so a
+        # partition with N - 1 parts is never asked for in fewer variables
+        row = dataclasses.replace(verify.CHECKS["pi.v-stability"], ns=(2, 4))
+        result = row(verify.Bounds(n_max=4, deg=3))
+        assert result.status == "pass", result.witness
+        assert result.params["N"] == [2, 3, 4] and result.cases == 6 + 7
+
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             _E_pairing(2, 2, 3)
 
     def test_monomial_basis_reads_the_kernel(self):
-        # against the monomials the pairing matrix is the bidegree component
-        # itself, off-diagonal entries included
+        # against the monomials the pairing matrix is the degree-2 part of
+        # the kernel itself, off-diagonal entries included
         kernel = polyalg.omega_truncated(2, 2)
         labels = sorted(cb.compositions(2, 2), key=cb.composition_order_key)
         basis = {e: MultiPoly(2, {e: ONE}) for e in labels}
         got = oracle.kernel_pairing(kernel, basis)
         want = {}
-        for (xe, ye), c in kernel.bidegree_component(2).items():
-            want.setdefault(xe, {})[ye] = c
+        for e, c in kernel.terms.items():
+            if sum(e) == 4:
+                want.setdefault(e[:2], {})[e[2:]] = c
         assert got == want
         assert any(len(row) > 1 for row in got.values())
 

@@ -2,15 +2,15 @@
 with a witness that names the failing case and both values.
 
 Each case starts from empty construction caches, perturbs one input (a
-cached E or P, one scalar constant, or the Vandermonde factor), runs the
-row at small bounds and reads the witness.
+cached E or P, one scalar constant, or one count of the integer Cauchy
+kernel), runs the row at small bounds and reads the witness.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from jackpoly import jack, polyalg, scalars, verify
+from jackpoly import jack, scalars, verify
 from jackpoly.polyalg import MultiPoly
 from jackpoly.qalpha import ONE
 
@@ -51,13 +51,18 @@ def _scalar(name, label):
     return perturb
 
 
-def _vandermonde(monkeypatch):
-    monkeypatch.setattr(verify, "vandermonde",
-                        lambda n: verify._corrupt(polyalg.vandermonde(n)))
+def _contingency_plus_one(key):
+    """Add 1 to the integer kernel's count at one (row sums, column sums)."""
+    def perturb(monkeypatch):
+        orig = verify._contingency
+        monkeypatch.setattr(verify, "_contingency",
+                            lambda a, b, memo: orig(a, b, memo) + ((a, b) == key))
+    return perturb
 
 
 ROWS = [
     ("E.eigen-triangular", _cached_E((1, 0)), "eta=(1, 0)"),
+    ("E.value-at-ones", _cached_E((1, 0)), "eta=(1, 0)"),
     ("E.swap-action", _cached_E((1, 0)), "eta=(1, 0) i=1"),
     ("P.symmetric-eigen-dominance", _cached_P((1, 0)), "kappa=(1, 0)"),
     ("P.two-routes", _cached_P((1, 0)), "kappa=(1, 0) N=2"),
@@ -65,6 +70,7 @@ ROWS = [
     ("sym.proportionality", _cached_E((1, 0)), "eta=(1, 0)"),
     ("P.value-and-hook", _scalar("const_b", (1, 0)), "kappa=(1, 0)"),
     ("asym.proportionality", _cached_E((1, 0)), "rho=(1, 0)"),
+    ("asym.c-closed-forms", _scalar("const_d", (1, 0)), "rho=(0, 1)"),
     ("asym.du-expansion", _cached_E((1, 0)), "eta+=(0, 0) N=2"),
     ("society.identities", _scalar("const_dp", (0, 1)), "eta+=(0, 0) N=2"),
     ("norm.reconciliation", _scalar("const_d", (1, 0)), "eta+=(0, 0) N=2"),
@@ -76,9 +82,10 @@ ROWS = [
     ("pi.v-stability", _cached_P_plus_one((1, 0), (1, 0)), "kappa=(1, 0) N=2"),
     ("binomial.nonsymmetric", _cached_E((1, 0)), "N=2 r=1"),
     ("binomial.symmetric", _cached_P((1, 0)), "N=2 r=1"),
-    ("cauchy.double-alternant", _vandermonde, "N=2 D=1"),
+    ("cauchy.double-alternant", _contingency_plus_one(((0, 0), (0, 0))), "N=2 D=1"),
     ("E.norm-orthogonality.ct", _cached_E((1, 0)), "<E_(0, 1), E_(1, 0)> at k=1"),
     ("P.norm-orthogonality.ct", _cached_P((1, 0)), "P_(1, 0) k=1"),
+    ("oracle.E-linear-solve", _cached_E((1, 0)), "eta=(1, 0) alpha0=2"),
     ("oracle.P-gram-schmidt", _cached_P((1, 0)), "kappa=(1, 0) N=2 k=1"),
     # the shifted P_(0, 0) doubled doubles S too, so the two pairings still
     # agree and the norm ratio of S is the first to fail
@@ -109,6 +116,17 @@ def test_perturbed_row_names_label_and_both_values(fresh_caches, monkeypatch,
     assert witness.startswith(label + ":"), witness
     values = witness.rsplit(": ", 1)[1].split(" != ")
     assert len(values) == 2 and values[0] != values[1], witness
+
+
+# the two operator checks run polyalg on random input, with no cached value
+# to perturb, and the controls perturb their inputs themselves
+NOT_PERTURBED = {"xi.commutation", "divided-difference.multiply-back", "negative.controls"}
+
+
+def test_every_row_is_perturbed_or_exempt():
+    perturbed = {name for name, _, _ in ROWS}
+    assert not perturbed & NOT_PERTURBED
+    assert set(verify.CHECKS) == perturbed | NOT_PERTURBED
 
 
 def test_rows_pass_unperturbed(fresh_caches):
