@@ -2,16 +2,20 @@
 kernels, and run the verification suite.
 
 Exit codes: 0 success (all checks pass), 1 verification failure, 2 bad
-arguments.  The symbolic commands never take a parameter value; pass
---alpha p/q to specialize the output exactly at a rational point.  A
-negative value needs the `=` form, --alpha=-1/2, since argparse reads
--1/2 after a space as an option; a pole at the given value exits 2.
+arguments.  Each subcommand returns its text and its exit code, and `main`
+prints the text; when the reader of a pipe closes it early, the rest of
+the output is dropped and the exit code stays the one the command decided.
+The symbolic commands never take a parameter value; pass --alpha p/q to
+specialize the output exactly at a rational point.  A negative value needs
+the `=` form, --alpha=-1/2, since argparse reads -1/2 after a space as an
+option; a pole at the given value exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -125,14 +129,14 @@ def cmd_compute(args, parser):
         symbol = "x"
     try:
         if args.format == "json":
-            print(_poly_json(poly, args.alpha))
+            text = _poly_json(poly, args.alpha)
         elif args.family == "P" and args.alpha is None:
-            print(_m_basis_text(poly))
+            text = _m_basis_text(poly)
         else:
-            print(_poly_text(poly, symbol, args.alpha))
+            text = _poly_text(poly, symbol, args.alpha)
     except ZeroDivisionError as exc:  # a pole at --alpha
         parser.error(str(exc))
-    return 0
+    return text, 0
 
 
 def cmd_constants(args, parser):
@@ -164,13 +168,8 @@ def cmd_constants(args, parser):
         out = {k: (v if isinstance(v, list) else
                    (str(v) if args.alpha is not None else v.to_json()))
                for k, v in values}
-        print(_json_dumps(out))
-    else:
-        for k, v in values:
-            if isinstance(v, list):
-                continue
-            print(f"{k:>14} = {v}")
-    return 0
+        return _json_dumps(out), 0
+    return "\n".join(f"{k:>14} = {v}" for k, v in values if not isinstance(v, list)), 0
 
 
 def cmd_verify(args, parser):
@@ -190,11 +189,8 @@ def cmd_verify(args, parser):
     report = verify.run_checks(bounds, name_filter=args.filter, jobs=args.jobs)
     if not report.results:
         parser.error(f"no checks match filter {args.filter!r}")
-    if args.format == "json":
-        print(json.dumps(report.to_json(), indent=2))
-    else:
-        print(report.to_text())
-    return 0 if report.ok else 1
+    text = json.dumps(report.to_json(), indent=2) if args.format == "json" else report.to_text()
+    return text, 0 if report.ok else 1
 
 
 def _kernel_text(split) -> str:
@@ -221,11 +217,11 @@ def cmd_expand(args, parser):
     if args.kernel == "binomial":
         if args.r is None:
             parser.error("binomial expansion needs --r")
-        print(f"# expansion coefficients of prod_j (1-x_j)^(-{args.r}), degree <= {args.deg}")
-        print("# label -> alpha^|eta| [r](eta+) / (u d)")
-        for eta in combinat.compositions_upto(args.deg, n):
-            print(f"{list(eta)} -> {scalars.binomial_coeff_E(args.r, eta)}")
-        return 0
+        lines = [f"# expansion coefficients of prod_j (1-x_j)^(-{args.r}), degree <= {args.deg}",
+                 "# label -> alpha^|eta| [r](eta+) / (u d)"]
+        lines += [f"{list(eta)} -> {scalars.binomial_coeff_E(args.r, eta)}"
+                  for eta in combinat.compositions_upto(args.deg, n)]
+        return "\n".join(lines), 0
     if args.kernel == "omega":
         kernel = omega_truncated(n, args.deg)
         head = "1/u"
@@ -239,15 +235,14 @@ def cmd_expand(args, parser):
                  for kappa in combinat.partitions_upto(args.deg, n))
     split = [(e[:n], e[n:], c) for e, c in kernel.sorted_terms()]
     if args.format == "json":
-        print(_json_dumps({"Nx": n, "Ny": n, "D": args.deg, "terms": [
-            {"xexp": list(xe), "yexp": list(ye), "coeff": c.to_json()} for xe, ye, c in split]}))
-    else:
-        print(_kernel_text(split))
+        return _json_dumps({"Nx": n, "Ny": n, "D": args.deg, "terms": [
+            {"xexp": list(xe), "yexp": list(ye), "coeff": c.to_json()}
+            for xe, ye, c in split]}), 0
+    lines = [_kernel_text(split)]
     if args.coeffs:
-        print(f"# label -> {head}")
-        for label, norm in norms:
-            print(f"{list(label)} -> {norm.inverse()}")
-    return 0
+        lines.append(f"# label -> {head}")
+        lines += [f"{list(label)} -> {norm.inverse()}" for label, norm in norms]
+    return "\n".join(lines), 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -312,7 +307,15 @@ def main(argv=None) -> int:
     args, extra = build_parser().parse_known_args(argv)
     if extra:  # reported against the subcommand, with its usage line
         args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    return args.run(args, args.parser)
+    text, status = args.run(args, args.parser)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: send the unflushed rest to devnull, so that
+        # the flush at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return status
 
 
 if __name__ == "__main__":

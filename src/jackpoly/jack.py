@@ -3,19 +3,34 @@
 build_E produces the non-symmetric polynomial for a composition by peeling
 the raising map off weakly increasing indices and removing descents through
 the adjacent-transposition action; every step is division-free except for
-one field division by an eigenvalue gap.  build_P assembles the symmetric
-polynomial from the non-symmetric family, and build_S multiplies a
-parameter-shifted P by the Vandermonde factor.  Results are cached by label
-and never mutated.
+one field division by an eigenvalue gap.
+
+build_P and build_S do their Q(alpha) work only at dominant exponents and
+then write each value to the rearrangements of its exponent.  P is
+symmetric, so its coefficient at any exponent equals the one at the sorted
+exponent, a partition: build_P sums d'(kappa)/d'(eta) E_eta at partition
+exponents only.  S is the Vandermonde a_delta times a parameter-shifted P,
+so it is antisymmetric: its coefficient at lambda o pi is sgn(pi) times the
+one at lambda, and vanishes at repeated parts.  By the alternant identity
+a_delta s_nu = a_(nu+delta) (Macdonald, Symmetric Functions and Hall
+Polynomials, I.3) it is fixed by its coefficients at the strictly
+decreasing lambda = nu + delta, each an integer combination of P's
+partition coefficients.  Moving a value to a rearranged exponent is a
+relabelling, or a relabelling and a sign, so the filled polynomial equals
+the one the full sums would give, coefficient for coefficient.  Results are
+cached by label and never mutated.
 """
 
 from __future__ import annotations
 
+import collections
+import itertools
+import operator
 from fractions import Fraction
 
 from . import combinat, scalars
-from .polyalg import MultiPoly, apply_transposition, apply_phi, symmetrize, vandermonde
-from .qalpha import AlphaRational, alpha_shift
+from .polyalg import MultiPoly, apply_transposition, apply_phi, symmetrize
+from .qalpha import ZERO, AlphaRational, alpha_shift
 
 _E_CACHE: dict = {}
 _P_CACHE: dict = {}
@@ -80,23 +95,27 @@ def _padded(kappa, n: int = None) -> tuple:
 
 
 def build_P(kappa, n: int = None, shift_param: bool = False) -> MultiPoly:
-    """The monic symmetric polynomial, assembled as
+    """The monic symmetric polynomial
     d'(kappa) * sum over rearrangements eta of E_eta / d'(eta).
-    With shift_param the coefficients are carried through
-    alpha -> alpha/(alpha+1)."""
+    The sum, the scaling by d'(kappa) and, with shift_param, the
+    substitution alpha -> alpha/(alpha+1) run on partition exponents only,
+    the m-basis coordinates; `_fill` then copies each coefficient to every
+    rearrangement of its exponent, which is exact because P is symmetric."""
     kappa = _padded(kappa, n)
     key = (kappa, shift_param)
     cached = _P_CACHE.get(key)
     if cached is not None:
         return cached
-    out = MultiPoly.zero(len(kappa))
+    n = len(kappa)
+    out = MultiPoly.zero(n)
     for eta in combinat.rearrangements(kappa):
-        out = out + build_E(eta).scale(scalars.const_dp(eta).inverse())
+        dominant = {e: c for e, c in build_E(eta).terms.items() if combinat.is_partition(e)}
+        out = out + MultiPoly(n, dominant).scale(scalars.const_dp(eta).inverse())
     out = out.scale(scalars.const_dp(kappa))
     if shift_param:
         sh = alpha_shift()
         out = out.map_coeff(lambda c: c.substitute(sh))
-    _P_CACHE[key] = out
+    out = _P_CACHE[key] = _fill(n, out.terms, signed=False)
     return out
 
 
@@ -115,8 +134,18 @@ def build_P_sym_route(kappa, n: int = None) -> MultiPoly:
 # ---------------------------------------------------------------------------
 
 def build_S(rho_plus) -> MultiPoly:
-    """Vandermonde times the parameter-shifted symmetric polynomial for
-    eta+ = rho+ - staircase; monic with leading monomial z^rho+."""
+    """The Vandermonde a_delta times the parameter-shifted symmetric
+    polynomial for eta+ = rho+ - staircase; monic with leading monomial
+    z^rho+.
+
+    Only the coefficients at strictly decreasing lambda = nu + delta, nu a
+    partition of |eta+|, are computed: with P~ the shifted P,
+    c_lambda = sum_sigma sgn(sigma) P~[lambda - sigma delta]
+             = sum_mu m_(lambda mu) P~[mu],
+    where the integer m_(lambda mu) sums sgn(sigma) over the sigma with
+    sort(lambda - sigma delta) = mu, since P~ is symmetric.  `_fill` writes
+    sgn(pi) c_lambda at every lambda o pi, which is exact because S is
+    antisymmetric; no other exponent carries a term."""
     rho_plus = combinat.as_partition(rho_plus)
     n = len(rho_plus)
     if not combinat.has_distinct_parts(rho_plus):
@@ -125,5 +154,44 @@ def build_S(rho_plus) -> MultiPoly:
     eta_plus = tuple(r - d for r, d in zip(rho_plus, delta))
     if any(p < 0 for p in eta_plus):
         raise ValueError(f"{rho_plus} minus the staircase has negative parts")
-    return vandermonde(n) * build_P(eta_plus, n, shift_param=True)
+    p = build_P(eta_plus, n, shift_param=True).terms
+    # sigma delta with sgn(sigma): the terms of the Vandermonde
+    alternant = [(tuple(map(delta.__getitem__, perm)), sign) for perm, sign in _signed_perms(n)]
+    dominant = {}
+    for nu in combinat.partitions(sum(eta_plus), n):
+        lam = tuple(map(operator.add, nu, delta))
+        m = collections.Counter()
+        for d, sign in alternant:
+            diff = tuple(map(operator.sub, lam, d))
+            if min(diff) >= 0:
+                m[combinat.sort_to_partition(diff)] += sign
+        c = sum((p[mu] * k for mu, k in m.items() if k and mu in p), ZERO)
+        if c:
+            dominant[lam] = c
+    return _fill(n, dominant, signed=True)
 
+
+# ---------------------------------------------------------------------------
+# writing dominant coefficients to every rearrangement
+# ---------------------------------------------------------------------------
+
+def _signed_perms(n: int) -> list:
+    """Every permutation of range(n) as a tuple of images, with its sign.
+    Not cached: n! entries would stay in memory for the life of the process."""
+    return [(perm, combinat.perm_sign(perm)) for perm in itertools.permutations(range(n))]
+
+
+def _fill(n: int, dominant: dict, signed: bool) -> MultiPoly:
+    """The polynomial with coefficient dominant[e] at every rearrangement
+    e o pi of each key e, times sgn(pi) when `signed`.  A symmetric
+    polynomial (signed=False, keys the partition exponents) or an
+    antisymmetric one (signed=True, keys strictly decreasing) is fixed by
+    these coefficients; a value is moved, never added, and negated at most
+    once per key."""
+    perms = _signed_perms(n)
+    out = {}
+    for e, c in dominant.items():
+        neg = -c if signed else c
+        for perm, sign in perms:
+            out[tuple(map(e.__getitem__, perm))] = neg if sign < 0 else c
+    return MultiPoly(n, out)

@@ -395,12 +395,15 @@ def _P_stability(kappa, n):
 
 
 def _sym_proportional(eta):
-    """Sym E_eta is a multiple of P_(eta+); its existence is asserted, no
-    closed form is claimed."""
+    """Sym E_eta is a multiple c of P_(eta+).  No closed form for c is
+    claimed beyond the one evaluation at 1^N forces:
+    c P(1^N) = N! E_eta(1^N), with both values in their closed forms."""
     kappa = combinat.sort_to_partition(eta)
-    _, witness = _multiple(f"eta={eta}: Sym E vs c P", symmetrize(jack.build_E(eta)),
+    c, witness = _multiple(f"eta={eta}: Sym E vs c P", symmetrize(jack.build_E(eta)),
                            jack.build_P(kappa, len(eta)))
-    return witness
+    return witness or _differ(f"eta={eta}: c P(1^N) vs N! E(1^N)",
+                              c * scalars.eval_P_at_ones(kappa),
+                              scalars.eval_E_at_ones(eta) * math.factorial(len(eta)))
 
 
 def _hook_cases(s):

@@ -259,6 +259,29 @@ def test_module_entry_point():
     assert proc.stdout.strip() == "z2"
 
 
+@pytest.mark.parametrize("argv", [
+    ["compute", "E", "2,1,0"],
+    ["verify", "--filter", "cauchy", "--N", "2", "--deg", "1"],
+])
+def test_closed_pipe_exits_quietly(argv):
+    """A reader that closes its end of the pipe before the first write
+    leaves no traceback, and the exit code is the command's own."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+    env = dict(os.environ)
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.Popen([sys.executable, "-m", "jackpoly", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0
+    assert "Traceback" not in err and "Error" not in err, err
+
+
 class TestExpand:
     def test_omega_with_coeffs(self, capsys):
         code, out = run_cli(capsys, "expand", "omega", "--N", "2", "--deg", "1",
@@ -350,6 +373,11 @@ class TestGolden:
          "5306f4a3981b1554fcc0ac54a301c635946050293a676ea2611631312034ef56"),
         ("S", "3,1,0",
          "e244c503b06e76d6fb6b392aa52e0e95a912ec1e07f8fdb58a5204685700ccbe"),
+        # N = 5, computed while P and S were still full sums and products
+        ("P", "3,2,1,1,0",
+         "8c78832141a77b3e9f680f4ceca467c01d8c93670b42fb41ce11f9b7c04c2101"),
+        ("S", "8,4,2,1,0",
+         "0023fee8b79675e1766472177eabe9b3623b0ce961e88311e396220a9126f84c"),
     ])
     def test_compute_json_digest(self, capsys, family, label, digest):
         code, out = run_cli(capsys, "compute", family, label, "--format", "json")

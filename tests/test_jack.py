@@ -5,8 +5,8 @@ import pytest
 from jackpoly import combinat as cb
 from jackpoly import jack, scalars, verify
 from jackpoly.polyalg import (MultiPoly, antisymmetrize, exact_scalar_ratio,
-                              symmetrize)
-from jackpoly.qalpha import ALPHA, ONE, AlphaRational
+                              symmetrize, vandermonde)
+from jackpoly.qalpha import ALPHA, ONE, AlphaRational, alpha_shift
 
 A = ALPHA
 
@@ -145,6 +145,68 @@ class TestBuildS:
             jack.build_S((1, 1))
         with pytest.raises(ValueError):
             jack.build_S((1, 0, 0))
+
+
+def _reference_P(kappa, shift_param=False):
+    """d'(kappa) * sum over rearrangements eta of E_eta / d'(eta), summed
+    over every monomial; with shift_param, then substituted
+    alpha -> alpha/(alpha+1)."""
+    acc = MultiPoly.zero(len(kappa))
+    for eta in cb.rearrangements(kappa):
+        acc = acc + jack.build_E(eta).scale(scalars.const_dp(eta).inverse())
+    acc = acc.scale(scalars.const_dp(kappa))
+    if shift_param:
+        acc = acc.map_coeff(lambda c: c.substitute(alpha_shift()))
+    return acc
+
+
+def _reference_S(rho_plus):
+    n = len(rho_plus)
+    eta_plus = tuple(r - d for r, d in zip(rho_plus, cb.staircase(n)))
+    return vandermonde(n) * _reference_P(eta_plus, shift_param=True)
+
+
+class TestDominantFill:
+    """build_P and build_S compute only dominant coefficients and fill the
+    rest by permutation; they must equal the full sums they replace."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_P_equals_full_sum(self, n):
+        for kappa in cb.partitions_upto(5, n):
+            for shift_param in (False, True):
+                assert jack.build_P(kappa, n, shift_param) == _reference_P(kappa, shift_param)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_S_equals_vandermonde_times_shifted_P(self, n):
+        delta = cb.staircase(n)
+        for ep in cb.partitions_upto(4, n):
+            rho_plus = tuple(p + d for p, d in zip(ep, delta))
+            assert jack.build_S(rho_plus) == _reference_S(rho_plus)
+
+    def test_five_variables(self):
+        kappa = (4, 1, 1, 1, 0)
+        assert jack.build_P(kappa, 5) == _reference_P(kappa)
+        rho_plus = (7, 3, 2, 1, 0)
+        assert jack.build_S(rho_plus) == _reference_S(rho_plus)
+
+    def test_broken_fills_are_detected(self, monkeypatch):
+        monkeypatch.setattr(jack, "_E_CACHE", {})
+        monkeypatch.setattr(jack, "_P_CACHE", {})
+        # S with its permutation signs dropped is symmetric, not a multiple
+        # of the antisymmetrized E
+        s = jack.build_S((3, 1, 0))
+        dominant = {e: c for e, c in s.terms.items() if cb.has_distinct_parts(e)
+                    and cb.is_partition(e)}
+        unsigned = jack._fill(3, dominant, signed=False)
+        monkeypatch.setattr(jack, "build_S", lambda rho_plus: unsigned)
+        witness = verify._asym((1, 0, 3))
+        assert witness is not None and witness.startswith("rho=(1, 0, 3): Asym E vs c S")
+        # a P fill without the reversal misses z^(0, 1, 2), which only that
+        # permutation reaches from (2, 1, 0)
+        full = jack._signed_perms
+        monkeypatch.setattr(jack, "_signed_perms", lambda n: full(n)[:-1])
+        witness = verify._two_routes((2, 1, 0), 3)
+        assert witness == "kappa=(2, 1, 0) N=3: P vs Sym E / stab: at (0, 1, 2): 0 != 1"
 
 
 class TestAsym:
