@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import combinat, jack, scalars, verify
 from .polyalg import MultiPoly, monomial_text, omega_truncated, pi_truncated
-from .qalpha import ALPHA, alpha_shift, format_alpha
+from .qalpha import alpha_shift, format_alpha
 
 
 def _parse_parts(text: str, parser, n=None):
@@ -211,6 +211,8 @@ def cmd_expand(args, parser):
         parser.error("--r applies to the binomial table only")
     if args.format == "json" and args.kernel == "binomial":
         parser.error("the binomial table is text only; drop --format json")
+    if args.coeffs and args.kernel == "binomial":
+        parser.error("the binomial table is its coefficients; drop --coeffs")
     if args.format == "json" and args.coeffs:
         parser.error("--coeffs prints text lines; it cannot be combined with --format json")
     n = args.N
@@ -228,10 +230,11 @@ def cmd_expand(args, parser):
         norms = ((eta, scalars.u_eta(eta))
                  for eta in combinat.compositions_upto(args.deg, n))
     else:
-        param = alpha_shift() if args.shifted else ALPHA
-        kernel = pi_truncated(param, n, args.deg)
+        sh = alpha_shift()
+        at = (lambda c: c.substitute(sh)) if args.shifted else (lambda c: c)
+        kernel = pi_truncated(n, args.deg).map_coeff(at)
         head = "1/v"
-        norms = ((kappa, scalars.v_kappa(kappa).substitute(param))
+        norms = ((kappa, at(scalars.v_kappa(kappa)))
                  for kappa in combinat.partitions_upto(args.deg, n))
     split = [(e[:n], e[n:], c) for e, c in kernel.sorted_terms()]
     if args.format == "json":

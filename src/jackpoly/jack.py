@@ -9,16 +9,17 @@ build_P and build_S do their Q(alpha) work only at dominant exponents and
 then write each value to the rearrangements of its exponent.  P is
 symmetric, so its coefficient at any exponent equals the one at the sorted
 exponent, a partition: build_P sums d'(kappa)/d'(eta) E_eta at partition
-exponents only.  S is the Vandermonde a_delta times a parameter-shifted P,
-so it is antisymmetric: its coefficient at lambda o pi is sgn(pi) times the
-one at lambda, and vanishes at repeated parts.  By the alternant identity
+exponents only.  S is the Vandermonde a_delta times P with its
+coefficients carried through alpha -> alpha/(alpha+1), so it is
+antisymmetric: its coefficient at lambda o pi is sgn(pi) times the one at
+lambda, and vanishes at repeated parts.  By the alternant identity
 a_delta s_nu = a_(nu+delta) (Macdonald, Symmetric Functions and Hall
 Polynomials, I.3) it is fixed by its coefficients at the strictly
-decreasing lambda = nu + delta, each an integer combination of P's
-partition coefficients.  Moving a value to a rearranged exponent is a
-relabelling, or a relabelling and a sign, so the filled polynomial equals
-the one the full sums would give, coefficient for coefficient.  Results are
-cached by label and never mutated.
+decreasing lambda = nu + delta, each an integer combination of the
+partition coefficients of the cached P at alpha, substituted once.  Moving
+a value to a rearranged exponent is a relabelling, or a relabelling and a
+sign, so the filled polynomial equals the one the full sums would give,
+coefficient for coefficient.  Results are cached by label and never mutated.
 """
 
 from __future__ import annotations
@@ -94,16 +95,14 @@ def _padded(kappa, n: int = None) -> tuple:
     return kappa[:n] + (0,) * (n - len(kappa))
 
 
-def build_P(kappa, n: int = None, shift_param: bool = False) -> MultiPoly:
+def build_P(kappa, n: int = None) -> MultiPoly:
     """The monic symmetric polynomial
     d'(kappa) * sum over rearrangements eta of E_eta / d'(eta).
-    The sum, the scaling by d'(kappa) and, with shift_param, the
-    substitution alpha -> alpha/(alpha+1) run on partition exponents only,
+    The sum and the scaling by d'(kappa) run on partition exponents only,
     the m-basis coordinates; `_fill` then copies each coefficient to every
     rearrangement of its exponent, which is exact because P is symmetric."""
     kappa = _padded(kappa, n)
-    key = (kappa, shift_param)
-    cached = _P_CACHE.get(key)
+    cached = _P_CACHE.get(kappa)
     if cached is not None:
         return cached
     n = len(kappa)
@@ -112,10 +111,7 @@ def build_P(kappa, n: int = None, shift_param: bool = False) -> MultiPoly:
         dominant = {e: c for e, c in build_E(eta).terms.items() if combinat.is_partition(e)}
         out = out + MultiPoly(n, dominant).scale(scalars.const_dp(eta).inverse())
     out = out.scale(scalars.const_dp(kappa))
-    if shift_param:
-        sh = alpha_shift()
-        out = out.map_coeff(lambda c: c.substitute(sh))
-    out = _P_CACHE[key] = _fill(n, out.terms, signed=False)
+    out = _P_CACHE[kappa] = _fill(n, out.terms, signed=False)
     return out
 
 
@@ -134,16 +130,18 @@ def build_P_sym_route(kappa, n: int = None) -> MultiPoly:
 # ---------------------------------------------------------------------------
 
 def build_S(rho_plus) -> MultiPoly:
-    """The Vandermonde a_delta times the parameter-shifted symmetric
-    polynomial for eta+ = rho+ - staircase; monic with leading monomial
+    """The Vandermonde a_delta times the symmetric polynomial for
+    eta+ = rho+ - staircase at alpha/(alpha+1); monic with leading monomial
     z^rho+.
 
     Only the coefficients at strictly decreasing lambda = nu + delta, nu a
-    partition of |eta+|, are computed: with P~ the shifted P,
-    c_lambda = sum_sigma sgn(sigma) P~[lambda - sigma delta]
-             = sum_mu m_(lambda mu) P~[mu],
+    partition of |eta+|, are computed: with P the cached P at alpha,
+    c_lambda = sum_sigma sgn(sigma) P[lambda - sigma delta]
+             = sum_mu m_(lambda mu) P[mu],
     where the integer m_(lambda mu) sums sgn(sigma) over the sigma with
-    sort(lambda - sigma delta) = mu, since P~ is symmetric.  `_fill` writes
+    sort(lambda - sigma delta) = mu, since P is symmetric.  c_lambda is then
+    substituted alpha -> alpha/(alpha+1), which commutes with the integer
+    combination because substitution is a ring homomorphism.  `_fill` writes
     sgn(pi) c_lambda at every lambda o pi, which is exact because S is
     antisymmetric; no other exponent carries a term."""
     rho_plus = combinat.as_partition(rho_plus)
@@ -154,7 +152,8 @@ def build_S(rho_plus) -> MultiPoly:
     eta_plus = tuple(r - d for r, d in zip(rho_plus, delta))
     if any(p < 0 for p in eta_plus):
         raise ValueError(f"{rho_plus} minus the staircase has negative parts")
-    p = build_P(eta_plus, n, shift_param=True).terms
+    p = build_P(eta_plus, n).terms
+    sh = alpha_shift()
     # sigma delta with sgn(sigma): the terms of the Vandermonde
     alternant = [(tuple(map(delta.__getitem__, perm)), sign) for perm, sign in _signed_perms(n)]
     dominant = {}
@@ -167,7 +166,7 @@ def build_S(rho_plus) -> MultiPoly:
                 m[combinat.sort_to_partition(diff)] += sign
         c = sum((p[mu] * k for mu, k in m.items() if k and mu in p), ZERO)
         if c:
-            dominant[lam] = c
+            dominant[lam] = c.substitute(sh)
     return _fill(n, dominant, signed=True)
 
 

@@ -40,14 +40,6 @@ def monomial_text(exps, symbol: str) -> str:
                     for i, k in enumerate(exps) if k)
 
 
-def _coerce_scalar(c):
-    if isinstance(c, AlphaRational):
-        return c
-    if isinstance(c, (int, Fraction)):
-        return AlphaRational.from_fraction(c)
-    return None
-
-
 class MultiPoly:
     """Sparse polynomial in z_1..z_N with Q(alpha) coefficients."""
 
@@ -110,16 +102,11 @@ class MultiPoly:
     def __mul__(self, other):
         if isinstance(other, MultiPoly):
             return self.mul_truncated(other, math.inf)
-        c = _coerce_scalar(other)
-        if c is None:
-            return NotImplemented
-        return self.scale(c)
+        if isinstance(other, (int, Fraction, AlphaRational)):
+            return self.scale(other)
+        return NotImplemented
 
-    def __rmul__(self, other):
-        c = _coerce_scalar(other)
-        if c is None:
-            return NotImplemented
-        return self.scale(c)
+    __rmul__ = __mul__
 
     def mul_truncated(self, other, degree):
         """The product without its terms of total degree above `degree`."""
@@ -431,7 +418,6 @@ def binomial_series(c, degree: int) -> list:
     """Coefficients of (1-t)^(-c) through t^degree: c(c+1)...(c+n-1)/n!."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    c = _coerce_scalar(c)
     out = [ONE]
     cur = ONE
     for n in range(1, degree + 1):
@@ -447,14 +433,13 @@ def power_series(nvars: int, positions, coeffs) -> MultiPoly:
                              for m, c in enumerate(coeffs)})
 
 
-def pi_truncated(param, n: int, bound: int) -> MultiPoly:
-    """Truncation of prod_{j,k} (1 - x_j y_k)^(-1/param) to degree <= bound
+def pi_truncated(n: int, bound: int) -> MultiPoly:
+    """Truncation of prod_{j,k} (1 - x_j y_k)^(-1/alpha) to degree <= bound
     in x and in y, held in x_1..x_n, y_1..y_n: every term has equal degree
-    in x and in y, so that is total degree <= 2 bound.  param may be any
-    invertible element of Q(alpha), e.g. alpha or alpha/(alpha+1)."""
+    in x and in y, so that is total degree <= 2 bound."""
     if bound < 0:
         raise ValueError("truncation bound must be >= 0")
-    series = binomial_series(_coerce_scalar(param).inverse(), bound)
+    series = binomial_series(ALPHA.inverse(), bound)
     out = MultiPoly.one(2 * n)
     for j in range(n):
         for k in range(n):
@@ -466,7 +451,7 @@ def omega_truncated(n: int, bound: int) -> MultiPoly:
     """Truncation of prod_j (1 - x_j y_j)^(-1) prod_{j,k} (1 - x_j y_k)^(-1/alpha),
     held as pi_truncated holds its kernel."""
     geo = [ONE] * (bound + 1)
-    out = pi_truncated(ALPHA, n, bound)
+    out = pi_truncated(n, bound)
     for j in range(n):
         out = out.mul_truncated(power_series(2 * n, (j, n + j), geo), 2 * bound)
     return out

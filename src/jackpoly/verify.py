@@ -535,7 +535,7 @@ def _v_stability_cases(s):
     counts and each partition up to deg with at most N - 1 parts: one
     truncated kernel per N, and per degree one pairing matrix C against its
     P basis."""
-    kernels = {n: polyalg.pi_truncated(ALPHA, n, s.deg) for n in s.ns}
+    kernels = {n: polyalg.pi_truncated(n, s.deg) for n in s.ns}
     for d in range(s.deg + 1):
         pairings = {n: oracle.kernel_pairing(kernel, _basis("P", n, d))
                     for n, kernel in kernels.items()}
@@ -687,7 +687,8 @@ def _S_norm(ep, rho_plus):
         target = (math.factorial(n) * scalars.staircase_norm_ratio(n)).eval_at(1)
         return _differ("weight bridge", bridge, target)
     s_spec = jack.build_S(rho_plus).specialize(Fraction(1))
-    p_spec = jack.build_P(ep, n, shift_param=True).specialize(Fraction(1))
+    # P at alpha/(alpha+1), taken at alpha = 1, is P at alpha = 1/2
+    p_spec = jack.build_P(ep, n).specialize(Fraction(1, 2))
     return (_differ(f"eta+={ep}: <S,S> vs <P,P>", oracle.ct_inner_product(s_spec, s_spec, n, 1),
                     oracle.ct_inner_product(p_spec, p_spec, n, 2))
             or _differ(f"eta+={ep}: white ratio", oracle.ct_norm_ratio(s_spec, n, 1),
@@ -805,7 +806,7 @@ CHECKS = {row.name: row for row in (
           ns=(2, 4), deg=(0, 3)),
     Check("pi.decomposition", _kernels,
           lambda n, d: _differ(f"N={n} D={d}: Pi vs sum P x P / v",
-                               polyalg.pi_truncated(ALPHA, n, d), _kernel_sum("P", n, d)),
+                               polyalg.pi_truncated(n, d), _kernel_sum("P", n, d)),
           deg=(0, 3)),
     Check("pi.v-stability", _v_stability_cases, _v_stability, ns=(3, 3), deg=(0, 3)),
     Check("binomial.nonsymmetric",
@@ -851,7 +852,7 @@ def run_checks(bounds: Bounds = None, name_filter: str = None, jobs: int = 1) ->
     work = [(k, bounds) for k in keys]
     if jobs > 1 and len(work) > 1:
         import concurrent.futures
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
             results = list(pool.map(_run_one, work))
     else:
         results = [_run_one(w) for w in work]

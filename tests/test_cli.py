@@ -221,6 +221,31 @@ class TestVerify:
         assert code == 0
         assert out.count("PASS") == 2
 
+    def test_workers_capped_at_check_count(self, capsys, monkeypatch):
+        # a fake pool records the requested size and maps in this process,
+        # so no worker is started at the large value
+        import concurrent.futures
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        code, out = run_cli(capsys, "verify", "--filter", "binomial",
+                            "--N", "2", "--deg", "2", "--jobs", "500")
+        assert code == 0 and out.count("PASS") == 2
+        assert sizes == [2]
+
     def test_failing_check_exits_1_with_witness(self, capsys, monkeypatch):
         from jackpoly import verify
 
@@ -329,11 +354,13 @@ class TestExpand:
         (["binomial", "--r", "1", "--shifted"], "--shifted"),
         (["omega", "--r", "1"], "--r"),
         (["pi", "--r", "1"], "--r"),
+        (["binomial", "--r", "1", "--coeffs"], "--coeffs"),
     ], ids=["omega-coeffs-json", "pi-coeffs-json", "binomial-json",
-            "omega-shifted", "binomial-shifted", "omega-r", "pi-r"])
+            "omega-shifted", "binomial-shifted", "omega-r", "pi-r", "binomial-coeffs"])
     def test_unsupported_combination_exits_2(self, capsys, argv, message):
         # each would otherwise exit 0 with output that ignores the request:
-        # text after the JSON document, a text table, or an unshifted kernel
+        # text after the JSON document, a text table, an unshifted kernel,
+        # or the same table with and without --coeffs
         with pytest.raises(SystemExit) as exc:
             cli.main(["expand", *argv, "--N", "2", "--deg", "1"])
         assert exc.value.code == 2

@@ -96,9 +96,10 @@ class TestBuildP:
             assert verify._P_stability(kappa, 3) is None
 
     def test_shifted_parameter(self):
-        p = jack.build_P((2, 0), 2, shift_param=True)
+        p = jack.build_P((2, 0), 2)
         # coefficient 2/(a+1) becomes 2(a+1)/(2a+1) under a -> a/(a+1)
-        assert p.terms[(1, 1)] == (2 * A + 2) / (2 * A + 1)
+        assert p.terms[(1, 1)] == 2 / (A + 1)
+        assert p.terms[(1, 1)].substitute(alpha_shift()) == (2 * A + 2) / (2 * A + 1)
 
     def test_expansion_coefficients_are_dp_ratios(self):
         for n in (2, 3):
@@ -140,6 +141,25 @@ class TestBuildS:
             for i in range(1, n):
                 assert apply_transposition(s, i, i + 1) == -s
 
+    def test_reads_the_cached_P(self, monkeypatch):
+        # S substitutes the coefficients of the P at alpha that build_P
+        # cached, so it builds no E and caches no second P
+        def no_E(eta):
+            raise AssertionError(f"build_S built E_{eta}")
+
+        monkeypatch.setattr(jack, "_E_CACHE", {})
+        monkeypatch.setattr(jack, "_P_CACHE", {})
+        for rho_plus in [(3, 1, 0), (4, 2, 0), (5, 1, 0), (5, 3, 1, 0)]:
+            n = len(rho_plus)
+            eta_plus = tuple(r - d for r, d in zip(rho_plus, cb.staircase(n)))
+            jack.build_P(eta_plus, n)
+            cached = dict(jack._P_CACHE)
+            with monkeypatch.context() as m:
+                m.setattr(jack, "build_E", no_E)
+                s = jack.build_S(rho_plus)
+            assert jack._P_CACHE == cached
+            assert s == _reference_S(rho_plus)
+
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):
             jack.build_S((1, 1))
@@ -147,23 +167,22 @@ class TestBuildS:
             jack.build_S((1, 0, 0))
 
 
-def _reference_P(kappa, shift_param=False):
+def _reference_P(kappa):
     """d'(kappa) * sum over rearrangements eta of E_eta / d'(eta), summed
-    over every monomial; with shift_param, then substituted
-    alpha -> alpha/(alpha+1)."""
+    over every monomial."""
     acc = MultiPoly.zero(len(kappa))
     for eta in cb.rearrangements(kappa):
         acc = acc + jack.build_E(eta).scale(scalars.const_dp(eta).inverse())
-    acc = acc.scale(scalars.const_dp(kappa))
-    if shift_param:
-        acc = acc.map_coeff(lambda c: c.substitute(alpha_shift()))
-    return acc
+    return acc.scale(scalars.const_dp(kappa))
 
 
 def _reference_S(rho_plus):
+    """The Vandermonde times the full-sum P with every coefficient
+    substituted alpha -> alpha/(alpha+1)."""
     n = len(rho_plus)
     eta_plus = tuple(r - d for r, d in zip(rho_plus, cb.staircase(n)))
-    return vandermonde(n) * _reference_P(eta_plus, shift_param=True)
+    shifted = _reference_P(eta_plus).map_coeff(lambda c: c.substitute(alpha_shift()))
+    return vandermonde(n) * shifted
 
 
 class TestDominantFill:
@@ -173,8 +192,7 @@ class TestDominantFill:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_P_equals_full_sum(self, n):
         for kappa in cb.partitions_upto(5, n):
-            for shift_param in (False, True):
-                assert jack.build_P(kappa, n, shift_param) == _reference_P(kappa, shift_param)
+            assert jack.build_P(kappa, n) == _reference_P(kappa)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_S_equals_vandermonde_times_shifted_P(self, n):

@@ -7,7 +7,7 @@ import pytest
 from jackpoly import combinat as cb
 from jackpoly import jack, oracle, polyalg, scalars, verify
 from jackpoly.polyalg import MultiPoly
-from jackpoly.qalpha import ALPHA, ONE, AlphaRational, alpha_shift
+from jackpoly.qalpha import ONE, AlphaRational, alpha_shift
 
 F = Fraction
 
@@ -206,7 +206,7 @@ def _P_pairing(n, bound, d):
     """The pairing matrix of the truncated Pi kernel against the P basis of
     degree d in n variables."""
     labels = sorted(cb.partitions(d, n), key=cb.dominance_key)
-    return oracle.kernel_pairing(polyalg.pi_truncated(ALPHA, n, bound),
+    return oracle.kernel_pairing(polyalg.pi_truncated(n, bound),
                                  {kappa: jack.build_P(kappa, n) for kappa in labels})
 
 
@@ -278,7 +278,8 @@ class TestAntisymmetricNorms:
         for ep in [(0, 0), (1, 0)]:
             rho_plus = tuple(p + d for p, d in zip(ep, cb.staircase(n)))
             s_spec = jack.build_S(rho_plus).specialize(F(1))
-            p_spec = jack.build_P(ep, n, shift_param=True).specialize(F(1))
+            shifted = jack.build_P(ep, n).map_coeff(lambda c: c.substitute(sh))
+            p_spec = shifted.specialize(F(1))
             assert (oracle.ct_inner_product(s_spec, s_spec, n, 1)
                     == oracle.ct_inner_product(p_spec, p_spec, n, 2))
             rho_r = cb.reverse_partition(rho_plus)

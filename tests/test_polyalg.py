@@ -5,7 +5,7 @@ import pytest
 
 from jackpoly import polyalg as pa
 from jackpoly import verify
-from jackpoly.qalpha import ALPHA, ONE, AlphaRational
+from jackpoly.qalpha import ALPHA, ONE, AlphaRational, alpha_shift
 
 A = ALPHA
 MP = pa.MultiPoly
@@ -35,6 +35,19 @@ class TestRing:
 
     def test_scalar(self):
         assert _z(1, 2).scale(A) == MP(2, {(1, 0): A})
+
+    def test_scalar_operand_types(self):
+        f = _z(1, 2).scale(A) + _z(2, 2) * 3
+        want = MP(2, {e: c * Fraction(3, 2) for e, c in f.terms.items()})
+        for c in (Fraction(3, 2), AlphaRational.from_fraction(Fraction(3, 2))):
+            assert f * c == want and c * f == want
+        assert f * 2 == 2 * f == f + f
+        assert f * 0 == 0 * f == MP.zero(2)
+        for bad in (0.5, "2"):
+            with pytest.raises(TypeError):
+                f * bad
+            with pytest.raises(TypeError):
+                bad * f
 
     def test_ambient_mismatch(self):
         with pytest.raises(ValueError):
@@ -189,10 +202,25 @@ class TestSeries:
             (1, 0, 0, 1): 1 / A, (0, 1, 0, 1): (A + 1) / A}
 
     def test_pi_degree_one(self):
-        pi = pa.pi_truncated(A, 2, 1)
+        pi = pa.pi_truncated(2, 1)
         for xe in ((1, 0), (0, 1)):
             for ye in ((1, 0), (0, 1)):
                 assert pi.terms[xe + ye] == 1 / A
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_shifted_pi_is_substituted_pi(self, n):
+        # reference: the product of the (1 - x_j y_k)^(-(alpha+1)/alpha)
+        # series, built at the parameter alpha/(alpha+1) directly
+        sh = alpha_shift()
+        for bound in range(4):
+            series = pa.binomial_series(sh.inverse(), bound)
+            ref = MP.one(2 * n)
+            for j in range(n):
+                for k in range(n):
+                    factor = pa.power_series(2 * n, (j, n + k), series)
+                    ref = ref.mul_truncated(factor, 2 * bound)
+            got = pa.pi_truncated(n, bound).map_coeff(lambda c: c.substitute(sh))
+            assert got == ref
 
     def test_cauchy_double_alternant(self):
         assert verify._cauchy(2, 3) is None

@@ -23,10 +23,9 @@ def _cached_E(eta):
     return perturb
 
 
-def _cached_P(kappa, shift_param=False):
+def _cached_P(kappa):
     def perturb(monkeypatch):
-        monkeypatch.setitem(jack._P_CACHE, (kappa, shift_param),
-                            verify._corrupt(jack.build_P(kappa, shift_param=shift_param)))
+        monkeypatch.setitem(jack._P_CACHE, kappa, verify._corrupt(jack.build_P(kappa)))
     return perturb
 
 
@@ -34,7 +33,7 @@ def _cached_P_plus_one(kappa, e):
     """Add 1 at the monomial e of the cached P for the padded kappa."""
     def perturb(monkeypatch):
         p = jack.build_P(kappa)
-        monkeypatch.setitem(jack._P_CACHE, (kappa, False), p + MultiPoly(p.nvars, {e: ONE}))
+        monkeypatch.setitem(jack._P_CACHE, kappa, p + MultiPoly(p.nvars, {e: ONE}))
     return perturb
 
 
@@ -87,9 +86,9 @@ ROWS = [
     ("P.norm-orthogonality.ct", _cached_P((1, 0)), "P_(1, 0) k=1"),
     ("oracle.E-linear-solve", _cached_E((1, 0)), "eta=(1, 0) alpha0=2"),
     ("oracle.P-gram-schmidt", _cached_P((1, 0)), "kappa=(1, 0) N=2 k=1"),
-    # the shifted P_(0, 0) doubled doubles S too, so the two pairings still
-    # agree and the norm ratio of S is the first to fail
-    ("S.norm.ct", _cached_P((0, 0), shift_param=True), "eta+=(0, 0): white ratio"),
+    # P_(0, 0) doubled doubles S, which reads it, too, so the two pairings
+    # still agree and the norm ratio of S is the first to fail
+    ("S.norm.ct", _cached_P((0, 0)), "eta+=(0, 0): white ratio"),
 ]
 
 
