@@ -5,10 +5,11 @@ exponent tuples (negative exponents allowed for the torus weight), the last
 over the coefficients of whatever kernel and basis it is handed:
 
 * the torus inner product at integer inverse parameter, realized as a
-  Laurent constant term against the fully expanded weight; ct_pairing
-  pairs two labelled families at once, reading each polynomial of the
-  first once into its dual vector so that every pairing is a dot product,
-  and ct_inner_product is its 1 x 1 case;
+  Laurent constant term against the fully expanded weight, whose
+  coefficients are ints; ct_pairing pairs two labelled families at once.
+  It clears each polynomial's denominators once and reads each polynomial
+  of the first family once into its int dual vector, so every pairing is
+  an int dot product and one division; ct_inner_product is its 1 x 1 case;
 * a linear-algebra construction of the non-symmetric polynomials at a
   specialized rational parameter: back-substitution along the triangular
   ansatz, then an exact residual check of every eigen-equation;
@@ -23,6 +24,7 @@ over the coefficients of whatever kernel and basis it is handed:
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from fractions import Fraction
 
@@ -72,35 +74,51 @@ _WEIGHT_CACHE: dict = {}
 
 
 def weight_expand(n: int, k: int) -> dict:
-    """Fully expanded prod_{j != l} (1 - z_j/z_l)^k as a Laurent dict."""
+    """Fully expanded prod_{j != l} (1 - z_j/z_l)^k as a Laurent dict with
+    int coefficients, built one pair j < l at a time from
+    (1 - t)^k (1 - 1/t)^k = sum_{m=0}^{2k} (-1)^(k+m) C(2k, m) t^(m-k),
+    t = z_j/z_l."""
     if k < 1:
         raise ValueError("the weight exponent k must be a positive integer")
     cached = _WEIGHT_CACHE.get((n, k))
     if cached is not None:
         return cached
-    out = {(0,) * n: Fraction(1)}
-    for j in range(n):
-        for l in range(n):
-            if j == l:
-                continue
+    out = {(0,) * n: 1}
+    for j, l in itertools.combinations(range(n), 2):
+        factor = {}
+        for m in range(2 * k + 1):
             e = [0] * n
-            e[j], e[l] = 1, -1
-            factor = {(0,) * n: Fraction(1), tuple(e): Fraction(-1)}
-            for _ in range(k):
-                out = qp_mul(out, factor)
+            e[j], e[l] = m - k, k - m
+            factor[tuple(e)] = (-1) ** (k + m) * math.comb(2 * k, m)
+        out = qp_mul(out, factor)
     _WEIGHT_CACHE[(n, k)] = out
     return out
 
 
+def _integral(f: dict, n: int):
+    """(D, {mu: D f_mu}) with D the lcm of the denominators of f, so that
+    every scaled coefficient is an int; raises when an exponent does not
+    have n entries."""
+    for mu in f:
+        if len(mu) != n:
+            raise ValueError(f"exponent {mu} has {len(mu)} entries, not n = {n}")
+    d = math.lcm(*(c.denominator for c in f.values()))
+    return d, {mu: c.numerator * (d // c.denominator) for mu, c in f.items()}
+
+
 def ct_pairing(fs: dict, gs: dict, n: int, k: int) -> dict:
     """{a: {b: <f_a, g_b>}} for two labelled families of polynomials, where
-    <f, g> is the constant term of f(1/z) g(z) w(z).  Each f_a is read once
-    into its dual vector F_nu = sum_mu f_mu w_(mu - nu) on the monomials nu
-    of the g's, so every pairing is the dot product sum_nu F_nu g_nu."""
+    <f, g> is the constant term of f(1/z) g(z) w(z).  Each polynomial is
+    scaled once to int coefficients by the lcm D of its denominators, and
+    each f_a is read once into its int dual vector
+    F_nu = sum_mu D_a f_mu w_(mu - nu) on the monomials nu of the g's, so
+    every pairing is an int dot product and one Fraction(dot, D_a D_b)."""
     w = weight_expand(n, k)
-    support = set().union(*gs.values())
+    gs = {b: _integral(g, n) for b, g in gs.items()}
+    support = set().union(*(g for _, g in gs.values()))
     out = {}
     for a, f in fs.items():
+        d_f, f = _integral(f, n)
         dual = {}
         for nu in support:
             acc = 0
@@ -110,8 +128,8 @@ def ct_pairing(fs: dict, gs: dict, n: int, k: int) -> dict:
                     acc += c * cw
             if acc:
                 dual[nu] = acc
-        out[a] = {b: sum((dual[nu] * c for nu, c in g.items() if nu in dual), Fraction(0))
-                  for b, g in gs.items()}
+        out[a] = {b: Fraction(sum(dual[nu] * c for nu, c in g.items() if nu in dual), d_f * d_g)
+                  for b, (d_g, g) in gs.items()}
     return out
 
 
@@ -123,9 +141,9 @@ def ct_inner_product(f: dict, g: dict, n: int, k: int) -> Fraction:
 
 
 def ct_norm_ratio(f: dict, n: int, k: int) -> Fraction:
-    """<f, f> / <1, 1> under the constant-term realization."""
-    one = {(0,) * n: Fraction(1)}
-    return ct_inner_product(f, f, n, k) / ct_inner_product(one, one, n, k)
+    """<f, f> / <1, 1> under the constant-term realization; <1, 1> is the
+    constant term of the weight, (nk)!/(k!)^n by Dyson's identity."""
+    return ct_inner_product(f, f, n, k) / weight_expand(n, k)[(0,) * n]
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,34 @@ class TestWeight:
         with pytest.raises(ValueError):
             oracle.weight_expand(2, 0)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_equals_the_product_of_its_definition(self, n, k):
+        # prod_{j != l} (1 - z_j/z_l)^k as 2 C(n, 2) k two-term products
+        want = {(0,) * n: 1}
+        for j in range(n):
+            for l in range(n):
+                if j != l:
+                    e = [0] * n
+                    e[j], e[l] = 1, -1
+                    for _ in range(k):
+                        step = {}
+                        for mu, c in want.items():
+                            for nu, d in (((0,) * n, 1), (tuple(e), -1)):
+                                key = tuple(p + q for p, q in zip(mu, nu))
+                                step[key] = step.get(key, 0) + c * d
+                        want = {mu: c for mu, c in step.items() if c}
+        got = oracle.weight_expand(n, k)
+        assert got == want
+        assert all(type(c) is int for c in got.values())
+
+    def test_constant_term_is_dyson(self):
+        # CT prod_{j != l} (1 - z_j/z_l)^k = (nk)!/(k!)^n
+        for n in range(1, 5):
+            for k in range(1, 4):
+                assert (oracle.weight_expand(n, k)[(0,) * n]
+                        == math.factorial(n * k) // math.factorial(k) ** n)
+
 
 class TestConstantTerm:
     def test_examples(self):
@@ -72,6 +100,28 @@ class TestConstantTerm:
             assert got["a"]["x"] and got["b"]["y"] and not got["c"]["x"]
         empty = oracle.ct_inner_product({}, {}, 3, 1)
         assert empty == 0 and isinstance(empty, F)
+
+    def test_wrong_variable_count_raises(self):
+        # the exponents have three entries; a shorter or longer n used to
+        # truncate the exponent differences and pair to 0
+        f = {(1, 0, 0): F(1), (0, 1, 0): F(1, 3)}
+        g = {(1, 0, 0): F(1)}
+        assert oracle.ct_inner_product(f, g, 3, 1) == F(16, 3)
+        fit = {n: {(0,) * n: F(1)} for n in (2, 4)}
+        for n in (2, 4):
+            for args in ((f, g), (f, fit[n]), (fit[n], g)):
+                with pytest.raises(ValueError, match=rf"exponent \(1, 0, 0\).*n = {n}"):
+                    oracle.ct_inner_product(*args, n, 1)
+            with pytest.raises(ValueError, match=rf"n = {n}"):
+                oracle.ct_norm_ratio(f, n, 1)
+
+    def test_norm_ratio_divides_by_the_weight_constant_term(self):
+        one = {(0, 0, 0): F(1)}
+        f = {(1, 0, 0): F(1), (0, 1, 0): F(1, 3)}
+        for k in (1, 2):
+            assert oracle.ct_norm_ratio(one, 3, k) == 1
+            assert (oracle.ct_norm_ratio(f, 3, k)
+                    == oracle.ct_inner_product(f, f, 3, k) / oracle.ct_inner_product(one, one, 3, k))
 
     def test_E_orthogonality_and_norms(self):
         for n in (2, 3):

@@ -1,6 +1,7 @@
-"""Property test for the linear-solve oracle: at a rational parameter drawn
-by hypothesis, the back-substituted solution equals the construction
-specialized there, wherever the spectrum separates the ansatz."""
+"""Property tests for the oracles: at a rational parameter drawn by
+hypothesis, the back-substituted solution equals the construction
+specialized there, wherever the spectrum separates the ansatz; and every
+constant-term pairing equals its Fraction double sum."""
 
 import pytest
 
@@ -26,3 +27,50 @@ def test_solve_matches_construction(eta, a0):
     except oracle.EigenvalueCollision:
         assume(False)
     assert sol == jack.build_E(eta).specialize(a0)
+
+
+# Polynomials in n variables for ct_pairing: int or Fraction coefficients
+# with denominators up to 10^6, possibly empty.
+coefficients = st.one_of(
+    st.integers(-50, 50),
+    st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6)))
+
+
+def polys(n):
+    return st.dictionaries(st.tuples(*[st.integers(0, 3)] * n), coefficients, max_size=6)
+
+
+@st.composite
+def families(draw):
+    """(n, k, fs, gs).  Each family holds drawn polynomials and, for a drawn
+    p, the difference p - p o (z_1 <-> z_2), whose pairing with a polynomial
+    symmetric in z_1, z_2 is a sum that cancels to 0."""
+    n = draw(st.sampled_from((2, 3)))
+    k = draw(st.sampled_from((1, 2)))
+    fam = st.lists(polys(n), max_size=3)
+    fs, gs = draw(fam), draw(fam)
+    p = draw(polys(n))
+    diff = dict(p)
+    for mu, c in p.items():
+        swapped = (mu[1], mu[0]) + mu[2:]
+        diff[swapped] = diff.get(swapped, 0) - c
+    gs.append(diff)
+    fs.append({mu: c for mu, c in draw(polys(n)).items()
+               if mu[0] == mu[1]})
+    return n, k, dict(enumerate(fs)), dict(enumerate(gs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(families())
+def test_ct_pairing_is_the_fraction_double_sum(case):
+    n, k, fs, gs = case
+    w = oracle.weight_expand(n, k)
+    got = oracle.ct_pairing(fs, gs, n, k)
+    for a, f in fs.items():
+        for b, g in gs.items():
+            want = sum((Fraction(cf) * cg * w.get(tuple(p - q for p, q in zip(mu, nu)), 0)
+                        for mu, cf in f.items() for nu, cg in g.items()), Fraction(0))
+            assert got[a][b] == want
+            assert type(got[a][b]) is Fraction
+    # the last f is symmetric in z_1, z_2 and the last g antisymmetric
+    assert got[len(fs) - 1][len(gs) - 1] == 0
