@@ -240,6 +240,11 @@ def eigenvalue_fractions(eta, alpha0):
     return tuple(a0 * ej - c for ej, c in _eigenvalue_offsets(eta))
 
 
+def eigenvalue_ints(eta, p: int, q: int):
+    """q times the vector specialized at alpha0 = p/q, q > 0: all ints."""
+    return tuple(p * ej - q * c for ej, c in _eigenvalue_offsets(eta))
+
+
 # ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------

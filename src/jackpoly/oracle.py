@@ -1,8 +1,9 @@
 """Brute-force cross-checks that never touch the main construction path.
 
-The first three run over plain Fraction-coefficient dicts keyed by integer
-exponent tuples (negative exponents allowed for the torus weight), the last
-over the coefficients of whatever kernel and basis it is handed:
+The first three take and return Fraction-coefficient dicts keyed by integer
+exponent tuples (negative exponents allowed for the torus weight) and work
+inside in ints, with one Fraction per output value; the last works over
+the coefficients of whatever kernel and basis it is handed:
 
 * the torus inner product at integer inverse parameter, realized as a
   Laurent constant term against the fully expanded weight, whose
@@ -11,11 +12,14 @@ over the coefficients of whatever kernel and basis it is handed:
   of the first family once into its int dual vector, so every pairing is
   an int dot product and one division; ct_inner_product is its 1 x 1 case;
 * a linear-algebra construction of the non-symmetric polynomials at a
-  specialized rational parameter: back-substitution along the triangular
-  ansatz, then an exact residual check of every eigen-equation;
+  specialized rational parameter p/q: the operators and eigenvalues scaled
+  by q to ints, back-substitution along the triangular ansatz over one
+  common denominator, then an exact int residual check of every
+  eigen-equation;
 * Gram-Schmidt construction of the symmetric polynomials from monomial
-  symmetric functions, on their coordinates under one Gram matrix of
-  constant-term pairings;
+  symmetric functions, by fraction-free (Bareiss) elimination of their int
+  Gram matrix of constant-term pairings, whose pivots are its leading
+  principal minors;
 * the pairing matrix of a truncated kernel against a given triangular
   basis of one degree, by two exact triangular solves; kernel and basis
   come from the caller, and the caller judges the matrix.
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 from fractions import Fraction
 
@@ -150,58 +155,85 @@ def ct_norm_ratio(f: dict, n: int, k: int) -> Fraction:
 # linear-algebra construction of the non-symmetric polynomials
 # ---------------------------------------------------------------------------
 
-def _xi_monomial(exps: tuple, i: int, alpha0: Fraction) -> dict:
-    """Apply the i-th first-order operator to a single monomial, working
-    directly from its definition with Fraction arithmetic (independent of
-    the symbolic operator code)."""
-    n = len(exps)
-    out = {}
+def _rational(alpha0) -> Fraction:
+    """alpha0 as a Fraction; a float or any other non-rational type raises
+    rather than being solved at its binary value."""
+    if not isinstance(alpha0, numbers.Rational):
+        raise TypeError(f"alpha0 must be an int or a Fraction, not {type(alpha0).__name__}")
+    return Fraction(alpha0)
+
+
+def _q_xi_monomial(exps: tuple, i: int, p: int, q: int) -> dict:
+    """q times the i-th first-order operator at alpha0 = p/q applied to a
+    single monomial, working directly from its definition in int arithmetic
+    (independent of the symbolic operator code): p e_i + q (1 - i) on the
+    monomial itself and +-q on each term of the divided differences."""
     ii = i - 1
-    if exps[ii]:
-        _bump(out, exps, alpha0 * exps[ii])
-    if i > 1:
-        _bump(out, exps, Fraction(1 - i))
-    for p in range(1, n + 1):
-        if p == i:
+    a = exps[ii]
+    out = {}
+    diag = p * a + q * (1 - i)
+    if diag:
+        out[exps] = diag
+    for pp, b in enumerate(exps):
+        if pp == ii or a == b:
             continue
-        pp = p - 1
-        a, b = exps[ii], exps[pp]
-        if a == b:
-            continue
-        # z_m * (monomial - swapped)/(z_i - z_p), m = i for p < i else p
-        mult = ii if p < i else pp
+        # z_m (z_i^a z_p^b - z_i^b z_p^a)/(z_i - z_p), m = i for p < i else p,
+        # is sign(a - b) z_m times z_i^u z_p^(a+b-1-u) summed over
+        # min(a, b) <= u < max(a, b)
+        c = q if a > b else -q
+        di, dp = (1, 0) if pp < ii else (0, 1)
         base = list(exps)
-        if a > b:
-            for t in range(a - b):
-                base[ii], base[pp] = a - 1 - t, b + t
-                base[mult] += 1
-                _bump(out, tuple(base), Fraction(1))
-                base[mult] -= 1
-        else:
-            for t in range(b - a):
-                base[ii], base[pp] = a + t, b - 1 - t
-                base[mult] += 1
-                _bump(out, tuple(base), Fraction(-1))
-                base[mult] -= 1
+        for u in range(min(a, b), max(a, b)):
+            base[ii], base[pp] = u + di, a + b - 1 - u + dp
+            key = tuple(base)
+            s = out.get(key, 0) + c
+            if s:
+                out[key] = s
+            else:
+                del out[key]
     return out
 
 
-def _solve_exact(rows, bars, comps):
-    """Back-substitute the monic triangular ansatz: comps ascends in the
-    composition order and ends at the label, whose coefficient is 1, and
-    rows[i][mono][nu] is the coefficient of z^mono in the i-th operator
-    applied to z^nu.  Each lower x_mu is fixed, in descending order, by the
-    first operator whose diagonal entry at mu differs from its eigenvalue
-    bars[i]; then every equation of every operator is checked exactly at
-    every monomial of the ansatz or of an operator image.  Raises when no
-    operator separates a monomial or a residual is nonzero."""
-    x = {comps[-1]: Fraction(1)}
+def _xi_monomial(exps: tuple, i: int, alpha0) -> dict:
+    """The i-th first-order operator at alpha0 applied to a single monomial:
+    the int operator of _q_xi_monomial divided by q."""
+    a0 = _rational(alpha0)
+    q = a0.denominator
+    return {mono: Fraction(c, q)
+            for mono, c in _q_xi_monomial(exps, i, a0.numerator, q).items()}
+
+
+def _solve_exact(rows, bars, comps, q):
+    """Back-substitute the monic triangular ansatz in ints: comps ascends in
+    the composition order and ends at the label, whose coefficient is 1;
+    rows[i][mono][nu] is the coefficient of z^mono in q times the i-th
+    operator applied to z^nu, and bars[i] is q times its eigenvalue.  Each
+    lower x_mu is fixed, in descending order, by the first operator whose
+    diagonal entry at mu differs from its eigenvalue.  The solution is held
+    as x_nu = X_nu / D over one common denominator D, the lcm of the
+    denominators so far: a pivot that brings in a factor D lacks multiplies
+    every X and D by it.  Then every equation of every operator is checked
+    as an int equality at every monomial of the ansatz or of an operator
+    image.  Raises when no operator separates a monomial or a residual is
+    nonzero; returns {nu: Fraction(X_nu, D)} over the nonzero X_nu."""
+    x, d = {comps[-1]: 1}, 1
     for mu in reversed(comps[:-1]):
         for row, lam in zip(rows, bars):
             eq = row.get(mu, {})
             pivot = eq.get(mu, 0) - lam
             if pivot:
-                x[mu] = -sum(c * x.get(nu, 0) for nu, c in eq.items() if nu != mu) / pivot
+                # x_mu = num / den in lowest terms, den > 0
+                num = -sum(c * x.get(nu, 0) for nu, c in eq.items() if nu != mu)
+                den = pivot * d
+                g = math.gcd(num, den) * (1 if den > 0 else -1)
+                num, den = num // g, den // g
+                factor = den // math.gcd(den, d)
+                if factor != 1:
+                    for nu in x:
+                        x[nu] *= factor
+                    d *= factor
+                if num:
+                    x[mu] = num * (d // den)
                 break
         else:
             raise ArithmeticError(f"no operator separates {mu} from the label")
@@ -210,25 +242,27 @@ def _solve_exact(rows, bars, comps):
         for mono in monos:
             residual = sum(c * x.get(nu, 0) for nu, c in row.get(mono, {}).items())
             if residual != lam * x.get(mono, 0):
-                raise ArithmeticError(f"eigen-equation {lam} fails at {mono}")
-    return {nu: c for nu, c in x.items() if c}
+                raise ArithmeticError(f"eigen-equation {Fraction(lam, q)} fails at {mono}")
+    return {nu: Fraction(c, d) for nu, c in x.items()}
 
 
 def solve_E_linear(eta, alpha0) -> dict:
     """Solve for the unique monic triangular joint eigenfunction at a
-    rational parameter value, using only the eigen-equations: one exact
+    rational parameter value alpha0 = p/q, using only the eigen-equations:
+    the operators and eigenvalues are scaled by q to ints, then one exact
     back-substitution along the ansatz and a residual check of every
     equation.  Raises EigenvalueCollision when the specialized spectrum
     fails to separate the candidate monomials."""
     eta = combinat.as_composition(eta)
-    alpha0 = Fraction(alpha0)
+    alpha0 = _rational(alpha0)
+    p, q = alpha0.numerator, alpha0.denominator
     n, m = len(eta), sum(eta)
     comps = [nu for nu in combinat.compositions(m, n)
              if combinat.composition_leq(nu, eta)]
     comps.sort(key=combinat.composition_order_key)
-    bars_eta = combinat.eigenvalue_fractions(eta, alpha0)
+    bars_eta = combinat.eigenvalue_ints(eta, p, q)
     for nu in comps:
-        if nu != eta and combinat.eigenvalue_fractions(nu, alpha0) == bars_eta:
+        if nu != eta and combinat.eigenvalue_ints(nu, p, q) == bars_eta:
             raise EigenvalueCollision(
                 f"eigenvalues of {nu} and {eta} collide at alpha = {alpha0}")
     span = set(comps)
@@ -236,13 +270,13 @@ def solve_E_linear(eta, alpha0) -> dict:
     for i in range(1, n + 1):
         row = {}
         for nu in comps:
-            for mono, c in _xi_monomial(nu, i, alpha0).items():
+            for mono, c in _q_xi_monomial(nu, i, p, q).items():
                 if mono not in span:
                     raise ArithmeticError(
                         f"operator left the triangular span at {mono}")
                 row.setdefault(mono, {})[nu] = c
         rows.append(row)
-    return _solve_exact(rows, bars_eta, comps)
+    return _solve_exact(rows, bars_eta, comps, q)
 
 
 def solve_E_auto(eta):
@@ -259,19 +293,44 @@ def solve_E_auto(eta):
 # Gram-Schmidt construction of the symmetric polynomials
 # ---------------------------------------------------------------------------
 
-def _monomial_symmetric_q(kappa, n: int) -> dict:
+def _monomial_symmetric(kappa, n: int) -> dict:
     padded = tuple(kappa) + (0,) * (n - len(kappa))
-    return {e: Fraction(1) for e in set(itertools.permutations(padded))}
+    return {e: 1 for e in set(itertools.permutations(padded))}
+
+
+def _bareiss(mat: list):
+    """Fraction-free (Bareiss) elimination of a square int matrix, in place
+    and without row exchanges: step s leaves mat[s][s] equal to the leading
+    principal minor of order s + 1, and the rows below it zero in column s
+    (left unwritten).  Every division is by the previous pivot and exact by
+    Sylvester's identity; a remainder raises.  Stops at the first pivot
+    that is not positive and returns its index, or None when none is."""
+    prev = 1
+    for s, row in enumerate(mat):
+        pivot = row[s]
+        if pivot <= 0:
+            return s
+        for lower in mat[s + 1:]:
+            head = lower[s]
+            for j in range(s + 1, len(row)):
+                lower[j], rem = divmod(lower[j] * pivot - head * row[j], prev)
+                if rem:
+                    raise ArithmeticError(f"inexact Bareiss division by {prev}")
+        prev = pivot
+    return None
 
 
 def gram_schmidt_P(kappa, n: int, k: int) -> dict:
     """Orthogonalize the monomial symmetric functions below kappa (in a
     linear extension of dominance) under the constant-term inner product at
-    alpha = 1/k; returns the monic result for kappa itself.  The vectors are
-    coordinates in the m basis, paired through one Gram matrix, and only
-    the result is expanded into monomials.  Positivity of every
-    intermediate norm is asserted, which verifies the leading principal
-    minors of the Gram matrix are positive."""
+    alpha = 1/k; returns the monic result for kappa itself.  The m's and the
+    weight have int coefficients, so their Gram matrix G is an int matrix,
+    and Bareiss elimination of it yields the leading principal minors as
+    pivots.  Each must be positive, which is the positivity of every
+    Gram-Schmidt norm.  The monic vector of kappa is orthogonal to every
+    earlier m: its coordinates c, with c_kappa = 1, solve the leading block
+    of G against minus its last column, by int back-substitution over the
+    last-but-one minor; only the result is expanded into monomials."""
     kappa = tuple(p for p in combinat.as_partition(kappa) if p)
     target = kappa + (0,) * (n - len(kappa))
     shapes = [mu for mu in combinat.partitions(sum(kappa), n)
@@ -279,26 +338,26 @@ def gram_schmidt_P(kappa, n: int, k: int) -> dict:
     if target not in shapes:
         raise ValueError(f"{kappa} does not fit into {n} variables")
     shapes.sort(key=combinat.dominance_key)
-    ms = {mu: _monomial_symmetric_q(mu, n) for mu in shapes}
+    ms = {mu: _monomial_symmetric(mu, n) for mu in shapes}
     gram = ct_pairing(ms, ms, n, k)
-
-    def pair(x, y):
-        return sum(cx * gram[a][b] * cy for a, cx in x.items() for b, cy in y.items())
-
-    built = []
-    for mu in shapes:
-        v = {mu: Fraction(1)}
-        for w, norm_w in built:
-            c = pair(v, w) / norm_w
-            for b, cb in w.items():
-                _bump(v, b, -c * cb)
-        norm_v = pair(v, v)
-        if norm_v <= 0:
-            raise ArithmeticError(
-                f"Gram matrix lost positive definiteness at {mu} (k={k})")
-        built.append((v, norm_v))
-    # kappa dominates every shape, so v is its vector
-    return {e: c for shape, c in v.items() for e in ms[shape]}
+    if any(c.denominator != 1 for row in gram.values() for c in row.values()):
+        raise ArithmeticError(f"the m-basis Gram matrix is not integral (k={k})")
+    mat = [[gram[a][b].numerator for b in shapes] for a in shapes]
+    bad = _bareiss(mat)
+    if bad is not None:
+        raise ArithmeticError(
+            f"Gram matrix lost positive definiteness at {shapes[bad]} (k={k})")
+    # kappa dominates every shape, so it is last; x = minor * c in ints
+    last = len(shapes) - 1
+    minor = mat[last - 1][last - 1] if last else 1
+    x = [0] * last + [minor]
+    for r in reversed(range(last)):
+        row = mat[r]
+        x[r], rem = divmod(-sum(row[j] * x[j] for j in range(r + 1, last + 1)), row[r])
+        if rem:
+            raise ArithmeticError(f"inexact back-substitution at {shapes[r]} (k={k})")
+    coeffs = (Fraction(c, minor) for c in x)
+    return {e: c for shape, c in zip(shapes, coeffs) if c for e in ms[shape]}
 
 
 # ---------------------------------------------------------------------------

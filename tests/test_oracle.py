@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
@@ -186,36 +187,79 @@ class TestLinearSolve:
         eta = (1, 0, 2)
         below = min((nu for nu in cb.compositions(3, 3) if cb.composition_lt(nu, eta)),
                     key=cb.composition_order_key)
-        xi = oracle._xi_monomial
+        xi = oracle._q_xi_monomial
 
-        def perturbed(exps, j, a0):
-            out = dict(xi(exps, j, a0))
+        def perturbed(exps, j, p, q):
+            out = dict(xi(exps, j, p, q))
             if exps == eta and j == i:
                 out[below] = out.get(below, 0) + 1
             return out
-        monkeypatch.setattr(oracle, "_xi_monomial", perturbed)
+        monkeypatch.setattr(oracle, "_q_xi_monomial", perturbed)
         with pytest.raises(ArithmeticError, match="fails at"):
             oracle.solve_E_linear(eta, F(2))
 
     def test_unseparated_monomial_raises(self, monkeypatch):
         # the diagonal at a monomial below the label replaced by the label's
-        # eigenvalues: no operator can fix its coefficient
+        # q-scaled eigenvalues: no operator can fix its coefficient
         eta, mu = (1, 0, 2), (1, 1, 1)
-        bars = cb.eigenvalue_fractions(eta, F(2))
-        xi = oracle._xi_monomial
+        bars = cb.eigenvalue_ints(eta, 2, 1)
+        xi = oracle._q_xi_monomial
 
-        def perturbed(exps, j, a0):
-            out = dict(xi(exps, j, a0))
+        def perturbed(exps, j, p, q):
+            out = dict(xi(exps, j, p, q))
             if exps == mu:
                 out[mu] = bars[j - 1]
             return out
-        monkeypatch.setattr(oracle, "_xi_monomial", perturbed)
+        monkeypatch.setattr(oracle, "_q_xi_monomial", perturbed)
         with pytest.raises(ArithmeticError, match="separates"):
             oracle.solve_E_linear(eta, F(2))
 
     def test_auto_advance(self):
         a0, sol = oracle.solve_E_auto((2, 0, 1))
         assert sol == jack.build_E((2, 0, 1)).specialize(a0)
+
+    @pytest.mark.parametrize("alpha0", [0.5, 2.0, "7/2", complex(2)])
+    def test_non_rational_parameter_raises(self, alpha0):
+        # a float used to be solved silently at its binary value
+        name = type(alpha0).__name__
+        with pytest.raises(TypeError, match=f"not {name}"):
+            oracle.solve_E_linear((1, 0), alpha0)
+        with pytest.raises(TypeError, match=f"not {name}"):
+            oracle._xi_monomial((1, 0), 1, alpha0)
+
+    @pytest.mark.parametrize("a0", [F(2), F(7, 2), F(-3, 5)])
+    def test_xi_monomial_is_the_int_operator_over_q(self, a0):
+        # and both are the symbolic operator specialized at a0
+        p, q = a0.numerator, a0.denominator
+        for n in (1, 2, 3):
+            for e in cb.compositions_upto(4, n):
+                for i in range(1, n + 1):
+                    scaled = oracle._q_xi_monomial(e, i, p, q)
+                    assert all(type(c) is int and c for c in scaled.values())
+                    got = oracle._xi_monomial(e, i, a0)
+                    assert got == {m: F(c, q) for m, c in scaled.items()}
+                    want = polyalg.cherednik_apply(MultiPoly(n, {e: ONE}), i).specialize(a0)
+                    assert got == want
+
+    def test_the_elimination_reads_only_ints(self, monkeypatch):
+        # every operator entry and eigenvalue handed to the back-substitution
+        # is an int, and each solve eliminates once
+        calls = []
+        solve = oracle._solve_exact
+
+        def spy(rows, bars, comps, q):
+            calls.append(1)
+            assert type(q) is int and q > 0
+            assert all(type(lam) is int for lam in bars)
+            assert all(type(c) is int for row in rows for eq in row.values() for c in eq.values())
+            return solve(rows, bars, comps, q)
+        monkeypatch.setattr(oracle, "_solve_exact", spy)
+        solves = 0
+        for eta in cb.compositions_upto(3, 3):
+            for a0 in (F(2), F(7, 2), F(-3, 5), 3):
+                assert oracle.solve_E_linear(eta, a0) == jack.build_E(eta).specialize(a0)
+                solves += 1
+        assert len(calls) == solves
 
 
 class TestGramSchmidt:
@@ -230,6 +274,69 @@ class TestGramSchmidt:
                             lambda n, k: {e: -c for e, c in weight(n, k).items()})
         with pytest.raises(ArithmeticError, match="lost positive definiteness"):
             oracle.gram_schmidt_P((2,), 2, 1)
+
+    def test_non_integral_gram_matrix_raises(self, monkeypatch):
+        # an m-basis Gram matrix has int entries; a table with a half in it
+        # is not one, and is refused rather than read by its numerators
+        pairing = oracle.ct_pairing
+
+        def plus_half(fs, gs, n, k):
+            return {a: {b: c + F(1, 2) for b, c in row.items()}
+                    for a, row in pairing(fs, gs, n, k).items()}
+        monkeypatch.setattr(oracle, "ct_pairing", plus_half)
+        with pytest.raises(ArithmeticError, match="not integral"):
+            oracle.gram_schmidt_P((2,), 2, 1)
+
+    def test_bareiss_pivots_are_the_leading_minors(self):
+        def det(m):
+            m = [[F(c) for c in row] for row in m]
+            out = F(1)
+            for s in range(len(m)):
+                out *= m[s][s]
+                for row in m[s + 1:]:
+                    f = row[s] / m[s][s]
+                    row[:] = [a - f * b for a, b in zip(row, m[s])]
+            return out
+        mat = [[9, 3, -2, 1], [3, 7, 1, 4], [-2, 1, 8, 2], [1, 4, 2, 11]]
+        minors = [det([row[:r] for row in mat[:r]]) for r in range(1, 5)]
+        work = [row[:] for row in mat]
+        assert oracle._bareiss(work) is None
+        assert [work[s][s] for s in range(4)] == minors
+        assert all(type(work[s][s]) is int for s in range(4))
+        indefinite = [[2, 3], [3, 2]]
+        assert oracle._bareiss(indefinite) == 1
+
+    def test_bareiss_raises_rather_than_floors(self):
+        # a matrix that is not an int Gram matrix: the first division has a
+        # remainder, which floor division would drop to leave pivot 0
+        with pytest.raises(ArithmeticError, match="inexact Bareiss division"):
+            oracle._bareiss([[2, 1], [1, F(3, 4)]])
+
+    def test_equals_the_fraction_gram_schmidt(self):
+        # Gram-Schmidt written out over Fractions, on m-basis coordinates
+        def reference(kappa, n, k):
+            target = kappa + (0,) * (n - len(kappa))
+            shapes = sorted((mu for mu in cb.partitions(sum(kappa), n)
+                             if cb.dominance_leq(mu, target)), key=cb.dominance_key)
+            ms = {mu: {e: F(1) for e in set(itertools.permutations(mu))} for mu in shapes}
+            gram = oracle.ct_pairing(ms, ms, n, k)
+            built = []
+            for mu in shapes:
+                v = {mu: F(1)}
+                for w, norm_w in built:
+                    c = sum(v.get(a, 0) * gram[a][b] * w[b] for a in v for b in w) / norm_w
+                    for b, cb_ in w.items():
+                        v[b] = v.get(b, 0) - c * cb_
+                norm_v = sum(v[a] * gram[a][b] * v[b] for a in v for b in v)
+                assert norm_v > 0
+                built.append((v, norm_v))
+            return {e: c for shape, c in v.items() if c for e in ms[shape]}
+
+        for n in (1, 2, 3):
+            for kappa in cb.partitions_upto(6, n):
+                kk = tuple(p for p in kappa if p)
+                for k in (1, 2, 3):
+                    assert oracle.gram_schmidt_P(kk or (0,), n, k) == reference(kk, n, k)
 
     def test_does_not_fit(self):
         with pytest.raises(ValueError, match="does not fit"):
