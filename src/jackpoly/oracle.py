@@ -8,18 +8,25 @@ the coefficients of whatever kernel and basis it is handed:
 * the torus inner product at integer inverse parameter, realized as a
   Laurent constant term against the fully expanded weight, whose
   coefficients are ints; ct_pairing pairs two labelled families at once.
-  It clears each polynomial's denominators once and reads each polynomial
-  of the first family once into its int dual vector, so every pairing is
-  an int dot product and one division; ct_inner_product is its 1 x 1 case;
+  Inside, every exponent vector e is one packed int key sum_j e_j B^j, so
+  mu - nu is one subtraction and the weight a dict on int keys.  The base
+  B is chosen per call: it exceeds twice every entry of the weight
+  (k(N-1) at most) and of every difference mu - nu, negative entries
+  included, so keys are equal only when their exponents are.  It clears
+  each polynomial's denominators once and reads each polynomial of the
+  first family once into its int dual vector, so every pairing is an int
+  dot product and one division; ct_inner_product is its 1 x 1 case;
 * a linear-algebra construction of the non-symmetric polynomials at a
-  specialized rational parameter p/q: the operators and eigenvalues scaled
-  by q to ints, back-substitution along the triangular ansatz over one
-  common denominator, then an exact int residual check of every
-  eigen-equation;
+  specialized rational parameter p/q: the triangular ansatz and its
+  eigenvalues at alpha = 0 are built once per label; at each p/q the
+  operators and eigenvalues are scaled by q to ints, then come
+  back-substitution along the ansatz over one common denominator and an
+  exact int residual check of every eigen-equation;
 * Gram-Schmidt construction of the symmetric polynomials from monomial
   symmetric functions, by fraction-free (Bareiss) elimination of their int
   Gram matrix of constant-term pairings, whose pivots are its leading
-  principal minors;
+  principal minors.  The weight is symmetric, so <m_a, m_b> is
+  |orbit(a)| <z^a, m_b>: one monomial per row;
 * the pairing matrix of a truncated kernel against a given triangular
   basis of one degree, by two exact triangular solves; kernel and basis
   come from the caller, and the caller judges the matrix.
@@ -48,27 +55,10 @@ ALPHA0_SEQUENCE = (Fraction(2), Fraction(3), Fraction(5), Fraction(7, 2),
 # Fraction-dict polynomial helpers
 # ---------------------------------------------------------------------------
 
-def _bump(out: dict, e, c) -> None:
-    """Add c at e, dropping the entry when the sum is zero."""
-    s = out.get(e, 0) + c
-    if s:
-        out[e] = s
-    elif e in out:
-        del out[e]
-
-
 def qp_scale(f: dict, c: Fraction) -> dict:
     if not c:
         return {}
     return {e: v * c for e, v in f.items()}
-
-
-def qp_mul(f: dict, g: dict) -> dict:
-    out = {}
-    for e1, c1 in f.items():
-        for e2, c2 in g.items():
-            _bump(out, tuple(map(operator.add, e1, e2)), c1 * c2)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -76,64 +66,118 @@ def qp_mul(f: dict, g: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 _WEIGHT_CACHE: dict = {}
+_PACKED_WEIGHT: dict = {}
+
+
+def _powers(base: int, n: int) -> list:
+    """[B^0, ..., B^(n-1)]: the packed key of an exponent e is the dot
+    product of e with these."""
+    return [base ** j for j in range(n)]
 
 
 def weight_expand(n: int, k: int) -> dict:
     """Fully expanded prod_{j != l} (1 - z_j/z_l)^k as a Laurent dict with
     int coefficients, built one pair j < l at a time from
     (1 - t)^k (1 - 1/t)^k = sum_{m=0}^{2k} (-1)^(k+m) C(2k, m) t^(m-k),
-    t = z_j/z_l."""
+    t = z_j/z_l.  The product runs on packed keys in base B = 2k(n-1) + 1:
+    every entry of every partial product lies in [-k(n-1), k(n-1)], so
+    the balanced base-B digits of a key give its exponent back."""
     if k < 1:
         raise ValueError("the weight exponent k must be a positive integer")
     cached = _WEIGHT_CACHE.get((n, k))
     if cached is not None:
         return cached
-    out = {(0,) * n: 1}
+    half = k * (n - 1)
+    base = 2 * half + 1
+    powers = _powers(base, n)
+    out = {0: 1}
     for j, l in itertools.combinations(range(n), 2):
-        factor = {}
-        for m in range(2 * k + 1):
-            e = [0] * n
-            e[j], e[l] = m - k, k - m
-            factor[tuple(e)] = (-1) ** (k + m) * math.comb(2 * k, m)
-        out = qp_mul(out, factor)
-    _WEIGHT_CACHE[(n, k)] = out
-    return out
+        step = powers[j] - powers[l]
+        factor = [((m - k) * step, (-1) ** (k + m) * math.comb(2 * k, m))
+                  for m in range(2 * k + 1)]
+        prod = {}
+        for e1, c1 in out.items():
+            for e2, c2 in factor:
+                e = e1 + e2
+                prod[e] = prod.get(e, 0) + c1 * c2
+        out = {e: c for e, c in prod.items() if c}
+    weight = {}
+    for key, c in out.items():
+        e = []
+        for _ in range(n):
+            digit = (key + half) % base - half
+            e.append(digit)
+            key = (key - digit) // base
+        weight[tuple(e)] = c
+    _WEIGHT_CACHE[(n, k)] = weight
+    return weight
 
 
-def _integral(f: dict, n: int):
-    """(D, {mu: D f_mu}) with D the lcm of the denominators of f, so that
-    every scaled coefficient is an int; raises when an exponent does not
-    have n entries."""
-    for mu in f:
-        if len(mu) != n:
-            raise ValueError(f"exponent {mu} has {len(mu)} entries, not n = {n}")
-    d = math.lcm(*(c.denominator for c in f.values()))
-    return d, {mu: c.numerator * (d // c.denominator) for mu, c in f.items()}
+def _packed_weight(n: int, k: int, base: int) -> dict:
+    """What weight_expand(n, k) returns, keyed in base `base`; the copy is
+    kept only while weight_expand returns the same dict."""
+    w = weight_expand(n, k)
+    cached = _PACKED_WEIGHT.get((n, k, base))
+    if cached is None or cached[0] is not w:
+        powers = _powers(base, n)
+        cached = _PACKED_WEIGHT[(n, k, base)] = (
+            w, {sum(map(operator.mul, e, powers)): c for e, c in w.items()})
+    return cached[1]
+
+
+def _extent(polys):
+    """(smallest, largest) exponent entry over the polynomials, or None
+    when they have no monomial."""
+    monos = [mu for f in polys for mu in f]
+    if not monos:
+        return None
+    return min(map(min, monos)), max(map(max, monos))
+
+
+def _integral(f: dict, n: int, powers: list):
+    """(D, {key(mu): D f_mu}) with D the lcm of the denominators of f, so
+    that every scaled coefficient is an int, and key(mu) the dot product of
+    mu with powers; raises when an exponent does not have n entries."""
+    if set(map(len, f)) - {n}:
+        mu = next(mu for mu in f if len(mu) != n)
+        raise ValueError(f"exponent {mu} has {len(mu)} entries, not n = {n}")
+    dens = [c.denominator for c in f.values()]
+    d = math.lcm(*dens)
+    keys = [sum(map(operator.mul, mu, powers)) for mu in f]
+    return d, dict(zip(keys, (c.numerator * (d // e) for c, e in zip(f.values(), dens))))
 
 
 def ct_pairing(fs: dict, gs: dict, n: int, k: int) -> dict:
     """{a: {b: <f_a, g_b>}} for two labelled families of polynomials, where
-    <f, g> is the constant term of f(1/z) g(z) w(z).  Each polynomial is
-    scaled once to int coefficients by the lcm D of its denominators, and
-    each f_a is read once into its int dual vector
-    F_nu = sum_mu D_a f_mu w_(mu - nu) on the monomials nu of the g's, so
-    every pairing is an int dot product and one Fraction(dot, D_a D_b)."""
-    w = weight_expand(n, k)
-    gs = {b: _integral(g, n) for b, g in gs.items()}
+    <f, g> is the constant term of f(1/z) g(z) w(z).  Exponents are packed
+    to ints, e -> sum_j e_j B^j, so mu - nu is one subtraction.  B, a power
+    of two, exceeds twice every entry of the weight and of every difference
+    mu - nu; both then are their keys' balanced base-B digits, so equal keys
+    mean equal exponents.  Each polynomial is scaled once to int
+    coefficients by the lcm D of its denominators, and each f_a is read once
+    into its int dual vector F_nu = sum_mu D_a f_mu w_(mu - nu) on the
+    monomials nu of the g's, so every pairing is an int dot product and one
+    Fraction(dot, D_a D_b)."""
+    spread = k * (n - 1)
+    f_ext, g_ext = _extent(fs.values()), _extent(gs.values())
+    if f_ext and g_ext:
+        spread = max(spread, f_ext[1] - g_ext[0], g_ext[1] - f_ext[0])
+    base = 1 << (2 * spread).bit_length()
+    powers = _powers(base, n)
+    fs = {a: _integral(f, n, powers) for a, f in fs.items()}
+    gs = {b: _integral(g, n, powers) for b, g in gs.items()}
+    wget = _packed_weight(n, k, base).get
+    mul, sub, zeros = operator.mul, operator.sub, itertools.repeat(0)
     support = set().union(*(g for _, g in gs.values()))
     out = {}
-    for a, f in fs.items():
-        d_f, f = _integral(f, n)
+    for a, (d_f, f) in fs.items():
+        keys, coeffs = list(f), list(f.values())
         dual = {}
         for nu in support:
-            acc = 0
-            for mu, c in f.items():
-                cw = w.get(tuple(map(operator.sub, mu, nu)))
-                if cw is not None:
-                    acc += c * cw
+            acc = sum(map(mul, coeffs, map(wget, map(sub, keys, itertools.repeat(nu)), zeros)))
             if acc:
                 dual[nu] = acc
-        out[a] = {b: Fraction(sum(dual[nu] * c for nu, c in g.items() if nu in dual), d_f * d_g)
+        out[a] = {b: Fraction(sum(map(mul, map(dual.get, g, zeros), g.values())), d_f * d_g)
                   for b, (d_g, g) in gs.items()}
     return out
 
@@ -246,6 +290,25 @@ def _solve_exact(rows, bars, comps, q):
     return {nu: Fraction(c, d) for nu, c in x.items()}
 
 
+_ANSATZ_CACHE: dict = {}
+
+
+def _ansatz(eta):
+    """The parts of a solve that do not depend on alpha0: the compositions
+    below eta in ascending composition order, their set, and each one's
+    eigenvalue vector at alpha = 0.  The vector is affine in alpha with
+    slope the composition itself, so q times it at p/q is
+    p nu + q (its value at 0)."""
+    cached = _ANSATZ_CACHE.get(eta)
+    if cached is None:
+        comps = tuple(sorted((nu for nu in combinat.compositions(sum(eta), len(eta))
+                              if combinat.composition_leq(nu, eta)),
+                             key=combinat.composition_order_key))
+        cached = _ANSATZ_CACHE[eta] = (
+            comps, frozenset(comps), {nu: combinat.eigenvalue_ints(nu, 0, 1) for nu in comps})
+    return cached
+
+
 def solve_E_linear(eta, alpha0) -> dict:
     """Solve for the unique monic triangular joint eigenfunction at a
     rational parameter value alpha0 = p/q, using only the eigen-equations:
@@ -256,16 +319,16 @@ def solve_E_linear(eta, alpha0) -> dict:
     eta = combinat.as_composition(eta)
     alpha0 = _rational(alpha0)
     p, q = alpha0.numerator, alpha0.denominator
-    n, m = len(eta), sum(eta)
-    comps = [nu for nu in combinat.compositions(m, n)
-             if combinat.composition_leq(nu, eta)]
-    comps.sort(key=combinat.composition_order_key)
-    bars_eta = combinat.eigenvalue_ints(eta, p, q)
+    n = len(eta)
+    comps, span, at_zero = _ansatz(eta)
+
+    def bars(nu):
+        return tuple(p * e + q * z for e, z in zip(nu, at_zero[nu]))
+    bars_eta = bars(eta)
     for nu in comps:
-        if nu != eta and combinat.eigenvalue_ints(nu, p, q) == bars_eta:
+        if nu != eta and bars(nu) == bars_eta:
             raise EigenvalueCollision(
                 f"eigenvalues of {nu} and {eta} collide at alpha = {alpha0}")
-    span = set(comps)
     rows = []
     for i in range(1, n + 1):
         row = {}
@@ -296,6 +359,18 @@ def solve_E_auto(eta):
 def _monomial_symmetric(kappa, n: int) -> dict:
     padded = tuple(kappa) + (0,) * (n - len(kappa))
     return {e: 1 for e in set(itertools.permutations(padded))}
+
+
+def _gram_matrix(shapes: list, n: int, k: int):
+    """({mu: m_mu}, [[<m_a, m_b>]]) over the padded shapes, in their order.
+    The weight is symmetric, so <m_a, m_b> = |orbit(a)| <z^a, m_b>: one
+    ct_pairing of one monomial per row against the m's, whose table must
+    be integral before it is scaled by the orbit sizes."""
+    ms = {mu: _monomial_symmetric(mu, n) for mu in shapes}
+    gram = ct_pairing({mu: {mu: 1} for mu in shapes}, ms, n, k)
+    if any(c.denominator != 1 for row in gram.values() for c in row.values()):
+        raise ArithmeticError(f"the m-basis Gram matrix is not integral (k={k})")
+    return ms, [[len(ms[a]) * gram[a][b].numerator for b in shapes] for a in shapes]
 
 
 def _bareiss(mat: list):
@@ -338,11 +413,7 @@ def gram_schmidt_P(kappa, n: int, k: int) -> dict:
     if target not in shapes:
         raise ValueError(f"{kappa} does not fit into {n} variables")
     shapes.sort(key=combinat.dominance_key)
-    ms = {mu: _monomial_symmetric(mu, n) for mu in shapes}
-    gram = ct_pairing(ms, ms, n, k)
-    if any(c.denominator != 1 for row in gram.values() for c in row.values()):
-        raise ArithmeticError(f"the m-basis Gram matrix is not integral (k={k})")
-    mat = [[gram[a][b].numerator for b in shapes] for a in shapes]
+    ms, mat = _gram_matrix(shapes, n, k)
     bad = _bareiss(mat)
     if bad is not None:
         raise ArithmeticError(

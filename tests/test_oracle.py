@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,32 @@ from jackpoly.polyalg import MultiPoly
 from jackpoly.qalpha import ONE, AlphaRational, alpha_shift
 
 F = Fraction
+
+
+def _double_sum(f, g, w):
+    """<f, g> as sum f_mu g_nu w_(mu - nu) over tuple exponents."""
+    return sum((cf * cg * w.get(tuple(p - q for p, q in zip(mu, nu)), 0)
+                for mu, cf in f.items() for nu, cg in g.items()), F(0))
+
+
+def _laurent(rng, start, lo, hi, size):
+    """A random Laurent polynomial: most monomials are `start` moved by a
+    few unit steps z_i -> z_j, so that many pairings of two of them are
+    nonzero; the rest have random entries in [lo, hi], so that the
+    polynomial is not homogeneous."""
+    n = len(start)
+    out = {}
+    for _ in range(size):
+        e = list(start)
+        if rng.random() < 0.8:
+            for _ in range(rng.randint(0, 3)):
+                i, j = rng.randrange(n), rng.randrange(n)
+                e[i] -= 1
+                e[j] += 1
+        else:
+            e = [rng.randint(lo, hi) for _ in range(n)]
+        out[tuple(e)] = F(rng.randint(-9, 9) or 1, rng.randint(1, 5))
+    return out
 
 
 class TestWeight:
@@ -64,8 +91,81 @@ class TestWeight:
                 assert (oracle.weight_expand(n, k)[(0,) * n]
                         == math.factorial(n * k) // math.factorial(k) ** n)
 
+    @pytest.mark.parametrize("n,k", [(1, 1), (1, 3), (3, 2), (5, 1), (5, 2)])
+    def test_equals_the_pairwise_tuple_product(self, n, k):
+        # the pair factors (1 - t)^k (1 - 1/t)^k, t = z_j/z_l, multiplied
+        # out over tuple keys, at the variable counts the two-term product
+        # above leaves out; its constant term is Dyson's (nk)!/(k!)^n
+        want = {(0,) * n: 1}
+        for j, l in itertools.combinations(range(n), 2):
+            factor = {}
+            for m in range(2 * k + 1):
+                e = [0] * n
+                e[j], e[l] = m - k, k - m
+                factor[tuple(e)] = (-1) ** (k + m) * math.comb(2 * k, m)
+            step = {}
+            for mu, c in want.items():
+                for nu, d in factor.items():
+                    key = tuple(p + q for p, q in zip(mu, nu))
+                    step[key] = step.get(key, 0) + c * d
+            want = {mu: c for mu, c in step.items() if c}
+        assert oracle.weight_expand(n, k) == want
+        assert want[(0,) * n] == math.factorial(n * k) // math.factorial(k) ** n
+
 
 class TestConstantTerm:
+    def test_packed_pairing_is_the_double_sum(self):
+        # seeded random families at N = 1-5 and k = 1-3 (k <= 2 at N = 5,
+        # whose k = 3 weight has 185,041 terms), with negative entries,
+        # entries above k(N - 1), non-homogeneous and empty polynomials
+        rng = random.Random(1601)
+        nonzero = 0
+        for _ in range(250):
+            n = rng.randint(1, 5)
+            k = rng.randint(1, 2 if n == 5 else 3)
+            lo, hi = rng.choice(((0, 3), (-4, 2), (-9, 9), (0, 14), (-15, -6)))
+            start = [rng.randint(lo, hi) for _ in range(n)]
+            fs = {a: _laurent(rng, start, lo, hi, rng.randint(0, 6))
+                  for a in range(rng.randint(0, 3))}
+            gs = {b: _laurent(rng, start, lo, hi, rng.randint(0, 6))
+                  for b in range(rng.randint(0, 3))}
+            w = oracle.weight_expand(n, k)
+            got = oracle.ct_pairing(fs, gs, n, k)
+            assert list(got) == list(fs) and all(list(row) == list(gs) for row in got.values())
+            for a, f in fs.items():
+                for b, g in gs.items():
+                    assert got[a][b] == _double_sum(f, g, w)
+                    nonzero += got[a][b] != 0
+        assert nonzero > 200
+
+    def test_empty_families_and_polynomials(self):
+        f = {(2, -1, 0): F(3, 2), (0, 0, 1): F(1)}
+        assert oracle.ct_pairing({}, {"g": f}, 3, 2) == {}
+        assert oracle.ct_pairing({"f": f}, {}, 3, 2) == {"f": {}}
+        assert oracle.ct_pairing({}, {}, 3, 2) == {}
+        for pair in ((f, {}), ({}, f), ({}, {})):
+            got = oracle.ct_inner_product(*pair, 3, 2)
+            assert got == 0 and isinstance(got, F)
+
+    def test_inputs_that_alias_under_a_smaller_base(self):
+        # the difference of two exponents packs to the key of a weight term
+        # it is not: in base 2k(N-1) + 1, fitted to the weight alone, and in
+        # the power of two fitted to the weight and to only one side of
+        # mu - nu, its largest entry or its most negative one
+        for n, k, base, mu, nu, alias in (
+                (2, 1, 3, (2, 0), (0, 0), (-1, 1)),
+                (3, 1, 5, (1, -2, 0), (-2, -2, -1), (-2, 1, 1)),
+                (2, 1, 4, (3, 0), (0, 0), (-1, 1)),
+                (2, 1, 4, (0, 0), (3, 0), (1, -1)),
+                (3, 1, 8, (-1, -1, -1), (-1, 5, 0), (0, 2, -2))):
+            diff = tuple(p - q for p, q in zip(mu, nu))
+            w = oracle.weight_expand(n, k)
+            assert diff not in w and w[alias]
+            assert (sum(e * base ** j for j, e in enumerate(diff))
+                    == sum(e * base ** j for j, e in enumerate(alias)))
+            f, g = {mu: F(1)}, {nu: F(1)}
+            assert oracle.ct_inner_product(f, g, n, k) == _double_sum(f, g, w) == 0
+
     def test_examples(self):
         one = {(0, 0): F(1)}
         z2 = {(0, 1): F(1)}
@@ -214,6 +314,25 @@ class TestLinearSolve:
         with pytest.raises(ArithmeticError, match="separates"):
             oracle.solve_E_linear(eta, F(2))
 
+    def test_ansatz_is_built_once_per_label(self, monkeypatch):
+        # three parameter values, one of them colliding, enumerate the
+        # compositions and take their eigenvalues once
+        monkeypatch.setattr(oracle, "_ANSATZ_CACHE", {})
+        calls = []
+        eigen = cb.eigenvalue_ints
+
+        def counted(nu, p, q):
+            calls.append(nu)
+            return eigen(nu, p, q)
+        monkeypatch.setattr(cb, "eigenvalue_ints", counted)
+        eta = (0, 0, 3)
+        for a0 in (F(2), F(7, 2)):
+            assert oracle.solve_E_linear(eta, a0) == jack.build_E(eta).specialize(a0)
+        with pytest.raises(oracle.EigenvalueCollision):
+            oracle.solve_E_linear(eta, 0)
+        below = [nu for nu in cb.compositions(3, 3) if cb.composition_leq(nu, eta)]
+        assert sorted(calls) == sorted(below)
+
     def test_auto_advance(self):
         a0, sol = oracle.solve_E_auto((2, 0, 1))
         assert sol == jack.build_E((2, 0, 1)).specialize(a0)
@@ -337,6 +456,18 @@ class TestGramSchmidt:
                 kk = tuple(p for p in kappa if p)
                 for k in (1, 2, 3):
                     assert oracle.gram_schmidt_P(kk or (0,), n, k) == reference(kk, n, k)
+
+    def test_orbit_gram_matrix_is_the_full_pairing(self):
+        # one monomial per row scaled by its orbit size, against reading
+        # every monomial of every m
+        for n in range(1, 5):
+            for d in range(6):
+                shapes = sorted(cb.partitions(d, n), key=cb.dominance_key)
+                for k in (1, 2, 3):
+                    ms, mat = oracle._gram_matrix(shapes, n, k)
+                    full = oracle.ct_pairing(ms, ms, n, k)
+                    assert mat == [[full[a][b] for b in shapes] for a in shapes]
+                    assert all(type(c) is int for row in mat for c in row)
 
     def test_does_not_fit(self):
         with pytest.raises(ValueError, match="does not fit"):
