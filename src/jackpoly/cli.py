@@ -58,8 +58,8 @@ def _json_dumps(obj) -> str:
 def _poly_json(f: MultiPoly, alpha0=None) -> str:
     if alpha0 is None:
         return _json_dumps(f.to_json())
-    terms = [{"exp": list(e), "coeff": str(c.eval_at(alpha0))}
-             for e, c in f.sorted_terms()]
+    terms = [{"exp": list(e), "coeff": str(c)}
+             for e, c in sorted(f.specialize(alpha0).items())]
     return _json_dumps({"N": f.nvars, "alpha": str(alpha0), "terms": terms})
 
 

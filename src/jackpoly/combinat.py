@@ -8,6 +8,7 @@ column j with 1 <= j <= eta_i, so zero parts contribute no nodes.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass
@@ -90,20 +91,11 @@ def frequencies(kappa) -> dict:
     return out
 
 
-def frequency_factorial(kappa) -> int:
-    out = 1
-    for f in frequencies(kappa).values():
-        out *= math.factorial(f)
-    return out
-
-
 def stabilizer_order(kappa) -> int:
     """Order of the subgroup of S_N fixing the padded partition, i.e. the
     frequency factorial with the multiplicity of the part 0 included.  This
     is the constant produced by symmetrizing over all N! permutations."""
-    out = frequency_factorial(kappa)
-    zeros = sum(1 for p in kappa if p == 0)
-    return out * math.factorial(zeros)
+    return math.prod(map(math.factorial, collections.Counter(kappa).values()))
 
 
 # ---------------------------------------------------------------------------

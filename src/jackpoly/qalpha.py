@@ -26,12 +26,14 @@ Reduction works in three layers:
   quotients are the cofactors.
 * If no candidate is certified within a few growing xi, the primitive
   pseudo-remainder sequence computes the gcd instead.
+
+The closed-form constants are products of linear factors alpha*a + b;
+`linear_product` multiplies them out in Z[alpha], where no gcd is needed.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
 
 
@@ -349,6 +351,9 @@ class AlphaRational:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # a constant hashes as its Fraction, since it compares equal to it
+        if len(self.num) < 2 and len(self.den) == 1:
+            return hash(Fraction(self.num[0] if self.num else 0, self.den[0]))
         return hash((self.num, self.den))
 
     # -- specialization and substitution ------------------------------------
@@ -447,14 +452,24 @@ def alpha_shift() -> AlphaRational:
     return AlphaRational._raw((0, 1), (1, 1))
 
 
+def linear_product(pairs) -> AlphaRational:
+    """prod of alpha*a + b over the int pairs (a, b), multiplied out in
+    Z[alpha]: the denominator stays 1, so the result is canonical without
+    a gcd."""
+    out = (1,)
+    for a, b in pairs:
+        out = _mul(out, _trim((b, a)))
+    return AlphaRational._raw(out, (1,))
+
+
 # ---------------------------------------------------------------------------
-# printing and parsing (round-trip canonical strings)
+# printing
 # ---------------------------------------------------------------------------
 
 ALPHA_CHAR = "α"
 
 
-def format_poly(cs, symbol=ALPHA_CHAR) -> str:
+def format_poly(cs) -> str:
     if not cs:
         return "0"
     parts = []
@@ -467,7 +482,7 @@ def format_poly(cs, symbol=ALPHA_CHAR) -> str:
         if i == 0:
             body = str(mag)
         else:
-            var = symbol if i == 1 else f"{symbol}^{i}"
+            var = ALPHA_CHAR if i == 1 else f"{ALPHA_CHAR}^{i}"
             body = var if mag == 1 else f"{mag}*{var}"
         parts.append((sign, body))
     first_sign, first_body = parts[0]
@@ -477,47 +492,7 @@ def format_poly(cs, symbol=ALPHA_CHAR) -> str:
     return out
 
 
-def format_alpha(x: AlphaRational, symbol=ALPHA_CHAR) -> str:
+def format_alpha(x: AlphaRational) -> str:
     if x.den == (1,):
-        return format_poly(x.num, symbol)
-    return f"({format_poly(x.num, symbol)})/({format_poly(x.den, symbol)})"
-
-
-_TERM_RE = re.compile(
-    r"([+-]?)\s*(\d+)?\s*(?:\*\s*)?(?:(?:α|alpha|a)(?:\^(\d+))?)?\s*"
-)
-
-
-def parse_poly(s: str):
-    s = s.strip()
-    if s == "0":
-        return ()
-    coeffs = {}
-    pos = 0
-    while pos < len(s):
-        m = _TERM_RE.match(s, pos)
-        if not m or m.end() == pos:
-            raise ValueError(f"cannot parse polynomial {s!r} at offset {pos}")
-        sign, mag, power = m.groups()
-        has_var = ("α" in m.group(0)) or ("alpha" in m.group(0)) or ("a" in m.group(0))
-        if mag is None and not has_var:
-            raise ValueError(f"empty term in {s!r}")
-        k = int(power) if power else (1 if has_var else 0)
-        c = int(mag) if mag is not None else 1
-        if sign == "-":
-            c = -c
-        coeffs[k] = coeffs.get(k, 0) + c
-        pos = m.end()
-        while pos < len(s) and s[pos] == " ":
-            pos += 1
-    deg = max(coeffs)
-    return _trim(tuple(coeffs.get(i, 0) for i in range(deg + 1)))
-
-
-def parse_alpha(s: str) -> AlphaRational:
-    """Inverse of format_alpha on canonical output."""
-    s = s.strip()
-    if s.startswith("(") and ")/(" in s and s.endswith(")"):
-        numtxt, dentxt = s[1:-1].split(")/(", 1)
-        return AlphaRational(parse_poly(numtxt), parse_poly(dentxt))
-    return AlphaRational(parse_poly(s))
+        return format_poly(x.num)
+    return f"({format_poly(x.num)})/({format_poly(x.den)})"

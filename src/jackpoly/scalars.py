@@ -12,16 +12,12 @@ import math
 from fractions import Fraction
 
 from . import combinat
-from .qalpha import ALPHA, ONE, AlphaRational, alpha_shift
+from .qalpha import ALPHA, ONE, AlphaRational, alpha_shift, linear_product
 
 
 def _node_product(eta, factor) -> AlphaRational:
     """prod over the nodes s of eta of alpha*a + b, where (a, b) = factor(s)."""
-    out = ONE
-    for s in combinat.diagram_nodes(eta):
-        a, b = factor(s)
-        out = out * (ALPHA * a + b)
-    return out
+    return linear_product(map(factor, combinat.diagram_nodes(eta)))
 
 
 def const_d(eta) -> AlphaRational:
@@ -181,7 +177,5 @@ def c_rho_resolved(rho) -> AlphaRational:
 
 def staircase_norm_ratio(n: int) -> AlphaRational:
     """e/e' at the staircase: (1/N!) prod_j (j*alpha + N) / (1+alpha)^N."""
-    num = ONE
-    for j in range(1, n + 1):
-        num = num * (ALPHA * j + n)
-    return num / ((ALPHA + 1) ** n * math.factorial(n))
+    num = linear_product((j, n) for j in range(1, n + 1))
+    return num / (linear_product([(1, 1)] * n) * math.factorial(n))

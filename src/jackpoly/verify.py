@@ -24,7 +24,7 @@ from typing import Callable
 from . import combinat, jack, oracle, polyalg, scalars
 from .polyalg import (MultiPoly, antisymmetrize, apply_transposition, cherednik_apply,
                       d2_apply, divided_difference, exact_scalar_ratio, symmetrize)
-from .qalpha import ALPHA, ONE, AlphaRational, alpha_shift
+from .qalpha import ONE, AlphaRational, alpha_shift, linear_product
 
 FIG2_SHAPE = (8, 7, 7, 4, 3, 3, 2, 1, 0)
 SOLVE_ALPHAS = (Fraction(2), Fraction(3), Fraction(7, 2))
@@ -422,9 +422,7 @@ def _value_and_hook(kappa, with_norm):
     diagram node.  Then the two forms of P(1^N), and with_norm the two forms
     of the norm ratio, agree."""
     n = len(kappa)
-    denom = ONE
-    for j, part in enumerate(kappa, start=1):
-        denom = denom * (ALPHA * part + (n - j + 1))
+    denom = linear_product((part, n - j + 1) for j, part in enumerate(kappa, start=1))
     witness = (_differ(f"kappa={kappa}: h/stab vs d(kappaR)/prod",
                        scalars.const_h(kappa) / combinat.stabilizer_order(kappa),
                        scalars.const_d(combinat.reverse_partition(kappa)) / denom)

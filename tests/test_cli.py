@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -41,6 +42,21 @@ class TestCompute:
         code, out = run_cli(capsys, "compute", "E", "1,0", "--alpha", "2")
         assert code == 0
         assert out.strip() == "(1/3)*z2 + z1"
+
+    def test_specialized_json_and_text_share_terms(self, capsys):
+        # at alpha = -2 the coefficient of z1*z2*z3 in E_(2,1,0) vanishes
+        argv = ("compute", "E", "2,1,0", "--alpha=-2")
+        _, text = run_cli(capsys, *argv)
+        _, out = run_cli(capsys, *argv, "--format", "json")
+        text_exps = set()
+        for chunk in re.split(r" [+-] ", text.strip()):
+            exp = [0, 0, 0]
+            for i, k in re.findall(r"z(\d+)(?:\^(\d+))?", chunk):
+                exp[int(i) - 1] = int(k or 1)
+            text_exps.add(tuple(exp))
+        terms = json.loads(out)["terms"]
+        assert {tuple(t["exp"]) for t in terms} == text_exps
+        assert (1, 1, 1) not in text_exps and "0" not in [t["coeff"] for t in terms]
 
     def test_bad_index_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

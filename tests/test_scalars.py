@@ -1,5 +1,6 @@
 import ast
 import inspect
+import math
 import random
 from fractions import Fraction
 
@@ -8,12 +9,34 @@ import pytest
 from jackpoly import combinat as cb
 from jackpoly import scalars as sc
 from jackpoly import verify
-from jackpoly.qalpha import (ALPHA, ONE, ZERO, AlphaRational, alpha_shift,
-                             format_alpha, parse_alpha)
+from jackpoly.polyalg import MultiPoly
+from jackpoly.qalpha import ALPHA, ONE, ZERO, AlphaRational, alpha_shift, linear_product
 
 A = ALPHA
 NODE_PRODUCTS = {"d": sc.const_d, "dp": sc.const_dp, "e": sc.const_e,
                  "ep": sc.const_ep, "b": sc.const_b, "h": sc.const_h}
+# the factor alpha*a + b of each node product, as (a, b) at node s of an N-part label
+NODE_FACTORS = {
+    "d": lambda s, n: (s.arm + 1, s.leg + 1),
+    "dp": lambda s, n: (s.arm + 1, s.leg),
+    "e": lambda s, n: (s.arm_co + 1, n - s.leg_co),
+    "ep": lambda s, n: (s.arm_co + 1, n - 1 - s.leg_co),
+    "b": lambda s, n: (s.arm_co, n - s.leg_co),
+    "h": lambda s, n: (s.arm, s.leg + 1),
+}
+
+
+def q_alpha_product(pairs):
+    """prod of alpha*a + b multiplied one factor at a time in Q(alpha): the
+    reference that linear_product is checked against."""
+    out = ONE
+    for a, b in pairs:
+        out = out * (A * a + b)
+    return out
+
+
+def same_form(x, y):
+    return (x.num, x.den) == (y.num, y.den)
 
 
 class TestField:
@@ -56,15 +79,25 @@ class TestField:
         assert (x - y).substitute(sh) == x.substitute(sh) - y.substitute(sh)
         assert x.inverse().substitute(sh) == x.substitute(sh).inverse()
 
-    def test_parse_print_round_trip(self):
-        elems = [ZERO, ONE, A, -A, (A + 2) / (A + 1), 2 * A ** 3 / (A ** 2 - 5),
-                 AlphaRational(Fraction(-7, 3)), (4 * A ** 2 - A) / (2 * A + 6)]
-        for x in elems:
-            assert parse_alpha(format_alpha(x)) == x
-
     def test_json_round_trip(self):
         x = (3 * A ** 2 - 1) / (A + 4)
         assert AlphaRational.from_json(x.to_json()) == x
+
+    def test_constants_hash_as_their_value(self):
+        # equal objects must hash equal: a constant element is equal to its
+        # int or Fraction, and so is a polynomial with such coefficients
+        for q in (0, 1, -3, Fraction(2, 7), Fraction(-5, 3)):
+            x = AlphaRational.from_fraction(q)
+            assert x == q and hash(x) == hash(q)
+        assert {1: "x"}.get(ONE) == "x"
+        assert len({ONE, 1}) == 1
+        f, g = MultiPoly(2, {(1, 0): ONE}), MultiPoly(2, {(1, 0): 1})
+        assert f == g and hash(f) == hash(g)
+
+    def test_linear_product(self):
+        assert same_form(linear_product([]), ONE)
+        assert same_form(linear_product([(2, 4), (0, -3)]), -6 * A - 12)
+        assert same_form(linear_product([(1, 1), (0, 0)]), ZERO)
 
 
 class TestConstants:
@@ -94,21 +127,25 @@ class TestConstants:
                 assert sc.const_ep(eta) == sc.const_ep(ep)
                 assert sc.const_b(eta) == sc.const_b(ep)
 
+    def test_node_products_match_q_alpha_loop(self):
+        for n in (1, 2, 3, 4):
+            for eta in cb.compositions_upto(6, n):
+                for kind, factor in NODE_FACTORS.items():
+                    if kind == "h" and not cb.is_partition(eta):
+                        continue
+                    want = q_alpha_product(factor(s, n) for s in cb.diagram_nodes(eta))
+                    assert same_form(NODE_PRODUCTS[kind](eta), want), (kind, eta)
+        kappa = verify.FIG2_SHAPE
+        want = q_alpha_product(NODE_FACTORS["h"](s, len(kappa)) for s in cb.diagram_nodes(kappa))
+        assert same_form(sc.const_h(kappa), want)
+
     def test_shifted_value_is_a_substitution(self):
         # each node product formed directly at alpha' = alpha/(alpha+1)
         # equals the product formed at alpha, composed with alpha -> alpha'
         sh = alpha_shift()
-        factors = {
-            "d": lambda s, n: (s.arm + 1, s.leg + 1),
-            "dp": lambda s, n: (s.arm + 1, s.leg),
-            "e": lambda s, n: (s.arm_co + 1, n - s.leg_co),
-            "ep": lambda s, n: (s.arm_co + 1, n - 1 - s.leg_co),
-            "b": lambda s, n: (s.arm_co, n - s.leg_co),
-            "h": lambda s, n: (s.arm, s.leg + 1),
-        }
         for n in (2, 3):
             for eta in cb.compositions_upto(5, n):
-                for kind, factor in factors.items():
+                for kind, factor in NODE_FACTORS.items():
                     if kind == "h" and not cb.is_partition(eta):
                         continue
                     direct = ONE
@@ -196,6 +233,18 @@ class TestHookAndSociety:
 
     def test_staircase_norm_ratio(self):
         assert sc.staircase_norm_ratio(2) == (A + 2) / (A + 1)
+        for n in range(1, 10):
+            want = (q_alpha_product((j, n) for j in range(1, n + 1))
+                    / ((A + 1) ** n * math.factorial(n)))
+            assert same_form(sc.staircase_norm_ratio(n), want), n
+
+    def test_hook_denominator_matches_q_alpha_loop(self):
+        # the product prod_j (alpha*kappa_j + N - j + 1) of verify's hook identity
+        kappas = [k for n in (1, 2, 3, 4) for k in cb.partitions_upto(6, n)]
+        for kappa in kappas + [verify.FIG2_SHAPE]:
+            n = len(kappa)
+            pairs = [(part, n - j + 1) for j, part in enumerate(kappa, start=1)]
+            assert same_form(linear_product(pairs), q_alpha_product(pairs)), kappa
 
     def test_norm_reconciliation(self):
         assert verify._norm_reconciliation((0, 0), (1, 0)) is None
