@@ -9,9 +9,9 @@ brute-force oracles.
 """
 
 from .combinat import (DiagramNode, composition_lt, diagram_nodes,
-                       dominance_leq, eigenvalue_vector, frequencies,
-                       has_distinct_parts, node_stats, phi_composition,
-                       reverse_partition, sort_to_partition, staircase)
+                       dominance_leq, eigenvalue_vector, has_distinct_parts,
+                       node_stats, phi_composition, reverse_partition,
+                       sort_to_partition, staircase)
 from .jack import build_E, build_P, build_S, clear_caches
 from .polyalg import (MultiPoly, antisymmetrize, binomial_series, cherednik_apply,
                       d2_apply, divided_difference, monomial_symmetric,

@@ -20,8 +20,8 @@ import sys
 from fractions import Fraction
 
 from . import combinat, jack, scalars, verify
-from .polyalg import MultiPoly, monomial_text, omega_truncated, pi_truncated
-from .qalpha import alpha_shift, format_alpha
+from .polyalg import MultiPoly, monomial_text, omega_truncated, pi_truncated, term_text
+from .qalpha import alpha_shift, format_alpha, join_terms
 
 
 def _parse_parts(text: str, parser, n=None):
@@ -66,42 +66,17 @@ def _poly_json(f: MultiPoly, alpha0=None) -> str:
 def _poly_text(f: MultiPoly, symbol: str, alpha0=None) -> str:
     if alpha0 is None:
         return f.format(symbol)
-    spec = f.specialize(alpha0)
-    if not spec:
-        return "0"
-    chunks = []
-    for e, c in sorted(spec.items()):
-        vars_part = monomial_text(e, symbol)
-        if not vars_part:
-            chunks.append(str(c))
-        elif c == 1:
-            chunks.append(vars_part)
-        elif c == -1:
-            chunks.append(f"-{vars_part}")
-        else:
-            chunks.append(f"({c})*{vars_part}")
-    out = chunks[0]
-    for ch in chunks[1:]:
-        out += f" - {ch[1:]}" if ch.startswith("-") else f" + {ch}"
-    return out
+    return join_terms([term_text(c, monomial_text(e, symbol))
+                       for e, c in sorted(f.specialize(alpha0).items())])
 
 
 def _m_basis_text(p: MultiPoly) -> str:
-    rows = []
-    for e, c in p.terms.items():
-        kappa = combinat.sort_to_partition(e)
-        if kappa == e:
-            rows.append((kappa, c))
-    rows.sort(reverse=True)
     chunks = []
-    for kappa, c in rows:
+    for kappa in sorted((e for e in p.terms if combinat.sort_to_partition(e) == e),
+                        reverse=True):
         label = ",".join(str(v) for v in kappa if v)
-        mono = f"m[{label}]" if label else "1"
-        if c.is_one():
-            chunks.append(mono)
-        else:
-            chunks.append(f"({format_alpha(c)})*{mono}")
-    return " + ".join(chunks) if chunks else "0"
+        chunks.append(term_text(p.terms[kappa], f"m[{label}]" if label else "1"))
+    return join_terms(chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +196,7 @@ def cmd_expand(args, parser):
             parser.error("binomial expansion needs --r")
         lines = [f"# expansion coefficients of prod_j (1-x_j)^(-{args.r}), degree <= {args.deg}",
                  "# label -> alpha^|eta| [r](eta+) / (u d)"]
-        lines += [f"{list(eta)} -> {scalars.binomial_coeff_E(args.r, eta)}"
+        lines += [f"{list(eta)} -> {scalars.binomial_coeff(args.r, eta)}"
                   for eta in combinat.compositions_upto(args.deg, n)]
         return "\n".join(lines), 0
     if args.kernel == "omega":

@@ -82,15 +82,6 @@ def has_distinct_parts(rho) -> bool:
     return len(set(rho)) == len(rho)
 
 
-def frequencies(kappa) -> dict:
-    """Counts of each nonzero part value."""
-    out = {}
-    for p in kappa:
-        if p > 0:
-            out[p] = out.get(p, 0) + 1
-    return out
-
-
 def stabilizer_order(kappa) -> int:
     """Order of the subgroup of S_N fixing the padded partition, i.e. the
     frequency factorial with the multiplicity of the part 0 included.  This

@@ -11,6 +11,8 @@ Q(alpha) elements; a truncated kernel in x_1..x_N, y_1..y_N is one MultiPoly
 in 2N variables.  The oracle keeps its Laurent data (negative exponents,
 Fraction coefficients) in plain dicts instead; of this module it reads only
 the `.terms` of kernels and bases, for the kernel-pairing extraction.
+Text output writes each term with `term_text` and lays the list out with
+`qalpha.join_terms`, the one sign-joining rule of the package.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import operator
 from fractions import Fraction
 
 from .combinat import perm_sign
-from .qalpha import ALPHA, ONE, ZERO, AlphaRational
+from .qalpha import ALPHA, ONE, ZERO, AlphaRational, join_terms
 
 
 def _add_term(out: dict, key, c) -> None:
@@ -38,6 +40,20 @@ def monomial_text(exps, symbol: str) -> str:
     """Render an exponent tuple as e.g. z1^2*z3; the empty string for 1."""
     return "*".join(f"{symbol}{i+1}" + (f"^{k}" if k > 1 else "")
                     for i, k in enumerate(exps) if k)
+
+
+def term_text(c, mono: str, bare: bool = False) -> str:
+    """One signed term for `join_terms`, with an AlphaRational or Fraction
+    coefficient: str(c) without a monomial, the monomial alone at c == 1
+    and negated at c == -1, else c*mono for a bare coefficient and
+    (c)*mono for any other."""
+    if not mono:
+        return str(c)
+    if c == 1:
+        return mono
+    if c == -1:
+        return f"-{mono}"
+    return f"{c}*{mono}" if bare else f"({c})*{mono}"
 
 
 class MultiPoly:
@@ -201,26 +217,10 @@ class MultiPoly:
         return cls(obj["N"], terms)
 
     def format(self, symbol="z"):
-        if not self.terms:
-            return "0"
-        chunks = []
-        for e, c in self.sorted_terms():
-            vars_part = monomial_text(e, symbol)
-            cs = str(c)
-            if not vars_part:
-                chunks.append(cs)
-            elif c.is_one():
-                chunks.append(vars_part)
-            elif (-c).is_one():
-                chunks.append(f"-{vars_part}")
-            elif c.den == (1,) and len([x for x in c.num if x]) == 1:
-                chunks.append(f"{cs}*{vars_part}")
-            else:
-                chunks.append(f"({cs})*{vars_part}")
-        out = chunks[0]
-        for ch in chunks[1:]:
-            out += f" - {ch[1:]}" if ch.startswith("-") else f" + {ch}"
-        return out
+        # a coefficient c*alpha^k over denominator 1 prints without parentheses
+        return join_terms([term_text(c, monomial_text(e, symbol),
+                                     c.den == (1,) and sum(map(bool, c.num)) == 1)
+                           for e, c in self.sorted_terms()])
 
     def __str__(self):
         return self.format()
@@ -351,9 +351,9 @@ def d2_apply(f: MultiPoly) -> MultiPoly:
             out[e] = c * w
     acc = MultiPoly._raw(n, out)
     two_over_alpha = AlphaRational.from_fraction(2) / ALPHA
-    for j in range(1, n + 1):
+    for j in range(1, n):
+        g = mul_variable(degree_scale(f, j), j)
         for k in range(j + 1, n + 1):
-            g = mul_variable(degree_scale(f, j), j)
             acc = acc + divided_difference(g, j, k).scale(two_over_alpha)
     return acc
 

@@ -463,33 +463,32 @@ def linear_product(pairs) -> AlphaRational:
 
 
 # ---------------------------------------------------------------------------
-# printing
+# printing: `join_terms` is the sign layout of every printed term list;
+# `polyalg.term_text` writes the terms of the polynomials in z, x and m[...]
 # ---------------------------------------------------------------------------
 
 ALPHA_CHAR = "α"
 
 
-def format_poly(cs) -> str:
-    if not cs:
+def join_terms(chunks) -> str:
+    """Lay out a list of signed term texts: "0" for none, else the first
+    chunk, then " - x" for each later chunk written "-x" and " + x" for
+    any other."""
+    if not chunks:
         return "0"
-    parts = []
+    return chunks[0] + "".join(f" - {ch[1:]}" if ch.startswith("-") else f" + {ch}"
+                               for ch in chunks[1:])
+
+
+def format_poly(cs) -> str:
+    chunks = []
     for i in range(len(cs) - 1, -1, -1):
         c = cs[i]
-        if c == 0:
-            continue
-        sign = "-" if c < 0 else "+"
-        mag = abs(c)
-        if i == 0:
-            body = str(mag)
-        else:
+        if c:
             var = ALPHA_CHAR if i == 1 else f"{ALPHA_CHAR}^{i}"
-            body = var if mag == 1 else f"{mag}*{var}"
-        parts.append((sign, body))
-    first_sign, first_body = parts[0]
-    out = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
+            chunks.append(str(c) if i == 0 else var if c == 1 else
+                          f"-{var}" if c == -1 else f"{c}*{var}")
+    return join_terms(chunks)
 
 
 def format_alpha(x: AlphaRational) -> str:

@@ -119,17 +119,12 @@ def v_kappa(kappa) -> AlphaRational:
     return const_dp(kappa) / const_h(kappa)
 
 
-def binomial_coeff_E(r, eta) -> AlphaRational:
-    """Coefficient of E_eta in prod_j (1-x_j)^(-r):
-    alpha^|eta| [r]_(eta+) / (u_eta d_eta)."""
-    kappa = combinat.sort_to_partition(eta)
-    return ALPHA ** sum(eta) * gen_factorial(r, kappa) / (u_eta(eta) * const_d(eta))
-
-
-def binomial_coeff_P(r, kappa) -> AlphaRational:
-    """Coefficient of P_kappa in prod_j (1-x_j)^(-r):
-    alpha^|kappa| [r]_kappa / (v_kappa h_kappa)."""
-    return ALPHA ** sum(kappa) * gen_factorial(r, kappa) / (v_kappa(kappa) * const_h(kappa))
+def binomial_coeff(r, label) -> AlphaRational:
+    """Coefficient of E_eta, or of P_kappa for a partition label, in
+    prod_j (1-x_j)^(-r): alpha^|eta| [r]_(eta+) / d'_eta.  The paper divides
+    by u_eta d_eta for E and by v_kappa h_kappa for P; both equal d'."""
+    kappa = combinat.sort_to_partition(label)
+    return ALPHA ** sum(label) * gen_factorial(r, kappa) / const_dp(label)
 
 
 # ---------------------------------------------------------------------------

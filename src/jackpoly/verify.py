@@ -565,17 +565,16 @@ def _binomial_product(r, n, bound):
 
 
 def _binomial(family, r, n, bound, r_side=None):
-    """The product at r against sum alpha^|eta| [r]_(eta+) / (u d) E_eta over
-    compositions (family E), or sum alpha^|kappa| [r]_kappa / (v h) P_kappa
-    over partitions (family P), with the scalar side at r_side (default r).
-    Checking several rational r certifies the identity in r by the degree
-    bound."""
+    """The product at r against sum alpha^|eta| [r]_(eta+) / d'_eta E_eta over
+    compositions (family E), or sum alpha^|kappa| [r]_kappa / d'_kappa P_kappa
+    over partitions (family P), with the scalar side at r_side (default r);
+    d' is the paper's u d for E and v h for P.  Checking several rational r
+    certifies the identity in r by the degree bound."""
     r_side = r if r_side is None else r_side
-    coeff = scalars.binomial_coeff_E if family == "E" else scalars.binomial_coeff_P
     rhs = MultiPoly.zero(n)
     for d in range(bound + 1):
         for label, f in _basis(family, n, d).items():
-            rhs = rhs + f.scale(coeff(r_side, label))
+            rhs = rhs + f.scale(scalars.binomial_coeff(r_side, label))
     return _differ(f"N={n} r={r}: prod (1-x_j)^-r vs sum over {family}",
                    _binomial_product(r, n, bound), rhs)
 

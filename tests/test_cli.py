@@ -449,6 +449,31 @@ class TestGolden:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # the text renderers: symbolic, specialized (a vanishing term at
+    # alpha = -2), the constant polynomial, the m-basis and the constants
+    @pytest.mark.parametrize("argv, digest", [
+        (["compute", "E", "2,0,1"],
+         "4fde09b79ed1df3b8bba32676f05a9777c41dd0425ec63c2974914e5deca706a"),
+        (["compute", "E", "2,0,1", "--alpha", "1"],
+         "69392e1ad04ad0bce9989be2b5ef5923eeb90d7a8564fcb5396e0687aa489f35"),
+        (["compute", "E", "2,1,0", "--alpha=-2"],
+         "263248ed55d6b5a710ca297633a9f89001a439aefdd98d03664250ab2ec9a450"),
+        (["compute", "E", "0,0"],
+         "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865"),
+        (["compute", "P", "2,1,1,0"],
+         "a96636273971de1c750901cd0b850dd0ba262cf65afad041cb4e678dfd48e4b5"),
+        (["compute", "P", "2,1,0", "--alpha", "1"],
+         "da882900359467d3424dff60dedd0ff4e30764a8b59ec48c0e2cea95d43fc3f1"),
+        (["compute", "S", "4,1,0"],
+         "a1b3197a3ee9905dd92ef5333435e66c6b94755ed058a7406fdf049db31340ef"),
+        (["constants", "2,1,0"],
+         "a08ec1d41abe302002e2d66f496afd188d18e753b8f1eeffd12f20c88562cbae"),
+    ])
+    def test_text_digest(self, capsys, argv, digest):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_verify_json_digest(self, capsys):
         # names, params, cases, clamps, witnesses and verdicts of the whole
         # registry; the timings are dropped and the keys sorted

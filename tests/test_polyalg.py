@@ -69,6 +69,22 @@ class TestRing:
         assert MP.from_json(f.to_json()) == f
 
 
+class TestText:
+    def test_term_layouts(self):
+        # constant, bare (c*alpha^k over 1), -1, 1 and parenthesized coefficients
+        f = MP(2, {(0, 0): -ONE, (1, 0): 2 * ONE, (0, 1): -3 * A,
+                   (1, 1): (A + 1).inverse(), (2, 0): ONE, (0, 2): -ONE})
+        assert str(f) == "-1 - 3*α*z2 - z2^2 + 2*z1 + ((1)/(α + 1))*z1*z2 + z1^2"
+
+    def test_zero(self):
+        assert str(MP.zero(2)) == "0"
+
+    def test_term_text_fraction(self):
+        assert pa.term_text(Fraction(-2), "z1") == "(-2)*z1"
+        assert pa.term_text(Fraction(-1), "z1") == "-z1"
+        assert pa.term_text(Fraction(1, 3), "") == "1/3"
+
+
 class TestVariableActions:
     def test_transposition(self):
         assert pa.apply_transposition(MP.monomial((2, 1)), 1, 2) == MP.monomial((1, 2))

@@ -246,6 +246,19 @@ class TestHookAndSociety:
             pairs = [(part, n - j + 1) for j, part in enumerate(kappa, start=1)]
             assert same_form(linear_product(pairs), q_alpha_product(pairs)), kappa
 
+    def test_binomial_coeff_matches_paper_forms(self):
+        # alpha^|eta| [r]_(eta+) / (u_eta d_eta) on compositions and
+        # alpha^|kappa| [r]_kappa / (v_kappa h_kappa) on partitions
+        for r in (1, 2, Fraction(5, 2), Fraction(-3, 7)):
+            for n in (1, 2, 3, 4):
+                for eta in cb.compositions_upto(5, n):
+                    kappa = cb.sort_to_partition(eta)
+                    rising = A ** sum(eta) * sc.gen_factorial(r, kappa)
+                    got = sc.binomial_coeff(r, eta)
+                    assert same_form(got, rising / (sc.u_eta(eta) * sc.const_d(eta))), (r, eta)
+                    if eta == kappa:
+                        assert same_form(got, rising / (sc.v_kappa(kappa) * sc.const_h(kappa))), (r, kappa)
+
     def test_norm_reconciliation(self):
         assert verify._norm_reconciliation((0, 0), (1, 0)) is None
         assert verify._norm_reconciliation((1, 0), (2, 0)) is None
