@@ -47,17 +47,6 @@ def reverse_partition(eta) -> tuple:
     return tuple(sorted(eta))
 
 
-def conjugate(kappa) -> tuple:
-    """Conjugate partition (column lengths)."""
-    if not any(kappa):
-        return ()
-    out = [0] * max(kappa)
-    for part in kappa:
-        for j in range(part):
-            out[j] += 1
-    return tuple(out)
-
-
 def swap_parts(eta, i: int) -> tuple:
     """Exchange parts i and i+1 (1-based)."""
     if not 1 <= i < len(eta):
@@ -204,7 +193,7 @@ def diagram_nodes(eta):
 # eigenvalues
 # ---------------------------------------------------------------------------
 
-def _eigenvalue_offsets(eta):
+def eigenvalue_offsets(eta):
     """(eta_j, #{k<j: eta_k >= eta_j} + #{k>j: eta_k > eta_j}) for each j."""
     return [(ej, sum(1 for ek in eta[:j] if ek >= ej)
              + sum(1 for ek in eta[j + 1:] if ek > ej))
@@ -214,18 +203,18 @@ def _eigenvalue_offsets(eta):
 def eigenvalue_vector(eta) -> list:
     """The vector with entries alpha*eta_j - #{k<j: eta_k >= eta_j}
     - #{k>j: eta_k > eta_j}, as elements of Q(alpha)."""
-    return [ALPHA * ej - c for ej, c in _eigenvalue_offsets(eta)]
+    return [ALPHA * ej - c for ej, c in eigenvalue_offsets(eta)]
 
 
 def eigenvalue_fractions(eta, alpha0):
     """The same vector specialized at a rational alpha0 (oracle side)."""
     a0 = Fraction(alpha0)
-    return tuple(a0 * ej - c for ej, c in _eigenvalue_offsets(eta))
+    return tuple(a0 * ej - c for ej, c in eigenvalue_offsets(eta))
 
 
 def eigenvalue_ints(eta, p: int, q: int):
     """q times the vector specialized at alpha0 = p/q, q > 0: all ints."""
-    return tuple(p * ej - q * c for ej, c in _eigenvalue_offsets(eta))
+    return tuple(p * ej - q * c for ej, c in eigenvalue_offsets(eta))
 
 
 # ---------------------------------------------------------------------------

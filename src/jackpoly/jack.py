@@ -1,44 +1,56 @@
 """Construction of the three Jack families.
 
-build_E produces the non-symmetric polynomial for a composition by peeling
-the raising map off weakly increasing indices and removing descents through
-the adjacent-transposition action; every step is division-free except for
-one field division by an eigenvalue gap.
+E is built through its integral form J_eta = d_eta E_eta, whose
+coefficients lie in Z[alpha] (F. Knop and S. Sahi, Invent. Math. 128,
+1997), held as {exponent: int tuple} times the raising factors not yet
+multiplied in.  J is walked down a chain of raising and swap steps to a
+cached or zero label and built back up: a raising step relabels and
+records one linear factor, and a swap step is one linear multiply and one
+exact synthetic division per coefficient, so the chain takes no
+polynomial gcd.  E is J over the linear factors of d_eta, made canonical
+once per requested label by cancelling the factors J holds and dividing
+out those that divide each coefficient exactly.
 
 build_P and build_S do their Q(alpha) work only at dominant exponents and
 then write each value to the rearrangements of its exponent.  P is
 symmetric, so its coefficient at any exponent equals the one at the sorted
-exponent, a partition: build_P sums d'(kappa)/d'(eta) E_eta at partition
-exponents only.  S is the Vandermonde a_delta times P with its
-coefficients carried through alpha -> alpha/(alpha+1), so it is
-antisymmetric: its coefficient at lambda o pi is sgn(pi) times the one at
-lambda, and vanishes at repeated parts.  By the alternant identity
-a_delta s_nu = a_(nu+delta) (Macdonald, Symmetric Functions and Hall
-Polynomials, I.3) it is fixed by its coefficients at the strictly
-decreasing lambda = nu + delta, each an integer combination of the
-partition coefficients of the cached P at alpha, substituted once.  Moving
-a value to a rearranged exponent is a relabelling, or a relabelling and a
-sign, so the filled polynomial equals the one the full sums would give,
-coefficient for coefficient.  Results are cached by label and never mutated.
+exponent, a partition: build_P sums d'(kappa) J_eta / (d(eta) d'(eta)) at
+partition exponents only, over one factored common denominator.  S is the
+Vandermonde a_delta times P with its coefficients carried through
+alpha -> alpha/(alpha+1), so it is antisymmetric: its coefficient at
+lambda o pi is sgn(pi) times the one at lambda, and vanishes at repeated
+parts.  By the alternant identity a_delta s_nu = a_(nu+delta) (Macdonald,
+Symmetric Functions and Hall Polynomials, I.3) it is fixed by its
+coefficients at the strictly decreasing lambda = nu + delta, each an
+integer combination of the partition coefficients of the cached P at
+alpha, substituted once.  Moving a value to a rearranged exponent is a
+relabelling, or a relabelling and a sign, so the filled polynomial equals
+the one the full sums would give, coefficient for coefficient.  Results
+are cached by label and never mutated.
 """
 
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
+import math
 import operator
 from fractions import Fraction
 
 from . import combinat, scalars
-from .polyalg import MultiPoly, apply_transposition, apply_phi, symmetrize
-from .qalpha import ZERO, AlphaRational, alpha_shift
+from .polyalg import MultiPoly, symmetrize
+from .qalpha import (ZERO, AlphaRational, alpha_shift, forms_poly, linear_forms, over_linear,
+                     over_linear_forms, poly_add, poly_mul, poly_sub, times_linear)
 
 _E_CACHE: dict = {}
+_J_CACHE: dict = {}
 _P_CACHE: dict = {}
 
 
 def clear_caches():
     _E_CACHE.clear()
+    _J_CACHE.clear()
     _P_CACHE.clear()
 
 
@@ -46,37 +58,92 @@ def clear_caches():
 # the non-symmetric family
 # ---------------------------------------------------------------------------
 
-def build_E(eta) -> MultiPoly:
-    """The monic polynomial with leading monomial z^eta that is a joint
-    eigenfunction of the commuting first-order operators.
+def _integral(eta):
+    """J_eta = d_eta E_eta as (pairs, terms): terms is {exponent: int tuple
+    of Z[alpha]}, and J is terms times the product of the linear factors
+    alpha*a + b over `pairs`, the raising factors not yet multiplied in.
 
     Each label comes from exactly one predecessor by one raising or swap
     step, so the chain of predecessors is walked down to a cached or zero
     label and then built back up, caching every label on it."""
-    eta = combinat.as_composition(eta)
     chain = []  # (label, its first descent or 0 when weakly increasing), top first
-    while eta not in _E_CACHE and any(eta):
+    while eta not in _J_CACHE and any(eta):
         i = next((j for j in range(1, len(eta)) if eta[j - 1] > eta[j]), 0)
         chain.append((eta, i))
         # a descent is removed by a swap; otherwise eta = Phi(nu) with
         # nu = (eta_N - 1, eta_1, ..., eta_(N-1))
         eta = combinat.swap_parts(eta, i) if i else (eta[-1] - 1,) + eta[:-1]
+    out = _J_CACHE.get(eta)
+    if out is None:
+        out = _J_CACHE[eta] = ((), {eta: (1,)})
+    for eta, i in reversed(chain):
+        out = _J_CACHE[eta] = _swap_step(out, eta, i) if i else _raise_step(out, eta)
+    return out
+
+
+def _raise_step(j_nu, eta):
+    """J_(Phi nu) = (alpha (nu_1 + 1) + N - #{j > 1: nu_j > nu_1}) Phi J_nu,
+    where eta = Phi nu: nu_1 + 1 = eta_N, and the nu_j with j > 1 are the
+    eta_k with k < N.  The factor joins the pending pairs: a raising chain
+    at N = 1 would otherwise store d_(k) z^k, whose coefficients grow with
+    k, at every k on it."""
+    pairs, terms = j_nu
+    top = eta[-1]
+    b = len(eta) - sum(1 for p in eta[:-1] if p >= top)
+    return pairs + ((top, b),), {e[1:] + (e[0] + 1,): c for e, c in terms.items()}
+
+
+def _swap_step(j_mu, eta, i):
+    """J_eta = (delta s_i J_mu - J_mu) / (delta - 1) for eta with a descent
+    at i, where mu = s_i eta is ascending at i and delta = alpha a + b is
+    its eigenvalue gap at i, a = mu_i - mu_(i+1) != 0.  The pending factors
+    of J_mu are multiplied in first.  The division is exact; an inexact one
+    raises ArithmeticError naming eta."""
+    pairs, terms = j_mu
+    if pairs:
+        scale = forms_poly(*linear_forms(pairs))
+        terms = {e: poly_mul(c, scale) for e, c in terms.items()}
+    k = i - 1
+    (m1, c1), (m2, c2) = combinat.eigenvalue_offsets(combinat.swap_parts(eta, i))[k:i + 1]
+    a, b = m1 - m2, c2 - c1
+
+    def swap(e):
+        return e[:k] + (e[i], e[k]) + e[i + 1:]
+
+    out = {}
+    for e in terms.keys() | set(map(swap, terms)):
+        num = poly_sub(times_linear(terms.get(swap(e), ()), a, b), terms.get(e, ()))
+        if num:
+            q = over_linear(num, a, b - 1)
+            if q is None:
+                raise ArithmeticError(f"J_{eta}: the swap step at {e} does not divide by "
+                                      f"{AlphaRational((b - 1, a))}")
+            out[e] = q
+    return (), out
+
+
+def _over_pending(pairs, factors):
+    """The product of the linear `factors` over the pending factors `pairs`
+    of a J, as (content, forms).  The pending factors are the ratios
+    d_(Phi nu)/d_nu of the raising steps since the last swap, so they
+    divide d_eta, and the division is exact in factored form."""
+    (c, f), (pc, pf) = linear_forms(factors), linear_forms(pairs)
+    return c // pc, f - pf
+
+
+def build_E(eta) -> MultiPoly:
+    """The monic polynomial with leading monomial z^eta that is a joint
+    eigenfunction of the commuting first-order operators: the integral
+    form J_eta over d_eta, with the pending factors of J cancelled first
+    and each coefficient made canonical by dividing out the remaining
+    linear factors of d_eta that divide it."""
+    eta = combinat.as_composition(eta)
     out = _E_CACHE.get(eta)
     if out is None:
-        out = _E_CACHE[eta] = MultiPoly.one(len(eta))
-    for eta, i in reversed(chain):
-        if i:
-            # mu = s_i eta is ascending at i, and
-            # E_eta = s_i E_mu - (1/delta_i(mu)) E_mu
-            mu = combinat.swap_parts(eta, i)
-            bars = combinat.eigenvalue_vector(mu)
-            delta = bars[i - 1] - bars[i]
-            if not delta:
-                raise ArithmeticError(f"vanishing eigenvalue gap at {mu}, i={i}")
-            out = apply_transposition(out, i, i + 1) - out.scale(delta.inverse())
-        else:
-            out = apply_phi(out)
-        _E_CACHE[eta] = out
+        pairs, terms = _integral(eta)
+        den = _over_pending(pairs, scalars.d_factors(eta))
+        out = _E_CACHE[eta] = MultiPoly(len(eta), {
+            e: over_linear_forms(c, *den) for e, c in terms.items()})
     return out
 
 
@@ -97,21 +164,35 @@ def _padded(kappa, n: int = None) -> tuple:
 
 def build_P(kappa, n: int = None) -> MultiPoly:
     """The monic symmetric polynomial
-    d'(kappa) * sum over rearrangements eta of E_eta / d'(eta).
-    The sum and the scaling by d'(kappa) run on partition exponents only,
-    the m-basis coordinates; `_fill` then copies each coefficient to every
-    rearrangement of its exponent, which is exact because P is symmetric."""
+    d'(kappa) * sum over rearrangements eta of E_eta / d'(eta)
+    = d'(kappa) * sum of J_eta / (d(eta) d'(eta)).
+    The sum runs in Z[alpha] on partition exponents only, the m-basis
+    coordinates, over the least common multiple of the factored
+    denominators; each sum is then made canonical as E is.  `_fill`
+    copies each coefficient to every rearrangement of its exponent, which
+    is exact because P is symmetric."""
     kappa = _padded(kappa, n)
     cached = _P_CACHE.get(kappa)
     if cached is not None:
         return cached
-    n = len(kappa)
-    out = MultiPoly.zero(n)
+    parts = []  # (terms of J_eta, d(eta) d'(eta) over the pending factors of J_eta)
     for eta in combinat.rearrangements(kappa):
-        dominant = {e: c for e, c in build_E(eta).terms.items() if combinat.is_partition(e)}
-        out = out + MultiPoly(n, dominant).scale(scalars.const_dp(eta).inverse())
-    out = out.scale(scalars.const_dp(kappa))
-    out = _P_CACHE[kappa] = _fill(n, out.terms, signed=False)
+        pairs, terms = _integral(eta)
+        parts.append((terms, _over_pending(pairs, scalars.d_factors(eta)
+                                           + scalars.dp_factors(eta))))
+    content = math.lcm(*(c for _, (c, _) in parts))
+    forms = functools.reduce(operator.or_, (f for _, (_, f) in parts))
+    sums = {}
+    for terms, (c, f) in parts:
+        cofactor = forms_poly(content // c, forms - f)
+        for e, j in terms.items():
+            if combinat.is_partition(e):
+                sums[e] = poly_add(sums.get(e, ()), poly_mul(j, cofactor))
+    # kappa is one of the eta, so d'(kappa) divides the common denominator
+    top_content, top_forms = linear_forms(scalars.dp_factors(kappa))
+    content, forms = content // top_content, forms - top_forms
+    dominant = {e: over_linear_forms(s, content, forms) for e, s in sums.items() if s}
+    out = _P_CACHE[kappa] = _fill(len(kappa), dominant, signed=False)
     return out
 
 

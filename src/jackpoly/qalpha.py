@@ -29,11 +29,17 @@ Reduction works in three layers:
 
 The closed-form constants are products of linear factors alpha*a + b;
 `linear_product` multiplies them out in Z[alpha], where no gcd is needed.
+The construction works in Z[alpha] too, on plain int tuples: it multiplies
+and exactly divides by one linear factor at a time, and
+`over_linear_forms` turns a Z[alpha] numerator over a product of linear
+factors into the canonical form by exact division alone.
 """
 
 from __future__ import annotations
 
+import collections
 import math
+import operator
 from fractions import Fraction
 
 
@@ -452,6 +458,10 @@ def alpha_shift() -> AlphaRational:
     return AlphaRational._raw((0, 1), (1, 1))
 
 
+# ---------------------------------------------------------------------------
+# Z[alpha]: integral forms and ratios over products of linear factors
+# ---------------------------------------------------------------------------
+
 def linear_product(pairs) -> AlphaRational:
     """prod of alpha*a + b over the int pairs (a, b), multiplied out in
     Z[alpha]: the denominator stays 1, so the result is canonical without
@@ -460,6 +470,86 @@ def linear_product(pairs) -> AlphaRational:
     for a, b in pairs:
         out = _mul(out, _trim((b, a)))
     return AlphaRational._raw(out, (1,))
+
+
+def poly_add(p, q):
+    """p + q in Z[alpha]."""
+    return _add(p, q)
+
+
+def poly_sub(p, q):
+    """p - q in Z[alpha]."""
+    return _add(p, _neg(q))
+
+
+def poly_mul(p, q):
+    """p q in Z[alpha]."""
+    return _mul(p, q)
+
+
+def times_linear(p, a, b):
+    """p (alpha*a + b) in Z[alpha], for a != 0."""
+    if not p:
+        return ()
+    return tuple(map(operator.add, [b * c for c in p] + [0], [0] + [a * c for c in p]))
+
+
+def over_linear(p, a, b):
+    """p / (alpha*a + b) when the quotient lies in Z[alpha], else None; a != 0.
+    Synthetic division from the top: p_k = a q_(k-1) + b q_k, and the
+    constant term must come out as b q_0."""
+    n = len(p) - 1
+    if n < 1:
+        return None if p else ()
+    q = [0] * n
+    carry = 0
+    for k in range(n, 0, -1):
+        c, rem = divmod(p[k] - carry, a)
+        if rem:
+            return None
+        q[k - 1] = c
+        carry = b * c
+    return tuple(q) if p[0] == carry else None
+
+
+def linear_forms(pairs):
+    """prod of alpha*a + b over the int pairs (a, b), a > 0, factored as
+    (content, Counter of primitive pairs): an integer times primitive
+    linear forms, each with its multiplicity."""
+    content, forms = 1, collections.Counter()
+    for a, b in pairs:
+        g = math.gcd(a, b)
+        content *= g
+        forms[a // g, b // g] += 1
+    return content, forms
+
+
+def forms_poly(content, forms):
+    """content * prod (alpha*a + b)^m over the Counter `forms`, in Z[alpha]."""
+    out = (content,)
+    for (a, b), m in forms.items():
+        out = _mul(out, _power((b, a), m))
+    return out
+
+
+def over_linear_forms(num, content, forms) -> AlphaRational:
+    """num / forms_poly(content, forms) in canonical form, with no
+    polynomial gcd.  Each primitive form is divided out of num for as long
+    as the division is exact, up to its multiplicity; by Gauss's lemma a
+    primitive divisor over Q is one over Z.  Distinct primitive linear
+    forms are coprime, so the forms left in the denominator share no factor
+    with what is left of num, and only the integer gcd of num's content and
+    `content` remains to divide out.  content > 0 and a > 0 in every form
+    give the denominator a positive leading coefficient."""
+    if not num:
+        return ZERO
+    left = collections.Counter()
+    for (a, b), m in forms.items():
+        while m and (q := over_linear(num, a, b)) is not None:
+            num, m = q, m - 1
+        left[a, b] = m
+    g = math.gcd(content, *num)
+    return AlphaRational._raw(_exact_scale(num, g), forms_poly(content // g, left))
 
 
 # ---------------------------------------------------------------------------

@@ -20,12 +20,22 @@ def _node_product(eta, factor) -> AlphaRational:
     return linear_product(map(factor, combinat.diagram_nodes(eta)))
 
 
+def d_factors(eta) -> tuple:
+    """The pairs (a, b) of the factors alpha*a + b of d, one per node."""
+    return tuple((s.arm + 1, s.leg + 1) for s in combinat.diagram_nodes(eta))
+
+
+def dp_factors(eta) -> tuple:
+    """The pairs (a, b) of the factors alpha*a + b of d', one per node."""
+    return tuple((s.arm + 1, s.leg) for s in combinat.diagram_nodes(eta))
+
+
 def const_d(eta) -> AlphaRational:
-    return _node_product(eta, lambda s: (s.arm + 1, s.leg + 1))
+    return linear_product(d_factors(eta))
 
 
 def const_dp(eta) -> AlphaRational:
-    return _node_product(eta, lambda s: (s.arm + 1, s.leg))
+    return linear_product(dp_factors(eta))
 
 
 def const_e(eta) -> AlphaRational:

@@ -292,6 +292,22 @@ def _E_witness(f, eta):
     return _monic_below(f"eta={eta}", f, eta, lambda e: combinat.composition_lt(e, eta))
 
 
+def _integral_witness(eta, f):
+    """The witness unless f, meant to be d_eta E_eta, has every coefficient
+    in Z>=0[alpha] of alpha-degree at most |eta| (F. Knop and S. Sahi,
+    Invent. Math. 128, 1997)."""
+    for e, c in sorted(f.terms.items()):
+        label = f"eta={eta}: d E at {e}"
+        if c.den != (1,):
+            return _differ(f"{label}: denominator", AlphaRational(c.den), ONE)
+        if len(c.num) - 1 > sum(eta):
+            return _differ(f"{label}: α^{len(c.num) - 1} above |eta|", c.num[-1], 0)
+        k = next((k for k, v in enumerate(c.num) if v < 0), None)
+        if k is not None:
+            return _differ(f"{label}: α^{k} below 0", c.num[k], -c.num[k])
+    return None
+
+
 def _swap_action(eta, i):
     """The three-case adjacent-swap action, with both sides built
     independently from the cache."""
@@ -727,6 +743,9 @@ def _controls(s):
     yield "triangular", _E_witness(lead_scaled, (2, 1)) is not None
     yield "P-properties", _P_witness(_corrupt(jack.build_P((2, 1), 2)), (2, 1)) is not None
     e10 = jack.build_E((1, 0))
+    # d' in place of d leaves a denominator
+    yield "integral-positive", _integral_witness(
+        (1, 0), e10.scale(scalars.const_dp((1, 0)))) is not None
     yield "at-ones", _differ("at-ones", _corrupt(e10).eval_ones(),
                              scalars.eval_E_at_ones((1, 0))) is not None
 
@@ -765,6 +784,9 @@ CHECKS = {row.name: row for row in (
     Check("E.value-at-ones", _compositions,
           lambda eta: _differ(f"eta={eta}", jack.build_E(eta).eval_ones(),
                               scalars.eval_E_at_ones(eta)),
+          **_EIGEN),
+    Check("E.integral-positive", _compositions,
+          lambda eta: _integral_witness(eta, jack.build_E(eta).scale(scalars.const_d(eta))),
           **_EIGEN),
     Check("E.swap-action",
           lambda s: ((eta, i) for (eta,) in _compositions(s) for i in range(1, len(eta))),

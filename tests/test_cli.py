@@ -96,6 +96,7 @@ class TestCompute:
         # 1200 raising steps from the zero label, far past the interpreter's
         # recursion limit
         monkeypatch.setattr(jack, "_E_CACHE", {})
+        monkeypatch.setattr(jack, "_J_CACHE", {})
         monkeypatch.setattr(jack, "_P_CACHE", {})
         code, out = run_cli(capsys, "compute", *argv)
         assert code == 0
@@ -220,7 +221,7 @@ class TestVerify:
                             "--format", "json")
         assert code == 0
         checks = json.loads(out)["checks"]
-        assert len(checks) == 28
+        assert len(checks) == 29
         for check in checks:
             assert check["cases"] >= 1, check["name"]
             assert isinstance(check["clamped"], list)
@@ -401,9 +402,11 @@ class TestGolden:
     truncated kernels) before the polynomial operators shared one
     accumulation helper, and the `expand` text digests while a kernel was
     still a two-sided container rather than one polynomial in 2N variables;
-    the `verify` digest while the identity checks were still bool predicates
-    in the construction modules.  Any change in canonical form, term set,
-    serialization or verdict shows here."""
+    the `verify` digest when the `E.integral-positive` row and its negative
+    control joined a registry whose other rows are unchanged since the
+    identity checks were bool predicates in the construction modules.  Any
+    change in canonical form, term set, serialization or verdict shows
+    here."""
 
     @pytest.mark.parametrize("family, label, digest", [
         ("E", "2,1,0",
@@ -421,6 +424,10 @@ class TestGolden:
          "8c78832141a77b3e9f680f4ceca467c01d8c93670b42fb41ce11f9b7c04c2101"),
         ("S", "8,4,2,1,0",
          "0023fee8b79675e1766472177eabe9b3623b0ce961e88311e396220a9126f84c"),
+        # the costliest E of the benchmark's compute sweep, computed while E
+        # was still built by a chain in Q(alpha)
+        ("E", "4,4,0,0,0",
+         "97d2e3fb2655904b286a07e9911a07d9487484e64da5d1300291b8f2cd8860cb"),
     ])
     def test_compute_json_digest(self, capsys, family, label, digest):
         code, out = run_cli(capsys, "compute", family, label, "--format", "json")
@@ -485,4 +492,4 @@ class TestGolden:
             del check["seconds"]
         blob = json.dumps(report, sort_keys=True).encode()
         assert hashlib.sha256(blob).hexdigest() == (
-            "82c70aa686a095beaad591f3d293448b027f1fd2b46a7d2fb52531627390031c")
+            "4be23c79b97e3f1cbd9c2d063b92e4c44812ad1d191ed3a96461c2ba7ca2e878")

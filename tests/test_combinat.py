@@ -68,11 +68,20 @@ def test_node_stats():
         cb.node_stats((1, 0), 2, 1)
 
 
+def _conjugate(kappa) -> tuple:
+    """Conjugate partition (column lengths)."""
+    out = [0] * max(kappa, default=0)
+    for part in kappa:
+        for j in range(part):
+            out[j] += 1
+    return tuple(out)
+
+
 def test_partition_stats_reduce_to_classical():
     # on a partition the leg equals the conjugate-column excess and the leg
     # colength is the row index minus one
     for kappa in cb.partitions_upto(6, 4):
-        conj = cb.conjugate(kappa)
+        conj = _conjugate(kappa)
         for s in cb.diagram_nodes(kappa):
             assert s.leg == conj[s.j - 1] - s.i
             assert s.leg_co == s.i - 1

@@ -4,9 +4,9 @@ import pytest
 
 from jackpoly import combinat as cb
 from jackpoly import jack, scalars, verify
-from jackpoly.polyalg import (MultiPoly, antisymmetrize, exact_scalar_ratio,
-                              symmetrize, vandermonde)
-from jackpoly.qalpha import ALPHA, ONE, AlphaRational, alpha_shift
+from jackpoly.polyalg import (MultiPoly, antisymmetrize, apply_phi, apply_transposition,
+                              exact_scalar_ratio, symmetrize, vandermonde)
+from jackpoly.qalpha import ALPHA, ONE, AlphaRational, alpha_shift, linear_product
 
 A = ALPHA
 
@@ -65,6 +65,121 @@ class TestBuildE:
         d = A + 1
         rhs = f.scale(1 / d) + g.scale(ONE - 1 / d ** 2)
         assert apply_transposition(f, 1, 2) == rhs
+
+
+# ---------------------------------------------------------------------------
+# the Q(alpha) construction that the integral chain replaced, kept as the
+# reference: E by one field division per swap, P as a Q(alpha) sum
+# ---------------------------------------------------------------------------
+
+_QALPHA_E = {}
+
+
+def qalpha_chain_E(eta):
+    """E_eta by the chain in Q(alpha): raising steps off weakly increasing
+    labels, and E_eta = s_i E_mu - (1/delta) E_mu across the first descent
+    i, with mu = s_i eta and delta its eigenvalue gap at i."""
+    chain = []
+    while eta not in _QALPHA_E and any(eta):
+        i = next((j for j in range(1, len(eta)) if eta[j - 1] > eta[j]), 0)
+        chain.append((eta, i))
+        eta = cb.swap_parts(eta, i) if i else (eta[-1] - 1,) + eta[:-1]
+    out = _QALPHA_E.get(eta)
+    if out is None:
+        out = _QALPHA_E[eta] = MultiPoly.one(len(eta))
+    for eta, i in reversed(chain):
+        if i:
+            bars = cb.eigenvalue_vector(cb.swap_parts(eta, i))
+            delta = bars[i - 1] - bars[i]
+            out = apply_transposition(out, i, i + 1) - out.scale(delta.inverse())
+        else:
+            out = apply_phi(out)
+        _QALPHA_E[eta] = out
+    return out
+
+
+def qalpha_sum_P(kappa):
+    """d'(kappa) * sum of E_eta / d'(eta) in Q(alpha) at partition exponents,
+    over the reference E, filled to every rearrangement."""
+    acc = MultiPoly.zero(len(kappa))
+    for eta in cb.rearrangements(kappa):
+        dominant = {e: c for e, c in qalpha_chain_E(eta).terms.items() if cb.is_partition(e)}
+        acc = acc + MultiPoly(len(kappa), dominant).scale(scalars.const_dp(eta).inverse())
+    return jack._fill(len(kappa), acc.scale(scalars.const_dp(kappa)).terms, signed=False)
+
+
+def _forms(f):
+    return {e: (c.num, c.den) for e, c in f.terms.items()}
+
+
+def _J(eta):
+    """The cached integral form as a polynomial over Q(alpha), its pending
+    factors multiplied in."""
+    pairs, terms = jack._integral(eta)
+    return MultiPoly(len(eta), {e: AlphaRational(c) for e, c in terms.items()}).scale(
+        linear_product(pairs))
+
+
+class TestIntegralChain:
+    def test_E_matches_the_q_alpha_chain(self):
+        for n in range(1, 5):
+            for eta in cb.compositions_upto(6, n):
+                assert _forms(jack.build_E(eta)) == _forms(qalpha_chain_E(eta)), eta
+
+    def test_P_matches_the_q_alpha_sum(self):
+        for n in range(1, 6):
+            for kappa in cb.partitions_upto(5, n):
+                assert _forms(jack.build_P(kappa)) == _forms(qalpha_sum_P(kappa)), kappa
+
+    def test_J_is_d_times_E(self):
+        for n in range(1, 5):
+            for eta in cb.compositions_upto(5, n):
+                assert _J(eta) == qalpha_chain_E(eta).scale(scalars.const_d(eta)), eta
+
+    def test_raise_step_closed_form(self):
+        # J_(Phi nu) = (alpha (nu_1 + 1) + N - #{j > 1: nu_j > nu_1}) Phi J_nu
+        for n in range(1, 6):
+            for nu in cb.compositions_upto(5, n):
+                factor = A * (nu[0] + 1) + (n - sum(1 for p in nu[1:] if p > nu[0]))
+                eta = cb.phi_composition(nu)
+                assert scalars.const_d(eta) == factor * scalars.const_d(nu), nu
+                assert _J(eta) == apply_phi(_J(nu)).scale(factor), nu
+
+    def test_swap_step_closed_form(self):
+        # J_eta = (delta s_i J_mu - J_mu) / (delta - 1) at every descent i
+        for n in range(2, 6):
+            for eta in cb.compositions_upto(6, n):
+                for i in range(1, n):
+                    if eta[i - 1] <= eta[i]:
+                        continue
+                    mu = cb.swap_parts(eta, i)
+                    bars = cb.eigenvalue_vector(mu)
+                    delta = bars[i - 1] - bars[i]
+                    j_mu = _J(mu)
+                    assert scalars.const_d(eta) * (delta - 1) == scalars.const_d(mu) * delta
+                    assert (_J(eta).scale(delta - 1)
+                            == apply_transposition(j_mu, i, i + 1).scale(delta) - j_mu), (eta, i)
+
+    def test_raising_factors_stay_pending(self, monkeypatch):
+        # J of z^k at N = 1 is d_(k) z^k: the chain keeps d_(k) as its k
+        # factors, and E cancels them without multiplying them out
+        monkeypatch.setattr(jack, "_J_CACHE", {})
+        pairs, terms = jack._integral((50,))
+        assert terms == {(50,): (1,)}
+        assert sorted(pairs) == sorted(scalars.d_factors((50,)))
+        # a swap step multiplies them in
+        pairs, terms = jack._integral((1, 0))
+        assert pairs == () and terms == {(1, 0): (1, 1), (0, 1): (1,)}
+
+    def test_inexact_swap_division_raises(self, monkeypatch):
+        # divide the swap numerator by delta + 1 instead of delta - 1
+        monkeypatch.setattr(jack, "_E_CACHE", {})
+        monkeypatch.setattr(jack, "_J_CACHE", {})
+        monkeypatch.setattr(jack, "_P_CACHE", {})
+        over = jack.over_linear
+        monkeypatch.setattr(jack, "over_linear", lambda p, a, b: over(p, a, b + 2))
+        with pytest.raises(ArithmeticError, match=r"^J_\(1, 0\): "):
+            jack.build_E((1, 0))
 
 
 class TestBuildP:
@@ -148,6 +263,7 @@ class TestBuildS:
             raise AssertionError(f"build_S built E_{eta}")
 
         monkeypatch.setattr(jack, "_E_CACHE", {})
+        monkeypatch.setattr(jack, "_J_CACHE", {})
         monkeypatch.setattr(jack, "_P_CACHE", {})
         for rho_plus in [(3, 1, 0), (4, 2, 0), (5, 1, 0), (5, 3, 1, 0)]:
             n = len(rho_plus)
@@ -209,6 +325,7 @@ class TestDominantFill:
 
     def test_broken_fills_are_detected(self, monkeypatch):
         monkeypatch.setattr(jack, "_E_CACHE", {})
+        monkeypatch.setattr(jack, "_J_CACHE", {})
         monkeypatch.setattr(jack, "_P_CACHE", {})
         # S with its permutation signs dropped is symmetric, not a multiple
         # of the antisymmetrized E

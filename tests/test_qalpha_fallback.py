@@ -1,20 +1,30 @@
 """The gcd's PRS fallback and a negative control for the GCDHEU certifier."""
 
 from jackpoly import combinat, jack, qalpha
+from test_jack import _QALPHA_E, qalpha_chain_E
 
 
 def _canonical_forms(n_max=3, deg=4):
-    """Every coefficient, as (num, den) tuples, of E and P for all labels
-    with N <= n_max and degree <= deg, built from empty caches."""
+    """Every coefficient, as (num, den) tuples, of the forms that still
+    reduce through qalpha._gcd, for all labels with N <= n_max and degree
+    <= deg, built from empty caches: E by the Q(alpha) reference chain, P
+    by symmetrizing E, and S, whose coefficients are Q(alpha) sums of P's,
+    substituted."""
     jack.clear_caches()
+    _QALPHA_E.clear()
     out = {}
     for n in range(1, n_max + 1):
         for eta in combinat.compositions_upto(deg, n):
-            out["E", eta] = {e: (c.num, c.den) for e, c in jack.build_E(eta).terms.items()}
+            out["E", eta] = {e: (c.num, c.den) for e, c in qalpha_chain_E(eta).terms.items()}
+        delta = combinat.staircase(n)
         for kappa in combinat.partitions_upto(deg, n):
             out["P", kappa] = {e: (c.num, c.den)
-                               for e, c in jack.build_P(kappa, n).terms.items()}
+                               for e, c in jack.build_P_sym_route(kappa, n).terms.items()}
+            rho_plus = tuple(map(sum, zip(kappa, delta)))
+            out["S", rho_plus] = {e: (c.num, c.den)
+                                  for e, c in jack.build_S(rho_plus).terms.items()}
     jack.clear_caches()
+    _QALPHA_E.clear()
     return out
 
 

@@ -12,7 +12,7 @@ import pytest
 
 from jackpoly import jack, scalars, verify
 from jackpoly.polyalg import MultiPoly
-from jackpoly.qalpha import ONE
+from jackpoly.qalpha import ALPHA, ONE
 
 BOUNDS = verify.Bounds(n_max=2, deg=1, ks=(1, 2), rs=(Fraction(1),))
 
@@ -62,6 +62,8 @@ def _contingency_plus_one(key):
 ROWS = [
     ("E.eigen-triangular", _cached_E((1, 0)), "eta=(1, 0)"),
     ("E.value-at-ones", _cached_E((1, 0)), "eta=(1, 0)"),
+    # a +1 on a cached E keeps d E integral and positive
+    ("E.integral-positive", _scalar("const_d", (1, 0)), "eta=(1, 0)"),
     ("E.swap-action", _cached_E((1, 0)), "eta=(1, 0) i=1"),
     ("P.symmetric-eigen-dominance", _cached_P((1, 0)), "kappa=(1, 0)"),
     ("P.two-routes", _cached_P((1, 0)), "kappa=(1, 0) N=2"),
@@ -95,6 +97,7 @@ ROWS = [
 @pytest.fixture
 def fresh_caches(monkeypatch):
     monkeypatch.setattr(jack, "_E_CACHE", {})
+    monkeypatch.setattr(jack, "_J_CACHE", {})
     monkeypatch.setattr(jack, "_P_CACHE", {})
 
 
@@ -141,3 +144,12 @@ def test_collision_fails_the_linear_solve_row(monkeypatch):
     result = verify.CHECKS["oracle.E-linear-solve"](verify.Bounds(n_max=2, deg=2))
     assert result.status == "fail", result.witness
     assert "(1, 1) and (2, 0) collide at alpha = 0" in result.witness, result.witness
+
+
+def test_integral_witness_names_each_failure(fresh_caches):
+    d_e = jack.build_E((1, 0)).scale(scalars.const_d((1, 0)))  # (alpha + 1) z1 + z2
+    assert verify._integral_witness((1, 0), d_e) is None
+    assert (verify._integral_witness((1, 0), d_e.scale(ALPHA))
+            == "eta=(1, 0): d E at (1, 0): α^2 above |eta|: 1 != 0")
+    assert (verify._integral_witness((1, 0), -d_e)
+            == "eta=(1, 0): d E at (0, 1): α^0 below 0: -1 != 1")
