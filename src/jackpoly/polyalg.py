@@ -5,11 +5,12 @@ variables); zero coefficients are never stored.  Every operator that sums
 terms into a dict does so through `_add_term`, which drops a key whose sum
 vanishes; the variable relabelings (`apply_permutation`,
 `apply_transposition`) are bijections on exponent tuples, so they move
-terms without summing any.  Variable indices in the
-operator API are 1-based to match diagram coordinates.  Coefficients are
-Q(alpha) elements; a truncated kernel in x_1..x_N, y_1..y_N is one MultiPoly
-in 2N variables.  The oracle keeps its Laurent data (negative exponents,
-Fraction coefficients) in plain dicts instead; of this module it reads only
+terms without summing any.  Variable indices in the operator API are
+1-based to match diagram coordinates.  Coefficients are Q(alpha) elements;
+a truncated kernel in x_1..x_N, y_1..y_N is one MultiPoly in 2N variables,
+built in Z[alpha] and made canonical term by term, with no polynomial gcd.
+The oracle keeps its Laurent data (negative exponents, Fraction
+coefficients) in plain dicts instead; of this module it reads only
 the `.terms` of kernels and bases, for the kernel-pairing extraction.
 Text output writes each term with `term_text` and lays the list out with
 `qalpha.join_terms`, the one sign-joining rule of the package.
@@ -23,7 +24,8 @@ import operator
 from fractions import Fraction
 
 from .combinat import perm_sign
-from .qalpha import ALPHA, ONE, ZERO, AlphaRational, join_terms
+from .qalpha import (ALPHA, ONE, ZERO, AlphaRational, join_terms, linear_product,
+                     over_linear_forms, poly_add, poly_mul)
 
 
 def _add_term(out: dict, key, c) -> None:
@@ -257,16 +259,6 @@ def apply_permutation(f: MultiPoly, perm) -> MultiPoly:
                               for e, c in f.terms.items()})
 
 
-def apply_phi(f: MultiPoly) -> MultiPoly:
-    """z_N * f(z_N, z_1, ..., z_{N-1}); shifts exponents cyclically and
-    increments the last slot."""
-    n = f.nvars
-    out = {}
-    for e, c in f.terms.items():
-        out[e[1:] + (e[0] + 1,)] = c
-    return MultiPoly._raw(n, out)
-
-
 def mul_variable(f: MultiPoly, i: int) -> MultiPoly:
     a = i - 1
     out = {}
@@ -433,25 +425,52 @@ def power_series(nvars: int, positions, coeffs) -> MultiPoly:
                              for m, c in enumerate(coeffs)})
 
 
+def _kernel(n: int, bound: int, diagonal: bool) -> MultiPoly:
+    """Truncation of prod_{j,k} (1 - x_j y_k)^(-1/alpha), times
+    prod_j (1 - x_j y_j)^(-1) when `diagonal`, to degree <= bound in x and
+    in y, held in x_1..x_n, y_1..y_n.
+
+    The product is taken on D! alpha^D K, D the x-degree of a term, which
+    lies in Z[alpha]: [1/alpha]_m / m! = prod_{i<m} (1 + i alpha) / (m! alpha^m),
+    so the series of (1 - x_j y_k)^(-1/alpha) becomes prod_{i<m} (1 + i alpha)
+    and the geometric series m! alpha^m, and terms of x-degrees D1 and D2
+    multiply with the factor binom(D1 + D2, D1).  Each term is made
+    canonical once, over D! alpha^D, by exact division alone."""
+    if bound < 0:
+        raise ValueError("truncation bound must be >= 0")
+    rising = [linear_product((i, 1) for i in range(m)).num for m in range(bound + 1)]
+    factors = [(j, n + k, rising) for j in range(n) for k in range(n)]
+    if diagonal:
+        geometric = [(0,) * m + (math.factorial(m),) for m in range(bound + 1)]
+        factors += [(j, n + j, geometric) for j in range(n)]
+    terms = {(0,) * (2 * n): (1,)}
+    for j, k, series in factors:
+        out = {}
+        for e, c in terms.items():
+            deg = sum(e[:n])
+            for m in range(bound - deg + 1):
+                key = list(e)
+                key[j] += m
+                key[k] += m
+                key = tuple(key)
+                v = poly_mul(poly_mul(c, series[m]), (math.comb(deg + m, m),))
+                out[key] = poly_add(out[key], v) if key in out else v
+        terms = out
+    out = {}
+    for e, c in terms.items():
+        d = sum(e[:n])
+        out[e] = over_linear_forms(c, math.factorial(d), {(1, 0): d})
+    return MultiPoly._raw(2 * n, out)
+
+
 def pi_truncated(n: int, bound: int) -> MultiPoly:
     """Truncation of prod_{j,k} (1 - x_j y_k)^(-1/alpha) to degree <= bound
     in x and in y, held in x_1..x_n, y_1..y_n: every term has equal degree
     in x and in y, so that is total degree <= 2 bound."""
-    if bound < 0:
-        raise ValueError("truncation bound must be >= 0")
-    series = binomial_series(ALPHA.inverse(), bound)
-    out = MultiPoly.one(2 * n)
-    for j in range(n):
-        for k in range(n):
-            out = out.mul_truncated(power_series(2 * n, (j, n + k), series), 2 * bound)
-    return out
+    return _kernel(n, bound, False)
 
 
 def omega_truncated(n: int, bound: int) -> MultiPoly:
     """Truncation of prod_j (1 - x_j y_j)^(-1) prod_{j,k} (1 - x_j y_k)^(-1/alpha),
     held as pi_truncated holds its kernel."""
-    geo = [ONE] * (bound + 1)
-    out = pi_truncated(n, bound)
-    for j in range(n):
-        out = out.mul_truncated(power_series(2 * n, (j, n + j), geo), 2 * bound)
-    return out
+    return _kernel(n, bound, True)

@@ -15,6 +15,9 @@ Reduction works in three layers:
   denominators and multiplies the cofactors; a sum takes g = gcd(b, d) and,
   only when g != 1, gcd(t, g) of the new numerator t with g.  Both results
   are canonical without a further gcd, and an inverse only moves the sign.
+  Multiplying by the polynomial 1 returns the other operand, so a sum
+  over one shared denominator b adds the numerators and takes only
+  gcd(t, b), and none when b = 1.
 * Every polynomial gcd goes through `_gcd`, which returns the gcd together
   with both cofactors.  A constant operand needs only an integer gcd.
   Otherwise the heuristic GCDHEU (B. W. Char, K. O. Geddes, G. H. Gonnet,
@@ -32,7 +35,12 @@ The closed-form constants are products of linear factors alpha*a + b;
 The construction works in Z[alpha] too, on plain int tuples: it multiplies
 and exactly divides by one linear factor at a time, and
 `over_linear_forms` turns a Z[alpha] numerator over a product of linear
-factors into the canonical form by exact division alone.
+factors into the canonical form by exact division alone; `times_multiple`
+clears a denominator the same way.
+
+Evaluation at a rational point p/q stays in ints until one final
+`Fraction`: numerator and denominator are evaluated homogeneously, as
+q^deg f(p/q), by Horner.
 """
 
 from __future__ import annotations
@@ -68,6 +76,10 @@ def _neg(a):
 
 
 def _mul(a, b):
+    if a == (1,):
+        return b
+    if b == (1,):
+        return a
     if not a or not b:
         return ()
     out = [0] * (len(a) + len(b) - 1)
@@ -211,10 +223,12 @@ def _power(a, k):
     return out
 
 
-def _eval(a, x: Fraction) -> Fraction:
-    out = Fraction(0)
+def _homogeneous(a, p, q):
+    """q^deg(a) a(p/q) in Z, by Horner on ints."""
+    out, qpow = 0, 1
     for c in reversed(a):
-        out = out * x + c
+        out = out * p + c * qpow
+        qpow *= q
     return out
 
 
@@ -232,7 +246,8 @@ def _product(a, b, c, d):
 def _sum(a, b, c, d):
     """Canonical a/b + c/d of canonical operands (Henrici).  With
     g = gcd(b, d), b = g s and d = g e, the numerator t = a e + c s is
-    coprime to s and e, so only gcd(t, g) can remain."""
+    coprime to s and e, so only gcd(t, g) can remain.  Over one shared
+    denominator that is gcd(t, b), and over denominator 1 nothing."""
     if b == d:
         g, s, e = b, (1,), (1,)
     else:
@@ -365,12 +380,19 @@ class AlphaRational:
     # -- specialization and substitution ------------------------------------
 
     def eval_at(self, alpha0) -> Fraction:
-        """Exact value at a rational point; raises on a pole."""
+        """Exact value at a rational point p/q; raises on a pole.  Numerator
+        and denominator are evaluated homogeneously in ints, as
+        q^deg f(p/q), and divided once."""
         alpha0 = Fraction(alpha0)
-        d = _eval(self.den, alpha0)
+        p, q = alpha0.numerator, alpha0.denominator
+        d = _homogeneous(self.den, p, q)
         if d == 0:
             raise ZeroDivisionError(f"pole at alpha = {alpha0}")
-        return _eval(self.num, alpha0) / d
+        n = _homogeneous(self.num, p, q)
+        shift = len(self.den) - len(self.num)
+        if shift >= 0:
+            return Fraction(n * q ** shift, d)
+        return Fraction(n, d * q ** -shift)
 
     def substitute(self, image: "AlphaRational") -> "AlphaRational":
         """Compose with alpha -> image, e.g. image = alpha/(alpha+1)."""
@@ -550,6 +572,16 @@ def over_linear_forms(num, content, forms) -> AlphaRational:
         left[a, b] = m
     g = math.gcd(content, *num)
     return AlphaRational._raw(_exact_scale(num, g), forms_poly(content // g, left))
+
+
+def times_multiple(x: AlphaRational, p) -> AlphaRational:
+    """x p for p in Z[alpha].  When x's denominator divides p, as d_eta
+    divides every denominator of E_eta, that is x.num (p / x.den) over 1,
+    by one exact division and no gcd; otherwise the field product."""
+    q = _div_exact(p, x.den)
+    if q is None:
+        return x * AlphaRational._raw(p, (1,))
+    return AlphaRational._raw(_mul(x.num, q), (1,))
 
 
 # ---------------------------------------------------------------------------

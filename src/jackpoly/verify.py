@@ -24,7 +24,7 @@ from typing import Callable
 from . import combinat, jack, oracle, polyalg, scalars
 from .polyalg import (MultiPoly, antisymmetrize, apply_transposition, cherednik_apply,
                       d2_apply, divided_difference, exact_scalar_ratio, symmetrize)
-from .qalpha import ONE, AlphaRational, alpha_shift, linear_product
+from .qalpha import ONE, AlphaRational, alpha_shift, linear_product, times_multiple
 
 FIG2_SHAPE = (8, 7, 7, 4, 3, 3, 2, 1, 0)
 SOLVE_ALPHAS = (Fraction(2), Fraction(3), Fraction(7, 2))
@@ -282,11 +282,17 @@ _EIGEN = dict(ns=(2, 4), deg=(0, 5), caps={4: 3})
 
 def _E_witness(f, eta):
     """The joint eigen-equations of f at the eigenvalues of eta, then monic
-    triangularity: coefficient 1 at eta and every other monomial below it."""
+    triangularity: coefficient 1 at eta and every other monomial below it.
+    The eigen-equations are checked on g = d_eta f, which for f = E_eta lies
+    in Z[alpha] (F. Knop and S. Sahi, Invent. Math. 128, 1997), so that
+    neither the scale nor applying xi_i reduces anything; a nonzero
+    multiple leaves the verdict unchanged."""
     bars = combinat.eigenvalue_vector(eta)
+    d = scalars.const_d(eta).num
+    g = f.map_coeff(lambda c: times_multiple(c, d))
     for i in range(1, len(eta) + 1):
-        witness = _differ(f"eta={eta}: xi_{i} E vs eigenvalue * E",
-                          cherednik_apply(f, i), f.scale(bars[i - 1]))
+        witness = _differ(f"eta={eta}: xi_{i} dE vs eigenvalue * dE",
+                          cherednik_apply(g, i), g.scale(bars[i - 1]))
         if witness:
             return witness
     return _monic_below(f"eta={eta}", f, eta, lambda e: combinat.composition_lt(e, eta))
@@ -847,7 +853,9 @@ CHECKS = {row.name: row for row in (
           _gram_schmidt, deg=(0, 4), k=True),
     Check("negative.controls", _controls,
           lambda label, detected: None if detected else f"undetected perturbation: {label}",
-          ns=None, fixed={"perturbation": "+1 on one coefficient"}),
+          ns=None, fixed={"perturbation": "+1 on one coefficient; E doubled (triangular), "
+                               "d' for d (integral-positive), one diagonal term twice "
+                               "(omega), a wrong r (binomial)"}),
 )}
 
 

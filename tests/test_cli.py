@@ -402,11 +402,11 @@ class TestGolden:
     truncated kernels) before the polynomial operators shared one
     accumulation helper, and the `expand` text digests while a kernel was
     still a two-sided container rather than one polynomial in 2N variables;
-    the `verify` digest when the `E.integral-positive` row and its negative
-    control joined a registry whose other rows are unchanged since the
-    identity checks were bool predicates in the construction modules.  Any
-    change in canonical form, term set, serialization or verdict shows
-    here."""
+    the `verify` digest when `negative.controls` came to name the four
+    perturbations that are not +1 on one coefficient (with its old wording
+    of that param, the report hashes to the digest taken when the
+    `E.integral-positive` row joined the registry).  Any change in canonical
+    form, term set, serialization or verdict shows here."""
 
     @pytest.mark.parametrize("family, label, digest", [
         ("E", "2,1,0",
@@ -439,6 +439,13 @@ class TestGolden:
          "81ebf6c6270acd492df404486cb87c20dd62a5a4f5de221eec9f81913b977b23"),
         (["expand", "pi", "--N", "2", "--deg", "3", "--shifted"],
          "73c0d013b8f85fe1cca685b904255d9b1c83aee12a79c84cf54c99b5863467ff"),
+        # computed while the kernels were still products of series in Q(alpha)
+        (["expand", "omega", "--N", "4", "--deg", "3"],
+         "d730682e01e897257932aff502ae1a7bef85e6939b748cf5e1d59e4ca99200ee"),
+        (["expand", "pi", "--N", "3", "--deg", "3"],
+         "768565a495de6d0decd6814c6ee9258254a34066016a43b05455a85539c913f4"),
+        (["expand", "pi", "--N", "4", "--deg", "3"],
+         "732a48ebced0042ee69300915cc3d449a468f007a36236997a58407e7bbe8361"),
     ])
     def test_expand_json_digest(self, capsys, argv, digest):
         code, out = run_cli(capsys, *argv, "--format", "json")
@@ -492,4 +499,4 @@ class TestGolden:
             del check["seconds"]
         blob = json.dumps(report, sort_keys=True).encode()
         assert hashlib.sha256(blob).hexdigest() == (
-            "4be23c79b97e3f1cbd9c2d063b92e4c44812ad1d191ed3a96461c2ba7ca2e878")
+            "35ee800555a5910584372ff04f94ddf1052c5f2e5543ddb5db148fde934b5d52")

@@ -4,7 +4,7 @@ import pytest
 
 from jackpoly import combinat as cb
 from jackpoly import jack, scalars, verify
-from jackpoly.polyalg import (MultiPoly, antisymmetrize, apply_phi, apply_transposition,
+from jackpoly.polyalg import (MultiPoly, antisymmetrize, apply_transposition,
                               exact_scalar_ratio, symmetrize, vandermonde)
 from jackpoly.qalpha import ALPHA, ONE, AlphaRational, alpha_shift, linear_product
 
@@ -30,7 +30,12 @@ class TestBuildE:
         f = jack.build_E((2, 1))
         e, c = f.lead_term()
         bad = MultiPoly(2, {**f.terms, e: c + ONE})
-        assert "xi_1 E" in verify._E_witness(bad, (2, 1))
+        assert "xi_1 dE" in verify._E_witness(bad, (2, 1))
+        # a denominator that d does not clear stays in d E, and the eigen
+        # check still fails
+        foreign = MultiPoly(2, {**f.terms, e: c + AlphaRational(1, (7, 1))})
+        witness = verify._E_witness(foreign, (2, 1))
+        assert "xi_1 dE" in witness and "/(α + 7)" in witness
         assert "leading coefficient" in verify._E_witness(
             f.scale(AlphaRational.from_fraction(2)), (2, 1))
         # a monomial above the label breaks triangularity
@@ -51,7 +56,6 @@ class TestBuildE:
                     assert verify._swap_action(eta, i) is None
 
     def test_phi_equivariance(self):
-        from jackpoly.polyalg import apply_phi
         for n in (2, 3):
             for eta in cb.compositions_upto(3, n):
                 assert apply_phi(jack.build_E(eta)) == jack.build_E(
@@ -73,6 +77,12 @@ class TestBuildE:
 # ---------------------------------------------------------------------------
 
 _QALPHA_E = {}
+
+
+def apply_phi(f):
+    """z_N * f(z_N, z_1, ..., z_{N-1}): shifts exponents cyclically and
+    increments the last slot; the raising step of the chain."""
+    return MultiPoly._raw(f.nvars, {e[1:] + (e[0] + 1,): c for e, c in f.terms.items()})
 
 
 def qalpha_chain_E(eta):

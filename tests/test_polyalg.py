@@ -100,9 +100,11 @@ class TestVariableActions:
                 pa.apply_permutation(f, bad)
 
     def test_phi(self):
-        assert pa.apply_phi(MP.one(2)) == _z(2, 2)
-        assert pa.apply_phi(_z(2, 2)) == MP.monomial((1, 1))
-        assert pa.apply_phi(_z(3, 3)) == MP.monomial((0, 1, 1))
+        # the raising step of the Q(alpha) reference chain in test_jack
+        from test_jack import apply_phi
+        assert apply_phi(MP.one(2)) == _z(2, 2)
+        assert apply_phi(_z(2, 2)) == MP.monomial((1, 1))
+        assert apply_phi(_z(3, 3)) == MP.monomial((0, 1, 1))
 
     def test_divided_difference_basics(self):
         assert pa.divided_difference(_z(1, 2), 1, 2) == MP.one(2)
@@ -237,6 +239,47 @@ class TestSeries:
                     ref = ref.mul_truncated(factor, 2 * bound)
             got = pa.pi_truncated(n, bound).map_coeff(lambda c: c.substitute(sh))
             assert got == ref
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_kernels_match_the_series_product(self, n):
+        # reference: the product of the series in Q(alpha), one mul_truncated
+        # per factor, as the kernels were built before they moved to Z[alpha]
+        for bound in range(4):
+            series = pa.binomial_series(A.inverse(), bound)
+            ref = MP.one(2 * n)
+            for j in range(n):
+                for k in range(n):
+                    ref = ref.mul_truncated(pa.power_series(2 * n, (j, n + k), series), 2 * bound)
+            forms = {e: (c.num, c.den) for e, c in pa.pi_truncated(n, bound).terms.items()}
+            assert forms == {e: (c.num, c.den) for e, c in ref.terms.items()}
+            for j in range(n):
+                ref = ref.mul_truncated(pa.power_series(2 * n, (j, n + j), [ONE] * (bound + 1)),
+                                        2 * bound)
+            forms = {e: (c.num, c.den) for e, c in pa.omega_truncated(n, bound).terms.items()}
+            assert forms == {e: (c.num, c.den) for e, c in ref.terms.items()}
+        with pytest.raises(ValueError):
+            pa.omega_truncated(n, -1)
+
+    def test_kernels_and_eigen_row_take_no_polynomial_gcd(self, monkeypatch):
+        """No gcd call with two non-constant operands: the kernels are built
+        in Z[alpha], and the eigen row scales E by d exactly and applies
+        xi_i over denominator 1."""
+        from jackpoly import jack, qalpha
+        calls = []
+        gcd = qalpha._gcd
+
+        def counted_gcd(a, b):
+            if len(a) > 1 and len(b) > 1:
+                calls.append((a, b))
+            return gcd(a, b)
+
+        monkeypatch.setattr(qalpha, "_gcd", counted_gcd)
+        pa.omega_truncated(4, 3)
+        pa.pi_truncated(4, 3)
+        monkeypatch.setattr(jack, "_E_CACHE", {})
+        monkeypatch.setattr(jack, "_J_CACHE", {})
+        assert verify.CHECKS["E.eigen-triangular"](verify.Bounds()).status == "pass"
+        assert calls == []
 
     def test_cauchy_double_alternant(self):
         assert verify._cauchy(2, 3) is None

@@ -1,14 +1,19 @@
 """Property tests for Q(alpha): the field axioms, the canonical form, the
-JSON round trip, and the Z[alpha] helpers of the construction, on elements
-drawn by hypothesis."""
+JSON round trip, the reduced sum and product against the general Henrici
+route, evaluation against Horner in Fractions, and the Z[alpha] helpers of
+the construction, on elements drawn by hypothesis."""
+
+import itertools
+from fractions import Fraction
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from jackpoly.qalpha import (ONE, ZERO, AlphaRational, _mul, _trim, linear_forms,  # noqa: E402
-                             linear_product, over_linear, over_linear_forms, times_linear)
+from jackpoly.qalpha import (ONE, ZERO, AlphaRational, _gcd, _mul, _product, _sum,  # noqa: E402
+                             _trim, linear_forms, linear_product, over_linear,
+                             over_linear_forms, times_linear, times_multiple)
 
 given, settings = hypothesis.given, hypothesis.settings
 
@@ -87,3 +92,137 @@ def test_ratio_over_linear_forms_is_canonical(num, den_pairs, num_pairs):
     got = over_linear_forms(num, *linear_forms(den_pairs))
     want = AlphaRational(num) / linear_product(den_pairs)
     assert (got.num, got.den) == (want.num, want.den)
+
+
+@PROPERTY
+@given(elements, nonzero_polys, st.booleans())
+def test_times_multiple_is_the_field_product(x, p, multiple):
+    """x p over denominator 1 when x.den divides p, else the field product:
+    the same canonical element either way."""
+    p = _mul(_trim(p), x.den) if multiple else _trim(p)
+    got = times_multiple(x, p)
+    want = x * AlphaRational(p)
+    assert (got.num, got.den) == (want.num, want.den)
+    if multiple:
+        assert got.den == (1,)
+
+
+# ---------------------------------------------------------------------------
+# the reduced sum and product against the general Henrici route: always
+# gcd(b, d), then gcd(t, g); multiplication by plain convolution
+# ---------------------------------------------------------------------------
+
+def _ref_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return _trim(out)
+
+
+def _ref_sum(a, b, c, d):
+    g, s, e = _gcd(b, d)
+    t = _trim([x + y for x, y in itertools.zip_longest(_ref_mul(a, e), _ref_mul(c, s),
+                                                          fillvalue=0)])
+    if not t:
+        return (), (1,)
+    _, t, g = _gcd(t, g)
+    return t, _ref_mul(_ref_mul(s, e), g)
+
+
+def _ref_product(a, b, c, d):
+    if not a or not c:
+        return (), (1,)
+    _, a, d = _gcd(a, d)
+    _, c, b = _gcd(c, b)
+    return _ref_mul(a, c), _ref_mul(b, d)
+
+
+# operands that hit the fast paths: the unit, integers, shared denominators
+units = st.sampled_from([ONE, AlphaRational(-1), AlphaRational(3)])
+integral = st.builds(AlphaRational, polys)
+operands = st.one_of(elements, units, integral)
+
+
+@st.composite
+def same_denominator(draw):
+    den = draw(nonzero_polys)
+    return AlphaRational(draw(polys), den), AlphaRational(draw(polys), den)
+
+
+pairs = st.one_of(st.tuples(operands, operands), same_denominator())
+
+
+@PROPERTY
+@given(pairs)
+def test_sum_and_product_match_the_general_route(pair):
+    x, y = pair
+    args = (x.num, x.den, y.num, y.den)
+    assert _sum(*args) == _ref_sum(*args)
+    assert _sum(x.num, x.den, _ref_mul(y.num, (-1,)), y.den) == _ref_sum(
+        x.num, x.den, _ref_mul(y.num, (-1,)), y.den)
+    assert _product(*args) == _ref_product(*args)
+
+
+@PROPERTY
+@given(st.one_of(polys, st.just([1])), st.one_of(polys, st.just([1])))
+def test_mul_matches_convolution(p, q):
+    p, q = _trim(p), _trim(q)
+    assert _mul(p, q) == _ref_mul(p, q)
+
+
+# ---------------------------------------------------------------------------
+# evaluation at a rational point against Horner in Fractions
+# ---------------------------------------------------------------------------
+
+def _ref_eval(x, alpha0):
+    def horner(cs):
+        out = Fraction(0)
+        for c in reversed(cs):
+            out = out * alpha0 + c
+        return out
+    return horner(x.num) / horner(x.den)
+
+
+points = st.one_of(st.sampled_from([Fraction(0), Fraction(-1), Fraction(-3), Fraction(1, 2),
+                                    Fraction(-7, 3), Fraction(5, 2)]),
+                   st.fractions(min_value=-20, max_value=20, max_denominator=12))
+
+
+@PROPERTY
+@given(operands, points)
+def test_eval_at_matches_fraction_horner(x, alpha0):
+    try:
+        want = _ref_eval(x, alpha0)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError, match="pole"):
+            x.eval_at(alpha0)
+    else:
+        got = x.eval_at(alpha0)
+        assert type(got) is Fraction and got == want
+
+
+@pytest.mark.parametrize("den, alpha0", [
+    ((0, 1), 0),                  # 1/alpha at 0
+    ((2, 1), -2),                 # at a negative root
+    ((1, 2), Fraction(-1, 2)),    # at a non-integer root
+    ((-6, 1, 1), 2),              # (alpha + 3)(alpha - 2) at 2
+    ((-6, 1, 1), -3),
+])
+def test_eval_at_raises_at_a_pole(den, alpha0):
+    with pytest.raises(ZeroDivisionError, match="pole"):
+        AlphaRational((1, 1), den).eval_at(alpha0)
+
+
+@pytest.mark.parametrize("num, den, alpha0, want", [
+    ((), (1,), Fraction(-5, 3), Fraction(0)),
+    ((3,), (1,), 0, Fraction(3)),
+    ((0, 1), (1, 1), 0, Fraction(0)),
+    ((1, 0, 2), (3, 1), Fraction(-1, 2), Fraction(3, 5)),
+    ((0, 0, 0, 1), (1, 0, 1), Fraction(2, 3), Fraction(8, 39)),
+    ((5, 1), (0, 0, 2), Fraction(-4), Fraction(1, 32)),
+])
+def test_eval_at_examples(num, den, alpha0, want):
+    assert AlphaRational(num, den).eval_at(alpha0) == want
