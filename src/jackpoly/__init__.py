@@ -18,8 +18,7 @@ from .polyalg import (MultiPoly, antisymmetrize, binomial_series, cherednik_appl
                       omega_truncated, pi_truncated, symmetrize, vandermonde)
 from .qalpha import ALPHA, ONE, ZERO, AlphaRational, alpha_shift
 from .scalars import (c_rho, c_rho_resolved, eval_E_at_ones, eval_P_at_ones,
-                      gen_factorial, norm_ratio_E, norm_ratio_P, u_eta,
-                      v_kappa)
+                      norm_ratio_E, norm_ratio_P, u_eta, v_kappa)
 from .verify import Bounds, VerifyReport, run_checks
 
 __version__ = "0.1.0"

@@ -3,20 +3,20 @@
 E is built through its integral form J_eta = d_eta E_eta, whose
 coefficients lie in Z[alpha] (F. Knop and S. Sahi, Invent. Math. 128,
 1997), held as {exponent: int tuple} times the raising factors not yet
-multiplied in.  J is walked down a chain of raising and swap steps to a
-cached or zero label and built back up: a raising step relabels and
-records one linear factor, and a swap step is one linear multiply and one
-exact synthetic division per coefficient, so the chain takes no
-polynomial gcd.  E is J over the linear factors of d_eta, made canonical
-once per requested label by cancelling the factors J holds and dividing
-out those that divide each coefficient exactly.
+multiplied in, a `qalpha.Factored`.  J is walked down a chain of raising
+and swap steps to a cached or zero label and built back up: a raising step
+relabels and records one linear factor, and a swap step is one linear
+multiply and one exact synthetic division per coefficient, so the chain
+takes no polynomial gcd.  E is J over d_eta, and d_eta over the factors J
+holds is a Factored denominator: each coefficient is made canonical over
+it by exact division alone.
 
 build_P and build_S do their Q(alpha) work only at dominant exponents and
 then write each value to the rearrangements of its exponent.  P is
 symmetric, so its coefficient at any exponent equals the one at the sorted
 exponent, a partition: build_P sums d'(kappa) J_eta / (d(eta) d'(eta)) at
-partition exponents only, over one factored common denominator.  S is the
-Vandermonde a_delta times P with its coefficients carried through
+partition exponents only, over the Factored lcm of the denominators.  S is
+the Vandermonde a_delta times P with its coefficients carried through
 alpha -> alpha/(alpha+1), so it is antisymmetric: its coefficient at
 lambda o pi is sgn(pi) times the one at lambda, and vanishes at repeated
 parts.  By the alternant identity a_delta s_nu = a_(nu+delta) (Macdonald,
@@ -32,16 +32,14 @@ are cached by label and never mutated.
 from __future__ import annotations
 
 import collections
-import functools
 import itertools
-import math
 import operator
 from fractions import Fraction
 
 from . import combinat, scalars
 from .polyalg import MultiPoly, symmetrize
-from .qalpha import (ZERO, AlphaRational, alpha_shift, forms_poly, linear_forms, over_linear,
-                     over_linear_forms, poly_add, poly_mul, poly_sub, times_linear)
+from .qalpha import (ZERO, AlphaRational, Factored, alpha_shift, over_linear, poly_add, poly_mul,
+                     poly_neg, times_linear)
 
 _E_CACHE: dict = {}
 _J_CACHE: dict = {}
@@ -59,9 +57,9 @@ def clear_caches():
 # ---------------------------------------------------------------------------
 
 def _integral(eta):
-    """J_eta = d_eta E_eta as (pairs, terms): terms is {exponent: int tuple
-    of Z[alpha]}, and J is terms times the product of the linear factors
-    alpha*a + b over `pairs`, the raising factors not yet multiplied in.
+    """J_eta = d_eta E_eta as (pending, terms): terms is {exponent: int
+    tuple of Z[alpha]}, and J is terms times the Factored product
+    `pending`, the raising factors not yet multiplied in.
 
     Each label comes from exactly one predecessor by one raising or swap
     step, so the chain of predecessors is walked down to a cached or zero
@@ -75,7 +73,7 @@ def _integral(eta):
         eta = combinat.swap_parts(eta, i) if i else (eta[-1] - 1,) + eta[:-1]
     out = _J_CACHE.get(eta)
     if out is None:
-        out = _J_CACHE[eta] = ((), {eta: (1,)})
+        out = _J_CACHE[eta] = (Factored(), {eta: (1,)})
     for eta, i in reversed(chain):
         out = _J_CACHE[eta] = _swap_step(out, eta, i) if i else _raise_step(out, eta)
     return out
@@ -84,13 +82,13 @@ def _integral(eta):
 def _raise_step(j_nu, eta):
     """J_(Phi nu) = (alpha (nu_1 + 1) + N - #{j > 1: nu_j > nu_1}) Phi J_nu,
     where eta = Phi nu: nu_1 + 1 = eta_N, and the nu_j with j > 1 are the
-    eta_k with k < N.  The factor joins the pending pairs: a raising chain
+    eta_k with k < N.  The factor joins the pending ones: a raising chain
     at N = 1 would otherwise store d_(k) z^k, whose coefficients grow with
     k, at every k on it."""
-    pairs, terms = j_nu
+    pending, terms = j_nu
     top = eta[-1]
     b = len(eta) - sum(1 for p in eta[:-1] if p >= top)
-    return pairs + ((top, b),), {e[1:] + (e[0] + 1,): c for e, c in terms.items()}
+    return pending * Factored([(top, b)]), {e[1:] + (e[0] + 1,): c for e, c in terms.items()}
 
 
 def _swap_step(j_mu, eta, i):
@@ -99,9 +97,9 @@ def _swap_step(j_mu, eta, i):
     its eigenvalue gap at i, a = mu_i - mu_(i+1) != 0.  The pending factors
     of J_mu are multiplied in first.  The division is exact; an inexact one
     raises ArithmeticError naming eta."""
-    pairs, terms = j_mu
-    if pairs:
-        scale = forms_poly(*linear_forms(pairs))
+    pending, terms = j_mu
+    scale = pending.poly()
+    if scale != (1,):
         terms = {e: poly_mul(c, scale) for e, c in terms.items()}
     k = i - 1
     (m1, c1), (m2, c2) = combinat.eigenvalue_offsets(combinat.swap_parts(eta, i))[k:i + 1]
@@ -112,38 +110,28 @@ def _swap_step(j_mu, eta, i):
 
     out = {}
     for e in terms.keys() | set(map(swap, terms)):
-        num = poly_sub(times_linear(terms.get(swap(e), ()), a, b), terms.get(e, ()))
+        num = poly_add(times_linear(terms.get(swap(e), ()), a, b), poly_neg(terms.get(e, ())))
         if num:
             q = over_linear(num, a, b - 1)
             if q is None:
                 raise ArithmeticError(f"J_{eta}: the swap step at {e} does not divide by "
                                       f"{AlphaRational((b - 1, a))}")
             out[e] = q
-    return (), out
-
-
-def _over_pending(pairs, factors):
-    """The product of the linear `factors` over the pending factors `pairs`
-    of a J, as (content, forms).  The pending factors are the ratios
-    d_(Phi nu)/d_nu of the raising steps since the last swap, so they
-    divide d_eta, and the division is exact in factored form."""
-    (c, f), (pc, pf) = linear_forms(factors), linear_forms(pairs)
-    return c // pc, f - pf
+    return Factored(), out
 
 
 def build_E(eta) -> MultiPoly:
     """The monic polynomial with leading monomial z^eta that is a joint
     eigenfunction of the commuting first-order operators: the integral
-    form J_eta over d_eta, with the pending factors of J cancelled first
-    and each coefficient made canonical by dividing out the remaining
-    linear factors of d_eta that divide it."""
+    form J_eta over d_eta, with the pending factors of J cancelled first.
+    They are the ratios d_(Phi nu)/d_nu of the raising steps since the last
+    swap, so they divide d_eta, and the quotient is a denominator."""
     eta = combinat.as_composition(eta)
     out = _E_CACHE.get(eta)
     if out is None:
-        pairs, terms = _integral(eta)
-        den = _over_pending(pairs, scalars.d_factors(eta))
-        out = _E_CACHE[eta] = MultiPoly(len(eta), {
-            e: over_linear_forms(c, *den) for e, c in terms.items()})
+        pending, terms = _integral(eta)
+        den = scalars.node_ratio(eta, ("d",)) / pending
+        out = _E_CACHE[eta] = MultiPoly(len(eta), {e: den.over(c) for e, c in terms.items()})
     return out
 
 
@@ -177,21 +165,18 @@ def build_P(kappa, n: int = None) -> MultiPoly:
         return cached
     parts = []  # (terms of J_eta, d(eta) d'(eta) over the pending factors of J_eta)
     for eta in combinat.rearrangements(kappa):
-        pairs, terms = _integral(eta)
-        parts.append((terms, _over_pending(pairs, scalars.d_factors(eta)
-                                           + scalars.dp_factors(eta))))
-    content = math.lcm(*(c for _, (c, _) in parts))
-    forms = functools.reduce(operator.or_, (f for _, (_, f) in parts))
+        pending, terms = _integral(eta)
+        parts.append((terms, scalars.node_ratio(eta, ("d", "dp")) / pending))
+    common = Factored.lcm([den for _, den in parts])
     sums = {}
-    for terms, (c, f) in parts:
-        cofactor = forms_poly(content // c, forms - f)
+    for terms, den in parts:
+        cofactor = (common / den).poly()
         for e, j in terms.items():
             if combinat.is_partition(e):
                 sums[e] = poly_add(sums.get(e, ()), poly_mul(j, cofactor))
     # kappa is one of the eta, so d'(kappa) divides the common denominator
-    top_content, top_forms = linear_forms(scalars.dp_factors(kappa))
-    content, forms = content // top_content, forms - top_forms
-    dominant = {e: over_linear_forms(s, content, forms) for e, s in sums.items() if s}
+    den = common / scalars.node_ratio(kappa, ("dp",))
+    dominant = {e: den.over(s) for e, s in sums.items() if s}
     out = _P_CACHE[kappa] = _fill(len(kappa), dominant, signed=False)
     return out
 

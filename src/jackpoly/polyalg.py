@@ -8,12 +8,13 @@ vanishes; the variable relabelings (`apply_permutation`,
 terms without summing any.  Variable indices in the operator API are
 1-based to match diagram coordinates.  Coefficients are Q(alpha) elements;
 a truncated kernel in x_1..x_N, y_1..y_N is one MultiPoly in 2N variables,
-built in Z[alpha] and made canonical term by term, with no polynomial gcd.
-The oracle keeps its Laurent data (negative exponents, Fraction
-coefficients) in plain dicts instead; of this module it reads only
-the `.terms` of kernels and bases, for the kernel-pairing extraction.
-Text output writes each term with `term_text` and lays the list out with
-`qalpha.join_terms`, the one sign-joining rule of the package.
+built in Z[alpha] and made canonical term by term over the Factored
+D! alpha^D, with no polynomial gcd.  The oracle keeps its Laurent data
+(negative exponents, Fraction coefficients) in plain dicts instead; of
+this module it reads only the `.terms` of kernels and bases, for the
+kernel-pairing extraction.  Text output writes each term with `term_text`
+and lays the list out with `qalpha.join_terms`, the one sign-joining rule
+of the package.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ import operator
 from fractions import Fraction
 
 from .combinat import perm_sign
-from .qalpha import (ALPHA, ONE, ZERO, AlphaRational, join_terms, linear_product,
-                     over_linear_forms, poly_add, poly_mul)
+from .qalpha import ALPHA, ONE, ZERO, AlphaRational, Factored, join_terms, poly_add, poly_mul
 
 
 def _add_term(out: dict, key, c) -> None:
@@ -435,13 +435,14 @@ def _kernel(n: int, bound: int, diagonal: bool) -> MultiPoly:
     so the series of (1 - x_j y_k)^(-1/alpha) becomes prod_{i<m} (1 + i alpha)
     and the geometric series m! alpha^m, and terms of x-degrees D1 and D2
     multiply with the factor binom(D1 + D2, D1).  Each term is made
-    canonical once, over D! alpha^D, by exact division alone."""
+    canonical once, over the factored D! alpha^D, by exact division alone."""
     if bound < 0:
         raise ValueError("truncation bound must be >= 0")
-    rising = [linear_product((i, 1) for i in range(m)).num for m in range(bound + 1)]
+    scale = [Factored([(1, 0)] * m, math.factorial(m)) for m in range(bound + 1)]
+    rising = [Factored((i, 1) for i in range(m)).poly() for m in range(bound + 1)]
     factors = [(j, n + k, rising) for j in range(n) for k in range(n)]
     if diagonal:
-        geometric = [(0,) * m + (math.factorial(m),) for m in range(bound + 1)]
+        geometric = [s.poly() for s in scale]
         factors += [(j, n + j, geometric) for j in range(n)]
     terms = {(0,) * (2 * n): (1,)}
     for j, k, series in factors:
@@ -456,11 +457,7 @@ def _kernel(n: int, bound: int, diagonal: bool) -> MultiPoly:
                 v = poly_mul(poly_mul(c, series[m]), (math.comb(deg + m, m),))
                 out[key] = poly_add(out[key], v) if key in out else v
         terms = out
-    out = {}
-    for e, c in terms.items():
-        d = sum(e[:n])
-        out[e] = over_linear_forms(c, math.factorial(d), {(1, 0): d})
-    return MultiPoly._raw(2 * n, out)
+    return MultiPoly._raw(2 * n, {e: scale[sum(e[:n])].over(c) for e, c in terms.items()})
 
 
 def pi_truncated(n: int, bound: int) -> MultiPoly:

@@ -30,13 +30,13 @@ Reduction works in three layers:
 * If no candidate is certified within a few growing xi, the primitive
   pseudo-remainder sequence computes the gcd instead.
 
-The closed-form constants are products of linear factors alpha*a + b;
-`linear_product` multiplies them out in Z[alpha], where no gcd is needed.
-The construction works in Z[alpha] too, on plain int tuples: it multiplies
-and exactly divides by one linear factor at a time, and
-`over_linear_forms` turns a Z[alpha] numerator over a product of linear
-factors into the canonical form by exact division alone; `times_multiple`
-clears a denominator the same way.
+The closed-form constants and the denominators of the construction are
+products of linear factors alpha*a + b, held as `Factored` ratios, whose
+canonical form needs no gcd.  The construction works in Z[alpha], on plain
+int tuples: it multiplies and exactly divides by one linear factor at a
+time, and `Factored.over` turns a Z[alpha] numerator over a factored
+denominator into the canonical form by exact division alone;
+`times_multiple` clears a denominator the same way.
 
 Evaluation at a rational point p/q stays in ints until one final
 `Fraction`: numerator and denominator are evaluated homogeneously, as
@@ -45,7 +45,6 @@ q^deg f(p/q), by Horner.
 
 from __future__ import annotations
 
-import collections
 import math
 import operator
 from fractions import Fraction
@@ -62,7 +61,7 @@ def _trim(cs):
     return tuple(cs[:n])
 
 
-def _add(a, b):
+def poly_add(a, b):
     if len(a) < len(b):
         a, b = b, a
     out = list(a)
@@ -71,11 +70,11 @@ def _add(a, b):
     return _trim(out)
 
 
-def _neg(a):
+def poly_neg(a):
     return tuple(-c for c in a)
 
 
-def _mul(a, b):
+def poly_mul(a, b):
     if a == (1,):
         return b
     if b == (1,):
@@ -196,7 +195,7 @@ def _prs_gcd(a, b):
     while pb:
         r = _pseudo_rem(pa, pb)
         pa, pb = pb, (_exact_scale(r, math.gcd(*r)) if r else r)
-    h = _neg(pa) if pa[-1] < 0 else pa
+    h = poly_neg(pa) if pa[-1] < 0 else pa
     return h, _div_exact(a, h), _div_exact(b, h)
 
 
@@ -217,9 +216,10 @@ def _power(a, k):
     out = (1,)
     while k:
         if k & 1:
-            out = _mul(out, a)
-        a = _mul(a, a)
+            out = poly_mul(out, a)
         k >>= 1
+        if k:
+            a = poly_mul(a, a)
     return out
 
 
@@ -240,7 +240,7 @@ def _product(a, b, c, d):
         _, a, d = _gcd(a, d)
     if b != (1,):
         _, c, b = _gcd(c, b)
-    return _mul(a, c), _mul(b, d)
+    return poly_mul(a, c), poly_mul(b, d)
 
 
 def _sum(a, b, c, d):
@@ -252,13 +252,13 @@ def _sum(a, b, c, d):
         g, s, e = b, (1,), (1,)
     else:
         g, s, e = _gcd(b, d)
-    t = _add(_mul(a, e), _mul(c, s))
+    t = poly_add(poly_mul(a, e), poly_mul(c, s))
     if not t:
         return (), (1,)
     if g == (1,):
-        return t, _mul(s, d)
+        return t, poly_mul(s, d)
     _, t, g = _gcd(t, g)
-    return t, _mul(_mul(s, e), g)
+    return t, poly_mul(poly_mul(s, e), g)
 
 
 # ---------------------------------------------------------------------------
@@ -315,14 +315,14 @@ class AlphaRational:
     __radd__ = __add__
 
     def __neg__(self):
-        return AlphaRational._raw(_neg(self.num), self.den)
+        return AlphaRational._raw(poly_neg(self.num), self.den)
 
     def __sub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return AlphaRational._raw(*_sum(self.num, self.den,
-                                        _neg(other.num), other.den))
+                                        poly_neg(other.num), other.den))
 
     def __rsub__(self, other):
         other = _coerce(other)
@@ -343,7 +343,7 @@ class AlphaRational:
         if not self.num:
             raise ZeroDivisionError("inverse of zero in Q(alpha)")
         if self.num[-1] < 0:
-            return AlphaRational._raw(_neg(self.den), _neg(self.num))
+            return AlphaRational._raw(poly_neg(self.den), poly_neg(self.num))
         return AlphaRational._raw(self.den, self.num)
 
     def __truediv__(self, other):
@@ -408,11 +408,11 @@ class AlphaRational:
             ppow = (1,)
             qpows = [(1,)]
             for _ in range(big):
-                qpows.append(_mul(qpows[-1], q))
+                qpows.append(poly_mul(qpows[-1], q))
             for i, c in enumerate(coeffs):
                 if c:
-                    out = _add(out, _scale(_mul(ppow, qpows[big - i]), c))
-                ppow = _mul(ppow, p)
+                    out = poly_add(out, _scale(poly_mul(ppow, qpows[big - i]), c))
+                ppow = poly_mul(ppow, p)
             return out
 
         new_num = lift(self.num)
@@ -447,7 +447,7 @@ def _reduce(num, den):
         return num, den
     _, num, den = _gcd(num, den)
     if den[-1] < 0:
-        num, den = _neg(num), _neg(den)
+        num, den = poly_neg(num), poly_neg(den)
     return num, den
 
 
@@ -481,33 +481,8 @@ def alpha_shift() -> AlphaRational:
 
 
 # ---------------------------------------------------------------------------
-# Z[alpha]: integral forms and ratios over products of linear factors
+# Z[alpha]: integral forms and ratios of products of linear factors
 # ---------------------------------------------------------------------------
-
-def linear_product(pairs) -> AlphaRational:
-    """prod of alpha*a + b over the int pairs (a, b), multiplied out in
-    Z[alpha]: the denominator stays 1, so the result is canonical without
-    a gcd."""
-    out = (1,)
-    for a, b in pairs:
-        out = _mul(out, _trim((b, a)))
-    return AlphaRational._raw(out, (1,))
-
-
-def poly_add(p, q):
-    """p + q in Z[alpha]."""
-    return _add(p, q)
-
-
-def poly_sub(p, q):
-    """p - q in Z[alpha]."""
-    return _add(p, _neg(q))
-
-
-def poly_mul(p, q):
-    """p q in Z[alpha]."""
-    return _mul(p, q)
-
 
 def times_linear(p, a, b):
     """p (alpha*a + b) in Z[alpha], for a != 0."""
@@ -534,44 +509,87 @@ def over_linear(p, a, b):
     return tuple(q) if p[0] == carry else None
 
 
-def linear_forms(pairs):
-    """prod of alpha*a + b over the int pairs (a, b), a > 0, factored as
-    (content, Counter of primitive pairs): an integer times primitive
-    linear forms, each with its multiplicity."""
-    content, forms = 1, collections.Counter()
-    for a, b in pairs:
-        g = math.gcd(a, b)
-        content *= g
-        forms[a // g, b // g] += 1
-    return content, forms
+class Factored:
+    """content * prod (alpha*a + b)^m over the primitive linear forms
+    `forms` {(a, b): m}, gcd(a, b) = 1, a > 0 and m != 0; the content is an
+    int or a Fraction, 0 when a factor is zero.  Distinct primitive forms
+    are coprime and their products primitive (Gauss's lemma), so `value`
+    and `over` take no polynomial gcd.  Never mutated."""
 
+    __slots__ = ("content", "forms")
 
-def forms_poly(content, forms):
-    """content * prod (alpha*a + b)^m over the Counter `forms`, in Z[alpha]."""
-    out = (content,)
-    for (a, b), m in forms.items():
-        out = _mul(out, _power((b, a), m))
-    return out
+    def __init__(self, pairs=(), content=1, forms=None):
+        """content * prod of alpha*a + b over the int pairs (a, b) * forms."""
+        forms = {} if forms is None else forms
+        for a, b in pairs:
+            if a == 0:
+                content *= b
+                continue
+            g = math.gcd(a, b) if a > 0 else -math.gcd(a, b)
+            content *= g
+            forms[a // g, b // g] = forms.get((a // g, b // g), 0) + 1
+        if isinstance(content, Fraction) and content.denominator == 1:
+            content = content.numerator
+        self.content, self.forms = content, forms
 
+    def _times(self, other, sign, content):
+        forms = dict(self.forms)
+        for f, m in other.forms.items():
+            forms[f] = forms.get(f, 0) + sign * m
+        return Factored(content=content, forms={f: m for f, m in forms.items() if m})
 
-def over_linear_forms(num, content, forms) -> AlphaRational:
-    """num / forms_poly(content, forms) in canonical form, with no
-    polynomial gcd.  Each primitive form is divided out of num for as long
-    as the division is exact, up to its multiplicity; by Gauss's lemma a
-    primitive divisor over Q is one over Z.  Distinct primitive linear
-    forms are coprime, so the forms left in the denominator share no factor
-    with what is left of num, and only the integer gcd of num's content and
-    `content` remains to divide out.  content > 0 and a > 0 in every form
-    give the denominator a positive leading coefficient."""
-    if not num:
-        return ZERO
-    left = collections.Counter()
-    for (a, b), m in forms.items():
-        while m and (q := over_linear(num, a, b)) is not None:
-            num, m = q, m - 1
-        left[a, b] = m
-    g = math.gcd(content, *num)
-    return AlphaRational._raw(_exact_scale(num, g), forms_poly(content // g, left))
+    def __mul__(self, other):
+        return self._times(other, 1, self.content * other.content)
+
+    def __truediv__(self, other):
+        return self._times(other, -1, Fraction(self.content, other.content))
+
+    @staticmethod
+    def lcm(dens) -> "Factored":
+        """The lcm of denominators: int contents, no negative multiplicity."""
+        forms = {}
+        for d in dens:
+            for f, m in d.forms.items():
+                forms[f] = max(m, forms.get(f, 0))
+        return Factored(content=math.lcm(*(d.content for d in dens)), forms=forms)
+
+    def _expand(self, c, sign):
+        """The int c times the forms of multiplicity sign * m > 0, in Z[alpha]."""
+        out = _trim((c,))
+        for (a, b), m in self.forms.items():
+            if m * sign > 0:
+                out = poly_mul(out, _power((b, a), m * sign))
+        return out
+
+    def poly(self):
+        """The product in Z[alpha]; for an int content and no m < 0."""
+        if not isinstance(self.content, int) or min(self.forms.values(), default=1) < 0:
+            raise ValueError(f"not in Z[alpha]: {self.content} times {self.forms}")
+        return self._expand(self.content, 1)
+
+    def value(self) -> AlphaRational:
+        """The canonical element of Q(alpha); its denominator leads positive."""
+        c = self.content  # an int has a numerator and a denominator too
+        num = self._expand(c.numerator, 1)
+        return AlphaRational._raw(num, self._expand(c.denominator, -1)) if num else ZERO
+
+    def over(self, num) -> AlphaRational:
+        """num / self in canonical form, for num in Z[alpha] and a
+        denominator self (an int content > 0, no m < 0).  Each form is divided
+        out of num while the division is exact, up to its multiplicity (a
+        primitive divisor over Q is one over Z); then only an integer gcd
+        remains to divide out."""
+        if not num:
+            return ZERO
+        left = {}
+        for (a, b), m in self.forms.items():
+            while m and (q := over_linear(num, a, b)) is not None:
+                num, m = q, m - 1
+            if m:
+                left[a, b] = m
+        g = math.gcd(self.content, *num)
+        den = Factored(content=self.content // g, forms=left).poly()
+        return AlphaRational._raw(_exact_scale(num, g), den)
 
 
 def times_multiple(x: AlphaRational, p) -> AlphaRational:
@@ -581,7 +599,7 @@ def times_multiple(x: AlphaRational, p) -> AlphaRational:
     q = _div_exact(p, x.den)
     if q is None:
         return x * AlphaRational._raw(p, (1,))
-    return AlphaRational._raw(_mul(x.num, q), (1,))
+    return AlphaRational._raw(poly_mul(x.num, q), (1,))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from typing import Callable
 from . import combinat, jack, oracle, polyalg, scalars
 from .polyalg import (MultiPoly, antisymmetrize, apply_transposition, cherednik_apply,
                       d2_apply, divided_difference, exact_scalar_ratio, symmetrize)
-from .qalpha import ONE, AlphaRational, alpha_shift, linear_product, times_multiple
+from .qalpha import ONE, AlphaRational, Factored, alpha_shift, times_multiple
 
 FIG2_SHAPE = (8, 7, 7, 4, 3, 3, 2, 1, 0)
 SOLVE_ALPHAS = (Fraction(2), Fraction(3), Fraction(7, 2))
@@ -444,10 +444,11 @@ def _value_and_hook(kappa, with_norm):
     diagram node.  Then the two forms of P(1^N), and with_norm the two forms
     of the norm ratio, agree."""
     n = len(kappa)
-    denom = linear_product((part, n - j + 1) for j, part in enumerate(kappa, start=1))
+    d_r = scalars.node_ratio(combinat.reverse_partition(kappa), ("d",))
+    denom = Factored((part, n - j + 1) for j, part in enumerate(kappa, start=1))
     witness = (_differ(f"kappa={kappa}: h/stab vs d(kappaR)/prod",
                        scalars.const_h(kappa) / combinat.stabilizer_order(kappa),
-                       scalars.const_d(combinat.reverse_partition(kappa)) / denom)
+                       (d_r / denom).value())
                or _differ(f"kappa={kappa}: P(1^N) b/h vs N!/stab e/d",
                           scalars.eval_P_at_ones(kappa), scalars.eval_P_at_ones_sym_route(kappa)))
     if witness or not with_norm:

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from jackpoly import cli, jack
+from jackpoly import cli, combinat, jack
 
 
 def run_cli(capsys, *argv):
@@ -482,11 +482,27 @@ class TestGolden:
          "a1b3197a3ee9905dd92ef5333435e66c6b94755ed058a7406fdf049db31340ef"),
         (["constants", "2,1,0"],
          "a08ec1d41abe302002e2d66f496afd188d18e753b8f1eeffd12f20c88562cbae"),
+        # taken while the closed forms were still formed by Q(alpha) division
+        (["expand", "binomial", "--N", "3", "--deg", "3", "--r", "5/2"],
+         "d3ab32003c5eb95d429d1ee3f48348695421d8a50665e0d90144b26626f36db1"),
     ])
     def test_text_digest(self, capsys, argv, digest):
         code, out = run_cli(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_constants_json_digest(self, capsys):
+        # every composition with |eta| <= 4 at N = 2, 3, the outputs joined;
+        # taken while the closed forms were still formed by Q(alpha) division
+        blob = ""
+        for n in (2, 3):
+            for eta in combinat.compositions_upto(4, n):
+                code, out = run_cli(capsys, "constants", ",".join(map(str, eta)),
+                                    "--format", "json")
+                assert code == 0
+                blob += out
+        assert hashlib.sha256(blob.encode()).hexdigest() == (
+            "304f269b546e46da556fd777404adca02c77182f6f129000183533d0136a3a24")
 
     def test_verify_json_digest(self, capsys):
         # names, params, cases, clamps, witnesses and verdicts of the whole

@@ -6,7 +6,7 @@ from jackpoly import combinat as cb
 from jackpoly import jack, scalars, verify
 from jackpoly.polyalg import (MultiPoly, antisymmetrize, apply_transposition,
                               exact_scalar_ratio, symmetrize, vandermonde)
-from jackpoly.qalpha import ALPHA, ONE, AlphaRational, alpha_shift, linear_product
+from jackpoly.qalpha import ALPHA, ONE, AlphaRational, alpha_shift
 
 A = ALPHA
 
@@ -125,9 +125,9 @@ def _forms(f):
 def _J(eta):
     """The cached integral form as a polynomial over Q(alpha), its pending
     factors multiplied in."""
-    pairs, terms = jack._integral(eta)
+    pending, terms = jack._integral(eta)
     return MultiPoly(len(eta), {e: AlphaRational(c) for e, c in terms.items()}).scale(
-        linear_product(pairs))
+        pending.value())
 
 
 class TestIntegralChain:
@@ -174,12 +174,14 @@ class TestIntegralChain:
         # J of z^k at N = 1 is d_(k) z^k: the chain keeps d_(k) as its k
         # factors, and E cancels them without multiplying them out
         monkeypatch.setattr(jack, "_J_CACHE", {})
-        pairs, terms = jack._integral((50,))
+        pending, terms = jack._integral((50,))
         assert terms == {(50,): (1,)}
-        assert sorted(pairs) == sorted(scalars.d_factors((50,)))
+        d = scalars.node_ratio((50,), ("d",))
+        assert (pending.content, pending.forms) == (d.content, d.forms)
         # a swap step multiplies them in
-        pairs, terms = jack._integral((1, 0))
-        assert pairs == () and terms == {(1, 0): (1, 1), (0, 1): (1,)}
+        pending, terms = jack._integral((1, 0))
+        assert (pending.content, pending.forms) == (1, {})
+        assert terms == {(1, 0): (1, 1), (0, 1): (1,)}
 
     def test_inexact_swap_division_raises(self, monkeypatch):
         # divide the swap numerator by delta + 1 instead of delta - 1

@@ -52,6 +52,6 @@ def test_certifier_rejects_a_wrong_candidate():
     assert qalpha._heu_candidate(a, b, 31) == ((1,), a, b)
     # A common factor of degree 2 hidden behind a spurious integer factor.
     h = (3, -1, 1)
-    a, b = qalpha._mul(h, (1, 1)), qalpha._mul(h, (7, 1))
+    a, b = qalpha.poly_mul(h, (1, 1)), qalpha.poly_mul(h, (7, 1))
     assert qalpha._heu_candidate(a, b, 5) is None
     assert qalpha._gcd(a, b) == (h, (1, 1), (7, 1))

@@ -11,9 +11,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from jackpoly.qalpha import (ONE, ZERO, AlphaRational, _gcd, _mul, _product, _sum,  # noqa: E402
-                             _trim, linear_forms, linear_product, over_linear,
-                             over_linear_forms, times_linear, times_multiple)
+from jackpoly.qalpha import (ONE, ZERO, AlphaRational, Factored, _gcd, _product,  # noqa: E402
+                             _sum, _trim, over_linear, poly_mul, times_linear,
+                             times_multiple)
 
 given, settings = hypothesis.given, hypothesis.settings
 
@@ -55,7 +55,7 @@ def test_canonical_form(num, den, factor):
     x = AlphaRational(num, den)
     assert x.den[-1] > 0
     factor = _trim(factor)
-    scaled = AlphaRational(_mul(x.num, factor), _mul(x.den, factor))
+    scaled = AlphaRational(poly_mul(x.num, factor), poly_mul(x.den, factor))
     assert (scaled.num, scaled.den) == (x.num, x.den)
 
 
@@ -75,12 +75,20 @@ def test_linear_multiply_and_exact_division(p, ab, shift):
     a, b = ab
     p = _trim(p)
     q = times_linear(p, a, b)
-    assert q == _mul(p, (b, a))
+    assert q == poly_mul(p, (b, a))
     assert over_linear(q, a, b) == p
     # alpha*a + b + shift divides q only when it equals a factor of q
     other = over_linear(q, a, b + shift)
     if other is not None:
-        assert _mul(other, _trim((b + shift, a))) == q
+        assert poly_mul(other, _trim((b + shift, a))) == q
+
+
+def field_product(pairs, content=1):
+    """content * prod of alpha*a + b, one factor at a time in Q(alpha)."""
+    out = AlphaRational.from_fraction(content)
+    for a, b in pairs:
+        out = out * AlphaRational((b, a))
+    return out
 
 
 @PROPERTY
@@ -88,10 +96,51 @@ def test_linear_multiply_and_exact_division(p, ab, shift):
 def test_ratio_over_linear_forms_is_canonical(num, den_pairs, num_pairs):
     """num times some linear factors over others: the same (num, den)
     tuples as the field division, which reduces by gcd."""
-    num = _mul(_trim(num), linear_product(num_pairs).num)
-    got = over_linear_forms(num, *linear_forms(den_pairs))
-    want = AlphaRational(num) / linear_product(den_pairs)
+    num = poly_mul(_trim(num), Factored(num_pairs).poly())
+    got = Factored(den_pairs).over(num)
+    want = AlphaRational(num) / field_product(den_pairs)
     assert (got.num, got.den) == (want.num, want.den)
+
+
+# any linear factor: a constant one (a = 0), the zero factor (0, 0), a < 0, b < 0
+small = st.integers(min_value=-6, max_value=6)
+any_factors = st.tuples(small, small)
+contents = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@PROPERTY
+@given(st.lists(any_factors, max_size=5), st.lists(any_factors, max_size=5), contents)
+def test_factored_ratio_is_the_field_ratio(up, down, content):
+    """A factored product or ratio is canonical with no gcd: the same
+    (num, den) tuples as the product and quotient taken one factor at a
+    time in Q(alpha); a zero denominator raises as the field does."""
+    got = (Factored(up, content) * Factored(down)).value()
+    want = field_product(up, content) * field_product(down)
+    assert (got.num, got.den) == (want.num, want.den)
+    if any(a == b == 0 for a, b in down):
+        with pytest.raises(ZeroDivisionError):
+            Factored(up, content) / Factored(down)
+        return
+    got = (Factored(up, content) / Factored(down)).value()
+    want = field_product(up, content) / field_product(down)
+    assert (got.num, got.den) == (want.num, want.den)
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.integers(min_value=1, max_value=9), st.lists(factors, max_size=4)),
+                min_size=1, max_size=4))
+def test_factored_lcm_is_least(dens):
+    """Each denominator divides the lcm in Z[alpha], and the cofactors share
+    no common factor, so no smaller common multiple exists."""
+    dens = [Factored(pairs, content) for content, pairs in dens]
+    common = Factored.lcm(dens)
+    cofactors = [(common / d).poly() for d in dens]
+    for d, cofactor in zip(dens, cofactors):
+        assert poly_mul(cofactor, d.poly()) == common.poly()
+    g = cofactors[0]
+    for cofactor in cofactors[1:]:
+        g = _gcd(g, cofactor)[0]
+    assert g == (1,)
 
 
 @PROPERTY
@@ -99,7 +148,7 @@ def test_ratio_over_linear_forms_is_canonical(num, den_pairs, num_pairs):
 def test_times_multiple_is_the_field_product(x, p, multiple):
     """x p over denominator 1 when x.den divides p, else the field product:
     the same canonical element either way."""
-    p = _mul(_trim(p), x.den) if multiple else _trim(p)
+    p = poly_mul(_trim(p), x.den) if multiple else _trim(p)
     got = times_multiple(x, p)
     want = x * AlphaRational(p)
     assert (got.num, got.den) == (want.num, want.den)
@@ -170,7 +219,7 @@ def test_sum_and_product_match_the_general_route(pair):
 @given(st.one_of(polys, st.just([1])), st.one_of(polys, st.just([1])))
 def test_mul_matches_convolution(p, q):
     p, q = _trim(p), _trim(q)
-    assert _mul(p, q) == _ref_mul(p, q)
+    assert poly_mul(p, q) == _ref_mul(p, q)
 
 
 # ---------------------------------------------------------------------------

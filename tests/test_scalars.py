@@ -7,10 +7,11 @@ from fractions import Fraction
 import pytest
 
 from jackpoly import combinat as cb
+from jackpoly import qalpha
 from jackpoly import scalars as sc
 from jackpoly import verify
 from jackpoly.polyalg import MultiPoly
-from jackpoly.qalpha import ALPHA, ONE, ZERO, AlphaRational, alpha_shift, linear_product
+from jackpoly.qalpha import ALPHA, ONE, ZERO, AlphaRational, Factored, alpha_shift
 
 A = ALPHA
 NODE_PRODUCTS = {"d": sc.const_d, "dp": sc.const_dp, "e": sc.const_e,
@@ -28,10 +29,25 @@ NODE_FACTORS = {
 
 def q_alpha_product(pairs):
     """prod of alpha*a + b multiplied one factor at a time in Q(alpha): the
-    reference that linear_product is checked against."""
+    reference that the factored products are checked against."""
     out = ONE
     for a, b in pairs:
         out = out * (A * a + b)
+    return out
+
+
+def gen_factorial(u, kappa) -> AlphaRational:
+    """Rising-factorial product over the rows of a padded partition,
+    prod_j prod_{i=0}^{kappa_j - 1} (u - (j-1)/alpha + i), one factor at a
+    time in Q(alpha): the reference that binomial_coeff is checked against."""
+    if isinstance(u, (int, Fraction)):
+        u = AlphaRational.from_fraction(u)
+    ainv = ALPHA.inverse()
+    out = ONE
+    for j, kj in enumerate(kappa, start=1):
+        base = u - ainv * (j - 1)
+        for i in range(kj):
+            out = out * (base + i)
     return out
 
 
@@ -95,9 +111,9 @@ class TestField:
         assert f == g and hash(f) == hash(g)
 
     def test_linear_product(self):
-        assert same_form(linear_product([]), ONE)
-        assert same_form(linear_product([(2, 4), (0, -3)]), -6 * A - 12)
-        assert same_form(linear_product([(1, 1), (0, 0)]), ZERO)
+        assert same_form(Factored([]).value(), ONE)
+        assert same_form(Factored([(2, 4), (0, -3)]).value(), -6 * A - 12)
+        assert same_form(Factored([(1, 1), (0, 0)]).value(), ZERO)
 
 
 class TestConstants:
@@ -163,16 +179,16 @@ class TestConstants:
                 assert "alpha" not in names, getattr(fn, "name", "lambda")
 
     def test_gen_factorial_empty(self):
-        assert sc.gen_factorial(Fraction(7, 2), (0, 0, 0)) == ONE
+        assert gen_factorial(Fraction(7, 2), (0, 0, 0)) == ONE
 
     def test_gen_factorial_identities(self):
         for n in (2, 3, 4):
             for eta in cb.compositions_upto(5 if n < 4 else 3, n):
                 ep = cb.sort_to_partition(eta)
                 m = sum(eta)
-                assert A ** m * sc.gen_factorial((A + n) / A, ep) == sc.const_e(eta)
-                assert A ** m * sc.gen_factorial((A + n - 1) / A, ep) == sc.const_ep(eta)
-                assert A ** m * sc.gen_factorial((ONE * n) / A, ep) == sc.const_b(eta)
+                assert A ** m * gen_factorial((A + n) / A, ep) == sc.const_e(eta)
+                assert A ** m * gen_factorial((A + n - 1) / A, ep) == sc.const_ep(eta)
+                assert A ** m * gen_factorial((ONE * n) / A, ep) == sc.const_b(eta)
 
 
 class TestFormulas:
@@ -244,7 +260,7 @@ class TestHookAndSociety:
         for kappa in kappas + [verify.FIG2_SHAPE]:
             n = len(kappa)
             pairs = [(part, n - j + 1) for j, part in enumerate(kappa, start=1)]
-            assert same_form(linear_product(pairs), q_alpha_product(pairs)), kappa
+            assert same_form(Factored(pairs).value(), q_alpha_product(pairs)), kappa
 
     def test_binomial_coeff_matches_paper_forms(self):
         # alpha^|eta| [r]_(eta+) / (u_eta d_eta) on compositions and
@@ -253,7 +269,7 @@ class TestHookAndSociety:
             for n in (1, 2, 3, 4):
                 for eta in cb.compositions_upto(5, n):
                     kappa = cb.sort_to_partition(eta)
-                    rising = A ** sum(eta) * sc.gen_factorial(r, kappa)
+                    rising = A ** sum(eta) * gen_factorial(r, kappa)
                     got = sc.binomial_coeff(r, eta)
                     assert same_form(got, rising / (sc.u_eta(eta) * sc.const_d(eta))), (r, eta)
                     if eta == kappa:
@@ -290,3 +306,103 @@ class TestCRho:
     def test_rejects_repeated_parts(self):
         with pytest.raises(ValueError):
             sc.c_rho((1, 1))
+
+
+# ---------------------------------------------------------------------------
+# the factored closed forms against one-factor-at-a-time Q(alpha) arithmetic
+# ---------------------------------------------------------------------------
+
+BOUNDS = verify.Bounds()
+# every label of the default sweep, N = 1 included, and the 9-part shape
+SWEEP = [eta for n in range(1, BOUNDS.n_max + 1)
+         for eta in cb.compositions_upto(BOUNDS.deg, n)] + [verify.FIG2_SHAPE]
+# r = 0 puts the zero factor (0, 0) into [r]_kappa, and r = -1 factors
+# with a <= 0 and b < 0; the constant factors (a = 0) come from b at
+# every node of the first column
+BINOMIAL_RS = (1, 2, 3, Fraction(5, 2), 0, -1, Fraction(-3, 7))
+
+
+def reference_forms(eta):
+    """Every closed form of `scalars` at eta, as {name: (got, want)}, with
+    want built from node products taken one factor at a time and combined
+    by Q(alpha) products and quotients."""
+    n = len(eta)
+    is_partition = cb.is_partition(eta)
+
+    def node(kind, label):
+        return q_alpha_product(NODE_FACTORS[kind](s, n) for s in cb.diagram_nodes(label))
+
+    d, dp, e, ep, b = (node(k, eta) for k in ("d", "dp", "e", "ep", "b"))
+    out = {"d": (sc.const_d(eta), d), "dp": (sc.const_dp(eta), dp),
+           "e": (sc.const_e(eta), e), "ep": (sc.const_ep(eta), ep),
+           "b": (sc.const_b(eta), b),
+           "E(1)": (sc.eval_E_at_ones(eta), e / d),
+           "norm_E": (sc.norm_ratio_E(eta), dp * e / (d * ep)),
+           "u": (sc.u_eta(eta), dp / d)}
+    kappa = cb.sort_to_partition(eta)
+    for r in BINOMIAL_RS:
+        out[f"binomial r={r}"] = (sc.binomial_coeff(r, eta),
+                                  A ** sum(eta) * gen_factorial(r, kappa) / dp)
+    if is_partition:
+        h = node("h", eta)
+        rev = cb.reverse_partition(eta)
+        stab = Fraction(math.factorial(n), cb.stabilizer_order(eta))
+        e_r, d_r, ep_r = (node(k, rev) for k in ("e", "d", "ep"))
+        out.update({"h": (sc.const_h(eta), h),
+                    "P(1)": (sc.eval_P_at_ones(eta), b / h),
+                    "P(1) sym route": (sc.eval_P_at_ones_sym_route(eta), stab * e_r / d_r),
+                    "norm_P": (sc.norm_ratio_P(eta), b * dp / (ep * h)),
+                    "norm_P sym route": (sc.norm_ratio_P_sym_route(eta),
+                                         stab * dp * e_r / (d_r * ep_r)),
+                    "v": (sc.v_kappa(eta), dp / h)})
+    if cb.has_distinct_parts(eta):
+        dp_r = node("dp", cb.reverse_partition(eta))
+        resolved = -1 if cb.ascending_pair_count(eta) % 2 else 1
+        rearranged = -1 if (n * (n - 1) // 2) % 2 else 1
+        out["c_rho_resolved"] = (sc.c_rho_resolved(eta), resolved * dp / dp_r)
+        out["c_rho"] = (sc.c_rho(eta), rearranged * dp / dp_r)
+    return out
+
+
+class TestFactoredAgainstQAlpha:
+    def test_every_closed_form_on_the_default_sweep(self):
+        kinds = set()
+        for eta in SWEEP:
+            for name, (got, want) in reference_forms(eta).items():
+                assert same_form(got, want), (name, eta)
+                kinds.add(name)
+        assert {"h", "v", "c_rho", "norm_P sym route", "binomial r=-3/7"} <= kinds
+        # by hand: the zero factor at r = 0; at r = -1 the factors -alpha
+        # and -alpha - 1, (a, b) = (-1, 0) and (-1, -1), over d' = alpha (alpha + 1)
+        assert same_form(sc.binomial_coeff(0, (2, 1)), ZERO)
+        assert same_form(sc.binomial_coeff(-1, (0, 1)), -A / (A + 1))
+        assert same_form(sc.binomial_coeff(-1, (1, 1)), ONE)
+
+    def test_closed_forms_take_no_gcd(self, monkeypatch):
+        # each closed form is one factored ratio made canonical by value(),
+        # so no polynomial gcd is ever taken
+        calls = []
+        real = qalpha._gcd
+
+        def counted(a, b):
+            calls.append((a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(qalpha, "_gcd", counted)
+        for eta in SWEEP:
+            for f in (sc.const_d, sc.const_dp, sc.const_e, sc.const_ep, sc.const_b,
+                      sc.u_eta, sc.eval_E_at_ones, sc.norm_ratio_E):
+                f(eta)
+            for r in BINOMIAL_RS:
+                sc.binomial_coeff(r, eta)
+            if cb.is_partition(eta):
+                for f in (sc.const_h, sc.v_kappa, sc.eval_P_at_ones, sc.eval_P_at_ones_sym_route,
+                          sc.norm_ratio_P, sc.norm_ratio_P_sym_route):
+                    f(eta)
+            if cb.has_distinct_parts(eta):
+                sc.c_rho_resolved(eta)
+        for n in range(1, 10):
+            sc.staircase_norm_ratio(n)
+        assert calls == []
+        # the wrapper sees a Q(alpha) quotient that needs one
+        assert (A ** 2 - 1) / (A - 1) == A + 1 and calls

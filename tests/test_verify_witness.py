@@ -2,8 +2,8 @@
 with a witness that names the failing case and both values.
 
 Each case starts from empty construction caches, perturbs one input (a
-cached E or P, one scalar constant, or one count of the integer Cauchy
-kernel), runs the row at small bounds and reads the witness.
+cached E or P, one scalar constant or node product, or one count of the
+integer Cauchy kernel), runs the row at small bounds and reads the witness.
 """
 
 from fractions import Fraction
@@ -12,7 +12,7 @@ import pytest
 
 from jackpoly import jack, scalars, verify
 from jackpoly.polyalg import MultiPoly
-from jackpoly.qalpha import ALPHA, ONE
+from jackpoly.qalpha import ALPHA, ONE, Factored
 
 BOUNDS = verify.Bounds(n_max=2, deg=1, ks=(1, 2), rs=(Fraction(1),))
 
@@ -50,6 +50,22 @@ def _scalar(name, label):
     return perturb
 
 
+def _node_product(kind, label):
+    """Double the node product `kind` (d, dp, e, ep, b or h) at one diagram
+    in every factored ratio that reads it: a closed form such as b/h is one
+    ratio formed in one walk, not a quotient of the const_* values."""
+    def perturb(monkeypatch):
+        orig, two = scalars.node_ratio, Factored(content=2)
+
+        def perturbed(eta, up, down=(), content=1):
+            out = orig(eta, up, down, content)
+            if tuple(eta) != label:
+                return out
+            return out * two if kind in up else out / two if kind in down else out
+        monkeypatch.setattr(scalars, "node_ratio", perturbed)
+    return perturb
+
+
 def _contingency_plus_one(key):
     """Add 1 to the integer kernel's count at one (row sums, column sums)."""
     def perturb(monkeypatch):
@@ -69,9 +85,9 @@ ROWS = [
     ("P.two-routes", _cached_P((1, 0)), "kappa=(1, 0) N=2"),
     ("P.stability", _cached_P((1, 0)), "kappa=(1, 0) N=3"),
     ("sym.proportionality", _cached_E((1, 0)), "eta=(1, 0)"),
-    ("P.value-and-hook", _scalar("const_b", (1, 0)), "kappa=(1, 0)"),
+    ("P.value-and-hook", _node_product("b", (1, 0)), "kappa=(1, 0)"),
     ("asym.proportionality", _cached_E((1, 0)), "rho=(1, 0)"),
-    ("asym.c-closed-forms", _scalar("const_d", (1, 0)), "rho=(0, 1)"),
+    ("asym.c-closed-forms", _node_product("d", (1, 0)), "rho=(0, 1)"),
     ("asym.du-expansion", _cached_E((1, 0)), "eta+=(0, 0) N=2"),
     ("society.identities", _scalar("const_dp", (0, 1)), "eta+=(0, 0) N=2"),
     ("norm.reconciliation", _scalar("const_d", (1, 0)), "eta+=(0, 0) N=2"),
