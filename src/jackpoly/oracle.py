@@ -1,9 +1,8 @@
 """Brute-force cross-checks that never touch the main construction path.
 
-The first three take and return Fraction-coefficient dicts keyed by integer
-exponent tuples (negative exponents allowed for the torus weight) and work
-inside in ints, with one Fraction per output value; the last works over
-the coefficients of whatever kernel and basis it is handed:
+Every routine takes and returns Fraction-coefficient dicts keyed by
+integer exponent tuples (negative exponents allowed for the torus weight)
+and works inside in ints, with one Fraction per output value:
 
 * the torus inner product at integer inverse parameter, realized as a
   Laurent constant term against the fully expanded weight, whose
@@ -26,10 +25,7 @@ the coefficients of whatever kernel and basis it is handed:
   symmetric functions, by fraction-free (Bareiss) elimination of their int
   Gram matrix of constant-term pairings, whose pivots are its leading
   principal minors.  The weight is symmetric, so <m_a, m_b> is
-  |orbit(a)| <z^a, m_b>: one monomial per row;
-* the pairing matrix of a truncated kernel against a given triangular
-  basis of one degree, by two exact triangular solves; kernel and basis
-  come from the caller, and the caller judges the matrix.
+  |orbit(a)| <z^a, m_b>: one monomial per row.
 """
 
 from __future__ import annotations
@@ -429,62 +425,3 @@ def gram_schmidt_P(kappa, n: int, k: int) -> dict:
             raise ArithmeticError(f"inexact back-substitution at {shapes[r]} (k={k})")
     coeffs = (Fraction(c, minor) for c in x)
     return {e: c for shape, c in zip(shapes, coeffs) if c for e in ms[shape]}
-
-
-# ---------------------------------------------------------------------------
-# the pairing matrix of a truncated kernel against a basis
-# ---------------------------------------------------------------------------
-
-def _solve_upper_triangular(mat, rhs_cols, labels):
-    """Solve M X = B column by column, where M[r][c] is upper triangular over
-    the ordered labels with a nonzero diagonal; mat and every column of B
-    are dicts keyed by label."""
-    out = {}
-    for col_label, rhs in rhs_cols.items():
-        x = {}  # holds only labels above the current one
-        for lr in reversed(labels):
-            row = mat.get(lr, {})
-            acc = rhs.get(lr, 0)
-            for lc, coeff in row.items():
-                if lc in x:
-                    acc = acc - coeff * x[lc]
-            if acc:
-                x[lr] = acc / row[lr]
-        out[col_label] = x
-    return out
-
-
-def kernel_pairing(kernel, basis: dict) -> dict:
-    """The pairing matrix C of a truncated kernel against a basis of one
-    degree d: kernel_d = sum C[a][b] f_a(x) f_b(y).
-
-    `kernel` is anything with .terms -> {x exps + y exps: coeff}; a degree
-    with no kernel term lies past its truncation and raises.  `basis` maps
-    each label, in ascending order, to a polynomial f (anything with
-    .terms) that is triangular in that order: a nonzero coefficient at its
-    own label and, among the labels, terms only at lower ones.  The matrix
-    M[mono][label] of the basis coefficients is then upper triangular on
-    the label rows, so C comes out of two triangular solves of M C M^T = W,
-    one per side.  C[a] holds the nonzero entries of row a, and a row with
-    none is absent; nothing is asserted about them.
-    """
-    labels = list(basis)
-    m_matrix = {}
-    for col, f in basis.items():
-        for mono, c in f.terms.items():
-            m_matrix.setdefault(mono, {})[col] = c
-    n, d = len(labels[0]), sum(labels[0])
-    w_cols = {}
-    for e, c in kernel.terms.items():
-        if sum(e[:n]) == d:
-            w_cols.setdefault(e[n:], {})[e[:n]] = c
-    if not w_cols:
-        raise ValueError(f"the kernel has no term of degree {d}: its truncation is below it")
-    # first solve eliminates the x side: columns indexed by y-monomial
-    x_solved = _solve_upper_triangular(m_matrix, w_cols, labels)
-    y_cols = {}
-    for ymono, coeffs in x_solved.items():
-        for xlab, c in coeffs.items():
-            y_cols.setdefault(xlab, {})[ymono] = c
-    # second solve eliminates the y side: C[xlabel][ylabel]
-    return _solve_upper_triangular(m_matrix, y_cols, labels)

@@ -199,6 +199,11 @@ def _differ(label, got, want):
     return f"{label}: {got} != {want}"
 
 
+def _first(witnesses):
+    """The first witness of a lazy sequence of sub-cases, or None."""
+    return next(filter(None, witnesses), None)
+
+
 def _multiple(label, f, g):
     """(c, None) when f == c*g, else (None, witness): the witness names where
     f differs from g scaled by the ratio at the leading monomial of g."""
@@ -280,22 +285,27 @@ def _basis(family, n, d):
 _EIGEN = dict(ns=(2, 4), deg=(0, 5), caps={4: 3})
 
 
+def _d_times(f, eta):
+    """d_eta f, which for f = E_eta lies in Z[alpha] (F. Knop and S. Sahi,
+    Invent. Math. 128, 1997): each coefficient is cleared by one exact
+    division of d_eta by its denominator, and a coefficient whose
+    denominator does not divide d_eta keeps the field product."""
+    d = scalars.const_d(eta).num
+    return f.map_coeff(lambda c: times_multiple(c, d))
+
+
 def _E_witness(f, eta):
     """The joint eigen-equations of f at the eigenvalues of eta, then monic
     triangularity: coefficient 1 at eta and every other monomial below it.
-    The eigen-equations are checked on g = d_eta f, which for f = E_eta lies
-    in Z[alpha] (F. Knop and S. Sahi, Invent. Math. 128, 1997), so that
-    neither the scale nor applying xi_i reduces anything; a nonzero
-    multiple leaves the verdict unchanged."""
+    The eigen-equations are checked on g = d_eta f, so that neither the
+    scale nor applying xi_i reduces anything; a nonzero multiple leaves the
+    verdict unchanged."""
     bars = combinat.eigenvalue_vector(eta)
-    d = scalars.const_d(eta).num
-    g = f.map_coeff(lambda c: times_multiple(c, d))
-    for i in range(1, len(eta) + 1):
-        witness = _differ(f"eta={eta}: xi_{i} dE vs eigenvalue * dE",
-                          cherednik_apply(g, i), g.scale(bars[i - 1]))
-        if witness:
-            return witness
-    return _monic_below(f"eta={eta}", f, eta, lambda e: combinat.composition_lt(e, eta))
+    g = _d_times(f, eta)
+    return (_first(_differ(f"eta={eta}: xi_{i} dE vs eigenvalue * dE",
+                           cherednik_apply(g, i), g.scale(bars[i - 1]))
+                   for i in range(1, len(eta) + 1))
+            or _monic_below(f"eta={eta}", f, eta, lambda e: combinat.composition_lt(e, eta)))
 
 
 def _integral_witness(eta, f):
@@ -381,14 +391,11 @@ def _multiply_back(f, i, p):
 def _P_witness(p, kappa):
     """Symmetry, the eigen-equation of the second-order operator, and monic
     dominance triangularity of the monomial expansion at kappa."""
-    for i in range(1, p.nvars):
-        witness = _differ(f"kappa={kappa}: s_{i} P vs P", apply_transposition(p, i, i + 1), p)
-        if witness:
-            return witness
-    _, witness = _multiple(f"kappa={kappa}: D2 P vs c P", d2_apply(p), p)
-    return witness or _monic_below(
-        f"kappa={kappa}", p, kappa,
-        lambda e: combinat.dominance_leq(combinat.sort_to_partition(e), kappa))
+    return (_first(_differ(f"kappa={kappa}: s_{i} P vs P", apply_transposition(p, i, i + 1), p)
+                   for i in range(1, p.nvars))
+            or _multiple(f"kappa={kappa}: D2 P vs c P", d2_apply(p), p)[1]
+            or _monic_below(f"kappa={kappa}", p, kappa, lambda e: combinat.dominance_leq(
+                combinat.sort_to_partition(e), kappa)))
 
 
 def _two_routes(kappa, n):
@@ -407,13 +414,9 @@ def _P_stability(kappa, n):
     """Setting any one variable to zero drops to the same polynomial in one
     fewer variable, so every monomial of P is compared."""
     p, fewer = jack.build_P(kappa, n).terms, jack.build_P(kappa, n - 1).terms
-    for j in range(n):
-        dropped = {e[:j] + e[j + 1:]: c for e, c in p.items() if e[j] == 0}
-        witness = _differ(f"kappa={kappa} N={n}: P at z_{j + 1} = 0 vs P in N - 1 variables",
-                          dropped, fewer)
-        if witness:
-            return witness
-    return None
+    return _first(_differ(f"kappa={kappa} N={n}: P at z_{j + 1} = 0 vs P in N - 1 variables",
+                          {e[:j] + e[j + 1:]: c for e, c in p.items() if e[j] == 0}, fewer)
+                  for j in range(n))
 
 
 def _sym_proportional(eta):
@@ -497,26 +500,32 @@ def _society(ep, rho_plus):
     """Three diagram-insertion identities tying the staircase-shifted shape
     rho+ = eta+ + staircase back to eta+ at the substituted parameter."""
     n = len(ep)
-    delta = combinat.staircase(n)
     rho_r = combinat.reverse_partition(rho_plus)
     sh = alpha_shift()
-    staircase_ratio = scalars.const_e(delta) / scalars.const_ep(delta)
+    staircase_ratio = _staircase_ratio(n)
     return (_differ(f"eta+={ep} N={n}: e/e'(rho+) vs e/e'(staircase) b/e'(eta+)",
-                    scalars.const_e(rho_plus) / scalars.const_ep(rho_plus),
+                    scalars.node_ratio(rho_plus, ("e",), ("ep",)).value(),
                     staircase_ratio
                     * (scalars.const_b(ep) / scalars.const_ep(ep)).substitute(sh))
             or _differ(f"eta+={ep} N={n}: d(rho+)/d'(rhoR) vs h/d'(eta+)",
-                       scalars.const_d(rho_plus) / scalars.const_dp(rho_r),
+                       (scalars.node_ratio(rho_plus, ("d",))
+                        / scalars.node_ratio(rho_r, ("dp",))).value(),
                        scalars.v_kappa(ep).substitute(sh).inverse())
             or _differ(f"eta+={ep} N={n}: e/e'(staircase) vs its product form",
                        staircase_ratio, scalars.staircase_norm_ratio(n)))
 
 
+def _staircase_ratio(n):
+    """e/e' at the staircase in n variables, as one factored ratio."""
+    return scalars.node_ratio(combinat.staircase(n), ("e",), ("ep",)).value()
+
+
 def _S_norm_ratio(rho_plus):
-    """The anti-symmetric norm ratio N! d'(rhoR) e(rho+) / (d(rho+) e'(rho+))."""
+    """The anti-symmetric norm ratio N! d'(rhoR) e(rho+) / (d(rho+) e'(rho+)),
+    as one factored product."""
     rho_r = combinat.reverse_partition(rho_plus)
-    return (math.factorial(len(rho_plus)) * scalars.const_dp(rho_r) * scalars.const_e(rho_plus)
-            / (scalars.const_d(rho_plus) * scalars.const_ep(rho_plus)))
+    return (scalars.node_ratio(rho_plus, ("e",), ("d", "ep"), math.factorial(len(rho_plus)))
+            * scalars.node_ratio(rho_r, ("dp",))).value()
 
 
 def _shifted_P_norm_ratio(ep):
@@ -529,9 +538,7 @@ def _norm_reconciliation(ep, rho_plus):
     [bd'/(e'h)](alpha/(alpha+1)) * N! * e_delta/e'_delta equals the ratio of
     _S_norm_ratio."""
     n = len(ep)
-    delta = combinat.staircase(n)
-    black = (_shifted_P_norm_ratio(ep) * math.factorial(n)
-             * (scalars.const_e(delta) / scalars.const_ep(delta)))
+    black = _shifted_P_norm_ratio(ep) * math.factorial(n) * _staircase_ratio(n)
     return _differ(f"eta+={ep} N={n}: shifted P form vs S form", black,
                    _S_norm_ratio(rho_plus))
 
@@ -540,42 +547,69 @@ def _norm_reconciliation(ep, rho_plus):
 # kernel decompositions, binomial expansions and constant-term oracle checks
 # ---------------------------------------------------------------------------
 
+def _kernel_block(family, kernel, d, norm=None):
+    """The residual of one kernel block, as the pair (K_d, S_d) of term
+    dicts: K_d holds the terms of x-degree d of a truncated kernel in
+    x_1..x_n, y_1..y_n, and S_d the same block of sum f(x) f(y) / norm over
+    the degree-d basis of the family (E with u_eta, P with v_kappa, unless
+    `norm` maps each label to another)."""
+    n = kernel.nvars // 2
+    norm = norm or (scalars.u_eta if family == "E" else scalars.v_kappa)
+    total = sum((f.outer(f.scale(norm(label).inverse()))
+                 for label, f in _basis(family, n, d).items()), MultiPoly.zero(2 * n))
+    return {e: c for e, c in kernel.terms.items() if sum(e[:n]) == d}, total.terms
+
+
+def _decomposition(family, n, bound):
+    """The kernel truncated at bound equals its sum over the family, one
+    degree block at a time."""
+    kernel = (polyalg.omega_truncated if family == "E" else polyalg.pi_truncated)(n, bound)
+    name = "Omega vs sum E x E / u" if family == "E" else "Pi vs sum P x P / v"
+    return _first(_differ(f"N={n} D={bound}: {name}", *_kernel_block(family, kernel, d))
+                  for d in range(bound + 1))
+
+
+def _slice(label, block):
+    """Both sides of a _kernel_block held to their terms x^label y^*, the
+    slices that omega.pairing-diagonal and pi.v-stability compare.
+
+    The degree-d basis is monic and triangular (E.eigen-triangular and
+    P.symmetric-eigen-dominance check it), so its pairing matrix against
+    the kernel block K_d is diag(1/norm) exactly when
+    K_d = sum f(x) f(y) / norm.  The union of the slices x^label over the
+    labels of the block is that equality, so a row of slices checks the
+    same statement as a diagonal pairing matrix, at every monomial."""
+    n = len(label)
+    return [{e: c for e, c in side.items() if e[:n] == label} for side in block]
+
+
 def _omega_pairing_cases(s):
-    """(eta, N, C) for every composition up to deg: one truncated kernel per
-    swept N, and per degree one pairing matrix C against the E basis."""
+    """(eta, N, block) for every composition up to deg: one truncated
+    kernel per swept N, and per degree one _kernel_block against the E
+    basis."""
     for n in s.ns:
         kernel = polyalg.omega_truncated(n, s.deg)
         for d in range(s.deg + 1):
-            pairing = oracle.kernel_pairing(kernel, _basis("E", n, d))
+            block = _kernel_block("E", kernel, d)
             for eta in combinat.compositions(d, n):
-                yield eta, n, pairing
+                yield eta, n, block
 
 
 def _v_stability_cases(s):
-    """(kappa, {N - 1: C, N: C}) for each consecutive pair of swept variable
-    counts and each partition up to deg with at most N - 1 parts: one
-    truncated kernel per N, and per degree one pairing matrix C against its
-    P basis."""
+    """({kappa: block, kappa + (0,): block},) for each consecutive pair of
+    swept variable counts N - 1, N and each partition kappa up to deg with
+    N - 1 entries: one truncated kernel per N, and per degree one
+    _kernel_block against the P basis in N - 1 and in N variables.  The N
+    block reads each 1/v at the label in N - 1 variables where that label
+    exists, so one v_kappa serves both."""
     kernels = {n: polyalg.pi_truncated(n, s.deg) for n in s.ns}
     for d in range(s.deg + 1):
-        pairings = {n: oracle.kernel_pairing(kernel, _basis("P", n, d))
-                    for n, kernel in kernels.items()}
         for n in s.ns[1:]:
+            fewer = _kernel_block("P", kernels[n - 1], d)
+            more = _kernel_block("P", kernels[n], d,
+                                 lambda k: scalars.v_kappa(k if k[-1] else k[:-1]))
             for kappa in combinat.partitions(d, n - 1):
-                yield kappa, {n - 1: pairings[n - 1], n: pairings[n]}
-
-
-def _v_stability(kappa, pairings):
-    """The row of kappa in the pairing matrix is {kappa: 1/v_kappa} in every
-    number of variables: each off-diagonal pairing vanishes and the diagonal
-    is d'/h, the same at N - 1 and at N."""
-    inverse_v = scalars.v_kappa(kappa).inverse()
-    for n, pairing in pairings.items():
-        label = kappa + (0,) * (n - len(kappa))
-        witness = _differ(f"kappa={label} N={n}", pairing.get(label, {}), {label: inverse_v})
-        if witness:
-            return witness
-    return None
+                yield {kappa: fewer, kappa + (0,): more},
 
 
 def _binomial_product(r, n, bound):
@@ -600,17 +634,6 @@ def _binomial(family, r, n, bound, r_side=None):
             rhs = rhs + f.scale(scalars.binomial_coeff(r_side, label))
     return _differ(f"N={n} r={r}: prod (1-x_j)^-r vs sum over {family}",
                    _binomial_product(r, n, bound), rhs)
-
-
-def _kernel_sum(family, n, bound):
-    """sum over |eta| <= bound of E_eta(x) E_eta(y) / u_eta (family E), or
-    over |kappa| <= bound of P_kappa(x) P_kappa(y) / v_kappa (family P)."""
-    norm = scalars.u_eta if family == "E" else scalars.v_kappa
-    acc = MultiPoly.zero(2 * n)
-    for d in range(bound + 1):
-        for label, f in _basis(family, n, d).items():
-            acc = acc + f.outer(f.scale(norm(label).inverse()))
-    return acc
 
 
 def _contingency(a, b, memo):
@@ -763,8 +786,9 @@ def _controls(s):
     yield "ct-norm", _ct(*norm) is not None
     yield "ct-orthogonality", _ct(*pair) is not None
 
-    doubled = _kernel_sum("E", 2, 2) + e10.outer(e10)  # one diagonal term twice
-    yield "omega", _differ("omega", polyalg.omega_truncated(2, 2), doubled) is not None
+    block, total = _kernel_block("E", polyalg.omega_truncated(2, 2), 1)
+    doubled = (MultiPoly(4, total) + e10.outer(e10)).terms  # one diagonal term twice
+    yield "omega", _differ("omega", block, doubled) is not None
     yield "binomial", _binomial("E", Fraction(2), 2, 2, r_side=Fraction(3)) is not None
 
     a = antisymmetrize(jack.build_E((2, 0)))
@@ -793,7 +817,7 @@ CHECKS = {row.name: row for row in (
                               scalars.eval_E_at_ones(eta)),
           **_EIGEN),
     Check("E.integral-positive", _compositions,
-          lambda eta: _integral_witness(eta, jack.build_E(eta).scale(scalars.const_d(eta))),
+          lambda eta: _integral_witness(eta, _d_times(jack.build_E(eta), eta)),
           **_EIGEN),
     Check("E.swap-action",
           lambda s: ((eta, i) for (eta,) in _compositions(s) for i in range(1, len(eta))),
@@ -822,19 +846,17 @@ CHECKS = {row.name: row for row in (
           _du_expansion, deg=(0, 5), fixed={"max|rho|": "deg+1"}),
     Check("society.identities", _shifted_shapes, _society, deg=(0, 4)),
     Check("norm.reconciliation", _shifted_shapes, _norm_reconciliation, deg=(0, 4)),
-    Check("omega.decomposition", _kernels,
-          lambda n, d: _differ(f"N={n} D={d}: Omega vs sum E x E / u",
-                               polyalg.omega_truncated(n, d), _kernel_sum("E", n, d)),
+    Check("omega.decomposition", _kernels, lambda n, d: _decomposition("E", n, d),
           deg=(0, 3)),
     Check("omega.pairing-diagonal", _omega_pairing_cases,
-          lambda eta, n, pairing: _differ(f"eta={eta} N={n}", pairing.get(eta, {}),
-                                          {eta: scalars.u_eta(eta).inverse()}),
+          lambda eta, n, block: _differ(f"eta={eta} N={n}", *_slice(eta, block)),
           ns=(2, 4), deg=(0, 3)),
-    Check("pi.decomposition", _kernels,
-          lambda n, d: _differ(f"N={n} D={d}: Pi vs sum P x P / v",
-                               polyalg.pi_truncated(n, d), _kernel_sum("P", n, d)),
+    Check("pi.decomposition", _kernels, lambda n, d: _decomposition("P", n, d),
           deg=(0, 3)),
-    Check("pi.v-stability", _v_stability_cases, _v_stability, ns=(3, 3), deg=(0, 3)),
+    Check("pi.v-stability", _v_stability_cases,
+          lambda blocks: _first(_differ(f"kappa={label} N={len(label)}", *_slice(label, block))
+                                for label, block in blocks.items()),
+          ns=(3, 3), deg=(0, 3)),
     Check("binomial.nonsymmetric",
           lambda s: (("E", r, n, s.deg) for n in s.ns for r in s.rs),
           _binomial, deg=(0, 3), r=True),

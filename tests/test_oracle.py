@@ -9,7 +9,7 @@ import pytest
 from jackpoly import combinat as cb
 from jackpoly import jack, oracle, polyalg, scalars, verify
 from jackpoly.polyalg import MultiPoly
-from jackpoly.qalpha import ONE, AlphaRational, alpha_shift
+from jackpoly.qalpha import ONE, alpha_shift
 
 F = Fraction
 
@@ -482,20 +482,10 @@ class TestGramSchmidt:
                             == jack.build_P(kappa, n).specialize(F(1, k)))
 
 
-def _E_pairing(n, bound, d):
-    """The pairing matrix of the truncated Omega kernel against the E basis
-    of degree d."""
-    labels = sorted(cb.compositions(d, n), key=cb.composition_order_key)
-    return oracle.kernel_pairing(polyalg.omega_truncated(n, bound),
-                                 {eta: jack.build_E(eta) for eta in labels})
-
-
-def _P_pairing(n, bound, d):
-    """The pairing matrix of the truncated Pi kernel against the P basis of
-    degree d in n variables."""
-    labels = sorted(cb.partitions(d, n), key=cb.dominance_key)
-    return oracle.kernel_pairing(polyalg.pi_truncated(n, bound),
-                                 {kappa: jack.build_P(kappa, n) for kappa in labels})
+def _E_block(n, bound, d):
+    """The degree-d block of the truncated Omega kernel and of its sum over
+    the E basis, from the helper the kernel rows read."""
+    return verify._kernel_block("E", polyalg.omega_truncated(n, bound), d)
 
 
 class TestSeriesExtraction:
@@ -503,21 +493,33 @@ class TestSeriesExtraction:
     on the diagonal."""
 
     def test_u_examples(self):
-        assert _E_pairing(2, 1, 0) == {(0, 0): {(0, 0): scalars.u_eta((0, 0)).inverse()}}
-        assert _E_pairing(2, 2, 1)[(1, 0)] == {(1, 0): scalars.u_eta((1, 0)).inverse()}
+        zero = (0,) * 4
+        assert _E_block(2, 1, 0) == ({zero: ONE}, {zero: scalars.u_eta((0, 0)).inverse()})
+        # (1, 0) is the top label of its block, so no other E reaches x^(1, 0)
+        # y^(1, 0) and the kernel holds 1/u there alone
+        block, total = _E_block(2, 2, 1)
+        assert block[(1, 0, 1, 0)] == scalars.u_eta((1, 0)).inverse()
+        assert block == total
 
     def test_u_sweep(self):
         for n, bound in [(2, 3), (3, 2)]:
             for d in range(bound + 1):
-                assert _E_pairing(n, bound, d) == {
-                    eta: {eta: scalars.u_eta(eta).inverse()} for eta in cb.compositions(d, n)}
+                block, total = _E_block(n, bound, d)
+                assert block == total
+                for eta in cb.compositions(d, n):
+                    got, want = verify._slice(eta, (block, total))
+                    assert got and got == want
 
     def test_v_stability(self):
-        for kappa in [(1,), (2,), (1, 1), (3,), (2, 1)]:
-            inverse_v = scalars.v_kappa(kappa + (0,) * (2 - len(kappa))).inverse()
-            for n in (2, 3):
-                label = kappa + (0,) * (n - len(kappa))
-                assert _P_pairing(n, 3, sum(kappa))[label] == {label: inverse_v}
+        # Pi in 2 and in 3 variables is the sum of P x P / v, and v is one
+        # value per partition, whatever its padding
+        kernels = {n: polyalg.pi_truncated(n, 3) for n in (2, 3)}
+        for d in range(4):
+            for kernel in kernels.values():
+                block, total = verify._kernel_block("P", kernel, d)
+                assert block == total
+            for kappa in cb.partitions(d, 2):
+                assert scalars.v_kappa(kappa + (0,)) == scalars.v_kappa(kappa)
 
     def test_v_stability_row_pairs_consecutive_N(self):
         # each partition is compared in N - 1 and N variables only, so a
@@ -526,34 +528,6 @@ class TestSeriesExtraction:
         result = row(verify.Bounds(n_max=4, deg=3))
         assert result.status == "pass", result.witness
         assert result.params["N"] == [2, 3, 4] and result.cases == 6 + 7
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            _E_pairing(2, 2, 3)
-
-    def test_monomial_basis_reads_the_kernel(self):
-        # against the monomials the pairing matrix is the degree-2 part of
-        # the kernel itself, off-diagonal entries included
-        kernel = polyalg.omega_truncated(2, 2)
-        labels = sorted(cb.compositions(2, 2), key=cb.composition_order_key)
-        basis = {e: MultiPoly(2, {e: ONE}) for e in labels}
-        got = oracle.kernel_pairing(kernel, basis)
-        want = {}
-        for e, c in kernel.terms.items():
-            if sum(e) == 4:
-                want.setdefault(e[:2], {})[e[2:]] = c
-        assert got == want
-        assert any(len(row) > 1 for row in got.values())
-
-    def test_scaled_basis(self):
-        # the diagonal of the basis is honoured: doubling every polynomial
-        # divides the pairing matrix by four
-        kernel = polyalg.omega_truncated(2, 2)
-        labels = sorted(cb.compositions(2, 2), key=cb.composition_order_key)
-        two = AlphaRational.from_fraction(2)
-        basis = {eta: jack.build_E(eta).scale(two) for eta in labels}
-        assert oracle.kernel_pairing(kernel, basis) == {
-            eta: {eta: scalars.u_eta(eta).inverse() / 4} for eta in labels}
 
 
 class TestAntisymmetricNorms:

@@ -1,10 +1,10 @@
-"""The kernel oracle stays independent of the code it checks, and each
-pairing row builds its kernels once.
+"""The oracle stays independent of the code it checks, and each kernel
+row that reads slices builds its kernels once.
 
-`oracle` receives the truncated kernels and the bases from its caller, so
-it imports neither the construction (`jack`) nor the polynomial layer
-(`polyalg`).  The rows that call it build one kernel per swept N and reuse
-it for every degree and label.
+`oracle` works on Fraction dicts alone, so it imports neither the
+construction (`jack`) nor the polynomial layer (`polyalg`).  The rows
+omega.pairing-diagonal and pi.v-stability build one kernel per swept N and
+reuse it for every degree and label.
 """
 
 import ast

@@ -6,6 +6,8 @@ cached E or P, one scalar constant or node product, or one count of the
 integer Cauchy kernel), runs the row at small bounds and reads the witness.
 """
 
+import ast
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from jackpoly.polyalg import MultiPoly
 from jackpoly.qalpha import ALPHA, ONE, Factored
 
 BOUNDS = verify.Bounds(n_max=2, deg=1, ks=(1, 2), rs=(Fraction(1),))
+WORKLOADS = pathlib.Path(__file__).resolve().parent.parent / "jackbench" / "workloads.py"
 
 
 def _cached_E(eta):
@@ -29,11 +32,12 @@ def _cached_P(kappa):
     return perturb
 
 
-def _cached_P_plus_one(kappa, e):
-    """Add 1 at the monomial e of the cached P for the padded kappa."""
+def _cached_plus(family, label, e, c=ONE):
+    """Add c at the monomial e of the cached E, or P for the padded label."""
     def perturb(monkeypatch):
-        p = jack.build_P(kappa)
-        monkeypatch.setitem(jack._P_CACHE, kappa, p + MultiPoly(p.nvars, {e: ONE}))
+        cache = jack._E_CACHE if family == "E" else jack._P_CACHE
+        f = (jack.build_E if family == "E" else jack.build_P)(label)
+        monkeypatch.setitem(cache, label, f + MultiPoly(f.nvars, {e: c}))
     return perturb
 
 
@@ -89,14 +93,12 @@ ROWS = [
     ("asym.proportionality", _cached_E((1, 0)), "rho=(1, 0)"),
     ("asym.c-closed-forms", _node_product("d", (1, 0)), "rho=(0, 1)"),
     ("asym.du-expansion", _cached_E((1, 0)), "eta+=(0, 0) N=2"),
-    ("society.identities", _scalar("const_dp", (0, 1)), "eta+=(0, 0) N=2"),
-    ("norm.reconciliation", _scalar("const_d", (1, 0)), "eta+=(0, 0) N=2"),
+    ("society.identities", _node_product("dp", (0, 1)), "eta+=(0, 0) N=2"),
+    ("norm.reconciliation", _node_product("d", (1, 0)), "eta+=(0, 0) N=2"),
     ("omega.decomposition", _cached_E((1, 0)), "N=2 D=1"),
     ("omega.pairing-diagonal", _cached_E((1, 0)), "eta=(1, 0) N=2"),
     ("pi.decomposition", _cached_P((1, 0)), "N=2 D=1"),
-    # the pairing reads the symmetric basis at its partition monomials only,
-    # so the perturbation sits on the leading one
-    ("pi.v-stability", _cached_P_plus_one((1, 0), (1, 0)), "kappa=(1, 0) N=2"),
+    ("pi.v-stability", _cached_plus("P", (1, 0), (1, 0)), "kappa=(1, 0) N=2"),
     ("binomial.nonsymmetric", _cached_E((1, 0)), "N=2 r=1"),
     ("binomial.symmetric", _cached_P((1, 0)), "N=2 r=1"),
     ("cauchy.double-alternant", _contingency_plus_one(((0, 0), (0, 0))), "N=2 D=1"),
@@ -119,8 +121,14 @@ def fresh_caches(monkeypatch):
 
 PERTURBED = [pytest.param(*row, id=row[0]) for row in ROWS] + [
     # a monomial containing z_N, which setting only z_N to zero cannot see
-    pytest.param("P.stability", _cached_P_plus_one((1, 0, 0), (0, 0, 1)),
+    pytest.param("P.stability", _cached_plus("P", (1, 0, 0), (0, 0, 1)),
                  "kappa=(1, 0) N=3", id="P.stability-z_N"),
+    # a term of E_(0, 1) above its label, outside its triangular support
+    pytest.param("omega.pairing-diagonal", _cached_plus("E", (0, 1), (1, 0), ALPHA),
+                 "eta=(1, 0) N=2", id="omega.pairing-diagonal-above-label"),
+    # a monomial of P at a non-partition exponent, which is no label
+    pytest.param("pi.v-stability", _cached_plus("P", (1, 0), (0, 1), ALPHA),
+                 "kappa=(1, 0) N=2", id="pi.v-stability-non-partition"),
 ]
 
 
@@ -145,6 +153,17 @@ def test_every_row_is_perturbed_or_exempt():
     perturbed = {name for name, _, _ in ROWS}
     assert not perturbed & NOT_PERTURBED
     assert set(verify.CHECKS) == perturbed | NOT_PERTURBED
+
+
+def test_benchmark_rows_are_registered():
+    """jackbench marks a verify run incorrect when a row it times is missing:
+    every name of its VERIFY_CHECKS, read from the file without importing
+    it, is a registered row."""
+    tree = ast.parse(WORKLOADS.read_text(), filename=str(WORKLOADS))
+    names = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "VERIFY_CHECKS" for t in node.targets))
+    assert names and set(names) <= set(verify.CHECKS), set(names) - set(verify.CHECKS)
 
 
 def test_rows_pass_unperturbed(fresh_caches):
