@@ -10,9 +10,8 @@ terms without summing any.  Variable indices in the operator API are
 a truncated kernel in x_1..x_N, y_1..y_N is one MultiPoly in 2N variables,
 built in Z[alpha] and made canonical term by term over the Factored
 D! alpha^D, with no polynomial gcd.  The oracle keeps its Laurent data
-(negative exponents, Fraction coefficients) in plain dicts instead; of
-this module it reads only the `.terms` of kernels and bases, for the
-kernel-pairing extraction.  Text output writes each term with `term_text`
+(negative exponents, Fraction coefficients) in plain dicts instead, and
+reads nothing of this module.  Text output writes each term with `term_text`
 and lays the list out with `qalpha.join_terms`, the one sign-joining rule
 of the package.
 """
@@ -388,18 +387,20 @@ def monomial_symmetric(kappa, n: int) -> MultiPoly:
     return MultiPoly._raw(n, terms)
 
 
-def exact_scalar_ratio(f: MultiPoly, g: MultiPoly):
-    """The scalar c with f == c*g, or None when f is not a multiple of g."""
+def scalar_ratio(f: MultiPoly, g: MultiPoly):
+    """(f_e, g_e) at the leading monomial e of g when f == (f_e / g_e) g,
+    else None, decided as f g_e == g f_e: over denominator 1, with no gcd."""
     if not g:
         raise ZeroDivisionError("ratio against the zero polynomial")
-    if not f:
-        return ZERO
-    e, gc = g.lead_term()
-    fc = f.terms.get(e)
-    if fc is None:
-        return None
-    c = fc / gc
-    return c if f == g.scale(c) else None
+    e, g_e = g.lead_term()
+    f_e = f.coeff(e)
+    return (f_e, g_e) if f.scale(g_e) == g.scale(f_e) else None
+
+
+def exact_scalar_ratio(f: MultiPoly, g: MultiPoly):
+    """The scalar c with f == c*g, or None: scalar_ratio, divided out."""
+    ratio = scalar_ratio(f, g)
+    return None if ratio is None else ratio[0] / ratio[1]
 
 
 # ---------------------------------------------------------------------------

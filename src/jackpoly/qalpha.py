@@ -7,7 +7,7 @@ canonical form divides out the polynomial gcd and the integer content and
 fixes the sign so the denominator has a positive leading coefficient, which
 makes equality a plain tuple comparison.
 
-Reduction works in three layers:
+Reduction works in two layers:
 
 * Products and sums of canonical operands use Henrici's reduced forms
   (P. Henrici, J. ACM 3, 1956), the method of `fractions.Fraction`: a
@@ -19,20 +19,14 @@ Reduction works in three layers:
   over one shared denominator b adds the numerators and takes only
   gcd(t, b), and none when b = 1.
 * Every polynomial gcd goes through `_gcd`, which returns the gcd together
-  with both cofactors.  A constant operand needs only an integer gcd.
-  Otherwise the heuristic GCDHEU (B. W. Char, K. O. Geddes, G. H. Gonnet,
-  J. Symbolic Comput. 7, 1989) evaluates both primitive parts at an integer
-  xi > 2 min(|a|, |b|) + 2 (max norms), takes the integer gcd of the two
-  values, reads it back as a polynomial in balanced base xi and keeps its
-  primitive part h.  By their theorem h is the gcd exactly when it divides
-  both operands, so the exact division is the certificate and its
-  quotients are the cofactors.
-* If no candidate is certified within a few growing xi, the primitive
-  pseudo-remainder sequence computes the gcd instead.
+  with both cofactors.  A constant operand needs only an integer gcd;
+  otherwise the primitive pseudo-remainder sequence computes it, and exact
+  division by it gives the cofactors.
 
 The closed-form constants and the denominators of the construction are
 products of linear factors alpha*a + b, held as `Factored` ratios, whose
-canonical form needs no gcd.  The construction works in Z[alpha], on plain
+canonical form needs no gcd, at alpha or, by `Factored.shifted`, at
+alpha/(alpha+1).  The construction works in Z[alpha], on plain
 int tuples: it multiplies and exactly divides by one linear factor at a
 time, and `Factored.over` turns a Z[alpha] numerator over a factored
 denominator into the canonical form by exact division alone;
@@ -107,19 +101,14 @@ def _exact_scale(a, k):
 def _pseudo_rem(a, b):
     """Pseudo-remainder of a by b over Z (b nonzero, deg a >= deg b)."""
     db, lb = len(b) - 1, b[-1]
-    r = list(a)
-    while len(r) - 1 >= db and any(r):
-        r = _trim(r)
-        if not r or len(r) - 1 < db:
-            break
-        dr = len(r) - 1
-        lr = r[-1]
+    r = _trim(a)
+    while len(r) - 1 >= db:
+        lr, shift = r[-1], len(r) - 1 - db
         r = [c * lb for c in r]
-        shift = dr - db
-        for i in range(len(b)):
-            r[i + shift] -= lr * b[i]
-        r = list(_trim(r))
-    return _trim(r)
+        for i, c in enumerate(b):
+            r[i + shift] -= lr * c
+        r = _trim(r)
+    return r
 
 
 def _div_exact(a, b):
@@ -138,54 +127,6 @@ def _div_exact(a, b):
     if any(r):
         return None
     return tuple(q)
-
-
-def _heu_candidate(a, b, xi):
-    """One GCDHEU trial at the integer point xi for primitive a and b of
-    positive degree: (h, a/h, b/h) if the candidate h read from
-    gcd(a(xi), b(xi)) divides both, else None."""
-    va = vb = 0
-    for c in reversed(a):
-        va = va * xi + c
-    for c in reversed(b):
-        vb = vb * xi + c
-    if not va or not vb:
-        return None
-    gamma = math.gcd(va, vb)
-    h = []
-    half = xi // 2
-    while gamma:
-        gamma, digit = divmod(gamma, xi)
-        if digit > half:
-            digit -= xi
-            gamma += 1
-        h.append(digit)
-    h = tuple(h)
-    h = _exact_scale(h, math.gcd(*h))
-    if len(h) == 1:
-        return (1,), a, b
-    qa = _div_exact(a, h)
-    if qa is None:
-        return None
-    qb = _div_exact(b, h)
-    if qb is None:
-        return None
-    return h, qa, qb
-
-
-def _heu_gcd(a, b):
-    """GCDHEU on primitive a, b of positive degree: (h, a/h, b/h) or None.
-    The first point exceeds the theorem's 2 min(|a|, |b|) + 2 by a margin
-    that makes spurious integer factors rare for small operands; each retry
-    grows xi by about (1 + sqrt 3) xi^(1/4), the factor 73794/27011 of the
-    original GCDHEU, so successive points share no structure."""
-    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
-    for _ in range(6):
-        found = _heu_candidate(a, b, xi)
-        if found is not None:
-            return found
-        xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
-    return None
 
 
 def _prs_gcd(a, b):
@@ -207,7 +148,7 @@ def _gcd(a, b):
         return (c,), _exact_scale(a, c), _exact_scale(b, c)
     ca, cb = math.gcd(*a), math.gcd(*b)
     pa, pb = _exact_scale(a, ca), _exact_scale(b, cb)
-    h, qa, qb = _heu_gcd(pa, pb) or _prs_gcd(pa, pb)
+    h, qa, qb = _prs_gcd(pa, pb)
     c = math.gcd(ca, cb)
     return _scale(h, c), _scale(qa, ca // c), _scale(qb, cb // c)
 
@@ -552,6 +493,15 @@ class Factored:
             for f, m in d.forms.items():
                 forms[f] = max(m, forms.get(f, 0))
         return Factored(content=math.lcm(*(d.content for d in dens)), forms=forms)
+
+    def shifted(self) -> "Factored":
+        """The ratio at alpha/(alpha+1): each alpha*a + b becomes
+        (alpha*(a + b) + b)/(alpha + 1), through the constructor, so no gcd
+        is taken."""
+        images = [((a + b, b), m) for (a, b), m in self.forms.items()]
+        images.append(((1, 1), -sum(self.forms.values())))
+        return (Factored([f for f, m in images for _ in range(m)], self.content)
+                / Factored([f for f, m in images for _ in range(-m)]))
 
     def _expand(self, c, sign):
         """The int c times the forms of multiplicity sign * m > 0, in Z[alpha]."""

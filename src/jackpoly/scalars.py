@@ -1,11 +1,11 @@
 """Scalar constants and closed-form values attached to composition diagrams.
 
 Every function returns an exact element of Q(alpha), formed at the
-generator alpha.  A value at the substituted parameter alpha/(alpha+1) is
-that element composed with alpha -> alpha/(alpha+1):
-`value.substitute(alpha_shift())`.  Empty diagrams give 1 throughout.
-Each closed form is one `qalpha.Factored` ratio of node products, formed
-in one walk of the diagram per label and made canonical with no gcd.
+generator alpha.  Empty diagrams give 1 throughout.  Each closed form is
+one `qalpha.Factored` ratio of node products, formed in one walk of the
+diagram per label and made canonical with no gcd.  A value at the
+substituted parameter alpha/(alpha+1) is that ratio's `Factored.shifted()`,
+which takes no gcd either.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 
 from . import combinat
-from .qalpha import AlphaRational, Factored, alpha_shift
+from .qalpha import AlphaRational, Factored
 
 # the factor alpha*a + b of each node product, as (a, b) at node s of an N-part label
 _FACTORS = {
@@ -98,17 +98,22 @@ def v_kappa(kappa) -> AlphaRational:
     return node_ratio(kappa, ("dp",), ("h",)).value()
 
 
-def binomial_coeff(r, label) -> AlphaRational:
+def binomial_ratio(r, label) -> Factored:
     """Coefficient of E_eta, or of P_kappa for a partition label, in
-    prod_j (1-x_j)^(-r): alpha^|eta| [r]_(eta+) / d'_eta.  The paper divides
-    by u_eta d_eta for E and by v_kappa h_kappa for P; both equal d'.  With
-    r = p/q, alpha^|kappa| [r]_kappa = prod over j and i < kappa_j of
-    alpha (r + i) - (j-1) = (alpha (p + i q) - q (j-1)) / q."""
+    prod_j (1-x_j)^(-r): alpha^|eta| [r]_(eta+) / d'_eta, factored.  The
+    paper divides by u_eta d_eta for E and by v_kappa h_kappa for P; both
+    equal d'.  With r = p/q, alpha^|kappa| [r]_kappa = prod over j and
+    i < kappa_j of alpha (r + i) - (j-1) = (alpha (p + i q) - q (j-1)) / q."""
     p, q = Fraction(r).as_integer_ratio()
     kappa = combinat.sort_to_partition(label)
     rising = Factored([(p + i * q, q * (1 - j)) for j, part in enumerate(kappa, start=1)
                        for i in range(part)], Fraction(1, q ** sum(kappa)))
-    return (rising / node_ratio(label, ("dp",))).value()
+    return rising / node_ratio(label, ("dp",))
+
+
+def binomial_coeff(r, label) -> AlphaRational:
+    """binomial_ratio in Q(alpha)."""
+    return binomial_ratio(r, label).value()
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +144,8 @@ def c_rho(rho, form: str = "rearrangement") -> AlphaRational:
         eta_plus = tuple(r - d for r, d in zip(rho_plus, delta))
         if any(p < 0 for p in eta_plus) or not combinat.is_partition(eta_plus):
             raise ValueError(f"{rho}+ minus the staircase is not a partition")
-        return ((node_ratio(rho, ("dp",), (), sign) / node_ratio(rho_plus, ("d",))).value()
-                * v_kappa(eta_plus).substitute(alpha_shift()).inverse())
+        return (node_ratio(rho, ("dp",), (), sign) / node_ratio(rho_plus, ("d",))
+                / node_ratio(eta_plus, ("dp",), ("h",)).shifted()).value()
     raise ValueError(f"unknown c_rho form {form!r}")
 
 

@@ -23,8 +23,8 @@ from typing import Callable
 
 from . import combinat, jack, oracle, polyalg, scalars
 from .polyalg import (MultiPoly, antisymmetrize, apply_transposition, cherednik_apply,
-                      d2_apply, divided_difference, exact_scalar_ratio, symmetrize)
-from .qalpha import ONE, AlphaRational, Factored, alpha_shift, times_multiple
+                      d2_apply, divided_difference, scalar_ratio, symmetrize)
+from .qalpha import ONE, AlphaRational, Factored, times_multiple
 
 FIG2_SHAPE = (8, 7, 7, 4, 3, 3, 2, 1, 0)
 SOLVE_ALPHAS = (Fraction(2), Fraction(3), Fraction(7, 2))
@@ -205,13 +205,37 @@ def _first(witnesses):
 
 
 def _multiple(label, f, g):
-    """(c, None) when f == c*g, else (None, witness): the witness names where
-    f differs from g scaled by the ratio at the leading monomial of g."""
-    c = exact_scalar_ratio(f, g)
-    if c is not None:
-        return c, None
+    """((f_e, g_e), None) when f == (f_e/g_e) g, read at the leading
+    monomial e of g, else (None, witness): the witness names where f
+    differs from g scaled by that ratio.  A multiple divides nothing."""
+    ratio = scalar_ratio(f, g)
+    if ratio is not None:
+        return ratio, None
     e, lead = g.lead_term()
     return None, _differ(label, f, g.scale(f.coeff(e) / lead))
+
+
+def _ratio_witness(label, num, den, want):
+    """The witness unless num/den == want, decided as
+    num want.den == den want.num: over denominator 1 no gcd is taken."""
+    if num * AlphaRational(want.den) == den * AlphaRational(want.num):
+        return None
+    return _differ(label, num / den, want)
+
+
+def _times(f, p):
+    """p f for p in Z[alpha], by one exact division per coefficient whose
+    denominator divides p, else by the field product.  A row that sums
+    family terms first multiplies its identity by such a nonzero p."""
+    return f.map_coeff(lambda c: times_multiple(c, p))
+
+
+def _integral(family, label, f):
+    """s f in Z[alpha] for the cached f = E, P or S and s = d, h or d(rho+):
+    J = d E (F. Knop and S. Sahi, Invent. Math. 128, 1997), J = h P (I. G.
+    Macdonald, Symmetric Functions and Hall Polynomials, VI.10)."""
+    s = scalars.const_h(label) if family == "P" else scalars.const_d(label)
+    return _times(f, s.num)
 
 
 def _monic_below(label, f, lead, below):
@@ -285,15 +309,6 @@ def _basis(family, n, d):
 _EIGEN = dict(ns=(2, 4), deg=(0, 5), caps={4: 3})
 
 
-def _d_times(f, eta):
-    """d_eta f, which for f = E_eta lies in Z[alpha] (F. Knop and S. Sahi,
-    Invent. Math. 128, 1997): each coefficient is cleared by one exact
-    division of d_eta by its denominator, and a coefficient whose
-    denominator does not divide d_eta keeps the field product."""
-    d = scalars.const_d(eta).num
-    return f.map_coeff(lambda c: times_multiple(c, d))
-
-
 def _E_witness(f, eta):
     """The joint eigen-equations of f at the eigenvalues of eta, then monic
     triangularity: coefficient 1 at eta and every other monomial below it.
@@ -301,7 +316,7 @@ def _E_witness(f, eta):
     scale nor applying xi_i reduces anything; a nonzero multiple leaves the
     verdict unchanged."""
     bars = combinat.eigenvalue_vector(eta)
-    g = _d_times(f, eta)
+    g = _integral("E", eta, f)
     return (_first(_differ(f"eta={eta}: xi_{i} dE vs eigenvalue * dE",
                            cherednik_apply(g, i), g.scale(bars[i - 1]))
                    for i in range(1, len(eta) + 1))
@@ -420,15 +435,16 @@ def _P_stability(kappa, n):
 
 
 def _sym_proportional(eta):
-    """Sym E_eta is a multiple c of P_(eta+).  No closed form for c is
-    claimed beyond the one evaluation at 1^N forces:
-    c P(1^N) = N! E_eta(1^N), with both values in their closed forms."""
-    kappa = combinat.sort_to_partition(eta)
-    c, witness = _multiple(f"eta={eta}: Sym E vs c P", symmetrize(jack.build_E(eta)),
-                           jack.build_P(kappa, len(eta)))
-    return witness or _differ(f"eta={eta}: c P(1^N) vs N! E(1^N)",
-                              c * scalars.eval_P_at_ones(kappa),
-                              scalars.eval_E_at_ones(eta) * math.factorial(len(eta)))
+    """Sym E_eta is a multiple c of P_(eta+), checked times d_eta over
+    denominator 1: Sym(d E) = c' h P with c' = c d/h.  No closed form for c
+    is claimed beyond the one evaluation at 1^N forces:
+    c P(1^N) = N! E_eta(1^N), that is c' b = N! e."""
+    kappa, n = combinat.sort_to_partition(eta), len(eta)
+    ratio, witness = _multiple(f"eta={eta}: Sym d E vs c' h P",
+                               symmetrize(_integral("E", eta, jack.build_E(eta))),
+                               _integral("P", kappa, jack.build_P(kappa, n)))
+    return witness or _ratio_witness(f"eta={eta}: c' b vs N! e", ratio[0] * scalars.const_b(kappa),
+                                     ratio[1], scalars.const_e(eta) * math.factorial(n))
 
 
 def _hook_cases(s):
@@ -474,50 +490,47 @@ def _asym_cases(s):
 
 def _asym(rho):
     """Asym E_rho vanishes for repeated parts, and is otherwise c * S_rho+
-    with c the resolved closed form."""
-    a = antisymmetrize(jack.build_E(rho))
+    with c the resolved closed form.  Both are checked times d_rho over
+    denominator 1: Asym(d E) = c' d(rho+) S, and c' d(rho+)/d(rho) = c."""
+    a = antisymmetrize(_integral("E", rho, jack.build_E(rho)))
     if not combinat.has_distinct_parts(rho):
-        return _differ(f"rho={rho}: Asym E vs 0", a, MultiPoly.zero(len(rho)))
-    c, witness = _multiple(f"rho={rho}: Asym E vs c S", a,
-                           jack.build_S(combinat.sort_to_partition(rho)))
-    return witness or _differ(f"rho={rho}: measured c vs (-1)^(ascending pairs) d'(rho)/d'(rhoR)",
-                              c, scalars.c_rho_resolved(rho))
+        return _differ(f"rho={rho}: Asym d E vs 0", a, MultiPoly.zero(len(rho)))
+    rho_plus = combinat.sort_to_partition(rho)
+    ratio, witness = _multiple(f"rho={rho}: Asym d E vs c' d S", a,
+                               _integral("S", rho_plus, jack.build_S(rho_plus)))
+    return witness or _ratio_witness(
+        f"rho={rho}: measured c vs (-1)^(ascending pairs) d'(rho)/d'(rhoR)",
+        ratio[0] * scalars.const_d(rho_plus), ratio[1] * scalars.const_d(rho),
+        scalars.c_rho_resolved(rho))
 
 
 def _du_expansion(ep, rho_plus):
-    """The Vandermonde times the shifted P expands over the rearrangements
-    nu of rho+ as (1/d(rho+)) sum sign(nu) d(nu) E_nu, with
-    sign(nu) = (-1)^(ascending pairs of nu)."""
+    """d(rho+) times the Vandermonde times the shifted P, d(rho+) S, expands
+    over the rearrangements nu of rho+ as sum sign(nu) d(nu) E_nu, with
+    sign(nu) = (-1)^(ascending pairs of nu); both sides lie in Z[alpha]."""
     acc = MultiPoly.zero(len(rho_plus))
     for nu in combinat.rearrangements(rho_plus):
-        sign = -1 if combinat.ascending_pair_count(nu) & 1 else 1
-        acc = acc + jack.build_E(nu).scale(sign * scalars.const_d(nu))
-    return _differ(f"eta+={ep} N={len(ep)}: S vs sum over E", jack.build_S(rho_plus),
-                   acc.scale(scalars.const_d(rho_plus).inverse()))
+        g = _integral("E", nu, jack.build_E(nu))
+        acc = acc - g if combinat.ascending_pair_count(nu) & 1 else acc + g
+    return _differ(f"eta+={ep} N={len(ep)}: d S vs sum over d E",
+                   _integral("S", rho_plus, jack.build_S(rho_plus)), acc)
 
 
 def _society(ep, rho_plus):
     """Three diagram-insertion identities tying the staircase-shifted shape
-    rho+ = eta+ + staircase back to eta+ at the substituted parameter."""
+    rho+ = eta+ + staircase back to eta+ at alpha/(alpha+1) (Factored.shifted)."""
     n = len(ep)
     rho_r = combinat.reverse_partition(rho_plus)
-    sh = alpha_shift()
-    staircase_ratio = _staircase_ratio(n)
+    staircase_ratio = scalars.node_ratio(combinat.staircase(n), ("e",), ("ep",))
     return (_differ(f"eta+={ep} N={n}: e/e'(rho+) vs e/e'(staircase) b/e'(eta+)",
                     scalars.node_ratio(rho_plus, ("e",), ("ep",)).value(),
-                    staircase_ratio
-                    * (scalars.const_b(ep) / scalars.const_ep(ep)).substitute(sh))
+                    (staircase_ratio * scalars.node_ratio(ep, ("b",), ("ep",)).shifted()).value())
             or _differ(f"eta+={ep} N={n}: d(rho+)/d'(rhoR) vs h/d'(eta+)",
                        (scalars.node_ratio(rho_plus, ("d",))
                         / scalars.node_ratio(rho_r, ("dp",))).value(),
-                       scalars.v_kappa(ep).substitute(sh).inverse())
+                       scalars.node_ratio(ep, ("h",), ("dp",)).shifted().value())
             or _differ(f"eta+={ep} N={n}: e/e'(staircase) vs its product form",
-                       staircase_ratio, scalars.staircase_norm_ratio(n)))
-
-
-def _staircase_ratio(n):
-    """e/e' at the staircase in n variables, as one factored ratio."""
-    return scalars.node_ratio(combinat.staircase(n), ("e",), ("ep",)).value()
+                       staircase_ratio.value(), scalars.staircase_norm_ratio(n)))
 
 
 def _S_norm_ratio(rho_plus):
@@ -529,8 +542,8 @@ def _S_norm_ratio(rho_plus):
 
 
 def _shifted_P_norm_ratio(ep):
-    """The symmetric norm ratio bd'/(e'h) of eta+ at alpha/(alpha+1)."""
-    return scalars.norm_ratio_P(ep).substitute(alpha_shift())
+    """The symmetric norm ratio bd'/(e'h) of eta+ at alpha/(alpha+1), factored."""
+    return scalars.node_ratio(ep, ("b", "dp"), ("ep", "h")).shifted()
 
 
 def _norm_reconciliation(ep, rho_plus):
@@ -538,8 +551,9 @@ def _norm_reconciliation(ep, rho_plus):
     [bd'/(e'h)](alpha/(alpha+1)) * N! * e_delta/e'_delta equals the ratio of
     _S_norm_ratio."""
     n = len(ep)
-    black = _shifted_P_norm_ratio(ep) * math.factorial(n) * _staircase_ratio(n)
-    return _differ(f"eta+={ep} N={n}: shifted P form vs S form", black,
+    black = _shifted_P_norm_ratio(ep) * scalars.node_ratio(combinat.staircase(n), ("e",),
+                                                           ("ep",), math.factorial(n))
+    return _differ(f"eta+={ep} N={n}: shifted P form vs S form", black.value(),
                    _S_norm_ratio(rho_plus))
 
 
@@ -547,22 +561,42 @@ def _norm_reconciliation(ep, rho_plus):
 # kernel decompositions, binomial expansions and constant-term oracle checks
 # ---------------------------------------------------------------------------
 
-def _kernel_block(family, kernel, d, norm=None):
-    """The residual of one kernel block, as the pair (K_d, S_d) of term
-    dicts: K_d holds the terms of x-degree d of a truncated kernel in
-    x_1..x_n, y_1..y_n, and S_d the same block of sum f(x) f(y) / norm over
-    the degree-d basis of the family (E with u_eta, P with v_kappa, unless
-    `norm` maps each label to another)."""
+def _kernel_sum(family, n, d, at=None):
+    """M and a generator of (label, M f(x) f(y) / norm) over the degree-d
+    basis in n variables, over denominator 1.  With s = d (u = d'/d) for E
+    and s = h (v = d'/h) for P a term is (s f)(x) (s f)(y) / (s d'), and M
+    is the Factored lcm of every s d' and of d! alpha^d, the kernel's
+    denominator at x-degree d.  s and d' are read at at(label) (default:
+    the label).  Each term is formed when it is summed, one at a time."""
+    at = at or (lambda label: label)
+    kind = "d" if family == "E" else "h"
+    basis = _basis(family, n, d)
+    dens = {label: scalars.node_ratio(at(label), (kind, "dp")) for label in basis}
+    m = Factored.lcm([Factored([(1, 0)] * d, math.factorial(d)), *dens.values()])
+    cleared = ((label, _integral(family, at(label), f)) for label, f in basis.items())
+    return m, ((label, _times(g, (m / dens[label]).poly()).outer(g)) for label, g in cleared)
+
+
+def _kernel_block(family, kernel, d, at=None):
+    """The residual of one kernel block, as the pair (M K_d, M S_d) of term
+    dicts over denominator 1, with no gcd: K_d holds the terms of x-degree d
+    of a truncated kernel in x_1..x_n, y_1..y_n, S_d the same block of
+    sum f(x) f(y) / norm (E with u_eta, P with v_kappa), and M is the
+    multiple of _kernel_sum, by which the kernel is cleared exactly."""
     n = kernel.nvars // 2
-    norm = norm or (scalars.u_eta if family == "E" else scalars.v_kappa)
-    total = sum((f.outer(f.scale(norm(label).inverse()))
-                 for label, f in _basis(family, n, d).items()), MultiPoly.zero(2 * n))
-    return {e: c for e, c in kernel.terms.items() if sum(e[:n]) == d}, total.terms
+    m, terms = _kernel_sum(family, n, d, at)
+    total = {}
+    for _, term in terms:  # summed in place, as the cleared terms are large
+        for e, c in term.terms.items():
+            total[e] = total[e] + c if e in total else c
+    p = m.poly()
+    return ({e: times_multiple(c, p) for e, c in kernel.terms.items() if sum(e[:n]) == d},
+            {e: c for e, c in total.items() if c})
 
 
 def _decomposition(family, n, bound):
     """The kernel truncated at bound equals its sum over the family, one
-    degree block at a time."""
+    degree block at a time, each taken times its M (_kernel_block)."""
     kernel = (polyalg.omega_truncated if family == "E" else polyalg.pi_truncated)(n, bound)
     name = "Omega vs sum E x E / u" if family == "E" else "Pi vs sum P x P / v"
     return _first(_differ(f"N={n} D={bound}: {name}", *_kernel_block(family, kernel, d))
@@ -578,7 +612,8 @@ def _slice(label, block):
     the kernel block K_d is diag(1/norm) exactly when
     K_d = sum f(x) f(y) / norm.  The union of the slices x^label over the
     labels of the block is that equality, so a row of slices checks the
-    same statement as a diagonal pairing matrix, at every monomial."""
+    same statement as a diagonal pairing matrix, at every monomial; both
+    sides are taken times the same nonzero M, which slices alike."""
     n = len(label)
     return [{e: c for e, c in side.items() if e[:n] == label} for side in block]
 
@@ -600,14 +635,13 @@ def _v_stability_cases(s):
     swept variable counts N - 1, N and each partition kappa up to deg with
     N - 1 entries: one truncated kernel per N, and per degree one
     _kernel_block against the P basis in N - 1 and in N variables.  The N
-    block reads each 1/v at the label in N - 1 variables where that label
-    exists, so one v_kappa serves both."""
+    block reads h and d' at the label in N - 1 variables where that label
+    exists, so one v_kappa = d'/h serves both."""
     kernels = {n: polyalg.pi_truncated(n, s.deg) for n in s.ns}
     for d in range(s.deg + 1):
         for n in s.ns[1:]:
             fewer = _kernel_block("P", kernels[n - 1], d)
-            more = _kernel_block("P", kernels[n], d,
-                                 lambda k: scalars.v_kappa(k if k[-1] else k[:-1]))
+            more = _kernel_block("P", kernels[n], d, lambda k: k if k[-1] else k[:-1])
             for kappa in combinat.partitions(d, n - 1):
                 yield {kappa: fewer, kappa + (0,): more},
 
@@ -625,15 +659,21 @@ def _binomial(family, r, n, bound, r_side=None):
     """The product at r against sum alpha^|eta| [r]_(eta+) / d'_eta E_eta over
     compositions (family E), or sum alpha^|kappa| [r]_kappa / d'_kappa P_kappa
     over partitions (family P), with the scalar side at r_side (default r);
-    d' is the paper's u d for E and v h for P.  Checking several rational r
+    d' is the paper's u d for E and v h for P.  Both sides are taken times
+    M, the Factored lcm of q^|label| s d' with r_side = p/q and s = d for E,
+    h for P, and then sum over denominator 1.  Checking several rational r
     certifies the identity in r by the degree bound."""
     r_side = r if r_side is None else r_side
+    kind, q = ("d" if family == "E" else "h"), Fraction(r_side).denominator
+    basis = {label: f for d in range(bound + 1) for label, f in _basis(family, n, d).items()}
+    m = Factored.lcm([scalars.node_ratio(label, (kind, "dp"), (), q ** sum(label))
+                      for label in basis])
     rhs = MultiPoly.zero(n)
-    for d in range(bound + 1):
-        for label, f in _basis(family, n, d).items():
-            rhs = rhs + f.scale(scalars.binomial_coeff(r_side, label))
+    for label, f in basis.items():
+        c = m * scalars.binomial_ratio(r_side, label) / scalars.node_ratio(label, (kind,))
+        rhs = rhs + _times(_integral(family, label, f), c.poly())
     return _differ(f"N={n} r={r}: prod (1-x_j)^-r vs sum over {family}",
-                   _binomial_product(r, n, bound), rhs)
+                   _times(_binomial_product(r, n, bound), m.poly()), rhs)
 
 
 def _contingency(a, b, memo):
@@ -737,7 +777,7 @@ def _S_norm(ep, rho_plus):
             or _differ(f"eta+={ep}: white ratio", oracle.ct_norm_ratio(s_spec, n, 1),
                        _S_norm_ratio(rho_plus).eval_at(1))
             or _differ(f"eta+={ep}: black ratio", oracle.ct_norm_ratio(p_spec, n, 2),
-                       _shifted_P_norm_ratio(ep).eval_at(1)))
+                       _shifted_P_norm_ratio(ep).value().eval_at(1)))
 
 
 def _linear_solve(eta, a0):
@@ -776,8 +816,8 @@ def _controls(s):
     # d' in place of d leaves a denominator
     yield "integral-positive", _integral_witness(
         (1, 0), e10.scale(scalars.const_dp((1, 0)))) is not None
-    yield "at-ones", _differ("at-ones", _corrupt(e10).eval_ones(),
-                             scalars.eval_E_at_ones((1, 0))) is not None
+    yield "at-ones", _differ("at-ones", _integral("E", (1, 0), _corrupt(e10)).eval_ones(),
+                             scalars.const_e((1, 0))) is not None
 
     bad = dict(e10.specialize(Fraction(1)))
     bad[(0, 1)] += 1
@@ -787,7 +827,7 @@ def _controls(s):
     yield "ct-orthogonality", _ct(*pair) is not None
 
     block, total = _kernel_block("E", polyalg.omega_truncated(2, 2), 1)
-    doubled = (MultiPoly(4, total) + e10.outer(e10)).terms  # one diagonal term twice
+    doubled = (MultiPoly(4, total) + dict(_kernel_sum("E", 2, 1)[1])[(1, 0)]).terms  # one twice
     yield "omega", _differ("omega", block, doubled) is not None
     yield "binomial", _binomial("E", Fraction(2), 2, 2, r_side=Fraction(3)) is not None
 
@@ -812,12 +852,14 @@ def _controls(s):
 CHECKS = {row.name: row for row in (
     Check("E.eigen-triangular", _compositions,
           lambda eta: _E_witness(jack.build_E(eta), eta), **_EIGEN),
+    # E(1^N) = e/d, checked times d_eta: (d E)(1^N) = e over denominator 1
     Check("E.value-at-ones", _compositions,
-          lambda eta: _differ(f"eta={eta}", jack.build_E(eta).eval_ones(),
-                              scalars.eval_E_at_ones(eta)),
+          lambda eta: _differ(f"eta={eta}: d E(1^N) vs e",
+                              _integral("E", eta, jack.build_E(eta)).eval_ones(),
+                              scalars.const_e(eta)),
           **_EIGEN),
     Check("E.integral-positive", _compositions,
-          lambda eta: _integral_witness(eta, _d_times(jack.build_E(eta), eta)),
+          lambda eta: _integral_witness(eta, _integral("E", eta, jack.build_E(eta))),
           **_EIGEN),
     Check("E.swap-action",
           lambda s: ((eta, i) for (eta,) in _compositions(s) for i in range(1, len(eta))),

@@ -245,9 +245,9 @@ class TestBuildP:
                 assert verify._sym_proportional(eta) is None
         # for the increasing rearrangement the multiple is the stabilizer order
         for eta, stab in (((0, 1, 2), ONE), ((0, 1, 1), 2)):
-            c, witness = verify._multiple("", symmetrize(jack.build_E(eta)),
-                                          jack.build_P(cb.sort_to_partition(eta), 3))
-            assert witness is None and c == stab
+            (num, den), witness = verify._multiple("", symmetrize(jack.build_E(eta)),
+                                                   jack.build_P(cb.sort_to_partition(eta), 3))
+            assert witness is None and num / den == stab
 
 
 class TestBuildS:
@@ -347,7 +347,7 @@ class TestDominantFill:
         unsigned = jack._fill(3, dominant, signed=False)
         monkeypatch.setattr(jack, "build_S", lambda rho_plus: unsigned)
         witness = verify._asym((1, 0, 3))
-        assert witness is not None and witness.startswith("rho=(1, 0, 3): Asym E vs c S")
+        assert witness is not None and witness.startswith("rho=(1, 0, 3): Asym d E vs c' d S")
         # a P fill without the reversal misses z^(0, 1, 2), which only that
         # permutation reaches from (2, 1, 0)
         full = jack._signed_perms

@@ -9,7 +9,7 @@ import pytest
 from jackpoly import combinat as cb
 from jackpoly import jack, oracle, polyalg, scalars, verify
 from jackpoly.polyalg import MultiPoly
-from jackpoly.qalpha import ONE, alpha_shift
+from jackpoly.qalpha import ALPHA, ONE, alpha_shift
 
 F = Fraction
 
@@ -484,7 +484,8 @@ class TestGramSchmidt:
 
 def _E_block(n, bound, d):
     """The degree-d block of the truncated Omega kernel and of its sum over
-    the E basis, from the helper the kernel rows read."""
+    the E basis, both times the block's multiple M, from the helper the
+    kernel rows read."""
     return verify._kernel_block("E", polyalg.omega_truncated(n, bound), d)
 
 
@@ -494,11 +495,17 @@ class TestSeriesExtraction:
 
     def test_u_examples(self):
         zero = (0,) * 4
-        assert _E_block(2, 1, 0) == ({zero: ONE}, {zero: scalars.u_eta((0, 0)).inverse()})
-        # (1, 0) is the top label of its block, so no other E reaches x^(1, 0)
-        # y^(1, 0) and the kernel holds 1/u there alone
+        # at degree 0 the block's multiple M and the norm u are both 1
+        assert _E_block(2, 1, 0) == ({zero: ONE}, {zero: ONE})
+        # at degree 1, M is the lcm of 1! alpha and d d', which is
+        # alpha (alpha + 1) at (1, 0) and alpha (alpha + 2) at (0, 1); (1, 0)
+        # is the top label of its block, so no other E reaches
+        # x^(1, 0) y^(1, 0) and the cleared kernel holds M/u there alone
+        m, _ = verify._kernel_sum("E", 2, 1)
+        assert m.value() == ALPHA * (ALPHA + 1) * (ALPHA + 2)
         block, total = _E_block(2, 2, 1)
-        assert block[(1, 0, 1, 0)] == scalars.u_eta((1, 0)).inverse()
+        assert (block[(1, 0, 1, 0)] == m.value() / scalars.u_eta((1, 0))
+                == (ALPHA + 1) ** 2 * (ALPHA + 2))
         assert block == total
 
     def test_u_sweep(self):

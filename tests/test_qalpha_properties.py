@@ -12,7 +12,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 from jackpoly.qalpha import (ONE, ZERO, AlphaRational, Factored, _gcd, _product,  # noqa: E402
-                             _sum, _trim, over_linear, poly_mul, times_linear,
+                             _sum, _trim, alpha_shift, over_linear, poly_mul, times_linear,
                              times_multiple)
 
 given, settings = hypothesis.given, hypothesis.settings
@@ -141,6 +141,19 @@ def test_factored_lcm_is_least(dens):
     for cofactor in cofactors[1:]:
         g = _gcd(g, cofactor)[0]
     assert g == (1,)
+
+
+@PROPERTY
+@given(st.lists(any_factors, max_size=5),
+       st.lists(any_factors.filter(lambda ab: ab != (0, 0)), max_size=5), contents)
+def test_shifted_is_the_substitution(up, down, content):
+    """Each alpha*a + b taken to (alpha*(a + b) + b)/(alpha + 1) gives the
+    same canonical element as substituting alpha -> alpha/(alpha+1) into
+    the value."""
+    ratio = Factored(up, content) / Factored(down)
+    got = ratio.shifted().value()
+    want = ratio.value().substitute(alpha_shift())
+    assert (got.num, got.den) == (want.num, want.den)
 
 
 @PROPERTY

@@ -380,7 +380,8 @@ class TestFactoredAgainstQAlpha:
 
     def test_closed_forms_take_no_gcd(self, monkeypatch):
         # each closed form is one factored ratio made canonical by value(),
-        # so no polynomial gcd is ever taken
+        # at alpha or shifted to alpha/(alpha+1), so no polynomial gcd is
+        # ever taken
         calls = []
         real = qalpha._gcd
 
@@ -401,6 +402,7 @@ class TestFactoredAgainstQAlpha:
                     f(eta)
             if cb.has_distinct_parts(eta):
                 sc.c_rho_resolved(eta)
+                sc.c_rho(eta, "shifted-shape")
         for n in range(1, 10):
             sc.staircase_norm_ratio(n)
         assert calls == []
