@@ -1,17 +1,28 @@
 """Construction of the three Jack families.
 
 E is built through its integral form J_eta = d_eta E_eta, whose
-coefficients lie in Z[alpha] (F. Knop and S. Sahi, Invent. Math. 128,
-1997), held as {exponent: int tuple} times the raising factors not yet
-multiplied in, a `qalpha.Factored`.  J is walked down a chain of raising
-and swap steps to a cached or zero label and built back up: a raising step
-relabels and records one linear factor, and a swap step is one linear
-multiply and one exact synthetic division per coefficient, so the chain
-takes no polynomial gcd.  E is J over d_eta, and d_eta over the factors J
-holds is a Factored denominator: each coefficient is made canonical over
-it by exact division alone.
+coefficients lie in Z>=0[alpha] (F. Knop and S. Sahi, Invent. Math. 128,
+1997), held as {exponent: int} times the raising factors not yet
+multiplied in, a `qalpha.Factored`; each int is its coefficient at
+alpha = 2^K, one base-2^K digit per power of alpha (Kronecker
+substitution: J. von zur Gathen and J. Gerhard, Modern Computer Algebra,
+8.4).  J is walked down a chain of raising and swap steps to a cached or
+zero label and built back up: a raising step relabels and records one
+linear factor, and a swap step is one big-integer multiply and one exact
+divmod per coefficient, so the chain takes no polynomial gcd.  K is chosen
+per label.  Every coefficient of J_nu is at most e_nu at alpha = 1, since
+it is non-negative and J_nu(1, ..., 1) = e_nu, and e_nu(1) is at most
+prod_i (nu_i + N)!/N!, which never shrinks up the chain; so every digit on
+the chain below eta lies in [0, 2^L) for the L of that bound at eta.  A
+swap step divides delta u - v by delta - 1 = alpha a + b - 1; with
+2^K > (2|a| + |b| + |b - 1| + 1)(2^L - 1), when u, v and the quotient
+have digits in [0, 2^L) the two sides differ by a polynomial with
+coefficients below 2^K in size that vanishes at 2^K, that is, by zero.
+So a remainder, or a quotient digit outside [0, 2^L), raises.  E is J
+over d_eta, and d_eta over the factors J holds is a Factored denominator:
+each coefficient is made canonical over it by exact division alone.
 
-build_P and build_S do their Q(alpha) work only at dominant exponents and
+build_P and build_S work in Z[alpha], only at dominant exponents, and
 then write each value to the rearrangements of its exponent.  P is
 symmetric, so its coefficient at any exponent equals the one at the sorted
 exponent, a partition: build_P sums d'(kappa) J_eta / (d(eta) d'(eta)) at
@@ -23,7 +34,7 @@ parts.  By the alternant identity a_delta s_nu = a_(nu+delta) (Macdonald,
 Symmetric Functions and Hall Polynomials, I.3) it is fixed by its
 coefficients at the strictly decreasing lambda = nu + delta, each an
 integer combination of the partition coefficients of the cached P at
-alpha, substituted once.  Moving a value to a rearranged exponent is a
+alpha cleared by h, substituted once.  Moving a value to a rearranged exponent is a
 relabelling, or a relabelling and a sign, so the filled polynomial equals
 the one the full sums would give, coefficient for coefficient.  Results
 are cached by label and never mutated.
@@ -32,14 +43,15 @@ are cached by label and never mutated.
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
+import math
 import operator
 from fractions import Fraction
 
 from . import combinat, scalars
 from .polyalg import MultiPoly, symmetrize
-from .qalpha import (ZERO, AlphaRational, Factored, alpha_shift, over_linear, poly_add, poly_mul,
-                     poly_neg, times_linear)
+from .qalpha import AlphaRational, Factored, homogeneous_compose, poly_add, poly_mul, times_multiple
 
 _E_CACHE: dict = {}
 _J_CACHE: dict = {}
@@ -56,6 +68,28 @@ def clear_caches():
 # the non-symmetric family
 # ---------------------------------------------------------------------------
 
+def _packing(eta):
+    """(L, K) for the chain under eta, as the module docstring bounds them:
+    |a| <= max(eta), |b| <= N - 1."""
+    n = len(eta)
+    bits = math.prod(math.factorial(p + n) // math.factorial(n) for p in eta).bit_length()
+    return bits, bits + (2 * max(eta) + 2 * n).bit_length()
+
+
+def _pack(poly, k):
+    """The int tuple poly at alpha = 2^k."""
+    return sum(c << k * i for i, c in enumerate(poly))
+
+
+def _unpack(x, k):
+    """The digits of x >= 0 in base 2^k, lowest first: its int tuple."""
+    mask, out = (1 << k) - 1, []
+    while x:
+        out.append(x & mask)
+        x >>= k
+    return tuple(out)
+
+
 def _integral(eta):
     """J_eta = d_eta E_eta as (pending, terms): terms is {exponent: int
     tuple of Z[alpha]}, and J is terms times the Factored product
@@ -63,7 +97,11 @@ def _integral(eta):
 
     Each label comes from exactly one predecessor by one raising or swap
     step, so the chain of predecessors is walked down to a cached or zero
-    label and then built back up, caching every label on it."""
+    label and then built back up, caching every label on it packed at the
+    chain's K, or at the cached label's K when that is larger.  The terms
+    are unpacked once, here."""
+    bits, k = _packing(eta)
+    digits = sum(eta) + 2  # the alpha-degree of J_nu is at most |nu|
     chain = []  # (label, its first descent or 0 when weakly increasing), top first
     while eta not in _J_CACHE and any(eta):
         i = next((j for j in range(1, len(eta)) if eta[j - 1] > eta[j]), 0)
@@ -71,12 +109,15 @@ def _integral(eta):
         # a descent is removed by a swap; otherwise eta = Phi(nu) with
         # nu = (eta_N - 1, eta_1, ..., eta_(N-1))
         eta = combinat.swap_parts(eta, i) if i else (eta[-1] - 1,) + eta[:-1]
-    out = _J_CACHE.get(eta)
-    if out is None:
-        out = _J_CACHE[eta] = (Factored(), {eta: (1,)})
+    pending, k0, terms = _J_CACHE.get(eta) or _J_CACHE.setdefault(eta, (Factored(), k, {eta: 1}))
+    k = max(k, k0) if chain else k0
+    out = pending, k, {e: _pack(_unpack(c, k0), k) for e, c in terms.items()} if k0 < k else terms
+    # the bits of a packed value that lie outside [0, 2^L) in some digit
+    outside = ~(((1 << bits) - 1) * ((1 << k * digits) - 1) // ((1 << k) - 1))
     for eta, i in reversed(chain):
-        out = _J_CACHE[eta] = _swap_step(out, eta, i) if i else _raise_step(out, eta)
-    return out
+        out = _J_CACHE[eta] = _swap_step(out, eta, i, outside) if i else _raise_step(out, eta)
+    pending, k, terms = out
+    return pending, {e: _unpack(c, k) for e, c in terms.items()}
 
 
 def _raise_step(j_nu, eta):
@@ -85,39 +126,38 @@ def _raise_step(j_nu, eta):
     eta_k with k < N.  The factor joins the pending ones: a raising chain
     at N = 1 would otherwise store d_(k) z^k, whose coefficients grow with
     k, at every k on it."""
-    pending, terms = j_nu
+    pending, k, terms = j_nu
     top = eta[-1]
     b = len(eta) - sum(1 for p in eta[:-1] if p >= top)
-    return pending * Factored([(top, b)]), {e[1:] + (e[0] + 1,): c for e, c in terms.items()}
+    return pending * Factored([(top, b)]), k, {e[1:] + (e[0] + 1,): c for e, c in terms.items()}
 
 
-def _swap_step(j_mu, eta, i):
+def _swap_step(j_mu, eta, i, outside):
     """J_eta = (delta s_i J_mu - J_mu) / (delta - 1) for eta with a descent
     at i, where mu = s_i eta is ascending at i and delta = alpha a + b is
     its eigenvalue gap at i, a = mu_i - mu_(i+1) != 0.  The pending factors
-    of J_mu are multiplied in first.  The division is exact; an inexact one
-    raises ArithmeticError naming eta."""
-    pending, terms = j_mu
-    scale = pending.poly()
-    if scale != (1,):
-        terms = {e: poly_mul(c, scale) for e, c in terms.items()}
-    k = i - 1
-    (m1, c1), (m2, c2) = combinat.eigenvalue_offsets(combinat.swap_parts(eta, i))[k:i + 1]
+    of J_mu are multiplied in first, packed.  A remainder, or a quotient
+    with a bit in `outside`, raises ArithmeticError naming eta."""
+    pending, k, terms = j_mu
+    scale = _pack(pending.poly(), k)
+    if scale != 1:
+        terms = {e: c * scale for e, c in terms.items()}
+    j = i - 1
+    (m1, c1), (m2, c2) = combinat.eigenvalue_offsets(combinat.swap_parts(eta, i))[j:i + 1]
     a, b = m1 - m2, c2 - c1
-
-    def swap(e):
-        return e[:k] + (e[i], e[k]) + e[i + 1:]
-
+    delta = (a << k) + b
+    swapped = {e[:j] + (e[i], e[j]) + e[i + 1:]: c for e, c in terms.items()}
     out = {}
-    for e in terms.keys() | set(map(swap, terms)):
-        num = poly_add(times_linear(terms.get(swap(e), ()), a, b), poly_neg(terms.get(e, ())))
+    for e in terms.keys() | swapped.keys():
+        num = delta * swapped.get(e, 0) - terms.get(e, 0)
         if num:
-            q = over_linear(num, a, b - 1)
-            if q is None:
-                raise ArithmeticError(f"J_{eta}: the swap step at {e} does not divide by "
-                                      f"{AlphaRational((b - 1, a))}")
+            q, r = divmod(num, delta - 1)
+            if r or q & outside:
+                raise ArithmeticError(f"J_{eta}: the swap step at {e} " + (
+                    f"does not divide by {AlphaRational((b - 1, a))}" if r
+                    else "leaves a digit outside the bound of the chain"))
             out[e] = q
-    return Factored(), out
+    return Factored(), k, out
 
 
 def build_E(eta) -> MultiPoly:
@@ -205,9 +245,11 @@ def build_S(rho_plus) -> MultiPoly:
     c_lambda = sum_sigma sgn(sigma) P[lambda - sigma delta]
              = sum_mu m_(lambda mu) P[mu],
     where the integer m_(lambda mu) sums sgn(sigma) over the sigma with
-    sort(lambda - sigma delta) = mu, since P is symmetric.  c_lambda is then
-    substituted alpha -> alpha/(alpha+1), which commutes with the integer
-    combination because substitution is a ring homomorphism.  `_fill` writes
+    sort(lambda - sigma delta) = mu, since P is symmetric.  It is summed in
+    Z[alpha] as h c_lambda, h = h_(eta+) clearing P by exact division, and
+    substituted alpha -> alpha/(alpha+1), a ring homomorphism: h c_lambda of
+    degree at most D goes to a numerator over (alpha+1)^D, and h to
+    `h.shifted()`, a Factored denominator it is made canonical over.  `_fill` writes
     sgn(pi) c_lambda at every lambda o pi, which is exact because S is
     antisymmetric; no other exponent carries a term."""
     rho_plus = combinat.as_partition(rho_plus)
@@ -219,7 +261,12 @@ def build_S(rho_plus) -> MultiPoly:
     if any(p < 0 for p in eta_plus):
         raise ValueError(f"{rho_plus} minus the staircase has negative parts")
     p = build_P(eta_plus, n).terms
-    sh = alpha_shift()
+    h = scalars.node_ratio(eta_plus, ("h",))
+    clear, shifted = h.poly(), h.shifted()
+    cleared = {mu: times_multiple(p[mu], clear) for mu in combinat.partitions(sum(eta_plus), n)
+               if mu in p}
+    if any(c.den != (1,) for c in cleared.values()):
+        raise ArithmeticError(f"S_{rho_plus}: h does not clear P_{eta_plus}")
     # sigma delta with sgn(sigma): the terms of the Vandermonde
     alternant = [(tuple(map(delta.__getitem__, perm)), sign) for perm, sign in _signed_perms(n)]
     dominant = {}
@@ -230,9 +277,12 @@ def build_S(rho_plus) -> MultiPoly:
             diff = tuple(map(operator.sub, lam, d))
             if min(diff) >= 0:
                 m[combinat.sort_to_partition(diff)] += sign
-        c = sum((p[mu] * k for mu, k in m.items() if k and mu in p), ZERO)
+        c = functools.reduce(poly_add, (poly_mul(cleared[mu].num, (k,)) for mu, k in m.items()
+                                        if k and mu in cleared), ())
         if c:
-            dominant[lam] = c.substitute(sh)
+            big = max(len(c) - 1, -shifted.forms.get((1, 1), 0))
+            den = shifted * Factored([(1, 1)] * big)
+            dominant[lam] = den.over(homogeneous_compose(c, (0, 1), (1, 1), big))
     return _fill(n, dominant, signed=True)
 
 

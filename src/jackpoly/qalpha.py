@@ -27,10 +27,10 @@ The closed-form constants and the denominators of the construction are
 products of linear factors alpha*a + b, held as `Factored` ratios, whose
 canonical form needs no gcd, at alpha or, by `Factored.shifted`, at
 alpha/(alpha+1).  The construction works in Z[alpha], on plain
-int tuples: it multiplies and exactly divides by one linear factor at a
-time, and `Factored.over` turns a Z[alpha] numerator over a factored
-denominator into the canonical form by exact division alone;
-`times_multiple` clears a denominator the same way.
+int tuples: `Factored.over` turns a Z[alpha] numerator over a factored
+denominator into the canonical form by exact division alone, one linear
+factor at a time; `times_multiple` clears a denominator the same way, and
+`homogeneous_compose` carries a numerator through alpha -> alpha/(alpha+1).
 
 Evaluation at a rational point p/q stays in ints until one final
 `Fraction`: numerator and denominator are evaluated homogeneously, as
@@ -40,7 +40,6 @@ q^deg f(p/q), by Horner.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 
 
@@ -161,6 +160,19 @@ def _power(a, k):
         k >>= 1
         if k:
             a = poly_mul(a, a)
+    return out
+
+
+def homogeneous_compose(coeffs, p, q, big):
+    """sum_i c_i p^i q^(big - i) in Z[alpha] for polynomials p and q and
+    big >= deg coeffs: q^big times coeffs composed with alpha -> p/q."""
+    out, ppow, qpows = (), (1,), [(1,)]
+    for _ in range(big):
+        qpows.append(poly_mul(qpows[-1], q))
+    for i, c in enumerate(coeffs):
+        if c:
+            out = poly_add(out, _scale(poly_mul(ppow, qpows[big - i]), c))
+        ppow = poly_mul(ppow, p)
     return out
 
 
@@ -338,26 +350,11 @@ class AlphaRational:
     def substitute(self, image: "AlphaRational") -> "AlphaRational":
         """Compose with alpha -> image, e.g. image = alpha/(alpha+1)."""
         p, q = image.num, image.den
-        dn, dd = len(self.num) - 1, len(self.den) - 1
-        big = max(dn, dd)
+        big = max(len(self.num), len(self.den)) - 1
         if big < 0:
             return ZERO
-
-        def lift(coeffs):
-            # sum_i c_i p^i q^(big-i), exact in Z[alpha]
-            out = ()
-            ppow = (1,)
-            qpows = [(1,)]
-            for _ in range(big):
-                qpows.append(poly_mul(qpows[-1], q))
-            for i, c in enumerate(coeffs):
-                if c:
-                    out = poly_add(out, _scale(poly_mul(ppow, qpows[big - i]), c))
-                ppow = poly_mul(ppow, p)
-            return out
-
-        new_num = lift(self.num)
-        new_den = lift(self.den)
+        new_num = homogeneous_compose(self.num, p, q, big)
+        new_den = homogeneous_compose(self.den, p, q, big)
         if not new_den:
             raise ZeroDivisionError("substitution sends the denominator to zero")
         return AlphaRational._raw(*_reduce(new_num, new_den))
@@ -424,13 +421,6 @@ def alpha_shift() -> AlphaRational:
 # ---------------------------------------------------------------------------
 # Z[alpha]: integral forms and ratios of products of linear factors
 # ---------------------------------------------------------------------------
-
-def times_linear(p, a, b):
-    """p (alpha*a + b) in Z[alpha], for a != 0."""
-    if not p:
-        return ()
-    return tuple(map(operator.add, [b * c for c in p] + [0], [0] + [a * c for c in p]))
-
 
 def over_linear(p, a, b):
     """p / (alpha*a + b) when the quotient lies in Z[alpha], else None; a != 0.

@@ -6,7 +6,7 @@ from jackpoly import combinat as cb
 from jackpoly import jack, scalars, verify
 from jackpoly.polyalg import (MultiPoly, antisymmetrize, apply_transposition,
                               exact_scalar_ratio, symmetrize, vandermonde)
-from jackpoly.qalpha import ALPHA, ONE, AlphaRational, alpha_shift
+from jackpoly.qalpha import ALPHA, ONE, AlphaRational, Factored, alpha_shift
 
 A = ALPHA
 
@@ -184,14 +184,35 @@ class TestIntegralChain:
         assert terms == {(1, 0): (1, 1), (0, 1): (1,)}
 
     def test_inexact_swap_division_raises(self, monkeypatch):
-        # divide the swap numerator by delta + 1 instead of delta - 1
+        # divide the packed swap numerator by delta + 1 instead of delta - 1:
+        # at alpha = 2^K that is the packed divisor plus 2
         monkeypatch.setattr(jack, "_E_CACHE", {})
         monkeypatch.setattr(jack, "_J_CACHE", {})
         monkeypatch.setattr(jack, "_P_CACHE", {})
-        over = jack.over_linear
-        monkeypatch.setattr(jack, "over_linear", lambda p, a, b: over(p, a, b + 2))
-        with pytest.raises(ArithmeticError, match=r"^J_\(1, 0\): "):
+        monkeypatch.setattr(jack, "divmod", lambda n, d: divmod(n, d + 2), raising=False)
+        with pytest.raises(ArithmeticError, match=r"^J_\(1, 0\): .* does not divide by"):
             jack.build_E((1, 0))
+
+    def test_digit_outside_the_bound_raises(self, monkeypatch):
+        # J_(2, 0) = (2 alpha + 2) z1 z2 + ..., so with the digits bounded
+        # by 2^1 instead of the chain's bound its swap step fails
+        monkeypatch.setattr(jack, "_J_CACHE", {})
+        packing = jack._packing
+        monkeypatch.setattr(jack, "_packing", lambda eta: (1, packing(eta)[1]))
+        assert jack._integral((1, 0))[1] == {(1, 0): (1, 1), (0, 1): (1,)}
+        with pytest.raises(ArithmeticError, match=r"^J_\(2, 0\): .* digit outside"):
+            jack._integral((2, 0))
+
+    def test_packing_bound_holds_beyond_64_bits(self, monkeypatch):
+        # J_(1, 30) has 107-bit coefficients and J_(1, 20) 61-bit ones; K is
+        # chosen per label, and the chain of (1, 30) repacks the cached
+        # (1, 20), packed at a smaller K, on its way
+        monkeypatch.setattr(jack, "_E_CACHE", {})
+        monkeypatch.setattr(jack, "_J_CACHE", {})
+        for eta, width in [((1, 20), 61), ((1, 30), 107)]:
+            terms = jack._integral(eta)[1]
+            assert max(max(c) for c in terms.values()).bit_length() == width
+            assert _forms(jack.build_E(eta)) == _forms(qalpha_chain_E(eta)), eta
 
 
 class TestBuildP:
@@ -287,6 +308,16 @@ class TestBuildS:
                 s = jack.build_S(rho_plus)
             assert jack._P_CACHE == cached
             assert s == _reference_S(rho_plus)
+
+    def test_multiple_that_does_not_clear_P_raises(self, monkeypatch):
+        # P_(2, 0, 0) carries 2/(alpha + 1) at (1, 1, 0): h = alpha + 1 clears
+        # it, and 1 in its place does not
+        monkeypatch.setattr(jack, "_P_CACHE", {})
+        node_ratio = scalars.node_ratio
+        monkeypatch.setattr(scalars, "node_ratio", lambda eta, up, *rest: (
+            Factored() if up == ("h",) else node_ratio(eta, up, *rest)))
+        with pytest.raises(ArithmeticError, match=r"^S_\(4, 1, 0\): h does not clear"):
+            jack.build_S((4, 1, 0))
 
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ route, evaluation against Horner in Fractions, and the Z[alpha] helpers of
 the construction, on elements drawn by hypothesis."""
 
 import itertools
+import operator
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 from jackpoly.qalpha import (ONE, ZERO, AlphaRational, Factored, _gcd, _product,  # noqa: E402
-                             _sum, _trim, alpha_shift, over_linear, poly_mul, times_linear,
-                             times_multiple)
+                             _sum, _trim, alpha_shift, over_linear, poly_mul, times_multiple)
 
 given, settings = hypothesis.given, hypothesis.settings
 
@@ -63,6 +63,14 @@ def test_canonical_form(num, den, factor):
 @given(elements)
 def test_json_round_trip(x):
     assert AlphaRational.from_json(x.to_json()) == x
+
+
+def times_linear(p, a, b):
+    """p (alpha*a + b) in Z[alpha], for a != 0: the reference for
+    over_linear's round trip."""
+    if not p:
+        return ()
+    return tuple(map(operator.add, [b * c for c in p] + [0], [0] + [a * c for c in p]))
 
 
 # linear factors alpha*a + b with a > 0, as the diagram constants have them
