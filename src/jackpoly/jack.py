@@ -20,24 +20,25 @@ have digits in [0, 2^L) the two sides differ by a polynomial with
 coefficients below 2^K in size that vanishes at 2^K, that is, by zero.
 So a remainder, or a quotient digit outside [0, 2^L), raises.  E is J
 over d_eta, and d_eta over the factors J holds is a Factored denominator:
-each coefficient is made canonical over it by exact division alone.
+all coefficients are made canonical over it in one batch, by exact division.
 
 build_P and build_S work in Z[alpha], only at dominant exponents, and
 then write each value to the rearrangements of its exponent.  P is
 symmetric, so its coefficient at any exponent equals the one at the sorted
-exponent, a partition: build_P sums d'(kappa) J_eta / (d(eta) d'(eta)) at
-partition exponents only, over the Factored lcm of the denominators.  S is
-the Vandermonde a_delta times P with its coefficients carried through
-alpha -> alpha/(alpha+1), so it is antisymmetric: its coefficient at
-lambda o pi is sgn(pi) times the one at lambda, and vanishes at repeated
-parts.  By the alternant identity a_delta s_nu = a_(nu+delta) (Macdonald,
-Symmetric Functions and Hall Polynomials, I.3) it is fixed by its
-coefficients at the strictly decreasing lambda = nu + delta, each an
-integer combination of the partition coefficients of the cached P at
-alpha cleared by h, substituted once.  Moving a value to a rearranged exponent is a
-relabelling, or a relabelling and a sign, so the filled polynomial equals
-the one the full sums would give, coefficient for coefficient.  Results
-are cached by label and never mutated.
+exponent, a partition: build_P unpacks J_eta at partition exponents only
+and sums d'(kappa) J_eta / (d(eta) d'(eta)) there, over the Factored lcm
+of the denominators.  S is the Vandermonde a_delta times P with its
+coefficients carried through alpha -> alpha/(alpha+1), so it is
+antisymmetric: its coefficient at lambda o pi is sgn(pi) times the one at
+lambda, and vanishes at repeated parts.  By the alternant identity
+a_delta s_nu = a_(nu+delta) (Macdonald, Symmetric Functions and Hall
+Polynomials, I.3) it is fixed by its coefficients at the strictly
+decreasing lambda = nu + delta, each an integer combination of the
+partition coefficients of the cached P at alpha cleared by h, substituted once.
+Moving a value to a rearranged exponent is a relabelling, or a
+relabelling and a sign, so the filled polynomial equals the one the full
+sums would give, coefficient for coefficient.  Results are cached by
+label and never mutated.
 """
 
 from __future__ import annotations
@@ -90,16 +91,16 @@ def _unpack(x, k):
     return tuple(out)
 
 
-def _integral(eta):
+def _integral(eta, exponents=None):
     """J_eta = d_eta E_eta as (pending, terms): terms is {exponent: int
-    tuple of Z[alpha]}, and J is terms times the Factored product
-    `pending`, the raising factors not yet multiplied in.
+    tuple of Z[alpha]}, at `exponents` only when given, and J is terms times
+    the Factored product `pending`, the raising factors not yet multiplied in.
 
     Each label comes from exactly one predecessor by one raising or swap
     step, so the chain of predecessors is walked down to a cached or zero
     label and then built back up, caching every label on it packed at the
-    chain's K, or at the cached label's K when that is larger.  The terms
-    are unpacked once, here."""
+    chain's K, or at the cached label's K when that is larger.  Only the
+    terms returned are unpacked."""
     bits, k = _packing(eta)
     digits = sum(eta) + 2  # the alpha-degree of J_nu is at most |nu|
     chain = []  # (label, its first descent or 0 when weakly increasing), top first
@@ -117,6 +118,8 @@ def _integral(eta):
     for eta, i in reversed(chain):
         out = _J_CACHE[eta] = _swap_step(out, eta, i, outside) if i else _raise_step(out, eta)
     pending, k, terms = out
+    if exponents is not None:
+        terms = {e: terms[e] for e in exponents if e in terms}
     return pending, {e: _unpack(c, k) for e, c in terms.items()}
 
 
@@ -171,7 +174,7 @@ def build_E(eta) -> MultiPoly:
     if out is None:
         pending, terms = _integral(eta)
         den = scalars.node_ratio(eta, ("d",)) / pending
-        out = _E_CACHE[eta] = MultiPoly(len(eta), {e: den.over(c) for e, c in terms.items()})
+        out = _E_CACHE[eta] = MultiPoly(len(eta), den.over(terms))
     return out
 
 
@@ -203,21 +206,20 @@ def build_P(kappa, n: int = None) -> MultiPoly:
     cached = _P_CACHE.get(kappa)
     if cached is not None:
         return cached
-    parts = []  # (terms of J_eta, d(eta) d'(eta) over the pending factors of J_eta)
+    dominant = list(combinat.partitions(sum(kappa), len(kappa)))
+    parts = []  # (J_eta at partitions, d(eta) d'(eta) over the pending factors of J_eta)
     for eta in combinat.rearrangements(kappa):
-        pending, terms = _integral(eta)
+        pending, terms = _integral(eta, dominant)
         parts.append((terms, scalars.node_ratio(eta, ("d", "dp")) / pending))
     common = Factored.lcm([den for _, den in parts])
     sums = {}
     for terms, den in parts:
         cofactor = (common / den).poly()
         for e, j in terms.items():
-            if combinat.is_partition(e):
-                sums[e] = poly_add(sums.get(e, ()), poly_mul(j, cofactor))
+            sums[e] = poly_add(sums.get(e, ()), poly_mul(j, cofactor))
     # kappa is one of the eta, so d'(kappa) divides the common denominator
     den = common / scalars.node_ratio(kappa, ("dp",))
-    dominant = {e: den.over(s) for e, s in sums.items() if s}
-    out = _P_CACHE[kappa] = _fill(len(kappa), dominant, signed=False)
+    out = _P_CACHE[kappa] = _fill(len(kappa), den.over(sums), signed=False)
     return out
 
 
@@ -247,9 +249,9 @@ def build_S(rho_plus) -> MultiPoly:
     where the integer m_(lambda mu) sums sgn(sigma) over the sigma with
     sort(lambda - sigma delta) = mu, since P is symmetric.  It is summed in
     Z[alpha] as h c_lambda, h = h_(eta+) clearing P by exact division, and
-    substituted alpha -> alpha/(alpha+1), a ring homomorphism: h c_lambda of
-    degree at most D goes to a numerator over (alpha+1)^D, and h to
-    `h.shifted()`, a Factored denominator it is made canonical over.  `_fill` writes
+    substituted alpha -> alpha/(alpha+1), a ring homomorphism: each
+    h c_lambda, of degree at most D, goes to a numerator over (alpha+1)^D,
+    and h to `h.shifted()`, one Factored denominator for all.  `_fill` writes
     sgn(pi) c_lambda at every lambda o pi, which is exact because S is
     antisymmetric; no other exponent carries a term."""
     rho_plus = combinat.as_partition(rho_plus)
@@ -269,7 +271,7 @@ def build_S(rho_plus) -> MultiPoly:
         raise ArithmeticError(f"S_{rho_plus}: h does not clear P_{eta_plus}")
     # sigma delta with sgn(sigma): the terms of the Vandermonde
     alternant = [(tuple(map(delta.__getitem__, perm)), sign) for perm, sign in _signed_perms(n)]
-    dominant = {}
+    sums = {}
     for nu in combinat.partitions(sum(eta_plus), n):
         lam = tuple(map(operator.add, nu, delta))
         m = collections.Counter()
@@ -277,13 +279,12 @@ def build_S(rho_plus) -> MultiPoly:
             diff = tuple(map(operator.sub, lam, d))
             if min(diff) >= 0:
                 m[combinat.sort_to_partition(diff)] += sign
-        c = functools.reduce(poly_add, (poly_mul(cleared[mu].num, (k,)) for mu, k in m.items()
-                                        if k and mu in cleared), ())
-        if c:
-            big = max(len(c) - 1, -shifted.forms.get((1, 1), 0))
-            den = shifted * Factored([(1, 1)] * big)
-            dominant[lam] = den.over(homogeneous_compose(c, (0, 1), (1, 1), big))
-    return _fill(n, dominant, signed=True)
+        sums[lam] = functools.reduce(poly_add, (poly_mul(cleared[mu].num, (k,))
+                                                for mu, k in m.items() if k and mu in cleared), ())
+    big = max([-shifted.forms.get((1, 1), 0), *(len(c) - 1 for c in sums.values())])
+    den = shifted * Factored([(1, 1)] * big)
+    return _fill(n, den.over({lam: homogeneous_compose(c, (0, 1), (1, 1), big)
+                              for lam, c in sums.items()}), signed=True)
 
 
 # ---------------------------------------------------------------------------

@@ -435,8 +435,8 @@ def _kernel(n: int, bound: int, diagonal: bool) -> MultiPoly:
     lies in Z[alpha]: [1/alpha]_m / m! = prod_{i<m} (1 + i alpha) / (m! alpha^m),
     so the series of (1 - x_j y_k)^(-1/alpha) becomes prod_{i<m} (1 + i alpha)
     and the geometric series m! alpha^m, and terms of x-degrees D1 and D2
-    multiply with the factor binom(D1 + D2, D1).  Each term is made
-    canonical once, over the factored D! alpha^D, by exact division alone."""
+    multiply with the factor binom(D1 + D2, D1).  The terms of one x-degree
+    D are made canonical in one batch over the factored D! alpha^D, no gcd."""
     if bound < 0:
         raise ValueError("truncation bound must be >= 0")
     scale = [Factored([(1, 0)] * m, math.factorial(m)) for m in range(bound + 1)]
@@ -458,7 +458,11 @@ def _kernel(n: int, bound: int, diagonal: bool) -> MultiPoly:
                 v = poly_mul(poly_mul(c, series[m]), (math.comb(deg + m, m),))
                 out[key] = poly_add(out[key], v) if key in out else v
         terms = out
-    return MultiPoly._raw(2 * n, {e: scale[sum(e[:n])].over(c) for e, c in terms.items()})
+    by_degree = [{} for _ in scale]
+    for e, c in terms.items():
+        by_degree[sum(e[:n])][e] = c
+    return MultiPoly._raw(2 * n, {e: v for s, block in zip(scale, by_degree)
+                                  for e, v in s.over(block).items()})
 
 
 def pi_truncated(n: int, bound: int) -> MultiPoly:

@@ -26,9 +26,9 @@ Reduction works in two layers:
 The closed-form constants and the denominators of the construction are
 products of linear factors alpha*a + b, held as `Factored` ratios, whose
 canonical form needs no gcd, at alpha or, by `Factored.shifted`, at
-alpha/(alpha+1).  The construction works in Z[alpha], on plain
-int tuples: `Factored.over` turns a Z[alpha] numerator over a factored
-denominator into the canonical form by exact division alone, one linear
+alpha/(alpha+1).  The construction works in Z[alpha], on plain int
+tuples: `Factored.over` makes a batch of Z[alpha] numerators over a
+factored denominator canonical by exact division alone, one linear
 factor at a time; `times_multiple` clears a denominator the same way, and
 `homogeneous_compose` carries a numerator through alpha -> alpha/(alpha+1).
 
@@ -513,23 +513,26 @@ class Factored:
         num = self._expand(c.numerator, 1)
         return AlphaRational._raw(num, self._expand(c.denominator, -1)) if num else ZERO
 
-    def over(self, num) -> AlphaRational:
-        """num / self in canonical form, for num in Z[alpha] and a
-        denominator self (an int content > 0, no m < 0).  Each form is divided
-        out of num while the division is exact, up to its multiplicity (a
-        primitive divisor over Q is one over Z); then only an integer gcd
-        remains to divide out."""
-        if not num:
-            return ZERO
-        left = {}
-        for (a, b), m in self.forms.items():
-            while m and (q := over_linear(num, a, b)) is not None:
-                num, m = q, m - 1
-            if m:
-                left[a, b] = m
-        g = math.gcd(self.content, *num)
-        den = Factored(content=self.content // g, forms=left).poly()
-        return AlphaRational._raw(_exact_scale(num, g), den)
+    def over(self, nums) -> dict:
+        """{key: num / self} in canonical form for each nonzero num in Z[alpha]
+        of the dict nums, over a denominator self (an int content > 0, no
+        m < 0).  Each form is divided out while the division is exact, up to
+        its multiplicity (a primitive divisor over Q is one over Z); then only
+        an integer gcd remains.  Each distinct leftover is expanded once."""
+        out, dens = {}, {}
+        for key, num in nums.items():
+            if num:
+                left = {}
+                for (a, b), m in self.forms.items():
+                    while m and (q := over_linear(num, a, b)) is not None:
+                        num, m = q, m - 1
+                    if m:
+                        left[a, b] = m
+                g = math.gcd(self.content, *num)
+                den = self.content // g, tuple(left.items())
+                dens[den] = dens.get(den) or Factored(content=den[0], forms=left).poly()
+                out[key] = AlphaRational._raw(_exact_scale(num, g), dens[den])
+        return out
 
 
 def times_multiple(x: AlphaRational, p) -> AlphaRational:

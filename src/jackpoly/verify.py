@@ -341,18 +341,19 @@ def _integral_witness(eta, f):
 
 def _swap_action(eta, i):
     """The three-case adjacent-swap action, with both sides built
-    independently from the cache."""
+    independently from the cache, times delta^2 d (delta the eigenvalue gap
+    at i, d the lcm of d_eta and d_(s_i eta)), so over denominator 1."""
     f = jack.build_E(eta)
-    swapped = apply_transposition(f, i, i + 1)
     label = f"eta={eta} i={i}: s_i E"
     if eta[i - 1] == eta[i]:
-        return _differ(label, swapped, f)
-    bars = combinat.eigenvalue_vector(eta)
-    dinv = (bars[i - 1] - bars[i]).inverse()
-    g = jack.build_E(combinat.swap_parts(eta, i))
-    if eta[i - 1] > eta[i]:
-        g = g.scale(ONE - dinv * dinv)
-    return _differ(label, swapped, f.scale(dinv) + g)
+        return _differ(label, apply_transposition(f, i, i + 1), f)
+    mu = combinat.swap_parts(eta, i)
+    delta = operator.sub(*combinat.eigenvalue_vector(eta)[i - 1:i + 1])
+    d = Factored.lcm([scalars.node_ratio(eta, ("d",)), scalars.node_ratio(mu, ("d",))]).poly()
+    g, square = _times(f, d), delta * delta
+    rhs = g.scale(delta) + _times(jack.build_E(mu), d).scale(
+        square - 1 if eta[i - 1] > eta[i] else square)
+    return _differ(label, apply_transposition(g, i, i + 1).scale(square), rhs)
 
 
 def _xi_cases(s):

@@ -428,6 +428,15 @@ class TestGolden:
         # was still built by a chain in Q(alpha)
         ("E", "4,4,0,0,0",
          "97d2e3fb2655904b286a07e9911a07d9487484e64da5d1300291b8f2cd8860cb"),
+        # two E at N = 5, the second with a raising factor pending, and a P
+        # at N = 4, computed while Factored.over still took one numerator at
+        # a time and P unpacked every term of J
+        ("E", "1,0,4,3,0",
+         "6067e46959b1cf3163af6c07b37eb5841c4e549f525b65fdc05c050de14b9158"),
+        ("E", "0,1,2,2,3",
+         "5f12a238710516226a7f2cb2a27b2baf5e5206ada87f6f10c2cd573ec595d83b"),
+        ("P", "4,3,1,0",
+         "67ebdedc5e9854309993fb8cb6cb2b009d5100e316702091a91a381b366c3671"),
     ])
     def test_compute_json_digest(self, capsys, family, label, digest):
         code, out = run_cli(capsys, "compute", family, label, "--format", "json")

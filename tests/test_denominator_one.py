@@ -15,7 +15,7 @@ CLEARED_ROWS = ["omega.decomposition", "omega.pairing-diagonal", "pi.decompositi
                 "pi.v-stability", "binomial.nonsymmetric", "binomial.symmetric",
                 "sym.proportionality", "asym.proportionality", "asym.du-expansion",
                 "E.value-at-ones", "asym.c-closed-forms", "society.identities",
-                "norm.reconciliation"]
+                "norm.reconciliation", "E.swap-action"]
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import collections
 from fractions import Fraction
 
 import pytest
@@ -213,6 +214,67 @@ class TestIntegralChain:
             terms = jack._integral(eta)[1]
             assert max(max(c) for c in terms.values()).bit_length() == width
             assert _forms(jack.build_E(eta)) == _forms(qalpha_chain_E(eta)), eta
+
+    def test_reading_given_exponents_is_the_full_read_restricted(self):
+        # at every label of the default sweep (N <= 4, |eta| <= 5), J read
+        # at the partition exponents, as build_P reads it, or at every other
+        # exponent of its support, is the full read restricted to them
+        for n in (2, 3, 4):
+            for eta in cb.compositions_upto(5, n):
+                pending, full = jack._integral(eta)
+                support = sorted(full)
+                for exponents in (list(cb.partitions(sum(eta), n)), support[::2]):
+                    got = jack._integral(eta, exponents)
+                    assert got[0] is pending, eta
+                    assert got[1] == {e: full[e] for e in exponents if e in full}, eta
+
+
+class TestReadTraffic:
+    """E and P read J only in the form they use: build_P unpacks J at
+    partition exponents alone, and one Factored.over call expands each
+    distinct leftover denominator once.  The labels are the first E label
+    of each E slot and every P label of the benchmark's compute-reach."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_caches(self, monkeypatch):
+        monkeypatch.setattr(jack, "_E_CACHE", {})
+        monkeypatch.setattr(jack, "_J_CACHE", {})
+        monkeypatch.setattr(jack, "_P_CACHE", {})
+
+    @pytest.mark.parametrize("kappa", [(3, 2, 1, 1, 0), (4, 1, 1, 0, 0), (5, 2, 0, 0),
+                                       (4, 1, 1, 1, 0), (4, 3, 1, 0), (5, 3, 0, 0)])
+    def test_build_P_unpacks_only_partition_exponents(self, monkeypatch, kappa):
+        unpacked, unpack = collections.Counter(), jack._unpack
+
+        def counted(x, k):
+            unpacked[x, k] += 1
+            return unpack(x, k)
+
+        monkeypatch.setattr(jack, "_unpack", counted)
+        jack.build_P(kappa)
+        want, total = collections.Counter(), 0
+        for eta in cb.rearrangements(kappa):
+            _, k, terms = jack._J_CACHE[eta]
+            want.update((c, k) for e, c in terms.items() if cb.is_partition(e))
+            total += len(terms)
+        assert unpacked == want
+        assert 0 < sum(want.values()) < total / 4
+
+    @pytest.mark.parametrize("eta", [(2, 4, 2, 0, 0), (4, 2, 0, 2, 0), (4, 2, 2, 0, 0),
+                                     (4, 4, 0, 0, 0)])
+    def test_over_expands_each_leftover_denominator_once(self, monkeypatch, eta):
+        pending, terms = jack._integral(eta)
+        den = scalars.node_ratio(eta, ("d",)) / pending
+        expanded, poly = [], Factored.poly
+
+        def counted(self):
+            expanded.append((self.content, tuple(sorted(self.forms.items()))))
+            return poly(self)
+
+        monkeypatch.setattr(Factored, "poly", counted)
+        values = den.over(terms)
+        assert len(expanded) == len(set(expanded)) == len({v.den for v in values.values()})
+        assert len(expanded) < len(terms) / 4
 
 
 class TestBuildP:

@@ -99,15 +99,42 @@ def field_product(pairs, content=1):
     return out
 
 
+@st.composite
+def batches(draw):
+    """A factored denominator, its forms repeated up to three times over an
+    int content, and a dict of numerators: each a polynomial, zero at
+    times, times some of those forms and some others."""
+    forms = draw(st.lists(factors, max_size=3))
+    den_pairs = [f for f in forms for _ in range(draw(st.integers(min_value=1, max_value=3)))]
+    nums = {}
+    for key in range(draw(st.integers(min_value=0, max_value=6))):
+        pairs = draw(st.lists(st.sampled_from(den_pairs), max_size=4)) if den_pairs else []
+        pairs += draw(st.lists(factors, max_size=2))
+        nums[key] = poly_mul(_trim(draw(polys)), Factored(pairs).poly())
+    return Factored(den_pairs, draw(st.integers(min_value=1, max_value=12))), nums
+
+
 @PROPERTY
-@given(polys, st.lists(factors, max_size=5), st.lists(factors, max_size=3))
-def test_ratio_over_linear_forms_is_canonical(num, den_pairs, num_pairs):
-    """num times some linear factors over others: the same (num, den)
-    tuples as the field division, which reduces by gcd."""
-    num = poly_mul(_trim(num), Factored(num_pairs).poly())
-    got = Factored(den_pairs).over(num)
-    want = AlphaRational(num) / field_product(den_pairs)
-    assert (got.num, got.den) == (want.num, want.den)
+@given(batches())
+def test_ratio_over_linear_forms_is_canonical(batch):
+    """A batch of numerators over one factored denominator: each value has
+    the same (num, den) tuples as the field division, which reduces by gcd,
+    and a zero numerator is dropped."""
+    den, nums = batch
+    got = den.over(nums)
+    assert got.keys() == {key for key, num in nums.items() if num}
+    for key, value in got.items():
+        want = AlphaRational(nums[key]) / den.value()
+        assert (value.num, value.den) == (want.num, want.den)
+
+
+def test_batch_over_examples():
+    """A repeated form divided out once, twice or not at all, a numerator
+    no form divides, and a zero numerator, over 6 (alpha + 1)^2 (2 alpha + 1)."""
+    den = Factored([(1, 1), (1, 1), (2, 1)], 6)
+    got = den.over({"once": (2, 2), "twice": (3, 6, 3), "none": (5, 0, 1), "zero": ()})
+    assert {key: (v.num, v.den) for key, v in got.items()} == {
+        "once": ((1,), (3, 9, 6)), "twice": ((1,), (2, 4)), "none": ((5, 0, 1), (6, 24, 30, 12))}
 
 
 # any linear factor: a constant one (a = 0), the zero factor (0, 0), a < 0, b < 0
