@@ -25,16 +25,17 @@ all coefficients are made canonical over it in one batch, by exact division.
 build_P and build_S work in Z[alpha], only at dominant exponents, and
 then write each value to the rearrangements of its exponent.  P is
 symmetric, so its coefficient at any exponent equals the one at the sorted
-exponent, a partition: build_P unpacks J_eta at partition exponents only
-and sums d'(kappa) J_eta / (d(eta) d'(eta)) there, over the Factored lcm
-of the denominators.  S is the Vandermonde a_delta times P with its
-coefficients carried through alpha -> alpha/(alpha+1), so it is
-antisymmetric: its coefficient at lambda o pi is sgn(pi) times the one at
-lambda, and vanishes at repeated parts.  By the alternant identity
-a_delta s_nu = a_(nu+delta) (Macdonald, Symmetric Functions and Hall
-Polynomials, I.3) it is fixed by its coefficients at the strictly
-decreasing lambda = nu + delta, each an integer combination of the
-partition coefficients of the cached P at alpha cleared by h, substituted once.
+exponent, a partition.  Sym E_(kappaR) = stab(kappa) P_kappa, kappaR the
+increasing rearrangement (T. H. Baker and P. J. Forrester, q-alg/9707001),
+so build_P reads one chain and sums its packed ints by sorted exponent.
+S is the Vandermonde a_delta times P with its coefficients carried
+through alpha -> alpha/(alpha+1), so it is antisymmetric: its coefficient
+at lambda o pi is sgn(pi) times the one at lambda, and vanishes at
+repeated parts.  By the alternant identity a_delta s_nu = a_(nu+delta)
+(Macdonald, Symmetric Functions and Hall Polynomials, I.3) it is fixed by
+its coefficients at the strictly decreasing lambda = nu + delta, each an
+integer combination of the partition coefficients of the cached P at
+alpha cleared by h, substituted once.
 Moving a value to a rearranged exponent is a relabelling, or a
 relabelling and a sign, so the filled polynomial equals the one the full
 sums would give, coefficient for coefficient.  Results are cached by
@@ -48,10 +49,9 @@ import functools
 import itertools
 import math
 import operator
-from fractions import Fraction
 
 from . import combinat, scalars
-from .polyalg import MultiPoly, symmetrize
+from .polyalg import MultiPoly
 from .qalpha import AlphaRational, Factored, homogeneous_compose, poly_add, poly_mul, times_multiple
 
 _E_CACHE: dict = {}
@@ -75,6 +75,13 @@ def _packing(eta):
     n = len(eta)
     bits = math.prod(math.factorial(p + n) // math.factorial(n) for p in eta).bit_length()
     return bits, bits + (2 * max(eta) + 2 * n).bit_length()
+
+
+def _outside(eta, k):
+    """The bits of a value packed at 2^k outside [0, 2^L) in some digit, L
+    the bound of the chain under eta, up to the digit above alpha^|eta|."""
+    bits, digits = _packing(eta)[0], sum(eta) + 2
+    return ~(((1 << bits) - 1) * ((1 << k * digits) - 1) // ((1 << k) - 1))
 
 
 def _pack(poly, k):
@@ -101,8 +108,7 @@ def _integral(eta, exponents=None):
     label and then built back up, caching every label on it packed at the
     chain's K, or at the cached label's K when that is larger.  Only the
     terms returned are unpacked."""
-    bits, k = _packing(eta)
-    digits = sum(eta) + 2  # the alpha-degree of J_nu is at most |nu|
+    top, k = eta, _packing(eta)[1]
     chain = []  # (label, its first descent or 0 when weakly increasing), top first
     while eta not in _J_CACHE and any(eta):
         i = next((j for j in range(1, len(eta)) if eta[j - 1] > eta[j]), 0)
@@ -113,8 +119,7 @@ def _integral(eta, exponents=None):
     pending, k0, terms = _J_CACHE.get(eta) or _J_CACHE.setdefault(eta, (Factored(), k, {eta: 1}))
     k = max(k, k0) if chain else k0
     out = pending, k, {e: _pack(_unpack(c, k0), k) for e, c in terms.items()} if k0 < k else terms
-    # the bits of a packed value that lie outside [0, 2^L) in some digit
-    outside = ~(((1 << bits) - 1) * ((1 << k * digits) - 1) // ((1 << k) - 1))
+    outside = _outside(top, k)
     for eta, i in reversed(chain):
         out = _J_CACHE[eta] = _swap_step(out, eta, i, outside) if i else _raise_step(out, eta)
     pending, k, terms = out
@@ -182,55 +187,39 @@ def build_E(eta) -> MultiPoly:
 # the symmetric family
 # ---------------------------------------------------------------------------
 
-def _padded(kappa, n: int = None) -> tuple:
-    """kappa as a partition with exactly n parts (default: as given), padded
-    with zeros or cut of trailing zeros."""
-    kappa = combinat.as_partition(kappa)
-    if n is None:
-        return kappa
-    if any(kappa[n:]):
-        raise ValueError(f"partition {kappa} longer than N={n}")
-    return kappa[:n] + (0,) * (n - len(kappa))
-
-
 def build_P(kappa, n: int = None) -> MultiPoly:
-    """The monic symmetric polynomial
-    d'(kappa) * sum over rearrangements eta of E_eta / d'(eta)
-    = d'(kappa) * sum of J_eta / (d(eta) d'(eta)).
-    The sum runs in Z[alpha] on partition exponents only, the m-basis
-    coordinates, over the least common multiple of the factored
-    denominators; each sum is then made canonical as E is.  `_fill`
-    copies each coefficient to every rearrangement of its exponent, which
-    is exact because P is symmetric."""
-    kappa = _padded(kappa, n)
-    cached = _P_CACHE.get(kappa)
-    if cached is not None:
-        return cached
-    dominant = list(combinat.partitions(sum(kappa), len(kappa)))
-    parts = []  # (J_eta at partitions, d(eta) d'(eta) over the pending factors of J_eta)
-    for eta in combinat.rearrangements(kappa):
-        pending, terms = _integral(eta, dominant)
-        parts.append((terms, scalars.node_ratio(eta, ("d", "dp")) / pending))
-    common = Factored.lcm([den for _, den in parts])
-    sums = {}
-    for terms, den in parts:
-        cofactor = (common / den).poly()
-        for e, j in terms.items():
-            sums[e] = poly_add(sums.get(e, ()), poly_mul(j, cofactor))
-    # kappa is one of the eta, so d'(kappa) divides the common denominator
-    den = common / scalars.node_ratio(kappa, ("dp",))
-    out = _P_CACHE[kappa] = _fill(len(kappa), den.over(sums), signed=False)
+    """The monic symmetric polynomial Sym E_(kappaR) / stab(kappa), kappa
+    padded with zeros or cut of trailing zeros to n parts when n is given.
+    Sym f at a partition mu is stab(mu) times the sum of f over the
+    rearrangements of mu, so with J_(kappaR) held as packed ints times
+    `pending`, P at mu is stab(mu) times the sum of the ints at the e that
+    sort to mu, over stab(kappa) d_(kappaR) / pending.  No digit carries
+    into the next: every coefficient of J is in Z>=0[alpha], and at
+    alpha = 1 all add up to e(1) < 2^L <= 2^K, so no digit sum over any
+    subset of exponents reaches 2^K; a digit outside [0, 2^L) raises
+    ArithmeticError.  Each sum is unpacked once and made canonical as E is,
+    and `_fill` copies it to every rearrangement of its exponent."""
+    kappa = combinat.as_partition(kappa)
+    if n is not None:
+        if any(kappa[n:]):
+            raise ValueError(f"partition {kappa} longer than N={n}")
+        kappa = kappa[:n] + (0,) * (n - len(kappa))
+    out = _P_CACHE.get(kappa)
+    if out is None:
+        eta_r = combinat.reverse_partition(kappa)
+        _integral(eta_r, ())  # caches the chain and unpacks nothing
+        pending, k, terms = _J_CACHE[eta_r]
+        sums, outside = collections.Counter(), _outside(eta_r, k)
+        for e, c in terms.items():
+            sums[combinat.sort_to_partition(e)] += c
+        for mu, c in sums.items():
+            if c & outside:
+                raise ArithmeticError(f"P_{kappa}: the orbit sum at {mu} has a digit out of bounds")
+        stab = combinat.stabilizer_order
+        den = scalars.node_ratio(eta_r, ("d",), (), stab(kappa)) / pending
+        out = _P_CACHE[kappa] = _fill(len(kappa), den.over({mu: tuple(
+            stab(mu) * c for c in _unpack(s, k)) for mu, s in sums.items()}), signed=False)
     return out
-
-
-def build_P_sym_route(kappa, n: int = None) -> MultiPoly:
-    """Independent assembly: symmetrize E at the increasing rearrangement
-    and divide by the stabilizer order of the padded shape."""
-    kappa = _padded(kappa, n)
-    eta_r = combinat.reverse_partition(kappa)
-    f = symmetrize(build_E(eta_r))
-    stab = combinat.stabilizer_order(kappa)
-    return f.scale(AlphaRational.from_fraction(Fraction(1, stab)))
 
 
 # ---------------------------------------------------------------------------

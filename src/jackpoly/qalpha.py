@@ -348,16 +348,18 @@ class AlphaRational:
         return Fraction(n, d * q ** -shift)
 
     def substitute(self, image: "AlphaRational") -> "AlphaRational":
-        """Compose with alpha -> image, e.g. image = alpha/(alpha+1)."""
+        """Compose with a Moebius map alpha -> (p1 alpha + p0)/(q1 alpha + q0),
+        p1 q0 != p0 q1, such as alpha/(alpha+1); any other image raises
+        ValueError.  Such a map keeps a coprime num and den coprime, so only
+        the integer content is divided out, with no polynomial gcd."""
         p, q = image.num, image.den
+        (p0, p1), (q0, q1) = (p + (0, 0))[:2], (q + (0, 0))[:2]
+        if len(p) > 2 or len(q) > 2 or p1 * q0 == p0 * q1:
+            raise ValueError(f"alpha -> {image} is not a Moebius map")
         big = max(len(self.num), len(self.den)) - 1
-        if big < 0:
-            return ZERO
-        new_num = homogeneous_compose(self.num, p, q, big)
-        new_den = homogeneous_compose(self.den, p, q, big)
-        if not new_den:
-            raise ZeroDivisionError("substitution sends the denominator to zero")
-        return AlphaRational._raw(*_reduce(new_num, new_den))
+        num, den = (homogeneous_compose(f, p, q, big) for f in (self.num, self.den))
+        g = math.gcd(*num, *den) if den[-1] > 0 else -math.gcd(*num, *den)
+        return AlphaRational._raw(_exact_scale(num, g), _exact_scale(den, g))
 
     # -- presentation -------------------------------------------------------
 

@@ -24,7 +24,7 @@ from typing import Callable
 from . import combinat, jack, oracle, polyalg, scalars
 from .polyalg import (MultiPoly, antisymmetrize, apply_transposition, cherednik_apply,
                       d2_apply, divided_difference, scalar_ratio, symmetrize)
-from .qalpha import ONE, AlphaRational, Factored, times_multiple
+from .qalpha import ONE, AlphaRational, Factored, poly_add, poly_mul, times_multiple
 
 FIG2_SHAPE = (8, 7, 7, 4, 3, 3, 2, 1, 0)
 SOLVE_ALPHAS = (Fraction(2), Fraction(3), Fraction(7, 2))
@@ -415,12 +415,21 @@ def _P_witness(p, kappa):
 
 
 def _two_routes(kappa, n):
-    """The two assembly routes agree, and their value at all-ones matches
-    both scalar closed forms."""
+    """P, built from the one chain at the increasing rearrangement, times the
+    lcm L of the d_eta d'_eta is L d'(kappa) sum_eta J_eta / (d_eta d'_eta),
+    summed over every monomial of each J_eta; and P(1^N) matches both closed forms."""
     p = jack.build_P(kappa, n)
+    dens = {eta: scalars.node_ratio(eta, ("d", "dp")) for eta in combinat.rearrangements(kappa)}
+    lcm, total = Factored.lcm(list(dens.values())), {}
+    scale = lcm * scalars.node_ratio(kappa, ("dp",))
+    for eta, den in dens.items():
+        pending, terms = jack._integral(eta)
+        cofactor = (scale * pending / den).poly()
+        for e, c in terms.items():
+            total[e] = poly_add(total.get(e, ()), poly_mul(c, cofactor))
     ones = p.eval_ones()
-    return (_differ(f"kappa={kappa} N={n}: P vs Sym E / stab", p,
-                    jack.build_P_sym_route(kappa, n))
+    return (_differ(f"kappa={kappa} N={n}: L P vs d' sum L J/(d d')", _times(p, lcm.poly()),
+                    MultiPoly(n, {e: AlphaRational(c) for e, c in total.items()}))
             or _differ(f"kappa={kappa} N={n}: P(1^N) vs b/h", ones, scalars.eval_P_at_ones(kappa))
             or _differ(f"kappa={kappa} N={n}: P(1^N) vs N!/stab e/d", ones,
                        scalars.eval_P_at_ones_sym_route(kappa)))

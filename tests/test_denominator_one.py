@@ -6,7 +6,7 @@ and check the integral forms that make the clearing exact."""
 
 import pytest
 
-from jackpoly import combinat, jack, polyalg, qalpha, scalars, verify
+from jackpoly import cli, combinat, jack, polyalg, qalpha, scalars, verify
 from jackpoly.polyalg import MultiPoly
 
 # the rows that sum family terms over denominator 1, and the closed-form
@@ -25,9 +25,9 @@ def fresh_caches(monkeypatch):
     monkeypatch.setattr(jack, "_P_CACHE", {})
 
 
-def test_cleared_rows_take_no_polynomial_gcd(fresh_caches, monkeypatch):
-    """At the default bounds no row above calls qalpha._gcd with two
-    non-constant operands, the construction of E, P and S included."""
+def _polynomial_gcds(monkeypatch):
+    """The list of every later qalpha._gcd call with two non-constant
+    operands."""
     calls = []
     gcd = qalpha._gcd
 
@@ -37,12 +37,30 @@ def test_cleared_rows_take_no_polynomial_gcd(fresh_caches, monkeypatch):
         return gcd(a, b)
 
     monkeypatch.setattr(qalpha, "_gcd", counted)
+    return calls
+
+
+def test_cleared_rows_take_no_polynomial_gcd(fresh_caches, monkeypatch):
+    """At the default bounds no row above calls qalpha._gcd with two
+    non-constant operands, the construction of E, P and S included."""
+    calls = _polynomial_gcds(monkeypatch)
     for name in CLEARED_ROWS:
         result = verify.CHECKS[name](verify.Bounds())
         assert result.status == "pass", (name, result.witness)
         assert calls == [], (name, len(calls))
     # the wrapper does see the Q(alpha) sum the kernel rows no longer make
     assert _field_sum("E", 3, 2) and calls
+
+
+def test_shifted_pi_takes_no_polynomial_gcd(fresh_caches, monkeypatch, capsys):
+    """`expand pi --shifted` carries each coefficient through the Moebius
+    map alpha -> alpha/(alpha+1), which keeps a coprime pair coprime, so it
+    divides out only an integer content."""
+    calls = _polynomial_gcds(monkeypatch)
+    for extra in ([], ["--coeffs"], ["--format", "json"]):
+        assert cli.main(["expand", "pi", "--N", "3", "--deg", "3", "--shifted", *extra]) == 0
+        assert capsys.readouterr().out
+        assert calls == [], (extra, len(calls))
 
 
 def _field_sum(family, n, d):

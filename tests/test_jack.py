@@ -1,4 +1,3 @@
-import collections
 from fractions import Fraction
 
 import pytest
@@ -204,6 +203,20 @@ class TestIntegralChain:
         with pytest.raises(ArithmeticError, match=r"^J_\(2, 0\): .* digit outside"):
             jack._integral((2, 0))
 
+    def test_orbit_sum_digit_outside_the_bound_raises(self, monkeypatch):
+        # J_(0, 0, 2) is held with every digit 0 or 1, but its terms at
+        # (0, 1, 1) and (1, 0, 1) sum to 2 at the partition (1, 1, 0): with
+        # the digits bounded by 2^1 once its chain is cached, build_P fails
+        monkeypatch.setattr(jack, "_J_CACHE", {})
+        monkeypatch.setattr(jack, "_P_CACHE", {})
+        assert jack._integral((0, 0, 2))[1] == {(0, 0, 2): (1, 1), (0, 1, 1): (1,),
+                                                (1, 0, 1): (1,)}
+        packing = jack._packing
+        monkeypatch.setattr(jack, "_packing", lambda eta: (1, packing(eta)[1]))
+        with pytest.raises(ArithmeticError, match=r"^P_\(2, 0, 0\): the orbit sum at "
+                                                  r"\(1, 1, 0\) has a digit out of bounds$"):
+            jack.build_P((2, 0, 0))
+
     def test_packing_bound_holds_beyond_64_bits(self, monkeypatch):
         # J_(1, 30) has 107-bit coefficients and J_(1, 20) 61-bit ones; K is
         # chosen per label, and the chain of (1, 30) repacks the cached
@@ -229,11 +242,24 @@ class TestIntegralChain:
                     assert got[1] == {e: full[e] for e in exponents if e in full}, eta
 
 
+def _chain(eta):
+    """The labels J_eta is built from, eta and the zero label included: a
+    descent is removed by a swap, and otherwise eta = Phi(nu) with
+    nu = (eta_N - 1, eta_1, ..., eta_(N-1))."""
+    out = [eta]
+    while any(eta):
+        i = next((j for j in range(1, len(eta)) if eta[j - 1] > eta[j]), 0)
+        eta = cb.swap_parts(eta, i) if i else (eta[-1] - 1,) + eta[:-1]
+        out.append(eta)
+    return out
+
+
 class TestReadTraffic:
-    """E and P read J only in the form they use: build_P unpacks J at
-    partition exponents alone, and one Factored.over call expands each
-    distinct leftover denominator once.  The labels are the first E label
-    of each E slot and every P label of the benchmark's compute-reach."""
+    """E and P read J only in the form they use: build_P walks the one
+    chain at the increasing rearrangement and unpacks one orbit sum per
+    partition, and one Factored.over call expands each distinct leftover
+    denominator once.  The labels are the first E label of each E slot
+    and every P label of the benchmark's compute-reach."""
 
     @pytest.fixture(autouse=True)
     def fresh_caches(self, monkeypatch):
@@ -244,21 +270,19 @@ class TestReadTraffic:
     @pytest.mark.parametrize("kappa", [(3, 2, 1, 1, 0), (4, 1, 1, 0, 0), (5, 2, 0, 0),
                                        (4, 1, 1, 1, 0), (4, 3, 1, 0), (5, 3, 0, 0)])
     def test_build_P_unpacks_only_partition_exponents(self, monkeypatch, kappa):
-        unpacked, unpack = collections.Counter(), jack._unpack
+        unpacked, unpack = [], jack._unpack
 
         def counted(x, k):
-            unpacked[x, k] += 1
+            unpacked.append(x)
             return unpack(x, k)
 
         monkeypatch.setattr(jack, "_unpack", counted)
         jack.build_P(kappa)
-        want, total = collections.Counter(), 0
-        for eta in cb.rearrangements(kappa):
-            _, k, terms = jack._J_CACHE[eta]
-            want.update((c, k) for e, c in terms.items() if cb.is_partition(e))
-            total += len(terms)
-        assert unpacked == want
-        assert 0 < sum(want.values()) < total / 4
+        assert set(jack._J_CACHE) == set(_chain(cb.reverse_partition(kappa)))
+        # E at the increasing rearrangement reaches every partition below kappa
+        below = [mu for mu in cb.partitions(sum(kappa), len(kappa))
+                 if cb.dominance_leq(mu, kappa)]
+        assert len(unpacked) == len(below)
 
     @pytest.mark.parametrize("eta", [(2, 4, 2, 0, 0), (4, 2, 0, 2, 0), (4, 2, 2, 0, 0),
                                      (4, 4, 0, 0, 0)])
@@ -289,6 +313,13 @@ class TestBuildP:
         for n in (2, 3):
             for kappa in cb.partitions_upto(5, n):
                 assert verify._two_routes(kappa, n) is None
+
+    @pytest.mark.parametrize("kappa", [(2, 1, 1, 0, 0, 0), (3, 2, 1, 0, 0, 0),
+                                       (2, 2, 1, 0, 0, 0, 0)])
+    def test_two_routes_beyond_five_variables(self, kappa):
+        # the one chain at kappaR against the rearrangement sum over every
+        # J_eta, at N = 6 and 7
+        assert verify._two_routes(kappa, len(kappa)) is None
 
     def test_symmetric_eigen_dominance(self):
         for n in (2, 3):
@@ -446,7 +477,9 @@ class TestDominantFill:
         full = jack._signed_perms
         monkeypatch.setattr(jack, "_signed_perms", lambda n: full(n)[:-1])
         witness = verify._two_routes((2, 1, 0), 3)
-        assert witness == "kappa=(2, 1, 0) N=3: P vs Sym E / stab: at (0, 1, 2): 0 != 1"
+        assert witness == ("kappa=(2, 1, 0) N=3: L P vs d' sum L J/(d d'): at (0, 1, 2): 0 != "
+                           "8*α^9 + 72*α^8 + 270*α^7 + 546*α^6 + 642*α^5 + 438*α^4 + 160*α^3"
+                           " + 24*α^2")
 
 
 class TestAsym:

@@ -1,15 +1,20 @@
 """The primitive pseudo-remainder sequence, the one gcd algorithm of
 `qalpha._gcd`, gives the canonical forms of the gcd-free construction."""
 
+from fractions import Fraction
+
 from jackpoly import combinat, jack, qalpha
+from jackpoly.polyalg import symmetrize
+from jackpoly.qalpha import AlphaRational
 from test_jack import _QALPHA_E, qalpha_chain_E
 
 
 def test_prs_gives_the_canonical_forms(monkeypatch):
-    """E by the Q(alpha) reference chain and P by symmetrizing E reduce
-    their sums through the PRS; every coefficient, for all labels with
-    N <= 3 and degree <= 4, is the same (num, den) pair as the one the
-    construction forms in Z[alpha] by exact division alone."""
+    """E by the Q(alpha) reference chain, and P as E at the increasing
+    rearrangement symmetrized over its stabilizer order, reduce their sums
+    through the PRS; every coefficient, for all labels with N <= 3 and
+    degree <= 4, is the same (num, den) pair as the one the construction
+    forms in Z[alpha] by exact division alone."""
     monkeypatch.setattr(jack, "_E_CACHE", {})
     monkeypatch.setattr(jack, "_J_CACHE", {})
     monkeypatch.setattr(jack, "_P_CACHE", {})
@@ -26,6 +31,8 @@ def test_prs_gives_the_canonical_forms(monkeypatch):
         for eta in combinat.compositions_upto(4, n):
             assert qalpha_chain_E(eta) == jack.build_E(eta), eta
         for kappa in combinat.partitions_upto(4, n):
-            assert jack.build_P_sym_route(kappa, n) == jack.build_P(kappa, n), kappa
+            sym = symmetrize(jack.build_E(combinat.reverse_partition(kappa)))
+            stab = Fraction(1, combinat.stabilizer_order(kappa))
+            assert sym.scale(AlphaRational.from_fraction(stab)) == jack.build_P(kappa, n), kappa
     _QALPHA_E.clear()
     assert calls  # the PRS really ran

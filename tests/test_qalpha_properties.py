@@ -12,8 +12,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from jackpoly.qalpha import (ONE, ZERO, AlphaRational, Factored, _gcd, _product,  # noqa: E402
-                             _sum, _trim, alpha_shift, over_linear, poly_mul, times_multiple)
+from jackpoly.qalpha import (ALPHA, ONE, ZERO, AlphaRational, Factored,  # noqa: E402
+                             _gcd, _product, _sum, _trim, alpha_shift, over_linear, poly_mul,
+                             times_multiple)
 
 given, settings = hypothesis.given, hypothesis.settings
 
@@ -189,6 +190,36 @@ def test_shifted_is_the_substitution(up, down, content):
     got = ratio.shifted().value()
     want = ratio.value().substitute(alpha_shift())
     assert (got.num, got.den) == (want.num, want.den)
+
+
+def _horner(poly, x):
+    """poly evaluated at x in Q(alpha), by field operations."""
+    out = ZERO
+    for c in reversed(poly):
+        out = out * x + c
+    return out
+
+
+# (p0, p1, q0, q1) of a Moebius map alpha -> (p1 alpha + p0)/(q1 alpha + q0)
+moebius = st.tuples(coeffs, coeffs, coeffs, coeffs).filter(lambda t: t[1] * t[2] != t[0] * t[3])
+
+
+@PROPERTY
+@given(elements, moebius)
+def test_substitute_is_the_field_composition(x, coefficients):
+    """x at a Moebius map is num over den evaluated there in Q(alpha),
+    whose sums and quotients reduce by the PRS."""
+    p0, p1, q0, q1 = coefficients
+    image = AlphaRational((p0, p1), (q0, q1))
+    got = x.substitute(image)
+    want = _horner(x.num, image) / _horner(x.den, image)
+    assert (got.num, got.den) == (want.num, want.den)
+
+
+@pytest.mark.parametrize("image", [AlphaRational(3), ALPHA * ALPHA, 1 / (ALPHA * ALPHA + 1)])
+def test_substitute_refuses_other_images(image):
+    with pytest.raises(ValueError, match="not a Moebius map"):
+        (ONE / (ALPHA + 1)).substitute(image)
 
 
 @PROPERTY

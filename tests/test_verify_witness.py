@@ -2,8 +2,8 @@
 with a witness that names the failing case and both values.
 
 Each case starts from empty construction caches, perturbs one input (a
-cached E or P, one scalar constant or node product, or one count of the
-integer Cauchy kernel), runs the row at small bounds and reads the witness.
+cached E, J or P, one scalar constant or node product, or one count of
+the integer Cauchy kernel), runs the row at small bounds and reads the witness.
 """
 
 import ast
@@ -29,6 +29,16 @@ def _cached_E(eta):
 def _cached_P(kappa):
     def perturb(monkeypatch):
         monkeypatch.setitem(jack._P_CACHE, kappa, verify._corrupt(jack.build_P(kappa)))
+    return perturb
+
+
+def _cached_J(eta):
+    """Add 1 at alpha^0 to the packed J at eta's lowest monomial."""
+    def perturb(monkeypatch):
+        jack._integral(eta)
+        pending, k, terms = jack._J_CACHE[eta]
+        e = min(terms)
+        monkeypatch.setitem(jack._J_CACHE, eta, (pending, k, {**terms, e: terms[e] + 1}))
     return perturb
 
 
@@ -126,6 +136,10 @@ PERTURBED = [pytest.param(*row, id=row[0]) for row in ROWS] + [
     # a term of E_(0, 1) above its label, outside its triangular support
     pytest.param("omega.pairing-diagonal", _cached_plus("E", (0, 1), (1, 0), ALPHA),
                  "eta=(1, 0) N=2", id="omega.pairing-diagonal-above-label"),
+    # J at (1, 0), which build_P_(1, 0) does not read, since it walks the
+    # chain at (0, 1): only the rearrangement sum of the second route sees it
+    pytest.param("P.two-routes", _cached_J((1, 0)), "kappa=(1, 0) N=2",
+                 id="P.two-routes-J-off-the-chain"),
     # a monomial of P at a non-partition exponent, which is no label
     pytest.param("pi.v-stability", _cached_plus("P", (1, 0), (0, 1), ALPHA),
                  "kappa=(1, 0) N=2", id="pi.v-stability-non-partition"),
