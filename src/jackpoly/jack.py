@@ -52,7 +52,8 @@ import operator
 
 from . import combinat, scalars
 from .polyalg import MultiPoly
-from .qalpha import AlphaRational, Factored, homogeneous_compose, poly_add, poly_mul, times_multiple
+from .qalpha import (AlphaRational, Factored, homogeneous_compose, pack, poly_add, poly_mul,
+                     times_multiple, unpack)
 
 _E_CACHE: dict = {}
 _J_CACHE: dict = {}
@@ -84,30 +85,22 @@ def _outside(eta, k):
     return ~(((1 << bits) - 1) * ((1 << k * digits) - 1) // ((1 << k) - 1))
 
 
-def _pack(poly, k):
-    """The int tuple poly at alpha = 2^k."""
-    return sum(c << k * i for i, c in enumerate(poly))
-
-
-def _unpack(x, k):
-    """The digits of x >= 0 in base 2^k, lowest first: its int tuple."""
-    mask, out = (1 << k) - 1, []
-    while x:
-        out.append(x & mask)
-        x >>= k
-    return tuple(out)
-
-
-def _integral(eta, exponents=None):
+def _integral(eta):
     """J_eta = d_eta E_eta as (pending, terms): terms is {exponent: int
-    tuple of Z[alpha]}, at `exponents` only when given, and J is terms times
-    the Factored product `pending`, the raising factors not yet multiplied in.
+    tuple of Z[alpha]}, and J is terms times the Factored product
+    `pending`, the raising factors not yet multiplied in.  Every digit of J
+    lies in [0, 2^L) with L < K, so its balanced digits are its plain ones."""
+    pending, k, terms = _packed_integral(eta)
+    return pending, {e: unpack(c, k) for e, c in terms.items()}
+
+
+def _packed_integral(eta):
+    """J_eta as (pending, K, {exponent: int at alpha = 2^K}), cached.
 
     Each label comes from exactly one predecessor by one raising or swap
     step, so the chain of predecessors is walked down to a cached or zero
     label and then built back up, caching every label on it packed at the
-    chain's K, or at the cached label's K when that is larger.  Only the
-    terms returned are unpacked."""
+    chain's K, or at the cached label's K when that is larger."""
     top, k = eta, _packing(eta)[1]
     chain = []  # (label, its first descent or 0 when weakly increasing), top first
     while eta not in _J_CACHE and any(eta):
@@ -118,14 +111,11 @@ def _integral(eta, exponents=None):
         eta = combinat.swap_parts(eta, i) if i else (eta[-1] - 1,) + eta[:-1]
     pending, k0, terms = _J_CACHE.get(eta) or _J_CACHE.setdefault(eta, (Factored(), k, {eta: 1}))
     k = max(k, k0) if chain else k0
-    out = pending, k, {e: _pack(_unpack(c, k0), k) for e, c in terms.items()} if k0 < k else terms
+    out = pending, k, {e: pack(unpack(c, k0), k) for e, c in terms.items()} if k0 < k else terms
     outside = _outside(top, k)
     for eta, i in reversed(chain):
         out = _J_CACHE[eta] = _swap_step(out, eta, i, outside) if i else _raise_step(out, eta)
-    pending, k, terms = out
-    if exponents is not None:
-        terms = {e: terms[e] for e in exponents if e in terms}
-    return pending, {e: _unpack(c, k) for e, c in terms.items()}
+    return out
 
 
 def _raise_step(j_nu, eta):
@@ -147,7 +137,7 @@ def _swap_step(j_mu, eta, i, outside):
     of J_mu are multiplied in first, packed.  A remainder, or a quotient
     with a bit in `outside`, raises ArithmeticError naming eta."""
     pending, k, terms = j_mu
-    scale = _pack(pending.poly(), k)
+    scale = pack(pending.poly(), k)
     if scale != 1:
         terms = {e: c * scale for e, c in terms.items()}
     j = i - 1
@@ -207,8 +197,7 @@ def build_P(kappa, n: int = None) -> MultiPoly:
     out = _P_CACHE.get(kappa)
     if out is None:
         eta_r = combinat.reverse_partition(kappa)
-        _integral(eta_r, ())  # caches the chain and unpacks nothing
-        pending, k, terms = _J_CACHE[eta_r]
+        pending, k, terms = _packed_integral(eta_r)
         sums, outside = collections.Counter(), _outside(eta_r, k)
         for e, c in terms.items():
             sums[combinat.sort_to_partition(e)] += c
@@ -218,7 +207,7 @@ def build_P(kappa, n: int = None) -> MultiPoly:
         stab = combinat.stabilizer_order
         den = scalars.node_ratio(eta_r, ("d",), (), stab(kappa)) / pending
         out = _P_CACHE[kappa] = _fill(len(kappa), den.over({mu: tuple(
-            stab(mu) * c for c in _unpack(s, k)) for mu, s in sums.items()}), signed=False)
+            stab(mu) * c for c in unpack(s, k)) for mu, s in sums.items()}), signed=False)
     return out
 
 

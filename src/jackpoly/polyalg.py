@@ -305,20 +305,21 @@ def divided_difference(f: MultiPoly, i: int, p: int) -> MultiPoly:
 # the commuting first-order operators and the symmetric second-order one
 # ---------------------------------------------------------------------------
 
-def cherednik_apply(f: MultiPoly, i: int) -> MultiPoly:
+def cherednik_apply(f: MultiPoly, i: int, alpha=ALPHA) -> MultiPoly:
     """alpha z_i df/dz_i + sum_{p<i} z_i DD_ip f + sum_{p>i} z_p DD_ip f
-    + (1-i) f, where DD_ip is the divided difference for the pair."""
+    + (1-i) f, where DD_ip is the divided difference for the pair.  With
+    an int alpha and int coefficients it is the operator at that point."""
     n = f.nvars
     if not 1 <= i <= n:
         raise ValueError(f"operator index {i} out of range for N={n}")
-    out = degree_scale(f, i).scale(ALPHA)
+    out = degree_scale(f, i).scale(alpha)
     for p in range(1, n + 1):
         if p == i:
             continue
         dd = divided_difference(f, i, p)
         out = out + mul_variable(dd, i if p < i else p)
     if i > 1:
-        out = out + f.scale(AlphaRational.from_fraction(1 - i))
+        out = out + f.scale(1 - i)
     return out
 
 
@@ -326,10 +327,13 @@ def is_symmetric(f: MultiPoly) -> bool:
     return all(apply_transposition(f, i, i + 1) == f for i in range(1, f.nvars))
 
 
-def d2_apply(f: MultiPoly) -> MultiPoly:
-    """The second-order symmetric eigenoperator: sum_j z_j^2 d^2/dz_j^2 plus
-    (2/alpha) sum over pairs of (z_j^2 d_j - z_k^2 d_k)/(z_j - z_k), defined
-    on symmetric input where every pair term is again a polynomial."""
+def d2_apply(f: MultiPoly, alpha=ALPHA) -> MultiPoly:
+    """alpha times the second-order symmetric eigenoperator:
+    alpha sum_j z_j^2 d^2/dz_j^2 plus 2 sum over pairs of
+    (z_j^2 d_j - z_k^2 d_k)/(z_j - z_k), defined on symmetric input where
+    every pair term is again a polynomial, so it keeps Z[alpha]
+    coefficients in Z[alpha].  With an int alpha and int coefficients it is
+    the operator at that point."""
     n = f.nvars
     if not is_symmetric(f):
         raise ValueError("d2_apply requires a symmetric polynomial")
@@ -339,13 +343,12 @@ def d2_apply(f: MultiPoly) -> MultiPoly:
         for k in e:
             w += k * (k - 1)
         if w:
-            out[e] = c * w
+            out[e] = c * (alpha * w)
     acc = MultiPoly._raw(n, out)
-    two_over_alpha = AlphaRational.from_fraction(2) / ALPHA
     for j in range(1, n):
         g = mul_variable(degree_scale(f, j), j)
         for k in range(j + 1, n + 1):
-            acc = acc + divided_difference(g, j, k).scale(two_over_alpha)
+            acc = acc + divided_difference(g, j, k).scale(2)
     return acc
 
 
@@ -389,11 +392,12 @@ def monomial_symmetric(kappa, n: int) -> MultiPoly:
 
 def scalar_ratio(f: MultiPoly, g: MultiPoly):
     """(f_e, g_e) at the leading monomial e of g when f == (f_e / g_e) g,
-    else None, decided as f g_e == g f_e: over denominator 1, with no gcd."""
+    else None, decided as f g_e == g f_e: over denominator 1, with no gcd,
+    and for int coefficients at a point too."""
     if not g:
         raise ZeroDivisionError("ratio against the zero polynomial")
     e, g_e = g.lead_term()
-    f_e = f.coeff(e)
+    f_e = f.terms.get(e, 0)
     return (f_e, g_e) if f.scale(g_e) == g.scale(f_e) else None
 
 

@@ -31,6 +31,8 @@ tuples: `Factored.over` makes a batch of Z[alpha] numerators over a
 factored denominator canonical by exact division alone, one linear
 factor at a time; `times_multiple` clears a denominator the same way, and
 `homogeneous_compose` carries a numerator through alpha -> alpha/(alpha+1).
+`pack` and `unpack` hold an element of Z[alpha] as one int, its value at
+alpha = 2^k, and read it back by balanced digits.
 
 Evaluation at a rational point p/q stays in ints until one final
 `Fraction`: numerator and denominator are evaluated homogeneously, as
@@ -440,6 +442,26 @@ def over_linear(p, a, b):
         q[k - 1] = c
         carry = b * c
     return tuple(q) if p[0] == carry else None
+
+
+def pack(poly, k):
+    """The int tuple poly at alpha = 2^k (Kronecker substitution: J. von
+    zur Gathen and J. Gerhard, Modern Computer Algebra, 8.4)."""
+    return sum(c << k * i for i, c in enumerate(poly))
+
+
+def unpack(x, k):
+    """The int tuple of the balanced base-2^k digits of x, each in
+    [-2^(k-1), 2^(k-1)), lowest first, k >= 2: the one tuple with
+    coefficients in that range whose pack at k is x."""
+    half, out = 1 << k - 1, []
+    while x:
+        d = x & ((1 << k) - 1)
+        x >>= k
+        if d >= half:
+            d, x = d - (1 << k), x + 1
+        out.append(d)
+    return tuple(out)
 
 
 class Factored:

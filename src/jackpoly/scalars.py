@@ -67,18 +67,25 @@ def u_eta(eta) -> AlphaRational:
     return node_ratio(eta, ("dp",), ("d",)).value()
 
 
+def P_at_ones_forms(kappa) -> tuple:
+    """The value of the symmetric polynomial at z = (1, ..., 1) in its two
+    closed forms, factored: b/h, and through the increasing rearrangement
+    N!/stab(kappa) e/d, where stab is the full frequency factorial with
+    zero parts included (the zero rows of the padded shape carry no diagram
+    nodes, so their permutations must be divided out here)."""
+    c = Fraction(math.factorial(len(kappa)), combinat.stabilizer_order(kappa))
+    return (node_ratio(kappa, ("b",), ("h",)),
+            node_ratio(combinat.reverse_partition(kappa), ("e",), ("d",), c))
+
+
 def eval_P_at_ones(kappa) -> AlphaRational:
-    """Value of the symmetric polynomial at z = (1, ..., 1): b/h."""
-    return node_ratio(kappa, ("b",), ("h",)).value()
+    """P(1^N) = b/h."""
+    return P_at_ones_forms(kappa)[0].value()
 
 
 def eval_P_at_ones_sym_route(kappa) -> AlphaRational:
-    """Same value through the increasing rearrangement: N!/stab(kappa) e/d,
-    where stab is the full frequency factorial with zero parts included (the
-    zero rows of the padded shape carry no diagram nodes, so their
-    permutations must be divided out here)."""
-    c = Fraction(math.factorial(len(kappa)), combinat.stabilizer_order(kappa))
-    return node_ratio(combinat.reverse_partition(kappa), ("e",), ("d",), c).value()
+    """The same value as N!/stab(kappa) e/d."""
+    return P_at_ones_forms(kappa)[1].value()
 
 
 def norm_ratio_P(kappa) -> AlphaRational:

@@ -8,6 +8,19 @@ limits, counts the cases, stops at the first witness, and reports the
 effective bounds, the number of cases and every bound a limit cut
 (`clamped`).  Checks are independent of one another and may run in
 parallel worker processes.
+
+The eigen, kernel, binomial and asym rows and P.two-routes compare their
+cleared identities, which lie in Z[alpha], at one point alpha = 2^K.  As
+l1(pq) <= l1(p) l1(q) and l1(p + q) <= l1(p) + l1(q) for
+l1(c) = sum |c_i|, a row bounds l1 of every coefficient of both sides by
+some B from the l1 norms of its cleared inputs alone, not from the
+identity; it takes 2^(K-1) > B (`_point`), packs each input once and
+forms both sides on ints.  Two elements of Z[alpha] with coefficients in
+(-2^(K-1), 2^(K-1)) and one value at 2^K are equal: at the lowest nonzero
+coefficient c_j of their difference, 2^(Kj) (c_j + 2^K m) = 0 would need
+2^K | c_j.  So the sides agree iff their ints do, and a witness prints
+the ints' balanced base-2^K digits, the sides' Z[alpha] values.  An input
+with a denominator is refused, with a witness that prints it.
 """
 
 from __future__ import annotations
@@ -24,7 +37,7 @@ from typing import Callable
 from . import combinat, jack, oracle, polyalg, scalars
 from .polyalg import (MultiPoly, antisymmetrize, apply_transposition, cherednik_apply,
                       d2_apply, divided_difference, scalar_ratio, symmetrize)
-from .qalpha import ONE, AlphaRational, Factored, poly_add, poly_mul, times_multiple
+from .qalpha import ONE, AlphaRational, Factored, format_poly, pack, times_multiple, unpack
 
 FIG2_SHAPE = (8, 7, 7, 4, 3, 3, 2, 1, 0)
 SOLVE_ALPHAS = (Fraction(2), Fraction(3), Fraction(7, 2))
@@ -179,24 +192,28 @@ class Check:
                 witness = self.test(*case)
                 if witness is not None:
                     return result("fail", witness, cases)
+        except _Refused as exc:
+            return result("fail", str(exc), cases)
         except Exception as exc:  # a crash is a failing check, not a crash of the run
             return result("fail", f"exception: {exc!r}", cases)
         return result("pass", cases=cases)
 
 
-def _differ(label, got, want):
+def _differ(label, got, want, k=None):
     """The witness for got != want, or None.  Polynomials, kernels and
     coefficient dicts are named by the first differing monomial in sorted
     order with both coefficients there (0 for an absent one); scalars by
-    both values.  Nothing is formatted when the two agree."""
+    both values.  With k the values are ints at alpha = 2^k, printed as
+    their balanced digits.  Nothing is formatted when the two agree."""
     if got == want:
         return None
     if isinstance(got, MultiPoly):
         got, want = got.terms, want.terms
+    show = str if k is None else lambda v: format_poly(unpack(v, k))
     if isinstance(got, dict):
-        key = min(k for k in got.keys() | want.keys() if got.get(k, 0) != want.get(k, 0))
-        return f"{label}: at {key}: {got.get(key, 0)} != {want.get(key, 0)}"
-    return f"{label}: {got} != {want}"
+        key = min(e for e in got.keys() | want.keys() if got.get(e, 0) != want.get(e, 0))
+        return f"{label}: at {key}: {show(got.get(key, 0))} != {show(want.get(key, 0))}"
+    return f"{label}: {show(got)} != {show(want)}"
 
 
 def _first(witnesses):
@@ -204,23 +221,55 @@ def _first(witnesses):
     return next(filter(None, witnesses), None)
 
 
-def _multiple(label, f, g):
+def _multiple(label, f, g, k=None):
     """((f_e, g_e), None) when f == (f_e/g_e) g, read at the leading
     monomial e of g, else (None, witness): the witness names where f
-    differs from g scaled by that ratio.  A multiple divides nothing."""
+    differs from g scaled by that ratio.  A multiple divides nothing.
+    With k, f and g hold ints at alpha = 2^k, decoded for the witness."""
     ratio = scalar_ratio(f, g)
     if ratio is not None:
         return ratio, None
+    if k is not None:
+        f, g = (h.map_coeff(lambda c: AlphaRational(unpack(c, k))) for h in (f, g))
     e, lead = g.lead_term()
     return None, _differ(label, f, g.scale(f.coeff(e) / lead))
 
 
-def _ratio_witness(label, num, den, want):
+def _ratio_witness(label, num, den, want, k=None):
     """The witness unless num/den == want, decided as
-    num want.den == den want.num: over denominator 1 no gcd is taken."""
-    if num * AlphaRational(want.den) == den * AlphaRational(want.num):
+    num want.den == den want.num: over denominator 1 no gcd is taken.
+    With k, num and den are ints at alpha = 2^k."""
+    at = AlphaRational if k is None else lambda p: pack(p, k)
+    if num * at(want.den) == den * at(want.num):
         return None
+    if k is not None:
+        num, den = AlphaRational(unpack(num, k)), AlphaRational(unpack(den, k))
     return _differ(label, num / den, want)
+
+
+class _Refused(ArithmeticError):
+    """A cleared input outside Z[alpha]; its message is the row's witness."""
+
+
+def _point(label, bound, *fs):
+    """K with 2^(K-1) > bound and K >= 2, then each f over Z[alpha] with
+    its coefficients packed at alpha = 2^K; a coefficient with a
+    denominator raises _Refused, naming the first such monomial."""
+    for f in fs:
+        if bad := [e for e, c in f.terms.items() if c.den != (1,)]:
+            raise _Refused(f"{label}: at {min(bad)}: {f.terms[min(bad)]} not in Z[α]")
+    k = max(2, bound.bit_length() + 1)
+    return (k, *(MultiPoly._raw(f.nvars, {e: pack(c.num, k) for e, c in f.terms.items()})
+                 for f in fs))
+
+
+def _l1(p):
+    """sum |p_i| of an int tuple p; _norms(f) is l1 of each coefficient."""
+    return sum(map(abs, p))
+
+
+def _norms(f):
+    return [_l1(c.num) for c in f.terms.values()]
 
 
 def _times(f, p):
@@ -310,17 +359,29 @@ _EIGEN = dict(ns=(2, 4), deg=(0, 5), caps={4: 3})
 
 
 def _E_witness(f, eta):
-    """The joint eigen-equations of f at the eigenvalues of eta, then monic
-    triangularity: coefficient 1 at eta and every other monomial below it.
-    The eigen-equations are checked on g = d_eta f, so that neither the
-    scale nor applying xi_i reduces anything; a nonzero multiple leaves the
-    verdict unchanged."""
-    bars = combinat.eigenvalue_vector(eta)
-    g = _integral("E", eta, f)
-    return (_first(_differ(f"eta={eta}: xi_{i} dE vs eigenvalue * dE",
-                           cherednik_apply(g, i), g.scale(bars[i - 1]))
-                   for i in range(1, len(eta) + 1))
+    """The joint eigen-equations of f at the eigenvalues of eta, checked on
+    g = d_eta f at one point, then monic triangularity: coefficient 1 at
+    eta and every other monomial below it."""
+    return (_eigen_witness(_integral("E", eta, f), eta)
             or _monic_below(f"eta={eta}", f, eta, lambda e: combinat.composition_lt(e, eta)))
+
+
+def _xi_bound(g, eta):
+    """xi_i maps z^e, |e| <= D, to a sum of l1 at most N D + N (alpha e_i,
+    N - 1 divided differences of at most D terms, 1 - i), eigenvalue_i has
+    l1 at most |eta| + N: with D the largest of |eta| and the degrees of g,
+    N (D + 1) times l1(g) summed over g bounds both sides."""
+    return len(eta) * (max(sum(eta), *map(sum, g.terms)) + 1) * sum(_norms(g))
+
+
+def _eigen_witness(g, eta):
+    label = f"eta={eta}: xi_%d dE vs eigenvalue * dE"
+    try:
+        k, g = _point(label % 1, _xi_bound(g, eta), g)
+    except _Refused as exc:  # the controls and the tests call this outside the runner
+        return str(exc)
+    return _first(_differ(label % i, cherednik_apply(g, i, 1 << k), g.scale((ej << k) - c), k)
+                  for i, (ej, c) in enumerate(combinat.eigenvalue_offsets(eta), start=1))
 
 
 def _integral_witness(eta, f):
@@ -405,11 +466,17 @@ def _multiply_back(f, i, p):
 
 
 def _P_witness(p, kappa):
-    """Symmetry, the eigen-equation of the second-order operator, and monic
-    dominance triangularity of the monomial expansion at kappa."""
+    """Symmetry, the eigen-equation of alpha D2 on g = h P at one point, and
+    monic dominance triangularity of the monomial expansion at kappa.
+    alpha D2 maps z^e, |e| <= D, to a sum of l1 at most
+    D^2 + 2 (N - 1) D (D + 1) <= 2 N (D + 1)^2, which times l1(g) summed
+    over g and at its largest bounds (alpha D2 g) g_e and g (alpha D2 g)_e."""
+    g, label = _integral("P", kappa, p), f"kappa={kappa}: α D2 hP vs c hP"
+    norms, deg = _norms(g), max(map(sum, g.terms))
+    k, g = _point(label, 2 * p.nvars * (deg + 1) ** 2 * sum(norms) * max(norms), g)
     return (_first(_differ(f"kappa={kappa}: s_{i} P vs P", apply_transposition(p, i, i + 1), p)
                    for i in range(1, p.nvars))
-            or _multiple(f"kappa={kappa}: D2 P vs c P", d2_apply(p), p)[1]
+            or _multiple(label, d2_apply(g, 1 << k), g, k)[1]
             or _monic_below(f"kappa={kappa}", p, kappa, lambda e: combinat.dominance_leq(
                 combinat.sort_to_partition(e), kappa)))
 
@@ -417,22 +484,30 @@ def _P_witness(p, kappa):
 def _two_routes(kappa, n):
     """P, built from the one chain at the increasing rearrangement, times the
     lcm L of the d_eta d'_eta is L d'(kappa) sum_eta J_eta / (d_eta d'_eta),
-    summed over every monomial of each J_eta; and P(1^N) matches both closed forms."""
+    summed over every monomial of each J_eta; and (h P)(1^N) is h times
+    each closed form of P(1^N), Factored.  At one point, the sum bounded by
+    l1 of each cofactor times the largest l1 of its J."""
     p = jack.build_P(kappa, n)
     dens = {eta: scalars.node_ratio(eta, ("d", "dp")) for eta in combinat.rearrangements(kappa)}
-    lcm, total = Factored.lcm(list(dens.values())), {}
+    lcm = Factored.lcm(list(dens.values()))
     scale = lcm * scalars.node_ratio(kappa, ("dp",))
-    for eta, den in dens.items():
-        pending, terms = jack._integral(eta)
-        cofactor = (scale * pending / den).poly()
-        for e, c in terms.items():
-            total[e] = poly_add(total.get(e, ()), poly_mul(c, cofactor))
-    ones = p.eval_ones()
-    return (_differ(f"kappa={kappa} N={n}: L P vs d' sum L J/(d d')", _times(p, lcm.poly()),
-                    MultiPoly(n, {e: AlphaRational(c) for e, c in total.items()}))
-            or _differ(f"kappa={kappa} N={n}: P(1^N) vs b/h", ones, scalars.eval_P_at_ones(kappa))
-            or _differ(f"kappa={kappa} N={n}: P(1^N) vs N!/stab e/d", ones,
-                       scalars.eval_P_at_ones_sym_route(kappa)))
+    routes = [((scale * pending / dens[eta]).poly(), terms)
+              for eta in dens for pending, terms in [jack._integral(eta)]]
+    h, label = scalars.node_ratio(kappa, ("h",)), f"kappa={kappa} N={n}"
+    closed = {name: (h * form).poly() for name, form in zip(
+        ("b/h", "N!/stab e/d"), scalars.P_at_ones_forms(kappa))}
+    lp, hp = _times(p, lcm.poly()), _integral("P", kappa, p)
+    k, lp, hp = _point(label, max(*_norms(lp), sum(_norms(hp)), *map(_l1, closed.values()), sum(
+        _l1(c) * max(map(_l1, terms.values())) for c, terms in routes)), lp, hp)
+    total = {}
+    for c, terms in routes:
+        c = pack(c, k)
+        for e, t in terms.items():
+            total[e] = total.get(e, 0) + c * pack(t, k)
+    return (_differ(f"{label}: L P vs d' sum L J/(d d')", lp.terms,
+                    {e: c for e, c in total.items() if c}, k)
+            or _first(_differ(f"{label}: hP(1^N) vs h {name}", sum(hp.terms.values()),
+                              pack(form, k), k) for name, form in closed.items()))
 
 
 def _P_stability(kappa, n):
@@ -500,18 +575,24 @@ def _asym_cases(s):
 
 def _asym(rho):
     """Asym E_rho vanishes for repeated parts, and is otherwise c * S_rho+
-    with c the resolved closed form.  Both are checked times d_rho over
-    denominator 1: Asym(d E) = c' d(rho+) S, and c' d(rho+)/d(rho) = c."""
-    a = antisymmetrize(_integral("E", rho, jack.build_E(rho)))
+    with c the resolved closed form.  Both are checked times d_rho at the
+    point: Asym(d E) = c' d(rho+) S, and c' d(rho+)/d(rho) = c.  A
+    coefficient of Asym(d E) sums N! coefficients of d E, signed."""
+    g = _integral("E", rho, jack.build_E(rho))
+    a_max = math.factorial(len(rho)) * max(_norms(g))
     if not combinat.has_distinct_parts(rho):
-        return _differ(f"rho={rho}: Asym d E vs 0", a, MultiPoly.zero(len(rho)))
-    rho_plus = combinat.sort_to_partition(rho)
-    ratio, witness = _multiple(f"rho={rho}: Asym d E vs c' d S", a,
-                               _integral("S", rho_plus, jack.build_S(rho_plus)))
+        label = f"rho={rho}: Asym d E vs 0"
+        k, g = _point(label, a_max, g)
+        return _differ(label, antisymmetrize(g), MultiPoly.zero(len(rho)), k)
+    rho_plus, label = combinat.sort_to_partition(rho), f"rho={rho}: Asym d E vs c' d S"
+    s, c = _integral("S", rho_plus, jack.build_S(rho_plus)), scalars.c_rho_resolved(rho)
+    d_plus, d_rho, s_max = scalars.const_d(rho_plus).num, scalars.const_d(rho).num, max(_norms(s))
+    k, g, s = _point(label, max(a_max * s_max, a_max * _l1(d_plus) * _l1(c.den),
+                                s_max * _l1(d_rho) * _l1(c.num)), g, s)
+    ratio, witness = _multiple(label, antisymmetrize(g), s, k)
     return witness or _ratio_witness(
         f"rho={rho}: measured c vs (-1)^(ascending pairs) d'(rho)/d'(rhoR)",
-        ratio[0] * scalars.const_d(rho_plus), ratio[1] * scalars.const_d(rho),
-        scalars.c_rho_resolved(rho))
+        ratio[0] * pack(d_plus, k), ratio[1] * pack(d_rho, k), c, k)
 
 
 def _du_expansion(ep, rho_plus):
@@ -572,36 +653,43 @@ def _norm_reconciliation(ep, rho_plus):
 # ---------------------------------------------------------------------------
 
 def _kernel_sum(family, n, d, at=None):
-    """M and a generator of (label, M f(x) f(y) / norm) over the degree-d
-    basis in n variables, over denominator 1.  With s = d (u = d'/d) for E
-    and s = h (v = d'/h) for P a term is (s f)(x) (s f)(y) / (s d'), and M
-    is the Factored lcm of every s d' and of d! alpha^d, the kernel's
-    denominator at x-degree d.  s and d' are read at at(label) (default:
-    the label).  Each term is formed when it is summed, one at a time."""
+    """M and {label: (c, s f)} over the degree-d basis in n variables, with
+    c = M / (s d') in Z[alpha], so that M sum f(x) f(y) / norm is the sum
+    of c (s f)(x) (s f)(y): s = d (u = d'/d) for E and s = h (v = d'/h)
+    for P, and M is the Factored lcm of every s d' and of d! alpha^d, the
+    kernel's denominator at x-degree d.  s and d' are read at at(label)
+    (default: the label)."""
     at = at or (lambda label: label)
     kind = "d" if family == "E" else "h"
     basis = _basis(family, n, d)
     dens = {label: scalars.node_ratio(at(label), (kind, "dp")) for label in basis}
     m = Factored.lcm([Factored([(1, 0)] * d, math.factorial(d)), *dens.values()])
-    cleared = ((label, _integral(family, at(label), f)) for label, f in basis.items())
-    return m, ((label, _times(g, (m / dens[label]).poly()).outer(g)) for label, g in cleared)
+    return m, {label: ((m / dens[label]).poly(), _integral(family, at(label), f))
+               for label, f in basis.items()}
 
 
 def _kernel_block(family, kernel, d, at=None):
-    """The residual of one kernel block, as the pair (M K_d, M S_d) of term
-    dicts over denominator 1, with no gcd: K_d holds the terms of x-degree d
-    of a truncated kernel in x_1..x_n, y_1..y_n, S_d the same block of
-    sum f(x) f(y) / norm (E with u_eta, P with v_kappa), and M is the
-    multiple of _kernel_sum, by which the kernel is cleared exactly."""
+    """The residual of one kernel block at one point, as (M K_d, M S_d, K):
+    K_d holds the terms of x-degree d of a truncated kernel in x_1..x_n,
+    y_1..y_n, S_d the same block of sum f(x) f(y) / norm (E with u_eta, P
+    with v_kappa), M is the multiple of _kernel_sum, by which the kernel is
+    cleared exactly, and both are int term dicts at alpha = 2^K.  A
+    coefficient of M K_d bounds itself, and one of M S_d is at most the sum
+    of l1(c) times the largest l1((s f)_e) squared."""
     n = kernel.nvars // 2
     m, terms = _kernel_sum(family, n, d, at)
-    total = {}
-    for _, term in terms:  # summed in place, as the cleared terms are large
-        for e, c in term.terms.items():
-            total[e] = total[e] + c if e in total else c
     p = m.poly()
-    return ({e: times_multiple(c, p) for e, c in kernel.terms.items() if sum(e[:n]) == d},
-            {e: c for e, c in total.items() if c})
+    block = MultiPoly._raw(2 * n, {e: times_multiple(c, p) for e, c in kernel.terms.items()
+                                   if sum(e[:n]) == d})
+    bound = max(max(_norms(block), default=0),
+                sum(_l1(c) * max(_norms(g)) ** 2 for c, g in terms.values()))
+    k, block, *gs = _point(f"N={n} D={d}: M K_d and cleared {family}", bound, block,
+                           *(g for _, g in terms.values()))
+    total = {}
+    for (c, _), g in zip(terms.values(), gs):  # summed in place, as the terms are large
+        for e, v in g.scale(pack(c, k)).outer(g).terms.items():
+            total[e] = total.get(e, 0) + v
+    return block.terms, {e: c for e, c in total.items() if c}, k
 
 
 def _decomposition(family, n, bound):
@@ -623,9 +711,10 @@ def _slice(label, block):
     K_d = sum f(x) f(y) / norm.  The union of the slices x^label over the
     labels of the block is that equality, so a row of slices checks the
     same statement as a diagonal pairing matrix, at every monomial; both
-    sides are taken times the same nonzero M, which slices alike."""
-    n = len(label)
-    return [{e: c for e, c in side.items() if e[:n] == label} for side in block]
+    sides are taken times the same nonzero M, which slices alike, at the
+    block's point."""
+    n, (*sides, k) = len(label), block
+    return [*({e: c for e, c in side.items() if e[:n] == label} for side in sides), k]
 
 
 def _omega_pairing_cases(s):
@@ -671,33 +760,43 @@ def _binomial(family, r, n, bound, r_side=None):
     over partitions (family P), with the scalar side at r_side (default r);
     d' is the paper's u d for E and v h for P.  Both sides are taken times
     M, the Factored lcm of q^|label| s d' with r_side = p/q and s = d for E,
-    h for P, and then sum over denominator 1.  Checking several rational r
-    certifies the identity in r by the degree bound."""
+    h for P, and compared at one point: the product side bounds itself, and
+    a coefficient of the sum is at most the sum of l1 of each cofactor times
+    the largest l1 of its s f.  Checking several rational r certifies the
+    identity in r by the degree bound."""
     r_side = r if r_side is None else r_side
     kind, q = ("d" if family == "E" else "h"), Fraction(r_side).denominator
     basis = {label: f for d in range(bound + 1) for label, f in _basis(family, n, d).items()}
     m = Factored.lcm([scalars.node_ratio(label, (kind, "dp"), (), q ** sum(label))
                       for label in basis])
-    rhs = MultiPoly.zero(n)
+    lhs, terms = _times(_binomial_product(r, n, bound), m.poly()), []
     for label, f in basis.items():
         c = m * scalars.binomial_ratio(r_side, label) / scalars.node_ratio(label, (kind,))
-        rhs = rhs + _times(_integral(family, label, f), c.poly())
-    return _differ(f"N={n} r={r}: prod (1-x_j)^-r vs sum over {family}",
-                   _times(_binomial_product(r, n, bound), m.poly()), rhs)
+        terms.append((c.poly(), _integral(family, label, f)))
+    label, rhs = f"N={n} r={r}: prod (1-x_j)^-r vs sum over {family}", MultiPoly.zero(n)
+    k, lhs, *gs = _point(label, max(max(_norms(lhs), default=0), sum(
+        _l1(c) * max(_norms(g)) for c, g in terms)), lhs, *(g for _, g in terms))
+    for (c, _), g in zip(terms, gs):
+        rhs = rhs + g.scale(pack(c, k))
+    return _differ(label, lhs, rhs, k)
 
 
 def _contingency(a, b, memo):
     """K[a, b], the coefficient of x^a y^b in prod_{j,k} (1 - x_j y_k)^(-1):
     the number of non-negative integer matrices with row sums a and column
-    sums b, 0 at a negative entry.  `memo` holds the counts made so far."""
+    sums b, 0 at a negative entry.  Permuting rows or columns permutes the
+    matrices, so `memo` holds the counts made so far by sorted margins, and
+    the smallest row is filled first."""
     if min(a) < 0 or min(b) < 0 or sum(a) != sum(b):
         return 0
     if len(a) == 1:
         return 1
-    if (a, b) not in memo:
-        memo[a, b] = sum(_contingency(a[1:], tuple(map(operator.sub, b, row)), memo)
-                         for row in combinat.compositions(a[0], len(b)))
-    return memo[a, b]
+    key = tuple(sorted(a)), tuple(sorted(b))
+    if key not in memo:
+        a, b = key
+        memo[key] = sum(_contingency(a[1:], tuple(map(operator.sub, b, row)), memo)
+                        for row in combinat.compositions(a[0], len(b)))
+    return memo[key]
 
 
 def _cauchy(n, bound):
@@ -819,6 +918,12 @@ def _controls(s):
     row that would see it."""
     e21 = jack.build_E((2, 1))
     yield "eigen", _E_witness(_corrupt(e21), (2, 1)) is not None
+    # alpha - 2^K0 vanishes at the point K0 of the unperturbed d E, so only a
+    # K taken from the perturbed input sees it
+    g = _integral("E", (2, 1), e21)
+    e, shift = min(g.terms), AlphaRational((-(1 << _point("", _xi_bound(g, (2, 1)))[0]), 1))
+    yield "kronecker", _eigen_witness(MultiPoly(2, {**g.terms, e: g.terms[e] + shift}),
+                                      (2, 1)) is not None
     lead_scaled = e21.scale(AlphaRational.from_fraction(2))
     yield "triangular", _E_witness(lead_scaled, (2, 1)) is not None
     yield "P-properties", _P_witness(_corrupt(jack.build_P((2, 1), 2)), (2, 1)) is not None
@@ -836,9 +941,11 @@ def _controls(s):
     yield "ct-norm", _ct(*norm) is not None
     yield "ct-orthogonality", _ct(*pair) is not None
 
-    block, total = _kernel_block("E", polyalg.omega_truncated(2, 2), 1)
-    doubled = (MultiPoly(4, total) + dict(_kernel_sum("E", 2, 1)[1])[(1, 0)]).terms  # one twice
-    yield "omega", _differ("omega", block, doubled) is not None
+    block, total, k = _kernel_block("E", polyalg.omega_truncated(2, 2), 1)
+    c, g = _kernel_sum("E", 2, 1)[1][(1, 0)]
+    g = MultiPoly._raw(2, {e: pack(v.num, k) for e, v in g.terms.items()})
+    doubled = (MultiPoly(4, total) + g.scale(pack(c, k)).outer(g)).terms  # one term twice
+    yield "omega", _differ("omega", block, doubled, k) is not None
     yield "binomial", _binomial("E", Fraction(2), 2, 2, r_side=Fraction(3)) is not None
 
     a = antisymmetrize(jack.build_E((2, 0)))
@@ -929,8 +1036,9 @@ CHECKS = {row.name: row for row in (
     Check("negative.controls", _controls,
           lambda label, detected: None if detected else f"undetected perturbation: {label}",
           ns=None, fixed={"perturbation": "+1 on one coefficient; E doubled (triangular), "
-                               "d' for d (integral-positive), one diagonal term twice "
-                               "(omega), a wrong r (binomial)"}),
+                               "d' for d (integral-positive), alpha - 2^K0 on one cleared "
+                               "coefficient (kronecker), one diagonal term twice (omega), "
+                               "a wrong r (binomial)"}),
 )}
 
 

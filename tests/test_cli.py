@@ -402,11 +402,12 @@ class TestGolden:
     truncated kernels) before the polynomial operators shared one
     accumulation helper, and the `expand` text digests while a kernel was
     still a two-sided container rather than one polynomial in 2N variables;
-    the `verify` digest when `negative.controls` came to name the four
-    perturbations that are not +1 on one coefficient (with its old wording
-    of that param, the report hashes to the digest taken when the
-    `E.integral-positive` row joined the registry).  Any change in canonical
-    form, term set, serialization or verdict shows here."""
+    the `verify` digest when `negative.controls` gained its thirteenth
+    control, alpha - 2^K0 on one cleared coefficient, and named it in its
+    perturbation param (every other row's report is unchanged since the
+    controls came to name the four perturbations that are not +1 on one
+    coefficient).  Any change in canonical form, term set, serialization or
+    verdict shows here."""
 
     @pytest.mark.parametrize("family, label, digest", [
         ("E", "2,1,0",
@@ -524,4 +525,4 @@ class TestGolden:
             del check["seconds"]
         blob = json.dumps(report, sort_keys=True).encode()
         assert hashlib.sha256(blob).hexdigest() == (
-            "35ee800555a5910584372ff04f94ddf1052c5f2e5543ddb5db148fde934b5d52")
+            "261a5e0ed6aa910e6f0536808f2bd3921fba98e2a8ab71c3871aa3fd9302ab76")

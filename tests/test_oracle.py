@@ -9,7 +9,7 @@ import pytest
 from jackpoly import combinat as cb
 from jackpoly import jack, oracle, polyalg, scalars, verify
 from jackpoly.polyalg import MultiPoly
-from jackpoly.qalpha import ALPHA, ONE, alpha_shift
+from jackpoly.qalpha import ALPHA, ONE, AlphaRational, alpha_shift, unpack
 
 F = Fraction
 
@@ -482,11 +482,17 @@ class TestGramSchmidt:
                             == jack.build_P(kappa, n).specialize(F(1, k)))
 
 
+def _decoded(block):
+    """Both sides of a _kernel_block, each int decoded at the block's point."""
+    *sides, k = block
+    return tuple({e: AlphaRational(unpack(c, k)) for e, c in side.items()} for side in sides)
+
+
 def _E_block(n, bound, d):
     """The degree-d block of the truncated Omega kernel and of its sum over
     the E basis, both times the block's multiple M, from the helper the
     kernel rows read."""
-    return verify._kernel_block("E", polyalg.omega_truncated(n, bound), d)
+    return _decoded(verify._kernel_block("E", polyalg.omega_truncated(n, bound), d))
 
 
 class TestSeriesExtraction:
@@ -514,7 +520,7 @@ class TestSeriesExtraction:
                 block, total = _E_block(n, bound, d)
                 assert block == total
                 for eta in cb.compositions(d, n):
-                    got, want = verify._slice(eta, (block, total))
+                    got, want, _ = verify._slice(eta, (block, total, None))
                     assert got and got == want
 
     def test_v_stability(self):
@@ -523,7 +529,7 @@ class TestSeriesExtraction:
         kernels = {n: polyalg.pi_truncated(n, 3) for n in (2, 3)}
         for d in range(4):
             for kernel in kernels.values():
-                block, total = verify._kernel_block("P", kernel, d)
+                block, total = _decoded(verify._kernel_block("P", kernel, d))
                 assert block == total
             for kappa in cb.partitions(d, 2):
                 assert scalars.v_kappa(kappa + (0,)) == scalars.v_kappa(kappa)

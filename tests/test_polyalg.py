@@ -149,7 +149,8 @@ class TestOperators:
     def test_d2(self):
         assert not pa.d2_apply(MP.one(2))
         f = _z(1, 2) + _z(2, 2)
-        assert pa.exact_scalar_ratio(pa.d2_apply(f), f) == 2 / A
+        # alpha D2, integral: 2 on the pair term of z1 + z2
+        assert pa.exact_scalar_ratio(pa.d2_apply(f), f) == 2
         # proportionality forces the known coefficient on the lower orbit
         m2 = pa.monomial_symmetric((2,), 2)
         m11 = pa.monomial_symmetric((1, 1), 2)

@@ -13,8 +13,8 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 from jackpoly.qalpha import (ALPHA, ONE, ZERO, AlphaRational, Factored,  # noqa: E402
-                             _gcd, _product, _sum, _trim, alpha_shift, over_linear, poly_mul,
-                             times_multiple)
+                             _gcd, _product, _sum, _trim, alpha_shift, over_linear, pack,
+                             poly_mul, times_multiple, unpack)
 
 given, settings = hypothesis.given, hypothesis.settings
 
@@ -354,3 +354,14 @@ def test_eval_at_raises_at_a_pole(den, alpha0):
 ])
 def test_eval_at_examples(num, den, alpha0, want):
     assert AlphaRational(num, den).eval_at(alpha0) == want
+
+
+@PROPERTY
+@given(st.integers(min_value=2, max_value=80), st.data())
+def test_pack_unpack_round_trip(k, data):
+    """A signed tuple with every coefficient in [-2^(k-1), 2^(k-1)) and no
+    trailing zero is the balanced base-2^k digits of its value at 2^k."""
+    half = 1 << k - 1
+    digits = st.lists(st.integers(min_value=-half, max_value=half - 1), max_size=8)
+    poly = _trim(data.draw(digits))
+    assert unpack(pack(poly, k), k) == poly

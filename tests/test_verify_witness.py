@@ -14,7 +14,7 @@ import pytest
 
 from jackpoly import jack, scalars, verify
 from jackpoly.polyalg import MultiPoly
-from jackpoly.qalpha import ALPHA, ONE, Factored
+from jackpoly.qalpha import ALPHA, ONE, AlphaRational, Factored
 
 BOUNDS = verify.Bounds(n_max=2, deg=1, ks=(1, 2), rs=(Fraction(1),))
 WORKLOADS = pathlib.Path(__file__).resolve().parent.parent / "jackbench" / "workloads.py"
@@ -143,6 +143,12 @@ PERTURBED = [pytest.param(*row, id=row[0]) for row in ROWS] + [
     # a monomial of P at a non-partition exponent, which is no label
     pytest.param("pi.v-stability", _cached_plus("P", (1, 0), (0, 1), ALPHA),
                  "kappa=(1, 0) N=2", id="pi.v-stability-non-partition"),
+    # alpha^(|eta| + 3), above the alpha-degree of d E: the l1 bound of the
+    # point takes K from the perturbed input, so both rows see it
+    pytest.param("E.eigen-triangular", _cached_plus("E", (1, 0), (0, 1), ALPHA ** 4),
+                 "eta=(1, 0)", id="E.eigen-triangular-high-power"),
+    pytest.param("omega.pairing-diagonal", _cached_plus("E", (1, 0), (0, 1), ALPHA ** 4),
+                 "eta=(1, 0) N=2", id="omega.pairing-diagonal-high-power"),
 ]
 
 
@@ -202,3 +208,33 @@ def test_integral_witness_names_each_failure(fresh_caches):
             == "eta=(1, 0): d E at (1, 0): α^2 above |eta|: 1 != 0")
     assert (verify._integral_witness((1, 0), -d_e)
             == "eta=(1, 0): d E at (0, 1): α^0 below 0: -1 != 1")
+
+
+@pytest.mark.parametrize("name, label", [
+    ("E.eigen-triangular", "eta=(1, 0): xi_1 dE vs eigenvalue * dE"),
+    ("omega.decomposition", "N=2 D=1: M K_d and cleared E"),
+    ("omega.pairing-diagonal", "N=2 D=1: M K_d and cleared E"),
+    ("binomial.nonsymmetric", "N=2 r=1: prod (1-x_j)^-r vs sum over E"),
+    ("asym.proportionality", "rho=(1, 0): Asym d E vs c' d S"),
+])
+def test_input_outside_Z_alpha_is_refused(fresh_caches, monkeypatch, name, label):
+    """A denominator that d does not clear leaves d E outside Z[alpha]: a
+    row that compares at one point refuses it, with a witness that prints
+    the value, denominator included, rather than read its numerator."""
+    _cached_plus("E", (1, 0), (1, 0), AlphaRational(1, (7, 1)))(monkeypatch)
+    witness = verify.CHECKS[name](BOUNDS).witness
+    assert witness == f"{label}: at (1, 0): (α^2 + 9*α + 8)/(α + 7) not in Z[α]", witness
+
+
+def test_kronecker_control_vanishes_at_the_unperturbed_point(monkeypatch):
+    """The kronecker control adds alpha - 2^K0 to d E, K0 the point of the
+    unperturbed d E: it is caught, and would not be were K taken before the
+    perturbation."""
+    g = verify._integral("E", (2, 1), jack.build_E((2, 1)))
+    bound = verify._xi_bound(g, (2, 1))
+    k0, e = verify._point("", bound)[0], min(g.terms)
+    bad = MultiPoly(2, {**g.terms, e: g.terms[e] + AlphaRational((-(1 << k0), 1))})
+    assert verify._eigen_witness(g, (2, 1)) is None
+    assert verify._eigen_witness(bad, (2, 1)) is not None
+    monkeypatch.setattr(verify, "_xi_bound", lambda g, eta: bound)
+    assert verify._eigen_witness(bad, (2, 1)) is None
