@@ -182,11 +182,18 @@ def node_stats(eta, i: int, j: int) -> DiagramNode:
     return DiagramNode(i, j, arm, arm_co, leg, leg_co)
 
 
-def diagram_nodes(eta):
-    """All nodes of the diagram, row by row."""
-    return [node_stats(eta, i, j)
-            for i in range(1, len(eta) + 1)
-            for j in range(1, eta[i - 1] + 1)]
+_NODES: dict = {}
+
+
+def diagram_nodes(eta) -> tuple:
+    """All nodes of the diagram, row by row, walked once per label and kept:
+    a node's statistics depend on the label alone, and a tuple of frozen
+    nodes cannot change, so a kept walk is the walk made again."""
+    eta = tuple(eta)
+    if eta not in _NODES:
+        _NODES[eta] = tuple(node_stats(eta, i, j) for i in range(1, len(eta) + 1)
+                            for j in range(1, eta[i - 1] + 1))
+    return _NODES[eta]
 
 
 # ---------------------------------------------------------------------------

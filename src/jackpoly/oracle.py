@@ -17,8 +17,9 @@ and works inside in ints, with one Fraction per output value:
   dot product and one division; ct_inner_product is its 1 x 1 case;
 * a linear-algebra construction of the non-symmetric polynomials at a
   specialized rational parameter p/q: the triangular ansatz and its
-  eigenvalues at alpha = 0 are built once per label; at each p/q the
-  operators and eigenvalues are scaled by q to ints, then come
+  eigenvalues at alpha = 0 are built once per label, and each operator
+  image of a monomial at alpha = 0 once per (monomial, operator); at each
+  p/q the operators and eigenvalues are scaled by q to ints, then come
   back-substitution along the ansatz over one common denominator and an
   exact int residual check of every eigen-equation;
 * Gram-Schmidt construction of the symmetric polynomials from monomial
@@ -287,6 +288,17 @@ def _solve_exact(rows, bars, comps, q):
 
 
 _ANSATZ_CACHE: dict = {}
+_IMAGE_CACHE: dict = {}
+
+
+def _image(nu, i):
+    """The alpha-free part of the i-th operator on z^nu, kept per (nu, i):
+    q times the operator at p/q is p nu_i on z^nu itself plus q times this
+    image, _q_xi_monomial at p/q = 0/1.  It depends on nu and i alone, and
+    its dict is never written, so a kept image is the image made again."""
+    if (nu, i) not in _IMAGE_CACHE:
+        _IMAGE_CACHE[nu, i] = _q_xi_monomial(nu, i, 0, 1)
+    return _IMAGE_CACHE[nu, i]
 
 
 def _ansatz(eta):
@@ -329,11 +341,14 @@ def solve_E_linear(eta, alpha0) -> dict:
     for i in range(1, n + 1):
         row = {}
         for nu in comps:
-            for mono, c in _q_xi_monomial(nu, i, p, q).items():
+            for mono, c in _image(nu, i).items():
                 if mono not in span:
                     raise ArithmeticError(
                         f"operator left the triangular span at {mono}")
-                row.setdefault(mono, {})[nu] = c
+                row.setdefault(mono, {})[nu] = q * c
+            if nu[i - 1]:
+                diag = row.setdefault(nu, {})
+                diag[nu] = diag.get(nu, 0) + p * nu[i - 1]
         rows.append(row)
     return _solve_exact(rows, bars_eta, comps, q)
 

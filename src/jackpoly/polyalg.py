@@ -8,8 +8,8 @@ vanishes; the variable relabelings (`apply_permutation`,
 terms without summing any.  Variable indices in the operator API are
 1-based to match diagram coordinates.  Coefficients are Q(alpha) elements;
 a truncated kernel in x_1..x_N, y_1..y_N is one MultiPoly in 2N variables,
-built in Z[alpha] and made canonical term by term over the Factored
-D! alpha^D, with no polynomial gcd.  The oracle keeps its Laurent data
+built in Z[alpha] (`kernel_numerators`, which verify reads) and made
+canonical over the Factored D! alpha^D, with no polynomial gcd.  The oracle keeps its Laurent data
 (negative exponents, Fraction coefficients) in plain dicts instead, and
 reads nothing of this module.  Text output writes each term with `term_text`
 and lays the list out with `qalpha.join_terms`, the one sign-joining rule
@@ -323,10 +323,6 @@ def cherednik_apply(f: MultiPoly, i: int, alpha=ALPHA) -> MultiPoly:
     return out
 
 
-def is_symmetric(f: MultiPoly) -> bool:
-    return all(apply_transposition(f, i, i + 1) == f for i in range(1, f.nvars))
-
-
 def d2_apply(f: MultiPoly, alpha=ALPHA) -> MultiPoly:
     """alpha times the second-order symmetric eigenoperator:
     alpha sum_j z_j^2 d^2/dz_j^2 plus 2 sum over pairs of
@@ -335,7 +331,7 @@ def d2_apply(f: MultiPoly, alpha=ALPHA) -> MultiPoly:
     coefficients in Z[alpha].  With an int alpha and int coefficients it is
     the operator at that point."""
     n = f.nvars
-    if not is_symmetric(f):
+    if any(apply_transposition(f, i, i + 1) != f for i in range(1, n)):
         raise ValueError("d2_apply requires a symmetric polynomial")
     out = {}
     for e, c in f.terms.items():
@@ -401,12 +397,6 @@ def scalar_ratio(f: MultiPoly, g: MultiPoly):
     return (f_e, g_e) if f.scale(g_e) == g.scale(f_e) else None
 
 
-def exact_scalar_ratio(f: MultiPoly, g: MultiPoly):
-    """The scalar c with f == c*g, or None: scalar_ratio, divided out."""
-    ratio = scalar_ratio(f, g)
-    return None if ratio is None else ratio[0] / ratio[1]
-
-
 # ---------------------------------------------------------------------------
 # truncated generating kernels
 # ---------------------------------------------------------------------------
@@ -430,24 +420,20 @@ def power_series(nvars: int, positions, coeffs) -> MultiPoly:
                              for m, c in enumerate(coeffs)})
 
 
-def _kernel(n: int, bound: int, diagonal: bool) -> MultiPoly:
-    """Truncation of prod_{j,k} (1 - x_j y_k)^(-1/alpha), times
-    prod_j (1 - x_j y_j)^(-1) when `diagonal`, to degree <= bound in x and
-    in y, held in x_1..x_n, y_1..y_n.
-
-    The product is taken on D! alpha^D K, D the x-degree of a term, which
-    lies in Z[alpha]: [1/alpha]_m / m! = prod_{i<m} (1 + i alpha) / (m! alpha^m),
+def kernel_numerators(n: int, bound: int, diagonal: bool) -> list:
+    """[D! alpha^D K_D for D <= bound] as {exponent: int tuple}, K_D the terms
+    of x-degree D of prod_{j,k} (1 - x_j y_k)^(-1/alpha), times
+    prod_j (1 - x_j y_j)^(-1) when `diagonal`, in x_1..x_n, y_1..y_n.  They
+    lie in Z[alpha]: [1/alpha]_m / m! = prod_{i<m} (1 + i alpha) / (m! alpha^m),
     so the series of (1 - x_j y_k)^(-1/alpha) becomes prod_{i<m} (1 + i alpha)
     and the geometric series m! alpha^m, and terms of x-degrees D1 and D2
-    multiply with the factor binom(D1 + D2, D1).  The terms of one x-degree
-    D are made canonical in one batch over the factored D! alpha^D, no gcd."""
+    multiply with the factor binom(D1 + D2, D1)."""
     if bound < 0:
         raise ValueError("truncation bound must be >= 0")
-    scale = [Factored([(1, 0)] * m, math.factorial(m)) for m in range(bound + 1)]
     rising = [Factored((i, 1) for i in range(m)).poly() for m in range(bound + 1)]
     factors = [(j, n + k, rising) for j in range(n) for k in range(n)]
     if diagonal:
-        geometric = [s.poly() for s in scale]
+        geometric = [(0,) * m + (math.factorial(m),) for m in range(bound + 1)]
         factors += [(j, n + j, geometric) for j in range(n)]
     terms = {(0,) * (2 * n): (1,)}
     for j, k, series in factors:
@@ -462,11 +448,17 @@ def _kernel(n: int, bound: int, diagonal: bool) -> MultiPoly:
                 v = poly_mul(poly_mul(c, series[m]), (math.comb(deg + m, m),))
                 out[key] = poly_add(out[key], v) if key in out else v
         terms = out
-    by_degree = [{} for _ in scale]
+    by_degree = [{} for _ in range(bound + 1)]
     for e, c in terms.items():
         by_degree[sum(e[:n])][e] = c
-    return MultiPoly._raw(2 * n, {e: v for s, block in zip(scale, by_degree)
-                                  for e, v in s.over(block).items()})
+    return by_degree
+
+
+def _kernel(n: int, bound: int, diagonal: bool) -> MultiPoly:
+    """kernel_numerators, each block made canonical over D! alpha^D, no gcd."""
+    return MultiPoly._raw(2 * n, {
+        e: v for d, block in enumerate(kernel_numerators(n, bound, diagonal))
+        for e, v in Factored([(1, 0)] * d, math.factorial(d)).over(block).items()})
 
 
 def pi_truncated(n: int, bound: int) -> MultiPoly:

@@ -249,14 +249,8 @@ class AlphaRational:
 
     # -- predicates ---------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.num
-
     def __bool__(self) -> bool:
         return bool(self.num)
-
-    def is_one(self) -> bool:
-        return self.num == (1,) and self.den == (1,)
 
     # -- arithmetic ---------------------------------------------------------
 

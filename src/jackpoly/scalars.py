@@ -127,11 +127,6 @@ def binomial_coeff(r, label) -> AlphaRational:
 # the antisymmetrization constant
 # ---------------------------------------------------------------------------
 
-def _check_distinct(rho):
-    if not combinat.has_distinct_parts(rho):
-        raise ValueError(f"{rho} has repeated parts")
-
-
 def c_rho(rho, form: str = "rearrangement") -> AlphaRational:
     """The proportionality constant relating the antisymmetrized E to the
     Vandermonde times a parameter-shifted P, in either closed form:
@@ -139,7 +134,8 @@ def c_rho(rho, form: str = "rearrangement") -> AlphaRational:
     the staircase-shifted shape at the substituted parameter.  Both carry
     the global sign (-1)^(N(N-1)/2); see c_rho_resolved for the sign
     convention this package's Asym/Vandermonde choices actually produce."""
-    _check_distinct(rho)
+    if not combinat.has_distinct_parts(rho):
+        raise ValueError(f"{rho} has repeated parts")
     n = len(rho)
     sign = -1 if (n * (n - 1) // 2) & 1 else 1
     if form == "rearrangement":

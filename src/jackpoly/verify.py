@@ -279,12 +279,24 @@ def _times(f, p):
     return f.map_coeff(lambda c: times_multiple(c, p))
 
 
+_INTEGRAL: dict = {}
+
+
 def _integral(family, label, f):
     """s f in Z[alpha] for the cached f = E, P or S and s = d, h or d(rho+):
     J = d E (F. Knop and S. Sahi, Invent. Math. 128, 1997), J = h P (I. G.
-    Macdonald, Symmetric Functions and Hall Polynomials, VI.10)."""
-    s = scalars.const_h(label) if family == "P" else scalars.const_d(label)
-    return _times(f, s.num)
+    Macdonald, Symmetric Functions and Hall Polynomials, VI.10).  Kept per
+    (family, label, id(f)) with f, whose id no other object takes while the
+    entry lives; polynomials are never mutated, so only f itself is served
+    the kept value, and a perturbed or rebuilt f is cleared afresh.  S is
+    built afresh on every call, so its f never comes back and is not kept."""
+    kept = _INTEGRAL.get((family, label, id(f)))
+    if kept is None:
+        s = scalars.const_h(label) if family == "P" else scalars.const_d(label)
+        kept = f, _times(f, s.num)
+        if family != "S":
+            _INTEGRAL[family, label, id(f)] = kept
+    return kept[1]
 
 
 def _monic_below(label, f, lead, below):
@@ -672,30 +684,31 @@ def _kernel_block(family, kernel, d, at=None):
     """The residual of one kernel block at one point, as (M K_d, M S_d, K):
     K_d holds the terms of x-degree d of a truncated kernel in x_1..x_n,
     y_1..y_n, S_d the same block of sum f(x) f(y) / norm (E with u_eta, P
-    with v_kappa), M is the multiple of _kernel_sum, by which the kernel is
-    cleared exactly, and both are int term dicts at alpha = 2^K.  A
-    coefficient of M K_d bounds itself, and one of M S_d is at most the sum
-    of l1(c) times the largest l1((s f)_e) squared."""
-    n = kernel.nvars // 2
+    with v_kappa), M is the multiple of _kernel_sum, and both are int term
+    dicts at alpha = 2^K.  M holds d! alpha^d, so M K_d is each numerator of
+    `kernel` (polyalg.kernel_numerators) times M / (d! alpha^d) in Z[alpha],
+    at most l1 of the one times l1 of the other; a coefficient of M S_d is
+    at most the sum of l1(c) times the largest l1((s f)_e) squared."""
+    n = len(next(iter(kernel[0]))) // 2
     m, terms = _kernel_sum(family, n, d, at)
-    p = m.poly()
-    block = MultiPoly._raw(2 * n, {e: times_multiple(c, p) for e, c in kernel.terms.items()
-                                   if sum(e[:n]) == d})
-    bound = max(max(_norms(block), default=0),
+    cofactor = (m / Factored([(1, 0)] * d, math.factorial(d))).poly()
+    bound = max(_l1(cofactor) * max(map(_l1, kernel[d].values()), default=0),
                 sum(_l1(c) * max(_norms(g)) ** 2 for c, g in terms.values()))
-    k, block, *gs = _point(f"N={n} D={d}: M K_d and cleared {family}", bound, block,
-                           *(g for _, g in terms.values()))
+    k, *gs = _point(f"N={n} D={d}: M K_d and cleared {family}", bound,
+                    *(g for _, g in terms.values()))
+    scale = pack(cofactor, k)
+    block = {e: pack(v, k) * scale for e, v in kernel[d].items()}
     total = {}
     for (c, _), g in zip(terms.values(), gs):  # summed in place, as the terms are large
         for e, v in g.scale(pack(c, k)).outer(g).terms.items():
             total[e] = total.get(e, 0) + v
-    return block.terms, {e: c for e, c in total.items() if c}, k
+    return block, {e: c for e, c in total.items() if c}, k
 
 
 def _decomposition(family, n, bound):
     """The kernel truncated at bound equals its sum over the family, one
     degree block at a time, each taken times its M (_kernel_block)."""
-    kernel = (polyalg.omega_truncated if family == "E" else polyalg.pi_truncated)(n, bound)
+    kernel = polyalg.kernel_numerators(n, bound, family == "E")
     name = "Omega vs sum E x E / u" if family == "E" else "Pi vs sum P x P / v"
     return _first(_differ(f"N={n} D={bound}: {name}", *_kernel_block(family, kernel, d))
                   for d in range(bound + 1))
@@ -722,7 +735,7 @@ def _omega_pairing_cases(s):
     kernel per swept N, and per degree one _kernel_block against the E
     basis."""
     for n in s.ns:
-        kernel = polyalg.omega_truncated(n, s.deg)
+        kernel = polyalg.kernel_numerators(n, s.deg, True)
         for d in range(s.deg + 1):
             block = _kernel_block("E", kernel, d)
             for eta in combinat.compositions(d, n):
@@ -736,7 +749,7 @@ def _v_stability_cases(s):
     _kernel_block against the P basis in N - 1 and in N variables.  The N
     block reads h and d' at the label in N - 1 variables where that label
     exists, so one v_kappa = d'/h serves both."""
-    kernels = {n: polyalg.pi_truncated(n, s.deg) for n in s.ns}
+    kernels = {n: polyalg.kernel_numerators(n, s.deg, False) for n in s.ns}
     for d in range(s.deg + 1):
         for n in s.ns[1:]:
             fewer = _kernel_block("P", kernels[n - 1], d)
@@ -941,7 +954,7 @@ def _controls(s):
     yield "ct-norm", _ct(*norm) is not None
     yield "ct-orthogonality", _ct(*pair) is not None
 
-    block, total, k = _kernel_block("E", polyalg.omega_truncated(2, 2), 1)
+    block, total, k = _kernel_block("E", polyalg.kernel_numerators(2, 2, True), 1)
     c, g = _kernel_sum("E", 2, 1)[1][(1, 0)]
     g = MultiPoly._raw(2, {e: pack(v.num, k) for e, v in g.terms.items()})
     doubled = (MultiPoly(4, total) + g.scale(pack(c, k)).outer(g)).terms  # one term twice
@@ -985,7 +998,7 @@ CHECKS = {row.name: row for row in (
     Check("divided-difference.multiply-back", _divided_difference_cases, _multiply_back,
           fixed={"trials": 4, "max-part": 3}),
     Check("P.symmetric-eigen-dominance", _partitions,
-          lambda kappa, n: _P_witness(jack.build_P(kappa, n), kappa), deg=(0, 5)),
+          lambda kappa, n: _P_witness(jack.build_P(kappa, n), kappa), ns=(2, 4), deg=(0, 5)),
     Check("P.two-routes", _partitions, _two_routes, deg=(0, 5)),
     Check("P.stability",
           lambda s: ((kappa, 3) for kappa in combinat.partitions_upto(s.deg, 2)),
@@ -1032,7 +1045,7 @@ CHECKS = {row.name: row for row in (
           _linear_solve, fixed={"alpha0": [str(a) for a in SOLVE_ALPHAS]}, **_EIGEN),
     Check("oracle.P-gram-schmidt",
           lambda s: ((kappa, n, k) for kappa, n in _partitions(s) for k in s.ks),
-          _gram_schmidt, deg=(0, 4), k=True),
+          _gram_schmidt, ns=(2, 4), deg=(0, 4), k=True),
     Check("negative.controls", _controls,
           lambda label, detected: None if detected else f"undetected perturbation: {label}",
           ns=None, fixed={"perturbation": "+1 on one coefficient; E doubled (triangular), "

@@ -63,6 +63,33 @@ def test_shifted_pi_takes_no_polynomial_gcd(fresh_caches, monkeypatch, capsys):
         assert calls == [], (extra, len(calls))
 
 
+# compute, constants and expand, with and without a point, json and text
+CLI_SWEEP = [
+    ["compute", "E", "2,0,1"], ["compute", "E", "1,2", "--N", "3", "--alpha", "3/2"],
+    ["compute", "P", "2,1", "--N", "3"], ["compute", "P", "3,1", "--N", "3", "--alpha", "2"],
+    ["compute", "S", "3,1,0"], ["compute", "S", "4,2", "--N", "3", "--alpha=-1/2"],
+    ["compute", "S", "4,1,0", "--format", "json"],
+    ["constants", "2,0,1", "--alpha", "5/2"], ["constants", "1,2", "--N", "3", "--format", "json"],
+    ["expand", "omega", "--N", "2", "--deg", "3", "--coeffs"],
+    ["expand", "omega", "--N", "2", "--deg", "2", "--format", "json"],
+    ["expand", "pi", "--N", "3", "--deg", "3", "--coeffs"],
+    ["expand", "pi", "--N", "2", "--deg", "3", "--shifted", "--coeffs"],
+    ["expand", "binomial", "--N", "3", "--deg", "3", "--r", "3/2"],
+]
+
+
+@pytest.mark.parametrize("argv", CLI_SWEEP, ids=" ".join)
+def test_cli_takes_no_polynomial_gcd(fresh_caches, monkeypatch, capsys, argv):
+    """Every value `compute`, `constants` and `expand` print is a closed
+    form, a construction or a kernel made canonical over a Factored
+    denominator, so none of them calls qalpha._gcd with two non-constant
+    operands."""
+    calls = _polynomial_gcds(monkeypatch)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out
+    assert calls == [], len(calls)
+
+
 def _field_sum(family, n, d):
     """sum f(x) f(y) / norm over the degree-d basis, in Q(alpha)."""
     norm = scalars.u_eta if family == "E" else scalars.v_kappa
@@ -72,12 +99,15 @@ def _field_sum(family, n, d):
 
 @pytest.mark.parametrize("family", ["E", "P"])
 def test_cleared_kernel_block_is_the_field_sum(family):
-    """At N <= 3 and D <= 3 both sides of the cleared block, divided by its
-    multiple M, are the kernel's degree-d terms and the Q(alpha) sum."""
+    """At N <= 3 and D <= 3 both sides of the cleared block, formed from the
+    kernel's Z[alpha] numerators and divided by its multiple M, are the
+    degree-d terms of the canonical kernel that `expand` prints and the
+    Q(alpha) sum."""
     for n in (2, 3):
         kernel = (polyalg.omega_truncated if family == "E" else polyalg.pi_truncated)(n, 3)
+        numerators = polyalg.kernel_numerators(n, 3, family == "E")
         for d in range(4):
-            block, total, k = verify._kernel_block(family, kernel, d)
+            block, total, k = verify._kernel_block(family, numerators, d)
             block, total = ({e: qalpha.AlphaRational(qalpha.unpack(c, k)) for e, c in side.items()}
                             for side in (block, total))
             m = verify._kernel_sum(family, n, d)[0].value()

@@ -295,12 +295,14 @@ class TestLinearSolve:
                 out[below] = out.get(below, 0) + 1
             return out
         monkeypatch.setattr(oracle, "_q_xi_monomial", perturbed)
+        monkeypatch.setattr(oracle, "_IMAGE_CACHE", {})
         with pytest.raises(ArithmeticError, match="fails at"):
             oracle.solve_E_linear(eta, F(2))
 
     def test_unseparated_monomial_raises(self, monkeypatch):
         # the diagonal at a monomial below the label replaced by the label's
-        # q-scaled eigenvalues: no operator can fix its coefficient
+        # eigenvalues at alpha0 = 2: no operator can fix its coefficient.
+        # The solve adds 2 mu_j to the alpha-free image, so that is taken off
         eta, mu = (1, 0, 2), (1, 1, 1)
         bars = cb.eigenvalue_ints(eta, 2, 1)
         xi = oracle._q_xi_monomial
@@ -308,9 +310,10 @@ class TestLinearSolve:
         def perturbed(exps, j, p, q):
             out = dict(xi(exps, j, p, q))
             if exps == mu:
-                out[mu] = bars[j - 1]
+                out[mu] = bars[j - 1] - 2 * mu[j - 1]
             return out
         monkeypatch.setattr(oracle, "_q_xi_monomial", perturbed)
+        monkeypatch.setattr(oracle, "_IMAGE_CACHE", {})
         with pytest.raises(ArithmeticError, match="separates"):
             oracle.solve_E_linear(eta, F(2))
 
@@ -492,7 +495,7 @@ def _E_block(n, bound, d):
     """The degree-d block of the truncated Omega kernel and of its sum over
     the E basis, both times the block's multiple M, from the helper the
     kernel rows read."""
-    return _decoded(verify._kernel_block("E", polyalg.omega_truncated(n, bound), d))
+    return _decoded(verify._kernel_block("E", polyalg.kernel_numerators(n, bound, True), d))
 
 
 class TestSeriesExtraction:
@@ -526,7 +529,7 @@ class TestSeriesExtraction:
     def test_v_stability(self):
         # Pi in 2 and in 3 variables is the sum of P x P / v, and v is one
         # value per partition, whatever its padding
-        kernels = {n: polyalg.pi_truncated(n, 3) for n in (2, 3)}
+        kernels = {n: polyalg.kernel_numerators(n, 3, False) for n in (2, 3)}
         for d in range(4):
             for kernel in kernels.values():
                 block, total = _decoded(verify._kernel_block("P", kernel, d))

@@ -37,23 +37,17 @@ def test_oracle_imports_neither_jack_nor_polyalg():
 
 
 def _count_kernel_builds(monkeypatch):
-    """Record the outermost calls to the two kernel builders (omega_truncated
-    itself calls pi_truncated)."""
-    calls, depth = [], [0]
+    """Record every build of a kernel's Z[alpha] numerators, by kernel: the
+    rows read polyalg.kernel_numerators, and omega_truncated and
+    pi_truncated call it too."""
+    calls = []
+    build = polyalg.kernel_numerators
 
-    def counting(name, build):
-        def counted(*args):
-            if not depth[0]:
-                calls.append(name)
-            depth[0] += 1
-            try:
-                return build(*args)
-            finally:
-                depth[0] -= 1
-        return counted
+    def counted(n, bound, diagonal):
+        calls.append("omega" if diagonal else "pi")
+        return build(n, bound, diagonal)
 
-    for name in ("omega_truncated", "pi_truncated"):
-        monkeypatch.setattr(polyalg, name, counting(name, getattr(polyalg, name)))
+    monkeypatch.setattr(polyalg, "kernel_numerators", counted)
     return calls
 
 
@@ -62,11 +56,11 @@ def test_omega_pairing_builds_one_kernel_per_N(monkeypatch):
     result = verify.CHECKS["omega.pairing-diagonal"](verify.Bounds())
     assert result.status == "pass", result.witness
     assert result.params["N"] == [2, 3, 4] and result.cases == 65
-    assert calls == ["omega_truncated"] * 3
+    assert calls == ["omega"] * 3
 
 
 def test_v_stability_builds_two_kernels(monkeypatch):
     calls = _count_kernel_builds(monkeypatch)
     result = verify.CHECKS["pi.v-stability"](verify.Bounds())
     assert result.status == "pass", result.witness
-    assert calls == ["pi_truncated"] * 2
+    assert calls == ["pi"] * 2

@@ -1,0 +1,137 @@
+"""What one default verify keeps, and what it catches at N = 4.
+
+A pass makes once, and keeps, each quantity that depends on its key alone
+and that several rows ask for: a label's diagram walk (combinat), the
+integral form s f of a cached E or P (verify), and the alpha-free image of
+a monomial under the oracle's operators.  A kept value must be the value
+made again: a warm pass gives the verdicts of a cold one, and a cached E or
+P replaced after a pass is cleared afresh.  The P rows read N = 4, so a P
+wrong at N = 4 fails the gate.
+"""
+
+import collections
+
+import pytest
+
+from jackpoly import combinat, jack, oracle, qalpha, verify
+from jackpoly.polyalg import MultiPoly, monomial_symmetric
+from jackpoly.qalpha import ALPHA, ONE
+
+CACHES = [(jack, "_E_CACHE"), (jack, "_J_CACHE"), (jack, "_P_CACHE"), (verify, "_INTEGRAL"),
+          (combinat, "_NODES"), (oracle, "_IMAGE_CACHE"), (oracle, "_ANSATZ_CACHE"),
+          (oracle, "_WEIGHT_CACHE"), (oracle, "_PACKED_WEIGHT")]
+KERNEL_ROWS = ("omega.decomposition", "omega.pairing-diagonal", "pi.decomposition",
+               "pi.v-stability")
+
+
+def _verdicts(results):
+    return [(r.name, r.status, r.cases, r.params, r.clamped, r.witness) for r in results]
+
+
+@pytest.fixture(scope="module")
+def default_pass():
+    """One default verify from empty caches, row by row in registry order,
+    counting calls per row, then a second pass on the caches it left:
+    (cold results, warm results, counts, the caches)."""
+    counts, row = collections.Counter(), [None]
+    with pytest.MonkeyPatch.context() as mp:
+        caches = {}
+        for module, name in CACHES:
+            caches[module, name] = {}
+            mp.setattr(module, name, caches[module, name])
+
+        def counted(module, name, key):
+            fn = getattr(module, name)
+
+            def call(*args):
+                counts[key(args), row[0]] += 1
+                return fn(*args)
+            mp.setattr(module, name, call)
+
+        counted(combinat, "node_stats", lambda args: ("node", *args))
+        counted(oracle, "_q_xi_monomial", lambda args: ("image", *args))
+        counted(verify, "times_multiple", lambda args: "times_multiple")
+        counted(qalpha.Factored, "over", lambda args: "over")
+        cold = []
+        for row[0] in sorted(verify.CHECKS):
+            cold.append(verify.CHECKS[row[0]](verify.Bounds()))
+        row[0] = None
+        warm = verify.run_checks().results
+    return cold, warm, counts, caches
+
+
+def test_a_warm_pass_gives_the_verdicts_of_a_cold_one(default_pass):
+    cold, warm, _, _ = default_pass
+    assert all(r.status == "pass" for r in cold), [(r.name, r.witness) for r in cold]
+    assert _verdicts(warm) == _verdicts(cold)
+
+
+def test_a_pass_walks_each_diagram_and_images_each_monomial_once(default_pass):
+    _, _, counts, caches = default_pass
+    calls = collections.Counter()
+    for (key, _), n in counts.items():
+        calls[key] += n
+    nodes = [key for key in calls if key[0] == "node"]
+    assert nodes and all(calls[key] == 1 for key in nodes)
+    assert len(nodes) == sum(map(len, caches[combinat, "_NODES"].values()))
+    images = [key for key in calls if key[0] == "image"]
+    assert images and all(calls[key] == 1 for key in images)
+    assert len(images) == len(caches[oracle, "_IMAGE_CACHE"])
+
+
+def test_the_kernel_rows_clear_no_kernel(default_pass):
+    """The kernel rows read its Z[alpha] numerators: no Factored.over, and
+    no times_multiple but pi.v-stability's, which clears the P in N
+    variables at the label in N - 1 variables, a key no earlier row uses."""
+    _, _, counts, _ = default_pass
+    for name in KERNEL_ROWS:
+        assert counts["over", name] == 0, name
+        if name != "pi.v-stability":
+            assert counts["times_multiple", name] == 0, name
+
+
+@pytest.mark.parametrize("family, label, extra, row", [
+    # +1 at the lowest monomial, below the label: only the eigen-equations,
+    # checked on d E, see it
+    ("E", (2, 1, 0), MultiPoly(3, {(0, 1, 2): ONE}), "E.eigen-triangular"),
+    # alpha m_(1,1,1) keeps P symmetric and monic: only alpha D2 on h P sees it
+    ("P", (2, 1, 0, 0), monomial_symmetric((1, 1, 1), 4).scale(ALPHA),
+     "P.symmetric-eigen-dominance"),
+])
+def test_a_replaced_cached_value_is_cleared_afresh(default_pass, monkeypatch, family, label,
+                                                   extra, row):
+    """After a full pass, a cached E or P replaced by a perturbed copy
+    fails its row: the integral form kept for the old object is not
+    served for the new one."""
+    for (module, name), cache in default_pass[3].items():
+        monkeypatch.setattr(module, name, cache)
+    cache = jack._E_CACHE if family == "E" else jack._P_CACHE
+    f = cache[label]
+    assert extra.terms.keys() <= f.terms.keys()
+    assert any(kept[0] is f for kept in verify._INTEGRAL.values())
+    monkeypatch.setitem(cache, label, f + extra)
+    result = verify.CHECKS[row](verify.Bounds())
+    name = "eta" if family == "E" else "kappa"
+    assert result.status == "fail" and result.witness.startswith(f"{name}={label}:"), result.witness
+
+
+def _P_mutants():
+    """alpha added to P_kappa at N = 4, 1 <= |kappa| <= 3, at the lowest
+    partition exponent of its degree and at its reversal, which is no
+    partition: 12 mutants."""
+    for d in (1, 2, 3):
+        low = min(combinat.partitions(d, 4))
+        for kappa in combinat.partitions(d, 4):
+            for e in (low, low[::-1]):
+                yield pytest.param(kappa, e, id=f"{kappa}@{e}")
+
+
+@pytest.mark.parametrize("kappa, e", _P_mutants())
+def test_every_P_mutant_at_N_4_fails_a_default_row(monkeypatch, kappa, e):
+    """Each of the two rows lifted to N = 4 catches the mutant alone."""
+    p = jack.build_P(kappa, 4)
+    monkeypatch.setitem(jack._P_CACHE, kappa, p + MultiPoly(4, {e: ALPHA}))
+    failed = {name for name, row in verify.CHECKS.items()
+              if name.startswith(("P.", "oracle.P"))
+              and row(verify.Bounds()).status == "fail"}
+    assert {"P.symmetric-eigen-dominance", "oracle.P-gram-schmidt"} <= failed, failed
