@@ -84,24 +84,12 @@ def _m_basis_text(p: MultiPoly) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_compute(args, parser):
-    n = args.N
-    index = _parse_parts(args.index, parser, n)
-    if args.family == "E":
-        poly = jack.build_E(index)
-        symbol = "z"
-    elif args.family == "P":
-        if not combinat.is_partition(index):
-            parser.error(f"P wants a weakly decreasing index, got {index}")
-        poly = jack.build_P(index, len(index))
-        symbol = "z"
-    else:
-        if not combinat.has_distinct_parts(index) or not combinat.is_partition(index):
-            parser.error(f"S wants strictly decreasing parts, got {index}")
-        delta = combinat.staircase(len(index))
-        if any(r < d for r, d in zip(index, delta)):
-            parser.error(f"S index {index} must dominate the staircase {delta}")
-        poly = jack.build_S(index)
-        symbol = "x"
+    index = _parse_parts(args.index, parser, args.N)
+    try:
+        poly = {"E": jack.build_E, "P": jack.build_P, "S": jack.build_S}[args.family](index)
+    except ValueError as exc:  # a label the family does not take
+        parser.error(str(exc))
+    symbol = "x" if args.family == "S" else "z"
     try:
         if args.format == "json":
             text = _poly_json(poly, args.alpha)

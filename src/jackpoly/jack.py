@@ -27,15 +27,16 @@ then write each value to the rearrangements of its exponent.  P is
 symmetric, so its coefficient at any exponent equals the one at the sorted
 exponent, a partition.  Sym E_(kappaR) = stab(kappa) P_kappa, kappaR the
 increasing rearrangement (T. H. Baker and P. J. Forrester, q-alg/9707001),
-so build_P reads one chain and sums its packed ints by sorted exponent.
-S is the Vandermonde a_delta times P with its coefficients carried
-through alpha -> alpha/(alpha+1), so it is antisymmetric: its coefficient
-at lambda o pi is sgn(pi) times the one at lambda, and vanishes at
-repeated parts.  By the alternant identity a_delta s_nu = a_(nu+delta)
-(Macdonald, Symmetric Functions and Hall Polynomials, I.3) it is fixed by
-its coefficients at the strictly decreasing lambda = nu + delta, each an
-integer combination of the partition coefficients of the cached P at
-alpha cleared by h, substituted once.
+so P reads one chain and sums its packed ints by sorted exponent, over
+one Factored denominator.  S is the Vandermonde a_delta times P with its
+coefficients carried through alpha -> alpha/(alpha+1), so it is
+antisymmetric: its coefficient at lambda o pi is sgn(pi) times the one at
+lambda, and vanishes at repeated parts.  By the alternant identity
+a_delta s_nu = a_(nu+delta) (Macdonald, Symmetric Functions and Hall
+Polynomials, I.3) it is fixed by its coefficients at the strictly
+decreasing lambda = nu + delta, each an integer combination of the same
+orbit sums of the same one chain, over the same denominator, substituted
+once; S builds no P.
 Moving a value to a rearranged exponent is a relabelling, or a
 relabelling and a sign, so the filled polynomial equals the one the full
 sums would give, coefficient for coefficient.  Results are cached by
@@ -53,17 +54,12 @@ import operator
 from . import combinat, scalars
 from .polyalg import MultiPoly
 from .qalpha import (AlphaRational, Factored, homogeneous_compose, pack, poly_add, poly_mul,
-                     times_multiple, unpack)
+                     unpack)
 
 _E_CACHE: dict = {}
 _J_CACHE: dict = {}
 _P_CACHE: dict = {}
-
-
-def clear_caches():
-    _E_CACHE.clear()
-    _J_CACHE.clear()
-    _P_CACHE.clear()
+_S_CACHE: dict = {}
 
 
 # ---------------------------------------------------------------------------
@@ -177,18 +173,34 @@ def build_E(eta) -> MultiPoly:
 # the symmetric family
 # ---------------------------------------------------------------------------
 
+def _orbit_sums(kappa, label):
+    """(D, {mu: sum}) with P_kappa[mu] = sum / D at each partition mu that
+    carries a term: D = stab(kappa) d_(kappaR) / pending, a Factored
+    denominator, and the sum is stab(mu) times the packed ints of J_(kappaR)
+    at the e that sort to mu, added and then unpacked once into Z[alpha],
+    since Sym f at mu is stab(mu) times the sum of f over the rearrangements
+    of mu and Sym E_(kappaR) = stab(kappa) P_kappa.  No digit carries: every
+    coefficient of J is in Z>=0[alpha], and at alpha = 1 all add up to
+    e(1) < 2^L <= 2^K, so no digit sum over any subset of exponents reaches
+    2^K; a digit outside [0, 2^L) raises ArithmeticError naming `label`."""
+    eta_r = combinat.reverse_partition(kappa)
+    pending, k, terms = _packed_integral(eta_r)
+    sums, outside = collections.Counter(), _outside(eta_r, k)
+    for e, c in terms.items():
+        sums[combinat.sort_to_partition(e)] += c
+    for mu, c in sums.items():
+        if c & outside:
+            raise ArithmeticError(f"{label}: the orbit sum at {mu} has a digit out of bounds")
+    stab = combinat.stabilizer_order
+    den = scalars.node_ratio(eta_r, ("d",), (), stab(kappa)) / pending
+    return den, {mu: tuple(stab(mu) * c for c in unpack(s, k)) for mu, s in sums.items()}
+
+
 def build_P(kappa, n: int = None) -> MultiPoly:
     """The monic symmetric polynomial Sym E_(kappaR) / stab(kappa), kappa
-    padded with zeros or cut of trailing zeros to n parts when n is given.
-    Sym f at a partition mu is stab(mu) times the sum of f over the
-    rearrangements of mu, so with J_(kappaR) held as packed ints times
-    `pending`, P at mu is stab(mu) times the sum of the ints at the e that
-    sort to mu, over stab(kappa) d_(kappaR) / pending.  No digit carries
-    into the next: every coefficient of J is in Z>=0[alpha], and at
-    alpha = 1 all add up to e(1) < 2^L <= 2^K, so no digit sum over any
-    subset of exponents reaches 2^K; a digit outside [0, 2^L) raises
-    ArithmeticError.  Each sum is unpacked once and made canonical as E is,
-    and `_fill` copies it to every rearrangement of its exponent."""
+    padded with zeros or cut of trailing zeros to n parts when n is given:
+    each orbit sum of `_orbit_sums` made canonical over D as E is, and
+    copied by `_fill` to every rearrangement of its exponent."""
     kappa = combinat.as_partition(kappa)
     if n is not None:
         if any(kappa[n:]):
@@ -196,18 +208,8 @@ def build_P(kappa, n: int = None) -> MultiPoly:
         kappa = kappa[:n] + (0,) * (n - len(kappa))
     out = _P_CACHE.get(kappa)
     if out is None:
-        eta_r = combinat.reverse_partition(kappa)
-        pending, k, terms = _packed_integral(eta_r)
-        sums, outside = collections.Counter(), _outside(eta_r, k)
-        for e, c in terms.items():
-            sums[combinat.sort_to_partition(e)] += c
-        for mu, c in sums.items():
-            if c & outside:
-                raise ArithmeticError(f"P_{kappa}: the orbit sum at {mu} has a digit out of bounds")
-        stab = combinat.stabilizer_order
-        den = scalars.node_ratio(eta_r, ("d",), (), stab(kappa)) / pending
-        out = _P_CACHE[kappa] = _fill(len(kappa), den.over({mu: tuple(
-            stab(mu) * c for c in unpack(s, k)) for mu, s in sums.items()}), signed=False)
+        den, sums = _orbit_sums(kappa, f"P_{kappa}")
+        out = _P_CACHE[kappa] = _fill(len(kappa), den.over(sums), signed=False)
     return out
 
 
@@ -221,32 +223,28 @@ def build_S(rho_plus) -> MultiPoly:
     z^rho+.
 
     Only the coefficients at strictly decreasing lambda = nu + delta, nu a
-    partition of |eta+|, are computed: with P the cached P at alpha,
+    partition of |eta+|, are computed: with P = P_(eta+) at alpha,
     c_lambda = sum_sigma sgn(sigma) P[lambda - sigma delta]
              = sum_mu m_(lambda mu) P[mu],
     where the integer m_(lambda mu) sums sgn(sigma) over the sigma with
-    sort(lambda - sigma delta) = mu, since P is symmetric.  It is summed in
-    Z[alpha] as h c_lambda, h = h_(eta+) clearing P by exact division, and
-    substituted alpha -> alpha/(alpha+1), a ring homomorphism: each
-    h c_lambda, of degree at most D, goes to a numerator over (alpha+1)^D,
-    and h to `h.shifted()`, one Factored denominator for all.  `_fill` writes
-    sgn(pi) c_lambda at every lambda o pi, which is exact because S is
-    antisymmetric; no other exponent carries a term."""
+    sort(lambda - sigma delta) = mu, since P is symmetric.  With
+    P[mu] = sum_mu / D from `_orbit_sums`, D c_lambda is summed in Z[alpha]
+    and substituted alpha -> alpha/(alpha+1), a ring homomorphism: each
+    D c_lambda, of degree at most B, goes to a numerator over (alpha+1)^B,
+    and D to `D.shifted()`, one Factored denominator for all.  `_fill`
+    writes sgn(pi) c_lambda at every lambda o pi, which is exact because S
+    is antisymmetric; no other exponent carries a term."""
     rho_plus = combinat.as_partition(rho_plus)
+    out = _S_CACHE.get(rho_plus)
+    if out is not None:
+        return out
     n = len(rho_plus)
     if not combinat.has_distinct_parts(rho_plus):
         raise ValueError(f"{rho_plus} must be strictly decreasing")
     delta = combinat.staircase(n)
     eta_plus = tuple(r - d for r, d in zip(rho_plus, delta))
-    if any(p < 0 for p in eta_plus):
-        raise ValueError(f"{rho_plus} minus the staircase has negative parts")
-    p = build_P(eta_plus, n).terms
-    h = scalars.node_ratio(eta_plus, ("h",))
-    clear, shifted = h.poly(), h.shifted()
-    cleared = {mu: times_multiple(p[mu], clear) for mu in combinat.partitions(sum(eta_plus), n)
-               if mu in p}
-    if any(c.den != (1,) for c in cleared.values()):
-        raise ArithmeticError(f"S_{rho_plus}: h does not clear P_{eta_plus}")
+    den, p = _orbit_sums(eta_plus, f"S_{rho_plus}")
+    shifted = den.shifted()
     # sigma delta with sgn(sigma): the terms of the Vandermonde
     alternant = [(tuple(map(delta.__getitem__, perm)), sign) for perm, sign in _signed_perms(n)]
     sums = {}
@@ -257,12 +255,13 @@ def build_S(rho_plus) -> MultiPoly:
             diff = tuple(map(operator.sub, lam, d))
             if min(diff) >= 0:
                 m[combinat.sort_to_partition(diff)] += sign
-        sums[lam] = functools.reduce(poly_add, (poly_mul(cleared[mu].num, (k,))
-                                                for mu, k in m.items() if k and mu in cleared), ())
+        sums[lam] = functools.reduce(poly_add, (poly_mul(p[mu], (k,))
+                                                for mu, k in m.items() if k and mu in p), ())
     big = max([-shifted.forms.get((1, 1), 0), *(len(c) - 1 for c in sums.values())])
     den = shifted * Factored([(1, 1)] * big)
-    return _fill(n, den.over({lam: homogeneous_compose(c, (0, 1), (1, 1), big)
-                              for lam, c in sums.items()}), signed=True)
+    out = _S_CACHE[rho_plus] = _fill(n, den.over({
+        lam: homogeneous_compose(c, (0, 1), (1, 1), big) for lam, c in sums.items()}), signed=True)
+    return out
 
 
 # ---------------------------------------------------------------------------

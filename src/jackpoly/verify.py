@@ -288,14 +288,11 @@ def _integral(family, label, f):
     Macdonald, Symmetric Functions and Hall Polynomials, VI.10).  Kept per
     (family, label, id(f)) with f, whose id no other object takes while the
     entry lives; polynomials are never mutated, so only f itself is served
-    the kept value, and a perturbed or rebuilt f is cleared afresh.  S is
-    built afresh on every call, so its f never comes back and is not kept."""
+    the kept value, and a perturbed or rebuilt f is cleared afresh."""
     kept = _INTEGRAL.get((family, label, id(f)))
     if kept is None:
         s = scalars.const_h(label) if family == "P" else scalars.const_d(label)
-        kept = f, _times(f, s.num)
-        if family != "S":
-            _INTEGRAL[family, label, id(f)] = kept
+        kept = _INTEGRAL[family, label, id(f)] = f, _times(f, s.num)
     return kept[1]
 
 

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from jackpoly import cli, combinat, jack
+from jackpoly import cli, combinat
 
 
 def run_cli(capsys, *argv):
@@ -59,12 +59,15 @@ class TestCompute:
         assert (1, 1, 1) not in text_exps and "0" not in [t["coeff"] for t in terms]
 
     def test_bad_index_exits_2(self, capsys):
+        # jack's own label check, reported as a usage error
         with pytest.raises(SystemExit) as exc:
             cli.main(["compute", "P", "1,2"])
         assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith("error: (1, 2) is not weakly decreasing\n")
         with pytest.raises(SystemExit) as exc:
             cli.main(["compute", "S", "1,1"])
         assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith("error: (1, 1) must be strictly decreasing\n")
         with pytest.raises(SystemExit) as exc:
             cli.main(["compute", "E", "1,x"])
         assert exc.value.code == 2
@@ -92,12 +95,9 @@ class TestCompute:
         (["E", "1200"], "z1^1200"),
         (["P", "1200", "--N", "1"], "m[1200]"),
     ])
-    def test_long_raising_chain(self, capsys, monkeypatch, argv, want):
+    def test_long_raising_chain(self, capsys, fresh_caches, argv, want):
         # 1200 raising steps from the zero label, far past the interpreter's
         # recursion limit
-        monkeypatch.setattr(jack, "_E_CACHE", {})
-        monkeypatch.setattr(jack, "_J_CACHE", {})
-        monkeypatch.setattr(jack, "_P_CACHE", {})
         code, out = run_cli(capsys, "compute", *argv)
         assert code == 0
         assert out.strip() == want

@@ -15,13 +15,6 @@ from jackpoly.polyalg import MultiPoly
 POLYNOMIAL_GCDS = {"negative.controls": 1}
 
 
-@pytest.fixture
-def fresh_caches(monkeypatch):
-    monkeypatch.setattr(jack, "_E_CACHE", {})
-    monkeypatch.setattr(jack, "_J_CACHE", {})
-    monkeypatch.setattr(jack, "_P_CACHE", {})
-
-
 def _polynomial_gcds(monkeypatch):
     """The list of every later qalpha._gcd call with two non-constant
     operands."""

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from jackpoly import combinat as cb
-from jackpoly import jack, scalars, verify
+from jackpoly import jack, qalpha, scalars, verify
 from jackpoly.polyalg import (MultiPoly, antisymmetrize, apply_transposition,
                               scalar_ratio, symmetrize, vandermonde)
 from jackpoly.qalpha import ALPHA, ONE, AlphaRational, Factored, alpha_shift, unpack
@@ -170,10 +170,9 @@ class TestIntegralChain:
                     assert (_J(eta).scale(delta - 1)
                             == apply_transposition(j_mu, i, i + 1).scale(delta) - j_mu), (eta, i)
 
-    def test_raising_factors_stay_pending(self, monkeypatch):
+    def test_raising_factors_stay_pending(self, fresh_caches):
         # J of z^k at N = 1 is d_(k) z^k: the chain keeps d_(k) as its k
         # factors, and E cancels them without multiplying them out
-        monkeypatch.setattr(jack, "_J_CACHE", {})
         pending, terms = jack._integral((50,))
         assert terms == {(50,): (1,)}
         d = scalars.node_ratio((50,), ("d",))
@@ -183,32 +182,26 @@ class TestIntegralChain:
         assert (pending.content, pending.forms) == (1, {})
         assert terms == {(1, 0): (1, 1), (0, 1): (1,)}
 
-    def test_inexact_swap_division_raises(self, monkeypatch):
+    def test_inexact_swap_division_raises(self, fresh_caches, monkeypatch):
         # divide the packed swap numerator by delta + 1 instead of delta - 1:
         # at alpha = 2^K that is the packed divisor plus 2
-        monkeypatch.setattr(jack, "_E_CACHE", {})
-        monkeypatch.setattr(jack, "_J_CACHE", {})
-        monkeypatch.setattr(jack, "_P_CACHE", {})
         monkeypatch.setattr(jack, "divmod", lambda n, d: divmod(n, d + 2), raising=False)
         with pytest.raises(ArithmeticError, match=r"^J_\(1, 0\): .* does not divide by"):
             jack.build_E((1, 0))
 
-    def test_digit_outside_the_bound_raises(self, monkeypatch):
+    def test_digit_outside_the_bound_raises(self, fresh_caches, monkeypatch):
         # J_(2, 0) = (2 alpha + 2) z1 z2 + ..., so with the digits bounded
         # by 2^1 instead of the chain's bound its swap step fails
-        monkeypatch.setattr(jack, "_J_CACHE", {})
         packing = jack._packing
         monkeypatch.setattr(jack, "_packing", lambda eta: (1, packing(eta)[1]))
         assert jack._integral((1, 0))[1] == {(1, 0): (1, 1), (0, 1): (1,)}
         with pytest.raises(ArithmeticError, match=r"^J_\(2, 0\): .* digit outside"):
             jack._integral((2, 0))
 
-    def test_orbit_sum_digit_outside_the_bound_raises(self, monkeypatch):
+    def test_orbit_sum_digit_outside_the_bound_raises(self, fresh_caches, monkeypatch):
         # J_(0, 0, 2) is held with every digit 0 or 1, but its terms at
         # (0, 1, 1) and (1, 0, 1) sum to 2 at the partition (1, 1, 0): with
         # the digits bounded by 2^1 once its chain is cached, build_P fails
-        monkeypatch.setattr(jack, "_J_CACHE", {})
-        monkeypatch.setattr(jack, "_P_CACHE", {})
         assert jack._integral((0, 0, 2))[1] == {(0, 0, 2): (1, 1), (0, 1, 1): (1,),
                                                 (1, 0, 1): (1,)}
         packing = jack._packing
@@ -217,12 +210,10 @@ class TestIntegralChain:
                                                   r"\(1, 1, 0\) has a digit out of bounds$"):
             jack.build_P((2, 0, 0))
 
-    def test_packing_bound_holds_beyond_64_bits(self, monkeypatch):
+    def test_packing_bound_holds_beyond_64_bits(self, fresh_caches):
         # J_(1, 30) has 107-bit coefficients and J_(1, 20) 61-bit ones; K is
         # chosen per label, and the chain of (1, 30) repacks the cached
         # (1, 20), packed at a smaller K, on its way
-        monkeypatch.setattr(jack, "_E_CACHE", {})
-        monkeypatch.setattr(jack, "_J_CACHE", {})
         for eta, width in [((1, 20), 61), ((1, 30), 107)]:
             terms = jack._integral(eta)[1]
             assert max(max(c) for c in terms.values()).bit_length() == width
@@ -248,11 +239,7 @@ class TestReadTraffic:
     denominator once.  The labels are the first E label of each E slot
     and every P label of the benchmark's compute-reach."""
 
-    @pytest.fixture(autouse=True)
-    def fresh_caches(self, monkeypatch):
-        monkeypatch.setattr(jack, "_E_CACHE", {})
-        monkeypatch.setattr(jack, "_J_CACHE", {})
-        monkeypatch.setattr(jack, "_P_CACHE", {})
+    pytestmark = pytest.mark.usefixtures("fresh_caches")
 
     @pytest.mark.parametrize("kappa", [(3, 2, 1, 1, 0), (4, 1, 1, 0, 0), (5, 2, 0, 0),
                                        (4, 1, 1, 1, 0), (4, 3, 1, 0), (5, 3, 0, 0)])
@@ -369,34 +356,39 @@ class TestBuildS:
             for i in range(1, n):
                 assert apply_transposition(s, i, i + 1) == -s
 
-    def test_reads_the_cached_P(self, monkeypatch):
-        # S substitutes the coefficients of the P at alpha that build_P
-        # cached, so it builds no E and caches no second P
-        def no_E(eta):
-            raise AssertionError(f"build_S built E_{eta}")
+    @pytest.mark.parametrize("rho_plus", [(3, 1, 0), (4, 2, 0), (5, 1, 0), (5, 3, 1, 0)])
+    def test_reads_only_the_chain_at_eta_plus_R(self, fresh_caches, monkeypatch, rho_plus):
+        # from empty caches S sums the orbit sums of the one chain at eta+R
+        # itself: it builds no E and no P, reads no h, and caches only S
+        def refused(name):
+            def call(*args):
+                raise AssertionError(f"build_S called {name}{args}")
+            return call
 
-        monkeypatch.setattr(jack, "_E_CACHE", {})
-        monkeypatch.setattr(jack, "_J_CACHE", {})
-        monkeypatch.setattr(jack, "_P_CACHE", {})
-        for rho_plus in [(3, 1, 0), (4, 2, 0), (5, 1, 0), (5, 3, 1, 0)]:
-            n = len(rho_plus)
-            eta_plus = tuple(r - d for r, d in zip(rho_plus, cb.staircase(n)))
-            jack.build_P(eta_plus, n)
-            cached = dict(jack._P_CACHE)
-            with monkeypatch.context() as m:
-                m.setattr(jack, "build_E", no_E)
-                s = jack.build_S(rho_plus)
-            assert jack._P_CACHE == cached
-            assert s == _reference_S(rho_plus)
-
-    def test_multiple_that_does_not_clear_P_raises(self, monkeypatch):
-        # P_(2, 0, 0) carries 2/(alpha + 1) at (1, 1, 0): h = alpha + 1 clears
-        # it, and 1 in its place does not
-        monkeypatch.setattr(jack, "_P_CACHE", {})
         node_ratio = scalars.node_ratio
-        monkeypatch.setattr(scalars, "node_ratio", lambda eta, up, *rest: (
-            Factored() if up == ("h",) else node_ratio(eta, up, *rest)))
-        with pytest.raises(ArithmeticError, match=r"^S_\(4, 1, 0\): h does not clear"):
+        n = len(rho_plus)
+        eta_plus = tuple(r - d for r, d in zip(rho_plus, cb.staircase(n)))
+        with monkeypatch.context() as m:
+            m.setattr(jack, "build_E", refused("build_E"))
+            m.setattr(jack, "build_P", refused("build_P"))
+            m.setattr(qalpha, "times_multiple", refused("times_multiple"))
+            m.setattr(scalars, "node_ratio", lambda eta, up, *rest: (
+                refused("node_ratio")(eta, up) if "h" in up else node_ratio(eta, up, *rest)))
+            s = jack.build_S(rho_plus)
+        assert jack._E_CACHE == {} and jack._P_CACHE == {}
+        assert set(jack._J_CACHE) == set(_chain(cb.reverse_partition(eta_plus)))
+        assert jack._S_CACHE == {rho_plus: s} and jack.build_S(rho_plus) is s
+        assert s == _reference_S(rho_plus)
+
+    def test_orbit_sum_digit_outside_the_bound_raises(self, fresh_caches, monkeypatch):
+        # S_(4, 1, 0) reads the chain at eta+R = (0, 0, 2), whose terms at
+        # (0, 1, 1) and (1, 0, 1) sum to 2 at (1, 1, 0): with the digits
+        # bounded by 2^1 once that chain is cached, build_S fails naming S
+        jack._integral((0, 0, 2))
+        packing = jack._packing
+        monkeypatch.setattr(jack, "_packing", lambda eta: (1, packing(eta)[1]))
+        with pytest.raises(ArithmeticError, match=r"^S_\(4, 1, 0\): the orbit sum at "
+                                                  r"\(1, 1, 0\) has a digit out of bounds$"):
             jack.build_S((4, 1, 0))
 
     def test_rejects_bad_index(self):
@@ -446,10 +438,7 @@ class TestDominantFill:
         rho_plus = (7, 3, 2, 1, 0)
         assert jack.build_S(rho_plus) == _reference_S(rho_plus)
 
-    def test_broken_fills_are_detected(self, monkeypatch):
-        monkeypatch.setattr(jack, "_E_CACHE", {})
-        monkeypatch.setattr(jack, "_J_CACHE", {})
-        monkeypatch.setattr(jack, "_P_CACHE", {})
+    def test_broken_fills_are_detected(self, fresh_caches, monkeypatch):
         # S with its permutation signs dropped is symmetric, not a multiple
         # of the antisymmetrized E
         s = jack.build_S((3, 1, 0))

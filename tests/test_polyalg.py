@@ -262,11 +262,11 @@ class TestSeries:
         with pytest.raises(ValueError):
             pa.omega_truncated(n, -1)
 
-    def test_kernels_and_eigen_row_take_no_polynomial_gcd(self, monkeypatch):
+    def test_kernels_and_eigen_row_take_no_polynomial_gcd(self, monkeypatch, fresh_caches):
         """No gcd call with two non-constant operands: the kernels are built
         in Z[alpha], and the eigen row scales E by d exactly and applies
         xi_i over denominator 1."""
-        from jackpoly import jack, qalpha
+        from jackpoly import qalpha
         calls = []
         gcd = qalpha._gcd
 
@@ -278,8 +278,6 @@ class TestSeries:
         monkeypatch.setattr(qalpha, "_gcd", counted_gcd)
         pa.omega_truncated(4, 3)
         pa.pi_truncated(4, 3)
-        monkeypatch.setattr(jack, "_E_CACHE", {})
-        monkeypatch.setattr(jack, "_J_CACHE", {})
         assert verify.CHECKS["E.eigen-triangular"](verify.Bounds()).status == "pass"
         assert calls == []
 

@@ -9,15 +9,12 @@ from jackpoly.qalpha import AlphaRational
 from test_jack import _QALPHA_E, qalpha_chain_E
 
 
-def test_prs_gives_the_canonical_forms(monkeypatch):
+def test_prs_gives_the_canonical_forms(fresh_caches, monkeypatch):
     """E by the Q(alpha) reference chain, and P as E at the increasing
     rearrangement symmetrized over its stabilizer order, reduce their sums
     through the PRS; every coefficient, for all labels with N <= 3 and
     degree <= 4, is the same (num, den) pair as the one the construction
     forms in Z[alpha] by exact division alone."""
-    monkeypatch.setattr(jack, "_E_CACHE", {})
-    monkeypatch.setattr(jack, "_J_CACHE", {})
-    monkeypatch.setattr(jack, "_P_CACHE", {})
     calls = []
     prs = qalpha._prs_gcd
 

@@ -2,7 +2,7 @@
 
 A pass makes once, and keeps, each quantity that depends on its key alone
 and that several rows ask for: a label's diagram walk (combinat), the
-integral form s f of a cached E or P (verify), and the alpha-free image of
+integral form s f of a cached E, P or S (verify), and the alpha-free image of
 a monomial under the oracle's operators.  A kept value must be the value
 made again: a warm pass gives the verdicts of a cold one, and a cached E or
 P replaced after a pass is cleared afresh.  The P rows read N = 4, so a P
@@ -13,13 +13,12 @@ import collections
 
 import pytest
 
+import jackpoly
+from conftest import CACHES
 from jackpoly import combinat, jack, oracle, qalpha, verify
 from jackpoly.polyalg import MultiPoly, monomial_symmetric
 from jackpoly.qalpha import ALPHA, ONE
 
-CACHES = [(jack, "_E_CACHE"), (jack, "_J_CACHE"), (jack, "_P_CACHE"), (verify, "_INTEGRAL"),
-          (combinat, "_NODES"), (oracle, "_IMAGE_CACHE"), (oracle, "_ANSATZ_CACHE"),
-          (oracle, "_WEIGHT_CACHE"), (oracle, "_PACKED_WEIGHT")]
 KERNEL_ROWS = ("omega.decomposition", "omega.pairing-diagonal", "pi.decomposition",
                "pi.v-stability")
 
@@ -77,6 +76,24 @@ def test_a_pass_walks_each_diagram_and_images_each_monomial_once(default_pass):
     images = [key for key in calls if key[0] == "image"]
     assert images and all(calls[key] == 1 for key in images)
     assert len(images) == len(caches[oracle, "_IMAGE_CACHE"])
+
+
+def test_clear_caches_empties_every_memo_a_pass_filled(default_pass, monkeypatch):
+    """jackpoly.clear_caches reads each memo from its module when called,
+    so it empties the very dicts the pass filled, every one of them."""
+    caches = default_pass[3]
+    assert all(caches.values()), [key for key, cache in caches.items() if not cache]
+    for (module, name), cache in caches.items():
+        monkeypatch.setattr(module, name, dict(cache))
+    jackpoly.clear_caches()
+    assert [key for key in CACHES if getattr(*key)] == []
+
+
+def test_a_warm_pass_clears_no_S_again(default_pass):
+    """S is cached by label like E and P, so the warm pass, run after the
+    counted cold one, serves every S and its integral form from the caches."""
+    _, _, counts, _ = default_pass
+    assert sum(n for (key, row), n in counts.items() if key == "over" and row is None) == 0
 
 
 def test_the_kernel_rows_clear_no_kernel(default_pass):

@@ -2,7 +2,7 @@
 with a witness that names the failing case and both values.
 
 Each case starts from empty construction caches, perturbs one input (a
-cached E, J or P, one scalar constant or node product, or one count of
+cached E, J, P or S, one scalar constant or node product, or one count of
 the integer Cauchy kernel), runs the row at small bounds and reads the witness.
 """
 
@@ -29,6 +29,12 @@ def _cached_E(eta):
 def _cached_P(kappa):
     def perturb(monkeypatch):
         monkeypatch.setitem(jack._P_CACHE, kappa, verify._corrupt(jack.build_P(kappa)))
+    return perturb
+
+
+def _cached_S(rho_plus):
+    def perturb(monkeypatch):
+        monkeypatch.setitem(jack._S_CACHE, rho_plus, verify._corrupt(jack.build_S(rho_plus)))
     return perturb
 
 
@@ -116,20 +122,19 @@ ROWS = [
     ("P.norm-orthogonality.ct", _cached_P((1, 0)), "P_(1, 0) k=1"),
     ("oracle.E-linear-solve", _cached_E((1, 0)), "eta=(1, 0) alpha0=2"),
     ("oracle.P-gram-schmidt", _cached_P((1, 0)), "kappa=(1, 0) N=2 k=1"),
-    # P_(0, 0) doubled doubles S, which reads it, too, so the two pairings
-    # still agree and the norm ratio of S is the first to fail
-    ("S.norm.ct", _cached_P((0, 0)), "eta+=(0, 0): white ratio"),
+    ("S.norm.ct", _cached_S((1, 0)), "eta+=(0, 0): <S,S> vs <P,P>"),
 ]
 
 
-@pytest.fixture
-def fresh_caches(monkeypatch):
-    monkeypatch.setattr(jack, "_E_CACHE", {})
-    monkeypatch.setattr(jack, "_J_CACHE", {})
-    monkeypatch.setattr(jack, "_P_CACHE", {})
-
-
 PERTURBED = [pytest.param(*row, id=row[0]) for row in ROWS] + [
+    # the cached S itself, which both asym rows read beside E
+    pytest.param("asym.proportionality", _cached_S((1, 0)), "rho=(0, 1)",
+                 id="asym.proportionality-S"),
+    pytest.param("asym.du-expansion", _cached_S((1, 0)), "eta+=(0, 0) N=2",
+                 id="asym.du-expansion-S"),
+    # P_(0, 0) doubled leaves S, which reads no P, as it was
+    pytest.param("S.norm.ct", _cached_P((0, 0)), "eta+=(0, 0): <S,S> vs <P,P>",
+                 id="S.norm.ct-P"),
     # a monomial containing z_N, which setting only z_N to zero cannot see
     pytest.param("P.stability", _cached_plus("P", (1, 0, 0), (0, 0, 1)),
                  "kappa=(1, 0) N=3", id="P.stability-z_N"),
