@@ -31,11 +31,25 @@ def _parse_parts(text: str, parser, n=None):
         parser.error(f"cannot parse index {text!r}: expected comma-separated integers")
     if any(p < 0 for p in parts):
         parser.error(f"negative parts in {text!r}")
+    if max(parts) > sys.maxsize:
+        parser.error(f"parts above {sys.maxsize} in {text!r}")
     if n is not None:
         if n < len(parts):
             parser.error(f"--N {n} is smaller than the given {len(parts)} parts")
         parts = parts + (0,) * (n - len(parts))
     return parts
+
+
+def _parse_size(text: str) -> int:
+    """argparse type for --N: an int no larger than sys.maxsize, the largest
+    length the interpreter can index."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value > sys.maxsize:
+        raise argparse.ArgumentTypeError(f"{value} is above {sys.maxsize}")
+    return value
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -221,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compute", help="print one polynomial")
     p.add_argument("family", choices=["E", "P", "S"])
     p.add_argument("index", help="comma-separated parts, e.g. 1,0")
-    p.add_argument("--N", type=int, default=None, help="pad the index with zeros to N parts")
+    p.add_argument("--N", type=_parse_size, default=None,
+                   help="pad the index with zeros to N parts")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--alpha", type=_parse_fraction, default=None,
                    help="specialize the parameter at an exact rational p/q "
@@ -230,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("constants", help="print the scalar constants for a composition")
     p.add_argument("eta", help="comma-separated parts")
-    p.add_argument("--N", type=int, default=None)
+    p.add_argument("--N", type=_parse_size, default=None)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--alpha", type=_parse_fraction, default=None,
                    help="evaluate at an exact rational p/q (negative values as --alpha=-1/2)")
@@ -244,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
                "--k 1) is reported as SKIP with its reason and leaves the exit "
                "code at 0; the acceptance suite counts a skip as a failure, "
                "since no check skips at the default bounds.")
-    p.add_argument("--N", type=int, default=4, help="largest variable count (default 4)")
+    p.add_argument("--N", type=_parse_size, default=4, help="largest variable count (default 4)")
     p.add_argument("--deg", type=int, default=5, help="largest sweep degree (default 5)")
     p.add_argument("--k", default="1,2",
                    help="distinct inverse parameter values for the torus oracle")
@@ -257,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expand", help="print a truncated kernel or expansion table")
     p.add_argument("kernel", choices=["omega", "pi", "binomial"])
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=_parse_size, required=True)
     p.add_argument("--deg", type=int, required=True)
     p.add_argument("--r", type=_parse_fraction, default=None,
                    help="binomial exponent (rational)")

@@ -23,7 +23,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .combinat import perm_sign
+from .combinat import ascending_pair_count, rearrangements, stabilizer_order
 from .qalpha import ALPHA, ONE, ZERO, AlphaRational, Factored, join_terms, poly_add, poly_mul
 
 
@@ -179,12 +179,6 @@ class MultiPoly:
             return None
         e = min(self.terms)
         return e, self.terms[e]
-
-    def eval_ones(self):
-        out = ZERO
-        for c in self.terms.values():
-            out = out + c
-        return out
 
     def map_coeff(self, fn):
         out = {}
@@ -352,19 +346,41 @@ def d2_apply(f: MultiPoly, alpha=ALPHA) -> MultiPoly:
 # symmetrization, alternants, bases
 # ---------------------------------------------------------------------------
 
+def _orbit_sum(f: MultiPoly, signed: bool) -> MultiPoly:
+    """The sum of sgn(pi)^signed pi f over all N! permutations pi of the
+    variables, one orbit at a time.  Its coefficient at a rearrangement e of
+    a decreasing lambda is stab(lambda) s_lambda, s_lambda the sum of f over
+    the rearrangements of lambda, for Sym; for Asym it is
+    sgn(e) sum sgn(e') f_e' over the rearrangements e' of lambda, with
+    sgn(e) = (-1)^(ascending pairs of e), and 0 when lambda has a repeated
+    entry.  So each term is added once into its lambda, and each nonzero sum
+    is written to every rearrangement of lambda."""
+    n, sums = f.nvars, {}
+    for e, c in f.terms.items():
+        if signed:
+            if len(set(e)) < n:
+                continue
+            if ascending_pair_count(e) & 1:
+                c = -c
+        _add_term(sums, tuple(sorted(e, reverse=True)), c)
+    out = {}
+    for lam, c in sums.items():
+        if not signed:
+            c = c * stabilizer_order(lam)
+        neg = -c
+        for e in rearrangements(lam):
+            out[e] = neg if signed and ascending_pair_count(e) & 1 else c
+    return MultiPoly._raw(n, out)
+
+
 def symmetrize(f: MultiPoly) -> MultiPoly:
-    out = MultiPoly.zero(f.nvars)
-    for perm in itertools.permutations(range(f.nvars)):
-        out = out + apply_permutation(f, perm)
-    return out
+    """Sym f, the sum of f over all permutations of the variables."""
+    return _orbit_sum(f, False)
 
 
 def antisymmetrize(f: MultiPoly) -> MultiPoly:
-    out = MultiPoly.zero(f.nvars)
-    for perm in itertools.permutations(range(f.nvars)):
-        g = apply_permutation(f, perm)
-        out = out + g if perm_sign(perm) > 0 else out - g
-    return out
+    """Asym f, the signed sum of f over all permutations of the variables."""
+    return _orbit_sum(f, True)
 
 
 def vandermonde(n: int) -> MultiPoly:

@@ -9,8 +9,11 @@ effective bounds, the number of cases and every bound a limit cut
 (`clamped`).  Checks are independent of one another and may run in
 parallel worker processes.
 
-The eigen, kernel, binomial and asym rows and P.two-routes compare their
-cleared identities, which lie in Z[alpha], at one point alpha = 2^K.  As
+Every row that states an identity between the families compares it,
+cleared into Z[alpha], at one point alpha = 2^K: E.eigen-triangular,
+E.value-at-ones, E.swap-action, P.symmetric-eigen-dominance,
+P.two-routes, sym.proportionality, asym.proportionality,
+asym.du-expansion, and the kernel and binomial rows.  As
 l1(pq) <= l1(p) l1(q) and l1(p + q) <= l1(p) + l1(q) for
 l1(c) = sum |c_i|, a row bounds l1 of every coefficient of both sides by
 some B from the l1 norms of its cleared inputs alone, not from the
@@ -20,12 +23,13 @@ forms both sides on ints.  Two elements of Z[alpha] with coefficients in
 coefficient c_j of their difference, 2^(Kj) (c_j + 2^K m) = 0 would need
 2^K | c_j.  So the sides agree iff their ints do, and a witness prints
 the ints' balanced base-2^K digits, the sides' Z[alpha] values.  An input
-with a denominator is refused, with a witness that prints it.
+with a denominator is refused, with a witness that prints it.  Sym and
+Asym (polyalg.symmetrize, antisymmetrize) sum each orbit once, and the
+Cauchy row sums each alternant by sorted margin before its double sum.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import random
@@ -393,6 +397,15 @@ def _eigen_witness(g, eta):
                   for i, (ej, c) in enumerate(combinat.eigenvalue_offsets(eta), start=1))
 
 
+def _value_at_ones(f, eta):
+    """E(1^N) = e/d, checked times d_eta at one point: (d E)(1^N) = e,
+    decided as (d E)(1^N) e.den = e.num, the left side bounded by
+    l1(e.den) times the sum of l1 over d E."""
+    g, e, label = _integral("E", eta, f), scalars.const_e(eta), f"eta={eta}: d E(1^N) vs e"
+    k, g = _point(label, max(sum(_norms(g)) * _l1(e.den), _l1(e.num)), g)
+    return _ratio_witness(label, sum(g.terms.values()), 1, e, k)
+
+
 def _integral_witness(eta, f):
     """The witness unless f, meant to be d_eta E_eta, has every coefficient
     in Z>=0[alpha] of alpha-degree at most |eta| (F. Knop and S. Sahi,
@@ -411,19 +424,31 @@ def _integral_witness(eta, f):
 
 def _swap_action(eta, i):
     """The three-case adjacent-swap action, with both sides built
-    independently from the cache, times delta^2 d (delta the eigenvalue gap
-    at i, d the lcm of d_eta and d_(s_i eta)), so over denominator 1."""
-    f = jack.build_E(eta)
+    independently from the cache, checked on the cleared E at one point.
+    For equal parts s_i J = J, J = d E.  Otherwise, with mu = s_i eta,
+    delta = alpha a + b the eigenvalue gap at i, L the lcm of d_eta and d_mu
+    and c = L/d, so that L E = c J:
+    delta^2 s_i(c_eta J_eta) = delta c_eta J_eta + (delta^2 - [eta_i > eta_(i+1)]) c_mu J_mu.
+    With l = |a| + |b|, each side is bounded by
+    (l + 1)^2 (l1(c_eta) max l1(J_eta) + l1(c_mu) max l1(J_mu))."""
     label = f"eta={eta} i={i}: s_i E"
+    g = _integral("E", eta, jack.build_E(eta))
     if eta[i - 1] == eta[i]:
-        return _differ(label, apply_transposition(f, i, i + 1), f)
+        k, g = _point(label, max(_norms(g)), g)
+        return _differ(label, apply_transposition(g, i, i + 1), g, k)
     mu = combinat.swap_parts(eta, i)
-    delta = operator.sub(*combinat.eigenvalue_vector(eta)[i - 1:i + 1])
-    d = Factored.lcm([scalars.node_ratio(eta, ("d",)), scalars.node_ratio(mu, ("d",))]).poly()
-    g, square = _times(f, d), delta * delta
-    rhs = g.scale(delta) + _times(jack.build_E(mu), d).scale(
-        square - 1 if eta[i - 1] > eta[i] else square)
-    return _differ(label, apply_transposition(g, i, i + 1).scale(square), rhs)
+    (m1, c1), (m2, c2) = combinat.eigenvalue_offsets(eta)[i - 1:i + 1]
+    a, b = m1 - m2, c2 - c1
+    dens = [scalars.node_ratio(eta, ("d",)), scalars.node_ratio(mu, ("d",))]
+    lcm = Factored.lcm(dens)
+    c_eta, c_mu = ((lcm / d).poly() for d in dens)
+    h = _integral("E", mu, jack.build_E(mu))
+    k, g, h = _point(label, (abs(a) + abs(b) + 1) ** 2 * (
+        _l1(c_eta) * max(_norms(g)) + _l1(c_mu) * max(_norms(h))), g, h)
+    delta = (a << k) + b
+    g, square = g.scale(pack(c_eta, k)), delta * delta
+    rhs = g.scale(delta) + h.scale(pack(c_mu, k) * (square - 1 if eta[i - 1] > eta[i] else square))
+    return _differ(label, apply_transposition(g, i, i + 1).scale(square), rhs, k)
 
 
 def _xi_cases(s):
@@ -529,16 +554,23 @@ def _P_stability(kappa, n):
 
 
 def _sym_proportional(eta):
-    """Sym E_eta is a multiple c of P_(eta+), checked times d_eta over
-    denominator 1: Sym(d E) = c' h P with c' = c d/h.  No closed form for c
-    is claimed beyond the one evaluation at 1^N forces:
-    c P(1^N) = N! E_eta(1^N), that is c' b = N! e."""
+    """Sym E_eta is a multiple c of P_(eta+), checked times d_eta at one
+    point: Sym(d E) = c' h P with c' = c d/h.  No closed form for c is
+    claimed beyond the one evaluation at 1^N forces:
+    c P(1^N) = N! E_eta(1^N), that is c' b = N! e.  A coefficient of
+    Sym(d E) sums N! coefficients of d E, so with s = N! max l1(d E) and
+    p = max l1(h P), s p bounds both sides of the ratio, and s l1(b) and
+    p l1(N! e) the two sides of c' b = N! e."""
     kappa, n = combinat.sort_to_partition(eta), len(eta)
-    ratio, witness = _multiple(f"eta={eta}: Sym d E vs c' h P",
-                               symmetrize(_integral("E", eta, jack.build_E(eta))),
-                               _integral("P", kappa, jack.build_P(kappa, n)))
-    return witness or _ratio_witness(f"eta={eta}: c' b vs N! e", ratio[0] * scalars.const_b(kappa),
-                                     ratio[1], scalars.const_e(eta) * math.factorial(n))
+    label = f"eta={eta}: Sym d E vs c' h P"
+    g = _integral("E", eta, jack.build_E(eta))
+    hp = _integral("P", kappa, jack.build_P(kappa, n))
+    b, e = scalars.const_b(kappa).num, scalars.const_e(eta) * math.factorial(n)
+    s_max, p_max = math.factorial(n) * max(_norms(g)), max(_norms(hp))
+    k, g, hp = _point(label, max(s_max * p_max, s_max * _l1(b), p_max * _l1(e.num)), g, hp)
+    ratio, witness = _multiple(label, symmetrize(g), hp, k)
+    return witness or _ratio_witness(f"eta={eta}: c' b vs N! e", ratio[0] * pack(b, k),
+                                     ratio[1], e, k)
 
 
 def _hook_cases(s):
@@ -607,13 +639,18 @@ def _asym(rho):
 def _du_expansion(ep, rho_plus):
     """d(rho+) times the Vandermonde times the shifted P, d(rho+) S, expands
     over the rearrangements nu of rho+ as sum sign(nu) d(nu) E_nu, with
-    sign(nu) = (-1)^(ascending pairs of nu); both sides lie in Z[alpha]."""
+    sign(nu) = (-1)^(ascending pairs of nu); both sides lie in Z[alpha] and
+    are compared at one point, the sum bounded by the sum over nu of
+    max l1(d(nu) E_nu)."""
+    label = f"eta+={ep} N={len(ep)}: d S vs sum over d E"
+    nus = combinat.rearrangements(rho_plus)
+    s = _integral("S", rho_plus, jack.build_S(rho_plus))
+    gs = [_integral("E", nu, jack.build_E(nu)) for nu in nus]
+    k, s, *gs = _point(label, max(*_norms(s), sum(max(_norms(g)) for g in gs)), s, *gs)
     acc = MultiPoly.zero(len(rho_plus))
-    for nu in combinat.rearrangements(rho_plus):
-        g = _integral("E", nu, jack.build_E(nu))
+    for nu, g in zip(nus, gs):
         acc = acc - g if combinat.ascending_pair_count(nu) & 1 else acc + g
-    return _differ(f"eta+={ep} N={len(ep)}: d S vs sum over d E",
-                   _integral("S", rho_plus, jack.build_S(rho_plus)), acc)
+    return _differ(label, s, acc, k)
 
 
 def _society(ep, rho_plus):
@@ -809,6 +846,19 @@ def _contingency(a, b, memo):
     return memo[key]
 
 
+def _margins(top, vandermonde):
+    """{sorted margin: signed count}: top - e, signed by c, over the terms
+    c x^e of the Vandermonde, summed by sorted margin, with the negative
+    margins and the counts that cancel dropped."""
+    out = {}
+    for e, c in vandermonde:
+        a = tuple(map(operator.sub, top, e))
+        if min(a) >= 0:
+            key = tuple(sorted(a))
+            out[key] = out.get(key, 0) + c
+    return {a: c for a, c in out.items() if c}
+
+
 def _cauchy(n, bound):
     """det[1/(1 - x_j y_k)] = V(x) V(y) prod_{j,k} (1 - x_j y_k)^(-1) with
     V(x) = prod_{j<k} (x_j - x_k) = sum_s sgn s x^(s delta), delta the
@@ -817,18 +867,21 @@ def _cauchy(n, bound):
     they agree iff they agree at x^(lambda + delta) y^(mu + delta) for
     partitions |lambda| = |mu| <= bound.  There the left side,
     sum_s sgn s prod_j (1 - x_j y_s(j))^(-1), is [lambda = mu], and the right
-    side sum_{s,t} sgn s sgn t K[lambda + delta - s delta, mu + delta - t delta]."""
+    side sum_{s,t} sgn s sgn t K[lambda + delta - s delta, mu + delta - t delta].
+    K is 0 at a negative margin and depends only on the sorted margins, so
+    each alternant is summed once by sorted margin (_margins), and the
+    double sum runs over those classes (I. G. Macdonald, Symmetric Functions
+    and Hall Polynomials, I.3)."""
     delta = combinat.staircase(n)
-    perms = [(combinat.perm_sign(p), [delta[i] for i in p])
-             for p in itertools.permutations(range(n))]
+    vandermonde = [(e, c.num[0]) for e, c in polyalg.vandermonde(n).terms.items()]  # c = +-1
     memo = {}
     for d in range(bound + 1):
-        alternants = {lam: [(sign, tuple(p + q - r for p, q, r in zip(lam, delta, sd)))
-                            for sign, sd in perms]
+        alternants = {lam: _margins(tuple(map(operator.add, lam, delta)), vandermonde)
                       for lam in combinat.partitions(d, n)}
         for lam, xs in alternants.items():
             for mu, ys in alternants.items():
-                got = sum(sx * sy * _contingency(a, b, memo) for sx, a in xs for sy, b in ys)
+                got = sum(cx * cy * _contingency(a, b, memo)
+                          for a, cx in xs.items() for b, cy in ys.items())
                 witness = _differ(f"N={n} D={bound}: lambda={lam} mu={mu}", got, int(lam == mu))
                 if witness:
                     return witness
@@ -941,8 +994,7 @@ def _controls(s):
     # d' in place of d leaves a denominator
     yield "integral-positive", _integral_witness(
         (1, 0), e10.scale(scalars.const_dp((1, 0)))) is not None
-    yield "at-ones", _differ("at-ones", _integral("E", (1, 0), _corrupt(e10)).eval_ones(),
-                             scalars.const_e((1, 0))) is not None
+    yield "at-ones", _value_at_ones(_corrupt(e10), (1, 0)) is not None
 
     bad = dict(e10.specialize(Fraction(1)))
     bad[(0, 1)] += 1
@@ -979,12 +1031,8 @@ def _controls(s):
 CHECKS = {row.name: row for row in (
     Check("E.eigen-triangular", _compositions,
           lambda eta: _E_witness(jack.build_E(eta), eta), **_EIGEN),
-    # E(1^N) = e/d, checked times d_eta: (d E)(1^N) = e over denominator 1
     Check("E.value-at-ones", _compositions,
-          lambda eta: _differ(f"eta={eta}: d E(1^N) vs e",
-                              _integral("E", eta, jack.build_E(eta)).eval_ones(),
-                              scalars.const_e(eta)),
-          **_EIGEN),
+          lambda eta: _value_at_ones(jack.build_E(eta), eta), **_EIGEN),
     Check("E.integral-positive", _compositions,
           lambda eta: _integral_witness(eta, _integral("E", eta, jack.build_E(eta))),
           **_EIGEN),

@@ -1,16 +1,28 @@
 import hashlib
 import json
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
-from jackpoly import cli, combinat
+from jackpoly import cli, combinat, polyalg
 
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def _src_env():
+    """The environment with this checkout's src first on PYTHONPATH."""
+    env = dict(os.environ)
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+    return env
 
 
 class TestCompute:
@@ -288,15 +300,8 @@ class TestVerify:
 
 
 def test_module_entry_point():
-    import os
-    import pathlib
-    import subprocess
-    import sys
-    env = dict(os.environ)
-    src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run([sys.executable, "-m", "jackpoly", "compute", "E", "0,1"],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_src_env())
     assert proc.returncode == 0
     assert proc.stdout.strip() == "z2"
 
@@ -308,20 +313,57 @@ def test_module_entry_point():
 def test_closed_pipe_exits_quietly(argv):
     """A reader that closes its end of the pipe before the first write
     leaves no traceback, and the exit code is the command's own."""
-    import os
-    import pathlib
-    import subprocess
-    import sys
-    env = dict(os.environ)
-    src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.Popen([sys.executable, "-m", "jackpoly", *argv], env=env,
+    proc = subprocess.Popen([sys.executable, "-m", "jackpoly", *argv], env=_src_env(),
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
     assert proc.wait() == 0
     assert "Traceback" not in err and "Error" not in err, err
+
+
+BIG = "99999999999999999999"  # above sys.maxsize on every platform
+
+
+class TestOversized:
+    """A part or --N above sys.maxsize is refused by the parser: before, the
+    first five ended in an OverflowError traceback, and the last two never
+    finished (the expand one allocating without bound)."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["compute", "E", BIG], f"parts above 9223372036854775807 in '{BIG}'"),
+        (["compute", "P", BIG], f"parts above 9223372036854775807 in '{BIG}'"),
+        (["compute", "S", BIG], f"parts above 9223372036854775807 in '{BIG}'"),
+        (["compute", "E", "5,0", "--N", BIG], f"argument --N: {BIG} is above 9223372036854775807"),
+        (["constants", "1,0", "--N", BIG], f"argument --N: {BIG} is above 9223372036854775807"),
+        (["constants", BIG], f"parts above 9223372036854775807 in '{BIG}'"),
+        (["expand", "omega", "--N", BIG, "--deg", "0"],
+         f"argument --N: {BIG} is above 9223372036854775807"),
+    ], ids=["E", "P", "S", "compute-N", "constants-N", "constants", "expand-N"])
+    def test_exits_2_with_a_message(self, capsys, monkeypatch, argv, message):
+        # a regression reaches the computation and fails at once instead of hanging
+        def unreachable(*args):
+            raise AssertionError("the oversized input reached the computation")
+        monkeypatch.setattr(combinat, "diagram_nodes", unreachable)
+        monkeypatch.setattr(polyalg, "kernel_numerators", unreachable)
+        assert sys.maxsize < int(BIG)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: jackpoly {argv[0]}")
+        assert captured.err.endswith(f"error: {message}\n"), captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["compute", "E", BIG], ["compute", "E", "5,0", "--N", BIG],
+        ["constants", "1,0", "--N", BIG]], ids=["E", "compute-N", "constants-N"])
+    def test_no_traceback(self, argv):
+        proc = subprocess.run([sys.executable, "-m", "jackpoly", *argv], env=_src_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert "above 9223372036854775807" in proc.stderr
+        assert "Traceback" not in proc.stderr, proc.stderr
 
 
 class TestExpand:

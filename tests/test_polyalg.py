@@ -1,10 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from jackpoly import combinat, verify
 from jackpoly import polyalg as pa
-from jackpoly import verify
 from jackpoly.qalpha import ALPHA, ONE, AlphaRational, alpha_shift
 
 A = ALPHA
@@ -284,3 +285,29 @@ class TestSeries:
     def test_cauchy_double_alternant(self):
         assert verify._cauchy(2, 3) is None
         assert verify._cauchy(3, 2) is None
+
+    def test_cauchy_margins_collapse_the_double_sum(self):
+        """Summed once by sorted margin, two alternants give the double sum
+        over all N!^2 pairs of permutations, for any K that depends only on
+        the sorted margins and is 0 at a negative one."""
+        def kernel(a, b):
+            if min(a) < 0 or min(b) < 0:
+                return 0
+            a, b = sorted(a), sorted(b)
+            return 1 + sum(i * x * x - 3 * i * y for i, (x, y) in enumerate(zip(a, b), 1))
+
+        for n in (2, 3, 4):
+            delta = combinat.staircase(n)
+            vandermonde = [(e, c.num[0]) for e, c in pa.vandermonde(n).terms.items()]
+            shifts = [(combinat.perm_sign(p), [delta[i] for i in p])
+                      for p in itertools.permutations(range(n))]
+            for d in range(4):
+                tops = [tuple(p + q for p, q in zip(lam, delta))
+                        for lam in combinat.partitions(d, n)]
+                for x, y in itertools.product(tops, repeat=2):
+                    full = sum(sx * sy * kernel(tuple(p - q for p, q in zip(x, sd)),
+                                                tuple(p - q for p, q in zip(y, td)))
+                               for sx, sd in shifts for sy, td in shifts)
+                    xs, ys = verify._margins(x, vandermonde), verify._margins(y, vandermonde)
+                    assert sum(cx * cy * kernel(a, b) for a, cx in xs.items()
+                               for b, cy in ys.items()) == full, (x, y)

@@ -1,7 +1,10 @@
 """Property tests for the sparse polynomial operators: the divided-difference
-multiply-back identity, the transposition as a relabeling, subtraction, and
-the rule that no zero coefficient is ever stored, on polynomials drawn by
+multiply-back identity, the transposition as a relabeling, subtraction, the
+rule that no zero coefficient is ever stored, and Sym and Asym summed by
+orbits against the sums over all N! permutations, on polynomials drawn by
 hypothesis."""
+
+import itertools
 
 import pytest
 
@@ -9,6 +12,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 from jackpoly import polyalg as pa  # noqa: E402
+from jackpoly.combinat import perm_sign  # noqa: E402
 from jackpoly.qalpha import ALPHA, AlphaRational  # noqa: E402
 
 given, settings = hypothesis.given, hypothesis.settings
@@ -75,3 +79,48 @@ def test_no_zero_coefficient_is_stored(pair):
     results += [pa.divided_difference(a, i, p) for i, p in _pairs(n)]
     for g in results:
         assert all(g.terms.values())
+
+
+# Sym and Asym: ints (some above 2^64), Z[alpha] and Q(alpha) coefficients
+ints = st.one_of(st.integers(-3, 3), st.integers(-2 ** 80, 2 ** 80))
+in_z_alpha = st.builds(lambda a, b: AlphaRational.from_fraction(a) + ALPHA * b,
+                       ints, st.integers(-2, 2))
+in_q_alpha = st.builds(lambda c, a: c / (ALPHA + a), in_z_alpha, st.integers(1, 3))
+
+
+@st.composite
+def orbit_cases(draw):
+    """(f, perm): f in N <= 5 variables with several terms on each of a few
+    orbits, exponents with repeated and with distinct entries, and a
+    permutation of its variables."""
+    n = draw(st.integers(1, 5))
+    coeffs = draw(st.sampled_from([ints, in_z_alpha, in_q_alpha]))
+    terms = {}
+    for base in draw(st.lists(st.tuples(*[st.integers(0, 4)] * n), min_size=1, max_size=3)):
+        for e in draw(st.lists(st.permutations(base), min_size=1, max_size=4)):
+            terms[tuple(e)] = draw(coeffs)
+    return MP(n, terms), tuple(draw(st.permutations(range(n))))
+
+
+def _permutation_sum(f, signed):
+    """The definition: the sum of pi f over all N! permutations pi, each
+    signed by sgn(pi) when `signed`."""
+    out = MP.zero(f.nvars)
+    for perm in itertools.permutations(range(f.nvars)):
+        g = pa.apply_permutation(f, perm)
+        out = out - g if signed and perm_sign(perm) < 0 else out + g
+    return out
+
+
+@PROPERTY
+@given(orbit_cases())
+def test_orbit_sums_equal_permutation_sums(case):
+    f, perm = case
+    g = pa.apply_permutation(f, perm)
+    for op, signed in ((pa.symmetrize, False), (pa.antisymmetrize, True)):
+        assert op(f) == _permutation_sum(f, signed)
+        # Sym(f - pi f) = 0 and Asym(f - sgn(pi) pi f) = 0: orbits that cancel
+        cancel = f - (g.scale(perm_sign(perm)) if signed else g)
+        assert op(cancel) == _permutation_sum(cancel, signed)
+        assert not op(cancel)
+        assert all(op(f).terms.values())

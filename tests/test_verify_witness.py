@@ -157,6 +157,14 @@ PERTURBED = [pytest.param(*row, id=row[0]) for row in ROWS] + [
 ]
 
 
+# the four rows that moved to the point last: alpha^12 on one coefficient of
+# the cached E_(1, 0), far above its alpha-degree
+HIGH_POWER = [("E.value-at-ones", "eta=(1, 0)"), ("E.swap-action", "eta=(1, 0) i=1"),
+              ("sym.proportionality", "eta=(1, 0)"), ("asym.du-expansion", "eta+=(0, 0) N=2")]
+PERTURBED += [pytest.param(name, _cached_plus("E", (1, 0), (0, 1), ALPHA ** 12), label,
+                           id=f"{name}-high-power") for name, label in HIGH_POWER]
+
+
 @pytest.mark.parametrize("name, perturb, label", PERTURBED)
 def test_perturbed_row_names_label_and_both_values(fresh_caches, monkeypatch,
                                                    name, perturb, label):
@@ -243,3 +251,35 @@ def test_kronecker_control_vanishes_at_the_unperturbed_point(monkeypatch):
     assert verify._eigen_witness(bad, (2, 1)) is not None
     monkeypatch.setattr(verify, "_xi_bound", lambda g, eta: bound)
     assert verify._eigen_witness(bad, (2, 1)) is None
+
+
+@pytest.mark.parametrize("name, want", [
+    ("E.value-at-ones", "eta=(1, 0): d E(1^N) vs e: α^13 + α^12 + α + 2 != α + 2"),
+    ("E.swap-action",
+     "eta=(1, 0) i=1: s_i E: at (0, 1): α^4 + 5*α^3 + 9*α^2 + 7*α + 2"
+     " != α^15 + 4*α^14 + 5*α^13 + 2*α^12 + α^4 + 5*α^3 + 9*α^2 + 7*α + 2"),
+    ("sym.proportionality", "eta=(1, 0): c' b vs N! e: 2*α^13 + 2*α^12 + 2*α + 4 != 2*α + 4"),
+    ("asym.du-expansion",
+     "eta+=(0, 0) N=2: d S vs sum over d E: at (0, 1): -α - 1 != α^13 + α^12 - α - 1"),
+], ids=[name for name, _ in HIGH_POWER])
+def test_high_power_mutant_is_decoded(fresh_caches, monkeypatch, name, want):
+    """K comes from the l1 bound of the perturbed input, so the witness reads
+    both sides back exactly, alpha^12 term included, as their Z[alpha]
+    values: d E_(1, 0) = (alpha + 1) z1 + z2 gains (alpha + 1) alpha^12 at
+    (0, 1).  A K below the bound would garble the balanced digits."""
+    _cached_plus("E", (1, 0), (0, 1), ALPHA ** 12)(monkeypatch)
+    assert verify.CHECKS[name](BOUNDS).witness == want
+
+
+def test_cauchy_count_beside_a_transposed_margin(monkeypatch):
+    """At N = 3, lambda = (2, 0, 0) and mu = (1, 1, 0), mu's alternant holds
+    the margins (1, 1, 0), from the identity, and (2, 0, 0), which only the
+    transposition of the first two variables reaches, with sign -1: the
+    unperturbed pair gives K[(2,0,0), (1,1,0)] - K[(2,0,0), (2,0,0)] = 0.
+    One count added at the first (sorted margins (0, 0, 2), (0, 1, 1))
+    leaves 1 at this pair; a collapse that lost the transposed margin would
+    give it 2, and one that lost its sign 3."""
+    _contingency_plus_one(((0, 0, 2), (0, 1, 1)))(monkeypatch)
+    result = verify.CHECKS["cauchy.double-alternant"](verify.Bounds(n_max=3, deg=2))
+    assert result.status == "fail"
+    assert result.witness == "N=3 D=2: lambda=(2, 0, 0) mu=(1, 1, 0): 1 != 0", result.witness
