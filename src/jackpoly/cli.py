@@ -2,9 +2,10 @@
 kernels, and run the verification suite.
 
 Exit codes: 0 success (all checks pass), 1 verification failure, 2 bad
-arguments.  Each subcommand returns its text and its exit code, and `main`
-prints the text; when the reader of a pipe closes it early, the rest of
-the output is dropped and the exit code stays the one the command decided.
+arguments or a MemoryError.  Each subcommand returns its text and its exit
+code, and `main` prints the text; when the reader of a pipe closes it
+early, the rest of the output is dropped and the exit code stays the one
+the command decided.
 The symbolic commands never take a parameter value; pass --alpha p/q to
 specialize the output exactly at a rational point.  A negative value needs
 the `=` form, --alpha=-1/2, since argparse reads -1/2 after a space as an
@@ -288,7 +289,10 @@ def main(argv=None) -> int:
     args, extra = build_parser().parse_known_args(argv)
     if extra:  # reported against the subcommand, with its usage line
         args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    text, status = args.run(args, args.parser)
+    try:
+        text, status = args.run(args, args.parser)
+    except MemoryError:
+        args.parser.error("out of memory: the request is too large to serve")
     try:
         print(text)
         sys.stdout.flush()

@@ -133,13 +133,6 @@ def ascending_pair_count(rho) -> int:
     return sum(1 for i in range(n) for j in range(i + 1, n) if rho[i] < rho[j])
 
 
-def perm_sign(perm) -> int:
-    """Sign of a permutation given as a tuple of images (0-based)."""
-    n = len(perm)
-    inv = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
-    return -1 if inv & 1 else 1
-
-
 # ---------------------------------------------------------------------------
 # diagram statistics
 # ---------------------------------------------------------------------------
@@ -265,6 +258,29 @@ def partitions_upto(max_total: int, max_length: int):
         yield from partitions(d, max_length)
 
 
+def signed_rearrangements(parts) -> list:
+    """(e, ascending_pair_count(e) & 1) for each distinct rearrangement e of
+    the tuple `parts`, ascending, by one walk over the multiset, not the N!
+    permutations: each distinct part left, smallest first, goes to the next
+    position and opens an ascending pair with each part left above it."""
+    values, out = sorted(set(parts)), []
+    left = [parts.count(v) for v in values]
+
+    def place(prefix, odd, rest):
+        above = rest
+        for i, v in enumerate(values):
+            above -= left[i]
+            if left[i]:
+                left[i] -= 1
+                place(prefix + (v,), odd ^ above & 1, rest - 1)
+                left[i] += 1
+        if not rest:
+            out.append((prefix, odd))
+
+    place((), 0, len(parts))
+    return out
+
+
 def rearrangements(kappa) -> list:
-    """Distinct rearrangements of a padded partition, as compositions."""
-    return sorted(set(itertools.permutations(kappa)))
+    """The distinct rearrangements of a composition, in ascending order."""
+    return [e for e, _ in signed_rearrangements(kappa)]

@@ -23,31 +23,30 @@ over d_eta, and d_eta over the factors J holds is a Factored denominator:
 all coefficients are made canonical over it in one batch, by exact division.
 
 build_P and build_S work in Z[alpha], only at dominant exponents, and
-then write each value to the rearrangements of its exponent.  P is
-symmetric, so its coefficient at any exponent equals the one at the sorted
-exponent, a partition.  Sym E_(kappaR) = stab(kappa) P_kappa, kappaR the
-increasing rearrangement (T. H. Baker and P. J. Forrester, q-alg/9707001),
-so P reads one chain and sums its packed ints by sorted exponent, over
-one Factored denominator.  S is the Vandermonde a_delta times P with its
-coefficients carried through alpha -> alpha/(alpha+1), so it is
-antisymmetric: its coefficient at lambda o pi is sgn(pi) times the one at
-lambda, and vanishes at repeated parts.  By the alternant identity
+then write each value to the distinct rearrangements of its exponent,
+walked by `combinat.signed_rearrangements`, not over the N! permutations.
+P is symmetric, so its coefficient at any exponent equals the one at the
+sorted exponent, a partition.  Sym E_(kappaR) = stab(kappa) P_kappa, kappaR
+the increasing rearrangement (T. H. Baker and P. J. Forrester,
+q-alg/9707001), so P reads one chain and sums its packed ints by sorted
+exponent, over one Factored denominator.  S is the Vandermonde a_delta
+times P with its coefficients carried through alpha -> alpha/(alpha+1), so
+it is antisymmetric: its coefficient at lambda o pi is sgn(pi) times the
+one at lambda, and vanishes at repeated parts.  By the alternant identity
 a_delta s_nu = a_(nu+delta) (Macdonald, Symmetric Functions and Hall
 Polynomials, I.3) it is fixed by its coefficients at the strictly
 decreasing lambda = nu + delta, each an integer combination of the same
 orbit sums of the same one chain, over the same denominator, substituted
-once; S builds no P.
-Moving a value to a rearranged exponent is a relabelling, or a
-relabelling and a sign, so the filled polynomial equals the one the full
-sums would give, coefficient for coefficient.  Results are cached by
-label and never mutated.
+once; S builds no P.  Moving a value to a rearranged exponent is a
+relabelling, or a relabelling and the sign the walk carries, so the filled
+polynomial equals the one the full sums would give, coefficient for
+coefficient.  Results are cached by label and never mutated.
 """
 
 from __future__ import annotations
 
 import collections
 import functools
-import itertools
 import math
 import operator
 
@@ -196,11 +195,17 @@ def _orbit_sums(kappa, label):
     return den, {mu: tuple(stab(mu) * c for c in unpack(s, k)) for mu, s in sums.items()}
 
 
+def _fill(n: int, dominant: dict) -> MultiPoly:
+    """The symmetric polynomial with coefficient dominant[mu] at each
+    distinct rearrangement of each partition mu: a value is moved, never added."""
+    return MultiPoly(n, {e: c for mu, c in dominant.items() for e in combinat.rearrangements(mu)})
+
+
 def build_P(kappa, n: int = None) -> MultiPoly:
     """The monic symmetric polynomial Sym E_(kappaR) / stab(kappa), kappa
     padded with zeros or cut of trailing zeros to n parts when n is given:
     each orbit sum of `_orbit_sums` made canonical over D as E is, and
-    copied by `_fill` to every rearrangement of its exponent."""
+    copied by `_fill` to the distinct rearrangements of its exponent."""
     kappa = combinat.as_partition(kappa)
     if n is not None:
         if any(kappa[n:]):
@@ -209,7 +214,7 @@ def build_P(kappa, n: int = None) -> MultiPoly:
     out = _P_CACHE.get(kappa)
     if out is None:
         den, sums = _orbit_sums(kappa, f"P_{kappa}")
-        out = _P_CACHE[kappa] = _fill(len(kappa), den.over(sums), signed=False)
+        out = _P_CACHE[kappa] = _fill(len(kappa), den.over(sums))
     return out
 
 
@@ -231,9 +236,10 @@ def build_S(rho_plus) -> MultiPoly:
     P[mu] = sum_mu / D from `_orbit_sums`, D c_lambda is summed in Z[alpha]
     and substituted alpha -> alpha/(alpha+1), a ring homomorphism: each
     D c_lambda, of degree at most B, goes to a numerator over (alpha+1)^B,
-    and D to `D.shifted()`, one Factored denominator for all.  `_fill`
-    writes sgn(pi) c_lambda at every lambda o pi, which is exact because S
-    is antisymmetric; no other exponent carries a term."""
+    and D to `D.shifted()`, one Factored denominator for all.  The signed
+    rearrangements sigma delta, walked once, serve the sum and the write:
+    lambda has distinct parts, so lambda o sigma is lambdaR read at sigma
+    delta, where sgn(sigma) c_lambda goes, exact as S is antisymmetric."""
     rho_plus = combinat.as_partition(rho_plus)
     out = _S_CACHE.get(rho_plus)
     if out is not None:
@@ -245,46 +251,25 @@ def build_S(rho_plus) -> MultiPoly:
     eta_plus = tuple(r - d for r, d in zip(rho_plus, delta))
     den, p = _orbit_sums(eta_plus, f"S_{rho_plus}")
     shifted = den.shifted()
-    # sigma delta with sgn(sigma): the terms of the Vandermonde
-    alternant = [(tuple(map(delta.__getitem__, perm)), sign) for perm, sign in _signed_perms(n)]
+    alternant = combinat.signed_rearrangements(delta)  # the terms of the Vandermonde
     sums = {}
     for nu in combinat.partitions(sum(eta_plus), n):
         lam = tuple(map(operator.add, nu, delta))
         m = collections.Counter()
-        for d, sign in alternant:
+        for d, odd in alternant:
             diff = tuple(map(operator.sub, lam, d))
             if min(diff) >= 0:
-                m[combinat.sort_to_partition(diff)] += sign
+                m[combinat.sort_to_partition(diff)] += -1 if odd else 1
         sums[lam] = functools.reduce(poly_add, (poly_mul(p[mu], (k,))
                                                 for mu, k in m.items() if k and mu in p), ())
     big = max([-shifted.forms.get((1, 1), 0), *(len(c) - 1 for c in sums.values())])
     den = shifted * Factored([(1, 1)] * big)
-    out = _S_CACHE[rho_plus] = _fill(n, den.over({
-        lam: homogeneous_compose(c, (0, 1), (1, 1), big) for lam, c in sums.items()}), signed=True)
+    terms = {}
+    for lam, c in den.over({lam: homogeneous_compose(s, (0, 1), (1, 1), big)
+                            for lam, s in sums.items()}).items():
+        lam_r, by_parity = lam[::-1], (c, -c)
+        for d, odd in alternant:
+            terms[tuple(map(lam_r.__getitem__, d))] = by_parity[odd]
+    out = _S_CACHE[rho_plus] = MultiPoly(n, terms)
     return out
 
-
-# ---------------------------------------------------------------------------
-# writing dominant coefficients to every rearrangement
-# ---------------------------------------------------------------------------
-
-def _signed_perms(n: int) -> list:
-    """Every permutation of range(n) as a tuple of images, with its sign.
-    Not cached: n! entries would stay in memory for the life of the process."""
-    return [(perm, combinat.perm_sign(perm)) for perm in itertools.permutations(range(n))]
-
-
-def _fill(n: int, dominant: dict, signed: bool) -> MultiPoly:
-    """The polynomial with coefficient dominant[e] at every rearrangement
-    e o pi of each key e, times sgn(pi) when `signed`.  A symmetric
-    polynomial (signed=False, keys the partition exponents) or an
-    antisymmetric one (signed=True, keys strictly decreasing) is fixed by
-    these coefficients; a value is moved, never added, and negated at most
-    once per key."""
-    perms = _signed_perms(n)
-    out = {}
-    for e, c in dominant.items():
-        neg = -c if signed else c
-        for perm, sign in perms:
-            out[tuple(map(e.__getitem__, perm))] = neg if sign < 0 else c
-    return MultiPoly(n, out)

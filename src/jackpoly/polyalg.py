@@ -18,12 +18,12 @@ of the package.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from fractions import Fraction
 
-from .combinat import ascending_pair_count, rearrangements, stabilizer_order
+from .combinat import (ascending_pair_count, rearrangements, signed_rearrangements,
+                       stabilizer_order)
 from .qalpha import ALPHA, ONE, ZERO, AlphaRational, Factored, join_terms, poly_add, poly_mul
 
 
@@ -354,7 +354,7 @@ def _orbit_sum(f: MultiPoly, signed: bool) -> MultiPoly:
     sgn(e) sum sgn(e') f_e' over the rearrangements e' of lambda, with
     sgn(e) = (-1)^(ascending pairs of e), and 0 when lambda has a repeated
     entry.  So each term is added once into its lambda, and each nonzero sum
-    is written to every rearrangement of lambda."""
+    is written to every rearrangement of lambda, walked with its sign."""
     n, sums = f.nvars, {}
     for e, c in f.terms.items():
         if signed:
@@ -367,9 +367,8 @@ def _orbit_sum(f: MultiPoly, signed: bool) -> MultiPoly:
     for lam, c in sums.items():
         if not signed:
             c = c * stabilizer_order(lam)
-        neg = -c
-        for e in rearrangements(lam):
-            out[e] = neg if signed and ascending_pair_count(e) & 1 else c
+        for e, odd in signed_rearrangements(lam):
+            out[e] = -c if signed and odd else c
     return MultiPoly._raw(n, out)
 
 
@@ -398,8 +397,7 @@ def monomial_symmetric(kappa, n: int) -> MultiPoly:
     if len(kappa) > n:
         raise ValueError(f"partition {kappa} longer than N={n}")
     padded = kappa + (0,) * (n - len(kappa))
-    terms = {e: ONE for e in set(itertools.permutations(padded))}
-    return MultiPoly._raw(n, terms)
+    return MultiPoly._raw(n, dict.fromkeys(rearrangements(padded), ONE))
 
 
 def scalar_ratio(f: MultiPoly, g: MultiPoly):

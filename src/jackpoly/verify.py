@@ -239,16 +239,12 @@ def _multiple(label, f, g, k=None):
     return None, _differ(label, f, g.scale(f.coeff(e) / lead))
 
 
-def _ratio_witness(label, num, den, want, k=None):
-    """The witness unless num/den == want, decided as
-    num want.den == den want.num: over denominator 1 no gcd is taken.
-    With k, num and den are ints at alpha = 2^k."""
-    at = AlphaRational if k is None else lambda p: pack(p, k)
-    if num * at(want.den) == den * at(want.num):
+def _ratio_witness(label, num, den, want, k):
+    """The witness unless num/den == want, for num and den ints at
+    alpha = 2^k, decided as num want.den == den want.num at that point."""
+    if num * pack(want.den, k) == den * pack(want.num, k):
         return None
-    if k is not None:
-        num, den = AlphaRational(unpack(num, k)), AlphaRational(unpack(den, k))
-    return _differ(label, num / den, want)
+    return _differ(label, AlphaRational(unpack(num, k)) / AlphaRational(unpack(den, k)), want)
 
 
 class _Refused(ArithmeticError):

@@ -19,3 +19,12 @@ def fresh_caches(monkeypatch):
     """Every memo of the package replaced by an empty dict for one test."""
     for module, name in CACHES:
         monkeypatch.setattr(module, name, {})
+
+
+def perm_sign(perm) -> int:
+    """Sign of a permutation given as a tuple of images (0-based), by its
+    inversions: the N! reference for the parity the package's rearrangement
+    walk carries."""
+    n = len(perm)
+    inv = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+    return -1 if inv & 1 else 1

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from jackpoly import cli, combinat, polyalg
+from jackpoly import cli, combinat, jack, polyalg, scalars, verify
 
 
 def run_cli(capsys, *argv):
@@ -366,6 +366,30 @@ class TestOversized:
         assert "Traceback" not in proc.stderr, proc.stderr
 
 
+class TestOutOfMemory:
+    """A MemoryError inside a subcommand exits 2 with a message.  The
+    allocating call is patched to raise, so that no test allocates."""
+
+    @pytest.mark.parametrize("module, name, argv", [
+        (jack, "build_E", ["compute", "E", "1,0", "--N", "4"]),
+        (scalars, "const_d", ["constants", "1,0"]),
+        (cli, "omega_truncated", ["expand", "omega", "--N", "2", "--deg", "1"]),
+        (verify, "run_checks", ["verify"]),
+    ], ids=["compute", "constants", "expand", "verify"])
+    def test_exit_2(self, capsys, monkeypatch, module, name, argv):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr(module, name, exhausted)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: jackpoly {argv[0]}")
+        assert captured.err.endswith(
+            "error: out of memory: the request is too large to serve\n"), captured.err
+
+
 class TestExpand:
     def test_omega_with_coeffs(self, capsys):
         code, out = run_cli(capsys, "expand", "omega", "--N", "2", "--deg", "1",
@@ -480,6 +504,14 @@ class TestGolden:
          "5f12a238710516226a7f2cb2a27b2baf5e5206ada87f6f10c2cd573ec595d83b"),
         ("P", "4,3,1,0",
          "67ebdedc5e9854309993fb8cb6cb2b009d5100e316702091a91a381b366c3671"),
+        # P at N = 7 and 9 and S at N = 6, computed while every dominant
+        # coefficient was still written over all N! permutations
+        ("P", "2,2,1,1,0,0,0,0,0",
+         "429394ff34fa1d46265d321a251f0bc5552a0122c75a44aa2ebbdefcef6299c1"),
+        ("P", "4,3,2,1,0,0,0",
+         "394d75b8062b58d4750836ac975ae4322f225da8728f5557b06e09afa09b846d"),
+        ("S", "6,4,3,2,1,0",
+         "c6061c822bc348750a403b13b03346e655030754f45a987d2a3fc024fb08b7b7"),
     ])
     def test_compute_json_digest(self, capsys, family, label, digest):
         code, out = run_cli(capsys, "compute", family, label, "--format", "json")

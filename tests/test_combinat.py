@@ -132,6 +132,20 @@ def test_enumerations():
     assert cb.rearrangements((2, 0)) == [(0, 2), (2, 0)]
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_walk_equals_the_permutation_set(n):
+    """Every multiset of n parts from {0, 1, 2, 3}, most with repeated
+    entries, given in two orders: the walk is the sorted set of its N!
+    permutations, and each parity is that of its ascending pairs."""
+    for parts in itertools.combinations_with_replacement(range(4), n):
+        want = sorted(set(itertools.permutations(parts)))
+        for given in (parts, parts[::-1]):
+            walk = cb.signed_rearrangements(given)
+            assert [e for e, _ in walk] == want, given
+            assert all(odd == cb.ascending_pair_count(e) & 1 for e, odd in walk), given
+            assert cb.rearrangements(given) == want
+
+
 def test_ascending_pair_count():
     assert cb.ascending_pair_count((2, 1, 0)) == 0
     assert cb.ascending_pair_count((0, 1, 2)) == 3

@@ -1,9 +1,10 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from jackpoly import combinat as cb
-from jackpoly import jack, qalpha, scalars, verify
+from jackpoly import jack, polyalg, qalpha, scalars, verify
 from jackpoly.polyalg import (MultiPoly, antisymmetrize, apply_transposition,
                               scalar_ratio, symmetrize, vandermonde)
 from jackpoly.qalpha import ALPHA, ONE, AlphaRational, Factored, alpha_shift, unpack
@@ -115,7 +116,7 @@ def qalpha_sum_P(kappa):
     for eta in cb.rearrangements(kappa):
         dominant = {e: c for e, c in qalpha_chain_E(eta).terms.items() if cb.is_partition(e)}
         acc = acc + MultiPoly(len(kappa), dominant).scale(scalars.const_dp(eta).inverse())
-    return jack._fill(len(kappa), acc.scale(scalars.const_dp(kappa)).terms, signed=False)
+    return jack._fill(len(kappa), acc.scale(scalars.const_dp(kappa)).terms)
 
 
 def _forms(f):
@@ -444,18 +445,43 @@ class TestDominantFill:
         s = jack.build_S((3, 1, 0))
         dominant = {e: c for e, c in s.terms.items() if cb.has_distinct_parts(e)
                     and cb.is_partition(e)}
-        unsigned = jack._fill(3, dominant, signed=False)
+        unsigned = jack._fill(3, dominant)
         monkeypatch.setattr(jack, "build_S", lambda rho_plus: unsigned)
         witness = verify._asym((1, 0, 3))
         assert witness is not None and witness.startswith("rho=(1, 0, 3): Asym d E vs c' d S")
-        # a P fill without the reversal misses z^(0, 1, 2), which only that
-        # permutation reaches from (2, 1, 0)
-        full = jack._signed_perms
-        monkeypatch.setattr(jack, "_signed_perms", lambda n: full(n)[:-1])
-        witness = verify._two_routes((2, 1, 0), 3)
-        assert witness == ("kappa=(2, 1, 0) N=3: L P vs d' sum L J/(d d'): at (0, 1, 2): 0 != "
-                           "8*α^9 + 72*α^8 + 270*α^7 + 546*α^6 + 642*α^5 + 438*α^4 + 160*α^3"
-                           " + 24*α^2")
+
+    @pytest.mark.parametrize("edit, rows", [
+        # the ascending rearrangement dropped from every orbit: P is no
+        # longer symmetric, and differs from the Gram-Schmidt oracle's
+        (lambda walk: walk[1:] or walk,
+         {"P.symmetric-eigen-dominance": "kappa=(1, 0): s_1 P vs P",
+          "oracle.P-gram-schmidt": "kappa=(1, 0) N=2 k=1"}),
+        # its parity flipped: S and Asym take a wrong sign, which the
+        # ascending-pair rule of the Asym rows catches
+        (lambda walk: [(walk[0][0], 1 - walk[0][1])] + walk[1:],
+         {"asym.proportionality": "rho=(0, 3): Asym d E vs c' d S",
+          "asym.du-expansion": "eta+=(0, 0) N=2: d S vs sum over d E"}),
+    ], ids=["dropped", "flipped"])
+    def test_broken_walk_is_detected(self, fresh_caches, monkeypatch, edit, rows):
+        """The one rearrangement walk broken where every orbit reads it: the
+        rows with a reference of their own fail and name the label."""
+        walk = cb.signed_rearrangements
+        for module in (cb, polyalg, jack, verify):
+            if hasattr(module, "signed_rearrangements"):
+                monkeypatch.setattr(module, "signed_rearrangements",
+                                    lambda parts: edit(walk(parts)))
+        for name, label in rows.items():
+            result = verify.CHECKS[name](verify.Bounds(n_max=3, deg=3))
+            assert result.status == "fail" and result.witness.startswith(label), result
+
+    def test_builds_take_no_permutations(self, fresh_caches, monkeypatch):
+        def refused(*args):
+            raise AssertionError("itertools.permutations reached")
+        monkeypatch.setattr(itertools, "permutations", refused)
+        # the rearrangements of (2, 2, 1, 1), (2, 1, 1, 1, 1) and (1^6) in 9
+        # parts, 756 + 630 + 84, and the 6! of the one key of S
+        assert len(jack.build_P((2, 2, 1, 1, 0, 0, 0, 0, 0)).terms) == 1470
+        assert len(jack.build_S((6, 4, 3, 2, 1, 0)).terms) == 720
 
 
 class TestAsym:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import perm_sign
 from jackpoly import combinat, verify
 from jackpoly import polyalg as pa
 from jackpoly.qalpha import ALPHA, ONE, AlphaRational, alpha_shift
@@ -299,7 +300,7 @@ class TestSeries:
         for n in (2, 3, 4):
             delta = combinat.staircase(n)
             vandermonde = [(e, c.num[0]) for e, c in pa.vandermonde(n).terms.items()]
-            shifts = [(combinat.perm_sign(p), [delta[i] for i in p])
+            shifts = [(perm_sign(p), [delta[i] for i in p])
                       for p in itertools.permutations(range(n))]
             for d in range(4):
                 tops = [tuple(p + q for p, q in zip(lam, delta))

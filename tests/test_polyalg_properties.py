@@ -11,8 +11,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
+from conftest import perm_sign  # noqa: E402
 from jackpoly import polyalg as pa  # noqa: E402
-from jackpoly.combinat import perm_sign  # noqa: E402
 from jackpoly.qalpha import ALPHA, AlphaRational  # noqa: E402
 
 given, settings = hypothesis.given, hypothesis.settings
