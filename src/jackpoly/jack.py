@@ -19,17 +19,17 @@ swap step divides delta u - v by delta - 1 = alpha a + b - 1; with
 have digits in [0, 2^L) the two sides differ by a polynomial with
 coefficients below 2^K in size that vanishes at 2^K, that is, by zero.
 So a remainder, or a quotient digit outside [0, 2^L), raises.  E is J
-over d_eta, and d_eta over the factors J holds is a Factored denominator:
-all coefficients are made canonical over it in one batch, by exact division.
+over the Factored d_eta / pending, made canonical on J's ints by trial
+division at 2^K (`Factored.over`), exact under a bound on the quotient.
 
-build_P and build_S work in Z[alpha], only at dominant exponents, and
-then write each value to the distinct rearrangements of its exponent,
-walked by `combinat.signed_rearrangements`, not over the N! permutations.
-P is symmetric, so its coefficient at any exponent equals the one at the
-sorted exponent, a partition.  Sym E_(kappaR) = stab(kappa) P_kappa, kappaR
-the increasing rearrangement (T. H. Baker and P. J. Forrester,
-q-alg/9707001), so P reads one chain and sums its packed ints by sorted
-exponent, over one Factored denominator.  S is the Vandermonde a_delta
+build_P and build_S work in Z[alpha], only at dominant exponents, and then
+write each value to the distinct rearrangements of its exponent, walked by
+`combinat.signed_rearrangements`, not over the N! permutations.  P is
+symmetric, so its coefficient at any exponent equals the one at the sorted
+exponent, a partition.  Sym E_(kappaR) = stab(kappa) P_kappa, kappaR the
+increasing rearrangement (T. H. Baker and P. J. Forrester, q-alg/9707001),
+so P reads one chain and sums its packed ints by sorted exponent, over one
+Factored denominator, divided as E's are.  S is the Vandermonde a_delta
 times P with its coefficients carried through alpha -> alpha/(alpha+1), so
 it is antisymmetric: its coefficient at lambda o pi is sgn(pi) times the
 one at lambda, and vanishes at repeated parts.  By the alternant identity
@@ -52,8 +52,8 @@ import operator
 
 from . import combinat, scalars
 from .polyalg import MultiPoly
-from .qalpha import (AlphaRational, Factored, homogeneous_compose, pack, poly_add, poly_mul,
-                     unpack)
+from .qalpha import (AlphaRational, Factored, homogeneous_compose, pack, pack_all, poly_add,
+                     poly_mul, unpack)
 
 _E_CACHE: dict = {}
 _J_CACHE: dict = {}
@@ -80,17 +80,10 @@ def _outside(eta, k):
     return ~(((1 << bits) - 1) * ((1 << k * digits) - 1) // ((1 << k) - 1))
 
 
-def _integral(eta):
-    """J_eta = d_eta E_eta as (pending, terms): terms is {exponent: int
-    tuple of Z[alpha]}, and J is terms times the Factored product
-    `pending`, the raising factors not yet multiplied in.  Every digit of J
-    lies in [0, 2^L) with L < K, so its balanced digits are its plain ones."""
-    pending, k, terms = _packed_integral(eta)
-    return pending, {e: unpack(c, k) for e, c in terms.items()}
-
-
 def _packed_integral(eta):
-    """J_eta as (pending, K, {exponent: int at alpha = 2^K}), cached.
+    """J_eta as (pending, K, {exponent: int at alpha = 2^K}), cached: J is the
+    ints times the raising factors `pending`; its digits lie in [0, 2^L),
+    L < K, so they are balanced digits and `unpack` reads them.
 
     Each label comes from exactly one predecessor by one raising or swap
     step, so the chain of predecessors is walked down to a cached or zero
@@ -155,16 +148,16 @@ def _swap_step(j_mu, eta, i, outside):
 
 def build_E(eta) -> MultiPoly:
     """The monic polynomial with leading monomial z^eta that is a joint
-    eigenfunction of the commuting first-order operators: the integral
-    form J_eta over d_eta, with the pending factors of J cancelled first.
-    They are the ratios d_(Phi nu)/d_nu of the raising steps since the last
-    swap, so they divide d_eta, and the quotient is a denominator."""
+    eigenfunction of the commuting first-order operators: the packed J_eta
+    divided by `Factored.over` over d_eta / pending.  The pending factors are
+    the ratios d_(Phi nu)/d_nu of the raising steps since the last swap, so
+    they divide d_eta, and the quotient is a denominator."""
     eta = combinat.as_composition(eta)
     out = _E_CACHE.get(eta)
     if out is None:
-        pending, terms = _integral(eta)
+        pending, k, terms = _packed_integral(eta)
         den = scalars.node_ratio(eta, ("d",)) / pending
-        out = _E_CACHE[eta] = MultiPoly(len(eta), den.over(terms))
+        out = _E_CACHE[eta] = MultiPoly(len(eta), den.over(terms, k))
     return out
 
 
@@ -173,15 +166,15 @@ def build_E(eta) -> MultiPoly:
 # ---------------------------------------------------------------------------
 
 def _orbit_sums(kappa, label):
-    """(D, {mu: sum}) with P_kappa[mu] = sum / D at each partition mu that
-    carries a term: D = stab(kappa) d_(kappaR) / pending, a Factored
-    denominator, and the sum is stab(mu) times the packed ints of J_(kappaR)
-    at the e that sort to mu, added and then unpacked once into Z[alpha],
-    since Sym f at mu is stab(mu) times the sum of f over the rearrangements
-    of mu and Sym E_(kappaR) = stab(kappa) P_kappa.  No digit carries: every
-    coefficient of J is in Z>=0[alpha], and at alpha = 1 all add up to
-    e(1) < 2^L <= 2^K, so no digit sum over any subset of exponents reaches
-    2^K; a digit outside [0, 2^L) raises ArithmeticError naming `label`."""
+    """(D, K, {mu: sum}) with P_kappa[mu] = stab(mu) sum / D at each
+    partition mu that carries a term, since Sym f at mu is stab(mu) times
+    the sum of f over the rearrangements of mu and Sym E_(kappaR) =
+    stab(kappa) P_kappa: D = stab(kappa) d_(kappaR) / pending, a Factored
+    denominator, and the sum adds the ints of J_(kappaR) at alpha = 2^K at
+    the e that sort to mu.  No digit carries: every coefficient of J is in
+    Z>=0[alpha], and at alpha = 1 all add up to e(1) < 2^L <= 2^K, so no
+    digit sum over any subset of exponents reaches 2^K; a digit outside
+    [0, 2^L) raises ArithmeticError naming `label`."""
     eta_r = combinat.reverse_partition(kappa)
     pending, k, terms = _packed_integral(eta_r)
     sums, outside = collections.Counter(), _outside(eta_r, k)
@@ -190,9 +183,8 @@ def _orbit_sums(kappa, label):
     for mu, c in sums.items():
         if c & outside:
             raise ArithmeticError(f"{label}: the orbit sum at {mu} has a digit out of bounds")
-    stab = combinat.stabilizer_order
-    den = scalars.node_ratio(eta_r, ("d",), (), stab(kappa)) / pending
-    return den, {mu: tuple(stab(mu) * c for c in unpack(s, k)) for mu, s in sums.items()}
+    den = scalars.node_ratio(eta_r, ("d",), (), combinat.stabilizer_order(kappa)) / pending
+    return den, k, sums
 
 
 def _fill(n: int, dominant: dict) -> MultiPoly:
@@ -204,8 +196,9 @@ def _fill(n: int, dominant: dict) -> MultiPoly:
 def build_P(kappa, n: int = None) -> MultiPoly:
     """The monic symmetric polynomial Sym E_(kappaR) / stab(kappa), kappa
     padded with zeros or cut of trailing zeros to n parts when n is given:
-    each orbit sum of `_orbit_sums` made canonical over D as E is, and
-    copied by `_fill` to the distinct rearrangements of its exponent."""
+    each packed orbit sum s of `_orbit_sums` divided over D as E is, then
+    times stab(mu): a primitive form divides stab(mu) s only if it divides s
+    (Gauss's lemma).  `_fill` copies each to its distinct rearrangements."""
     kappa = combinat.as_partition(kappa)
     if n is not None:
         if any(kappa[n:]):
@@ -213,8 +206,9 @@ def build_P(kappa, n: int = None) -> MultiPoly:
         kappa = kappa[:n] + (0,) * (n - len(kappa))
     out = _P_CACHE.get(kappa)
     if out is None:
-        den, sums = _orbit_sums(kappa, f"P_{kappa}")
-        out = _P_CACHE[kappa] = _fill(len(kappa), den.over(sums))
+        den, k, sums = _orbit_sums(kappa, f"P_{kappa}")
+        out = _P_CACHE[kappa] = _fill(len(kappa), {mu: c * combinat.stabilizer_order(mu)
+                                                   for mu, c in den.over(sums, k).items()})
     return out
 
 
@@ -233,10 +227,11 @@ def build_S(rho_plus) -> MultiPoly:
              = sum_mu m_(lambda mu) P[mu],
     where the integer m_(lambda mu) sums sgn(sigma) over the sigma with
     sort(lambda - sigma delta) = mu, since P is symmetric.  With
-    P[mu] = sum_mu / D from `_orbit_sums`, D c_lambda is summed in Z[alpha]
-    and substituted alpha -> alpha/(alpha+1), a ring homomorphism: each
-    D c_lambda, of degree at most B, goes to a numerator over (alpha+1)^B,
-    and D to `D.shifted()`, one Factored denominator for all.  The signed
+    P[mu] = stab(mu) sum_mu / D from `_orbit_sums`, D c_lambda is summed in
+    Z[alpha] and substituted alpha -> alpha/(alpha+1), a ring homomorphism:
+    each D c_lambda, of degree at most B, goes to a numerator over
+    (alpha+1)^B, and D to `D.shifted()`, one Factored denominator for all,
+    the numerators packed at a k above their l1 norms by `pack_all`.  The signed
     rearrangements sigma delta, walked once, serve the sum and the write:
     lambda has distinct parts, so lambda o sigma is lambdaR read at sigma
     delta, where sgn(sigma) c_lambda goes, exact as S is antisymmetric."""
@@ -249,7 +244,8 @@ def build_S(rho_plus) -> MultiPoly:
         raise ValueError(f"{rho_plus} must be strictly decreasing")
     delta = combinat.staircase(n)
     eta_plus = tuple(r - d for r, d in zip(rho_plus, delta))
-    den, p = _orbit_sums(eta_plus, f"S_{rho_plus}")
+    den, k, p = _orbit_sums(eta_plus, f"S_{rho_plus}")
+    p = {mu: poly_mul(unpack(s, k), (combinat.stabilizer_order(mu),)) for mu, s in p.items()}
     shifted = den.shifted()
     alternant = combinat.signed_rearrangements(delta)  # the terms of the Vandermonde
     sums = {}
@@ -265,8 +261,8 @@ def build_S(rho_plus) -> MultiPoly:
     big = max([-shifted.forms.get((1, 1), 0), *(len(c) - 1 for c in sums.values())])
     den = shifted * Factored([(1, 1)] * big)
     terms = {}
-    for lam, c in den.over({lam: homogeneous_compose(s, (0, 1), (1, 1), big)
-                            for lam, s in sums.items()}).items():
+    for lam, c in den.over(*pack_all({lam: homogeneous_compose(s, (0, 1), (1, 1), big)
+                                      for lam, s in sums.items()})).items():
         lam_r, by_parity = lam[::-1], (c, -c)
         for d, odd in alternant:
             terms[tuple(map(lam_r.__getitem__, d))] = by_parity[odd]

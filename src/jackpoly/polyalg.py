@@ -24,7 +24,8 @@ from fractions import Fraction
 
 from .combinat import (ascending_pair_count, rearrangements, signed_rearrangements,
                        stabilizer_order)
-from .qalpha import ALPHA, ONE, ZERO, AlphaRational, Factored, join_terms, poly_add, poly_mul
+from .qalpha import (ALPHA, ONE, ZERO, AlphaRational, Factored, join_terms, pack_all, poly_add,
+                     poly_mul)
 
 
 def _add_term(out: dict, key, c) -> None:
@@ -469,10 +470,10 @@ def kernel_numerators(n: int, bound: int, diagonal: bool) -> list:
 
 
 def _kernel(n: int, bound: int, diagonal: bool) -> MultiPoly:
-    """kernel_numerators, each block made canonical over D! alpha^D, no gcd."""
+    """kernel_numerators, each block packed and made canonical over D! alpha^D."""
     return MultiPoly._raw(2 * n, {
         e: v for d, block in enumerate(kernel_numerators(n, bound, diagonal))
-        for e, v in Factored([(1, 0)] * d, math.factorial(d)).over(block).items()})
+        for e, v in Factored([(1, 0)] * d, math.factorial(d)).over(*pack_all(block)).items()})
 
 
 def pi_truncated(n: int, bound: int) -> MultiPoly:

@@ -27,12 +27,12 @@ The closed-form constants and the denominators of the construction are
 products of linear factors alpha*a + b, held as `Factored` ratios, whose
 canonical form needs no gcd, at alpha or, by `Factored.shifted`, at
 alpha/(alpha+1).  The construction works in Z[alpha], on plain int
-tuples: `Factored.over` makes a batch of Z[alpha] numerators over a
-factored denominator canonical by exact division alone, one linear
-factor at a time; `times_multiple` clears a denominator the same way, and
+tuples and on ints: `pack` and `unpack` hold an element of Z[alpha] as
+one int, its value at alpha = 2^k, and read it back by balanced digits.
+`Factored.over` makes a batch of packed numerators canonical over a
+factored denominator by trial division of ints at 2^k, one linear factor
+at a time; `times_multiple` clears a denominator by exact division, and
 `homogeneous_compose` carries a numerator through alpha -> alpha/(alpha+1).
-`pack` and `unpack` hold an element of Z[alpha] as one int, its value at
-alpha = 2^k, and read it back by balanced digits.
 
 Evaluation at a rational point p/q stays in ints until one final
 `Fraction`: numerator and denominator are evaluated homogeneously, as
@@ -420,24 +420,6 @@ def alpha_shift() -> AlphaRational:
 # Z[alpha]: integral forms and ratios of products of linear factors
 # ---------------------------------------------------------------------------
 
-def over_linear(p, a, b):
-    """p / (alpha*a + b) when the quotient lies in Z[alpha], else None; a != 0.
-    Synthetic division from the top: p_k = a q_(k-1) + b q_k, and the
-    constant term must come out as b q_0."""
-    n = len(p) - 1
-    if n < 1:
-        return None if p else ()
-    q = [0] * n
-    carry = 0
-    for k in range(n, 0, -1):
-        c, rem = divmod(p[k] - carry, a)
-        if rem:
-            return None
-        q[k - 1] = c
-        carry = b * c
-    return tuple(q) if p[0] == carry else None
-
-
 def pack(poly, k):
     """The int tuple poly at alpha = 2^k (Kronecker substitution: J. von
     zur Gathen and J. Gerhard, Modern Computer Algebra, 8.4)."""
@@ -456,6 +438,12 @@ def unpack(x, k):
             d, x = d - (1 << k), x + 1
         out.append(d)
     return tuple(out)
+
+
+def pack_all(nums):
+    """({key: pack(num, k)}, k) for a dict of int tuples, 2^(k-1) above each l1 norm."""
+    k = max(2, max((sum(map(abs, p)) for p in nums.values()), default=0).bit_length() + 1)
+    return {key: pack(p, k) for key, p in nums.items()}, k
 
 
 class Factored:
@@ -531,21 +519,34 @@ class Factored:
         num = self._expand(c.numerator, 1)
         return AlphaRational._raw(num, self._expand(c.denominator, -1)) if num else ZERO
 
-    def over(self, nums) -> dict:
-        """{key: num / self} in canonical form for each nonzero num in Z[alpha]
-        of the dict nums, over a denominator self (an int content > 0, no
-        m < 0).  Each form is divided out while the division is exact, up to
-        its multiplicity (a primitive divisor over Q is one over Z); then only
-        an integer gcd remains.  Each distinct leftover is expanded once."""
+    def over(self, nums, k) -> dict:
+        """{key: num / self} in canonical form for each nonzero num in Z[alpha] of the
+        dict nums, given as its int x at alpha = 2^k with every coefficient in
+        [-2^(k-1), 2^(k-1)), over a denominator self (an int content > 0, no m < 0).
+        Each form F = alpha*a + b is divided out of x while F(2^k) divides it, up to
+        its multiplicity: F | num gives F(2^k) | x, so a remainder proves F does not
+        divide num.  The quotient q is unpacked once and kept when |q|_inf prod
+        (a + |b|) over the forms divided out is below 2^(k-1): q prod F and num then
+        have balanced digits and pack to x, so they are equal; else x is packed
+        again at 2k.  Then only an integer gcd remains; each leftover is expanded once."""
         out, dens = {}, {}
-        for key, num in nums.items():
-            if num:
-                left = {}
+        for key, x in nums.items():
+            j = k
+            while x:
+                q, left, size = x, {}, 1
                 for (a, b), m in self.forms.items():
-                    while m and (q := over_linear(num, a, b)) is not None:
-                        num, m = q, m - 1
+                    f = (a << j) + b
+                    if not f:  # a form that vanishes at 2^j decides nothing
+                        break
+                    while m and not (qr := divmod(q, f))[1]:
+                        q, m, size = qr[0], m - 1, size * (a + abs(b))
                     if m:
                         left[a, b] = m
+                else:
+                    if max(map(abs, num := unpack(q, j))) * size < 1 << j - 1:
+                        break
+                x, j = pack(unpack(x, j), 2 * j), 2 * j
+            if x:
                 g = math.gcd(self.content, *num)
                 den = self.content // g, tuple(left.items())
                 dens[den] = dens.get(den) or Factored(content=den[0], forms=left).poly()

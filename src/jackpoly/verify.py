@@ -230,11 +230,13 @@ def _multiple(label, f, g, k=None):
     monomial e of g, else (None, witness): the witness names where f
     differs from g scaled by that ratio.  A multiple divides nothing.
     With k, f and g hold ints at alpha = 2^k, decoded for the witness."""
-    ratio = scalar_ratio(f, g)
+    ratio = scalar_ratio(f, g) if g else None  # no ratio is read off a zero g
     if ratio is not None:
         return ratio, None
     if k is not None:
         f, g = (h.map_coeff(lambda c: AlphaRational(unpack(c, k))) for h in (f, g))
+    if not g:
+        return None, _differ(label, f, g) or f"{label}: both sides are 0"
     e, lead = g.lead_term()
     return None, _differ(label, f, g.scale(f.coeff(e) / lead))
 
@@ -264,12 +266,12 @@ def _point(label, bound, *fs):
 
 
 def _l1(p):
-    """sum |p_i| of an int tuple p; _norms(f) is l1 of each coefficient."""
+    """sum |p_i| of an int tuple p; _norms(f) is l1 of each coefficient, [0] for f = 0."""
     return sum(map(abs, p))
 
 
 def _norms(f):
-    return [_l1(c.num) for c in f.terms.values()]
+    return [_l1(c.num) for c in f.terms.values()] or [0]
 
 
 def _times(f, p):
@@ -521,8 +523,8 @@ def _two_routes(kappa, n):
     dens = {eta: scalars.node_ratio(eta, ("d", "dp")) for eta in combinat.rearrangements(kappa)}
     lcm = Factored.lcm(list(dens.values()))
     scale = lcm * scalars.node_ratio(kappa, ("dp",))
-    routes = [((scale * pending / dens[eta]).poly(), terms)
-              for eta in dens for pending, terms in [jack._integral(eta)]]
+    routes = [((scale * pending / dens[eta]).poly(), {e: unpack(c, k) for e, c in j.items()})
+              for eta in dens for pending, k, j in [jack._packed_integral(eta)]]
     h, label = scalars.node_ratio(kappa, ("h",)), f"kappa={kappa} N={n}"
     closed = {name: (h * form).poly() for name, form in zip(
         ("b/h", "N!/stab e/d"), scalars.P_at_ones_forms(kappa))}
@@ -817,7 +819,7 @@ def _binomial(family, r, n, bound, r_side=None):
         c = m * scalars.binomial_ratio(r_side, label) / scalars.node_ratio(label, (kind,))
         terms.append((c.poly(), _integral(family, label, f)))
     label, rhs = f"N={n} r={r}: prod (1-x_j)^-r vs sum over {family}", MultiPoly.zero(n)
-    k, lhs, *gs = _point(label, max(max(_norms(lhs), default=0), sum(
+    k, lhs, *gs = _point(label, max(*_norms(lhs), sum(
         _l1(c) * max(_norms(g)) for c, g in terms)), lhs, *(g for _, g in terms))
     for (c, _), g in zip(terms, gs):
         rhs = rhs + g.scale(pack(c, k))

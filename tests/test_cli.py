@@ -512,6 +512,43 @@ class TestGolden:
          "394d75b8062b58d4750836ac975ae4322f225da8728f5557b06e09afa09b846d"),
         ("S", "6,4,3,2,1,0",
          "c6061c822bc348750a403b13b03346e655030754f45a987d2a3fc024fb08b7b7"),
+        # the other E and S labels of the benchmark's compute-reach slots,
+        # computed while Factored.over still divided int tuples by synthetic
+        # division
+        ("E", "2,4,2,0,0",
+         "6746606ef0e690140934b4856dd188c020b89094dc1459082ed7942780cda7c0"),
+        ("E", "0,4,1,3,0",
+         "32ca5b5d8a3a0e4229f9dd3d96897d88891d403c3e5587279c02a76de633c19f"),
+        ("E", "4,2,0,2,0",
+         "36a058d939208e2d87cf5ec59b2618a48d10a37d12848a29654d15f7f7b4719f"),
+        ("E", "4,0,0,4,0",
+         "cd3076d2b2badfdb12c220fc20039c666382a297a38c13c4d4a3d21f2870d078"),
+        ("E", "4,1,0,0,3",
+         "665dd8cfc4222c6822dea170af6754eb75b7ae46674c7a32f3e6398ba000ea1f"),
+        ("E", "4,2,2,0,0",
+         "9121bcfbc33a3a7c926a3d089877796781559fd1b20a01b03275725eb61b66d4"),
+        ("E", "4,0,1,3,0",
+         "25fd6a21d9ab71191872e3cc327a1f41ebc0322bcde53da8943ced354f6b4fe0"),
+        ("E", "4,0,3,1,0",
+         "2eaba4cfb5ee20cfc7d0a264cd37cd2cf7bcee88666d70555549ccd125fbb496"),
+        ("E", "0,4,4,0,0",
+         "0e81b0415c291d7f775792590509a6a3c7bb2f96f5a37b5db21ef6fe4ac742aa"),
+        ("E", "4,3,0,1,0",
+         "0eac72e9084d4635a7da253bc8452319a429138901720a2bf76db9a06e8ddaf8"),
+        ("E", "4,1,3,0,0",
+         "10f6c01e0a7fd88dc5fb3910253281bbe6e3c5d074468309be783c7acea0980b"),
+        ("E", "4,1,0,3,0",
+         "5872db1d512c7b74f47af4ff0e3250ca924a4d3cdf2990f441032c1132694779"),
+        ("S", "8,3,2,1,0",
+         "fa672db9c71aeb1981c8aa076a4f532768dac1d21b3d871828425effb4cdbbae"),
+        ("S", "7,4,2,1,0",
+         "e3c0a4c5e0c0410563efedb6e8ee378946c4d33c251559e685b264d7bbc461cf"),
+        ("S", "9,3,2,1,0",
+         "76652e3df910f210ff72ed695efc87e60da95bd2d424b1d9811f20f6e7030377"),
+        ("S", "7,3,2,1,0",
+         "72c2122034cbafcc7bdde93a7590ed9995b0393a096e52b37577ee864e14fe62"),
+        ("S", "6,4,3,1,0",
+         "1a9c4a22bc47d0241613ec7b5b4e11dd5321def5c2bb1ce7d537d17cd8d74cd0"),
     ])
     def test_compute_json_digest(self, capsys, family, label, digest):
         code, out = run_cli(capsys, "compute", family, label, "--format", "json")
@@ -530,6 +567,12 @@ class TestGolden:
          "768565a495de6d0decd6814c6ee9258254a34066016a43b05455a85539c913f4"),
         (["expand", "pi", "--N", "4", "--deg", "3"],
          "732a48ebced0042ee69300915cc3d449a468f007a36236997a58407e7bbe8361"),
+        # at N = 4 and D = 5, computed while each block was still divided by
+        # alpha one int tuple at a time
+        (["expand", "omega", "--N", "4", "--deg", "5"],
+         "f30df0d715eff7918cb7ddc9b7a3269c52c8ea217ca67328c26a67913580e970"),
+        (["expand", "pi", "--N", "4", "--deg", "5"],
+         "11e8b15ca777e026c5bbbcf9c5a9efc721f5700ec25e868c967309369f8d322f"),
     ])
     def test_expand_json_digest(self, capsys, argv, digest):
         code, out = run_cli(capsys, *argv, "--format", "json")

@@ -16,6 +16,12 @@ def _z(i, n):
     return MultiPoly.variable(i, n)
 
 
+def _integral(eta):
+    """J_eta as (pending, {exponent: int tuple of Z[alpha]}), unpacked."""
+    pending, k, terms = jack._packed_integral(eta)
+    return pending, {e: unpack(c, k) for e, c in terms.items()}
+
+
 class TestBuildE:
     def test_small_cases(self):
         assert jack.build_E((0, 1)) == _z(2, 2)
@@ -126,7 +132,7 @@ def _forms(f):
 def _J(eta):
     """The cached integral form as a polynomial over Q(alpha), its pending
     factors multiplied in."""
-    pending, terms = jack._integral(eta)
+    pending, terms = _integral(eta)
     return MultiPoly(len(eta), {e: AlphaRational(c) for e, c in terms.items()}).scale(
         pending.value())
 
@@ -174,12 +180,12 @@ class TestIntegralChain:
     def test_raising_factors_stay_pending(self, fresh_caches):
         # J of z^k at N = 1 is d_(k) z^k: the chain keeps d_(k) as its k
         # factors, and E cancels them without multiplying them out
-        pending, terms = jack._integral((50,))
+        pending, terms = _integral((50,))
         assert terms == {(50,): (1,)}
         d = scalars.node_ratio((50,), ("d",))
         assert (pending.content, pending.forms) == (d.content, d.forms)
         # a swap step multiplies them in
-        pending, terms = jack._integral((1, 0))
+        pending, terms = _integral((1, 0))
         assert (pending.content, pending.forms) == (1, {})
         assert terms == {(1, 0): (1, 1), (0, 1): (1,)}
 
@@ -195,15 +201,15 @@ class TestIntegralChain:
         # by 2^1 instead of the chain's bound its swap step fails
         packing = jack._packing
         monkeypatch.setattr(jack, "_packing", lambda eta: (1, packing(eta)[1]))
-        assert jack._integral((1, 0))[1] == {(1, 0): (1, 1), (0, 1): (1,)}
+        assert _integral((1, 0))[1] == {(1, 0): (1, 1), (0, 1): (1,)}
         with pytest.raises(ArithmeticError, match=r"^J_\(2, 0\): .* digit outside"):
-            jack._integral((2, 0))
+            _integral((2, 0))
 
     def test_orbit_sum_digit_outside_the_bound_raises(self, fresh_caches, monkeypatch):
         # J_(0, 0, 2) is held with every digit 0 or 1, but its terms at
         # (0, 1, 1) and (1, 0, 1) sum to 2 at the partition (1, 1, 0): with
         # the digits bounded by 2^1 once its chain is cached, build_P fails
-        assert jack._integral((0, 0, 2))[1] == {(0, 0, 2): (1, 1), (0, 1, 1): (1,),
+        assert _integral((0, 0, 2))[1] == {(0, 0, 2): (1, 1), (0, 1, 1): (1,),
                                                 (1, 0, 1): (1,)}
         packing = jack._packing
         monkeypatch.setattr(jack, "_packing", lambda eta: (1, packing(eta)[1]))
@@ -216,7 +222,7 @@ class TestIntegralChain:
         # chosen per label, and the chain of (1, 30) repacks the cached
         # (1, 20), packed at a smaller K, on its way
         for eta, width in [((1, 20), 61), ((1, 30), 107)]:
-            terms = jack._integral(eta)[1]
+            terms = _integral(eta)[1]
             assert max(max(c) for c in terms.values()).bit_length() == width
             assert _forms(jack.build_E(eta)) == _forms(qalpha_chain_E(eta)), eta
 
@@ -234,24 +240,39 @@ def _chain(eta):
 
 
 class TestReadTraffic:
-    """E and P read J only in the form they use: build_P walks the one
-    chain at the increasing rearrangement and unpacks one orbit sum per
-    partition, and one Factored.over call expands each distinct leftover
-    denominator once.  The labels are the first E label of each E slot
-    and every P label of the benchmark's compute-reach."""
+    """E and P read J packed and make each coefficient canonical by trial
+    division of ints at alpha = 2^K: no synthetic division of int tuples,
+    one unpack per canonical coefficient (build_P walks the one chain at
+    the increasing rearrangement and has one per partition), and one
+    Factored.over call expands each distinct leftover denominator once.
+    The labels are the first E label of each E slot and every P label of
+    the benchmark's compute-reach."""
 
     pytestmark = pytest.mark.usefixtures("fresh_caches")
 
-    @pytest.mark.parametrize("kappa", [(3, 2, 1, 1, 0), (4, 1, 1, 0, 0), (5, 2, 0, 0),
-                                       (4, 1, 1, 1, 0), (4, 3, 1, 0), (5, 3, 0, 0)])
-    def test_build_P_unpacks_only_partition_exponents(self, monkeypatch, kappa):
-        unpacked, unpack = [], jack.unpack
+    @staticmethod
+    def _unpacks(monkeypatch):
+        """The ints unpacked by jack and qalpha, with the tuple divisions of
+        qalpha made to raise."""
+        unpacked, unpack = [], qalpha.unpack
 
         def counted(x, k):
             unpacked.append(x)
             return unpack(x, k)
 
-        monkeypatch.setattr(jack, "unpack", counted)
+        def synthetic(*args):
+            raise AssertionError("a synthetic division of int tuples")
+
+        for module in (jack, qalpha):
+            monkeypatch.setattr(module, "unpack", counted)
+        for name in ("_div_exact", "_pseudo_rem"):
+            monkeypatch.setattr(qalpha, name, synthetic)
+        return unpacked
+
+    @pytest.mark.parametrize("kappa", [(3, 2, 1, 1, 0), (4, 1, 1, 0, 0), (5, 2, 0, 0),
+                                       (4, 1, 1, 1, 0), (4, 3, 1, 0), (5, 3, 0, 0)])
+    def test_build_P_unpacks_only_partition_exponents(self, monkeypatch, kappa):
+        unpacked = self._unpacks(monkeypatch)
         jack.build_P(kappa)
         assert set(jack._J_CACHE) == set(_chain(cb.reverse_partition(kappa)))
         # E at the increasing rearrangement reaches every partition below kappa
@@ -261,8 +282,15 @@ class TestReadTraffic:
 
     @pytest.mark.parametrize("eta", [(2, 4, 2, 0, 0), (4, 2, 0, 2, 0), (4, 2, 2, 0, 0),
                                      (4, 4, 0, 0, 0)])
+    def test_build_E_unpacks_once_per_coefficient(self, monkeypatch, eta):
+        unpacked = self._unpacks(monkeypatch)
+        e = jack.build_E(eta)
+        assert len(unpacked) == len(e.terms)
+
+    @pytest.mark.parametrize("eta", [(2, 4, 2, 0, 0), (4, 2, 0, 2, 0), (4, 2, 2, 0, 0),
+                                     (4, 4, 0, 0, 0)])
     def test_over_expands_each_leftover_denominator_once(self, monkeypatch, eta):
-        pending, terms = jack._integral(eta)
+        pending, k, terms = jack._packed_integral(eta)
         den = scalars.node_ratio(eta, ("d",)) / pending
         expanded, poly = [], Factored.poly
 
@@ -271,7 +299,7 @@ class TestReadTraffic:
             return poly(self)
 
         monkeypatch.setattr(Factored, "poly", counted)
-        values = den.over(terms)
+        values = den.over(terms, k)
         assert len(expanded) == len(set(expanded)) == len({v.den for v in values.values()})
         assert len(expanded) < len(terms) / 4
 
@@ -385,7 +413,7 @@ class TestBuildS:
         # S_(4, 1, 0) reads the chain at eta+R = (0, 0, 2), whose terms at
         # (0, 1, 1) and (1, 0, 1) sum to 2 at (1, 1, 0): with the digits
         # bounded by 2^1 once that chain is cached, build_S fails naming S
-        jack._integral((0, 0, 2))
+        _integral((0, 0, 2))
         packing = jack._packing
         monkeypatch.setattr(jack, "_packing", lambda eta: (1, packing(eta)[1]))
         with pytest.raises(ArithmeticError, match=r"^S_\(4, 1, 0\): the orbit sum at "

@@ -4,6 +4,7 @@ route, evaluation against Horner in Fractions, and the Z[alpha] helpers of
 the construction, on elements drawn by hypothesis."""
 
 import itertools
+import math
 import operator
 from fractions import Fraction
 
@@ -12,9 +13,10 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
+from jackpoly import qalpha  # noqa: E402
 from jackpoly.qalpha import (ALPHA, ONE, ZERO, AlphaRational, Factored,  # noqa: E402
-                             _gcd, _product, _sum, _trim, alpha_shift, over_linear, pack,
-                             poly_mul, times_multiple, unpack)
+                             _exact_scale, _gcd, _product, _sum, _trim, alpha_shift, pack,
+                             pack_all, poly_mul, times_multiple, unpack)
 
 given, settings = hypothesis.given, hypothesis.settings
 
@@ -66,6 +68,47 @@ def test_json_round_trip(x):
     assert AlphaRational.from_json(x.to_json()) == x
 
 
+def over_linear(p, a, b):
+    """p / (alpha*a + b) when the quotient lies in Z[alpha], else None; a != 0.
+    Synthetic division from the top: p_k = a q_(k-1) + b q_k, and the
+    constant term must come out as b q_0.  The reference for the trial
+    division of Factored.over at alpha = 2^k."""
+    n = len(p) - 1
+    if n < 1:
+        return None if p else ()
+    q = [0] * n
+    carry = 0
+    for k in range(n, 0, -1):
+        c, rem = divmod(p[k] - carry, a)
+        if rem:
+            return None
+        q[k - 1] = c
+        carry = b * c
+    return tuple(q) if p[0] == carry else None
+
+
+def over_reference(den, nums):
+    """Factored.over on int tuples: each form divided out by over_linear
+    while exact, up to its multiplicity, then the integer content."""
+    out = {}
+    for key, num in nums.items():
+        if num:
+            left = {}
+            for (a, b), m in den.forms.items():
+                while m and (q := over_linear(num, a, b)) is not None:
+                    num, m = q, m - 1
+                if m:
+                    left[a, b] = m
+            g = math.gcd(den.content, *num)
+            out[key] = AlphaRational._raw(_exact_scale(num, g),
+                                          Factored(content=den.content // g, forms=left).poly())
+    return out
+
+
+def _pairs(values):
+    return {key: (v.num, v.den) for key, v in values.items()}
+
+
 def times_linear(p, a, b):
     """p (alpha*a + b) in Z[alpha], for a != 0: the reference for
     over_linear's round trip."""
@@ -101,16 +144,16 @@ def field_product(pairs, content=1):
 
 
 @st.composite
-def batches(draw):
+def batches(draw, forms=factors, min_keys=0):
     """A factored denominator, its forms repeated up to three times over an
     int content, and a dict of numerators: each a polynomial, zero at
     times, times some of those forms and some others."""
-    forms = draw(st.lists(factors, max_size=3))
-    den_pairs = [f for f in forms for _ in range(draw(st.integers(min_value=1, max_value=3)))]
+    den_pairs = [f for f in draw(st.lists(forms, max_size=3))
+                 for _ in range(draw(st.integers(min_value=1, max_value=3)))]
     nums = {}
-    for key in range(draw(st.integers(min_value=0, max_value=6))):
+    for key in range(draw(st.integers(min_value=min_keys, max_value=6))):
         pairs = draw(st.lists(st.sampled_from(den_pairs), max_size=4)) if den_pairs else []
-        pairs += draw(st.lists(factors, max_size=2))
+        pairs += draw(st.lists(forms, max_size=2))
         nums[key] = poly_mul(_trim(draw(polys)), Factored(pairs).poly())
     return Factored(den_pairs, draw(st.integers(min_value=1, max_value=12))), nums
 
@@ -122,7 +165,7 @@ def test_ratio_over_linear_forms_is_canonical(batch):
     the same (num, den) tuples as the field division, which reduces by gcd,
     and a zero numerator is dropped."""
     den, nums = batch
-    got = den.over(nums)
+    got = den.over(*pack_all(nums))
     assert got.keys() == {key for key, num in nums.items() if num}
     for key, value in got.items():
         want = AlphaRational(nums[key]) / den.value()
@@ -133,9 +176,68 @@ def test_batch_over_examples():
     """A repeated form divided out once, twice or not at all, a numerator
     no form divides, and a zero numerator, over 6 (alpha + 1)^2 (2 alpha + 1)."""
     den = Factored([(1, 1), (1, 1), (2, 1)], 6)
-    got = den.over({"once": (2, 2), "twice": (3, 6, 3), "none": (5, 0, 1), "zero": ()})
+    got = den.over(*pack_all({"once": (2, 2), "twice": (3, 6, 3), "none": (5, 0, 1), "zero": ()}))
     assert {key: (v.num, v.den) for key, v in got.items()} == {
         "once": ((1,), (3, 9, 6)), "twice": ((1,), (2, 4)), "none": ((5, 0, 1), (6, 24, 30, 12))}
+
+
+def _least_k(polys):
+    """The least k >= 2 at which every coefficient is a balanced digit."""
+    return max([2, *((c if c >= 0 else ~c).bit_length() + 1 for p in polys for c in p)])
+
+
+# forms alpha*a + b of split denominators, a > 0 and b of either sign
+signed_factors = st.tuples(st.integers(min_value=1, max_value=6),
+                           st.integers(min_value=-6, max_value=6))
+
+
+@PROPERTY
+@given(batches(signed_factors, 1), st.data())
+def test_packed_over_is_the_tuple_route(batch, data):
+    """Trial division at 2^k gives the tuple route's values: at the l1 k of
+    pack_all; at the least k that holds the digits, where the bound fails
+    often and the numerator is packed again; and after one digit of one
+    numerator moves by one, when the value must move too."""
+    den, nums = batch
+    want = _pairs(over_reference(den, nums))
+    assert _pairs(den.over(*pack_all(nums))) == want
+    k = _least_k(nums.values())
+    assert _pairs(den.over({key: pack(num, k) for key, num in nums.items()}, k)) == want
+    key = data.draw(st.sampled_from(sorted(nums)))
+    num = list(nums[key]) or [0]
+    i = data.draw(st.integers(min_value=0, max_value=len(num) - 1))
+    num[i] += data.draw(st.sampled_from((-1, 1)))
+    moved = {key: _trim(num)}
+    got = den.over(*pack_all(moved))
+    assert _pairs(got) == _pairs(over_reference(den, moved))
+    assert _pairs(got) != _pairs(den.over(*pack_all({key: nums[key]})))
+
+
+@PROPERTY
+@given(signed_factors.filter(lambda ab: math.gcd(*ab) == 1), st.integers(min_value=2, max_value=6),
+       st.integers(min_value=-10 ** 6, max_value=10 ** 6).filter(bool))
+def test_packed_over_rejects_a_false_divisor(form, k, cofactor):
+    """x = cofactor * F(2^k) is divisible at 2^k by construction, but its
+    balanced digits num carry, so F need not divide num: when it does not,
+    F stays in the denominator, as the tuple route keeps it."""
+    den, f = Factored([form]), (form[0] << k) + form[1]
+    hypothesis.assume(f)
+    num = unpack(cofactor * f, k)
+    hypothesis.assume(over_linear(num, *form) is None)
+    got = den.over({0: cofactor * f}, k)
+    assert _pairs(got) == _pairs(over_reference(den, {0: num}))
+    assert got[0].den == den.poly()
+
+
+def test_packed_over_retries_at_a_larger_k(monkeypatch):
+    """3 (alpha + 1) at k = 3 divides to 3, but 3 (1 + 1) is not below 2^2:
+    the bound fails, and the numerator is packed again at 6."""
+    packed, real = [], qalpha.pack
+    monkeypatch.setattr(qalpha, "pack", lambda poly, k: packed.append(k) or real(poly, k))
+    got = Factored([(1, 1)], 2).over({0: pack((3, 3), 3)}, 3)
+    assert _pairs(got) == {0: ((3,), (2,))} and packed == [6]
+    vanishing = Factored([(1, -4)]).over({0: pack((0, 1), 2)}, 2)  # alpha - 4 is 0 at 2^2
+    assert _pairs(vanishing) == {0: ((0, 1), (-4, 1))} and packed == [6, 4]
 
 
 # any linear factor: a constant one (a = 0), the zero factor (0, 0), a < 0, b < 0

@@ -41,7 +41,7 @@ def _cached_S(rho_plus):
 def _cached_J(eta):
     """Add 1 at alpha^0 to the packed J at eta's lowest monomial."""
     def perturb(monkeypatch):
-        jack._integral(eta)
+        jack._packed_integral(eta)
         pending, k, terms = jack._J_CACHE[eta]
         e = min(terms)
         monkeypatch.setitem(jack._J_CACHE, eta, (pending, k, {**terms, e: terms[e] + 1}))
@@ -237,6 +237,19 @@ def test_input_outside_Z_alpha_is_refused(fresh_caches, monkeypatch, name, label
     _cached_plus("E", (1, 0), (1, 0), AlphaRational(1, (7, 1)))(monkeypatch)
     witness = verify.CHECKS[name](BOUNDS).witness
     assert witness == f"{label}: at (1, 0): (α^2 + 9*α + 8)/(α + 7) not in Z[α]", witness
+
+
+@pytest.mark.parametrize("name, label", [
+    ("asym.proportionality", "rho=(0, 1): Asym d E vs c' d S"),
+    ("asym.du-expansion", "eta+=(0, 0) N=2: d S vs sum over d E"),
+])
+def test_zero_S_fails_the_asym_rows_with_a_witness(fresh_caches, monkeypatch, name, label):
+    """A zero S_(1, 0) fails both asym rows at the case that reads it, with
+    both values, not with an exception that names no case."""
+    monkeypatch.setitem(jack._S_CACHE, (1, 0), MultiPoly.zero(2))
+    result = verify.CHECKS[name](BOUNDS)
+    assert result.status == "fail" and result.witness.startswith(label + ": at (0, 1): "), \
+        result.witness
 
 
 def test_kronecker_control_vanishes_at_the_unperturbed_point(monkeypatch):
