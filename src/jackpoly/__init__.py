@@ -8,7 +8,7 @@ and hook-product identities relating them, exactly, against independent
 brute-force oracles.
 """
 
-from . import combinat, jack, oracle, verify
+from . import combinat, jack, oracle, polyalg, verify
 from .combinat import (DiagramNode, composition_lt, diagram_nodes,
                        dominance_leq, eigenvalue_vector, has_distinct_parts,
                        node_stats, phi_composition, reverse_partition,
@@ -23,9 +23,9 @@ from .scalars import (c_rho, c_rho_resolved, eval_E_at_ones, eval_P_at_ones,
 from .verify import Bounds, VerifyReport, run_checks
 
 # every memo of the package, by module: a value kept per key it depends on alone
-_MEMOS = {combinat: ("_NODES",), jack: ("_E_CACHE", "_J_CACHE", "_P_CACHE", "_S_CACHE"),
+_MEMOS = {combinat: ("_NODES", "_WALKS"), jack: ("_E_CACHE", "_J_CACHE", "_P_CACHE", "_S_CACHE"),
           oracle: ("_WEIGHT_CACHE", "_PACKED_WEIGHT", "_ANSATZ_CACHE", "_IMAGE_CACHE"),
-          verify: ("_INTEGRAL",)}
+          polyalg: ("_KERNELS",), verify: ("_INTEGRAL",)}
 
 
 def clear_caches():

@@ -176,6 +176,7 @@ def node_stats(eta, i: int, j: int) -> DiagramNode:
 
 
 _NODES: dict = {}
+_WALKS: dict = {}  # signed_rearrangements, by sorted multiset
 
 
 def diagram_nodes(eta) -> tuple:
@@ -258,11 +259,14 @@ def partitions_upto(max_total: int, max_length: int):
         yield from partitions(d, max_length)
 
 
-def signed_rearrangements(parts) -> list:
+def signed_rearrangements(parts) -> tuple:
     """(e, ascending_pair_count(e) & 1) for each distinct rearrangement e of
     the tuple `parts`, ascending, by one walk over the multiset, not the N!
-    permutations: each distinct part left, smallest first, goes to the next
-    position and opens an ascending pair with each part left above it."""
+    permutations, kept per sorted multiset: each distinct part left, smallest
+    first, goes to the next position and opens an ascending pair with each
+    part left above it."""
+    if (key := tuple(sorted(parts))) in _WALKS:
+        return _WALKS[key]
     values, out = sorted(set(parts)), []
     left = [parts.count(v) for v in values]
 
@@ -278,6 +282,7 @@ def signed_rearrangements(parts) -> list:
             out.append((prefix, odd))
 
     place((), 0, len(parts))
+    out = _WALKS[key] = tuple(out)
     return out
 
 

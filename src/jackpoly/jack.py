@@ -52,8 +52,8 @@ import operator
 
 from . import combinat, scalars
 from .polyalg import MultiPoly
-from .qalpha import (AlphaRational, Factored, homogeneous_compose, pack, pack_all, poly_add,
-                     poly_mul, unpack)
+from .qalpha import (AlphaRational, Factored, homogeneous_compose, pack, poly_add, poly_mul,
+                     unpack)
 
 _E_CACHE: dict = {}
 _J_CACHE: dict = {}
@@ -125,7 +125,7 @@ def _swap_step(j_mu, eta, i, outside):
     of J_mu are multiplied in first, packed.  A remainder, or a quotient
     with a bit in `outside`, raises ArithmeticError naming eta."""
     pending, k, terms = j_mu
-    scale = pack(pending.poly(), k)
+    scale = pending.at(k)
     if scale != 1:
         terms = {e: c * scale for e, c in terms.items()}
     j = i - 1
@@ -231,7 +231,7 @@ def build_S(rho_plus) -> MultiPoly:
     Z[alpha] and substituted alpha -> alpha/(alpha+1), a ring homomorphism:
     each D c_lambda, of degree at most B, goes to a numerator over
     (alpha+1)^B, and D to `D.shifted()`, one Factored denominator for all,
-    the numerators packed at a k above their l1 norms by `pack_all`.  The signed
+    the numerators packed at a k with 2^(k-1) above their l1 norms.  The signed
     rearrangements sigma delta, walked once, serve the sum and the write:
     lambda has distinct parts, so lambda o sigma is lambdaR read at sigma
     delta, where sgn(sigma) c_lambda goes, exact as S is antisymmetric."""
@@ -260,9 +260,10 @@ def build_S(rho_plus) -> MultiPoly:
                                                 for mu, k in m.items() if k and mu in p), ())
     big = max([-shifted.forms.get((1, 1), 0), *(len(c) - 1 for c in sums.values())])
     den = shifted * Factored([(1, 1)] * big)
+    sums = {lam: homogeneous_compose(s, (0, 1), (1, 1), big) for lam, s in sums.items()}
+    k = max(2, max(sum(map(abs, c)) for c in sums.values()).bit_length() + 1)
     terms = {}
-    for lam, c in den.over(*pack_all({lam: homogeneous_compose(s, (0, 1), (1, 1), big)
-                                      for lam, s in sums.items()})).items():
+    for lam, c in den.over({lam: pack(s, k) for lam, s in sums.items()}, k).items():
         lam_r, by_parity = lam[::-1], (c, -c)
         for d, odd in alternant:
             terms[tuple(map(lam_r.__getitem__, d))] = by_parity[odd]

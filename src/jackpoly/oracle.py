@@ -16,12 +16,12 @@ and works inside in ints, with one Fraction per output value:
   first family once into its int dual vector, so every pairing is an int
   dot product and one division; ct_inner_product is its 1 x 1 case;
 * a linear-algebra construction of the non-symmetric polynomials at a
-  specialized rational parameter p/q: the triangular ansatz and its
-  eigenvalues at alpha = 0 are built once per label, and each operator
-  image of a monomial at alpha = 0 once per (monomial, operator); at each
-  p/q the operators and eigenvalues are scaled by q to ints, then come
-  back-substitution along the ansatz over one common denominator and an
-  exact int residual check of every eigen-equation;
+  specialized rational parameter p/q: the triangular ansatz, its
+  eigenvalues at alpha = 0 and the alpha-free rows of the operators are
+  built once per label, each operator image of a monomial once per
+  (monomial, operator); scaled by q to ints, an entry at p/q is q c plus
+  p nu_i on the diagonal, read in place by the back-substitution along the
+  ansatz over one common denominator and by an exact int residual check;
 * Gram-Schmidt construction of the symmetric polynomials from monomial
   symmetric functions, by fraction-free (Bareiss) elimination of their int
   Gram matrix of constant-term pairings, whose pivots are its leading
@@ -244,27 +244,29 @@ def _xi_monomial(exps: tuple, i: int, alpha0) -> dict:
             for mono, c in _q_xi_monomial(exps, i, a0.numerator, q).items()}
 
 
-def _solve_exact(rows, bars, comps, q):
+def _solve_exact(rows, bars, comps, p, q):
     """Back-substitute the monic triangular ansatz in ints: comps ascends in
     the composition order and ends at the label, whose coefficient is 1;
-    rows[i][mono][nu] is the coefficient of z^mono in q times the i-th
-    operator applied to z^nu, and bars[i] is q times its eigenvalue.  Each
-    lower x_mu is fixed, in descending order, by the first operator whose
-    diagonal entry at mu differs from its eigenvalue.  The solution is held
-    as x_nu = X_nu / D over one common denominator D, the lcm of the
-    denominators so far: a pivot that brings in a factor D lacks multiplies
-    every X and D by it.  Then every equation of every operator is checked
-    as an int equality at every monomial of the ansatz or of an operator
-    image.  Raises when no operator separates a monomial or a residual is
-    nonzero; returns {nu: Fraction(X_nu, D)} over the nonzero X_nu."""
+    rows[i][mono][nu] is the coefficient of z^mono in the alpha-free image
+    of z^nu under the i-th operator, so q times the operator at p/q has
+    q rows[i][mono][nu] there plus p nu_i at mono = nu, and bars[i] is q
+    times its eigenvalue.  Each lower x_mu is fixed, in descending order,
+    by the first operator whose diagonal entry at mu differs from its
+    eigenvalue.  The solution is held as x_nu = X_nu / D over one common
+    denominator D, the lcm of the denominators so far: a pivot that brings
+    in a factor D lacks multiplies every X and D by it.  Then every
+    equation of every operator is checked as an int equality at every
+    monomial of the ansatz or of an operator image.  Raises when no
+    operator separates a monomial or a residual is nonzero; returns
+    {nu: Fraction(X_nu, D)} over the nonzero X_nu."""
     x, d = {comps[-1]: 1}, 1
     for mu in reversed(comps[:-1]):
-        for row, lam in zip(rows, bars):
+        for i, (row, lam) in enumerate(zip(rows, bars)):
             eq = row.get(mu, {})
-            pivot = eq.get(mu, 0) - lam
+            pivot = q * eq.get(mu, 0) + p * mu[i] - lam
             if pivot:
                 # x_mu = num / den in lowest terms, den > 0
-                num = -sum(c * x.get(nu, 0) for nu, c in eq.items() if nu != mu)
+                num = -q * sum(c * x.get(nu, 0) for nu, c in eq.items() if nu != mu)
                 den = pivot * d
                 g = math.gcd(num, den) * (1 if den > 0 else -1)
                 num, den = num // g, den // g
@@ -279,10 +281,10 @@ def _solve_exact(rows, bars, comps, q):
         else:
             raise ArithmeticError(f"no operator separates {mu} from the label")
     monos = set(comps).union(*rows)
-    for row, lam in zip(rows, bars):
+    for i, (row, lam) in enumerate(zip(rows, bars)):
         for mono in monos:
-            residual = sum(c * x.get(nu, 0) for nu, c in row.get(mono, {}).items())
-            if residual != lam * x.get(mono, 0):
+            residual = q * sum(c * x.get(nu, 0) for nu, c in row.get(mono, {}).items())
+            if residual + (p * mono[i] - lam) * x.get(mono, 0):
                 raise ArithmeticError(f"eigen-equation {Fraction(lam, q)} fails at {mono}")
     return {nu: Fraction(c, d) for nu, c in x.items()}
 
@@ -303,17 +305,24 @@ def _image(nu, i):
 
 def _ansatz(eta):
     """The parts of a solve that do not depend on alpha0: the compositions
-    below eta in ascending composition order, their set, and each one's
-    eigenvalue vector at alpha = 0.  The vector is affine in alpha with
-    slope the composition itself, so q times it at p/q is
-    p nu + q (its value at 0)."""
+    below eta in ascending composition order, each one's eigenvalue vector
+    at alpha = 0, and the rows of _solve_exact, raising at an image outside
+    them.  The vector and each operator are affine in alpha with slope nu
+    and nu_i on z^nu, so q times one at p/q is p nu + q (its value at 0)."""
     cached = _ANSATZ_CACHE.get(eta)
     if cached is None:
         comps = tuple(sorted((nu for nu in combinat.compositions(sum(eta), len(eta))
                               if combinat.composition_leq(nu, eta)),
                              key=combinat.composition_order_key))
+        span, rows = frozenset(comps), [{} for _ in eta]
+        for i, row in enumerate(rows, start=1):
+            for nu in comps:
+                for mono, c in _image(nu, i).items():
+                    if mono not in span:
+                        raise ArithmeticError(f"operator left the triangular span at {mono}")
+                    row.setdefault(mono, {})[nu] = c
         cached = _ANSATZ_CACHE[eta] = (
-            comps, frozenset(comps), {nu: combinat.eigenvalue_ints(nu, 0, 1) for nu in comps})
+            comps, {nu: combinat.eigenvalue_ints(nu, 0, 1) for nu in comps}, rows)
     return cached
 
 
@@ -327,8 +336,7 @@ def solve_E_linear(eta, alpha0) -> dict:
     eta = combinat.as_composition(eta)
     alpha0 = _rational(alpha0)
     p, q = alpha0.numerator, alpha0.denominator
-    n = len(eta)
-    comps, span, at_zero = _ansatz(eta)
+    comps, at_zero, rows = _ansatz(eta)
 
     def bars(nu):
         return tuple(p * e + q * z for e, z in zip(nu, at_zero[nu]))
@@ -337,20 +345,7 @@ def solve_E_linear(eta, alpha0) -> dict:
         if nu != eta and bars(nu) == bars_eta:
             raise EigenvalueCollision(
                 f"eigenvalues of {nu} and {eta} collide at alpha = {alpha0}")
-    rows = []
-    for i in range(1, n + 1):
-        row = {}
-        for nu in comps:
-            for mono, c in _image(nu, i).items():
-                if mono not in span:
-                    raise ArithmeticError(
-                        f"operator left the triangular span at {mono}")
-                row.setdefault(mono, {})[nu] = q * c
-            if nu[i - 1]:
-                diag = row.setdefault(nu, {})
-                diag[nu] = diag.get(nu, 0) + p * nu[i - 1]
-        rows.append(row)
-    return _solve_exact(rows, bars_eta, comps, q)
+    return _solve_exact(rows, bars_eta, comps, p, q)
 
 
 def solve_E_auto(eta):

@@ -6,14 +6,14 @@ terms into a dict does so through `_add_term`, which drops a key whose sum
 vanishes; the variable relabelings (`apply_permutation`,
 `apply_transposition`) are bijections on exponent tuples, so they move
 terms without summing any.  Variable indices in the operator API are
-1-based to match diagram coordinates.  Coefficients are Q(alpha) elements;
-a truncated kernel in x_1..x_N, y_1..y_N is one MultiPoly in 2N variables,
-built in Z[alpha] (`kernel_numerators`, which verify reads) and made
-canonical over the Factored D! alpha^D, with no polynomial gcd.  The oracle keeps its Laurent data
-(negative exponents, Fraction coefficients) in plain dicts instead, and
-reads nothing of this module.  Text output writes each term with `term_text`
-and lays the list out with `qalpha.join_terms`, the one sign-joining rule
-of the package.
+1-based to match diagram coordinates.  Coefficients are Q(alpha) elements; a
+truncated kernel in x_1..x_N, y_1..y_N is one MultiPoly in 2N variables, its
+Z[alpha] numerators built on ints at alpha = 2^k, once per (N, D, diagonal),
+by `kernel_numerators` (verify reads them) and made canonical over D! alpha^D
+by `Factored.over` with no polynomial gcd.  The oracle keeps its Laurent data
+(negative exponents, Fraction coefficients) in plain dicts and reads nothing
+of this module.  Text output writes each term with `term_text` and lays the
+list out with `qalpha.join_terms`, the one sign-joining rule of the package.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from fractions import Fraction
 
 from .combinat import (ascending_pair_count, rearrangements, signed_rearrangements,
                        stabilizer_order)
-from .qalpha import (ALPHA, ONE, ZERO, AlphaRational, Factored, join_terms, pack_all, poly_add,
-                     poly_mul)
+from .qalpha import ALPHA, ONE, ZERO, AlphaRational, Factored, join_terms
 
 
 def _add_term(out: dict, key, c) -> None:
@@ -435,45 +434,59 @@ def power_series(nvars: int, positions, coeffs) -> MultiPoly:
                              for m, c in enumerate(coeffs)})
 
 
-def kernel_numerators(n: int, bound: int, diagonal: bool) -> list:
-    """[D! alpha^D K_D for D <= bound] as {exponent: int tuple}, K_D the terms
-    of x-degree D of prod_{j,k} (1 - x_j y_k)^(-1/alpha), times
-    prod_j (1 - x_j y_j)^(-1) when `diagonal`, in x_1..x_n, y_1..y_n.  They
-    lie in Z[alpha]: [1/alpha]_m / m! = prod_{i<m} (1 + i alpha) / (m! alpha^m),
-    so the series of (1 - x_j y_k)^(-1/alpha) becomes prod_{i<m} (1 + i alpha)
-    and the geometric series m! alpha^m, and terms of x-degrees D1 and D2
-    multiply with the factor binom(D1 + D2, D1)."""
+_KERNELS: dict = {}
+
+
+def kernel_numerators(n: int, bound: int, diagonal: bool) -> tuple:
+    """(k, blocks, norms), kept per (n, bound, diagonal) and never mutated:
+    blocks[D] is D! alpha^D K_D as {exponent: its int at alpha = 2^k}, K_D the
+    x-degree D terms of prod_{j,k} (1 - x_j y_k)^(-1/alpha), times
+    prod_j (1 - x_j y_j)^(-1) when `diagonal`; norms[D] is its largest l1
+    norm.  The factors give prod_{i<m} (1 + i alpha) and m! alpha^m at m,
+    as [1/alpha]_m / m! = prod_{i<m} (1 + i alpha) / (m! alpha^m), x-degrees
+    D1 and D2 multiply with binom(D1 + D2, D1), and all lies in Z>=0[alpha]:
+    at alpha = 1, an l1 norm, block D sums to D! binom(F + D - 1, D) over F
+    factors.  2^(k-1) exceeds that at D = bound, so an int's base-2^k digits
+    are its coefficients, and their sum is it mod 2^k - 1.  A key is
+    sum_i e_i B^i, B = 2^s > bound, with the x-degree the digit above."""
     if bound < 0:
         raise ValueError("truncation bound must be >= 0")
-    rising = [Factored((i, 1) for i in range(m)).poly() for m in range(bound + 1)]
-    factors = [(j, n + k, rising) for j in range(n) for k in range(n)]
+    if (n, bound, diagonal) in _KERNELS:
+        return _KERNELS[n, bound, diagonal]
+    total = math.factorial(bound) * math.comb(n * n + n * diagonal + bound - 1, bound)
+    k, s = max(2, total.bit_length() + 1), max(1, bound.bit_length())
+    top, alpha = 2 * n * s, 1 << k
+    rising = [math.prod(1 + i * alpha for i in range(m)) for m in range(bound + 1)]
+    factors = [(j, n + i, rising) for j in range(n) for i in range(n)]
     if diagonal:
-        geometric = [(0,) * m + (math.factorial(m),) for m in range(bound + 1)]
-        factors += [(j, n + j, geometric) for j in range(n)]
-    terms = {(0,) * (2 * n): (1,)}
-    for j, k, series in factors:
+        factors += [(j, n + j, [math.factorial(m) * alpha ** m for m in range(bound + 1)])
+                    for j in range(n)]
+    terms = {0: 1}
+    for j, i, series in factors:
+        step = (1 << s * j) + (1 << s * i) + (1 << top)
+        table = [[series[m] * math.comb(deg + m, m) for m in range(bound - deg + 1)]
+                 for deg in range(bound + 1)]
         out = {}
-        for e, c in terms.items():
-            deg = sum(e[:n])
-            for m in range(bound - deg + 1):
-                key = list(e)
-                key[j] += m
-                key[k] += m
-                key = tuple(key)
-                v = poly_mul(poly_mul(c, series[m]), (math.comb(deg + m, m),))
-                out[key] = poly_add(out[key], v) if key in out else v
+        for key, c in terms.items():
+            for v in table[key >> top]:
+                out[key] = out.get(key, 0) + c * v
+                key += step
         terms = out
-    by_degree = [{} for _ in range(bound + 1)]
-    for e, c in terms.items():
-        by_degree[sum(e[:n])][e] = c
-    return by_degree
+    blocks, norms, mask = [{} for _ in range(bound + 1)], [0] * (bound + 1), (1 << s) - 1
+    for key, c in terms.items():
+        d = key >> top
+        blocks[d][tuple(key >> s * i & mask for i in range(2 * n))] = c
+        norms[d] = max(norms[d], c % (alpha - 1))
+    _KERNELS[n, bound, diagonal] = k, blocks, norms
+    return k, blocks, norms
 
 
 def _kernel(n: int, bound: int, diagonal: bool) -> MultiPoly:
-    """kernel_numerators, each block packed and made canonical over D! alpha^D."""
+    """kernel_numerators, each block made canonical over D! alpha^D."""
+    k, blocks, _ = kernel_numerators(n, bound, diagonal)
     return MultiPoly._raw(2 * n, {
-        e: v for d, block in enumerate(kernel_numerators(n, bound, diagonal))
-        for e, v in Factored([(1, 0)] * d, math.factorial(d)).over(*pack_all(block)).items()})
+        e: v for d, block in enumerate(blocks)
+        for e, v in Factored([(1, 0)] * d, math.factorial(d)).over(block, k).items()})
 
 
 def pi_truncated(n: int, bound: int) -> MultiPoly:

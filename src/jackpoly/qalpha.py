@@ -440,12 +440,6 @@ def unpack(x, k):
     return tuple(out)
 
 
-def pack_all(nums):
-    """({key: pack(num, k)}, k) for a dict of int tuples, 2^(k-1) above each l1 norm."""
-    k = max(2, max((sum(map(abs, p)) for p in nums.values()), default=0).bit_length() + 1)
-    return {key: pack(p, k) for key, p in nums.items()}, k
-
-
 class Factored:
     """content * prod (alpha*a + b)^m over the primitive linear forms
     `forms` {(a, b): m}, gcd(a, b) = 1, a > 0 and m != 0; the content is an
@@ -507,17 +501,38 @@ class Factored:
                 out = poly_mul(out, _power((b, a), m * sign))
         return out
 
-    def poly(self):
-        """The product in Z[alpha]; for an int content and no m < 0."""
+    def _integral(self):
         if not isinstance(self.content, int) or min(self.forms.values(), default=1) < 0:
             raise ValueError(f"not in Z[alpha]: {self.content} times {self.forms}")
-        return self._expand(self.content, 1)
+        return self
+
+    def poly(self):
+        """The product in Z[alpha]; for an int content and no m < 0."""
+        return self._integral()._expand(self.content, 1)
+
+    def at(self, k) -> int:
+        """pack(poly(), k) without the expansion: content * prod (a 2^k + b)^m."""
+        forms = self._integral().forms
+        return self.content * math.prod(((a << k) + b) ** m for (a, b), m in forms.items())
+
+    def l1_bound(self) -> int:
+        """|content| prod (|a| + |b|)^m >= l1(poly()), as l1(pq) <= l1(p) l1(q)."""
+        return abs(self.content) * math.prod((abs(a) + abs(b)) ** m
+                                             for (a, b), m in self.forms.items())
 
     def value(self) -> AlphaRational:
         """The canonical element of Q(alpha); its denominator leads positive."""
         c = self.content  # an int has a numerator and a denominator too
         num = self._expand(c.numerator, 1)
         return AlphaRational._raw(num, self._expand(c.denominator, -1)) if num else ZERO
+
+    def __eq__(self, other):
+        """Equal values: a nonzero one factors one way, a content 0 is zero."""
+        return (isinstance(other, Factored) and self.content == other.content
+                and (not self.content or self.forms == other.forms))
+
+    def __str__(self):
+        return str(self.value())
 
     def over(self, nums, k) -> dict:
         """{key: num / self} in canonical form for each nonzero num in Z[alpha] of the

@@ -83,21 +83,16 @@ def eval_P_at_ones(kappa) -> AlphaRational:
     return P_at_ones_forms(kappa)[0].value()
 
 
-def eval_P_at_ones_sym_route(kappa) -> AlphaRational:
-    """The same value as N!/stab(kappa) e/d."""
-    return P_at_ones_forms(kappa)[1].value()
-
-
 def norm_ratio_P(kappa) -> AlphaRational:
     """Torus-norm ratio of P relative to the constant polynomial: bd'/(e'h)."""
     return node_ratio(kappa, ("b", "dp"), ("ep", "h")).value()
 
 
-def norm_ratio_P_sym_route(kappa) -> AlphaRational:
-    """The same ratio via the increasing rearrangement."""
+def norm_ratio_P_forms(kappa) -> tuple:
+    """norm_ratio_P factored in its two closed forms: bd'/(e'h), N!/stab d' e/(d e')."""
     c = Fraction(math.factorial(len(kappa)), combinat.stabilizer_order(kappa))
-    return (node_ratio(kappa, ("dp",), (), c)
-            * node_ratio(combinat.reverse_partition(kappa), ("e",), ("d", "ep"))).value()
+    return (node_ratio(kappa, ("b", "dp"), ("ep", "h")), node_ratio(kappa, ("dp",), (), c)
+            * node_ratio(combinat.reverse_partition(kappa), ("e",), ("d", "ep")))
 
 
 def v_kappa(kappa) -> AlphaRational:
@@ -128,6 +123,11 @@ def binomial_coeff(r, label) -> AlphaRational:
 # ---------------------------------------------------------------------------
 
 def c_rho(rho, form: str = "rearrangement") -> AlphaRational:
+    """c_rho_ratio in Q(alpha)."""
+    return c_rho_ratio(rho, form).value()
+
+
+def c_rho_ratio(rho, form: str = "rearrangement") -> Factored:
     """The proportionality constant relating the antisymmetrized E to the
     Vandermonde times a parameter-shifted P, in either closed form:
     "rearrangement" uses d'(rho)/d'(rhoR), "shifted-shape" routes through
@@ -140,7 +140,7 @@ def c_rho(rho, form: str = "rearrangement") -> AlphaRational:
     sign = -1 if (n * (n - 1) // 2) & 1 else 1
     if form == "rearrangement":
         return (node_ratio(rho, ("dp",), (), sign)
-                / node_ratio(combinat.reverse_partition(rho), ("dp",))).value()
+                / node_ratio(combinat.reverse_partition(rho), ("dp",)))
     if form == "shifted-shape":
         rho_plus = combinat.sort_to_partition(rho)
         delta = combinat.staircase(n)
@@ -148,7 +148,7 @@ def c_rho(rho, form: str = "rearrangement") -> AlphaRational:
         if any(p < 0 for p in eta_plus) or not combinat.is_partition(eta_plus):
             raise ValueError(f"{rho}+ minus the staircase is not a partition")
         return (node_ratio(rho, ("dp",), (), sign) / node_ratio(rho_plus, ("d",))
-                / node_ratio(eta_plus, ("dp",), ("h",)).shifted()).value()
+                / node_ratio(eta_plus, ("dp",), ("h",)).shifted())
     raise ValueError(f"unknown c_rho form {form!r}")
 
 
@@ -161,7 +161,7 @@ def c_rho_resolved(rho) -> AlphaRational:
     return -c if (combinat.ascending_pair_count(rho) + n * (n - 1) // 2) & 1 else c
 
 
-def staircase_norm_ratio(n: int) -> AlphaRational:
-    """e/e' at the staircase: (1/N!) prod_j (j*alpha + N) / (1+alpha)^N."""
+def staircase_norm_ratio(n: int) -> Factored:
+    """e/e' at the staircase, factored: (1/N!) prod_j (j*alpha + N) / (1+alpha)^N."""
     return (Factored([(j, n) for j in range(1, n + 1)], Fraction(1, math.factorial(n)))
-            / Factored([(1, 1)] * n)).value()
+            / Factored([(1, 1)] * n))

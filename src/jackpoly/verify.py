@@ -17,15 +17,18 @@ asym.du-expansion, and the kernel and binomial rows.  As
 l1(pq) <= l1(p) l1(q) and l1(p + q) <= l1(p) + l1(q) for
 l1(c) = sum |c_i|, a row bounds l1 of every coefficient of both sides by
 some B from the l1 norms of its cleared inputs alone, not from the
-identity; it takes 2^(K-1) > B (`_point`), packs each input once and
-forms both sides on ints.  Two elements of Z[alpha] with coefficients in
-(-2^(K-1), 2^(K-1)) and one value at 2^K are equal: at the lowest nonzero
-coefficient c_j of their difference, 2^(Kj) (c_j + 2^K m) = 0 would need
-2^K | c_j.  So the sides agree iff their ints do, and a witness prints
-the ints' balanced base-2^K digits, the sides' Z[alpha] values.  An input
-with a denominator is refused, with a witness that prints it.  Sym and
-Asym (polyalg.symmetrize, antisymmetrize) sum each orbit once, and the
-Cauchy row sums each alternant by sorted margin before its double sum.
+identity; it takes 2^(K-1) > B (`_point`), packs each input once, a
+Factored cofactor by `at(K)` with l1 at most `l1_bound()` and a kernel
+read packed (`polyalg.kernel_numerators`), and forms both sides on ints.
+Two elements of Z[alpha] with coefficients in (-2^(K-1), 2^(K-1)) and one
+value at 2^K are equal: at the lowest nonzero coefficient c_j of their
+difference, 2^(Kj) (c_j + 2^K m) = 0 would need 2^K | c_j.  So the sides
+agree iff their ints do, and a witness prints the ints' balanced base-2^K
+digits, the sides' Z[alpha] values.  An input with a denominator is
+refused, with a witness that prints it.  The closed-form rows compare two
+Factored ratios by content and forms, primes of Z[alpha], so by value.
+Sym and Asym sum each orbit once, and the Cauchy row sums each alternant
+by sorted margin before its double sum.
 """
 
 from __future__ import annotations
@@ -439,13 +442,13 @@ def _swap_action(eta, i):
     a, b = m1 - m2, c2 - c1
     dens = [scalars.node_ratio(eta, ("d",)), scalars.node_ratio(mu, ("d",))]
     lcm = Factored.lcm(dens)
-    c_eta, c_mu = ((lcm / d).poly() for d in dens)
+    c_eta, c_mu = (lcm / d for d in dens)
     h = _integral("E", mu, jack.build_E(mu))
     k, g, h = _point(label, (abs(a) + abs(b) + 1) ** 2 * (
-        _l1(c_eta) * max(_norms(g)) + _l1(c_mu) * max(_norms(h))), g, h)
+        c_eta.l1_bound() * max(_norms(g)) + c_mu.l1_bound() * max(_norms(h))), g, h)
     delta = (a << k) + b
-    g, square = g.scale(pack(c_eta, k)), delta * delta
-    rhs = g.scale(delta) + h.scale(pack(c_mu, k) * (square - 1 if eta[i - 1] > eta[i] else square))
+    g, square = g.scale(c_eta.at(k)), delta * delta
+    rhs = g.scale(delta) + h.scale(c_mu.at(k) * (square - 1 if eta[i - 1] > eta[i] else square))
     return _differ(label, apply_transposition(g, i, i + 1).scale(square), rhs, k)
 
 
@@ -523,23 +526,24 @@ def _two_routes(kappa, n):
     dens = {eta: scalars.node_ratio(eta, ("d", "dp")) for eta in combinat.rearrangements(kappa)}
     lcm = Factored.lcm(list(dens.values()))
     scale = lcm * scalars.node_ratio(kappa, ("dp",))
-    routes = [((scale * pending / dens[eta]).poly(), {e: unpack(c, k) for e, c in j.items()})
+    routes = [(scale * pending / dens[eta], {e: unpack(c, k) for e, c in j.items()})
               for eta in dens for pending, k, j in [jack._packed_integral(eta)]]
     h, label = scalars.node_ratio(kappa, ("h",)), f"kappa={kappa} N={n}"
-    closed = {name: (h * form).poly() for name, form in zip(
+    closed = {name: h * form for name, form in zip(
         ("b/h", "N!/stab e/d"), scalars.P_at_ones_forms(kappa))}
     lp, hp = _times(p, lcm.poly()), _integral("P", kappa, p)
-    k, lp, hp = _point(label, max(*_norms(lp), sum(_norms(hp)), *map(_l1, closed.values()), sum(
-        _l1(c) * max(map(_l1, terms.values())) for c, terms in routes)), lp, hp)
+    k, lp, hp = _point(label, max(*_norms(lp), sum(_norms(hp)), *(
+        form.l1_bound() for form in closed.values()), sum(
+        c.l1_bound() * max(map(_l1, terms.values())) for c, terms in routes)), lp, hp)
     total = {}
     for c, terms in routes:
-        c = pack(c, k)
+        c = c.at(k)
         for e, t in terms.items():
             total[e] = total.get(e, 0) + c * pack(t, k)
     return (_differ(f"{label}: L P vs d' sum L J/(d d')", lp.terms,
                     {e: c for e, c in total.items() if c}, k)
             or _first(_differ(f"{label}: hP(1^N) vs h {name}", sum(hp.terms.values()),
-                              pack(form, k), k) for name, form in closed.items()))
+                              form.at(k), k) for name, form in closed.items()))
 
 
 def _P_stability(kappa, n):
@@ -586,18 +590,16 @@ def _value_and_hook(kappa, with_norm):
     are matched by the zero-part permutations inside stab, not by any
     diagram node.  Then the two forms of P(1^N), and with_norm the two forms
     of the norm ratio, agree."""
-    n = len(kappa)
     d_r = scalars.node_ratio(combinat.reverse_partition(kappa), ("d",))
-    denom = Factored((part, n - j + 1) for j, part in enumerate(kappa, start=1))
-    witness = (_differ(f"kappa={kappa}: h/stab vs d(kappaR)/prod",
-                       scalars.const_h(kappa) / combinat.stabilizer_order(kappa),
-                       (d_r / denom).value())
+    denom = Factored((part, len(kappa) - j + 1) for j, part in enumerate(kappa, start=1))
+    h = scalars.node_ratio(kappa, ("h",), (), Fraction(1, combinat.stabilizer_order(kappa)))
+    witness = (_differ(f"kappa={kappa}: h/stab vs d(kappaR)/prod", h, d_r / denom)
                or _differ(f"kappa={kappa}: P(1^N) b/h vs N!/stab e/d",
-                          scalars.eval_P_at_ones(kappa), scalars.eval_P_at_ones_sym_route(kappa)))
+                          *scalars.P_at_ones_forms(kappa)))
     if witness or not with_norm:
         return witness
     return _differ(f"kappa={kappa}: norm ratio bd'/(e'h) vs N!/stab route",
-                   scalars.norm_ratio_P(kappa), scalars.norm_ratio_P_sym_route(kappa))
+                   *scalars.norm_ratio_P_forms(kappa))
 
 
 def _asym_cases(s):
@@ -658,14 +660,13 @@ def _society(ep, rho_plus):
     rho_r = combinat.reverse_partition(rho_plus)
     staircase_ratio = scalars.node_ratio(combinat.staircase(n), ("e",), ("ep",))
     return (_differ(f"eta+={ep} N={n}: e/e'(rho+) vs e/e'(staircase) b/e'(eta+)",
-                    scalars.node_ratio(rho_plus, ("e",), ("ep",)).value(),
-                    (staircase_ratio * scalars.node_ratio(ep, ("b",), ("ep",)).shifted()).value())
+                    scalars.node_ratio(rho_plus, ("e",), ("ep",)),
+                    staircase_ratio * scalars.node_ratio(ep, ("b",), ("ep",)).shifted())
             or _differ(f"eta+={ep} N={n}: d(rho+)/d'(rhoR) vs h/d'(eta+)",
-                       (scalars.node_ratio(rho_plus, ("d",))
-                        / scalars.node_ratio(rho_r, ("dp",))).value(),
-                       scalars.node_ratio(ep, ("h",), ("dp",)).shifted().value())
+                       scalars.node_ratio(rho_plus, ("d",)) / scalars.node_ratio(rho_r, ("dp",)),
+                       scalars.node_ratio(ep, ("h",), ("dp",)).shifted())
             or _differ(f"eta+={ep} N={n}: e/e'(staircase) vs its product form",
-                       staircase_ratio.value(), scalars.staircase_norm_ratio(n)))
+                       staircase_ratio, scalars.staircase_norm_ratio(n)))
 
 
 def _S_norm_ratio(rho_plus):
@@ -673,7 +674,7 @@ def _S_norm_ratio(rho_plus):
     as one factored product."""
     rho_r = combinat.reverse_partition(rho_plus)
     return (scalars.node_ratio(rho_plus, ("e",), ("d", "ep"), math.factorial(len(rho_plus)))
-            * scalars.node_ratio(rho_r, ("dp",))).value()
+            * scalars.node_ratio(rho_r, ("dp",)))
 
 
 def _shifted_P_norm_ratio(ep):
@@ -688,8 +689,7 @@ def _norm_reconciliation(ep, rho_plus):
     n = len(ep)
     black = _shifted_P_norm_ratio(ep) * scalars.node_ratio(combinat.staircase(n), ("e",),
                                                            ("ep",), math.factorial(n))
-    return _differ(f"eta+={ep} N={n}: shifted P form vs S form", black.value(),
-                   _S_norm_ratio(rho_plus))
+    return _differ(f"eta+={ep} N={n}: shifted P form vs S form", black, _S_norm_ratio(rho_plus))
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +698,7 @@ def _norm_reconciliation(ep, rho_plus):
 
 def _kernel_sum(family, n, d, at=None):
     """M and {label: (c, s f)} over the degree-d basis in n variables, with
-    c = M / (s d') in Z[alpha], so that M sum f(x) f(y) / norm is the sum
+    c = M / (s d') Factored in Z[alpha], so M sum f(x) f(y) / norm is the sum
     of c (s f)(x) (s f)(y): s = d (u = d'/d) for E and s = h (v = d'/h)
     for P, and M is the Factored lcm of every s d' and of d! alpha^d, the
     kernel's denominator at x-degree d.  s and d' are read at at(label)
@@ -708,7 +708,7 @@ def _kernel_sum(family, n, d, at=None):
     basis = _basis(family, n, d)
     dens = {label: scalars.node_ratio(at(label), (kind, "dp")) for label in basis}
     m = Factored.lcm([Factored([(1, 0)] * d, math.factorial(d)), *dens.values()])
-    return m, {label: ((m / dens[label]).poly(), _integral(family, at(label), f))
+    return m, {label: (m / dens[label], _integral(family, at(label), f))
                for label, f in basis.items()}
 
 
@@ -721,18 +721,19 @@ def _kernel_block(family, kernel, d, at=None):
     `kernel` (polyalg.kernel_numerators) times M / (d! alpha^d) in Z[alpha],
     at most l1 of the one times l1 of the other; a coefficient of M S_d is
     at most the sum of l1(c) times the largest l1((s f)_e) squared."""
-    n = len(next(iter(kernel[0]))) // 2
+    k0, blocks, norms = kernel
+    n = len(next(iter(blocks[0]))) // 2
     m, terms = _kernel_sum(family, n, d, at)
-    cofactor = (m / Factored([(1, 0)] * d, math.factorial(d))).poly()
-    bound = max(_l1(cofactor) * max(map(_l1, kernel[d].values()), default=0),
-                sum(_l1(c) * max(_norms(g)) ** 2 for c, g in terms.values()))
+    cofactor = m / Factored([(1, 0)] * d, math.factorial(d))
+    bound = max(cofactor.l1_bound() * norms[d],
+                sum(c.l1_bound() * max(_norms(g)) ** 2 for c, g in terms.values()))
     k, *gs = _point(f"N={n} D={d}: M K_d and cleared {family}", bound,
                     *(g for _, g in terms.values()))
-    scale = pack(cofactor, k)
-    block = {e: pack(v, k) * scale for e, v in kernel[d].items()}
+    scale = cofactor.at(k)
+    block = {e: pack(unpack(v, k0), k) * scale for e, v in blocks[d].items()}
     total = {}
     for (c, _), g in zip(terms.values(), gs):  # summed in place, as the terms are large
-        for e, v in g.scale(pack(c, k)).outer(g).terms.items():
+        for e, v in g.scale(c.at(k)).outer(g).terms.items():
             total[e] = total.get(e, 0) + v
     return block, {e: c for e, c in total.items() if c}, k
 
@@ -817,12 +818,12 @@ def _binomial(family, r, n, bound, r_side=None):
     lhs, terms = _times(_binomial_product(r, n, bound), m.poly()), []
     for label, f in basis.items():
         c = m * scalars.binomial_ratio(r_side, label) / scalars.node_ratio(label, (kind,))
-        terms.append((c.poly(), _integral(family, label, f)))
+        terms.append((c, _integral(family, label, f)))
     label, rhs = f"N={n} r={r}: prod (1-x_j)^-r vs sum over {family}", MultiPoly.zero(n)
     k, lhs, *gs = _point(label, max(*_norms(lhs), sum(
-        _l1(c) * max(_norms(g)) for c, g in terms)), lhs, *(g for _, g in terms))
+        c.l1_bound() * max(_norms(g)) for c, g in terms)), lhs, *(g for _, g in terms))
     for (c, _), g in zip(terms, gs):
-        rhs = rhs + g.scale(pack(c, k))
+        rhs = rhs + g.scale(c.at(k))
     return _differ(label, lhs, rhs, k)
 
 
@@ -937,7 +938,7 @@ def _S_norm(ep, rho_plus):
         one = {(0,) * n: Fraction(1)}
         bridge = (oracle.ct_inner_product(one, one, n, 2)
                   / oracle.ct_inner_product(one, one, n, 1))
-        target = (math.factorial(n) * scalars.staircase_norm_ratio(n)).eval_at(1)
+        target = (math.factorial(n) * scalars.staircase_norm_ratio(n).value()).eval_at(1)
         return _differ("weight bridge", bridge, target)
     s_spec = jack.build_S(rho_plus).specialize(Fraction(1))
     # P at alpha/(alpha+1), taken at alpha = 1, is P at alpha = 1/2
@@ -945,7 +946,7 @@ def _S_norm(ep, rho_plus):
     return (_differ(f"eta+={ep}: <S,S> vs <P,P>", oracle.ct_inner_product(s_spec, s_spec, n, 1),
                     oracle.ct_inner_product(p_spec, p_spec, n, 2))
             or _differ(f"eta+={ep}: white ratio", oracle.ct_norm_ratio(s_spec, n, 1),
-                       _S_norm_ratio(rho_plus).eval_at(1))
+                       _S_norm_ratio(rho_plus).value().eval_at(1))
             or _differ(f"eta+={ep}: black ratio", oracle.ct_norm_ratio(p_spec, n, 2),
                        _shifted_P_norm_ratio(ep).value().eval_at(1)))
 
@@ -1004,7 +1005,7 @@ def _controls(s):
     block, total, k = _kernel_block("E", polyalg.kernel_numerators(2, 2, True), 1)
     c, g = _kernel_sum("E", 2, 1)[1][(1, 0)]
     g = MultiPoly._raw(2, {e: pack(v.num, k) for e, v in g.terms.items()})
-    doubled = (MultiPoly(4, total) + g.scale(pack(c, k)).outer(g)).terms  # one term twice
+    doubled = (MultiPoly(4, total) + g.scale(c.at(k)).outer(g)).terms  # one term twice
     yield "omega", _differ("omega", block, doubled, k) is not None
     yield "binomial", _binomial("E", Fraction(2), 2, 2, r_side=Fraction(3)) is not None
 
@@ -1053,8 +1054,8 @@ CHECKS = {row.name: row for row in (
           fixed={"max|rho|": "deg+1",
                  "sign": "(-1)^(ascending pairs) * d'(rho)/d'(rhoR)"}),
     Check("asym.c-closed-forms", lambda s: (case for n in s.ns for case in _rhos(n, s)),
-          lambda rho: _differ(f"rho={rho}", scalars.c_rho(rho, "shifted-shape"),
-                              scalars.c_rho(rho, "rearrangement")),
+          lambda rho: _differ(f"rho={rho}", scalars.c_rho_ratio(rho, "shifted-shape"),
+                              scalars.c_rho_ratio(rho, "rearrangement")),
           deg=(0, 5), fixed={"max|rho|": "deg+1"}),
     Check("asym.du-expansion",
           lambda s: (shape for n in s.ns for shape in _staircase_shapes(n, s.deg + 1)),

@@ -6,12 +6,13 @@ import pytest
 # allow running pytest from a fresh checkout without an editable install
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from jackpoly import combinat, jack, oracle, verify  # noqa: E402
+from jackpoly import combinat, jack, oracle, polyalg, verify  # noqa: E402
 
 # every memo of the package, as (module, attribute)
 CACHES = [(jack, "_E_CACHE"), (jack, "_J_CACHE"), (jack, "_P_CACHE"), (jack, "_S_CACHE"),
-          (verify, "_INTEGRAL"), (combinat, "_NODES"), (oracle, "_IMAGE_CACHE"),
-          (oracle, "_ANSATZ_CACHE"), (oracle, "_WEIGHT_CACHE"), (oracle, "_PACKED_WEIGHT")]
+          (verify, "_INTEGRAL"), (combinat, "_NODES"), (combinat, "_WALKS"),
+          (polyalg, "_KERNELS"), (oracle, "_IMAGE_CACHE"), (oracle, "_ANSATZ_CACHE"),
+          (oracle, "_WEIGHT_CACHE"), (oracle, "_PACKED_WEIGHT")]
 
 
 @pytest.fixture

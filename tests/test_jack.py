@@ -486,7 +486,7 @@ class TestDominantFill:
           "oracle.P-gram-schmidt": "kappa=(1, 0) N=2 k=1"}),
         # its parity flipped: S and Asym take a wrong sign, which the
         # ascending-pair rule of the Asym rows catches
-        (lambda walk: [(walk[0][0], 1 - walk[0][1])] + walk[1:],
+        (lambda walk: ((walk[0][0], 1 - walk[0][1]), *walk[1:]),
          {"asym.proportionality": "rho=(0, 3): Asym d E vs c' d S",
           "asym.du-expansion": "eta+=(0, 0) N=2: d S vs sum over d E"}),
     ], ids=["dropped", "flipped"])

@@ -296,6 +296,7 @@ class TestLinearSolve:
             return out
         monkeypatch.setattr(oracle, "_q_xi_monomial", perturbed)
         monkeypatch.setattr(oracle, "_IMAGE_CACHE", {})
+        monkeypatch.setattr(oracle, "_ANSATZ_CACHE", {})  # the rows are kept per label
         with pytest.raises(ArithmeticError, match="fails at"):
             oracle.solve_E_linear(eta, F(2))
 
@@ -314,20 +315,27 @@ class TestLinearSolve:
             return out
         monkeypatch.setattr(oracle, "_q_xi_monomial", perturbed)
         monkeypatch.setattr(oracle, "_IMAGE_CACHE", {})
+        monkeypatch.setattr(oracle, "_ANSATZ_CACHE", {})  # the rows are kept per label
         with pytest.raises(ArithmeticError, match="separates"):
             oracle.solve_E_linear(eta, F(2))
 
     def test_ansatz_is_built_once_per_label(self, monkeypatch):
         # three parameter values, one of them colliding, enumerate the
-        # compositions and take their eigenvalues once
+        # compositions, take their eigenvalues and read their operator
+        # images into the rows once
         monkeypatch.setattr(oracle, "_ANSATZ_CACHE", {})
-        calls = []
-        eigen = cb.eigenvalue_ints
+        calls, reads = [], []
+        eigen, image = cb.eigenvalue_ints, oracle._image
 
         def counted(nu, p, q):
             calls.append(nu)
             return eigen(nu, p, q)
+
+        def read(nu, i):
+            reads.append((nu, i))
+            return image(nu, i)
         monkeypatch.setattr(cb, "eigenvalue_ints", counted)
+        monkeypatch.setattr(oracle, "_image", read)
         eta = (0, 0, 3)
         for a0 in (F(2), F(7, 2)):
             assert oracle.solve_E_linear(eta, a0) == jack.build_E(eta).specialize(a0)
@@ -335,6 +343,7 @@ class TestLinearSolve:
             oracle.solve_E_linear(eta, 0)
         below = [nu for nu in cb.compositions(3, 3) if cb.composition_leq(nu, eta)]
         assert sorted(calls) == sorted(below)
+        assert sorted(reads) == sorted((nu, i) for nu in below for i in (1, 2, 3))
 
     def test_auto_advance(self):
         a0, sol = oracle.solve_E_auto((2, 0, 1))
@@ -365,23 +374,41 @@ class TestLinearSolve:
 
     def test_the_elimination_reads_only_ints(self, monkeypatch):
         # every operator entry and eigenvalue handed to the back-substitution
-        # is an int, and each solve eliminates once
+        # is an int, each solve eliminates once, and the rows are the same
+        # alpha-free ones at every parameter value
         calls = []
         solve = oracle._solve_exact
 
-        def spy(rows, bars, comps, q):
-            calls.append(1)
-            assert type(q) is int and q > 0
+        def spy(rows, bars, comps, p, q):
+            calls.append(rows)
+            assert type(p) is int and type(q) is int and q > 0
             assert all(type(lam) is int for lam in bars)
             assert all(type(c) is int for row in rows for eq in row.values() for c in eq.values())
-            return solve(rows, bars, comps, q)
+            return solve(rows, bars, comps, p, q)
         monkeypatch.setattr(oracle, "_solve_exact", spy)
+        monkeypatch.setattr(oracle, "_ANSATZ_CACHE", {})
         solves = 0
         for eta in cb.compositions_upto(3, 3):
             for a0 in (F(2), F(7, 2), F(-3, 5), 3):
                 assert oracle.solve_E_linear(eta, a0) == jack.build_E(eta).specialize(a0)
+                assert calls[-1] is oracle._ANSATZ_CACHE[eta][2]
                 solves += 1
         assert len(calls) == solves
+        assert len({id(rows) for rows in calls}) == len(oracle._ANSATZ_CACHE)
+
+    def test_rows_are_the_operators_at_alpha_zero(self):
+        # q times the operator at p/q is q times the kept row plus p nu_i on
+        # the diagonal, against the symbolic operator specialized there
+        for eta in ((1, 0, 2), (2, 1, 0), (0, 3)):
+            comps, _, rows = oracle._ansatz(eta)
+            for a0 in (F(2), F(7, 2)):
+                p, q = a0.numerator, a0.denominator
+                for i, row in enumerate(rows, start=1):
+                    for nu in comps:
+                        got = {mono: q * eq[nu] for mono, eq in row.items() if nu in eq}
+                        got[nu] = got.get(nu, 0) + p * nu[i - 1]
+                        want = polyalg.cherednik_apply(MultiPoly(len(eta), {nu: ONE}), i)
+                        assert {m: F(c, q) for m, c in got.items() if c} == want.specialize(a0)
 
 
 class TestGramSchmidt:
@@ -570,4 +597,4 @@ class TestAntisymmetricNorms:
         one = {(0, 0): F(1)}
         bridge = (oracle.ct_inner_product(one, one, n, 2)
                   / oracle.ct_inner_product(one, one, n, 1))
-        assert bridge == (math.factorial(n) * scalars.staircase_norm_ratio(n)).eval_at(1)
+        assert bridge == (math.factorial(n) * scalars.staircase_norm_ratio(n).value()).eval_at(1)

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -7,7 +9,8 @@ import pytest
 from conftest import perm_sign
 from jackpoly import combinat, verify
 from jackpoly import polyalg as pa
-from jackpoly.qalpha import ALPHA, ONE, AlphaRational, alpha_shift
+from jackpoly.qalpha import (ALPHA, ONE, AlphaRational, Factored, alpha_shift, poly_add, poly_mul,
+                             unpack)
 
 A = ALPHA
 MP = pa.MultiPoly
@@ -264,6 +267,46 @@ class TestSeries:
         with pytest.raises(ValueError):
             pa.omega_truncated(n, -1)
 
+    @pytest.mark.parametrize("diagonal", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_packed_kernel_is_the_tuple_route(self, fresh_caches, n, diagonal):
+        """Every block of the packed kernel decodes to the numerators the
+        tuple route multiplies out in Z[alpha], and each norm is the largest
+        l1 norm of its block, for N <= 3 and D <= 4."""
+        for bound in range(5):
+            k, blocks, norms = pa.kernel_numerators(n, bound, diagonal)
+            want = _tuple_kernel_numerators(n, bound, diagonal)
+            assert len(blocks) == len(norms) == len(want) == bound + 1
+            for block, norm, ref in zip(blocks, norms, want):
+                assert all(type(v) is int for v in block.values())
+                assert {e: unpack(v, k) for e, v in block.items()} == ref
+                assert norm == max(sum(map(abs, c)) for c in ref.values()) < 1 << k - 1
+            assert pa.kernel_numerators(n, bound, diagonal) is pa.kernel_numerators(
+                n, bound, diagonal)
+
+    def test_rows_leave_the_kept_kernels_unchanged(self, fresh_caches):
+        """The kernel rows, the controls and `expand` read the kept blocks
+        and write none of them: each kept block is read-only while they
+        run, and equal to a copy taken before."""
+        rows = ["omega.decomposition", "omega.pairing-diagonal", "pi.decomposition",
+                "pi.v-stability", "negative.controls"]
+        for name in rows:
+            assert verify.CHECKS[name](verify.Bounds()).status == "pass", name
+        kept = dict(pa._KERNELS)
+        assert len(kept) == 6
+        copies = {key: (k, [dict(b) for b in blocks], list(norms))
+                  for key, (k, blocks, norms) in kept.items()}
+        for key, (k, blocks, norms) in kept.items():
+            pa._KERNELS[key] = k, tuple(map(types.MappingProxyType, blocks)), tuple(norms)
+        for name in rows:
+            assert verify.CHECKS[name](verify.Bounds()).status == "pass", name
+        for n in (2, 3):
+            pa.omega_truncated(n, 3)
+            pa.pi_truncated(n, 3)
+        assert set(pa._KERNELS) == set(kept)
+        assert {key: (k, list(map(dict, blocks)), list(norms))
+                for key, (k, blocks, norms) in pa._KERNELS.items()} == copies
+
     def test_kernels_and_eigen_row_take_no_polynomial_gcd(self, monkeypatch, fresh_caches):
         """No gcd call with two non-constant operands: the kernels are built
         in Z[alpha], and the eigen row scales E by d exactly and applies
@@ -312,3 +355,33 @@ class TestSeries:
                     xs, ys = verify._margins(x, vandermonde), verify._margins(y, vandermonde)
                     assert sum(cx * cy * kernel(a, b) for a, cx in xs.items()
                                for b, cy in ys.items()) == full, (x, y)
+
+
+def _tuple_kernel_numerators(n, bound, diagonal):
+    """The kernel's numerators [D! alpha^D K_D for D <= bound] as
+    {exponent: int tuple}, multiplied out in Z[alpha] one series at a time:
+    prod_{i<m} (1 + i alpha) for each (1 - x_j y_k)^(-1/alpha), m! alpha^m
+    for each (1 - x_j y_j)^(-1) when `diagonal`, and x-degrees D1 and D2
+    multiplied with binom(D1 + D2, D1).  The reference of the packed route."""
+    rising = [Factored((i, 1) for i in range(m)).poly() for m in range(bound + 1)]
+    factors = [(j, n + k, rising) for j in range(n) for k in range(n)]
+    if diagonal:
+        geometric = [(0,) * m + (math.factorial(m),) for m in range(bound + 1)]
+        factors += [(j, n + j, geometric) for j in range(n)]
+    terms = {(0,) * (2 * n): (1,)}
+    for j, k, series in factors:
+        out = {}
+        for e, c in terms.items():
+            deg = sum(e[:n])
+            for m in range(bound - deg + 1):
+                key = list(e)
+                key[j] += m
+                key[k] += m
+                key = tuple(key)
+                v = poly_mul(poly_mul(c, series[m]), (math.comb(deg + m, m),))
+                out[key] = poly_add(out[key], v) if key in out else v
+        terms = out
+    by_degree = [{} for _ in range(bound + 1)]
+    for e, c in terms.items():
+        by_degree[sum(e[:n])][e] = c
+    return by_degree

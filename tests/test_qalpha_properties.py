@@ -16,7 +16,7 @@ st = pytest.importorskip("hypothesis.strategies")
 from jackpoly import qalpha  # noqa: E402
 from jackpoly.qalpha import (ALPHA, ONE, ZERO, AlphaRational, Factored,  # noqa: E402
                              _exact_scale, _gcd, _product, _sum, _trim, alpha_shift, pack,
-                             pack_all, poly_mul, times_multiple, unpack)
+                             poly_mul, times_multiple, unpack)
 
 given, settings = hypothesis.given, hypothesis.settings
 
@@ -27,6 +27,12 @@ elements = st.builds(AlphaRational, polys, nonzero_polys)
 nonzero = elements.filter(bool)
 
 PROPERTY = settings(max_examples=150, deadline=None)
+
+
+def pack_all(nums):
+    """({key: pack(num, k)}, k) for a dict of int tuples, 2^(k-1) above each l1 norm."""
+    k = max(2, max((sum(map(abs, p)) for p in nums.values()), default=0).bit_length() + 1)
+    return {key: pack(p, k) for key, p in nums.items()}, k
 
 
 @PROPERTY
@@ -292,6 +298,52 @@ def test_shifted_is_the_substitution(up, down, content):
     got = ratio.shifted().value()
     want = ratio.value().substitute(alpha_shift())
     assert (got.num, got.den) == (want.num, want.den)
+
+
+nonzero_factors = any_factors.filter(lambda ab: ab != (0, 0))
+ratios = st.builds(lambda up, down, content: Factored(up, content) / Factored(down),
+                   st.lists(any_factors, max_size=4), st.lists(nonzero_factors, max_size=4),
+                   contents)
+
+
+@PROPERTY
+@given(ratios, ratios, st.lists(nonzero_factors, min_size=1, max_size=3))
+def test_factored_equality_is_value_equality(a, b, extra):
+    """a == b exactly when a.value() == b.value(): for ratios drawn apart,
+    with zero and Fraction contents and forms of either sign, shifted,
+    rebuilt from the same pairs in the other order, made zero, and times
+    a quotient that cancels to 1."""
+    rebuilt = (Factored([f for f, m in a.forms.items() if m > 0 for _ in range(m)][::-1],
+                        a.content)
+               / Factored([f for f, m in a.forms.items() if m < 0 for _ in range(-m)]))
+    one = Factored(extra) / Factored(extra[::-1])
+    zeros = [Factored([(0, 0)] + list(extra), a.content), b * Factored([(0, 0)])]
+    assert one == Factored() and one.value() == ONE
+    sides = [a, b, a.shifted(), b.shifted(), rebuilt, a * one, *zeros]
+    for x in sides:
+        for y in sides:
+            assert (x == y) == (x.value() == y.value()), (x.content, x.forms, y.content, y.forms)
+    assert a == rebuilt == a * one and zeros[0] == zeros[1]
+
+
+@PROPERTY
+@given(st.lists(any_factors, max_size=5), st.integers(min_value=-20, max_value=20),
+       st.integers(min_value=0, max_value=12))
+def test_factored_at_is_the_packed_product(pairs, content, k):
+    """at(k) is pack(poly(), k) for a product in Z[alpha]; l1_bound() is at
+    least the l1 norm of poly(), so at a k with 2^(k-1) above it the digits
+    of at(k) are poly(); a denominator or a Fraction content is refused."""
+    f = Factored(pairs, content)
+    poly = f.poly()
+    assert f.at(k) == pack(poly, k)
+    assert f.l1_bound() >= sum(map(abs, poly))
+    big = f.l1_bound().bit_length() + 2
+    assert unpack(f.at(big), big) == poly
+    for outside in (f / Factored([(7, 13)]), f * Factored(content=Fraction(1, 97))):
+        if not outside.content:
+            continue  # zero is in Z[alpha] whatever its forms
+        with pytest.raises(ValueError, match="not in Z"):
+            outside.at(k)
 
 
 def _horner(poly, x):

@@ -1,6 +1,8 @@
 """The package imports only the standard library and itself at runtime,
 and writes its orbits from the one rearrangement walk in `combinat`: only
-the oracle, which must not share that walk, enumerates permutations."""
+the oracle, which must not share that walk, enumerates permutations.  No
+Z[alpha] product the checks pack is expanded first: a Factored is packed
+by its `at`, and the kernels are built on ints."""
 
 import ast
 import pathlib
@@ -38,3 +40,27 @@ def test_permutations_only_in_the_oracle():
             else:
                 used = isinstance(node, ast.Attribute) and node.attr == "permutations"
             assert not used, f"{path.name}:{node.lineno} uses itertools.permutations"
+
+
+def _name(node):
+    """The called or named identifier of a Name or an Attribute, else None."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def test_no_pack_takes_an_expanded_product():
+    files = sorted(SRC.glob("*.py"))
+    for path in files:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _name(node.func) == "pack":
+                assert not any(isinstance(arg, ast.Call) and _name(arg.func) == "poly"
+                               for arg in node.args), (
+                    f"{path.name}:{node.lineno} packs a .poly() expansion; use .at(k)")
+
+
+def test_the_kernels_multiply_no_int_tuples():
+    tree = ast.parse((SRC / "polyalg.py").read_text())
+    build = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "kernel_numerators")
+    named = {_name(node) for node in ast.walk(build)}
+    assert "poly_mul" not in named and "poly_add" not in named

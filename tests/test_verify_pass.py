@@ -10,6 +10,7 @@ wrong at N = 4 fails the gate.
 """
 
 import collections
+import sys
 
 import pytest
 
@@ -51,6 +52,11 @@ def default_pass():
         counted(oracle, "_q_xi_monomial", lambda args: ("image", *args))
         counted(verify, "times_multiple", lambda args: "times_multiple")
         counted(qalpha.Factored, "over", lambda args: "over")
+        # by the function that asks: the key is made inside `call`, two frames down
+        counted(qalpha.Factored, "poly", lambda args: ("poly", sys._getframe(2).f_code.co_name))
+        for module in vars(jackpoly).values():  # every binding of the Z[alpha] product
+            if getattr(module, "poly_mul", None) is qalpha.poly_mul:
+                counted(module, "poly_mul", lambda args: "poly_mul")
         cold = []
         for row[0] in sorted(verify.CHECKS):
             cold.append(verify.CHECKS[row[0]](verify.Bounds()))
@@ -105,6 +111,22 @@ def test_the_kernel_rows_clear_no_kernel(default_pass):
         assert counts["over", name] == 0, name
         if name != "pi.v-stability":
             assert counts["times_multiple", name] == 0, name
+
+
+def test_a_cold_pass_expands_few_Z_alpha_products(default_pass):
+    """The kernels and cofactors are formed at the point and the closed
+    forms compared by their factorizations, so a cold default pass makes
+    at most 21,910 products of int tuples (43,820 when each kernel was
+    multiplied out in Z[alpha]) and expands a Factored only to clear a
+    denominator: in Factored.over, and where P.two-routes and the binomial
+    rows clear a Q(alpha) side by an lcm."""
+    total = collections.Counter()
+    for (key, row), n in default_pass[2].items():
+        if row is not None:  # the cold pass
+            total[key] += n
+    assert 0 < total["poly_mul"] <= 21910, total["poly_mul"]
+    callers = {key[1] for key in total if key[0] == "poly"}
+    assert callers == {"over", "_two_routes", "_binomial"}, callers
 
 
 @pytest.mark.parametrize("family, label, extra, row", [

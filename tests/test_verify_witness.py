@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+import jackpoly
 from jackpoly import jack, scalars, verify
 from jackpoly.polyalg import MultiPoly
 from jackpoly.qalpha import ALPHA, ONE, AlphaRational, Factored
@@ -82,6 +83,21 @@ def _node_product(kind, label):
             if tuple(eta) != label:
                 return out
             return out * two if kind in up else out / two if kind in down else out
+        monkeypatch.setattr(scalars, "node_ratio", perturbed)
+    return perturb
+
+
+def _node_form(kind, label, form):
+    """One more factor `form` in the node product `kind` at one diagram,
+    in every factored ratio that reads it."""
+    def perturb(monkeypatch):
+        orig, extra = scalars.node_ratio, Factored([form])
+
+        def perturbed(eta, up, down=(), content=1):
+            out = orig(eta, up, down, content)
+            if tuple(eta) != label:
+                return out
+            return out * extra if kind in up else out / extra if kind in down else out
         monkeypatch.setattr(scalars, "node_ratio", perturbed)
     return perturb
 
@@ -212,6 +228,41 @@ def test_collision_fails_the_linear_solve_row(monkeypatch):
     result = verify.CHECKS["oracle.E-linear-solve"](verify.Bounds(n_max=2, deg=2))
     assert result.status == "fail", result.witness
     assert "(1, 1) and (2, 0) collide at alpha = 0" in result.witness, result.witness
+
+
+# the rows that compare two Factored closed forms by content and forms: one
+# form's multiplicity + 1, and the content doubled, in one node product; each
+# witness is the text the rows printed when they compared values in Q(alpha)
+FACTORED = [
+    ("P.value-and-hook", "h", (2, 0),
+     "kappa=(2, 0): h/stab vs d(kappaR)/prod: α^2 + 2*α + 1 != α + 1",
+     "kappa=(2, 0): h/stab vs d(kappaR)/prod: 2*α + 2 != α + 1"),
+    ("asym.c-closed-forms", "d", (1, 0),
+     "rho=(0, 1): (-1)/(α + 1) != -1", "rho=(0, 1): (-1)/(2) != -1"),
+    ("society.identities", "dp", (0, 1),
+     "eta+=(0, 0) N=2: d(rho+)/d'(rhoR) vs h/d'(eta+): (1)/(α + 1) != 1",
+     "eta+=(0, 0) N=2: d(rho+)/d'(rhoR) vs h/d'(eta+): (1)/(2) != 1"),
+    ("norm.reconciliation", "d", (1, 0),
+     "eta+=(0, 0) N=2: shifted P form vs S form: (2*α + 4)/(α + 1) != "
+     "(2*α + 4)/(α^2 + 2*α + 1)",
+     "eta+=(0, 0) N=2: shifted P form vs S form: (2*α + 4)/(α + 1) != (α + 2)/(α + 1)"),
+]
+
+
+@pytest.mark.parametrize("name, kind, label, form_witness, content_witness", FACTORED,
+                         ids=[row[0] for row in FACTORED])
+def test_factored_rows_print_the_field_witness(fresh_caches, monkeypatch, name, kind, label,
+                                               form_witness, content_witness):
+    """A closed-form row fails when one form of a node product, alpha + 1
+    at the label, gains a multiplicity, and when its content doubles, and
+    prints both values as elements of Q(alpha)."""
+    for perturb, witness in ((_node_form(kind, label, (1, 1)), form_witness),
+                             (_node_product(kind, label), content_witness)):
+        with monkeypatch.context() as mp:
+            perturb(mp)
+            result = verify.CHECKS[name](BOUNDS)
+        assert (result.status, result.witness) == ("fail", witness)
+        jackpoly.clear_caches()
 
 
 def test_integral_witness_names_each_failure(fresh_caches):
