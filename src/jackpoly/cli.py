@@ -42,8 +42,8 @@ def _parse_parts(text: str, parser, n=None):
 
 
 def _parse_size(text: str) -> int:
-    """argparse type for --N: an int no larger than sys.maxsize, the largest
-    length the interpreter can index."""
+    """argparse type for --N and --deg: an int no larger than sys.maxsize,
+    the largest length the interpreter can index."""
     try:
         value = int(text)
     except ValueError:
@@ -261,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
                "code at 0; the acceptance suite counts a skip as a failure, "
                "since no check skips at the default bounds.")
     p.add_argument("--N", type=_parse_size, default=4, help="largest variable count (default 4)")
-    p.add_argument("--deg", type=int, default=5, help="largest sweep degree (default 5)")
+    p.add_argument("--deg", type=_parse_size, default=5, help="largest sweep degree (default 5)")
     p.add_argument("--k", default="1,2",
                    help="distinct inverse parameter values for the torus oracle")
     p.add_argument("--r", type=_parse_fractions, default="1,2,3,5/2",
@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expand", help="print a truncated kernel or expansion table")
     p.add_argument("kernel", choices=["omega", "pi", "binomial"])
     p.add_argument("--N", type=_parse_size, required=True)
-    p.add_argument("--deg", type=int, required=True)
+    p.add_argument("--deg", type=_parse_size, required=True)
     p.add_argument("--r", type=_parse_fraction, default=None,
                    help="binomial exponent (rational)")
     p.add_argument("--shifted", action="store_true",

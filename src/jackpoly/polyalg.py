@@ -400,17 +400,6 @@ def monomial_symmetric(kappa, n: int) -> MultiPoly:
     return MultiPoly._raw(n, dict.fromkeys(rearrangements(padded), ONE))
 
 
-def scalar_ratio(f: MultiPoly, g: MultiPoly):
-    """(f_e, g_e) at the leading monomial e of g when f == (f_e / g_e) g,
-    else None, decided as f g_e == g f_e: over denominator 1, with no gcd,
-    and for int coefficients at a point too."""
-    if not g:
-        raise ZeroDivisionError("ratio against the zero polynomial")
-    e, g_e = g.lead_term()
-    f_e = f.terms.get(e, 0)
-    return (f_e, g_e) if f.scale(g_e) == g.scale(f_e) else None
-
-
 # ---------------------------------------------------------------------------
 # truncated generating kernels
 # ---------------------------------------------------------------------------
@@ -425,13 +414,6 @@ def binomial_series(c, degree: int) -> list:
         cur = cur * (c + (n - 1)) / n
         out.append(cur)
     return out
-
-
-def power_series(nvars: int, positions, coeffs) -> MultiPoly:
-    """sum_m coeffs[m] t^m with t the product of the variables at the
-    0-based positions."""
-    return MultiPoly(nvars, {tuple(m * (i in positions) for i in range(nvars)): c
-                             for m, c in enumerate(coeffs)})
 
 
 _KERNELS: dict = {}

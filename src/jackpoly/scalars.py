@@ -153,12 +153,18 @@ def c_rho_ratio(rho, form: str = "rearrangement") -> Factored:
 
 
 def c_rho_resolved(rho) -> AlphaRational:
-    """The measured constant under this package's conventions: c_rho with
-    the global sign (-1)^(ascending pairs of rho) for (-1)^(N(N-1)/2), so a
-    strictly decreasing rho gets +1 and its increasing rearrangement gets
-    (-1)^(N(N-1)/2)."""
-    c, n = c_rho(rho), len(rho)
-    return -c if (combinat.ascending_pair_count(rho) + n * (n - 1) // 2) & 1 else c
+    """c_rho_resolved_ratio in Q(alpha)."""
+    return c_rho_resolved_ratio(rho).value()
+
+
+def c_rho_resolved_ratio(rho) -> Factored:
+    """The measured constant under this package's conventions, factored:
+    c_rho_ratio with the global sign (-1)^(ascending pairs of rho) for
+    (-1)^(N(N-1)/2), so a strictly decreasing rho gets +1 and its increasing
+    rearrangement gets (-1)^(N(N-1)/2)."""
+    c, n = c_rho_ratio(rho), len(rho)
+    flip = (combinat.ascending_pair_count(rho) + n * (n - 1) // 2) & 1
+    return c * Factored(content=-1) if flip else c
 
 
 def staircase_norm_ratio(n: int) -> Factored:

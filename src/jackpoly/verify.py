@@ -9,17 +9,18 @@ effective bounds, the number of cases and every bound a limit cut
 (`clamped`).  Checks are independent of one another and may run in
 parallel worker processes.
 
-Every row that states an identity between the families compares it,
-cleared into Z[alpha], at one point alpha = 2^K: E.eigen-triangular,
-E.value-at-ones, E.swap-action, P.symmetric-eigen-dominance,
-P.two-routes, sym.proportionality, asym.proportionality,
-asym.du-expansion, and the kernel and binomial rows.  As
-l1(pq) <= l1(p) l1(q) and l1(p + q) <= l1(p) + l1(q) for
-l1(c) = sum |c_i|, a row bounds l1 of every coefficient of both sides by
-some B from the l1 norms of its cleared inputs alone, not from the
-identity; it takes 2^(K-1) > B (`_point`), packs each input once, a
-Factored cofactor by `at(K)` with l1 at most `l1_bound()` and a kernel
-read packed (`polyalg.kernel_numerators`), and forms both sides on ints.
+Every row that states an identity between the families decides it as one
+equation between two sides cleared into Z[alpha], a proportionality
+together with its constant, at one point alpha = 2^K: E.eigen-triangular,
+E.value-at-ones, E.swap-action, P.symmetric-eigen-dominance, P.two-routes,
+sym.proportionality, asym.proportionality, asym.du-expansion, and the
+kernel and binomial rows.  As l1(pq) <= l1(p) l1(q) and
+l1(p + q) <= l1(p) + l1(q) for l1(c) = sum |c_i|, a row bounds l1 of
+every coefficient of both sides by some B from the l1 norms of its cleared
+inputs alone, not from the identity; it takes 2^(K-1) > B (`_point`),
+packs each input once, every closed form a Factored packed by `at(K)` with
+l1 at most `l1_bound()` and a kernel read packed
+(`polyalg.kernel_numerators`), and forms both sides on ints.
 Two elements of Z[alpha] with coefficients in (-2^(K-1), 2^(K-1)) and one
 value at 2^K are equal: at the lowest nonzero coefficient c_j of their
 difference, 2^(Kj) (c_j + 2^K m) = 0 would need 2^K | c_j.  So the sides
@@ -43,7 +44,7 @@ from typing import Callable
 
 from . import combinat, jack, oracle, polyalg, scalars
 from .polyalg import (MultiPoly, antisymmetrize, apply_transposition, cherednik_apply,
-                      d2_apply, divided_difference, scalar_ratio, symmetrize)
+                      d2_apply, divided_difference, symmetrize)
 from .qalpha import ONE, AlphaRational, Factored, format_poly, pack, times_multiple, unpack
 
 FIG2_SHAPE = (8, 7, 7, 4, 3, 3, 2, 1, 0)
@@ -228,30 +229,6 @@ def _first(witnesses):
     return next(filter(None, witnesses), None)
 
 
-def _multiple(label, f, g, k=None):
-    """((f_e, g_e), None) when f == (f_e/g_e) g, read at the leading
-    monomial e of g, else (None, witness): the witness names where f
-    differs from g scaled by that ratio.  A multiple divides nothing.
-    With k, f and g hold ints at alpha = 2^k, decoded for the witness."""
-    ratio = scalar_ratio(f, g) if g else None  # no ratio is read off a zero g
-    if ratio is not None:
-        return ratio, None
-    if k is not None:
-        f, g = (h.map_coeff(lambda c: AlphaRational(unpack(c, k))) for h in (f, g))
-    if not g:
-        return None, _differ(label, f, g) or f"{label}: both sides are 0"
-    e, lead = g.lead_term()
-    return None, _differ(label, f, g.scale(f.coeff(e) / lead))
-
-
-def _ratio_witness(label, num, den, want, k):
-    """The witness unless num/den == want, for num and den ints at
-    alpha = 2^k, decided as num want.den == den want.num at that point."""
-    if num * pack(want.den, k) == den * pack(want.num, k):
-        return None
-    return _differ(label, AlphaRational(unpack(num, k)) / AlphaRational(unpack(den, k)), want)
-
-
 class _Refused(ArithmeticError):
     """A cleared input outside Z[alpha]; its message is the row's witness."""
 
@@ -277,27 +254,21 @@ def _norms(f):
     return [_l1(c.num) for c in f.terms.values()] or [0]
 
 
-def _times(f, p):
-    """p f for p in Z[alpha], by one exact division per coefficient whose
-    denominator divides p, else by the field product.  A row that sums
-    family terms first multiplies its identity by such a nonzero p."""
-    return f.map_coeff(lambda c: times_multiple(c, p))
-
-
 _INTEGRAL: dict = {}
 
 
 def _integral(family, label, f):
     """s f in Z[alpha] for the cached f = E, P or S and s = d, h or d(rho+):
     J = d E (F. Knop and S. Sahi, Invent. Math. 128, 1997), J = h P (I. G.
-    Macdonald, Symmetric Functions and Hall Polynomials, VI.10).  Kept per
-    (family, label, id(f)) with f, whose id no other object takes while the
-    entry lives; polynomials are never mutated, so only f itself is served
-    the kept value, and a perturbed or rebuilt f is cleared afresh."""
+    Macdonald, Symmetric Functions and Hall Polynomials, VI.10), by
+    times_multiple.  Kept per (family, label, id(f)) with f, whose id no
+    other object takes while the entry lives; polynomials are never mutated,
+    so only f itself is served the kept value, and a perturbed or rebuilt f
+    is cleared afresh."""
     kept = _INTEGRAL.get((family, label, id(f)))
     if kept is None:
         s = scalars.const_h(label) if family == "P" else scalars.const_d(label)
-        kept = _INTEGRAL[family, label, id(f)] = f, _times(f, s.num)
+        kept = _INTEGRAL[family, label, id(f)] = f, f.map_coeff(lambda c: times_multiple(c, s.num))
     return kept[1]
 
 
@@ -399,12 +370,13 @@ def _eigen_witness(g, eta):
 
 
 def _value_at_ones(f, eta):
-    """E(1^N) = e/d, checked times d_eta at one point: (d E)(1^N) = e,
-    decided as (d E)(1^N) e.den = e.num, the left side bounded by
-    l1(e.den) times the sum of l1 over d E."""
-    g, e, label = _integral("E", eta, f), scalars.const_e(eta), f"eta={eta}: d E(1^N) vs e"
-    k, g = _point(label, max(sum(_norms(g)) * _l1(e.den), _l1(e.num)), g)
-    return _ratio_witness(label, sum(g.terms.values()), 1, e, k)
+    """E(1^N) = e/d, checked times d_eta at one point: (d E)(1^N) = e, the
+    node product e packed by at(K), the left side bounded by the sum of l1
+    over d E and the right by l1_bound()."""
+    g, e = _integral("E", eta, f), scalars.node_ratio(eta, ("e",))
+    label = f"eta={eta}: d E(1^N) vs e"
+    k, g = _point(label, max(sum(_norms(g)), e.l1_bound()), g)
+    return _differ(label, sum(g.terms.values()), e.at(k), k)
 
 
 def _integral_witness(eta, f):
@@ -502,45 +474,48 @@ def _multiply_back(f, i, p):
 
 def _P_witness(p, kappa):
     """Symmetry, the eigen-equation of alpha D2 on g = h P at one point, and
-    monic dominance triangularity of the monomial expansion at kappa.
-    alpha D2 maps z^e, |e| <= D, to a sum of l1 at most
-    D^2 + 2 (N - 1) D (D + 1) <= 2 N (D + 1)^2, which times l1(g) summed
-    over g and at its largest bounds (alpha D2 g) g_e and g (alpha D2 g)_e."""
+    monic dominance triangularity of the monomial expansion at kappa.  The
+    eigen-equation alpha D2 g = c g is decided as g_e (alpha D2 g) =
+    (alpha D2 g)_e g at the leading monomial e of g.  alpha D2 maps z^e,
+    |e| <= D, to a sum of l1 at most D^2 + 2 (N - 1) D (D + 1) <= 2 N (D + 1)^2,
+    which times l1(g) summed over g and at its largest bounds both sides."""
     g, label = _integral("P", kappa, p), f"kappa={kappa}: α D2 hP vs c hP"
     norms, deg = _norms(g), max(map(sum, g.terms))
     k, g = _point(label, 2 * p.nvars * (deg + 1) ** 2 * sum(norms) * max(norms), g)
-    return (_first(_differ(f"kappa={kappa}: s_{i} P vs P", apply_transposition(p, i, i + 1), p)
-                   for i in range(1, p.nvars))
-            or _multiple(label, d2_apply(g, 1 << k), g, k)[1]
+    witness = _first(_differ(f"kappa={kappa}: s_{i} P vs P", apply_transposition(p, i, i + 1), p)
+                     for i in range(1, p.nvars))
+    if witness:  # alpha D2 takes symmetric input only
+        return witness
+    f, (e, lead) = d2_apply(g, 1 << k), g.lead_term()
+    return (_differ(label, f.scale(lead), g.scale(f.terms.get(e, 0)), k)
             or _monic_below(f"kappa={kappa}", p, kappa, lambda e: combinat.dominance_leq(
                 combinat.sort_to_partition(e), kappa)))
 
 
 def _two_routes(kappa, n):
-    """P, built from the one chain at the increasing rearrangement, times the
-    lcm L of the d_eta d'_eta is L d'(kappa) sum_eta J_eta / (d_eta d'_eta),
-    summed over every monomial of each J_eta; and (h P)(1^N) is h times
-    each closed form of P(1^N), Factored.  At one point, the sum bounded by
-    l1 of each cofactor times the largest l1 of its J."""
-    p = jack.build_P(kappa, n)
+    """h P, with P built from the one chain at the increasing rearrangement,
+    times the lcm L of the d_eta d'_eta is h L d'(kappa) sum_eta J_eta /
+    (d_eta d'_eta) over every monomial of each J_eta; and (h P)(1^N) is h
+    times each closed form of P(1^N), Factored.  At one point, bounded by
+    l1(L) max l1(h P) and by l1 of each cofactor times the largest l1 of J."""
     dens = {eta: scalars.node_ratio(eta, ("d", "dp")) for eta in combinat.rearrangements(kappa)}
     lcm = Factored.lcm(list(dens.values()))
-    scale = lcm * scalars.node_ratio(kappa, ("dp",))
+    h, label = scalars.node_ratio(kappa, ("h",)), f"kappa={kappa} N={n}"
+    scale = h * lcm * scalars.node_ratio(kappa, ("dp",))
     routes = [(scale * pending / dens[eta], {e: unpack(c, k) for e, c in j.items()})
               for eta in dens for pending, k, j in [jack._packed_integral(eta)]]
-    h, label = scalars.node_ratio(kappa, ("h",)), f"kappa={kappa} N={n}"
     closed = {name: h * form for name, form in zip(
         ("b/h", "N!/stab e/d"), scalars.P_at_ones_forms(kappa))}
-    lp, hp = _times(p, lcm.poly()), _integral("P", kappa, p)
-    k, lp, hp = _point(label, max(*_norms(lp), sum(_norms(hp)), *(
+    hp = _integral("P", kappa, jack.build_P(kappa, n))
+    k, hp = _point(label, max(lcm.l1_bound() * max(_norms(hp)), sum(_norms(hp)), *(
         form.l1_bound() for form in closed.values()), sum(
-        c.l1_bound() * max(map(_l1, terms.values())) for c, terms in routes)), lp, hp)
+        c.l1_bound() * max(map(_l1, terms.values())) for c, terms in routes)), hp)
     total = {}
     for c, terms in routes:
         c = c.at(k)
         for e, t in terms.items():
             total[e] = total.get(e, 0) + c * pack(t, k)
-    return (_differ(f"{label}: L P vs d' sum L J/(d d')", lp.terms,
+    return (_differ(f"{label}: h L P vs h d' sum L J/(d d')", hp.scale(lcm.at(k)).terms,
                     {e: c for e, c in total.items() if c}, k)
             or _first(_differ(f"{label}: hP(1^N) vs h {name}", sum(hp.terms.values()),
                               form.at(k), k) for name, form in closed.items()))
@@ -556,23 +531,20 @@ def _P_stability(kappa, n):
 
 
 def _sym_proportional(eta):
-    """Sym E_eta is a multiple c of P_(eta+), checked times d_eta at one
-    point: Sym(d E) = c' h P with c' = c d/h.  No closed form for c is
-    claimed beyond the one evaluation at 1^N forces:
-    c P(1^N) = N! E_eta(1^N), that is c' b = N! e.  A coefficient of
-    Sym(d E) sums N! coefficients of d E, so with s = N! max l1(d E) and
-    p = max l1(h P), s p bounds both sides of the ratio, and s l1(b) and
-    p l1(N! e) the two sides of c' b = N! e."""
+    """Sym E_eta is a multiple c of P_(eta+), and evaluation at 1^N forces
+    c P(1^N) = N! E_eta(1^N), so c = N! e h/(d b).  Both are checked as one
+    equation, times d_eta b, at one point: b Sym(d E) = N! e h P, that is
+    Sym(d E) = c' h P with c' = c d/h.  No other closed form for c is
+    claimed.  A coefficient of Sym(d E) sums N! coefficients of d E, so
+    l1(b) N! max l1(d E) and l1(N! e) max l1(h P) bound the two sides."""
     kappa, n = combinat.sort_to_partition(eta), len(eta)
     label = f"eta={eta}: Sym d E vs c' h P"
     g = _integral("E", eta, jack.build_E(eta))
     hp = _integral("P", kappa, jack.build_P(kappa, n))
-    b, e = scalars.const_b(kappa).num, scalars.const_e(eta) * math.factorial(n)
-    s_max, p_max = math.factorial(n) * max(_norms(g)), max(_norms(hp))
-    k, g, hp = _point(label, max(s_max * p_max, s_max * _l1(b), p_max * _l1(e.num)), g, hp)
-    ratio, witness = _multiple(label, symmetrize(g), hp, k)
-    return witness or _ratio_witness(f"eta={eta}: c' b vs N! e", ratio[0] * pack(b, k),
-                                     ratio[1], e, k)
+    b, e = scalars.node_ratio(kappa, ("b",)), scalars.node_ratio(eta, ("e",), (), math.factorial(n))
+    k, g, hp = _point(label, max(b.l1_bound() * math.factorial(n) * max(_norms(g)),
+                                 e.l1_bound() * max(_norms(hp))), g, hp)
+    return _differ(label, symmetrize(g).scale(b.at(k)), hp.scale(e.at(k)), k)
 
 
 def _hook_cases(s):
@@ -603,37 +575,41 @@ def _value_and_hook(kappa, with_norm):
 
 
 def _asym_cases(s):
-    """Per N: every distinct-part rho of _rhos, then every composition with a
-    repeated part up to the `repeated` cap plus one (Asym E must vanish)."""
+    """Per N: (E_rho, S_rho+, rho) for every distinct-part rho of _rhos, then
+    (E_eta, None, eta) for every composition eta with a repeated part up to
+    the `repeated` cap plus one (Asym E must vanish)."""
     for n in s.ns:
         if n * (n - 1) // 2 > s.deg + 1:
             continue
-        yield from _rhos(n, s)
+        for (rho,) in _rhos(n, s):
+            yield jack.build_E(rho), jack.build_S(combinat.sort_to_partition(rho)), rho
         for eta in combinat.compositions_upto(s.cap("repeated") + 1, n):
             if not combinat.has_distinct_parts(eta):
-                yield (eta,)
+                yield jack.build_E(eta), None, eta
 
 
-def _asym(rho):
-    """Asym E_rho vanishes for repeated parts, and is otherwise c * S_rho+
-    with c the resolved closed form.  Both are checked times d_rho at the
-    point: Asym(d E) = c' d(rho+) S, and c' d(rho+)/d(rho) = c.  A
-    coefficient of Asym(d E) sums N! coefficients of d E, signed."""
-    g = _integral("E", rho, jack.build_E(rho))
+def _asym(f, s, rho):
+    """Asym E_rho vanishes for repeated parts (s None), and is otherwise
+    c S_rho+ with c = (-1)^(ascending pairs of rho) d'(rho)/d'(rhoR), the
+    resolved closed form.  Both are checked on d E at the point, the second
+    as one equation with c's sign and forms read from
+    scalars.c_rho_resolved_ratio: d(rho+) d'(rhoR) Asym(d E) =
+    d(rho) c d'(rhoR) (d(rho+) S), whose right cofactor is +-d(rho) d'(rho).
+    A coefficient of Asym(d E) sums N! coefficients of d E, signed."""
+    g = _integral("E", rho, f)
     a_max = math.factorial(len(rho)) * max(_norms(g))
-    if not combinat.has_distinct_parts(rho):
+    if s is None:
         label = f"rho={rho}: Asym d E vs 0"
         k, g = _point(label, a_max, g)
         return _differ(label, antisymmetrize(g), MultiPoly.zero(len(rho)), k)
     rho_plus, label = combinat.sort_to_partition(rho), f"rho={rho}: Asym d E vs c' d S"
-    s, c = _integral("S", rho_plus, jack.build_S(rho_plus)), scalars.c_rho_resolved(rho)
-    d_plus, d_rho, s_max = scalars.const_d(rho_plus).num, scalars.const_d(rho).num, max(_norms(s))
-    k, g, s = _point(label, max(a_max * s_max, a_max * _l1(d_plus) * _l1(c.den),
-                                s_max * _l1(d_rho) * _l1(c.num)), g, s)
-    ratio, witness = _multiple(label, antisymmetrize(g), s, k)
-    return witness or _ratio_witness(
-        f"rho={rho}: measured c vs (-1)^(ascending pairs) d'(rho)/d'(rhoR)",
-        ratio[0] * pack(d_plus, k), ratio[1] * pack(d_rho, k), c, k)
+    dp_r = scalars.node_ratio(combinat.reverse_partition(rho), ("dp",))
+    left = scalars.node_ratio(rho_plus, ("d",)) * dp_r
+    right = scalars.node_ratio(rho, ("d",)) * scalars.c_rho_resolved_ratio(rho) * dp_r
+    s = _integral("S", rho_plus, s)
+    k, g, s = _point(label, max(left.l1_bound() * a_max, right.l1_bound() * max(_norms(s))),
+                     g, s)
+    return _differ(label, antisymmetrize(g).scale(left.at(k)), s.scale(right.at(k)), k)
 
 
 def _du_expansion(ep, rho_plus):
@@ -791,13 +767,9 @@ def _v_stability_cases(s):
                 yield {kappa: fewer, kappa + (0,): more},
 
 
-def _binomial_product(r, n, bound):
-    """prod_j (1 - x_j)^(-r) truncated to total degree <= bound."""
-    series = polyalg.binomial_series(r, bound)
-    out = MultiPoly.one(n)
-    for j in range(n):
-        out = out.mul_truncated(polyalg.power_series(n, (j,), series), bound)
-    return out
+def _binomial_term(r, e):
+    """The coefficient of x^e in prod_j (1 - x_j)^(-r): prod_j (r)_(e_j)/e_j!."""
+    return math.prod(Fraction(r + i, i + 1) for part in e for i in range(part))
 
 
 def _binomial(family, r, n, bound, r_side=None):
@@ -806,25 +778,29 @@ def _binomial(family, r, n, bound, r_side=None):
     over partitions (family P), with the scalar side at r_side (default r);
     d' is the paper's u d for E and v h for P.  Both sides are taken times
     M, the Factored lcm of q^|label| s d' with r_side = p/q and s = d for E,
-    h for P, and compared at one point: the product side bounds itself, and
-    a coefficient of the sum is at most the sum of l1 of each cofactor times
-    the largest l1 of its s f.  Checking several rational r certifies the
-    identity in r by the degree bound."""
+    h for P, and compared at one point: the product side is M times
+    _binomial_term at each x^e, a Factored refused unless its content is an
+    integer, and a coefficient of the sum is at most the sum of l1 of each
+    cofactor times the largest l1 of its s f.  Checking several rational r
+    certifies the identity in r by the degree bound."""
     r_side = r if r_side is None else r_side
     kind, q = ("d" if family == "E" else "h"), Fraction(r_side).denominator
     basis = {label: f for d in range(bound + 1) for label, f in _basis(family, n, d).items()}
     m = Factored.lcm([scalars.node_ratio(label, (kind, "dp"), (), q ** sum(label))
                       for label in basis])
-    lhs, terms = _times(_binomial_product(r, n, bound), m.poly()), []
-    for label, f in basis.items():
-        c = m * scalars.binomial_ratio(r_side, label) / scalars.node_ratio(label, (kind,))
-        terms.append((c, _integral(family, label, f)))
-    label, rhs = f"N={n} r={r}: prod (1-x_j)^-r vs sum over {family}", MultiPoly.zero(n)
-    k, lhs, *gs = _point(label, max(*_norms(lhs), sum(
-        c.l1_bound() * max(_norms(g)) for c, g in terms)), lhs, *(g for _, g in terms))
+    terms = [(m * scalars.binomial_ratio(r_side, label) / scalars.node_ratio(label, (kind,)),
+              _integral(family, label, f)) for label, f in basis.items()]
+    label = f"N={n} r={r}: prod (1-x_j)^-r vs sum over {family}"
+    lhs = {e: m * Factored(content=_binomial_term(r, e))
+           for e in combinat.compositions_upto(bound, n)}
+    if bad := [e for e, c in lhs.items() if not isinstance(c.content, int)]:
+        raise _Refused(f"{label}: at {min(bad)}: {lhs[min(bad)].value()} not in Z[α]")
+    k, *gs = _point(label, max(*(c.l1_bound() for c in lhs.values()), sum(
+        c.l1_bound() * max(_norms(g)) for c, g in terms)), *(g for _, g in terms))
+    rhs = MultiPoly.zero(n)
     for (c, _), g in zip(terms, gs):
         rhs = rhs + g.scale(c.at(k))
-    return _differ(label, lhs, rhs, k)
+    return _differ(label, MultiPoly(n, {e: c.at(k) for e, c in lhs.items()}), rhs, k)
 
 
 def _contingency(a, b, memo):
@@ -872,7 +848,7 @@ def _cauchy(n, bound):
     double sum runs over those classes (I. G. Macdonald, Symmetric Functions
     and Hall Polynomials, I.3)."""
     delta = combinat.staircase(n)
-    vandermonde = [(e, c.num[0]) for e, c in polyalg.vandermonde(n).terms.items()]  # c = +-1
+    vandermonde = [(e, -1 if odd else 1) for e, odd in combinat.signed_rearrangements(delta)]
     memo = {}
     for d in range(bound + 1):
         alternants = {lam: _margins(tuple(map(operator.add, lam, delta)), vandermonde)
@@ -1009,9 +985,8 @@ def _controls(s):
     yield "omega", _differ("omega", block, doubled, k) is not None
     yield "binomial", _binomial("E", Fraction(2), 2, 2, r_side=Fraction(3)) is not None
 
-    a = antisymmetrize(jack.build_E((2, 0)))
-    _, witness = _multiple("asym", _corrupt(a), jack.build_S((2, 0)))
-    yield "asym-proportional", witness is not None
+    yield "asym-proportional", _asym(jack.build_E((2, 0)), _corrupt(jack.build_S((2, 0))),
+                                     (2, 0)) is not None
 
     sol = dict(oracle.solve_E_linear((1, 0), Fraction(2)))
     sol[(0, 1)] += 1

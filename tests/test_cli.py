@@ -326,9 +326,11 @@ BIG = "99999999999999999999"  # above sys.maxsize on every platform
 
 
 class TestOversized:
-    """A part or --N above sys.maxsize is refused by the parser: before, the
-    first five ended in an OverflowError traceback, and the last two never
-    finished (the expand one allocating without bound)."""
+    """A part, --N or --deg above sys.maxsize is refused by the parser:
+    before, the first five ended in an OverflowError traceback, the next two
+    never finished (the expand one allocating without bound), expand omega
+    at such a --deg ended in an OverflowError traceback and expand binomial
+    looped without end."""
 
     @pytest.mark.parametrize("argv, message", [
         (["compute", "E", BIG], f"parts above 9223372036854775807 in '{BIG}'"),
@@ -339,7 +341,13 @@ class TestOversized:
         (["constants", BIG], f"parts above 9223372036854775807 in '{BIG}'"),
         (["expand", "omega", "--N", BIG, "--deg", "0"],
          f"argument --N: {BIG} is above 9223372036854775807"),
-    ], ids=["E", "P", "S", "compute-N", "constants-N", "constants", "expand-N"])
+        (["expand", "omega", "--N", "1", "--deg", str(sys.maxsize + 1)],
+         f"argument --deg: {sys.maxsize + 1} is above 9223372036854775807"),
+        (["expand", "binomial", "--N", "1", "--deg", BIG, "--r", "1"],
+         f"argument --deg: {BIG} is above 9223372036854775807"),
+        (["verify", "--deg", BIG], f"argument --deg: {BIG} is above 9223372036854775807"),
+    ], ids=["E", "P", "S", "compute-N", "constants-N", "constants", "expand-N", "expand-deg",
+            "expand-binomial-deg", "verify-deg"])
     def test_exits_2_with_a_message(self, capsys, monkeypatch, argv, message):
         # a regression reaches the computation and fails at once instead of hanging
         def unreachable(*args):

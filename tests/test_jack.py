@@ -5,8 +5,8 @@ import pytest
 
 from jackpoly import combinat as cb
 from jackpoly import jack, polyalg, qalpha, scalars, verify
-from jackpoly.polyalg import (MultiPoly, antisymmetrize, apply_transposition,
-                              scalar_ratio, symmetrize, vandermonde)
+from jackpoly.polyalg import (MultiPoly, antisymmetrize, apply_transposition, symmetrize,
+                              vandermonde)
 from jackpoly.qalpha import ALPHA, ONE, AlphaRational, Factored, alpha_shift, unpack
 
 A = ALPHA
@@ -361,10 +361,12 @@ class TestBuildP:
             for eta in cb.compositions_upto(4, n):
                 assert verify._sym_proportional(eta) is None
         # for the increasing rearrangement the multiple is the stabilizer order
+        # (read at the label, where P is monic)
         for eta, stab in (((0, 1, 2), ONE), ((0, 1, 1), 2)):
-            (num, den), witness = verify._multiple("", symmetrize(jack.build_E(eta)),
-                                                   jack.build_P(cb.sort_to_partition(eta), 3))
-            assert witness is None and num / den == stab
+            kappa = cb.sort_to_partition(eta)
+            sym, p = symmetrize(jack.build_E(eta)), jack.build_P(kappa, 3)
+            assert p.coeff(kappa) == ONE
+            assert sym == p.scale(sym.coeff(kappa)) and sym.coeff(kappa) == stab
 
 
 class TestBuildS:
@@ -475,7 +477,7 @@ class TestDominantFill:
                     and cb.is_partition(e)}
         unsigned = jack._fill(3, dominant)
         monkeypatch.setattr(jack, "build_S", lambda rho_plus: unsigned)
-        witness = verify._asym((1, 0, 3))
+        witness = verify._asym(jack.build_E((1, 0, 3)), jack.build_S((3, 1, 0)), (1, 0, 3))
         assert witness is not None and witness.startswith("rho=(1, 0, 3): Asym d E vs c' d S")
 
     @pytest.mark.parametrize("edit, rows", [
@@ -515,14 +517,17 @@ class TestDominantFill:
 class TestAsym:
     def test_repeated_parts_vanish(self):
         for rho in [(1, 1), (2, 2, 0), (1, 0, 1)]:
-            assert verify._asym(rho) is None
+            assert verify._asym(jack.build_E(rho), None, rho) is None
             assert not antisymmetrize(jack.build_E(rho))
 
     def test_measured_constants(self):
+        # read at the label (1, 0), where S is monic
+        s = jack.build_S((1, 0))
         for rho, want in (((1, 0), A / (A + 1)), ((0, 1), -ONE)):
-            assert verify._asym(rho) is None
-            c, s = scalar_ratio(antisymmetrize(jack.build_E(rho)), jack.build_S((1, 0)))
-            assert c / s == want
+            assert verify._asym(jack.build_E(rho), s, rho) is None
+            asym = antisymmetrize(jack.build_E(rho))
+            assert s.coeff((1, 0)) == ONE
+            assert asym == s.scale(asym.coeff((1, 0))) and asym.coeff((1, 0)) == want
         # ratio of the two is -d'(1,0)/d'(0,1)
         assert (A / (A + 1)) / (-ONE) == -scalars.const_dp((1, 0)) / scalars.const_dp((0, 1))
 
@@ -532,7 +537,7 @@ class TestAsym:
             for ep in cb.partitions_upto(5 - sum(delta), n):
                 rho_plus = tuple(p + d for p, d in zip(ep, delta))
                 for rho in cb.rearrangements(rho_plus):
-                    witness = verify._asym(rho)
+                    witness = verify._asym(jack.build_E(rho), jack.build_S(rho_plus), rho)
                     assert witness is None, witness
 
     def test_du_expansion(self):

@@ -20,6 +20,20 @@ def _z(i, n):
     return MP.variable(i, n)
 
 
+def _power_series(nvars, positions, coeffs):
+    """sum_m coeffs[m] t^m with t the product of the variables at the
+    0-based positions: one factor of the reference products."""
+    return MP(nvars, {tuple(m * (i in positions) for i in range(nvars)): c
+                      for m, c in enumerate(coeffs)})
+
+
+def _multiple_of(f, g):
+    """c when f == c g, c read off the leading coefficients of f and g, else None."""
+    e, lead = g.lead_term()
+    c = f.coeff(e) / lead
+    return c if f == g.scale(c) else None
+
+
 def _random_poly(rng, n, max_exp=3, nterms=6):
     terms = {}
     for _ in range(nterms):
@@ -155,15 +169,14 @@ class TestOperators:
         assert not pa.d2_apply(MP.one(2))
         f = _z(1, 2) + _z(2, 2)
         # alpha D2, integral: 2 on the pair term of z1 + z2
-        got, lead = pa.scalar_ratio(pa.d2_apply(f), f)
-        assert got == 2 * lead
+        assert _multiple_of(pa.d2_apply(f), f) == 2
         # proportionality forces the known coefficient on the lower orbit
         m2 = pa.monomial_symmetric((2,), 2)
         m11 = pa.monomial_symmetric((1, 1), 2)
         good = m2 + m11.scale(2 / (A + 1))
-        assert pa.scalar_ratio(pa.d2_apply(good), good) is not None
+        assert _multiple_of(pa.d2_apply(good), good) is not None
         bad = m2 + m11
-        assert pa.scalar_ratio(pa.d2_apply(bad), bad) is None
+        assert _multiple_of(pa.d2_apply(bad), bad) is None
 
     def test_d2_rejects_nonsymmetric(self):
         with pytest.raises(ValueError):
@@ -242,7 +255,7 @@ class TestSeries:
             ref = MP.one(2 * n)
             for j in range(n):
                 for k in range(n):
-                    factor = pa.power_series(2 * n, (j, n + k), series)
+                    factor = _power_series(2 * n, (j, n + k), series)
                     ref = ref.mul_truncated(factor, 2 * bound)
             got = pa.pi_truncated(n, bound).map_coeff(lambda c: c.substitute(sh))
             assert got == ref
@@ -256,11 +269,11 @@ class TestSeries:
             ref = MP.one(2 * n)
             for j in range(n):
                 for k in range(n):
-                    ref = ref.mul_truncated(pa.power_series(2 * n, (j, n + k), series), 2 * bound)
+                    ref = ref.mul_truncated(_power_series(2 * n, (j, n + k), series), 2 * bound)
             forms = {e: (c.num, c.den) for e, c in pa.pi_truncated(n, bound).terms.items()}
             assert forms == {e: (c.num, c.den) for e, c in ref.terms.items()}
             for j in range(n):
-                ref = ref.mul_truncated(pa.power_series(2 * n, (j, n + j), [ONE] * (bound + 1)),
+                ref = ref.mul_truncated(_power_series(2 * n, (j, n + j), [ONE] * (bound + 1)),
                                         2 * bound)
             forms = {e: (c.num, c.den) for e, c in pa.omega_truncated(n, bound).terms.items()}
             assert forms == {e: (c.num, c.den) for e, c in ref.terms.items()}
@@ -355,6 +368,28 @@ class TestSeries:
                     xs, ys = verify._margins(x, vandermonde), verify._margins(y, vandermonde)
                     assert sum(cx * cy * kernel(a, b) for a, cx in xs.items()
                                for b, cy in ys.items()) == full, (x, y)
+
+
+def _binomial_product(r, n, bound):
+    """prod_j (1 - x_j)^(-r) truncated to total degree <= bound, multiplied
+    out one series at a time in Q(alpha): the reference of the closed form
+    the binomial rows read."""
+    series = pa.binomial_series(r, bound)
+    out = MP.one(n)
+    for j in range(n):
+        out = out.mul_truncated(_power_series(n, (j,), series), bound)
+    return out
+
+
+@pytest.mark.parametrize("r", [Fraction(1), Fraction(2), Fraction(5, 2), Fraction(1, 3)])
+def test_binomial_term_is_the_product_coefficient(r):
+    """prod_j (r)_(e_j)/e_j! is the coefficient of x^e in the product, at
+    every exponent of degree <= 4 in N <= 3 variables."""
+    for n in (1, 2, 3):
+        want = _binomial_product(r, n, 4).terms
+        got = {e: AlphaRational.from_fraction(verify._binomial_term(r, e))
+               for e in combinat.compositions_upto(4, n)}
+        assert got == want, (r, n)
 
 
 def _tuple_kernel_numerators(n, bound, diagonal):

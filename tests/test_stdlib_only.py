@@ -2,7 +2,7 @@
 and writes its orbits from the one rearrangement walk in `combinat`: only
 the oracle, which must not share that walk, enumerates permutations.  No
 Z[alpha] product the checks pack is expanded first: a Factored is packed
-by its `at`, and the kernels are built on ints."""
+by its `at`, only `qalpha` expands one, and the kernels are built on ints."""
 
 import ast
 import pathlib
@@ -56,6 +56,28 @@ def test_no_pack_takes_an_expanded_product():
                 assert not any(isinstance(arg, ast.Call) and _name(arg.func) == "poly"
                                for arg in node.args), (
                     f"{path.name}:{node.lineno} packs a .poly() expansion; use .at(k)")
+
+
+def test_only_qalpha_expands_a_Factored_product():
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "qalpha.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            assert not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "poly"), f"{path.name}:{node.lineno} calls .poly()"
+
+
+def test_verify_reads_node_products_as_Factored():
+    """The rows read every closed form as a Factored, packed by at(K); a
+    node product in Q(alpha) (scalars.const_*) only clears a cached family
+    (_integral) or perturbs a control's input (_controls)."""
+    tree = ast.parse((SRC / "verify.py").read_text())
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef) and fn.name not in ("_integral", "_controls"):
+            for node in ast.walk(fn):
+                assert not (isinstance(node, ast.Attribute) and node.attr.startswith("const_")
+                            and _name(node.value) == "scalars"), (
+                    f"verify.py:{node.lineno} reads scalars.{node.attr} in {fn.name}")
 
 
 def test_the_kernels_multiply_no_int_tuples():

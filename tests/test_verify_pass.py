@@ -54,6 +54,7 @@ def default_pass():
         counted(qalpha.Factored, "over", lambda args: "over")
         # by the function that asks: the key is made inside `call`, two frames down
         counted(qalpha.Factored, "poly", lambda args: ("poly", sys._getframe(2).f_code.co_name))
+        counted(qalpha.Factored, "value", lambda args: "value")
         for module in vars(jackpoly).values():  # every binding of the Z[alpha] product
             if getattr(module, "poly_mul", None) is qalpha.poly_mul:
                 counted(module, "poly_mul", lambda args: "poly_mul")
@@ -114,19 +115,21 @@ def test_the_kernel_rows_clear_no_kernel(default_pass):
 
 
 def test_a_cold_pass_expands_few_Z_alpha_products(default_pass):
-    """The kernels and cofactors are formed at the point and the closed
-    forms compared by their factorizations, so a cold default pass makes
-    at most 21,910 products of int tuples (43,820 when each kernel was
-    multiplied out in Z[alpha]) and expands a Factored only to clear a
-    denominator: in Factored.over, and where P.two-routes and the binomial
-    rows clear a Q(alpha) side by an lcm."""
+    """The kernels and cofactors are formed at the point, every closed form
+    enters a row as a Factored packed by at(K), and the closed-form rows
+    compare factorizations, so a cold default pass makes at most 21,910
+    products of int tuples (43,820 when each kernel was multiplied out in
+    Z[alpha]), expands a Factored product only inside Factored.over, and
+    expands at most 400 Factored values into Q(alpha) (769 when four rows
+    read their node products as field elements)."""
     total = collections.Counter()
     for (key, row), n in default_pass[2].items():
         if row is not None:  # the cold pass
             total[key] += n
     assert 0 < total["poly_mul"] <= 21910, total["poly_mul"]
     callers = {key[1] for key in total if key[0] == "poly"}
-    assert callers == {"over", "_two_routes", "_binomial"}, callers
+    assert callers == {"over"}, callers
+    assert 0 < total["value"] <= 400, total["value"]
 
 
 @pytest.mark.parametrize("family, label, extra, row", [

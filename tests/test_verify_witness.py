@@ -265,6 +265,40 @@ def test_factored_rows_print_the_field_witness(fresh_caches, monkeypatch, name, 
         jackpoly.clear_caches()
 
 
+# the rows that decide one cross-multiplied equation at the point, each
+# with one closed-form factor doubled at one diagram: both sides print as
+# their Z[alpha] values
+CLEARED = [
+    ("E.value-at-ones", "e", (1, 0), "eta=(1, 0): d E(1^N) vs e: α + 2 != 2*α + 4"),
+    ("sym.proportionality", "b", (1, 0),
+     "eta=(1, 0): Sym d E vs c' h P: at (0, 1): 4*α + 8 != 2*α + 4"),
+    ("asym.proportionality", "dp", (1, 0),
+     "rho=(1, 0): Asym d E vs c' d S: at (0, 1): -α^3 - 2*α^2 - α != -2*α^3 - 4*α^2 - 2*α"),
+    # h scales both sides of the first equation alike, so the second sees it
+    ("P.two-routes", "h", (1, 0), "kappa=(1, 0) N=2: hP(1^N) vs h b/h: 4 != 2"),
+    ("P.two-routes", "dp", (1, 0), "kappa=(1, 0) N=2: h L P vs h d' sum L J/(d d'): at (0, 1): "
+     "2*α^3 + 6*α^2 + 4*α != 4*α^3 + 10*α^2 + 4*α"),
+]
+
+
+@pytest.mark.parametrize("name, kind, label, witness", CLEARED,
+                         ids=[f"{row[0]}-{row[1]}" for row in CLEARED])
+def test_cleared_rows_print_both_sides(fresh_caches, monkeypatch, name, kind, label, witness):
+    _node_product(kind, label)(monkeypatch)
+    result = verify.CHECKS[name](BOUNDS)
+    assert (result.status, result.witness) == ("fail", witness)
+
+
+def test_binomial_content_outside_Z_is_refused(fresh_caches, monkeypatch):
+    """M times the product's closed form at x^e is a Factored; a content
+    that is not an integer is refused, with the value it would expand to."""
+    term = verify._binomial_term
+    monkeypatch.setattr(verify, "_binomial_term", lambda r, e: Fraction(term(r, e), 7))
+    assert verify.CHECKS["binomial.nonsymmetric"](BOUNDS).witness == (
+        "N=2 r=1: prod (1-x_j)^-r vs sum over E: at (0, 0): "
+        "(α^3 + 3*α^2 + 2*α)/(7) not in Z[α]")
+
+
 def test_integral_witness_names_each_failure(fresh_caches):
     d_e = jack.build_E((1, 0)).scale(scalars.const_d((1, 0)))  # (alpha + 1) z1 + z2
     assert verify._integral_witness((1, 0), d_e) is None
@@ -322,7 +356,8 @@ def test_kronecker_control_vanishes_at_the_unperturbed_point(monkeypatch):
     ("E.swap-action",
      "eta=(1, 0) i=1: s_i E: at (0, 1): α^4 + 5*α^3 + 9*α^2 + 7*α + 2"
      " != α^15 + 4*α^14 + 5*α^13 + 2*α^12 + α^4 + 5*α^3 + 9*α^2 + 7*α + 2"),
-    ("sym.proportionality", "eta=(1, 0): c' b vs N! e: 2*α^13 + 2*α^12 + 2*α + 4 != 2*α + 4"),
+    ("sym.proportionality",
+     "eta=(1, 0): Sym d E vs c' h P: at (0, 1): 2*α^13 + 2*α^12 + 2*α + 4 != 2*α + 4"),
     ("asym.du-expansion",
      "eta+=(0, 0) N=2: d S vs sum over d E: at (0, 1): -α - 1 != α^13 + α^12 - α - 1"),
 ], ids=[name for name, _ in HIGH_POWER])
