@@ -52,8 +52,8 @@ import operator
 
 from . import combinat, scalars
 from .polyalg import MultiPoly
-from .qalpha import (AlphaRational, Factored, homogeneous_compose, pack, poly_add, poly_mul,
-                     unpack)
+from .qalpha import (AlphaRational, Factored, homogeneous_compose, pack, pack_width, poly_add,
+                     poly_mul, unpack)
 
 _E_CACHE: dict = {}
 _J_CACHE: dict = {}
@@ -196,9 +196,8 @@ def _fill(n: int, dominant: dict) -> MultiPoly:
 def build_P(kappa, n: int = None) -> MultiPoly:
     """The monic symmetric polynomial Sym E_(kappaR) / stab(kappa), kappa
     padded with zeros or cut of trailing zeros to n parts when n is given:
-    each packed orbit sum s of `_orbit_sums` divided over D as E is, then
-    times stab(mu): a primitive form divides stab(mu) s only if it divides s
-    (Gauss's lemma).  `_fill` copies each to its distinct rearrangements."""
+    stab(mu) s / D for each packed orbit sum s of `_orbit_sums`, divided as E
+    is, stab(mu) inside the integer gcd of `Factored.over`, then `_fill`."""
     kappa = combinat.as_partition(kappa)
     if n is not None:
         if any(kappa[n:]):
@@ -207,8 +206,7 @@ def build_P(kappa, n: int = None) -> MultiPoly:
     out = _P_CACHE.get(kappa)
     if out is None:
         den, k, sums = _orbit_sums(kappa, f"P_{kappa}")
-        out = _P_CACHE[kappa] = _fill(len(kappa), {mu: c * combinat.stabilizer_order(mu)
-                                                   for mu, c in den.over(sums, k).items()})
+        out = _P_CACHE[kappa] = _fill(len(kappa), den.over(sums, k, combinat.stabilizer_order))
     return out
 
 
@@ -261,7 +259,7 @@ def build_S(rho_plus) -> MultiPoly:
     big = max([-shifted.forms.get((1, 1), 0), *(len(c) - 1 for c in sums.values())])
     den = shifted * Factored([(1, 1)] * big)
     sums = {lam: homogeneous_compose(s, (0, 1), (1, 1), big) for lam, s in sums.items()}
-    k = max(2, max(sum(map(abs, c)) for c in sums.values()).bit_length() + 1)
+    k = pack_width(max(sum(map(abs, c)) for c in sums.values()))
     terms = {}
     for lam, c in den.over({lam: pack(s, k) for lam, s in sums.items()}, k).items():
         lam_r, by_parity = lam[::-1], (c, -c)

@@ -6,7 +6,8 @@ terms into a dict does so through `_add_term`, which drops a key whose sum
 vanishes; the variable relabelings (`apply_permutation`,
 `apply_transposition`) are bijections on exponent tuples, so they move
 terms without summing any.  Variable indices in the operator API are
-1-based to match diagram coordinates.  Coefficients are Q(alpha) elements; a
+1-based to match diagram coordinates.  Coefficients are Q(alpha) elements,
+or ints for a polynomial taken at one point alpha = 2^k (`verify`); a
 truncated kernel in x_1..x_N, y_1..y_N is one MultiPoly in 2N variables, its
 Z[alpha] numerators built on ints at alpha = 2^k, once per (N, D, diagonal),
 by `kernel_numerators` (verify reads them) and made canonical over D! alpha^D
@@ -24,7 +25,7 @@ from fractions import Fraction
 
 from .combinat import (ascending_pair_count, rearrangements, signed_rearrangements,
                        stabilizer_order)
-from .qalpha import ALPHA, ONE, ZERO, AlphaRational, Factored, join_terms
+from .qalpha import ALPHA, ONE, ZERO, AlphaRational, Factored, join_terms, pack_width
 
 
 def _add_term(out: dict, key, c) -> None:
@@ -212,9 +213,9 @@ class MultiPoly:
         return cls(obj["N"], terms)
 
     def format(self, symbol="z"):
-        # a coefficient c*alpha^k over denominator 1 prints without parentheses
-        return join_terms([term_text(c, monomial_text(e, symbol),
-                                     c.den == (1,) and sum(map(bool, c.num)) == 1)
+        # an int, or a coefficient c*alpha^k over denominator 1, prints without parentheses
+        return join_terms([term_text(c, monomial_text(e, symbol), isinstance(c, int) or (
+                               c.den == (1,) and sum(map(bool, c.num)) == 1))
                            for e, c in self.sorted_terms()])
 
     def __str__(self):
@@ -436,7 +437,7 @@ def kernel_numerators(n: int, bound: int, diagonal: bool) -> tuple:
     if (n, bound, diagonal) in _KERNELS:
         return _KERNELS[n, bound, diagonal]
     total = math.factorial(bound) * math.comb(n * n + n * diagonal + bound - 1, bound)
-    k, s = max(2, total.bit_length() + 1), max(1, bound.bit_length())
+    k, s = pack_width(total), max(1, bound.bit_length())
     top, alpha = 2 * n * s, 1 << k
     rising = [math.prod(1 + i * alpha for i in range(m)) for m in range(bound + 1)]
     factors = [(j, n + i, rising) for j in range(n) for i in range(n)]

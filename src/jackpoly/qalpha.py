@@ -226,11 +226,7 @@ class AlphaRational:
     __slots__ = ("num", "den")
 
     def __init__(self, num=0, den=1):
-        n = _coerce_poly(num)
-        d = _coerce_poly(den)
-        # ints/Fractions arrive as (poly, denominator-int) pairs
-        n, dn = n
-        d, dd = d
+        (n, dn), (d, dd) = _coerce_poly(num), _coerce_poly(den)
         self.num, self.den = _reduce(_scale(n, dd), _scale(d, dn))
 
     @classmethod
@@ -389,10 +385,8 @@ def _reduce(num, den):
 
 def _coerce_poly(v):
     """Accept int / Fraction / coefficient sequence; return (poly, denom_int)."""
-    if isinstance(v, int):
-        return ((v,) if v else (), 1)
-    if isinstance(v, Fraction):
-        return ((v.numerator,) if v.numerator else (), v.denominator)
+    if isinstance(v, (int, Fraction)):
+        return ((v.numerator,) if v else (), v.denominator)
     if isinstance(v, AlphaRational):
         raise TypeError("pass AlphaRational operands through arithmetic, not the constructor")
     return (_trim(tuple(int(c) for c in v)), 1)
@@ -438,6 +432,12 @@ def unpack(x, k):
             d, x = d - (1 << k), x + 1
         out.append(d)
     return tuple(out)
+
+
+def pack_width(bound) -> int:
+    """The least k >= 2 with 2^(k-1) > bound: each entry of a tuple of l1 at
+    most bound is then a balanced digit, so `unpack` reads its `pack` back."""
+    return max(2, bound.bit_length() + 1)
 
 
 class Factored:
@@ -534,16 +534,17 @@ class Factored:
     def __str__(self):
         return str(self.value())
 
-    def over(self, nums, k) -> dict:
-        """{key: num / self} in canonical form for each nonzero num in Z[alpha] of the
-        dict nums, given as its int x at alpha = 2^k with every coefficient in
-        [-2^(k-1), 2^(k-1)), over a denominator self (an int content > 0, no m < 0).
-        Each form F = alpha*a + b is divided out of x while F(2^k) divides it, up to
-        its multiplicity: F | num gives F(2^k) | x, so a remainder proves F does not
-        divide num.  The quotient q is unpacked once and kept when |q|_inf prod
-        (a + |b|) over the forms divided out is below 2^(k-1): q prod F and num then
-        have balanced digits and pack to x, so they are equal; else x is packed
-        again at 2k.  Then only an integer gcd remains; each leftover is expanded once."""
+    def over(self, nums, k, times=lambda key: 1) -> dict:
+        """{key: t num / self} in canonical form, t = times(key) an int > 0, for each
+        nonzero num in Z[alpha] of the dict nums, given as its int x at alpha = 2^k with
+        every coefficient in [-2^(k-1), 2^(k-1)), over a denominator self (an int
+        content > 0, no m < 0).  Each form F = alpha*a + b is divided out of x while
+        F(2^k) divides it, up to its multiplicity: F | num gives F(2^k) | x, so a
+        remainder proves F divides neither num nor, being primitive, t num.  The
+        quotient q is unpacked once and kept when |q|_inf prod (a + |b|) over the forms
+        divided out is below 2^(k-1): q prod F and num then have balanced digits and
+        pack to x, so they are equal; else x is packed again at 2k.  Then only an
+        integer gcd remains, t inside it; each leftover is expanded once."""
         out, dens = {}, {}
         for key, x in nums.items():
             j = k
@@ -562,6 +563,7 @@ class Factored:
                         break
                 x, j = pack(unpack(x, j), 2 * j), 2 * j
             if x:
+                num = _scale(num, times(key))
                 g = math.gcd(self.content, *num)
                 den = self.content // g, tuple(left.items())
                 dens[den] = dens.get(den) or Factored(content=den[0], forms=left).poly()

@@ -17,19 +17,21 @@ sym.proportionality, asym.proportionality, asym.du-expansion, and the
 kernel and binomial rows.  As l1(pq) <= l1(p) l1(q) and
 l1(p + q) <= l1(p) + l1(q) for l1(c) = sum |c_i|, a row bounds l1 of
 every coefficient of both sides by some B from the l1 norms of its cleared
-inputs alone, not from the identity; it takes 2^(K-1) > B (`_point`),
-packs each input once, every closed form a Factored packed by `at(K)` with
-l1 at most `l1_bound()` and a kernel read packed
+inputs alone, not from the identity; it takes 2^(K-1) > B (`_point`, by
+`qalpha.pack_width`), packs each input once, every closed form a Factored
+packed by `at(K)` with l1 at most `l1_bound()` and a kernel read packed
 (`polyalg.kernel_numerators`), and forms both sides on ints.
 Two elements of Z[alpha] with coefficients in (-2^(K-1), 2^(K-1)) and one
 value at 2^K are equal: at the lowest nonzero coefficient c_j of their
 difference, 2^(Kj) (c_j + 2^K m) = 0 would need 2^K | c_j.  So the sides
 agree iff their ints do, and a witness prints the ints' balanced base-2^K
 digits, the sides' Z[alpha] values.  An input with a denominator is
-refused, with a witness that prints it.  The closed-form rows compare two
-Factored ratios by content and forms, primes of Z[alpha], so by value.
-Sym and Asym sum each orbit once, and the Cauchy row sums each alternant
-by sorted margin before its double sum.
+refused, with a witness that prints it.  xi.commutation runs at the point
+too, on random polynomials cleared of denominators, and the alpha-free
+divided-difference.multiply-back on ints.  The closed-form rows compare
+Factored ratios by content and forms, primes of Z[alpha], so by value, the
+oracle rows Fractions: only the controls add or multiply in Q(alpha).  Sym
+and Asym sum each orbit once, the Cauchy row each alternant by margin.
 """
 
 from __future__ import annotations
@@ -44,8 +46,9 @@ from typing import Callable
 
 from . import combinat, jack, oracle, polyalg, scalars
 from .polyalg import (MultiPoly, antisymmetrize, apply_transposition, cherednik_apply,
-                      d2_apply, divided_difference, symmetrize)
-from .qalpha import ONE, AlphaRational, Factored, format_poly, pack, times_multiple, unpack
+                      d2_apply, divided_difference, mul_variable, symmetrize)
+from .qalpha import (ONE, AlphaRational, Factored, format_poly, pack, pack_width, times_multiple,
+                     unpack)
 
 FIG2_SHAPE = (8, 7, 7, 4, 3, 3, 2, 1, 0)
 SOLVE_ALPHAS = (Fraction(2), Fraction(3), Fraction(7, 2))
@@ -234,13 +237,12 @@ class _Refused(ArithmeticError):
 
 
 def _point(label, bound, *fs):
-    """K with 2^(K-1) > bound and K >= 2, then each f over Z[alpha] with
-    its coefficients packed at alpha = 2^K; a coefficient with a
-    denominator raises _Refused, naming the first such monomial."""
+    """K = pack_width(bound), then each f over Z[alpha] packed at alpha = 2^K;
+    a denominator raises _Refused, naming the first monomial with one."""
     for f in fs:
         if bad := [e for e, c in f.terms.items() if c.den != (1,)]:
             raise _Refused(f"{label}: at {min(bad)}: {f.terms[min(bad)]} not in Z[α]")
-    k = max(2, bound.bit_length() + 1)
+    k = pack_width(bound)
     return (k, *(MultiPoly._raw(f.nvars, {e: pack(c.num, k) for e, c in f.terms.items()})
                  for f in fs))
 
@@ -424,52 +426,42 @@ def _swap_action(eta, i):
     return _differ(label, apply_transposition(g, i, i + 1).scale(square), rhs, k)
 
 
-def _xi_cases(s):
-    """(f, i, j) for three random polynomials of degree <= deg per N."""
-    rng = random.Random(20240211)
+def _random_cases(s, seed, trials, draws, top, cap, coeff, keep):
+    """(g, i, j) for each index pair with keep(i, j) and `trials` seeded
+    random f per N, each of `draws` exponents with parts <= top given the
+    coefficient coeff(rng) if of degree <= cap (a later draw replaces an
+    earlier), and g = f times the lcm of its denominators, with int terms."""
+    rng = random.Random(seed)
     for n in s.ns:
-        for _ in range(3):
+        for _ in range(trials):
             terms = {}
-            for _ in range(5):
-                e = tuple(rng.randrange(0, 3) for _ in range(n))
-                if sum(e) <= s.deg:
-                    terms[e] = AlphaRational.from_fraction(
-                        Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)))
-            f = MultiPoly(n, terms)
-            for i in range(1, n + 1):
-                for j in range(i + 1, n + 1):
-                    yield f, i, j
+            for _ in range(draws):
+                e = tuple(rng.randrange(0, top + 1) for _ in range(n))
+                if sum(e) <= cap:
+                    terms[e] = coeff(rng)
+            m = math.lcm(*(c.denominator for c in terms.values()))
+            g = MultiPoly(n, {e: c.numerator * (m // c.denominator) for e, c in terms.items()})
+            yield from ((g, i, j) for i in range(1, n + 1) for j in range(1, n + 1) if keep(i, j))
 
 
-def _xi_commute(f, i, j):
-    lhs = cherednik_apply(cherednik_apply(f, i), j)
-    rhs = cherednik_apply(cherednik_apply(f, j), i)
-    return None if lhs == rhs else _differ(f"N={f.nvars} f={f}: xi_{i} xi_{j} vs xi_{j} xi_{i}",
-                                           lhs, rhs)
-
-
-def _divided_difference_cases(s):
-    """(f, i, p), i != p, for four random polynomials with parts <= 3 per N."""
-    rng = random.Random(771)
-    for n in s.ns:
-        for _ in range(4):
-            terms = {}
-            for _ in range(6):
-                e = tuple(rng.randrange(0, 4) for _ in range(n))
-                terms[e] = AlphaRational.from_fraction(rng.randrange(-5, 6))
-            f = MultiPoly(n, terms)
-            for i in range(1, n + 1):
-                for p in range(1, n + 1):
-                    if i != p:
-                        yield f, i, p
+def _xi_commute(g, i, j):
+    """xi_i xi_j g = xi_j xi_i g at alpha = 2^K, g an int multiple of a random
+    f (xi is linear) with int coefficients: one xi multiplies l1 summed over
+    the terms by at most N (D + 1), D the degree of g (_xi_bound)."""
+    n, deg = g.nvars, max(map(sum, g.terms), default=0)
+    k = pack_width((n * (deg + 1)) ** 2 * sum(map(abs, g.terms.values())))
+    a = 1 << k
+    lhs = cherednik_apply(cherednik_apply(g, j, a), i, a)
+    rhs = cherednik_apply(cherednik_apply(g, i, a), j, a)
+    return None if lhs == rhs else _differ(f"N={n} g={g}: xi_{i} xi_{j} vs xi_{j} xi_{i}",
+                                           lhs, rhs, k)
 
 
 def _multiply_back(f, i, p):
-    n = f.nvars
+    """(z_i - z_p) DD_ip f = f - s_ip f, on the ints of f: no alpha appears."""
     dd = divided_difference(f, i, p)
-    zi, zp = MultiPoly.variable(i, n), MultiPoly.variable(p, n)
-    lhs, rhs = dd * (zi - zp), f - apply_transposition(f, i, p)
-    return None if lhs == rhs else _differ(f"N={n} ({i},{p}) f={f}", lhs, rhs)
+    lhs, rhs = mul_variable(dd, i) - mul_variable(dd, p), f - apply_transposition(f, i, p)
+    return None if lhs == rhs else _differ(f"N={f.nvars} ({i},{p}) f={f}", lhs, rhs)
 
 
 def _P_witness(p, kappa):
@@ -619,13 +611,13 @@ def _du_expansion(ep, rho_plus):
     are compared at one point, the sum bounded by the sum over nu of
     max l1(d(nu) E_nu)."""
     label = f"eta+={ep} N={len(ep)}: d S vs sum over d E"
-    nus = combinat.rearrangements(rho_plus)
+    nus = combinat.signed_rearrangements(rho_plus)
     s = _integral("S", rho_plus, jack.build_S(rho_plus))
-    gs = [_integral("E", nu, jack.build_E(nu)) for nu in nus]
+    gs = [_integral("E", nu, jack.build_E(nu)) for nu, _ in nus]
     k, s, *gs = _point(label, max(*_norms(s), sum(max(_norms(g)) for g in gs)), s, *gs)
     acc = MultiPoly.zero(len(rho_plus))
-    for nu, g in zip(nus, gs):
-        acc = acc - g if combinat.ascending_pair_count(nu) & 1 else acc + g
+    for (_, odd), g in zip(nus, gs):
+        acc = acc - g if odd else acc + g
     return _differ(label, s, acc, k)
 
 
@@ -914,8 +906,8 @@ def _S_norm(ep, rho_plus):
         one = {(0,) * n: Fraction(1)}
         bridge = (oracle.ct_inner_product(one, one, n, 2)
                   / oracle.ct_inner_product(one, one, n, 1))
-        target = (math.factorial(n) * scalars.staircase_norm_ratio(n).value()).eval_at(1)
-        return _differ("weight bridge", bridge, target)
+        target = scalars.staircase_norm_ratio(n) * Factored(content=math.factorial(n))
+        return _differ("weight bridge", bridge, target.value().eval_at(1))
     s_spec = jack.build_S(rho_plus).specialize(Fraction(1))
     # P at alpha/(alpha+1), taken at alpha = 1, is P at alpha = 1/2
     p_spec = jack.build_P(ep, n).specialize(Fraction(1, 2))
@@ -959,7 +951,7 @@ def _controls(s):
     # alpha - 2^K0 vanishes at the point K0 of the unperturbed d E, so only a
     # K taken from the perturbed input sees it
     g = _integral("E", (2, 1), e21)
-    e, shift = min(g.terms), AlphaRational((-(1 << _point("", _xi_bound(g, (2, 1)))[0]), 1))
+    e, shift = min(g.terms), AlphaRational((-(1 << pack_width(_xi_bound(g, (2, 1)))), 1))
     yield "kronecker", _eigen_witness(MultiPoly(2, {**g.terms, e: g.terms[e] + shift}),
                                       (2, 1)) is not None
     lead_scaled = e21.scale(AlphaRational.from_fraction(2))
@@ -1013,9 +1005,14 @@ CHECKS = {row.name: row for row in (
     Check("E.swap-action",
           lambda s: ((eta, i) for (eta,) in _compositions(s) for i in range(1, len(eta))),
           _swap_action, deg=(0, 4)),
-    Check("xi.commutation", _xi_cases, _xi_commute, deg=(4, 4), fixed={"trials": 3}),
-    Check("divided-difference.multiply-back", _divided_difference_cases, _multiply_back,
-          fixed={"trials": 4, "max-part": 3}),
+    Check("xi.commutation",
+          lambda s: _random_cases(s, 20240211, 3, 5, 2, s.deg, lambda rng: Fraction(
+              rng.randrange(-9, 10), rng.randrange(1, 5)), operator.lt),
+          _xi_commute, deg=(4, 4), fixed={"trials": 3}),
+    Check("divided-difference.multiply-back",
+          lambda s: _random_cases(s, 771, 4, 6, 3, math.inf, lambda rng: rng.randrange(-5, 6),
+                                  operator.ne),
+          _multiply_back, fixed={"trials": 4, "max-part": 3}),
     Check("P.symmetric-eigen-dominance", _partitions,
           lambda kappa, n: _P_witness(jack.build_P(kappa, n), kappa), ns=(2, 4), deg=(0, 5)),
     Check("P.two-routes", _partitions, _two_routes, deg=(0, 5)),

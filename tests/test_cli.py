@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from jackpoly import cli, combinat, jack, polyalg, scalars, verify
+from jackpoly import cli, combinat, jack, polyalg, qalpha, scalars, verify
 
 
 def run_cli(capsys, *argv):
@@ -466,6 +466,39 @@ class TestExpand:
         _, out2 = run_cli(capsys, "expand", "omega", "--N", "2", "--deg", "2",
                           "--format", "json")
         assert out1 == out2
+
+
+# compute in text, JSON and at a point, constants with and without a point,
+# and every expand table
+FIELD_FREE = [
+    ["compute", "E", "2,0,1"], ["compute", "E", "1,2", "--N", "3", "--format", "json"],
+    ["compute", "E", "3,1", "--alpha", "3/2"],
+    ["compute", "P", "3,2,1"], ["compute", "P", "2,1", "--N", "3", "--format", "json"],
+    ["compute", "P", "3,1", "--N", "3", "--alpha", "3/2"],
+    ["compute", "S", "3,1,0"], ["compute", "S", "4,1,0", "--format", "json"],
+    ["compute", "S", "4,2", "--N", "3", "--alpha=-1/2"],
+    ["constants", "2,0,1"], ["constants", "1,2", "--N", "3", "--alpha", "5/2"],
+    ["expand", "omega", "--N", "2", "--deg", "3", "--coeffs"],
+    ["expand", "omega", "--N", "2", "--deg", "2", "--format", "json"],
+    ["expand", "pi", "--N", "3", "--deg", "3", "--coeffs"],
+    ["expand", "pi", "--N", "2", "--deg", "3", "--shifted", "--coeffs"],
+    ["expand", "binomial", "--N", "3", "--deg", "3", "--r", "3/2"],
+]
+
+
+@pytest.mark.parametrize("argv", FIELD_FREE, ids=" ".join)
+def test_commands_take_no_field_sum_or_product(fresh_caches, monkeypatch, capsys, argv):
+    """compute, constants and expand print constructions made canonical
+    over a Factored denominator, closed forms and kernels read from ints:
+    none of them reaches the Henrici sum or product of Q(alpha)."""
+    calls = []
+    for name in ("_sum", "_product"):
+        fn = getattr(qalpha, name)
+        monkeypatch.setattr(qalpha, name,
+                            lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out
+    assert calls == []
 
 
 class TestGolden:

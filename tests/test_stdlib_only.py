@@ -2,7 +2,9 @@
 and writes its orbits from the one rearrangement walk in `combinat`: only
 the oracle, which must not share that walk, enumerates permutations.  No
 Z[alpha] product the checks pack is expanded first: a Factored is packed
-by its `at`, only `qalpha` expands one, and the kernels are built on ints."""
+by its `at`, only `qalpha` expands one, and the kernels are built on ints.
+The rows apply the operators at a point and build no field element but
+in the controls."""
 
 import ast
 import pathlib
@@ -86,3 +88,23 @@ def test_the_kernels_multiply_no_int_tuples():
                  if isinstance(node, ast.FunctionDef) and node.name == "kernel_numerators")
     named = {_name(node) for node in ast.walk(build)}
     assert "poly_mul" not in named and "poly_add" not in named
+
+
+def test_verify_applies_the_operators_at_a_point():
+    """The symbolic alpha of cherednik_apply and d2_apply serves the API and
+    the tests: every call in verify passes its alpha, and only the controls
+    build a field element from a Fraction (AlphaRational.from_fraction)."""
+    tree = ast.parse((SRC / "verify.py").read_text())
+    arity = {"cherednik_apply": 3, "d2_apply": 2}
+    for top in tree.body:  # the registry's lambdas included
+        where = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            name = _name(node.func)
+            if name in arity:
+                assert (len(node.args) == arity[name]
+                        or any(kw.arg == "alpha" for kw in node.keywords)), (
+                    f"verify.py:{node.lineno} calls {name} at the symbolic alpha")
+            assert not (name == "from_fraction" and where != "_controls"), (
+                f"verify.py:{node.lineno} calls AlphaRational.from_fraction in {where}")

@@ -55,6 +55,8 @@ def default_pass():
         # by the function that asks: the key is made inside `call`, two frames down
         counted(qalpha.Factored, "poly", lambda args: ("poly", sys._getframe(2).f_code.co_name))
         counted(qalpha.Factored, "value", lambda args: "value")
+        for name in ("_sum", "_product"):  # the Henrici paths of Q(alpha)
+            counted(qalpha, name, lambda args, name=name: name)
         for module in vars(jackpoly).values():  # every binding of the Z[alpha] product
             if getattr(module, "poly_mul", None) is qalpha.poly_mul:
                 counted(module, "poly_mul", lambda args: "poly_mul")
@@ -130,6 +132,17 @@ def test_a_cold_pass_expands_few_Z_alpha_products(default_pass):
     callers = {key[1] for key in total if key[0] == "poly"}
     assert callers == {"over"}, callers
     assert 0 < total["value"] <= 400, total["value"]
+
+
+def test_only_the_controls_take_field_sums_and_products(default_pass):
+    """Every row decides on ints at a point alpha = 2^K, on Factored ratios
+    or on Fractions at a rational: a cold default pass reaches the Henrici
+    sum and product of Q(alpha) only under negative.controls, which perturb
+    their inputs in the field (1,146 calls when the operator rows and P's
+    stab(mu) ran on Q(alpha))."""
+    rows = {row for (key, row), n in default_pass[2].items()
+            if key in ("_sum", "_product") and row is not None}
+    assert rows == {"negative.controls"}, rows
 
 
 @pytest.mark.parametrize("family, label, extra, row", [

@@ -111,12 +111,32 @@ def _contingency_plus_one(key):
     return perturb
 
 
+def _operator_plus(name, term):
+    """One more term, term(*args) at z^0, in every result of the operator
+    `name` (cherednik_apply or divided_difference) that verify imported."""
+    def perturb(monkeypatch):
+        orig = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda f, *args: orig(f, *args) + MultiPoly(
+            f.nvars, {(0,) * f.nvars: term(*args)}))
+    return perturb
+
+
+# the first random polynomial of each operator row at N = 2, cleared to ints
+XI_G = "12*z2^2 - 54*z1 - 8*z1*z2 + 9*z1^2*z2^2"
+DD_F = "2 + z1*z2^2 + 4*z1^2*z2^2 - 3*z1^3*z2 - 4*z1^3*z2^3"
+
 ROWS = [
     ("E.eigen-triangular", _cached_E((1, 0)), "eta=(1, 0)"),
     ("E.value-at-ones", _cached_E((1, 0)), "eta=(1, 0)"),
     # a +1 on a cached E keeps d E integral and positive
     ("E.integral-positive", _scalar("const_d", (1, 0)), "eta=(1, 0)"),
     ("E.swap-action", _cached_E((1, 0)), "eta=(1, 0) i=1"),
+    # alpha = 2^K at z^0 after every xi: xi_1 maps a constant to 0 and xi_2
+    # negates it, so xi_1 xi_2 keeps one alpha and xi_2 xi_1 none
+    ("xi.commutation", _operator_plus("cherednik_apply", lambda i, alpha: alpha),
+     f"N=2 g={XI_G}"),
+    ("divided-difference.multiply-back", _operator_plus("divided_difference", lambda i, p: 1),
+     f"N=2 (1,2) f={DD_F}"),
     ("P.symmetric-eigen-dominance", _cached_P((1, 0)), "kappa=(1, 0)"),
     ("P.two-routes", _cached_P((1, 0)), "kappa=(1, 0) N=2"),
     ("P.stability", _cached_P((1, 0)), "kappa=(1, 0) N=3"),
@@ -193,9 +213,8 @@ def test_perturbed_row_names_label_and_both_values(fresh_caches, monkeypatch,
     assert len(values) == 2 and values[0] != values[1], witness
 
 
-# the two operator checks run polyalg on random input, with no cached value
-# to perturb, and the controls perturb their inputs themselves
-NOT_PERTURBED = {"xi.commutation", "divided-difference.multiply-back", "negative.controls"}
+# the controls perturb their inputs themselves
+NOT_PERTURBED = {"negative.controls"}
 
 
 def test_every_row_is_perturbed_or_exempt():
@@ -287,6 +306,19 @@ def test_cleared_rows_print_both_sides(fresh_caches, monkeypatch, name, kind, la
     _node_product(kind, label)(monkeypatch)
     result = verify.CHECKS[name](BOUNDS)
     assert (result.status, result.witness) == ("fail", witness)
+
+
+@pytest.mark.parametrize("name, witness", [
+    ("xi.commutation", f"N=2 g={XI_G}: xi_1 xi_2 vs xi_2 xi_1: at (0, 0): α != 0"),
+    ("divided-difference.multiply-back", f"N=2 (1,2) f={DD_F}: at (0, 1): -1 != 0"),
+], ids=["xi.commutation", "divided-difference.multiply-back"])
+def test_operator_rows_print_both_sides(monkeypatch, name, witness):
+    """The operator rows run on int coefficients: xi at alpha = 2^K, whose
+    sides print as balanced digits, the alpha added by every xi included,
+    and the multiply-back identity with no alpha at all, where one more
+    term 1 in DD_12 f leaves z_1 - z_2 on the left."""
+    next(perturb for row, perturb, _ in ROWS if row == name)(monkeypatch)
+    assert verify.CHECKS[name](BOUNDS).witness == witness
 
 
 def test_binomial_content_outside_Z_is_refused(fresh_caches, monkeypatch):
