@@ -23,9 +23,10 @@ from .scalars import (c_rho, c_rho_resolved, eval_E_at_ones, eval_P_at_ones,
 from .verify import Bounds, VerifyReport, run_checks
 
 # every memo of the package, by module: a value kept per key it depends on alone
-_MEMOS = {combinat: ("_NODES", "_WALKS"), jack: ("_E_CACHE", "_J_CACHE", "_P_CACHE", "_S_CACHE"),
+_MEMOS = {combinat: ("_NODES", "_WALKS"),
+          jack: ("_E_CACHE", "_J_CACHE", "_P_CACHE", "_S_CACHE", "_FORMS"),
           oracle: ("_WEIGHT_CACHE", "_PACKED_WEIGHT", "_ANSATZ_CACHE", "_IMAGE_CACHE"),
-          polyalg: ("_KERNELS",), verify: ("_INTEGRAL",)}
+          polyalg: ("_KERNELS",)}
 
 
 def clear_caches():

@@ -1,46 +1,42 @@
-"""Construction of the three Jack families.
+"""Construction of the three Jack families, and the integral forms the
+checks read.
 
-E is built through its integral form J_eta = d_eta E_eta, whose
-coefficients lie in Z>=0[alpha] (F. Knop and S. Sahi, Invent. Math. 128,
-1997), held as {exponent: int} times the raising factors not yet
-multiplied in, a `qalpha.Factored`; each int is its coefficient at
-alpha = 2^K, one base-2^K digit per power of alpha (Kronecker
+E is built through J_eta = d_eta E_eta, whose coefficients lie in
+Z>=0[alpha] (F. Knop and S. Sahi, Invent. Math. 128, 1997), held as
+{exponent: int} times the raising factors not yet multiplied in (a
+`qalpha.Factored`), each int the coefficient at alpha = 2^K (Kronecker
 substitution: J. von zur Gathen and J. Gerhard, Modern Computer Algebra,
 8.4).  J is walked down a chain of raising and swap steps to a cached or
 zero label and built back up: a raising step relabels and records one
-linear factor, and a swap step is one big-integer multiply and one exact
-divmod per coefficient, so the chain takes no polynomial gcd.  K is chosen
-per label.  Every coefficient of J_nu is at most e_nu at alpha = 1, since
-it is non-negative and J_nu(1, ..., 1) = e_nu, and e_nu(1) is at most
-prod_i (nu_i + N)!/N!, which never shrinks up the chain; so every digit on
-the chain below eta lies in [0, 2^L) for the L of that bound at eta.  A
-swap step divides delta u - v by delta - 1 = alpha a + b - 1; with
-2^K > (2|a| + |b| + |b - 1| + 1)(2^L - 1), when u, v and the quotient
-have digits in [0, 2^L) the two sides differ by a polynomial with
-coefficients below 2^K in size that vanishes at 2^K, that is, by zero.
-So a remainder, or a quotient digit outside [0, 2^L), raises.  E is J
-over the Factored d_eta / pending, made canonical on J's ints by trial
-division at 2^K (`Factored.over`), exact under a bound on the quotient.
+linear factor, a swap step is one big-integer multiply and one exact
+divmod per coefficient, so the chain takes no polynomial gcd.  Every
+coefficient of J_nu is at most e_nu(1) <= prod_i (nu_i + N)!/N! at
+alpha = 1, which never shrinks up the chain, so every digit on the chain
+below eta lies in [0, 2^L) for the L of that bound at eta.  A swap step
+divides delta u - v by delta - 1 = alpha a + b - 1; with
+2^K > (2|a| + |b| + |b - 1| + 1)(2^L - 1), when u, v and the quotient have
+digits in [0, 2^L) the two sides differ by a polynomial with coefficients
+below 2^K in size that vanishes at 2^K, that is, by zero; so a remainder,
+or a quotient digit outside [0, 2^L), raises.  E is J over d_eta/pending,
+made canonical by trial division at 2^K (`Factored.over`).
 
-build_P and build_S work in Z[alpha], only at dominant exponents, and then
-write each value to the distinct rearrangements of its exponent, walked by
-`combinat.signed_rearrangements`, not over the N! permutations.  P is
-symmetric, so its coefficient at any exponent equals the one at the sorted
-exponent, a partition.  Sym E_(kappaR) = stab(kappa) P_kappa, kappaR the
-increasing rearrangement (T. H. Baker and P. J. Forrester, q-alg/9707001),
-so P reads one chain and sums its packed ints by sorted exponent, over one
-Factored denominator, divided as E's are.  S is the Vandermonde a_delta
-times P with its coefficients carried through alpha -> alpha/(alpha+1), so
-it is antisymmetric: its coefficient at lambda o pi is sgn(pi) times the
-one at lambda, and vanishes at repeated parts.  By the alternant identity
-a_delta s_nu = a_(nu+delta) (Macdonald, Symmetric Functions and Hall
-Polynomials, I.3) it is fixed by its coefficients at the strictly
-decreasing lambda = nu + delta, each an integer combination of the same
-orbit sums of the same one chain, over the same denominator, substituted
-once; S builds no P.  Moving a value to a rearranged exponent is a
-relabelling, or a relabelling and the sign the walk carries, so the filled
-polynomial equals the one the full sums would give, coefficient for
-coefficient.  Results are cached by label and never mutated.
+P and S are computed at dominant exponents from packed forms kept in
+_FORMS, then written to the distinct rearrangements of each exponent
+(`combinat.signed_rearrangements`, never the N! permutations).
+Sym E_(kappaR) = stab(kappa) P_kappa (T. H. Baker and P. J. Forrester,
+q-alg/9707001), so P sums the ints of the one chain at kappaR by sorted
+exponent, over one Factored D.  S, the Vandermonde a_delta times P at
+alpha/(alpha+1), is fixed by its coefficients at the strictly decreasing
+lambda = nu + delta (a_delta s_nu = a_(nu+delta): I. G. Macdonald,
+Symmetric Functions and Hall Polynomials, I.3), integer combinations of
+the same orbit sums, substituted once, and carries sgn(pi) times them at
+lambda o pi.  `integral` serves each family as s f = terms in Z[alpha]:
+J = d E; h P, one exact int division of each orbit sum, its digits in
+[0, 2^L) as h P is in Z>=0[alpha] (Macdonald, VI.10) with h P(1^N) = b
+at most the chain's bound at alpha = 1; and S over the denominator its
+build forms.  verify's rows read these forms, and its row integral.tie
+holds them to the printed E, P and S.  Everything is cached by label and
+never mutated.
 """
 
 from __future__ import annotations
@@ -59,6 +55,7 @@ _E_CACHE: dict = {}
 _J_CACHE: dict = {}
 _P_CACHE: dict = {}
 _S_CACHE: dict = {}
+_FORMS: dict = {}  # (family, label) -> an integral form: (s, k, {exponent: int at 2^k})
 
 
 # ---------------------------------------------------------------------------
@@ -82,13 +79,10 @@ def _outside(eta, k):
 
 def _packed_integral(eta):
     """J_eta as (pending, K, {exponent: int at alpha = 2^K}), cached: J is the
-    ints times the raising factors `pending`; its digits lie in [0, 2^L),
-    L < K, so they are balanced digits and `unpack` reads them.
-
-    Each label comes from exactly one predecessor by one raising or swap
-    step, so the chain of predecessors is walked down to a cached or zero
-    label and then built back up, caching every label on it packed at the
-    chain's K, or at the cached label's K when that is larger."""
+    ints times the raising factors `pending`, its digits in [0, 2^L), L < K.
+    The chain of predecessors (one raising or swap step each) is walked down
+    to a cached or zero label and built back up, every label on it cached at
+    the chain's K, or the cached label's K when that is larger."""
     top, k = eta, _packing(eta)[1]
     chain = []  # (label, its first descent or 0 when weakly increasing), top first
     while eta not in _J_CACHE and any(eta):
@@ -107,11 +101,10 @@ def _packed_integral(eta):
 
 
 def _raise_step(j_nu, eta):
-    """J_(Phi nu) = (alpha (nu_1 + 1) + N - #{j > 1: nu_j > nu_1}) Phi J_nu,
-    where eta = Phi nu: nu_1 + 1 = eta_N, and the nu_j with j > 1 are the
-    eta_k with k < N.  The factor joins the pending ones: a raising chain
-    at N = 1 would otherwise store d_(k) z^k, whose coefficients grow with
-    k, at every k on it."""
+    """J_(Phi nu) = (alpha (nu_1 + 1) + N - #{j > 1: nu_j > nu_1}) Phi J_nu for
+    eta = Phi nu: nu_1 + 1 = eta_N, the nu_j with j > 1 the eta_k with k < N.
+    The factor joins the pending ones: a raising chain at N = 1 would
+    otherwise store d_(k) z^k, whose coefficients grow with k, at every k."""
     pending, k, terms = j_nu
     top = eta[-1]
     b = len(eta) - sum(1 for p in eta[:-1] if p >= top)
@@ -119,11 +112,10 @@ def _raise_step(j_nu, eta):
 
 
 def _swap_step(j_mu, eta, i, outside):
-    """J_eta = (delta s_i J_mu - J_mu) / (delta - 1) for eta with a descent
-    at i, where mu = s_i eta is ascending at i and delta = alpha a + b is
-    its eigenvalue gap at i, a = mu_i - mu_(i+1) != 0.  The pending factors
-    of J_mu are multiplied in first, packed.  A remainder, or a quotient
-    with a bit in `outside`, raises ArithmeticError naming eta."""
+    """J_eta = (delta s_i J_mu - J_mu) / (delta - 1) for eta with a descent at
+    i, mu = s_i eta ascending at i, delta = alpha a + b its eigenvalue gap
+    at i, a != 0, J_mu's pending factors multiplied in first.  A remainder,
+    or a quotient with a bit in `outside`, raises naming eta."""
     pending, k, terms = j_mu
     scale = pending.at(k)
     if scale != 1:
@@ -147,11 +139,9 @@ def _swap_step(j_mu, eta, i, outside):
 
 
 def build_E(eta) -> MultiPoly:
-    """The monic polynomial with leading monomial z^eta that is a joint
-    eigenfunction of the commuting first-order operators: the packed J_eta
-    divided by `Factored.over` over d_eta / pending.  The pending factors are
-    the ratios d_(Phi nu)/d_nu of the raising steps since the last swap, so
-    they divide d_eta, and the quotient is a denominator."""
+    """The monic joint eigenfunction with leading monomial z^eta: the packed
+    J_eta made canonical by `Factored.over` over d_eta / pending, a
+    denominator, since the pending ratios d_(Phi nu)/d_nu divide d_eta."""
     eta = combinat.as_composition(eta)
     out = _E_CACHE.get(eta)
     if out is None:
@@ -166,15 +156,12 @@ def build_E(eta) -> MultiPoly:
 # ---------------------------------------------------------------------------
 
 def _orbit_sums(kappa, label):
-    """(D, K, {mu: sum}) with P_kappa[mu] = stab(mu) sum / D at each
-    partition mu that carries a term, since Sym f at mu is stab(mu) times
-    the sum of f over the rearrangements of mu and Sym E_(kappaR) =
-    stab(kappa) P_kappa: D = stab(kappa) d_(kappaR) / pending, a Factored
-    denominator, and the sum adds the ints of J_(kappaR) at alpha = 2^K at
-    the e that sort to mu.  No digit carries: every coefficient of J is in
-    Z>=0[alpha], and at alpha = 1 all add up to e(1) < 2^L <= 2^K, so no
-    digit sum over any subset of exponents reaches 2^K; a digit outside
-    [0, 2^L) raises ArithmeticError naming `label`."""
+    """(D, K, {mu: sum}), kept in _FORMS: P_kappa[mu] = stab(mu) sum / D,
+    D = stab(kappa) d_(kappaR) / pending, sum the ints of J_(kappaR) at the e
+    that sort to mu.  No digit carries, as J is in Z>=0[alpha] with e(1) < 2^L
+    at alpha = 1; a digit outside [0, 2^L) raises naming `label`."""
+    if ("P", kappa) in _FORMS:
+        return _FORMS["P", kappa]
     eta_r = combinat.reverse_partition(kappa)
     pending, k, terms = _packed_integral(eta_r)
     sums, outside = collections.Counter(), _outside(eta_r, k)
@@ -184,7 +171,8 @@ def _orbit_sums(kappa, label):
         if c & outside:
             raise ArithmeticError(f"{label}: the orbit sum at {mu} has a digit out of bounds")
     den = scalars.node_ratio(eta_r, ("d",), (), combinat.stabilizer_order(kappa)) / pending
-    return den, k, sums
+    out = _FORMS["P", kappa] = den, k, sums
+    return out
 
 
 def _fill(n: int, dominant: dict) -> MultiPoly:
@@ -214,29 +202,17 @@ def build_P(kappa, n: int = None) -> MultiPoly:
 # the anti-symmetric family
 # ---------------------------------------------------------------------------
 
-def build_S(rho_plus) -> MultiPoly:
-    """The Vandermonde a_delta times the symmetric polynomial for
-    eta+ = rho+ - staircase at alpha/(alpha+1); monic with leading monomial
-    z^rho+.
-
-    Only the coefficients at strictly decreasing lambda = nu + delta, nu a
-    partition of |eta+|, are computed: with P = P_(eta+) at alpha,
-    c_lambda = sum_sigma sgn(sigma) P[lambda - sigma delta]
-             = sum_mu m_(lambda mu) P[mu],
-    where the integer m_(lambda mu) sums sgn(sigma) over the sigma with
-    sort(lambda - sigma delta) = mu, since P is symmetric.  With
-    P[mu] = stab(mu) sum_mu / D from `_orbit_sums`, D c_lambda is summed in
-    Z[alpha] and substituted alpha -> alpha/(alpha+1), a ring homomorphism:
-    each D c_lambda, of degree at most B, goes to a numerator over
-    (alpha+1)^B, and D to `D.shifted()`, one Factored denominator for all,
-    the numerators packed at a k with 2^(k-1) above their l1 norms.  The signed
-    rearrangements sigma delta, walked once, serve the sum and the write:
-    lambda has distinct parts, so lambda o sigma is lambdaR read at sigma
-    delta, where sgn(sigma) c_lambda goes, exact as S is antisymmetric."""
-    rho_plus = combinat.as_partition(rho_plus)
-    out = _S_CACHE.get(rho_plus)
-    if out is not None:
-        return out
+def _alternant_numerators(rho_plus):
+    """(s, k, {lambda: num}), kept in _FORMS, with S_rho+[lambda] = num/s at
+    each strictly decreasing lambda = nu + delta, eta+ = rho+ - delta, with a
+    term.  With P = P_(eta+), a_delta P has c_lambda = sum_sigma sgn(sigma)
+    P[lambda - sigma delta] = sum_mu m_(lambda mu) P[mu] there, the int
+    m_(lambda mu) summing sgn(sigma) over sort(lambda - sigma delta) = mu.
+    D c_lambda, P[mu] = stab(mu) sum_mu / D, is summed in Z[alpha], and
+    alpha -> alpha/(alpha+1), a ring homomorphism, takes it to a numerator
+    over (alpha+1)^B and D to `D.shifted()`: s = D.shifted() (alpha+1)^B."""
+    if ("S", rho_plus) in _FORMS:
+        return _FORMS["S", rho_plus]
     n = len(rho_plus)
     if not combinat.has_distinct_parts(rho_plus):
         raise ValueError(f"{rho_plus} must be strictly decreasing")
@@ -254,17 +230,72 @@ def build_S(rho_plus) -> MultiPoly:
             diff = tuple(map(operator.sub, lam, d))
             if min(diff) >= 0:
                 m[combinat.sort_to_partition(diff)] += -1 if odd else 1
-        sums[lam] = functools.reduce(poly_add, (poly_mul(p[mu], (k,))
-                                                for mu, k in m.items() if k and mu in p), ())
+        sums[lam] = functools.reduce(poly_add, (poly_mul(p[mu], (c,))
+                                                for mu, c in m.items() if c and mu in p), ())
     big = max([-shifted.forms.get((1, 1), 0), *(len(c) - 1 for c in sums.values())])
     den = shifted * Factored([(1, 1)] * big)
     sums = {lam: homogeneous_compose(s, (0, 1), (1, 1), big) for lam, s in sums.items()}
     k = pack_width(max(sum(map(abs, c)) for c in sums.values()))
-    terms = {}
-    for lam, c in den.over({lam: pack(s, k) for lam, s in sums.items()}, k).items():
-        lam_r, by_parity = lam[::-1], (c, -c)
-        for d, odd in alternant:
-            terms[tuple(map(lam_r.__getitem__, d))] = by_parity[odd]
-    out = _S_CACHE[rho_plus] = MultiPoly(n, terms)
+    out = _FORMS["S", rho_plus] = den, k, {lam: pack(s, k) for lam, s in sums.items() if s}
     return out
 
+
+def _signed_fill(n: int, dominant: dict) -> dict:
+    """{lambda o sigma: sgn(sigma) c} for each lambda: c of dominant, lambda o
+    sigma being lambdaR read at the signed rearrangement sigma delta."""
+    alternant, out = combinat.signed_rearrangements(combinat.staircase(n)), {}
+    for lam, c in dominant.items():
+        lam_r, by_parity = lam[::-1], (c, -c)
+        for d, odd in alternant:
+            out[tuple(map(lam_r.__getitem__, d))] = by_parity[odd]
+    return out
+
+
+def build_S(rho_plus) -> MultiPoly:
+    """The Vandermonde a_delta times P_(rho+ - delta) at alpha/(alpha+1),
+    monic at z^rho+: `_alternant_numerators` made canonical, then signed."""
+    rho_plus = combinat.as_partition(rho_plus)
+    out = _S_CACHE.get(rho_plus)
+    if out is None:
+        den, k, nums = _alternant_numerators(rho_plus)
+        out = _S_CACHE[rho_plus] = MultiPoly(len(rho_plus), _signed_fill(len(rho_plus),
+                                                                         den.over(nums, k)))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the integral forms the checks read
+# ---------------------------------------------------------------------------
+
+def integral(family: str, label) -> tuple:
+    """(s, k, terms) with s f = terms for f = build_E, build_P or build_S at
+    the label (family "E", "P" or "S"): s = d, h or S's denominator, each
+    term the int at alpha = 2^k of a coefficient with balanced digits.  h/D
+    is pending / prod_j (alpha kappa_j + N - j + 1), as P.value-and-hook
+    checks; a remainder or a digit of h P out of bounds raises."""
+    if family == "E":
+        eta = combinat.as_composition(label)
+        if ("E", eta) not in _FORMS:
+            pending, k, terms = _packed_integral(eta)
+            scale = pending.at(k)
+            _FORMS["E", eta] = (scalars.node_ratio(eta, ("d",)), k, terms if scale == 1 else
+                                {e: c * scale for e, c in terms.items()})
+        return _FORMS["E", eta]
+    if family == "P":
+        kappa = combinat.as_partition(label)
+        den, k, sums = _orbit_sums(kappa, f"P_{kappa}")
+        h = scalars.node_ratio(kappa, ("h",))
+        num, den = h.at(k), den.at(k)
+        outside, hp = _outside(combinat.reverse_partition(kappa), k), {}
+        for mu, c in sums.items():
+            q, r = divmod(num * combinat.stabilizer_order(mu) * c, den)
+            if r or q & outside:
+                raise ArithmeticError(f"P_{kappa}: h P at {mu} " + (
+                    "is not in Z[alpha]" if r else "has a digit out of bounds"))
+            hp[mu] = q
+        return h, k, {e: c for mu, c in hp.items() for e in combinat.rearrangements(mu)}
+    if family == "S":
+        rho_plus = combinat.as_partition(label)
+        den, k, nums = _alternant_numerators(rho_plus)
+        return den, k, _signed_fill(len(rho_plus), nums)
+    raise ValueError(f"unknown family {family!r}")

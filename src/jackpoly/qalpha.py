@@ -31,12 +31,10 @@ tuples and on ints: `pack` and `unpack` hold an element of Z[alpha] as
 one int, its value at alpha = 2^k, and read it back by balanced digits.
 `Factored.over` makes a batch of packed numerators canonical over a
 factored denominator by trial division of ints at 2^k, one linear factor
-at a time; `times_multiple` clears a denominator by exact division, and
-`homogeneous_compose` carries a numerator through alpha -> alpha/(alpha+1).
-
-Evaluation at a rational point p/q stays in ints until one final
-`Fraction`: numerator and denominator are evaluated homogeneously, as
-q^deg f(p/q), by Horner.
+at a time, and `homogeneous_compose` carries a numerator through
+alpha -> alpha/(alpha+1).  Evaluation at a rational point p/q stays in ints
+until one final `Fraction`: an element's numerator and denominator as
+q^deg f(p/q) by Horner, a Factored (`eval_at`) form by form.
 """
 
 from __future__ import annotations
@@ -416,20 +414,23 @@ def alpha_shift() -> AlphaRational:
 
 def pack(poly, k):
     """The int tuple poly at alpha = 2^k (Kronecker substitution: J. von
-    zur Gathen and J. Gerhard, Modern Computer Algebra, 8.4)."""
-    return sum(c << k * i for i, c in enumerate(poly))
+    zur Gathen and J. Gerhard, Modern Computer Algebra, 8.4), by Horner."""
+    x = 0
+    for c in reversed(poly):
+        x = (x << k) + c
+    return x
 
 
 def unpack(x, k):
     """The int tuple of the balanced base-2^k digits of x, each in
     [-2^(k-1), 2^(k-1)), lowest first, k >= 2: the one tuple with
     coefficients in that range whose pack at k is x."""
-    half, out = 1 << k - 1, []
+    half, mask, out = 1 << k - 1, (1 << k) - 1, []
     while x:
-        d = x & ((1 << k) - 1)
+        d = x & mask
         x >>= k
         if d >= half:
-            d, x = d - (1 << k), x + 1
+            d, x = d - mask - 1, x + 1
         out.append(d)
     return tuple(out)
 
@@ -520,6 +521,17 @@ class Factored:
         return abs(self.content) * math.prod((abs(a) + abs(b)) ** m
                                              for (a, b), m in self.forms.items())
 
+    def eval_at(self, x) -> Fraction:
+        """content * prod (a x + b)^m at a rational x = p/q, on ints and one
+        Fraction: value().eval_at(x) with no element of Q(alpha); a zero form of
+        negative multiplicity leaves the denominator 0 and raises ZeroDivisionError."""
+        p, q = Fraction(x).as_integer_ratio()
+        num, den = self.content.numerator, self.content.denominator
+        for (a, b), m in self.forms.items() if num else ():
+            v = a * p + b * q
+            num, den = (num * v ** m, den * q ** m) if m > 0 else (num * q ** -m, den * v ** -m)
+        return Fraction(num, den)
+
     def value(self) -> AlphaRational:
         """The canonical element of Q(alpha); its denominator leads positive."""
         c = self.content  # an int has a numerator and a denominator too
@@ -569,16 +581,6 @@ class Factored:
                 dens[den] = dens.get(den) or Factored(content=den[0], forms=left).poly()
                 out[key] = AlphaRational._raw(_exact_scale(num, g), dens[den])
         return out
-
-
-def times_multiple(x: AlphaRational, p) -> AlphaRational:
-    """x p for p in Z[alpha].  When x's denominator divides p, as d_eta
-    divides every denominator of E_eta, that is x.num (p / x.den) over 1,
-    by one exact division and no gcd; otherwise the field product."""
-    q = _div_exact(p, x.den)
-    if q is None:
-        return x * AlphaRational._raw(p, (1,))
-    return AlphaRational._raw(poly_mul(x.num, q), (1,))
 
 
 # ---------------------------------------------------------------------------

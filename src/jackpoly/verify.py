@@ -6,32 +6,26 @@ for a failing case (naming the offending label and both values) or None
 when the case holds.  One runner holds the requested bounds to the row's
 limits, counts the cases, stops at the first witness, and reports the
 effective bounds, the number of cases and every bound a limit cut
-(`clamped`).  Checks are independent of one another and may run in
-parallel worker processes.
+(`clamped`).  Checks are independent and may run in worker processes.
 
-Every row that states an identity between the families decides it as one
-equation between two sides cleared into Z[alpha], a proportionality
-together with its constant, at one point alpha = 2^K: E.eigen-triangular,
-E.value-at-ones, E.swap-action, P.symmetric-eigen-dominance, P.two-routes,
-sym.proportionality, asym.proportionality, asym.du-expansion, and the
-kernel and binomial rows.  As l1(pq) <= l1(p) l1(q) and
-l1(p + q) <= l1(p) + l1(q) for l1(c) = sum |c_i|, a row bounds l1 of
-every coefficient of both sides by some B from the l1 norms of its cleared
-inputs alone, not from the identity; it takes 2^(K-1) > B (`_point`, by
-`qalpha.pack_width`), packs each input once, every closed form a Factored
-packed by `at(K)` with l1 at most `l1_bound()` and a kernel read packed
-(`polyalg.kernel_numerators`), and forms both sides on ints.
-Two elements of Z[alpha] with coefficients in (-2^(K-1), 2^(K-1)) and one
-value at 2^K are equal: at the lowest nonzero coefficient c_j of their
-difference, 2^(Kj) (c_j + 2^K m) = 0 would need 2^K | c_j.  So the sides
-agree iff their ints do, and a witness prints the ints' balanced base-2^K
-digits, the sides' Z[alpha] values.  An input with a denominator is
-refused, with a witness that prints it.  xi.commutation runs at the point
-too, on random polynomials cleared of denominators, and the alpha-free
-divided-difference.multiply-back on ints.  The closed-form rows compare
-Factored ratios by content and forms, primes of Z[alpha], so by value, the
-oracle rows Fractions: only the controls add or multiply in Q(alpha).  Sym
-and Asym sum each orbit once, the Cauchy row each alternant by margin.
+The rows that state an identity between the families (the E, P, sym, asym,
+kernel and binomial rows) read E, P and S as `jack.integral` serves them,
+s f in Z[alpha], and decide it as one equation between two sides in
+Z[alpha] at alpha = 2^K.  As l1(pq) <= l1(p) l1(q) and
+l1(p + q) <= l1(p) + l1(q), l1(c) = sum |c_i|, a row bounds l1 of every
+coefficient of both sides by B from the l1 norms of the served digits it
+reads, so a perturbed input moves K, and takes 2^(K-1) > B (`_point`),
+each closed form a Factored packed by `at(K)` under `l1_bound()`.  Two
+elements of Z[alpha] with coefficients in (-2^(K-1), 2^(K-1)) and one value
+at 2^K are equal: at the lowest nonzero coefficient c_j of their
+difference, 2^(Kj) (c_j + 2^K m) = 0 would need 2^K | c_j.  A witness
+prints the ints' balanced base-2^K digits.  integral.tie holds every label
+those rows read to the printed E, P or S, s a = t b at each coefficient
+a/b; the oracle rows and P.stability read the printed forms.  The operator
+rows run on ints, the closed-form rows compare Factored ratios by content
+and forms, primes of Z[alpha], and the oracle rows Fractions: no row adds
+or multiplies in Q(alpha).  Sym and Asym sum each orbit once, the Cauchy
+row each alternant by margin.
 """
 
 from __future__ import annotations
@@ -40,15 +34,14 @@ import math
 import operator
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable
 
 from . import combinat, jack, oracle, polyalg, scalars
 from .polyalg import (MultiPoly, antisymmetrize, apply_transposition, cherednik_apply,
                       d2_apply, divided_difference, mul_variable, symmetrize)
-from .qalpha import (ONE, AlphaRational, Factored, format_poly, pack, pack_width, times_multiple,
-                     unpack)
+from .qalpha import ONE, AlphaRational, Factored, format_poly, pack, pack_width, poly_add, unpack
 
 FIG2_SHAPE = (8, 7, 7, 4, 3, 3, 2, 1, 0)
 SOLVE_ALPHAS = (Fraction(2), Fraction(3), Fraction(7, 2))
@@ -203,8 +196,6 @@ class Check:
                 witness = self.test(*case)
                 if witness is not None:
                     return result("fail", witness, cases)
-        except _Refused as exc:
-            return result("fail", str(exc), cases)
         except Exception as exc:  # a crash is a failing check, not a crash of the run
             return result("fail", f"exception: {exc!r}", cases)
         return result("pass", cases=cases)
@@ -232,46 +223,48 @@ def _first(witnesses):
     return next(filter(None, witnesses), None)
 
 
-class _Refused(ArithmeticError):
-    """A cleared input outside Z[alpha]; its message is the row's witness."""
+def _served(family, label):
+    """(s, g), s f = g for f = E, P or S at the label as `jack.integral`
+    serves it, g with the served ints unpacked once to Z[alpha] tuples."""
+    s, k, terms = jack.integral(family, label)
+    return s, MultiPoly._raw(len(label), {e: unpack(x, k) for e, x in terms.items()})
 
 
-def _point(label, bound, *fs):
-    """K = pack_width(bound), then each f over Z[alpha] packed at alpha = 2^K;
-    a denominator raises _Refused, naming the first monomial with one."""
-    for f in fs:
-        if bad := [e for e, c in f.terms.items() if c.den != (1,)]:
-            raise _Refused(f"{label}: at {min(bad)}: {f.terms[min(bad)]} not in Z[α]")
+def _point(bound, *gs):
+    """K = pack_width(bound), then each g of int tuples packed at alpha = 2^K."""
     k = pack_width(bound)
-    return (k, *(MultiPoly._raw(f.nvars, {e: pack(c.num, k) for e, c in f.terms.items()})
-                 for f in fs))
+    return (k, *(MultiPoly._raw(g.nvars, {e: pack(c, k) for e, c in g.terms.items()})
+                 for g in gs))
 
 
 def _l1(p):
-    """sum |p_i| of an int tuple p; _norms(f) is l1 of each coefficient, [0] for f = 0."""
+    """sum |p_i| of an int tuple p; _norms(g) is l1 of each coefficient, [0] for g = 0."""
     return sum(map(abs, p))
 
 
-def _norms(f):
-    return [_l1(c.num) for c in f.terms.values()] or [0]
+def _norms(g):
+    return [_l1(c) for c in g.terms.values()] or [0]
 
 
-_INTEGRAL: dict = {}
-
-
-def _integral(family, label, f):
-    """s f in Z[alpha] for the cached f = E, P or S and s = d, h or d(rho+):
-    J = d E (F. Knop and S. Sahi, Invent. Math. 128, 1997), J = h P (I. G.
-    Macdonald, Symmetric Functions and Hall Polynomials, VI.10), by
-    times_multiple.  Kept per (family, label, id(f)) with f, whose id no
-    other object takes while the entry lives; polynomials are never mutated,
-    so only f itself is served the kept value, and a perturbed or rebuilt f
-    is cleared afresh."""
-    kept = _INTEGRAL.get((family, label, id(f)))
-    if kept is None:
-        s = scalars.const_h(label) if family == "P" else scalars.const_d(label)
-        kept = _INTEGRAL[family, label, id(f)] = f, f.map_coeff(lambda c: times_multiple(c, s.num))
-    return kept[1]
+def _tie(family, label, f=None):
+    """The printed f = E, P or S at the label (built unless given) against
+    the served s f = g: s a = t b at one point for each coefficient a/b of f
+    and t of g, each 0 where it has no term, 2^(K-1) above l1(s) l1(a) and
+    l1(t) l1(b); for E the served J is first held to Z>=0[alpha]."""
+    if f is None:
+        f = {"E": jack.build_E, "P": jack.build_P, "S": jack.build_S}[family](label)
+    (s, g), (name, s_name) = _served(family, label), {
+        "E": ("eta", "d"), "P": ("kappa", "h"), "S": ("rho+", "s")}[family]
+    if family == "E" and (witness := _integral_witness(label, g)):
+        return witness
+    dens, bound = {e: c.den for e, c in f.terms.items()}, s.l1_bound()
+    size = {den: _l1(den) for den in set(dens.values())}
+    k = pack_width(max([bound * _l1(c.num) for c in f.terms.values()]
+                       + [_l1(t) * size.get(dens.get(e), 1) for e, t in g.terms.items()]))
+    at, packed = s.at(k), {den: pack(den, k) for den in size}
+    return _differ(f"{name}={label}: {s_name} {family} vs served",
+                   {e: at * pack(c.num, k) for e, c in f.terms.items()},
+                   {e: pack(t, k) * packed.get(dens.get(e), 1) for e, t in g.terms.items()}, k)
 
 
 def _monic_below(label, f, lead, below):
@@ -319,22 +312,12 @@ def _shifted_shapes(s):
         yield from _staircase_shapes(n, s.deg + n * (n - 1) // 2)
 
 
-def _rhos(n, s):
-    """(rho,) for every rearrangement of every rho+ with |rho+| <= deg + 1 in
-    n variables."""
-    for _, rho_plus in _staircase_shapes(n, s.deg + 1):
-        for rho in combinat.rearrangements(rho_plus):
-            yield (rho,)
-
-
-def _basis(family, n, d):
-    """The degree-d block of a family in n variables: each label in ascending
-    order (composition order for E, dominance for P) with its E or P."""
+def _labels(family, n, d):
+    """The degree-d labels of a family in n variables, in ascending order:
+    composition order for E, dominance for P."""
     if family == "E":
-        labels = sorted(combinat.compositions(d, n), key=combinat.composition_order_key)
-        return {eta: jack.build_E(eta) for eta in labels}
-    labels = sorted(combinat.partitions(d, n), key=combinat.dominance_key)
-    return {kappa: jack.build_P(kappa, n) for kappa in labels}
+        return sorted(combinat.compositions(d, n), key=combinat.composition_order_key)
+    return sorted(combinat.partitions(d, n), key=combinat.dominance_key)
 
 
 # ---------------------------------------------------------------------------
@@ -345,11 +328,10 @@ def _basis(family, n, d):
 _EIGEN = dict(ns=(2, 4), deg=(0, 5), caps={4: 3})
 
 
-def _E_witness(f, eta):
-    """The joint eigen-equations of f at the eigenvalues of eta, checked on
-    g = d_eta f at one point, then monic triangularity: coefficient 1 at
-    eta and every other monomial below it."""
-    return (_eigen_witness(_integral("E", eta, f), eta)
+def _E_witness(f, g, eta):
+    """The joint eigen-equations on the served g = d_eta E at one point, then
+    monic triangularity of the printed f: 1 at eta, every other term below."""
+    return (_eigen_witness(g, eta)
             or _monic_below(f"eta={eta}", f, eta, lambda e: combinat.composition_lt(e, eta)))
 
 
@@ -363,53 +345,60 @@ def _xi_bound(g, eta):
 
 def _eigen_witness(g, eta):
     label = f"eta={eta}: xi_%d dE vs eigenvalue * dE"
-    try:
-        k, g = _point(label % 1, _xi_bound(g, eta), g)
-    except _Refused as exc:  # the controls and the tests call this outside the runner
-        return str(exc)
+    k, g = _point(_xi_bound(g, eta), g)
     return _first(_differ(label % i, cherednik_apply(g, i, 1 << k), g.scale((ej << k) - c), k)
                   for i, (ej, c) in enumerate(combinat.eigenvalue_offsets(eta), start=1))
 
 
-def _value_at_ones(f, eta):
-    """E(1^N) = e/d, checked times d_eta at one point: (d E)(1^N) = e, the
-    node product e packed by at(K), the left side bounded by the sum of l1
-    over d E and the right by l1_bound()."""
-    g, e = _integral("E", eta, f), scalars.node_ratio(eta, ("e",))
-    label = f"eta={eta}: d E(1^N) vs e"
-    k, g = _point(label, max(sum(_norms(g)), e.l1_bound()), g)
+def _value_at_ones(g, eta):
+    """E(1^N) = e/d as g(1^N) = e on the served g = d_eta E at one point,
+    bounded by the sum of l1 over g and by e's l1_bound()."""
+    e, label = scalars.node_ratio(eta, ("e",)), f"eta={eta}: d E(1^N) vs e"
+    k, g = _point(max(sum(_norms(g)), e.l1_bound()), g)
     return _differ(label, sum(g.terms.values()), e.at(k), k)
 
 
-def _integral_witness(eta, f):
-    """The witness unless f, meant to be d_eta E_eta, has every coefficient
+def _tie_cases(s):
+    """(family, label) for every label a row reads served at the requested
+    bounds: E over the construction sweep and the asym rows' labels beyond
+    it, P over every N and degree, S at the asym rows' rho+; the lower limit
+    N = 3 covers pi.v-stability, which always reads P at N = 3."""
+    for n in s.ns:
+        yield from (("E", eta) for eta in combinat.compositions_upto(
+            s.cap("E(N=4)") if n == 4 else s.deg, n))
+    asym = list(_asym_cases(replace(s, ns=s.ns[:2])))
+    yield from (("E", eta) for _, eta in asym if sum(eta) > s.deg)
+    yield from (("P", kappa) for kappa, _ in _partitions(s))
+    yield from (("S", rho_plus) for rho_plus in dict.fromkeys(r for r, _ in asym if r))
+
+
+def _integral_witness(eta, g):
+    """The witness unless g, meant to be d_eta E_eta, has every coefficient
     in Z>=0[alpha] of alpha-degree at most |eta| (F. Knop and S. Sahi,
     Invent. Math. 128, 1997)."""
-    for e, c in sorted(f.terms.items()):
-        label = f"eta={eta}: d E at {e}"
-        if c.den != (1,):
-            return _differ(f"{label}: denominator", AlphaRational(c.den), ONE)
-        if len(c.num) - 1 > sum(eta):
-            return _differ(f"{label}: α^{len(c.num) - 1} above |eta|", c.num[-1], 0)
-        k = next((k for k, v in enumerate(c.num) if v < 0), None)
-        if k is not None:
-            return _differ(f"{label}: α^{k} below 0", c.num[k], -c.num[k])
-    return None
+    top = sum(eta) + 1
+    bad = [e for e, c in g.terms.items() if len(c) > top or min(c, default=0) < 0]
+    if not bad:
+        return None
+    e = min(bad)
+    c, label = g.terms[e], f"eta={eta}: d E at {e}"
+    if len(c) > top:
+        return _differ(f"{label}: α^{len(c) - 1} above |eta|", c[-1], 0)
+    k = next(k for k, v in enumerate(c) if v < 0)
+    return _differ(f"{label}: α^{k} below 0", c[k], -c[k])
 
 
 def _swap_action(eta, i):
-    """The three-case adjacent-swap action, with both sides built
-    independently from the cache, checked on the cleared E at one point.
-    For equal parts s_i J = J, J = d E.  Otherwise, with mu = s_i eta,
+    """The three-case adjacent-swap action on the served J = d E at one
+    point.  For equal parts s_i J = J.  Otherwise, with mu = s_i eta,
     delta = alpha a + b the eigenvalue gap at i, L the lcm of d_eta and d_mu
     and c = L/d, so that L E = c J:
     delta^2 s_i(c_eta J_eta) = delta c_eta J_eta + (delta^2 - [eta_i > eta_(i+1)]) c_mu J_mu.
     With l = |a| + |b|, each side is bounded by
     (l + 1)^2 (l1(c_eta) max l1(J_eta) + l1(c_mu) max l1(J_mu))."""
-    label = f"eta={eta} i={i}: s_i E"
-    g = _integral("E", eta, jack.build_E(eta))
+    label, g = f"eta={eta} i={i}: s_i E", _served("E", eta)[1]
     if eta[i - 1] == eta[i]:
-        k, g = _point(label, max(_norms(g)), g)
+        k, g = _point(max(_norms(g)), g)
         return _differ(label, apply_transposition(g, i, i + 1), g, k)
     mu = combinat.swap_parts(eta, i)
     (m1, c1), (m2, c2) = combinat.eigenvalue_offsets(eta)[i - 1:i + 1]
@@ -417,8 +406,8 @@ def _swap_action(eta, i):
     dens = [scalars.node_ratio(eta, ("d",)), scalars.node_ratio(mu, ("d",))]
     lcm = Factored.lcm(dens)
     c_eta, c_mu = (lcm / d for d in dens)
-    h = _integral("E", mu, jack.build_E(mu))
-    k, g, h = _point(label, (abs(a) + abs(b) + 1) ** 2 * (
+    h = _served("E", mu)[1]
+    k, g, h = _point((abs(a) + abs(b) + 1) ** 2 * (
         c_eta.l1_bound() * max(_norms(g)) + c_mu.l1_bound() * max(_norms(h))), g, h)
     delta = (a << k) + b
     g, square = g.scale(c_eta.at(k)), delta * delta
@@ -464,18 +453,17 @@ def _multiply_back(f, i, p):
     return None if lhs == rhs else _differ(f"N={f.nvars} ({i},{p}) f={f}", lhs, rhs)
 
 
-def _P_witness(p, kappa):
-    """Symmetry, the eigen-equation of alpha D2 on g = h P at one point, and
-    monic dominance triangularity of the monomial expansion at kappa.  The
-    eigen-equation alpha D2 g = c g is decided as g_e (alpha D2 g) =
-    (alpha D2 g)_e g at the leading monomial e of g.  alpha D2 maps z^e,
-    |e| <= D, to a sum of l1 at most D^2 + 2 (N - 1) D (D + 1) <= 2 N (D + 1)^2,
-    which times l1(g) summed over g and at its largest bounds both sides."""
-    g, label = _integral("P", kappa, p), f"kappa={kappa}: α D2 hP vs c hP"
-    norms, deg = _norms(g), max(map(sum, g.terms))
-    k, g = _point(label, 2 * p.nvars * (deg + 1) ** 2 * sum(norms) * max(norms), g)
-    witness = _first(_differ(f"kappa={kappa}: s_{i} P vs P", apply_transposition(p, i, i + 1), p)
-                     for i in range(1, p.nvars))
+def _P_witness(p, g, kappa):
+    """Symmetry of the printed p and the served g = h P, the eigen-equation
+    alpha D2 g = c g, decided as g_e (alpha D2 g) = (alpha D2 g)_e g at the
+    leading monomial e of g at one point, and monic dominance triangularity
+    of p at kappa.  alpha D2 maps z^e, |e| <= D, to l1 at most
+    2 N (D + 1)^2, which times l1(g) summed and at its largest bounds both."""
+    label, norms, deg = f"kappa={kappa}: α D2 hP vs c hP", _norms(g), max(map(sum, g.terms))
+    k, g = _point(2 * p.nvars * (deg + 1) ** 2 * sum(norms) * max(norms), g)
+    witness = _first(_differ(f"kappa={kappa}: s_{i} {name} vs {name}",
+                             apply_transposition(f, i, i + 1), f, at)
+                     for name, f, at in (("P", p, None), ("hP", g, k)) for i in range(1, p.nvars))
     if witness:  # alpha D2 takes symmetric input only
         return witness
     f, (e, lead) = d2_apply(g, 1 << k), g.lead_term()
@@ -494,19 +482,18 @@ def _two_routes(kappa, n):
     lcm = Factored.lcm(list(dens.values()))
     h, label = scalars.node_ratio(kappa, ("h",)), f"kappa={kappa} N={n}"
     scale = h * lcm * scalars.node_ratio(kappa, ("dp",))
-    routes = [(scale * pending / dens[eta], {e: unpack(c, k) for e, c in j.items()})
-              for eta in dens for pending, k, j in [jack._packed_integral(eta)]]
+    routes = [(scale / dens[eta], _served("E", eta)[1]) for eta in dens]
     closed = {name: h * form for name, form in zip(
         ("b/h", "N!/stab e/d"), scalars.P_at_ones_forms(kappa))}
-    hp = _integral("P", kappa, jack.build_P(kappa, n))
-    k, hp = _point(label, max(lcm.l1_bound() * max(_norms(hp)), sum(_norms(hp)), *(
+    hp = _served("P", kappa)[1]
+    k, hp, *js = _point(max(lcm.l1_bound() * max(_norms(hp)), sum(_norms(hp)), *(
         form.l1_bound() for form in closed.values()), sum(
-        c.l1_bound() * max(map(_l1, terms.values())) for c, terms in routes)), hp)
+        c.l1_bound() * max(_norms(j)) for c, j in routes)), hp, *(j for _, j in routes))
     total = {}
-    for c, terms in routes:
+    for (c, _), j in zip(routes, js):
         c = c.at(k)
-        for e, t in terms.items():
-            total[e] = total.get(e, 0) + c * pack(t, k)
+        for e, t in j.terms.items():
+            total[e] = total.get(e, 0) + c * t
     return (_differ(f"{label}: h L P vs h d' sum L J/(d d')", hp.scale(lcm.at(k)).terms,
                     {e: c for e, c in total.items() if c}, k)
             or _first(_differ(f"{label}: hP(1^N) vs h {name}", sum(hp.terms.values()),
@@ -523,19 +510,15 @@ def _P_stability(kappa, n):
 
 
 def _sym_proportional(eta):
-    """Sym E_eta is a multiple c of P_(eta+), and evaluation at 1^N forces
-    c P(1^N) = N! E_eta(1^N), so c = N! e h/(d b).  Both are checked as one
-    equation, times d_eta b, at one point: b Sym(d E) = N! e h P, that is
-    Sym(d E) = c' h P with c' = c d/h.  No other closed form for c is
-    claimed.  A coefficient of Sym(d E) sums N! coefficients of d E, so
-    l1(b) N! max l1(d E) and l1(N! e) max l1(h P) bound the two sides."""
+    """Sym E_eta = c P_(eta+), c = N! e h/(d b) forced at 1^N: one equation at
+    one point, b Sym(d E) = N! e h P (Sym d E = c' h P), bounded by
+    l1(b) N! max l1(d E) and l1(N! e) max l1(h P)."""
     kappa, n = combinat.sort_to_partition(eta), len(eta)
     label = f"eta={eta}: Sym d E vs c' h P"
-    g = _integral("E", eta, jack.build_E(eta))
-    hp = _integral("P", kappa, jack.build_P(kappa, n))
+    g, hp = _served("E", eta)[1], _served("P", kappa)[1]
     b, e = scalars.node_ratio(kappa, ("b",)), scalars.node_ratio(eta, ("e",), (), math.factorial(n))
-    k, g, hp = _point(label, max(b.l1_bound() * math.factorial(n) * max(_norms(g)),
-                                 e.l1_bound() * max(_norms(hp))), g, hp)
+    k, g, hp = _point(max(b.l1_bound() * math.factorial(n) * max(_norms(g)),
+                          e.l1_bound() * max(_norms(hp))), g, hp)
     return _differ(label, symmetrize(g).scale(b.at(k)), hp.scale(e.at(k)), k)
 
 
@@ -567,58 +550,53 @@ def _value_and_hook(kappa, with_norm):
 
 
 def _asym_cases(s):
-    """Per N: (E_rho, S_rho+, rho) for every distinct-part rho of _rhos, then
-    (E_eta, None, eta) for every composition eta with a repeated part up to
-    the `repeated` cap plus one (Asym E must vanish)."""
+    """Per N: (rho+, rho) for every rearrangement rho of every rho+ with
+    |rho+| <= deg + 1, then (None, eta) for every composition eta with a
+    repeated part up to the `repeated` cap plus one (Asym E must vanish)."""
     for n in s.ns:
         if n * (n - 1) // 2 > s.deg + 1:
             continue
-        for (rho,) in _rhos(n, s):
-            yield jack.build_E(rho), jack.build_S(combinat.sort_to_partition(rho)), rho
+        for _, rho_plus in _staircase_shapes(n, s.deg + 1):
+            yield from ((rho_plus, rho) for rho in combinat.rearrangements(rho_plus))
         for eta in combinat.compositions_upto(s.cap("repeated") + 1, n):
             if not combinat.has_distinct_parts(eta):
-                yield jack.build_E(eta), None, eta
+                yield None, eta
 
 
-def _asym(f, s, rho):
-    """Asym E_rho vanishes for repeated parts (s None), and is otherwise
-    c S_rho+ with c = (-1)^(ascending pairs of rho) d'(rho)/d'(rhoR), the
-    resolved closed form.  Both are checked on d E at the point, the second
-    as one equation with c's sign and forms read from
-    scalars.c_rho_resolved_ratio: d(rho+) d'(rhoR) Asym(d E) =
-    d(rho) c d'(rhoR) (d(rho+) S), whose right cofactor is +-d(rho) d'(rho).
-    A coefficient of Asym(d E) sums N! coefficients of d E, signed."""
-    g = _integral("E", rho, f)
+def _asym(g, t, rho):
+    """Asym E_rho vanishes for repeated parts (t None), and is otherwise
+    c S_rho+ with c = (-1)^(ascending pairs of rho) d'(rho)/d'(rhoR)
+    (scalars.c_rho_resolved_ratio), decided with t = (s, s S) served as
+    s d'(rhoR) Asym(d E) = d(rho) c d'(rhoR) (s S) at the point, the right
+    cofactor +-d(rho) d'(rho).  Asym sums N! coefficients of d E, signed."""
     a_max = math.factorial(len(rho)) * max(_norms(g))
-    if s is None:
+    if t is None:
         label = f"rho={rho}: Asym d E vs 0"
-        k, g = _point(label, a_max, g)
+        k, g = _point(a_max, g)
         return _differ(label, antisymmetrize(g), MultiPoly.zero(len(rho)), k)
-    rho_plus, label = combinat.sort_to_partition(rho), f"rho={rho}: Asym d E vs c' d S"
+    (s, t), label = t, f"rho={rho}: Asym d E vs c' d S"
     dp_r = scalars.node_ratio(combinat.reverse_partition(rho), ("dp",))
-    left = scalars.node_ratio(rho_plus, ("d",)) * dp_r
+    left = s * dp_r
     right = scalars.node_ratio(rho, ("d",)) * scalars.c_rho_resolved_ratio(rho) * dp_r
-    s = _integral("S", rho_plus, s)
-    k, g, s = _point(label, max(left.l1_bound() * a_max, right.l1_bound() * max(_norms(s))),
-                     g, s)
-    return _differ(label, antisymmetrize(g).scale(left.at(k)), s.scale(right.at(k)), k)
+    k, g, t = _point(max(left.l1_bound() * a_max, right.l1_bound() * max(_norms(t))), g, t)
+    return _differ(label, antisymmetrize(g).scale(left.at(k)), t.scale(right.at(k)), k)
 
 
 def _du_expansion(ep, rho_plus):
-    """d(rho+) times the Vandermonde times the shifted P, d(rho+) S, expands
-    over the rearrangements nu of rho+ as sum sign(nu) d(nu) E_nu, with
-    sign(nu) = (-1)^(ascending pairs of nu); both sides lie in Z[alpha] and
-    are compared at one point, the sum bounded by the sum over nu of
-    max l1(d(nu) E_nu)."""
+    """d(rho+) S = sum over the rearrangements nu of rho+ of sign(nu) d(nu)
+    E_nu, sign(nu) = (-1)^(ascending pairs of nu), taken times the s of the
+    served s S and compared at one point, the sides bounded by
+    l1(d(rho+)) max l1(s S) and l1(s) sum_nu max l1(d(nu) E_nu)."""
     label = f"eta+={ep} N={len(ep)}: d S vs sum over d E"
     nus = combinat.signed_rearrangements(rho_plus)
-    s = _integral("S", rho_plus, jack.build_S(rho_plus))
-    gs = [_integral("E", nu, jack.build_E(nu)) for nu, _ in nus]
-    k, s, *gs = _point(label, max(*_norms(s), sum(max(_norms(g)) for g in gs)), s, *gs)
+    (s, t), d = _served("S", rho_plus), scalars.node_ratio(rho_plus, ("d",))
+    gs = [_served("E", nu)[1] for nu, _ in nus]
+    k, t, *gs = _point(max(d.l1_bound() * max(_norms(t)),
+                           s.l1_bound() * sum(max(_norms(g)) for g in gs)), t, *gs)
     acc = MultiPoly.zero(len(rho_plus))
     for (_, odd), g in zip(nus, gs):
         acc = acc - g if odd else acc + g
-    return _differ(label, s, acc, k)
+    return _differ(label, t.scale(d.at(k)), acc.scale(s.at(k)), k)
 
 
 def _society(ep, rho_plus):
@@ -664,39 +642,32 @@ def _norm_reconciliation(ep, rho_plus):
 # kernel decompositions, binomial expansions and constant-term oracle checks
 # ---------------------------------------------------------------------------
 
-def _kernel_sum(family, n, d, at=None):
-    """M and {label: (c, s f)} over the degree-d basis in n variables, with
-    c = M / (s d') Factored in Z[alpha], so M sum f(x) f(y) / norm is the sum
-    of c (s f)(x) (s f)(y): s = d (u = d'/d) for E and s = h (v = d'/h)
-    for P, and M is the Factored lcm of every s d' and of d! alpha^d, the
-    kernel's denominator at x-degree d.  s and d' are read at at(label)
-    (default: the label)."""
-    at = at or (lambda label: label)
+def _kernel_sum(family, n, d):
+    """M and {label: (c, s f)} over the degree-d labels in n variables, s f
+    served and c = M / (s d') in Z[alpha], so M sum f(x) f(y) / norm is the
+    sum of c (s f)(x) (s f)(y): s = d (u = d'/d) for E, s = h (v = d'/h) for
+    P, and M the Factored lcm of every s d' and of d! alpha^d, the kernel's
+    denominator at x-degree d."""
     kind = "d" if family == "E" else "h"
-    basis = _basis(family, n, d)
-    dens = {label: scalars.node_ratio(at(label), (kind, "dp")) for label in basis}
+    dens = {label: scalars.node_ratio(label, (kind, "dp")) for label in _labels(family, n, d)}
     m = Factored.lcm([Factored([(1, 0)] * d, math.factorial(d)), *dens.values()])
-    return m, {label: (m / dens[label], _integral(family, at(label), f))
-               for label, f in basis.items()}
+    return m, {label: (m / den, _served(family, label)[1]) for label, den in dens.items()}
 
 
-def _kernel_block(family, kernel, d, at=None):
-    """The residual of one kernel block at one point, as (M K_d, M S_d, K):
-    K_d holds the terms of x-degree d of a truncated kernel in x_1..x_n,
-    y_1..y_n, S_d the same block of sum f(x) f(y) / norm (E with u_eta, P
-    with v_kappa), M is the multiple of _kernel_sum, and both are int term
-    dicts at alpha = 2^K.  M holds d! alpha^d, so M K_d is each numerator of
-    `kernel` (polyalg.kernel_numerators) times M / (d! alpha^d) in Z[alpha],
-    at most l1 of the one times l1 of the other; a coefficient of M S_d is
-    at most the sum of l1(c) times the largest l1((s f)_e) squared."""
+def _kernel_block(family, kernel, d):
+    """The residual of one kernel block at one point, (M K_d, M S_d, K) as
+    int term dicts: K_d the terms of x-degree d of a truncated kernel, S_d
+    those of sum f(x) f(y) / norm, M from _kernel_sum.  M K_d is each
+    numerator of `kernel` (polyalg.kernel_numerators) times M / (d! alpha^d),
+    l1 at most the product of theirs; a coefficient of M S_d is at most the
+    sum of l1(c) times the largest l1((s f)_e) squared."""
     k0, blocks, norms = kernel
     n = len(next(iter(blocks[0]))) // 2
-    m, terms = _kernel_sum(family, n, d, at)
+    m, terms = _kernel_sum(family, n, d)
     cofactor = m / Factored([(1, 0)] * d, math.factorial(d))
     bound = max(cofactor.l1_bound() * norms[d],
                 sum(c.l1_bound() * max(_norms(g)) ** 2 for c, g in terms.values()))
-    k, *gs = _point(f"N={n} D={d}: M K_d and cleared {family}", bound,
-                    *(g for _, g in terms.values()))
+    k, *gs = _point(bound, *(g for _, g in terms.values()))
     scale = cofactor.at(k)
     block = {e: pack(unpack(v, k0), k) * scale for e, v in blocks[d].items()}
     total = {}
@@ -716,17 +687,11 @@ def _decomposition(family, n, bound):
 
 
 def _slice(label, block):
-    """Both sides of a _kernel_block held to their terms x^label y^*, the
-    slices that omega.pairing-diagonal and pi.v-stability compare.
-
-    The degree-d basis is monic and triangular (E.eigen-triangular and
-    P.symmetric-eigen-dominance check it), so its pairing matrix against
-    the kernel block K_d is diag(1/norm) exactly when
-    K_d = sum f(x) f(y) / norm.  The union of the slices x^label over the
-    labels of the block is that equality, so a row of slices checks the
-    same statement as a diagonal pairing matrix, at every monomial; both
-    sides are taken times the same nonzero M, which slices alike, at the
-    block's point."""
+    """Both sides of a _kernel_block held to their terms x^label y^*.  The
+    degree-d basis is monic and triangular (E.eigen-triangular and
+    P.symmetric-eigen-dominance check it), so its pairing matrix against K_d
+    is diag(1/norm) exactly when K_d = sum f(x) f(y) / norm, the union of
+    these slices over the block's labels, both sides times the same M."""
     n, (*sides, k) = len(label), block
     return [*({e: c for e, c in side.items() if e[:n] == label} for side in sides), k]
 
@@ -747,14 +712,12 @@ def _v_stability_cases(s):
     """({kappa: block, kappa + (0,): block},) for each consecutive pair of
     swept variable counts N - 1, N and each partition kappa up to deg with
     N - 1 entries: one truncated kernel per N, and per degree one
-    _kernel_block against the P basis in N - 1 and in N variables.  The N
-    block reads h and d' at the label in N - 1 variables where that label
-    exists, so one v_kappa = d'/h serves both."""
+    _kernel_block against the P basis in N - 1 and in N variables."""
     kernels = {n: polyalg.kernel_numerators(n, s.deg, False) for n in s.ns}
     for d in range(s.deg + 1):
         for n in s.ns[1:]:
             fewer = _kernel_block("P", kernels[n - 1], d)
-            more = _kernel_block("P", kernels[n], d, lambda k: k if k[-1] else k[:-1])
+            more = _kernel_block("P", kernels[n], d)
             for kappa in combinat.partitions(d, n - 1):
                 yield {kappa: fewer, kappa + (0,): more},
 
@@ -767,27 +730,24 @@ def _binomial_term(r, e):
 def _binomial(family, r, n, bound, r_side=None):
     """The product at r against sum alpha^|eta| [r]_(eta+) / d'_eta E_eta over
     compositions (family E), or sum alpha^|kappa| [r]_kappa / d'_kappa P_kappa
-    over partitions (family P), with the scalar side at r_side (default r);
-    d' is the paper's u d for E and v h for P.  Both sides are taken times
-    M, the Factored lcm of q^|label| s d' with r_side = p/q and s = d for E,
-    h for P, and compared at one point: the product side is M times
-    _binomial_term at each x^e, a Factored refused unless its content is an
-    integer, and a coefficient of the sum is at most the sum of l1 of each
-    cofactor times the largest l1 of its s f.  Checking several rational r
-    certifies the identity in r by the degree bound."""
+    over partitions (family P), the scalar side at r_side (default r); d' is
+    the paper's u d for E and v h for P.  Both sides are taken times M, the
+    lcm of q^|label| s d' (r_side = p/q, s = d or h), and compared at one
+    point; the product side, M times _binomial_term at each x^e, must have
+    an integer content.  Several rational r certify the identity in r."""
     r_side = r if r_side is None else r_side
     kind, q = ("d" if family == "E" else "h"), Fraction(r_side).denominator
-    basis = {label: f for d in range(bound + 1) for label, f in _basis(family, n, d).items()}
+    labels = [label for d in range(bound + 1) for label in _labels(family, n, d)]
     m = Factored.lcm([scalars.node_ratio(label, (kind, "dp"), (), q ** sum(label))
-                      for label in basis])
+                      for label in labels])
     terms = [(m * scalars.binomial_ratio(r_side, label) / scalars.node_ratio(label, (kind,)),
-              _integral(family, label, f)) for label, f in basis.items()]
+              _served(family, label)[1]) for label in labels]
     label = f"N={n} r={r}: prod (1-x_j)^-r vs sum over {family}"
     lhs = {e: m * Factored(content=_binomial_term(r, e))
            for e in combinat.compositions_upto(bound, n)}
     if bad := [e for e, c in lhs.items() if not isinstance(c.content, int)]:
-        raise _Refused(f"{label}: at {min(bad)}: {lhs[min(bad)].value()} not in Z[α]")
-    k, *gs = _point(label, max(*(c.l1_bound() for c in lhs.values()), sum(
+        return f"{label}: at {min(bad)}: {lhs[min(bad)].value()} not in Z[α]"
+    k, *gs = _point(max(*(c.l1_bound() for c in lhs.values()), sum(
         c.l1_bound() * max(_norms(g)) for c, g in terms)), *(g for _, g in terms))
     rhs = MultiPoly.zero(n)
     for (c, _), g in zip(terms, gs):
@@ -827,18 +787,16 @@ def _margins(top, vandermonde):
 
 
 def _cauchy(n, bound):
-    """det[1/(1 - x_j y_k)] = V(x) V(y) prod_{j,k} (1 - x_j y_k)^(-1) with
-    V(x) = prod_{j<k} (x_j - x_k) = sum_s sgn s x^(s delta), delta the
-    staircase, through degree bound + N(N-1)/2 in x and in y.  Both sides
-    alternate in x and in y, and each term has equal degree in both, so
-    they agree iff they agree at x^(lambda + delta) y^(mu + delta) for
-    partitions |lambda| = |mu| <= bound.  There the left side,
-    sum_s sgn s prod_j (1 - x_j y_s(j))^(-1), is [lambda = mu], and the right
-    side sum_{s,t} sgn s sgn t K[lambda + delta - s delta, mu + delta - t delta].
-    K is 0 at a negative margin and depends only on the sorted margins, so
-    each alternant is summed once by sorted margin (_margins), and the
-    double sum runs over those classes (I. G. Macdonald, Symmetric Functions
-    and Hall Polynomials, I.3)."""
+    """det[1/(1 - x_j y_k)] = V(x) V(y) prod_{j,k} (1 - x_j y_k)^(-1), V(x) =
+    prod_{j<k} (x_j - x_k) = sum_s sgn s x^(s delta), through degree
+    bound + N(N-1)/2 in x and in y.  Both sides alternate in x and in y with
+    equal degrees, so they agree iff they do at x^(lambda + delta)
+    y^(mu + delta), |lambda| = |mu| <= bound: there the left side is
+    [lambda = mu] and the right sum_{s,t} sgn s sgn t K[lambda + delta -
+    s delta, mu + delta - t delta].  K is 0 at a negative margin and depends
+    only on the sorted margins, so each alternant is summed once by sorted
+    margin (_margins; I. G. Macdonald, Symmetric Functions and Hall
+    Polynomials, I.3)."""
     delta = combinat.staircase(n)
     vandermonde = [(e, -1 if odd else 1) for e, odd in combinat.signed_rearrangements(delta)]
     memo = {}
@@ -871,11 +829,12 @@ def _ct_block(family, spec, n, k):
 
 def _ct_cases(s, family):
     """_ct_block per N, k and modulus d."""
+    build = jack.build_E if family == "E" else jack.build_P
     for n in s.ns:
         for k in s.ks:
             for d in range(s.deg + 1):
-                spec = {label: f.specialize(Fraction(1, k))
-                        for label, f in _basis(family, n, d).items()}
+                spec = {label: build(label).specialize(Fraction(1, k))
+                        for label in _labels(family, n, d)}
                 yield from _ct_block(family, spec, n, k)
 
 
@@ -884,9 +843,9 @@ def _ct(family, l1, l2, gram, unit, k):
     norm ratio at alpha = 1/k."""
     if l2 is not None:
         return _differ(f"<{family}_{l1}, {family}_{l2}> at k={k}", gram[l1][l2], 0)
-    ratio = scalars.norm_ratio_E if family == "E" else scalars.norm_ratio_P
-    return _differ(f"{family}_{l1} k={k}: ct", gram[l1][l1] / unit,
-                   ratio(l1).eval_at(Fraction(1, k)))
+    ratio = (scalars.node_ratio(l1, ("dp", "e"), ("d", "ep")) if family == "E"
+             else scalars.node_ratio(l1, ("b", "dp"), ("ep", "h")))
+    return _differ(f"{family}_{l1} k={k}: ct", gram[l1][l1] / unit, ratio.eval_at(Fraction(1, k)))
 
 
 def _S_norm_cases(s):
@@ -907,16 +866,16 @@ def _S_norm(ep, rho_plus):
         bridge = (oracle.ct_inner_product(one, one, n, 2)
                   / oracle.ct_inner_product(one, one, n, 1))
         target = scalars.staircase_norm_ratio(n) * Factored(content=math.factorial(n))
-        return _differ("weight bridge", bridge, target.value().eval_at(1))
+        return _differ("weight bridge", bridge, target.eval_at(1))
     s_spec = jack.build_S(rho_plus).specialize(Fraction(1))
     # P at alpha/(alpha+1), taken at alpha = 1, is P at alpha = 1/2
     p_spec = jack.build_P(ep, n).specialize(Fraction(1, 2))
     return (_differ(f"eta+={ep}: <S,S> vs <P,P>", oracle.ct_inner_product(s_spec, s_spec, n, 1),
                     oracle.ct_inner_product(p_spec, p_spec, n, 2))
             or _differ(f"eta+={ep}: white ratio", oracle.ct_norm_ratio(s_spec, n, 1),
-                       _S_norm_ratio(rho_plus).value().eval_at(1))
+                       _S_norm_ratio(rho_plus).eval_at(1))
             or _differ(f"eta+={ep}: black ratio", oracle.ct_norm_ratio(p_spec, n, 2),
-                       _shifted_P_norm_ratio(ep).value().eval_at(1)))
+                       _shifted_P_norm_ratio(ep).eval_at(1)))
 
 
 def _linear_solve(eta, a0):
@@ -935,33 +894,35 @@ def _gram_schmidt(kappa, n, k):
 # negative controls: every detector must reject a perturbed input
 # ---------------------------------------------------------------------------
 
-def _corrupt(f: MultiPoly) -> MultiPoly:
-    """Add 1 to the lexicographically first coefficient."""
-    e, c = f.lead_term()
-    terms = dict(f.terms)
-    terms[e] = c + ONE
-    return MultiPoly(f.nvars, terms)
+def _corrupt(f: MultiPoly, e=None) -> MultiPoly:
+    """Add 1 to the coefficient c of a printed f at e, by default its
+    lexicographically first: (c.num + c.den)/c.den, reduced as c is."""
+    e, c = f.lead_term() if e is None else (e, f.terms[e])
+    return MultiPoly(f.nvars, {**f.terms, e: AlphaRational._raw(poly_add(c.num, c.den), c.den)})
+
+
+def _plus(g, shift=(1,)):
+    """A served g of int tuples with `shift` added at its lowest monomial."""
+    e = min(g.terms)
+    return MultiPoly._raw(g.nvars, {**g.terms, e: poly_add(g.terms[e], shift)})
 
 
 def _controls(s):
-    """(label, detected) for each perturbed input, fed to the test of the
-    row that would see it."""
-    e21 = jack.build_E((2, 1))
-    yield "eigen", _E_witness(_corrupt(e21), (2, 1)) is not None
+    """(label, detected) for each perturbed input, printed or served, fed to
+    the test of the row that would see it."""
+    e21, g21 = jack.build_E((2, 1)), _served("E", (2, 1))[1]
+    yield "eigen", _E_witness(e21, _plus(g21), (2, 1)) is not None
     # alpha - 2^K0 vanishes at the point K0 of the unperturbed d E, so only a
     # K taken from the perturbed input sees it
-    g = _integral("E", (2, 1), e21)
-    e, shift = min(g.terms), AlphaRational((-(1 << pack_width(_xi_bound(g, (2, 1)))), 1))
-    yield "kronecker", _eigen_witness(MultiPoly(2, {**g.terms, e: g.terms[e] + shift}),
-                                      (2, 1)) is not None
-    lead_scaled = e21.scale(AlphaRational.from_fraction(2))
-    yield "triangular", _E_witness(lead_scaled, (2, 1)) is not None
-    yield "P-properties", _P_witness(_corrupt(jack.build_P((2, 1), 2)), (2, 1)) is not None
-    e10 = jack.build_E((1, 0))
-    # d' in place of d leaves a denominator
-    yield "integral-positive", _integral_witness(
-        (1, 0), e10.scale(scalars.const_dp((1, 0)))) is not None
-    yield "at-ones", _value_at_ones(_corrupt(e10), (1, 0)) is not None
+    shift = (-(1 << pack_width(_xi_bound(g21, (2, 1)))), 1)
+    yield "kronecker", _eigen_witness(_plus(g21, shift), (2, 1)) is not None
+    yield "triangular", _E_witness(_corrupt(e21, (2, 1)), g21, (2, 1)) is not None
+    yield "tie", _tie("E", (2, 1), _corrupt(e21)) is not None
+    yield "P-properties", _P_witness(_corrupt(jack.build_P((2, 1), 2)), _served("P", (2, 1))[1],
+                                     (2, 1)) is not None
+    e10, g10 = jack.build_E((1, 0)), _served("E", (1, 0))[1]
+    yield "integral-positive", _integral_witness((1, 0), _plus(g10, (-2,))) is not None
+    yield "at-ones", _value_at_ones(_plus(g10), (1, 0)) is not None
 
     bad = dict(e10.specialize(Fraction(1)))
     bad[(0, 1)] += 1
@@ -972,12 +933,13 @@ def _controls(s):
 
     block, total, k = _kernel_block("E", polyalg.kernel_numerators(2, 2, True), 1)
     c, g = _kernel_sum("E", 2, 1)[1][(1, 0)]
-    g = MultiPoly._raw(2, {e: pack(v.num, k) for e, v in g.terms.items()})
+    g = MultiPoly._raw(2, {e: pack(v, k) for e, v in g.terms.items()})
     doubled = (MultiPoly(4, total) + g.scale(c.at(k)).outer(g)).terms  # one term twice
     yield "omega", _differ("omega", block, doubled, k) is not None
     yield "binomial", _binomial("E", Fraction(2), 2, 2, r_side=Fraction(3)) is not None
 
-    yield "asym-proportional", _asym(jack.build_E((2, 0)), _corrupt(jack.build_S((2, 0))),
+    s20, t20 = _served("S", (2, 0))
+    yield "asym-proportional", _asym(_served("E", (2, 0))[1], (s20, _plus(t20)),
                                      (2, 0)) is not None
 
     sol = dict(oracle.solve_E_linear((1, 0), Fraction(2)))
@@ -996,12 +958,12 @@ def _controls(s):
 
 CHECKS = {row.name: row for row in (
     Check("E.eigen-triangular", _compositions,
-          lambda eta: _E_witness(jack.build_E(eta), eta), **_EIGEN),
+          lambda eta: _E_witness(jack.build_E(eta), _served("E", eta)[1], eta), **_EIGEN),
     Check("E.value-at-ones", _compositions,
-          lambda eta: _value_at_ones(jack.build_E(eta), eta), **_EIGEN),
-    Check("E.integral-positive", _compositions,
-          lambda eta: _integral_witness(eta, _integral("E", eta, jack.build_E(eta))),
-          **_EIGEN),
+          lambda eta: _value_at_ones(_served("E", eta)[1], eta), **_EIGEN),
+    Check("integral.tie", _tie_cases, _tie, ns=(3, 4), deg=(0, 5),
+          caps={"E(N=4)": 3, "repeated": 3},
+          fixed={"max|rho|": "deg+1", "N(rho), N(S)": "<=3"}),
     Check("E.swap-action",
           lambda s: ((eta, i) for (eta,) in _compositions(s) for i in range(1, len(eta))),
           _swap_action, deg=(0, 4)),
@@ -1014,7 +976,8 @@ CHECKS = {row.name: row for row in (
                                   operator.ne),
           _multiply_back, fixed={"trials": 4, "max-part": 3}),
     Check("P.symmetric-eigen-dominance", _partitions,
-          lambda kappa, n: _P_witness(jack.build_P(kappa, n), kappa), ns=(2, 4), deg=(0, 5)),
+          lambda kappa, n: _P_witness(jack.build_P(kappa, n), _served("P", kappa)[1], kappa),
+          ns=(2, 4), deg=(0, 5)),
     Check("P.two-routes", _partitions, _two_routes, deg=(0, 5)),
     Check("P.stability",
           lambda s: ((kappa, 3) for kappa in combinat.partitions_upto(s.deg, 2)),
@@ -1022,10 +985,12 @@ CHECKS = {row.name: row for row in (
     Check("sym.proportionality", _compositions, _sym_proportional, deg=(0, 4)),
     Check("P.value-and-hook", _hook_cases, _value_and_hook, ns=(2, 4), deg=(0, 5),
           fixed={"max|kappa|": "deg+1", "fig2": "N=9"}),
-    Check("asym.proportionality", _asym_cases, _asym, deg=(0, 5), caps={"repeated": 3},
+    Check("asym.proportionality", _asym_cases, lambda rho_plus, rho: _asym(
+        _served("E", rho)[1], rho_plus and _served("S", rho_plus), rho), deg=(0, 5),
+          caps={"repeated": 3},
           fixed={"max|rho|": "deg+1",
                  "sign": "(-1)^(ascending pairs) * d'(rho)/d'(rhoR)"}),
-    Check("asym.c-closed-forms", lambda s: (case for n in s.ns for case in _rhos(n, s)),
+    Check("asym.c-closed-forms", lambda s: ((rho,) for r, rho in _asym_cases(s) if r),
           lambda rho: _differ(f"rho={rho}", scalars.c_rho_ratio(rho, "shifted-shape"),
                               scalars.c_rho_ratio(rho, "rearrangement")),
           deg=(0, 5), fixed={"max|rho|": "deg+1"}),
@@ -1064,10 +1029,10 @@ CHECKS = {row.name: row for row in (
           _gram_schmidt, ns=(2, 4), deg=(0, 4), k=True),
     Check("negative.controls", _controls,
           lambda label, detected: None if detected else f"undetected perturbation: {label}",
-          ns=None, fixed={"perturbation": "+1 on one coefficient; E doubled (triangular), "
-                               "d' for d (integral-positive), alpha - 2^K0 on one cleared "
-                               "coefficient (kronecker), one diagonal term twice (omega), "
-                               "a wrong r (binomial)"}),
+          ns=None, fixed={"perturbation": "+1 on one printed or served coefficient; -2 "
+                               "on one served d E coefficient (integral-positive), "
+                               "alpha - 2^K0 on one (kronecker), one diagonal term twice "
+                               "(omega), a wrong r (binomial)"}),
 )}
 
 

@@ -683,4 +683,4 @@ class TestGolden:
             del check["seconds"]
         blob = json.dumps(report, sort_keys=True).encode()
         assert hashlib.sha256(blob).hexdigest() == (
-            "261a5e0ed6aa910e6f0536808f2bd3921fba98e2a8ab71c3871aa3fd9302ab76")
+            "b52b398b3ca75257d28d7cdc6af4dfde4fdb02b092620ed988c4be75816d196b")

@@ -10,9 +10,10 @@ import pytest
 from jackpoly import cli, combinat, jack, polyalg, qalpha, scalars, verify
 from jackpoly.polyalg import MultiPoly
 
-# the one polynomial gcd of a default verify: the control that scales E by
-# d' in place of d forms a value outside Z[alpha] on purpose
-POLYNOMIAL_GCDS = {"negative.controls": 1}
+# the polynomial gcds of a default verify, by row: none, since the controls
+# perturb printed values as (num + den)/den and served ones as ints (one when
+# a control scaled E by d' in place of d, a value outside Z[alpha])
+POLYNOMIAL_GCDS = {}
 
 
 def _polynomial_gcds(monkeypatch):
@@ -85,9 +86,9 @@ def test_cli_takes_no_polynomial_gcd(fresh_caches, monkeypatch, capsys, argv):
 
 def _field_sum(family, n, d):
     """sum f(x) f(y) / norm over the degree-d basis, in Q(alpha)."""
-    norm = scalars.u_eta if family == "E" else scalars.v_kappa
-    return sum((f.outer(f.scale(norm(label).inverse()))
-                for label, f in verify._basis(family, n, d).items()), MultiPoly.zero(2 * n))
+    norm, build = (scalars.u_eta, jack.build_E) if family == "E" else (scalars.v_kappa, jack.build_P)
+    return sum((build(label).outer(build(label).scale(norm(label).inverse()))
+                for label in verify._labels(family, n, d)), MultiPoly.zero(2 * n))
 
 
 @pytest.mark.parametrize("family", ["E", "P"])

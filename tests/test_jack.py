@@ -31,27 +31,30 @@ class TestBuildE:
     def test_eigen_and_triangular_sweep(self):
         for n, cap in [(2, 5), (3, 4)]:
             for eta in cb.compositions_upto(cap, n):
-                assert verify._E_witness(jack.build_E(eta), eta) is None
+                assert verify._E_witness(jack.build_E(eta), verify._served("E", eta)[1],
+                                         eta) is None
 
     def test_corrupted_fails(self):
-        f = jack.build_E((2, 1))
+        f, g = jack.build_E((2, 1)), verify._served("E", (2, 1))[1]
         e, c = f.lead_term()
+        # +1 on the served d E fails the eigen-equations; on the printed E
+        # below the label, which the eigen check does not read, the tie
+        assert "xi_1 dE" in verify._E_witness(f, verify._plus(g), (2, 1))
         bad = MultiPoly(2, {**f.terms, e: c + ONE})
-        assert "xi_1 dE" in verify._E_witness(bad, (2, 1))
-        # a denominator that d does not clear stays in d E, and the eigen
-        # check still fails
+        assert verify._E_witness(bad, g, (2, 1)) is None
+        assert verify._tie("E", (2, 1), bad).startswith(f"eta=(2, 1): d E vs served: at {e}: ")
+        # so does a denominator that d does not clear
         foreign = MultiPoly(2, {**f.terms, e: c + AlphaRational(1, (7, 1))})
-        witness = verify._E_witness(foreign, (2, 1))
-        assert "xi_1 dE" in witness and "/(α + 7)" in witness
+        assert verify._tie("E", (2, 1), foreign) is not None
         assert "leading coefficient" in verify._E_witness(
-            f.scale(AlphaRational.from_fraction(2)), (2, 1))
+            f.scale(AlphaRational.from_fraction(2)), g, (2, 1))
         # a monomial above the label breaks triangularity
         above = MultiPoly(3, {**jack.build_E((1, 1, 0)).terms,
                               (2, 0, 0): ONE})
         witness = verify._monic_below("eta=(1, 1, 0)", above, (1, 1, 0),
                                       lambda e: cb.composition_lt(e, (1, 1, 0)))
         assert witness == "eta=(1, 1, 0): monomial (2, 0, 0) not below the label: 1 != 0"
-        assert verify._E_witness(above, (1, 1, 0)) is not None
+        assert verify._E_witness(above, verify._served("E", (1, 1, 0))[1], (1, 1, 0)) is not None
 
     def test_swap_action_cases(self):
         assert verify._swap_action((1, 1), 1) is None
@@ -327,13 +330,15 @@ class TestBuildP:
     def test_symmetric_eigen_dominance(self):
         for n in (2, 3):
             for kappa in cb.partitions_upto(5, n):
-                assert verify._P_witness(jack.build_P(kappa, n), kappa) is None
+                assert verify._P_witness(jack.build_P(kappa, n), verify._served("P", kappa)[1],
+                                         kappa) is None
 
     def test_corrupted_P_fails(self):
-        p = jack.build_P((2, 1), 2)
+        p, hp = jack.build_P((2, 1), 2), verify._served("P", (2, 1))[1]
         e, c = p.lead_term()
         bad = MultiPoly(2, {**p.terms, e: c + ONE})
-        assert verify._P_witness(bad, (2, 1)) is not None
+        assert verify._P_witness(bad, hp, (2, 1)) is not None
+        assert verify._P_witness(p, verify._plus(hp), (2, 1)) is not None
 
     def test_stability(self):
         for kappa in [(1,), (2,), (1, 1), (2, 1), (3, 1)]:
@@ -390,7 +395,8 @@ class TestBuildS:
     @pytest.mark.parametrize("rho_plus", [(3, 1, 0), (4, 2, 0), (5, 1, 0), (5, 3, 1, 0)])
     def test_reads_only_the_chain_at_eta_plus_R(self, fresh_caches, monkeypatch, rho_plus):
         # from empty caches S sums the orbit sums of the one chain at eta+R
-        # itself: it builds no E and no P, reads no h, and caches only S
+        # itself: it builds no E and no P, reads no h, and caches only S and
+        # the forms it is made from
         def refused(name):
             def call(*args):
                 raise AssertionError(f"build_S called {name}{args}")
@@ -402,13 +408,13 @@ class TestBuildS:
         with monkeypatch.context() as m:
             m.setattr(jack, "build_E", refused("build_E"))
             m.setattr(jack, "build_P", refused("build_P"))
-            m.setattr(qalpha, "times_multiple", refused("times_multiple"))
             m.setattr(scalars, "node_ratio", lambda eta, up, *rest: (
                 refused("node_ratio")(eta, up) if "h" in up else node_ratio(eta, up, *rest)))
             s = jack.build_S(rho_plus)
         assert jack._E_CACHE == {} and jack._P_CACHE == {}
         assert set(jack._J_CACHE) == set(_chain(cb.reverse_partition(eta_plus)))
         assert jack._S_CACHE == {rho_plus: s} and jack.build_S(rho_plus) is s
+        assert set(jack._FORMS) == {("P", eta_plus), ("S", rho_plus)}
         assert s == _reference_S(rho_plus)
 
     def test_orbit_sum_digit_outside_the_bound_raises(self, fresh_caches, monkeypatch):
@@ -470,14 +476,15 @@ class TestDominantFill:
         assert jack.build_S(rho_plus) == _reference_S(rho_plus)
 
     def test_broken_fills_are_detected(self, fresh_caches, monkeypatch):
-        # S with its permutation signs dropped is symmetric, not a multiple
-        # of the antisymmetrized E
-        s = jack.build_S((3, 1, 0))
-        dominant = {e: c for e, c in s.terms.items() if cb.has_distinct_parts(e)
+        # the served S with its permutation signs dropped is symmetric, not a
+        # multiple of the antisymmetrized E
+        s, k, terms = jack.integral("S", (3, 1, 0))
+        dominant = {e: c for e, c in terms.items() if cb.has_distinct_parts(e)
                     and cb.is_partition(e)}
-        unsigned = jack._fill(3, dominant)
-        monkeypatch.setattr(jack, "build_S", lambda rho_plus: unsigned)
-        witness = verify._asym(jack.build_E((1, 0, 3)), jack.build_S((3, 1, 0)), (1, 0, 3))
+        unsigned = (s, k, jack._fill(3, dominant).terms)
+        monkeypatch.setattr(jack, "integral", lambda family, label: unsigned)
+        witness = verify._asym(verify._served("E", (1, 0, 3))[1], verify._served("S", (3, 1, 0)),
+                               (1, 0, 3))
         assert witness is not None and witness.startswith("rho=(1, 0, 3): Asym d E vs c' d S")
 
     @pytest.mark.parametrize("edit, rows", [
@@ -517,14 +524,14 @@ class TestDominantFill:
 class TestAsym:
     def test_repeated_parts_vanish(self):
         for rho in [(1, 1), (2, 2, 0), (1, 0, 1)]:
-            assert verify._asym(jack.build_E(rho), None, rho) is None
+            assert verify._asym(verify._served("E", rho)[1], None, rho) is None
             assert not antisymmetrize(jack.build_E(rho))
 
     def test_measured_constants(self):
         # read at the label (1, 0), where S is monic
         s = jack.build_S((1, 0))
         for rho, want in (((1, 0), A / (A + 1)), ((0, 1), -ONE)):
-            assert verify._asym(jack.build_E(rho), s, rho) is None
+            assert verify._asym(verify._served("E", rho)[1], verify._served("S", (1, 0)), rho) is None
             asym = antisymmetrize(jack.build_E(rho))
             assert s.coeff((1, 0)) == ONE
             assert asym == s.scale(asym.coeff((1, 0))) and asym.coeff((1, 0)) == want
@@ -537,7 +544,8 @@ class TestAsym:
             for ep in cb.partitions_upto(5 - sum(delta), n):
                 rho_plus = tuple(p + d for p, d in zip(ep, delta))
                 for rho in cb.rearrangements(rho_plus):
-                    witness = verify._asym(jack.build_E(rho), jack.build_S(rho_plus), rho)
+                    witness = verify._asym(verify._served("E", rho)[1],
+                                           verify._served("S", rho_plus), rho)
                     assert witness is None, witness
 
     def test_du_expansion(self):

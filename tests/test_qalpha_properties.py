@@ -16,7 +16,7 @@ st = pytest.importorskip("hypothesis.strategies")
 from jackpoly import qalpha  # noqa: E402
 from jackpoly.qalpha import (ALPHA, ONE, ZERO, AlphaRational, Factored,  # noqa: E402
                              _exact_scale, _gcd, _product, _sum, _trim, alpha_shift, pack,
-                             poly_mul, times_multiple, unpack)
+                             poly_mul, unpack)
 
 given, settings = hypothesis.given, hypothesis.settings
 
@@ -377,16 +377,20 @@ def test_substitute_refuses_other_images(image):
 
 
 @PROPERTY
-@given(elements, nonzero_polys, st.booleans())
-def test_times_multiple_is_the_field_product(x, p, multiple):
-    """x p over denominator 1 when x.den divides p, else the field product:
-    the same canonical element either way."""
-    p = poly_mul(_trim(p), x.den) if multiple else _trim(p)
-    got = times_multiple(x, p)
-    want = x * AlphaRational(p)
-    assert (got.num, got.den) == (want.num, want.den)
-    if multiple:
-        assert got.den == (1,)
+@given(ratios, st.fractions(min_value=-8, max_value=8, max_denominator=6))
+def test_factored_eval_at_is_the_value_eval_at(ratio, x):
+    """content * prod (a x + b)^m on ints gives the Fraction of the
+    canonical element's eval_at, and raises ZeroDivisionError exactly where
+    it does, at a zero of a form with m < 0; the forms' own zeros are
+    drawn as well as x."""
+    for point in (x, *(Fraction(-b, a) for a, b in ratio.forms)):
+        try:
+            want = ratio.value().eval_at(point)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                ratio.eval_at(point)
+        else:
+            assert ratio.eval_at(point) == want
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ the oracle, which must not share that walk, enumerates permutations.  No
 Z[alpha] product the checks pack is expanded first: a Factored is packed
 by its `at`, only `qalpha` expands one, and the kernels are built on ints.
 The rows apply the operators at a point and build no field element but
-in the controls."""
+in the controls, and verify reads jack only through its public names."""
 
 import ast
 import pathlib
@@ -70,16 +70,21 @@ def test_only_qalpha_expands_a_Factored_product():
 
 
 def test_verify_reads_node_products_as_Factored():
-    """The rows read every closed form as a Factored, packed by at(K); a
-    node product in Q(alpha) (scalars.const_*) only clears a cached family
-    (_integral) or perturbs a control's input (_controls)."""
-    tree = ast.parse((SRC / "verify.py").read_text())
-    for fn in tree.body:
-        if isinstance(fn, ast.FunctionDef) and fn.name not in ("_integral", "_controls"):
-            for node in ast.walk(fn):
-                assert not (isinstance(node, ast.Attribute) and node.attr.startswith("const_")
-                            and _name(node.value) == "scalars"), (
-                    f"verify.py:{node.lineno} reads scalars.{node.attr} in {fn.name}")
+    """The rows read every closed form as a Factored, packed by at(K) or
+    evaluated by eval_at: verify reads no node product in Q(alpha)
+    (scalars.const_*) anywhere, the controls included."""
+    for node in ast.walk(ast.parse((SRC / "verify.py").read_text())):
+        assert not (isinstance(node, ast.Attribute) and node.attr.startswith("const_")
+                    and _name(node.value) == "scalars"), (
+            f"verify.py:{node.lineno} reads scalars.{node.attr}")
+
+
+def test_verify_reads_jack_through_its_public_names():
+    """verify reads the families through build_E, build_P, build_S and the
+    integral forms jack.integral serves, never a private name of jack."""
+    for node in ast.walk(ast.parse((SRC / "verify.py").read_text())):
+        assert not (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                    and _name(node.value) == "jack"), f"verify.py:{node.lineno} reads jack.{node.attr}"
 
 
 def test_the_kernels_multiply_no_int_tuples():

@@ -1,12 +1,13 @@
-"""What one default verify keeps, and what it catches at N = 4.
+"""What one default verify keeps, what it reads, and what it catches.
 
 A pass makes once, and keeps, each quantity that depends on its key alone
 and that several rows ask for: a label's diagram walk (combinat), the
-integral form s f of a cached E, P or S (verify), and the alpha-free image of
-a monomial under the oracle's operators.  A kept value must be the value
-made again: a warm pass gives the verdicts of a cold one, and a cached E or
-P replaced after a pass is cleared afresh.  The P rows read N = 4, so a P
-wrong at N = 4 fails the gate.
+integral forms jack serves and makes P and S from, and the alpha-free image
+of a monomial under the oracle's operators.  A kept value must be the value
+made again: a warm pass gives the verdicts of a cold one.  The rows at the
+point read the forms jack serves, and integral.tie ties every label they
+read to the printed E, P or S, so a cached E or P replaced after a pass
+fails the tie.  The P rows read N = 4, so a P wrong at N = 4 fails the gate.
 """
 
 import collections
@@ -50,12 +51,11 @@ def default_pass():
 
         counted(combinat, "node_stats", lambda args: ("node", *args))
         counted(oracle, "_q_xi_monomial", lambda args: ("image", *args))
-        counted(verify, "times_multiple", lambda args: "times_multiple")
         counted(qalpha.Factored, "over", lambda args: "over")
         # by the function that asks: the key is made inside `call`, two frames down
         counted(qalpha.Factored, "poly", lambda args: ("poly", sys._getframe(2).f_code.co_name))
         counted(qalpha.Factored, "value", lambda args: "value")
-        for name in ("_sum", "_product"):  # the Henrici paths of Q(alpha)
+        for name in ("_sum", "_product", "_gcd"):  # the Henrici paths of Q(alpha)
             counted(qalpha, name, lambda args, name=name: name)
         for module in vars(jackpoly).values():  # every binding of the Z[alpha] product
             if getattr(module, "poly_mul", None) is qalpha.poly_mul:
@@ -106,24 +106,22 @@ def test_a_warm_pass_clears_no_S_again(default_pass):
 
 
 def test_the_kernel_rows_clear_no_kernel(default_pass):
-    """The kernel rows read its Z[alpha] numerators: no Factored.over, and
-    no times_multiple but pi.v-stability's, which clears the P in N
-    variables at the label in N - 1 variables, a key no earlier row uses."""
+    """The kernel rows read its Z[alpha] numerators and the served integral
+    forms: no Factored.over, so they make no E and no P canonical."""
     _, _, counts, _ = default_pass
     for name in KERNEL_ROWS:
         assert counts["over", name] == 0, name
-        if name != "pi.v-stability":
-            assert counts["times_multiple", name] == 0, name
 
 
 def test_a_cold_pass_expands_few_Z_alpha_products(default_pass):
     """The kernels and cofactors are formed at the point, every closed form
-    enters a row as a Factored packed by at(K), and the closed-form rows
-    compare factorizations, so a cold default pass makes at most 21,910
-    products of int tuples (43,820 when each kernel was multiplied out in
-    Z[alpha]), expands a Factored product only inside Factored.over, and
-    expands at most 400 Factored values into Q(alpha) (769 when four rows
-    read their node products as field elements)."""
+    enters a row as a Factored packed by at(K) or evaluated at a rational by
+    eval_at, and the closed-form rows compare factorizations, so a cold
+    default pass makes at most 21,910 products of int tuples (43,820 when
+    each kernel was multiplied out in Z[alpha]), expands a Factored product
+    only inside Factored.over, and expands no Factored value into Q(alpha)
+    (359 when the cached families were cleared by a field element and the ct
+    rows evaluated their closed forms in Q(alpha))."""
     total = collections.Counter()
     for (key, row), n in default_pass[2].items():
         if row is not None:  # the cold pass
@@ -131,18 +129,19 @@ def test_a_cold_pass_expands_few_Z_alpha_products(default_pass):
     assert 0 < total["poly_mul"] <= 21910, total["poly_mul"]
     callers = {key[1] for key in total if key[0] == "poly"}
     assert callers == {"over"}, callers
-    assert 0 < total["value"] <= 400, total["value"]
+    assert total["value"] == 0, total["value"]
 
 
 def test_only_the_controls_take_field_sums_and_products(default_pass):
     """Every row decides on ints at a point alpha = 2^K, on Factored ratios
-    or on Fractions at a rational: a cold default pass reaches the Henrici
-    sum and product of Q(alpha) only under negative.controls, which perturb
-    their inputs in the field (1,146 calls when the operator rows and P's
-    stab(mu) ran on Q(alpha))."""
+    or on Fractions at a rational, and the controls perturb printed values
+    as (num + den)/den and served ones as ints: a cold default pass, the
+    controls included, reaches no Henrici sum or product of Q(alpha) and no
+    polynomial gcd (9 sums and products and 4 gcds when the controls
+    perturbed in the field)."""
     rows = {row for (key, row), n in default_pass[2].items()
-            if key in ("_sum", "_product") and row is not None}
-    assert rows == {"negative.controls"}, rows
+            if key in ("_sum", "_product", "_gcd") and row is not None}
+    assert rows == set(), rows
 
 
 @pytest.mark.parametrize("family, label, extra, row", [
@@ -155,17 +154,18 @@ def test_only_the_controls_take_field_sums_and_products(default_pass):
 ])
 def test_a_replaced_cached_value_is_cleared_afresh(default_pass, monkeypatch, family, label,
                                                    extra, row):
-    """After a full pass, a cached E or P replaced by a perturbed copy
-    fails its row: the integral form kept for the old object is not
-    served for the new one."""
+    """After a full pass, a cached E or P replaced by a perturbed copy: the
+    row reads the form jack serves, not the printed one, and passes, and
+    integral.tie holds the new printed value against that form and fails,
+    naming the label."""
     for (module, name), cache in default_pass[3].items():
         monkeypatch.setattr(module, name, cache)
     cache = jack._E_CACHE if family == "E" else jack._P_CACHE
     f = cache[label]
-    assert extra.terms.keys() <= f.terms.keys()
-    assert any(kept[0] is f for kept in verify._INTEGRAL.values())
+    assert extra.terms.keys() <= f.terms.keys() and (family, label) in jack._FORMS
     monkeypatch.setitem(cache, label, f + extra)
-    result = verify.CHECKS[row](verify.Bounds())
+    assert verify.CHECKS[row](verify.Bounds()).status == "pass"
+    result = verify.CHECKS["integral.tie"](verify.Bounds())
     name = "eta" if family == "E" else "kappa"
     assert result.status == "fail" and result.witness.startswith(f"{name}={label}:"), result.witness
 
@@ -181,12 +181,84 @@ def _P_mutants():
                 yield pytest.param(kappa, e, id=f"{kappa}@{e}")
 
 
+def _failed(names):
+    return {name for name in names if verify.CHECKS[name](verify.Bounds()).status == "fail"}
+
+
 @pytest.mark.parametrize("kappa, e", _P_mutants())
 def test_every_P_mutant_at_N_4_fails_a_default_row(monkeypatch, kappa, e):
-    """Each of the two rows lifted to N = 4 catches the mutant alone."""
+    """The mutant in the printed P fails integral.tie and the Gram-Schmidt
+    oracle, each alone; the same mutant in the served h P fails
+    P.symmetric-eigen-dominance, which reads it."""
+    rows = [name for name in verify.CHECKS
+            if name.startswith(("P.", "oracle.P")) or name == "integral.tie"]
     p = jack.build_P(kappa, 4)
-    monkeypatch.setitem(jack._P_CACHE, kappa, p + MultiPoly(4, {e: ALPHA}))
-    failed = {name for name, row in verify.CHECKS.items()
-              if name.startswith(("P.", "oracle.P"))
-              and row(verify.Bounds()).status == "fail"}
-    assert {"P.symmetric-eigen-dominance", "oracle.P-gram-schmidt"} <= failed, failed
+    with monkeypatch.context() as m:
+        m.setitem(jack._P_CACHE, kappa, p + MultiPoly(4, {e: ALPHA}))
+        failed = _failed(rows)
+    assert {"integral.tie", "oracle.P-gram-schmidt"} <= failed, failed
+    integral = jack.integral
+
+    def served(family, label):
+        s, k, terms = integral(family, label)
+        if (family, label) == ("P", kappa):
+            terms = {**terms, e: terms.get(e, 0) + (1 << k)}
+        return s, k, terms
+    monkeypatch.setattr(jack, "integral", served)
+    assert "P.symmetric-eigen-dominance" in _failed(rows)
+
+
+BOUNDS = [pytest.param(verify.Bounds(), {"E": 136, "P": 46, "S": 19}, id="defaults"),
+          pytest.param(verify.Bounds(n_max=3, deg=3), None, id="N3-deg3"),
+          pytest.param(verify.Bounds(n_max=2, deg=6), None, id="N2-deg6")]
+
+
+@pytest.mark.parametrize("bounds, sizes", BOUNDS)
+def test_every_served_read_is_a_tie_case(monkeypatch, bounds, sizes):
+    """Every (family, label) a row reads from jack.integral is a case of
+    integral.tie at the same bounds, which reads each of its cases there:
+    what the rows check is what compute prints."""
+    reads, row = collections.defaultdict(set), [None]
+    integral = jack.integral
+
+    def served(family, label):
+        reads[row[0]].add((family, tuple(label)))
+        return integral(family, label)
+    monkeypatch.setattr(jack, "integral", served)
+    for row[0] in sorted(verify.CHECKS):
+        assert verify.CHECKS[row[0]](bounds).status == "pass", row[0]
+    ties = reads.pop("integral.tie")
+    assert {name: sorted(r - ties) for name, r in reads.items() if r - ties} == {}
+    assert reads.keys() >= {"E.eigen-triangular", "P.two-routes", "asym.du-expansion",
+                            "pi.v-stability", "negative.controls"}
+    if sizes:
+        assert collections.Counter(family for family, _ in ties) == sizes
+
+
+def _printed_mutants():
+    """(family, label, f) for +1 at the lowest monomial, and alpha^12 there,
+    of every printed E, P and S that integral.tie sweeps at N = 3, degree 3."""
+    reads, integral = set(), jack.integral
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(jack, "integral", lambda family, label: (
+            reads.add((family, label)), integral(family, label))[1])
+        assert verify.CHECKS["integral.tie"](verify.Bounds(n_max=3, deg=3)).status == "pass"
+    build = {"E": jack.build_E, "P": jack.build_P, "S": jack.build_S}
+    for family, label in sorted(reads):
+        f = build[family](label)
+        low = min(f.terms)
+        for c in (ONE, ALPHA ** 12):
+            yield family, label, f + MultiPoly(f.nvars, {low: c})
+
+
+def test_every_printed_mutant_fails_the_tie(monkeypatch):
+    caches = {"E": jack._E_CACHE, "P": jack._P_CACHE, "S": jack._S_CACHE}
+    names = {"E": "eta", "P": "kappa", "S": "rho+"}
+    mutants = list(_printed_mutants())
+    assert len(mutants) == 2 * 71
+    for family, label, f in mutants:
+        with monkeypatch.context() as m:
+            m.setitem(caches[family], label, f)
+            result = verify.CHECKS["integral.tie"](verify.Bounds(n_max=3, deg=3))
+        assert result.status == "fail", (family, label)
+        assert result.witness.startswith(f"{names[family]}={label}: "), result.witness

@@ -2,8 +2,11 @@
 with a witness that names the failing case and both values.
 
 Each case starts from empty construction caches, perturbs one input (a
-cached E, J, P or S, one scalar constant or node product, or one count of
-the integer Cauchy kernel), runs the row at small bounds and reads the witness.
+printed E, P or S in its cache, the integral form `jack.integral` serves
+for one label, a cached J, one node product, or one count of the integer
+Cauchy kernel), runs the row at small bounds and reads the witness.  The
+rows that decide an identity at a point read the served forms, so they are
+perturbed there; the printed forms are tied to them by integral.tie.
 """
 
 import ast
@@ -15,7 +18,7 @@ import pytest
 import jackpoly
 from jackpoly import jack, scalars, verify
 from jackpoly.polyalg import MultiPoly
-from jackpoly.qalpha import ALPHA, ONE, AlphaRational, Factored
+from jackpoly.qalpha import ONE, AlphaRational, Factored, pack
 
 BOUNDS = verify.Bounds(n_max=2, deg=1, ks=(1, 2), rs=(Fraction(1),))
 WORKLOADS = pathlib.Path(__file__).resolve().parent.parent / "jackbench" / "workloads.py"
@@ -58,17 +61,23 @@ def _cached_plus(family, label, e, c=ONE):
     return perturb
 
 
-def _scalar(name, label):
-    """Add 1 to the constant `name` at one diagram; a value at the shifted
-    parameter is a substitution of it, so the perturbation reaches that too."""
+def _served_plus(family, label, e=None, digits=(1,)):
+    """Add the Z[alpha] element `digits` at the monomial e, by default the
+    lowest, of the integral form jack.integral serves at one label."""
     def perturb(monkeypatch):
-        orig = getattr(scalars, name)
+        orig = jack.integral
 
-        def perturbed(eta):
-            value = orig(eta)
-            return value + ONE if tuple(eta) == label else value
-        monkeypatch.setattr(scalars, name, perturbed)
+        def served(fam, lab):
+            s, k, terms = orig(fam, lab)
+            if (fam, tuple(lab)) != (family, label):
+                return s, k, terms
+            at = min(terms) if e is None else e
+            return s, k, {**terms, at: terms.get(at, 0) + pack(digits, k)}
+        monkeypatch.setattr(jack, "integral", served)
     return perturb
+
+
+ALPHA_12 = (0,) * 12 + (1,)  # alpha^12 as a Z[alpha] tuple
 
 
 def _node_product(kind, label):
@@ -126,33 +135,32 @@ XI_G = "12*z2^2 - 54*z1 - 8*z1*z2 + 9*z1^2*z2^2"
 DD_F = "2 + z1*z2^2 + 4*z1^2*z2^2 - 3*z1^3*z2 - 4*z1^3*z2^3"
 
 ROWS = [
-    ("E.eigen-triangular", _cached_E((1, 0)), "eta=(1, 0)"),
-    ("E.value-at-ones", _cached_E((1, 0)), "eta=(1, 0)"),
-    # a +1 on a cached E keeps d E integral and positive
-    ("E.integral-positive", _scalar("const_d", (1, 0)), "eta=(1, 0)"),
-    ("E.swap-action", _cached_E((1, 0)), "eta=(1, 0) i=1"),
+    ("E.eigen-triangular", _served_plus("E", (1, 0)), "eta=(1, 0)"),
+    ("E.value-at-ones", _served_plus("E", (1, 0)), "eta=(1, 0)"),
+    ("integral.tie", _cached_E((1, 0)), "eta=(1, 0)"),
+    ("E.swap-action", _served_plus("E", (1, 0)), "eta=(1, 0) i=1"),
     # alpha = 2^K at z^0 after every xi: xi_1 maps a constant to 0 and xi_2
     # negates it, so xi_1 xi_2 keeps one alpha and xi_2 xi_1 none
     ("xi.commutation", _operator_plus("cherednik_apply", lambda i, alpha: alpha),
      f"N=2 g={XI_G}"),
     ("divided-difference.multiply-back", _operator_plus("divided_difference", lambda i, p: 1),
      f"N=2 (1,2) f={DD_F}"),
-    ("P.symmetric-eigen-dominance", _cached_P((1, 0)), "kappa=(1, 0)"),
-    ("P.two-routes", _cached_P((1, 0)), "kappa=(1, 0) N=2"),
+    ("P.symmetric-eigen-dominance", _served_plus("P", (1, 0)), "kappa=(1, 0)"),
+    ("P.two-routes", _served_plus("P", (1, 0)), "kappa=(1, 0) N=2"),
     ("P.stability", _cached_P((1, 0)), "kappa=(1, 0) N=3"),
-    ("sym.proportionality", _cached_E((1, 0)), "eta=(1, 0)"),
+    ("sym.proportionality", _served_plus("E", (1, 0)), "eta=(1, 0)"),
     ("P.value-and-hook", _node_product("b", (1, 0)), "kappa=(1, 0)"),
-    ("asym.proportionality", _cached_E((1, 0)), "rho=(1, 0)"),
+    ("asym.proportionality", _served_plus("E", (1, 0)), "rho=(1, 0)"),
     ("asym.c-closed-forms", _node_product("d", (1, 0)), "rho=(0, 1)"),
-    ("asym.du-expansion", _cached_E((1, 0)), "eta+=(0, 0) N=2"),
+    ("asym.du-expansion", _served_plus("E", (1, 0)), "eta+=(0, 0) N=2"),
     ("society.identities", _node_product("dp", (0, 1)), "eta+=(0, 0) N=2"),
     ("norm.reconciliation", _node_product("d", (1, 0)), "eta+=(0, 0) N=2"),
-    ("omega.decomposition", _cached_E((1, 0)), "N=2 D=1"),
-    ("omega.pairing-diagonal", _cached_E((1, 0)), "eta=(1, 0) N=2"),
-    ("pi.decomposition", _cached_P((1, 0)), "N=2 D=1"),
-    ("pi.v-stability", _cached_plus("P", (1, 0), (1, 0)), "kappa=(1, 0) N=2"),
-    ("binomial.nonsymmetric", _cached_E((1, 0)), "N=2 r=1"),
-    ("binomial.symmetric", _cached_P((1, 0)), "N=2 r=1"),
+    ("omega.decomposition", _served_plus("E", (1, 0)), "N=2 D=1"),
+    ("omega.pairing-diagonal", _served_plus("E", (1, 0)), "eta=(1, 0) N=2"),
+    ("pi.decomposition", _served_plus("P", (1, 0)), "N=2 D=1"),
+    ("pi.v-stability", _served_plus("P", (1, 0), (1, 0)), "kappa=(1, 0) N=2"),
+    ("binomial.nonsymmetric", _served_plus("E", (1, 0)), "N=2 r=1"),
+    ("binomial.symmetric", _served_plus("P", (1, 0)), "N=2 r=1"),
     ("cauchy.double-alternant", _contingency_plus_one(((0, 0), (0, 0))), "N=2 D=1"),
     ("E.norm-orthogonality.ct", _cached_E((1, 0)), "<E_(0, 1), E_(1, 0)> at k=1"),
     ("P.norm-orthogonality.ct", _cached_P((1, 0)), "P_(1, 0) k=1"),
@@ -163,10 +171,13 @@ ROWS = [
 
 
 PERTURBED = [pytest.param(*row, id=row[0]) for row in ROWS] + [
-    # the cached S itself, which both asym rows read beside E
-    pytest.param("asym.proportionality", _cached_S((1, 0)), "rho=(0, 1)",
+    # the printed P and S, each tied to its served form
+    pytest.param("integral.tie", _cached_P((1, 0)), "kappa=(1, 0)", id="integral.tie-P"),
+    pytest.param("integral.tie", _cached_S((1, 0)), "rho+=(1, 0)", id="integral.tie-S"),
+    # the served S, which both asym rows read beside E
+    pytest.param("asym.proportionality", _served_plus("S", (1, 0)), "rho=(0, 1)",
                  id="asym.proportionality-S"),
-    pytest.param("asym.du-expansion", _cached_S((1, 0)), "eta+=(0, 0) N=2",
+    pytest.param("asym.du-expansion", _served_plus("S", (1, 0)), "eta+=(0, 0) N=2",
                  id="asym.du-expansion-S"),
     # P_(0, 0) doubled leaves S, which reads no P, as it was
     pytest.param("S.norm.ct", _cached_P((0, 0)), "eta+=(0, 0): <S,S> vs <P,P>",
@@ -174,30 +185,30 @@ PERTURBED = [pytest.param(*row, id=row[0]) for row in ROWS] + [
     # a monomial containing z_N, which setting only z_N to zero cannot see
     pytest.param("P.stability", _cached_plus("P", (1, 0, 0), (0, 0, 1)),
                  "kappa=(1, 0) N=3", id="P.stability-z_N"),
-    # a term of E_(0, 1) above its label, outside its triangular support
-    pytest.param("omega.pairing-diagonal", _cached_plus("E", (0, 1), (1, 0), ALPHA),
+    # a term of d E_(0, 1) above its label, outside its triangular support
+    pytest.param("omega.pairing-diagonal", _served_plus("E", (0, 1), (1, 0), (0, 1)),
                  "eta=(1, 0) N=2", id="omega.pairing-diagonal-above-label"),
     # J at (1, 0), which build_P_(1, 0) does not read, since it walks the
     # chain at (0, 1): only the rearrangement sum of the second route sees it
     pytest.param("P.two-routes", _cached_J((1, 0)), "kappa=(1, 0) N=2",
                  id="P.two-routes-J-off-the-chain"),
-    # a monomial of P at a non-partition exponent, which is no label
-    pytest.param("pi.v-stability", _cached_plus("P", (1, 0), (0, 1), ALPHA),
+    # a monomial of h P at a non-partition exponent, which is no label
+    pytest.param("pi.v-stability", _served_plus("P", (1, 0), (0, 1), (0, 1)),
                  "kappa=(1, 0) N=2", id="pi.v-stability-non-partition"),
     # alpha^(|eta| + 3), above the alpha-degree of d E: the l1 bound of the
     # point takes K from the perturbed input, so both rows see it
-    pytest.param("E.eigen-triangular", _cached_plus("E", (1, 0), (0, 1), ALPHA ** 4),
+    pytest.param("E.eigen-triangular", _served_plus("E", (1, 0), (0, 1), (0, 0, 0, 0, 1)),
                  "eta=(1, 0)", id="E.eigen-triangular-high-power"),
-    pytest.param("omega.pairing-diagonal", _cached_plus("E", (1, 0), (0, 1), ALPHA ** 4),
+    pytest.param("omega.pairing-diagonal", _served_plus("E", (1, 0), (0, 1), (0, 0, 0, 0, 1)),
                  "eta=(1, 0) N=2", id="omega.pairing-diagonal-high-power"),
 ]
 
 
-# the four rows that moved to the point last: alpha^12 on one coefficient of
-# the cached E_(1, 0), far above its alpha-degree
+# alpha^12 at one coefficient of the served d E_(1, 0), far above its
+# alpha-degree, in four rows that read it at the point
 HIGH_POWER = [("E.value-at-ones", "eta=(1, 0)"), ("E.swap-action", "eta=(1, 0) i=1"),
               ("sym.proportionality", "eta=(1, 0)"), ("asym.du-expansion", "eta+=(0, 0) N=2")]
-PERTURBED += [pytest.param(name, _cached_plus("E", (1, 0), (0, 1), ALPHA ** 12), label,
+PERTURBED += [pytest.param(name, _served_plus("E", (1, 0), (0, 1), ALPHA_12), label,
                            id=f"{name}-high-power") for name, label in HIGH_POWER]
 
 
@@ -292,7 +303,7 @@ CLEARED = [
     ("sym.proportionality", "b", (1, 0),
      "eta=(1, 0): Sym d E vs c' h P: at (0, 1): 4*α + 8 != 2*α + 4"),
     ("asym.proportionality", "dp", (1, 0),
-     "rho=(1, 0): Asym d E vs c' d S: at (0, 1): -α^3 - 2*α^2 - α != -2*α^3 - 4*α^2 - 2*α"),
+     "rho=(1, 0): Asym d E vs c' d S: at (0, 1): -2*α^2 - 2*α != -4*α^2 - 4*α"),
     # h scales both sides of the first equation alike, so the second sees it
     ("P.two-routes", "h", (1, 0), "kappa=(1, 0) N=2: hP(1^N) vs h b/h: 4 != 2"),
     ("P.two-routes", "dp", (1, 0), "kappa=(1, 0) N=2: h L P vs h d' sum L J/(d d'): at (0, 1): "
@@ -332,28 +343,25 @@ def test_binomial_content_outside_Z_is_refused(fresh_caches, monkeypatch):
 
 
 def test_integral_witness_names_each_failure(fresh_caches):
-    d_e = jack.build_E((1, 0)).scale(scalars.const_d((1, 0)))  # (alpha + 1) z1 + z2
+    d_e = verify._served("E", (1, 0))[1]  # (alpha + 1) z1 + z2
+    assert d_e.terms == {(1, 0): (1, 1), (0, 1): (1,)}
     assert verify._integral_witness((1, 0), d_e) is None
-    assert (verify._integral_witness((1, 0), d_e.scale(ALPHA))
+    assert (verify._integral_witness((1, 0), MultiPoly._raw(2, {(1, 0): (0, 1, 1), (0, 1): (1,)}))
             == "eta=(1, 0): d E at (1, 0): α^2 above |eta|: 1 != 0")
-    assert (verify._integral_witness((1, 0), -d_e)
+    assert (verify._integral_witness((1, 0), MultiPoly._raw(2, {(1, 0): (1, 1), (0, 1): (-1,)}))
             == "eta=(1, 0): d E at (0, 1): α^0 below 0: -1 != 1")
 
 
-@pytest.mark.parametrize("name, label", [
-    ("E.eigen-triangular", "eta=(1, 0): xi_1 dE vs eigenvalue * dE"),
-    ("omega.decomposition", "N=2 D=1: M K_d and cleared E"),
-    ("omega.pairing-diagonal", "N=2 D=1: M K_d and cleared E"),
-    ("binomial.nonsymmetric", "N=2 r=1: prod (1-x_j)^-r vs sum over E"),
-    ("asym.proportionality", "rho=(1, 0): Asym d E vs c' d S"),
-])
-def test_input_outside_Z_alpha_is_refused(fresh_caches, monkeypatch, name, label):
-    """A denominator that d does not clear leaves d E outside Z[alpha]: a
-    row that compares at one point refuses it, with a witness that prints
-    the value, denominator included, rather than read its numerator."""
-    _cached_plus("E", (1, 0), (1, 0), AlphaRational(1, (7, 1)))(monkeypatch)
-    witness = verify.CHECKS[name](BOUNDS).witness
-    assert witness == f"{label}: at (1, 0): (α^2 + 9*α + 8)/(α + 7) not in Z[α]", witness
+def test_printed_denominator_fails_the_tie(fresh_caches, monkeypatch):
+    """A denominator that d does not clear in the printed E_(1, 0), below
+    its label: the rows at the point read the served d E and pass, and
+    integral.tie prints both sides of s a = t b, d = alpha + 1 times the
+    printed numerator against the served coefficient 1 times the printed
+    denominator (alpha + 1)(alpha + 7)."""
+    _cached_plus("E", (1, 0), (0, 1), AlphaRational(1, (7, 1)))(monkeypatch)
+    assert verify.CHECKS["E.eigen-triangular"](BOUNDS).status == "pass"
+    assert verify.CHECKS["integral.tie"](BOUNDS).witness == (
+        "eta=(1, 0): d E vs served: at (0, 1): 2*α^2 + 10*α + 8 != α^2 + 8*α + 7")
 
 
 @pytest.mark.parametrize("name, label", [
@@ -361,22 +369,25 @@ def test_input_outside_Z_alpha_is_refused(fresh_caches, monkeypatch, name, label
     ("asym.du-expansion", "eta+=(0, 0) N=2: d S vs sum over d E"),
 ])
 def test_zero_S_fails_the_asym_rows_with_a_witness(fresh_caches, monkeypatch, name, label):
-    """A zero S_(1, 0) fails both asym rows at the case that reads it, with
-    both values, not with an exception that names no case."""
-    monkeypatch.setitem(jack._S_CACHE, (1, 0), MultiPoly.zero(2))
+    """A zero served S_(1, 0) fails both asym rows at the case that reads
+    it, with both values, not with an exception that names no case."""
+    integral = jack.integral
+    monkeypatch.setattr(jack, "integral", lambda family, rho: (
+        integral(family, rho)[:2] + ({},) if (family, rho) == ("S", (1, 0))
+        else integral(family, rho)))
     result = verify.CHECKS[name](BOUNDS)
     assert result.status == "fail" and result.witness.startswith(label + ": at (0, 1): "), \
         result.witness
 
 
 def test_kronecker_control_vanishes_at_the_unperturbed_point(monkeypatch):
-    """The kronecker control adds alpha - 2^K0 to d E, K0 the point of the
-    unperturbed d E: it is caught, and would not be were K taken before the
-    perturbation."""
-    g = verify._integral("E", (2, 1), jack.build_E((2, 1)))
+    """The kronecker control adds alpha - 2^K0 to the served d E, K0 the
+    point of the unperturbed d E: it is caught, and would not be were K
+    taken before the perturbation."""
+    g = verify._served("E", (2, 1))[1]
     bound = verify._xi_bound(g, (2, 1))
-    k0, e = verify._point("", bound)[0], min(g.terms)
-    bad = MultiPoly(2, {**g.terms, e: g.terms[e] + AlphaRational((-(1 << k0), 1))})
+    k0 = verify._point(bound)[0]
+    bad = verify._plus(g, (-(1 << k0), 1))
     assert verify._eigen_witness(g, (2, 1)) is None
     assert verify._eigen_witness(bad, (2, 1)) is not None
     monkeypatch.setattr(verify, "_xi_bound", lambda g, eta: bound)
@@ -384,21 +395,22 @@ def test_kronecker_control_vanishes_at_the_unperturbed_point(monkeypatch):
 
 
 @pytest.mark.parametrize("name, want", [
-    ("E.value-at-ones", "eta=(1, 0): d E(1^N) vs e: α^13 + α^12 + α + 2 != α + 2"),
+    ("E.value-at-ones", "eta=(1, 0): d E(1^N) vs e: α^12 + α + 2 != α + 2"),
     ("E.swap-action",
      "eta=(1, 0) i=1: s_i E: at (0, 1): α^4 + 5*α^3 + 9*α^2 + 7*α + 2"
-     " != α^15 + 4*α^14 + 5*α^13 + 2*α^12 + α^4 + 5*α^3 + 9*α^2 + 7*α + 2"),
+     " != α^14 + 3*α^13 + 2*α^12 + α^4 + 5*α^3 + 9*α^2 + 7*α + 2"),
     ("sym.proportionality",
-     "eta=(1, 0): Sym d E vs c' h P: at (0, 1): 2*α^13 + 2*α^12 + 2*α + 4 != 2*α + 4"),
+     "eta=(1, 0): Sym d E vs c' h P: at (0, 1): 2*α^12 + 2*α + 4 != 2*α + 4"),
+    # S_(1, 0) = z1 - z2 is served over s = 2, so both sides are taken twice
     ("asym.du-expansion",
-     "eta+=(0, 0) N=2: d S vs sum over d E: at (0, 1): -α - 1 != α^13 + α^12 - α - 1"),
+     "eta+=(0, 0) N=2: d S vs sum over d E: at (0, 1): -2*α - 2 != 2*α^12 - 2*α - 2"),
 ], ids=[name for name, _ in HIGH_POWER])
 def test_high_power_mutant_is_decoded(fresh_caches, monkeypatch, name, want):
     """K comes from the l1 bound of the perturbed input, so the witness reads
     both sides back exactly, alpha^12 term included, as their Z[alpha]
-    values: d E_(1, 0) = (alpha + 1) z1 + z2 gains (alpha + 1) alpha^12 at
+    values: the served d E_(1, 0) = (alpha + 1) z1 + z2 gains alpha^12 at
     (0, 1).  A K below the bound would garble the balanced digits."""
-    _cached_plus("E", (1, 0), (0, 1), ALPHA ** 12)(monkeypatch)
+    _served_plus("E", (1, 0), (0, 1), ALPHA_12)(monkeypatch)
     assert verify.CHECKS[name](BOUNDS).witness == want
 
 
