@@ -352,6 +352,18 @@ def test_integral_witness_names_each_failure(fresh_caches):
             == "eta=(1, 0): d E at (0, 1): α^0 below 0: -1 != 1")
 
 
+@pytest.mark.parametrize("e, digits, want", [
+    ((0, 1), (-2,), "eta=(1, 0): d E at (0, 1): α^0 below 0: -1 != 1"),
+    ((1, 0), (0, 0, 0, 1), "eta=(1, 0): d E at (1, 0): α^3 above |eta|: 1 != 0"),
+], ids=["below-0", "above-degree"])
+def test_tie_holds_the_served_J_in_Z_alpha_plus(fresh_caches, monkeypatch, e, digits, want):
+    """integral.tie first holds the served J to Z>=0[alpha] of alpha-degree
+    at most |eta|, with the witness texts of the row it replaced, before it
+    compares J with the printed E."""
+    _served_plus("E", (1, 0), e, digits)(monkeypatch)
+    assert verify.CHECKS["integral.tie"](BOUNDS).witness == want
+
+
 def test_printed_denominator_fails_the_tie(fresh_caches, monkeypatch):
     """A denominator that d does not clear in the printed E_(1, 0), below
     its label: the rows at the point read the served d E and pass, and
