@@ -175,10 +175,9 @@ def _orbit_sums(kappa, label):
     return out
 
 
-def _fill(n: int, dominant: dict) -> MultiPoly:
-    """The symmetric polynomial with coefficient dominant[mu] at each
-    distinct rearrangement of each partition mu: a value is moved, never added."""
-    return MultiPoly(n, {e: c for mu, c in dominant.items() for e in combinat.rearrangements(mu)})
+def _fill(dominant: dict) -> dict:
+    """dominant[mu] at each distinct rearrangement of each partition mu, moved, never added."""
+    return {e: c for mu, c in dominant.items() for e in combinat.rearrangements(mu)}
 
 
 def build_P(kappa, n: int = None) -> MultiPoly:
@@ -194,7 +193,8 @@ def build_P(kappa, n: int = None) -> MultiPoly:
     out = _P_CACHE.get(kappa)
     if out is None:
         den, k, sums = _orbit_sums(kappa, f"P_{kappa}")
-        out = _P_CACHE[kappa] = _fill(len(kappa), den.over(sums, k, combinat.stabilizer_order))
+        nums = den.over(sums, k, combinat.stabilizer_order)
+        out = _P_CACHE[kappa] = MultiPoly(len(kappa), _fill(nums))
     return out
 
 
@@ -293,7 +293,7 @@ def integral(family: str, label) -> tuple:
                 raise ArithmeticError(f"P_{kappa}: h P at {mu} " + (
                     "is not in Z[alpha]" if r else "has a digit out of bounds"))
             hp[mu] = q
-        return h, k, {e: c for mu, c in hp.items() for e in combinat.rearrangements(mu)}
+        return h, k, _fill(hp)
     if family == "S":
         rho_plus = combinat.as_partition(label)
         den, k, nums = _alternant_numerators(rho_plus)

@@ -125,7 +125,7 @@ def qalpha_sum_P(kappa):
     for eta in cb.rearrangements(kappa):
         dominant = {e: c for e, c in qalpha_chain_E(eta).terms.items() if cb.is_partition(e)}
         acc = acc + MultiPoly(len(kappa), dominant).scale(scalars.const_dp(eta).inverse())
-    return jack._fill(len(kappa), acc.scale(scalars.const_dp(kappa)).terms)
+    return MultiPoly(len(kappa), jack._fill(acc.scale(scalars.const_dp(kappa)).terms))
 
 
 def _forms(f):
@@ -481,7 +481,7 @@ class TestDominantFill:
         s, k, terms = jack.integral("S", (3, 1, 0))
         dominant = {e: c for e, c in terms.items() if cb.has_distinct_parts(e)
                     and cb.is_partition(e)}
-        unsigned = (s, k, jack._fill(3, dominant).terms)
+        unsigned = (s, k, jack._fill(dominant))
         monkeypatch.setattr(jack, "integral", lambda family, label: unsigned)
         witness = verify._asym(verify._served("E", (1, 0, 3))[1], verify._served("S", (3, 1, 0)),
                                (1, 0, 3))
