@@ -377,6 +377,33 @@ def test_printed_denominator_fails_the_tie(fresh_caches, monkeypatch):
 
 
 @pytest.mark.parametrize("name, label", [
+    ("E.eigen-triangular", "eta=(1, 0): xi_1 dE vs eigenvalue * dE"),
+    ("omega.decomposition", "N=2 D=1: M K_d and cleared E"),
+    ("omega.pairing-diagonal", "N=2 D=1: M K_d and cleared E"),
+    ("binomial.nonsymmetric", "N=2 r=1: prod (1-x_j)^-r vs sum over E"),
+    ("asym.proportionality", "rho=(1, 0): Asym d E vs c' d S"),
+])
+def test_input_outside_Z_alpha_is_refused(fresh_caches, monkeypatch, name, label):
+    """A J_(0, 1) off by 1 at (0, 1), as the swap step to J_(1, 0) reads it,
+    leaves a quotient outside Z[alpha]: the chain raises naming the label
+    and the step, and each row that reads the served d E_(1, 0) at the
+    point (`label`, what it compares) refuses it rather than read a
+    truncated quotient."""
+    step = jack._swap_step
+
+    def off_by_one(j_mu, eta, i, outside):
+        pending, k, terms = j_mu
+        if eta == (1, 0):
+            pending, terms = Factored(), {e: c * pending.at(k) + 1 for e, c in terms.items()}
+        return step((pending, k, terms), eta, i, outside)
+    monkeypatch.setattr(jack, "_swap_step", off_by_one)
+    result = verify.CHECKS[name](BOUNDS)
+    assert result.status == "fail" and result.witness == (
+        "exception: ArithmeticError('J_(1, 0): the swap step at (0, 1) "
+        "does not divide by -α - 2')"), f"{label}: {result.witness}"
+
+
+@pytest.mark.parametrize("name, label", [
     ("asym.proportionality", "rho=(0, 1): Asym d E vs c' d S"),
     ("asym.du-expansion", "eta+=(0, 0) N=2: d S vs sum over d E"),
 ])
