@@ -55,7 +55,9 @@ _E_CACHE: dict = {}
 _J_CACHE: dict = {}
 _P_CACHE: dict = {}
 _S_CACHE: dict = {}
-_FORMS: dict = {}  # (family, label) -> an integral form: (s, k, {exponent: int at 2^k})
+# ("E", eta): the served (d, k, J); ("P", kappa): (D, k, orbit sums) of _orbit_sums;
+# ("S", rho+): (s, k, numerators at strictly decreasing lambda) of _alternant_numerators
+_FORMS: dict = {}
 
 
 # ---------------------------------------------------------------------------

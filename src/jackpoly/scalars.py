@@ -57,9 +57,17 @@ def eval_E_at_ones(eta) -> AlphaRational:
     return node_ratio(eta, ("e",), ("d",)).value()
 
 
+def norm_ratio_form(family, label) -> Factored:
+    """The torus-norm ratio of E_eta (family "E") or P_kappa (family "P")
+    relative to the constant polynomial, factored: d'e/(de') or bd'/(e'h)."""
+    if family == "E":
+        return node_ratio(label, ("dp", "e"), ("d", "ep"))
+    return node_ratio(label, ("b", "dp"), ("ep", "h"))
+
+
 def norm_ratio_E(eta) -> AlphaRational:
     """Torus-norm ratio of E relative to the constant polynomial: d'e/(de')."""
-    return node_ratio(eta, ("dp", "e"), ("d", "ep")).value()
+    return norm_ratio_form("E", eta).value()
 
 
 def u_eta(eta) -> AlphaRational:
@@ -85,13 +93,13 @@ def eval_P_at_ones(kappa) -> AlphaRational:
 
 def norm_ratio_P(kappa) -> AlphaRational:
     """Torus-norm ratio of P relative to the constant polynomial: bd'/(e'h)."""
-    return node_ratio(kappa, ("b", "dp"), ("ep", "h")).value()
+    return norm_ratio_form("P", kappa).value()
 
 
 def norm_ratio_P_forms(kappa) -> tuple:
     """norm_ratio_P factored in its two closed forms: bd'/(e'h), N!/stab d' e/(d e')."""
     c = Fraction(math.factorial(len(kappa)), combinat.stabilizer_order(kappa))
-    return (node_ratio(kappa, ("b", "dp"), ("ep", "h")), node_ratio(kappa, ("dp",), (), c)
+    return (norm_ratio_form("P", kappa), node_ratio(kappa, ("dp",), (), c)
             * node_ratio(combinat.reverse_partition(kappa), ("e",), ("d", "ep")))
 
 

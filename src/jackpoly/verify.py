@@ -34,7 +34,7 @@ import math
 import operator
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
@@ -121,6 +121,7 @@ class Sweep:
     caps: dict
     ks: tuple
     rs: tuple
+    bounds: Bounds  # as requested, for a row whose sweep is other rows' sweeps
 
     def cap(self, where):
         """The degree cap at a variable count or a named sub-sweep."""
@@ -147,7 +148,9 @@ class Check:
     r: bool = False
     fixed: dict = field(default_factory=dict)
 
-    def __call__(self, bounds: Bounds) -> CheckResult:
+    def sweep(self, bounds: Bounds):
+        """(Sweep, params, clamped) at the requested bounds, the Sweep None
+        when the row is skipped for want of its k values."""
         params, clamped = {}, []
 
         def hold(bound, requested, lo, hi):
@@ -156,10 +159,6 @@ class Check:
                 clamped.append({"bound": bound, "requested": requested,
                                 "effective": effective})
             return effective
-
-        def result(status, witness=None, cases=0):
-            return CheckResult(self.name, params, status, witness,
-                               cases=cases, clamped=clamped)
 
         ns = ()
         if self.ns is not None:
@@ -178,7 +177,7 @@ class Check:
         ks = tuple(bounds.ks)
         if self.needs_k:
             if not set(self.needs_k) <= set(ks):
-                return result("skipped", "needs k in {%s}" % ",".join(map(str, self.needs_k)))
+                return None, params, clamped
             if set(ks) != set(self.needs_k):
                 clamped.append({"bound": "k", "requested": list(ks),
                                 "effective": list(self.needs_k)})
@@ -188,10 +187,20 @@ class Check:
         if self.r:
             params["r"] = [str(r) for r in bounds.rs]
         params.update(self.fixed)
+        return Sweep(ns, deg, caps, ks, tuple(bounds.rs), bounds), params, clamped
 
+    def __call__(self, bounds: Bounds) -> CheckResult:
+        sweep, params, clamped = self.sweep(bounds)
+
+        def result(status, witness=None, cases=0):
+            return CheckResult(self.name, params, status, witness,
+                               cases=cases, clamped=clamped)
+
+        if sweep is None:
+            return result("skipped", "needs k in {%s}" % ",".join(map(str, self.needs_k)))
         cases = 0
         try:
-            for case in self.cases(Sweep(ns, deg, caps, ks, tuple(bounds.rs))):
+            for case in self.cases(sweep):
                 cases += 1
                 witness = self.test(*case)
                 if witness is not None:
@@ -358,18 +367,22 @@ def _value_at_ones(g, eta):
     return _differ(label, sum(g.terms.values()), e.at(k), k)
 
 
+# the (family, label) a row reads served, from the row's sweep; every other
+# row that reads a served form reads a subset of these at the same bounds
+_SERVED_READS = {
+    "E.eigen-triangular": lambda s: (("E", eta) for (eta,) in _compositions(s)),
+    "P.symmetric-eigen-dominance": lambda s: (("P", kappa) for kappa, _ in _partitions(s)),
+    "pi.v-stability": lambda s: (("P", kappa) for kappa, _ in _partitions(s)),
+    "asym.proportionality": lambda s: (read for rho_plus, rho in _asym_cases(s)
+                                       for read in (("E", rho), ("S", rho_plus)) if read[1]),
+}
+
+
 def _tie_cases(s):
-    """(family, label) for every label a row reads served at the requested
-    bounds: E over the construction sweep and the asym rows' labels beyond
-    it, P over every N and degree, S at the asym rows' rho+; the lower limit
-    N = 3 covers pi.v-stability, which always reads P at N = 3."""
-    for n in s.ns:
-        yield from (("E", eta) for eta in combinat.compositions_upto(
-            s.cap("E(N=4)") if n == 4 else s.deg, n))
-    asym = list(_asym_cases(replace(s, ns=s.ns[:2])))
-    yield from (("E", eta) for _, eta in asym if sum(eta) > s.deg)
-    yield from (("P", kappa) for kappa, _ in _partitions(s))
-    yield from (("S", rho_plus) for rho_plus in dict.fromkeys(r for r, _ in asym if r))
+    """Each (family, label) of _SERVED_READS once, every row there swept at
+    the requested bounds as its own limits hold them."""
+    return dict.fromkeys(read for name, reads in _SERVED_READS.items()
+                         for read in reads(CHECKS[name].sweep(s.bounds)[0]))
 
 
 def _integral_witness(eta, g):
@@ -623,18 +636,13 @@ def _S_norm_ratio(rho_plus):
             * scalars.node_ratio(rho_r, ("dp",)))
 
 
-def _shifted_P_norm_ratio(ep):
-    """The symmetric norm ratio bd'/(e'h) of eta+ at alpha/(alpha+1), factored."""
-    return scalars.node_ratio(ep, ("b", "dp"), ("ep", "h")).shifted()
-
-
 def _norm_reconciliation(ep, rho_plus):
     """The two closed forms of the anti-symmetric norm agree as ratios:
     [bd'/(e'h)](alpha/(alpha+1)) * N! * e_delta/e'_delta equals the ratio of
     _S_norm_ratio."""
     n = len(ep)
-    black = _shifted_P_norm_ratio(ep) * scalars.node_ratio(combinat.staircase(n), ("e",),
-                                                           ("ep",), math.factorial(n))
+    black = scalars.norm_ratio_form("P", ep).shifted() * scalars.node_ratio(
+        combinat.staircase(n), ("e",), ("ep",), math.factorial(n))
     return _differ(f"eta+={ep} N={n}: shifted P form vs S form", black, _S_norm_ratio(rho_plus))
 
 
@@ -709,17 +717,28 @@ def _omega_pairing_cases(s):
 
 
 def _v_stability_cases(s):
-    """({kappa: block, kappa + (0,): block},) for each consecutive pair of
-    swept variable counts N - 1, N and each partition kappa up to deg with
-    N - 1 entries: one truncated kernel per N, and per degree one
-    _kernel_block against the P basis in N - 1 and in N variables."""
+    """(kappa, fewer, more) for each consecutive pair of swept variable
+    counts N - 1, N and each partition kappa up to deg with N - 1 entries:
+    one truncated kernel per N, and per degree one _kernel_block against the
+    P basis in N - 1 (fewer) and in N variables (more)."""
     kernels = {n: polyalg.kernel_numerators(n, s.deg, False) for n in s.ns}
     for d in range(s.deg + 1):
         for n in s.ns[1:]:
             fewer = _kernel_block("P", kernels[n - 1], d)
             more = _kernel_block("P", kernels[n], d)
             for kappa in combinat.partitions(d, n - 1):
-                yield {kappa: fewer, kappa + (0,): more},
+                yield kappa, fewer, more
+
+
+def _v_stability(kappa, fewer, more):
+    """v = d'/h is one Factored at kappa and at kappa + (0,), and the P basis
+    with it decomposes the kernel at the slices x^kappa in N - 1 and
+    x^(kappa, 0) in N variables: one v_kappa serves both."""
+    wide = kappa + (0,)
+    v = [scalars.node_ratio(label, ("dp",), ("h",)) for label in (kappa, wide)]
+    return (_differ(f"kappa={kappa}: v at N={len(kappa)} vs N={len(wide)}", *v)
+            or _first(_differ(f"kappa={label} N={len(label)}", *_slice(label, block))
+                      for label, block in ((kappa, fewer), (wide, more))))
 
 
 def _binomial_term(r, e):
@@ -843,9 +862,8 @@ def _ct(family, l1, l2, gram, unit, k):
     norm ratio at alpha = 1/k."""
     if l2 is not None:
         return _differ(f"<{family}_{l1}, {family}_{l2}> at k={k}", gram[l1][l2], 0)
-    ratio = (scalars.node_ratio(l1, ("dp", "e"), ("d", "ep")) if family == "E"
-             else scalars.node_ratio(l1, ("b", "dp"), ("ep", "h")))
-    return _differ(f"{family}_{l1} k={k}: ct", gram[l1][l1] / unit, ratio.eval_at(Fraction(1, k)))
+    return _differ(f"{family}_{l1} k={k}: ct", gram[l1][l1] / unit,
+                   scalars.norm_ratio_form(family, l1).eval_at(Fraction(1, k)))
 
 
 def _S_norm_cases(s):
@@ -875,7 +893,7 @@ def _S_norm(ep, rho_plus):
             or _differ(f"eta+={ep}: white ratio", oracle.ct_norm_ratio(s_spec, n, 1),
                        _S_norm_ratio(rho_plus).eval_at(1))
             or _differ(f"eta+={ep}: black ratio", oracle.ct_norm_ratio(p_spec, n, 2),
-                       _shifted_P_norm_ratio(ep).eval_at(1)))
+                       scalars.norm_ratio_form("P", ep).shifted().eval_at(1)))
 
 
 def _linear_solve(eta, a0):
@@ -961,9 +979,8 @@ CHECKS = {row.name: row for row in (
           lambda eta: _E_witness(jack.build_E(eta), _served("E", eta)[1], eta), **_EIGEN),
     Check("E.value-at-ones", _compositions,
           lambda eta: _value_at_ones(_served("E", eta)[1], eta), **_EIGEN),
-    Check("integral.tie", _tie_cases, _tie, ns=(3, 4), deg=(0, 5),
-          caps={"E(N=4)": 3, "repeated": 3},
-          fixed={"max|rho|": "deg+1", "N(rho), N(S)": "<=3"}),
+    Check("integral.tie", _tie_cases, _tie, ns=None,
+          fixed={"sweeps": list(_SERVED_READS)}),
     Check("E.swap-action",
           lambda s: ((eta, i) for (eta,) in _compositions(s) for i in range(1, len(eta))),
           _swap_action, deg=(0, 4)),
@@ -1006,10 +1023,7 @@ CHECKS = {row.name: row for row in (
           ns=(2, 4), deg=(0, 3)),
     Check("pi.decomposition", _kernels, lambda n, d: _decomposition("P", n, d),
           deg=(0, 3)),
-    Check("pi.v-stability", _v_stability_cases,
-          lambda blocks: _first(_differ(f"kappa={label} N={len(label)}", *_slice(label, block))
-                                for label, block in blocks.items()),
-          ns=(3, 3), deg=(0, 3)),
+    Check("pi.v-stability", _v_stability_cases, _v_stability, ns=(3, 3), deg=(0, 3)),
     Check("binomial.nonsymmetric",
           lambda s: (("E", r, n, s.deg) for n in s.ns for r in s.rs),
           _binomial, deg=(0, 3), r=True),

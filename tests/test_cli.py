@@ -509,11 +509,11 @@ class TestGolden:
     truncated kernels) before the polynomial operators shared one
     accumulation helper, and the `expand` text digests while a kernel was
     still a two-sided container rather than one polynomial in 2N variables;
-    the `verify` digest when `negative.controls` gained its thirteenth
-    control, alpha - 2^K0 on one cleared coefficient, and named it in its
-    perturbation param (every other row's report is unchanged since the
-    controls came to name the four perturbations that are not +1 on one
-    coefficient).  Any change in canonical form, term set, serialization or
+    the `verify` digest when `integral.tie` took the place of
+    `E.integral-positive` and `negative.controls` gained its fourteenth
+    control, a +1 on the printed E_(2,1) that only the tie sees (every other
+    row's report is unchanged since the controls came to name the four
+    perturbations that are not +1 on one coefficient).  Any change in canonical form, term set, serialization or
     verdict shows here."""
 
     @pytest.mark.parametrize("family, label, digest", [
@@ -683,4 +683,4 @@ class TestGolden:
             del check["seconds"]
         blob = json.dumps(report, sort_keys=True).encode()
         assert hashlib.sha256(blob).hexdigest() == (
-            "b52b398b3ca75257d28d7cdc6af4dfde4fdb02b092620ed988c4be75816d196b")
+            "49972e1749ad6258276cf15148d55667d9133e1d1bd04f32fea08224cfa6b457")

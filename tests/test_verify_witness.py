@@ -465,3 +465,31 @@ def test_cauchy_count_beside_a_transposed_margin(monkeypatch):
     result = verify.CHECKS["cauchy.double-alternant"](verify.Bounds(n_max=3, deg=2))
     assert result.status == "fail"
     assert result.witness == "N=3 D=2: lambda=(2, 0, 0) mu=(1, 1, 0): 1 != 0", result.witness
+
+
+def test_v_changed_by_an_appended_zero_fails_v_stability(fresh_caches, monkeypatch):
+    """d' doubled at every label with three entries and a last part 0, so
+    v_kappa = d'/h read at kappa + (0,) is twice v_kappa read at kappa:
+    pi.v-stability compares the two before either kernel slice, and names
+    the first kappa."""
+    orig, two = scalars.node_ratio, Factored(content=2)
+
+    def appended(eta, up, down=(), content=1):
+        out = orig(eta, up, down, content)
+        return out * two if len(eta) == 3 and eta[-1] == 0 and "dp" in up else out
+    monkeypatch.setattr(scalars, "node_ratio", appended)
+    result = verify.CHECKS["pi.v-stability"](verify.Bounds())
+    assert (result.status, result.witness) == ("fail", "kappa=(0, 0): v at N=2 vs N=3: 1 != 2")
+
+
+def test_ct_rows_read_the_printed_norm_ratio(fresh_caches, monkeypatch):
+    """The ct rows take their closed form from scalars.norm_ratio_form, which
+    norm_ratio_E and norm_ratio_P (what `constants` prints) expand: one
+    doubled there moves both."""
+    orig = scalars.norm_ratio_form
+    monkeypatch.setattr(scalars, "norm_ratio_form",
+                        lambda family, label: orig(family, label) * Factored(content=2))
+    assert scalars.norm_ratio_E((0, 0)) == scalars.norm_ratio_P((0, 0)) == 2 * ONE
+    for family in "EP":
+        result = verify.CHECKS[f"{family}.norm-orthogonality.ct"](BOUNDS)
+        assert (result.status, result.witness) == ("fail", f"{family}_(0, 0) k=1: ct: 1 != 2")
