@@ -20,8 +20,8 @@ below 2^K in size that vanishes at 2^K, that is, by zero; so a remainder,
 or a quotient digit outside [0, 2^L), raises.  E is J over d_eta/pending,
 made canonical by trial division at 2^K (`Factored.over`).
 
-P and S are computed at dominant exponents from packed forms kept in
-_FORMS, then written to the distinct rearrangements of each exponent
+P and S are computed at dominant exponents from packed forms made once
+per build, then written to the distinct rearrangements of each exponent
 (`combinat.signed_rearrangements`, never the N! permutations).
 Sym E_(kappaR) = stab(kappa) P_kappa (T. H. Baker and P. J. Forrester,
 q-alg/9707001), so P sums the ints of the one chain at kappaR by sorted
@@ -30,13 +30,13 @@ alpha/(alpha+1), is fixed by its coefficients at the strictly decreasing
 lambda = nu + delta (a_delta s_nu = a_(nu+delta): I. G. Macdonald,
 Symmetric Functions and Hall Polynomials, I.3), integer combinations of
 the same orbit sums, substituted once, and carries sgn(pi) times them at
-lambda o pi.  `integral` serves each family as s f = terms in Z[alpha]:
-J = d E; h P, one exact int division of each orbit sum, its digits in
-[0, 2^L) as h P is in Z>=0[alpha] (Macdonald, VI.10) with h P(1^N) = b
-at most the chain's bound at alpha = 1; and S over the denominator its
-build forms.  verify's rows read these forms, and its row integral.tie
-holds them to the printed E, P and S.  Everything is cached by label and
-never mutated.
+lambda o pi.  `integral` serves each family as s f = g over Z[alpha],
+made and unpacked once per label and kept in _FORMS: J = d E; h P, one
+exact int division of each orbit sum, its digits in [0, 2^L) as h P is in
+Z>=0[alpha] (Macdonald, VI.10) with h P(1^N) = b at most the chain's
+bound at alpha = 1; and S over the denominator its build forms.  verify's
+rows read these forms, and its row integral.tie holds them to the printed
+E, P and S.  Everything is cached by label and never mutated.
 """
 
 from __future__ import annotations
@@ -55,8 +55,7 @@ _E_CACHE: dict = {}
 _J_CACHE: dict = {}
 _P_CACHE: dict = {}
 _S_CACHE: dict = {}
-# ("E", eta): the served (d, k, J); ("P", kappa): (D, k, orbit sums) of _orbit_sums;
-# ("S", rho+): (s, k, numerators at strictly decreasing lambda) of _alternant_numerators
+# (family, label): the (s, g) that `integral` serves, g = s f over Z[alpha]
 _FORMS: dict = {}
 
 
@@ -158,12 +157,10 @@ def build_E(eta) -> MultiPoly:
 # ---------------------------------------------------------------------------
 
 def _orbit_sums(kappa, label):
-    """(D, K, {mu: sum}), kept in _FORMS: P_kappa[mu] = stab(mu) sum / D,
+    """(D, K, {mu: sum}): P_kappa[mu] = stab(mu) sum / D,
     D = stab(kappa) d_(kappaR) / pending, sum the ints of J_(kappaR) at the e
     that sort to mu.  No digit carries, as J is in Z>=0[alpha] with e(1) < 2^L
     at alpha = 1; a digit outside [0, 2^L) raises naming `label`."""
-    if ("P", kappa) in _FORMS:
-        return _FORMS["P", kappa]
     eta_r = combinat.reverse_partition(kappa)
     pending, k, terms = _packed_integral(eta_r)
     sums, outside = collections.Counter(), _outside(eta_r, k)
@@ -173,8 +170,7 @@ def _orbit_sums(kappa, label):
         if c & outside:
             raise ArithmeticError(f"{label}: the orbit sum at {mu} has a digit out of bounds")
     den = scalars.node_ratio(eta_r, ("d",), (), combinat.stabilizer_order(kappa)) / pending
-    out = _FORMS["P", kappa] = den, k, sums
-    return out
+    return den, k, sums
 
 
 def _fill(dominant: dict) -> dict:
@@ -205,7 +201,7 @@ def build_P(kappa, n: int = None) -> MultiPoly:
 # ---------------------------------------------------------------------------
 
 def _alternant_numerators(rho_plus):
-    """(s, k, {lambda: num}), kept in _FORMS, with S_rho+[lambda] = num/s at
+    """(s, k, {lambda: num}) with S_rho+[lambda] = num/s at
     each strictly decreasing lambda = nu + delta, eta+ = rho+ - delta, with a
     term.  With P = P_(eta+), a_delta P has c_lambda = sum_sigma sgn(sigma)
     P[lambda - sigma delta] = sum_mu m_(lambda mu) P[mu] there, the int
@@ -213,8 +209,6 @@ def _alternant_numerators(rho_plus):
     D c_lambda, P[mu] = stab(mu) sum_mu / D, is summed in Z[alpha], and
     alpha -> alpha/(alpha+1), a ring homomorphism, takes it to a numerator
     over (alpha+1)^B and D to `D.shifted()`: s = D.shifted() (alpha+1)^B."""
-    if ("S", rho_plus) in _FORMS:
-        return _FORMS["S", rho_plus]
     n = len(rho_plus)
     if not combinat.has_distinct_parts(rho_plus):
         raise ValueError(f"{rho_plus} must be strictly decreasing")
@@ -238,8 +232,7 @@ def _alternant_numerators(rho_plus):
     den = shifted * Factored([(1, 1)] * big)
     sums = {lam: homogeneous_compose(s, (0, 1), (1, 1), big) for lam, s in sums.items()}
     k = pack_width(max(sum(map(abs, c)) for c in sums.values()))
-    out = _FORMS["S", rho_plus] = den, k, {lam: pack(s, k) for lam, s in sums.items() if s}
-    return out
+    return den, k, {lam: pack(s, k) for lam, s in sums.items() if s}
 
 
 def _signed_fill(n: int, dominant: dict) -> dict:
@@ -270,34 +263,36 @@ def build_S(rho_plus) -> MultiPoly:
 # ---------------------------------------------------------------------------
 
 def integral(family: str, label) -> tuple:
-    """(s, k, terms) with s f = terms for f = build_E, build_P or build_S at
-    the label (family "E", "P" or "S"): s = d, h or S's denominator, each
-    term the int at alpha = 2^k of a coefficient with balanced digits.  h/D
-    is pending / prod_j (alpha kappa_j + N - j + 1), as P.value-and-hook
+    """(s, g), cached, with s f = g for f = build_E, build_P or build_S at
+    the label (family "E", "P" or "S"): s = d, h or S's denominator, g a
+    MultiPoly whose coefficients are the int tuples of Z[alpha], unpacked
+    once from the ints at alpha = 2^k its family is formed at.  h/D is
+    pending / prod_j (alpha kappa_j + N - j + 1), as P.value-and-hook
     checks; a remainder or a digit of h P out of bounds raises."""
+    if family not in ("E", "P", "S"):
+        raise ValueError(f"unknown family {family!r}")
+    label = (combinat.as_composition if family == "E" else combinat.as_partition)(label)
+    if (family, label) in _FORMS:
+        return _FORMS[family, label]
     if family == "E":
-        eta = combinat.as_composition(label)
-        if ("E", eta) not in _FORMS:
-            pending, k, terms = _packed_integral(eta)
-            scale = pending.at(k)
-            _FORMS["E", eta] = (scalars.node_ratio(eta, ("d",)), k, terms if scale == 1 else
-                                {e: c * scale for e, c in terms.items()})
-        return _FORMS["E", eta]
-    if family == "P":
-        kappa = combinat.as_partition(label)
-        den, k, sums = _orbit_sums(kappa, f"P_{kappa}")
-        h = scalars.node_ratio(kappa, ("h",))
-        num, den = h.at(k), den.at(k)
-        outside, hp = _outside(combinat.reverse_partition(kappa), k), {}
+        pending, k, terms = _packed_integral(label)
+        s, scale = scalars.node_ratio(label, ("d",)), pending.at(k)
+        terms = {e: c * scale for e, c in terms.items()}
+    elif family == "P":
+        den, k, sums = _orbit_sums(label, f"P_{label}")
+        s = scalars.node_ratio(label, ("h",))
+        num, den = s.at(k), den.at(k)
+        outside, hp = _outside(combinat.reverse_partition(label), k), {}
         for mu, c in sums.items():
             q, r = divmod(num * combinat.stabilizer_order(mu) * c, den)
             if r or q & outside:
-                raise ArithmeticError(f"P_{kappa}: h P at {mu} " + (
+                raise ArithmeticError(f"P_{label}: h P at {mu} " + (
                     "is not in Z[alpha]" if r else "has a digit out of bounds"))
             hp[mu] = q
-        return h, k, _fill(hp)
-    if family == "S":
-        rho_plus = combinat.as_partition(label)
-        den, k, nums = _alternant_numerators(rho_plus)
-        return den, k, _signed_fill(len(rho_plus), nums)
-    raise ValueError(f"unknown family {family!r}")
+        terms = _fill(hp)
+    else:
+        s, k, nums = _alternant_numerators(label)
+        terms = _signed_fill(len(label), nums)
+    g = MultiPoly._raw(len(label), {e: unpack(c, k) for e, c in terms.items()})
+    out = _FORMS[family, label] = s, g
+    return out

@@ -10,8 +10,9 @@ effective bounds, the number of cases and every bound a limit cut
 
 The rows that state an identity between the families (the E, P, sym, asym,
 kernel and binomial rows) read E, P and S as `jack.integral` serves them,
-s f in Z[alpha], and decide it as one equation between two sides in
-Z[alpha] at alpha = 2^K.  As l1(pq) <= l1(p) l1(q) and
+s f with int-tuple coefficients in Z[alpha], made once per label and never
+mutated, and decide it as one equation between two sides in Z[alpha] at
+alpha = 2^K.  As l1(pq) <= l1(p) l1(q) and
 l1(p + q) <= l1(p) + l1(q), l1(c) = sum |c_i|, a row bounds l1 of every
 coefficient of both sides by B from the l1 norms of the served digits it
 reads, so a perturbed input moves K, and takes 2^(K-1) > B (`_point`),
@@ -232,13 +233,6 @@ def _first(witnesses):
     return next(filter(None, witnesses), None)
 
 
-def _served(family, label):
-    """(s, g), s f = g for f = E, P or S at the label as `jack.integral`
-    serves it, g with the served ints unpacked once to Z[alpha] tuples."""
-    s, k, terms = jack.integral(family, label)
-    return s, MultiPoly._raw(len(label), {e: unpack(x, k) for e, x in terms.items()})
-
-
 def _point(bound, *gs):
     """K = pack_width(bound), then each g of int tuples packed at alpha = 2^K."""
     k = pack_width(bound)
@@ -262,7 +256,7 @@ def _tie(family, label, f=None):
     l1(t) l1(b); for E the served J is first held to Z>=0[alpha]."""
     if f is None:
         f = {"E": jack.build_E, "P": jack.build_P, "S": jack.build_S}[family](label)
-    (s, g), (name, s_name) = _served(family, label), {
+    (s, g), (name, s_name) = jack.integral(family, label), {
         "E": ("eta", "d"), "P": ("kappa", "h"), "S": ("rho+", "s")}[family]
     if family == "E" and (witness := _integral_witness(label, g)):
         return witness
@@ -409,7 +403,7 @@ def _swap_action(eta, i):
     delta^2 s_i(c_eta J_eta) = delta c_eta J_eta + (delta^2 - [eta_i > eta_(i+1)]) c_mu J_mu.
     With l = |a| + |b|, each side is bounded by
     (l + 1)^2 (l1(c_eta) max l1(J_eta) + l1(c_mu) max l1(J_mu))."""
-    label, g = f"eta={eta} i={i}: s_i E", _served("E", eta)[1]
+    label, g = f"eta={eta} i={i}: s_i E", jack.integral("E", eta)[1]
     if eta[i - 1] == eta[i]:
         k, g = _point(max(_norms(g)), g)
         return _differ(label, apply_transposition(g, i, i + 1), g, k)
@@ -419,7 +413,7 @@ def _swap_action(eta, i):
     dens = [scalars.node_ratio(eta, ("d",)), scalars.node_ratio(mu, ("d",))]
     lcm = Factored.lcm(dens)
     c_eta, c_mu = (lcm / d for d in dens)
-    h = _served("E", mu)[1]
+    h = jack.integral("E", mu)[1]
     k, g, h = _point((abs(a) + abs(b) + 1) ** 2 * (
         c_eta.l1_bound() * max(_norms(g)) + c_mu.l1_bound() * max(_norms(h))), g, h)
     delta = (a << k) + b
@@ -495,10 +489,10 @@ def _two_routes(kappa, n):
     lcm = Factored.lcm(list(dens.values()))
     h, label = scalars.node_ratio(kappa, ("h",)), f"kappa={kappa} N={n}"
     scale = h * lcm * scalars.node_ratio(kappa, ("dp",))
-    routes = [(scale / dens[eta], _served("E", eta)[1]) for eta in dens]
+    routes = [(scale / dens[eta], jack.integral("E", eta)[1]) for eta in dens]
     closed = {name: h * form for name, form in zip(
         ("b/h", "N!/stab e/d"), scalars.P_at_ones_forms(kappa))}
-    hp = _served("P", kappa)[1]
+    hp = jack.integral("P", kappa)[1]
     k, hp, *js = _point(max(lcm.l1_bound() * max(_norms(hp)), sum(_norms(hp)), *(
         form.l1_bound() for form in closed.values()), sum(
         c.l1_bound() * max(_norms(j)) for c, j in routes)), hp, *(j for _, j in routes))
@@ -528,7 +522,7 @@ def _sym_proportional(eta):
     l1(b) N! max l1(d E) and l1(N! e) max l1(h P)."""
     kappa, n = combinat.sort_to_partition(eta), len(eta)
     label = f"eta={eta}: Sym d E vs c' h P"
-    g, hp = _served("E", eta)[1], _served("P", kappa)[1]
+    g, hp = jack.integral("E", eta)[1], jack.integral("P", kappa)[1]
     b, e = scalars.node_ratio(kappa, ("b",)), scalars.node_ratio(eta, ("e",), (), math.factorial(n))
     k, g, hp = _point(max(b.l1_bound() * math.factorial(n) * max(_norms(g)),
                           e.l1_bound() * max(_norms(hp))), g, hp)
@@ -602,8 +596,8 @@ def _du_expansion(ep, rho_plus):
     l1(d(rho+)) max l1(s S) and l1(s) sum_nu max l1(d(nu) E_nu)."""
     label = f"eta+={ep} N={len(ep)}: d S vs sum over d E"
     nus = combinat.signed_rearrangements(rho_plus)
-    (s, t), d = _served("S", rho_plus), scalars.node_ratio(rho_plus, ("d",))
-    gs = [_served("E", nu)[1] for nu, _ in nus]
+    (s, t), d = jack.integral("S", rho_plus), scalars.node_ratio(rho_plus, ("d",))
+    gs = [jack.integral("E", nu)[1] for nu, _ in nus]
     k, t, *gs = _point(max(d.l1_bound() * max(_norms(t)),
                            s.l1_bound() * sum(max(_norms(g)) for g in gs)), t, *gs)
     acc = MultiPoly.zero(len(rho_plus))
@@ -659,7 +653,7 @@ def _kernel_sum(family, n, d):
     kind = "d" if family == "E" else "h"
     dens = {label: scalars.node_ratio(label, (kind, "dp")) for label in _labels(family, n, d)}
     m = Factored.lcm([Factored([(1, 0)] * d, math.factorial(d)), *dens.values()])
-    return m, {label: (m / den, _served(family, label)[1]) for label, den in dens.items()}
+    return m, {label: (m / den, jack.integral(family, label)[1]) for label, den in dens.items()}
 
 
 def _kernel_block(family, kernel, d):
@@ -760,7 +754,7 @@ def _binomial(family, r, n, bound, r_side=None):
     m = Factored.lcm([scalars.node_ratio(label, (kind, "dp"), (), q ** sum(label))
                       for label in labels])
     terms = [(m * scalars.binomial_ratio(r_side, label) / scalars.node_ratio(label, (kind,)),
-              _served(family, label)[1]) for label in labels]
+              jack.integral(family, label)[1]) for label in labels]
     label = f"N={n} r={r}: prod (1-x_j)^-r vs sum over {family}"
     lhs = {e: m * Factored(content=_binomial_term(r, e))
            for e in combinat.compositions_upto(bound, n)}
@@ -928,7 +922,7 @@ def _plus(g, shift=(1,)):
 def _controls(s):
     """(label, detected) for each perturbed input, printed or served, fed to
     the test of the row that would see it."""
-    e21, g21 = jack.build_E((2, 1)), _served("E", (2, 1))[1]
+    e21, g21 = jack.build_E((2, 1)), jack.integral("E", (2, 1))[1]
     yield "eigen", _E_witness(e21, _plus(g21), (2, 1)) is not None
     # alpha - 2^K0 vanishes at the point K0 of the unperturbed d E, so only a
     # K taken from the perturbed input sees it
@@ -936,9 +930,9 @@ def _controls(s):
     yield "kronecker", _eigen_witness(_plus(g21, shift), (2, 1)) is not None
     yield "triangular", _E_witness(_corrupt(e21, (2, 1)), g21, (2, 1)) is not None
     yield "tie", _tie("E", (2, 1), _corrupt(e21)) is not None
-    yield "P-properties", _P_witness(_corrupt(jack.build_P((2, 1), 2)), _served("P", (2, 1))[1],
-                                     (2, 1)) is not None
-    e10, g10 = jack.build_E((1, 0)), _served("E", (1, 0))[1]
+    yield "P-properties", _P_witness(_corrupt(jack.build_P((2, 1), 2)),
+                                     jack.integral("P", (2, 1))[1], (2, 1)) is not None
+    e10, g10 = jack.build_E((1, 0)), jack.integral("E", (1, 0))[1]
     yield "integral-positive", _integral_witness((1, 0), _plus(g10, (-2,))) is not None
     yield "at-ones", _value_at_ones(_plus(g10), (1, 0)) is not None
 
@@ -956,8 +950,8 @@ def _controls(s):
     yield "omega", _differ("omega", block, doubled, k) is not None
     yield "binomial", _binomial("E", Fraction(2), 2, 2, r_side=Fraction(3)) is not None
 
-    s20, t20 = _served("S", (2, 0))
-    yield "asym-proportional", _asym(_served("E", (2, 0))[1], (s20, _plus(t20)),
+    s20, t20 = jack.integral("S", (2, 0))
+    yield "asym-proportional", _asym(jack.integral("E", (2, 0))[1], (s20, _plus(t20)),
                                      (2, 0)) is not None
 
     sol = dict(oracle.solve_E_linear((1, 0), Fraction(2)))
@@ -976,9 +970,9 @@ def _controls(s):
 
 CHECKS = {row.name: row for row in (
     Check("E.eigen-triangular", _compositions,
-          lambda eta: _E_witness(jack.build_E(eta), _served("E", eta)[1], eta), **_EIGEN),
+          lambda eta: _E_witness(jack.build_E(eta), jack.integral("E", eta)[1], eta), **_EIGEN),
     Check("E.value-at-ones", _compositions,
-          lambda eta: _value_at_ones(_served("E", eta)[1], eta), **_EIGEN),
+          lambda eta: _value_at_ones(jack.integral("E", eta)[1], eta), **_EIGEN),
     Check("integral.tie", _tie_cases, _tie, ns=None,
           fixed={"sweeps": list(_SERVED_READS)}),
     Check("E.swap-action",
@@ -993,7 +987,7 @@ CHECKS = {row.name: row for row in (
                                   operator.ne),
           _multiply_back, fixed={"trials": 4, "max-part": 3}),
     Check("P.symmetric-eigen-dominance", _partitions,
-          lambda kappa, n: _P_witness(jack.build_P(kappa, n), _served("P", kappa)[1], kappa),
+          lambda kappa, n: _P_witness(jack.build_P(kappa, n), jack.integral("P", kappa)[1], kappa),
           ns=(2, 4), deg=(0, 5)),
     Check("P.two-routes", _partitions, _two_routes, deg=(0, 5)),
     Check("P.stability",
@@ -1003,7 +997,7 @@ CHECKS = {row.name: row for row in (
     Check("P.value-and-hook", _hook_cases, _value_and_hook, ns=(2, 4), deg=(0, 5),
           fixed={"max|kappa|": "deg+1", "fig2": "N=9"}),
     Check("asym.proportionality", _asym_cases, lambda rho_plus, rho: _asym(
-        _served("E", rho)[1], rho_plus and _served("S", rho_plus), rho), deg=(0, 5),
+        jack.integral("E", rho)[1], rho_plus and jack.integral("S", rho_plus), rho), deg=(0, 5),
           caps={"repeated": 3},
           fixed={"max|rho|": "deg+1",
                  "sign": "(-1)^(ascending pairs) * d'(rho)/d'(rhoR)"}),

@@ -6,13 +6,10 @@ import pytest
 # allow running pytest from a fresh checkout without an editable install
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from jackpoly import combinat, jack, oracle, polyalg  # noqa: E402
+from jackpoly import _MEMOS  # noqa: E402
 
-# every memo of the package, as (module, attribute)
-CACHES = [(jack, "_E_CACHE"), (jack, "_J_CACHE"), (jack, "_P_CACHE"), (jack, "_S_CACHE"),
-          (jack, "_FORMS"), (combinat, "_NODES"), (combinat, "_WALKS"),
-          (polyalg, "_KERNELS"), (oracle, "_IMAGE_CACHE"), (oracle, "_ANSATZ_CACHE"),
-          (oracle, "_WEIGHT_CACHE"), (oracle, "_PACKED_WEIGHT")]
+# every memo of the package, as (module, attribute), read from the one list
+CACHES = [(module, name) for module, names in _MEMOS.items() for name in names]
 
 
 @pytest.fixture

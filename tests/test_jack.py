@@ -31,11 +31,11 @@ class TestBuildE:
     def test_eigen_and_triangular_sweep(self):
         for n, cap in [(2, 5), (3, 4)]:
             for eta in cb.compositions_upto(cap, n):
-                assert verify._E_witness(jack.build_E(eta), verify._served("E", eta)[1],
+                assert verify._E_witness(jack.build_E(eta), jack.integral("E", eta)[1],
                                          eta) is None
 
     def test_corrupted_fails(self):
-        f, g = jack.build_E((2, 1)), verify._served("E", (2, 1))[1]
+        f, g = jack.build_E((2, 1)), jack.integral("E", (2, 1))[1]
         e, c = f.lead_term()
         # +1 on the served d E fails the eigen-equations; on the printed E
         # below the label, which the eigen check does not read, the tie
@@ -54,7 +54,7 @@ class TestBuildE:
         witness = verify._monic_below("eta=(1, 1, 0)", above, (1, 1, 0),
                                       lambda e: cb.composition_lt(e, (1, 1, 0)))
         assert witness == "eta=(1, 1, 0): monomial (2, 0, 0) not below the label: 1 != 0"
-        assert verify._E_witness(above, verify._served("E", (1, 1, 0))[1], (1, 1, 0)) is not None
+        assert verify._E_witness(above, jack.integral("E", (1, 1, 0))[1], (1, 1, 0)) is not None
 
     def test_swap_action_cases(self):
         assert verify._swap_action((1, 1), 1) is None
@@ -330,11 +330,11 @@ class TestBuildP:
     def test_symmetric_eigen_dominance(self):
         for n in (2, 3):
             for kappa in cb.partitions_upto(5, n):
-                assert verify._P_witness(jack.build_P(kappa, n), verify._served("P", kappa)[1],
+                assert verify._P_witness(jack.build_P(kappa, n), jack.integral("P", kappa)[1],
                                          kappa) is None
 
     def test_corrupted_P_fails(self):
-        p, hp = jack.build_P((2, 1), 2), verify._served("P", (2, 1))[1]
+        p, hp = jack.build_P((2, 1), 2), jack.integral("P", (2, 1))[1]
         e, c = p.lead_term()
         bad = MultiPoly(2, {**p.terms, e: c + ONE})
         assert verify._P_witness(bad, hp, (2, 1)) is not None
@@ -396,7 +396,7 @@ class TestBuildS:
     def test_reads_only_the_chain_at_eta_plus_R(self, fresh_caches, monkeypatch, rho_plus):
         # from empty caches S sums the orbit sums of the one chain at eta+R
         # itself: it builds no E and no P, reads no h, and caches only S and
-        # the forms it is made from
+        # the chain, serving no integral form
         def refused(name):
             def call(*args):
                 raise AssertionError(f"build_S called {name}{args}")
@@ -414,7 +414,7 @@ class TestBuildS:
         assert jack._E_CACHE == {} and jack._P_CACHE == {}
         assert set(jack._J_CACHE) == set(_chain(cb.reverse_partition(eta_plus)))
         assert jack._S_CACHE == {rho_plus: s} and jack.build_S(rho_plus) is s
-        assert set(jack._FORMS) == {("P", eta_plus), ("S", rho_plus)}
+        assert jack._FORMS == {}
         assert s == _reference_S(rho_plus)
 
     def test_orbit_sum_digit_outside_the_bound_raises(self, fresh_caches, monkeypatch):
@@ -475,16 +475,14 @@ class TestDominantFill:
         rho_plus = (7, 3, 2, 1, 0)
         assert jack.build_S(rho_plus) == _reference_S(rho_plus)
 
-    def test_broken_fills_are_detected(self, fresh_caches, monkeypatch):
+    def test_broken_fills_are_detected(self, fresh_caches):
         # the served S with its permutation signs dropped is symmetric, not a
         # multiple of the antisymmetrized E
-        s, k, terms = jack.integral("S", (3, 1, 0))
-        dominant = {e: c for e, c in terms.items() if cb.has_distinct_parts(e)
+        s, g = jack.integral("S", (3, 1, 0))
+        dominant = {e: c for e, c in g.terms.items() if cb.has_distinct_parts(e)
                     and cb.is_partition(e)}
-        unsigned = (s, k, jack._fill(dominant))
-        monkeypatch.setattr(jack, "integral", lambda family, label: unsigned)
-        witness = verify._asym(verify._served("E", (1, 0, 3))[1], verify._served("S", (3, 1, 0)),
-                               (1, 0, 3))
+        unsigned = (s, MultiPoly._raw(3, jack._fill(dominant)))
+        witness = verify._asym(jack.integral("E", (1, 0, 3))[1], unsigned, (1, 0, 3))
         assert witness is not None and witness.startswith("rho=(1, 0, 3): Asym d E vs c' d S")
 
     @pytest.mark.parametrize("edit, rows", [
@@ -524,14 +522,15 @@ class TestDominantFill:
 class TestAsym:
     def test_repeated_parts_vanish(self):
         for rho in [(1, 1), (2, 2, 0), (1, 0, 1)]:
-            assert verify._asym(verify._served("E", rho)[1], None, rho) is None
+            assert verify._asym(jack.integral("E", rho)[1], None, rho) is None
             assert not antisymmetrize(jack.build_E(rho))
 
     def test_measured_constants(self):
         # read at the label (1, 0), where S is monic
         s = jack.build_S((1, 0))
         for rho, want in (((1, 0), A / (A + 1)), ((0, 1), -ONE)):
-            assert verify._asym(verify._served("E", rho)[1], verify._served("S", (1, 0)), rho) is None
+            served = jack.integral("E", rho)[1], jack.integral("S", (1, 0))
+            assert verify._asym(*served, rho) is None
             asym = antisymmetrize(jack.build_E(rho))
             assert s.coeff((1, 0)) == ONE
             assert asym == s.scale(asym.coeff((1, 0))) and asym.coeff((1, 0)) == want
@@ -544,8 +543,8 @@ class TestAsym:
             for ep in cb.partitions_upto(5 - sum(delta), n):
                 rho_plus = tuple(p + d for p, d in zip(ep, delta))
                 for rho in cb.rearrangements(rho_plus):
-                    witness = verify._asym(verify._served("E", rho)[1],
-                                           verify._served("S", rho_plus), rho)
+                    witness = verify._asym(jack.integral("E", rho)[1],
+                                           jack.integral("S", rho_plus), rho)
                     assert witness is None, witness
 
     def test_du_expansion(self):

@@ -4,7 +4,9 @@ the oracle, which must not share that walk, enumerates permutations.  No
 Z[alpha] product the checks pack is expanded first: a Factored is packed
 by its `at`, only `qalpha` expands one, and the kernels are built on ints.
 The rows apply the operators at a point and build no field element but
-in the controls, and verify reads jack only through its public names."""
+in the controls, and verify reads jack only through its public names.
+Every module-level memo is listed in `jackpoly._MEMOS`, which
+`clear_caches` and the tests' fresh caches read."""
 
 import ast
 import pathlib
@@ -29,6 +31,22 @@ def test_package_imports_only_stdlib():
                 top = name.split(".")[0]
                 assert top == "jackpoly" or top in sys.stdlib_module_names, (
                     f"{path.name}:{node.lineno} imports {name}")
+
+
+def test_MEMOS_names_every_module_level_memo():
+    """Each module-level `NAME: dict = {}` of the package is in _MEMOS, and
+    _MEMOS names nothing else, so clear_caches() cannot miss a memo."""
+    import jackpoly
+    declared = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+                    and _name(node.annotation) == "dict" and isinstance(node.value, ast.Dict)
+                    and not node.value.keys):
+                declared.add((path.stem, node.target.id))
+    listed = {(module.__name__.rsplit(".", 1)[1], name)
+              for module, names in jackpoly._MEMOS.items() for name in names}
+    assert declared and listed == declared, (listed - declared, declared - listed)
 
 
 def test_permutations_only_in_the_oracle():

@@ -2,8 +2,8 @@
 
 A pass makes once, and keeps, each quantity that depends on its key alone
 and that several rows ask for: a label's diagram walk (combinat), the
-integral forms jack serves and makes P and S from, and the alpha-free image
-of a monomial under the oracle's operators.  A kept value must be the value
+integral forms jack serves, and the alpha-free image of a monomial under
+the oracle's operators.  A kept value must be the value
 made again: a warm pass gives the verdicts of a cold one.  The rows at the
 point read the forms jack serves, and integral.tie ties every label they
 read to the printed E, P or S, so a cached E or P replaced after a pass
@@ -19,7 +19,7 @@ import jackpoly
 from conftest import CACHES
 from jackpoly import combinat, jack, oracle, qalpha, verify
 from jackpoly.polyalg import MultiPoly, monomial_symmetric
-from jackpoly.qalpha import ALPHA, ONE
+from jackpoly.qalpha import ALPHA, ONE, poly_add
 
 KERNEL_ROWS = ("omega.decomposition", "omega.pairing-diagonal", "pi.decomposition",
                "pi.v-stability")
@@ -96,6 +96,38 @@ def test_clear_caches_empties_every_memo_a_pass_filled(default_pass, monkeypatch
         monkeypatch.setattr(module, name, dict(cache))
     jackpoly.clear_caches()
     assert [key for key in CACHES if getattr(*key)] == []
+
+
+class _CountedStores(dict):
+    """A memo that counts the stores made at each key."""
+
+    def __init__(self):
+        super().__init__()
+        self.stores = collections.Counter()
+
+    def __setitem__(self, key, value):
+        self.stores[key] += 1
+        super().__setitem__(key, value)
+
+
+def test_a_pass_serves_each_integral_form_once(fresh_caches, monkeypatch):
+    """A cold default pass makes each form jack serves once, one per case
+    of integral.tie; a repeat read returns the kept pair itself, and every
+    kept g still equals the form made afresh, so no row mutated one."""
+    monkeypatch.setattr(jack, "_FORMS", _CountedStores())
+    assert verify.run_checks(verify.Bounds()).ok
+    forms = jack._FORMS
+    assert len(forms) == verify.CHECKS["integral.tie"](verify.Bounds()).cases == 201
+    assert set(forms.stores.values()) == {1}
+    assert all(jack.integral(*key) is pair for key, pair in forms.items())
+    for module, name in CACHES:
+        monkeypatch.setattr(module, name, {})
+    assert all(jack.integral(*key)[1].terms == g.terms for key, (_, g) in forms.items())
+
+
+def test_an_unknown_family_is_refused_before_its_label_is_read():
+    with pytest.raises(ValueError, match=r"^unknown family 'Q'$"):
+        jack.integral("Q", None)
 
 
 def test_a_warm_pass_clears_no_S_again(default_pass):
@@ -200,10 +232,10 @@ def test_every_P_mutant_at_N_4_fails_a_default_row(monkeypatch, kappa, e):
     integral = jack.integral
 
     def served(family, label):
-        s, k, terms = integral(family, label)
+        s, g = integral(family, label)
         if (family, label) == ("P", kappa):
-            terms = {**terms, e: terms.get(e, 0) + (1 << k)}
-        return s, k, terms
+            g = MultiPoly._raw(4, {**g.terms, e: poly_add(g.terms.get(e, ()), (0, 1))})
+        return s, g
     monkeypatch.setattr(jack, "integral", served)
     assert "P.symmetric-eigen-dominance" in _failed(rows)
 
